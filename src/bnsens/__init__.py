@@ -36,15 +36,10 @@ from .errors import (
 from .graph import (
     Dag,
     Hypergraph,
-    UndirectedGraph,
     children,
     descendants,
-    family_hypergraph,
     min_weight_order,
-    moralize,
-    non_descendants,
     parents,
-    skeleton,
 )
 from .ingest import (
     NativeDocument,
@@ -100,10 +95,8 @@ from .sobol import (
 )
 from .tensor import (
     Factor,
-    factor_affine,
     factor_div,
     factor_product,
-    factor_square,
     factor_sum_out,
 )
 

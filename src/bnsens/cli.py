@@ -2,7 +2,7 @@
 oracle, render DOT figures, and generate random fixture networks.
 
 Exit codes: 0 success, 2 parse/validation problems, 3 degenerate output
-variance, 4 resource caps (state space too large).
+variance, 4 resource caps (state space too large, out of memory).
 """
 
 from __future__ import annotations
@@ -486,6 +486,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_DEGENERATE
     except StateSpaceTooLargeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:
+        # numpy raises a private subclass; name the public type.
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (BnSensError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

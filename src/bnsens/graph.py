@@ -1,11 +1,10 @@
-"""DAG relations, moral/skeleton graphs, hypergraphs, and the greedy
-minimal-weight elimination-order heuristic."""
+"""DAG relations, hypergraphs, and the greedy minimal-weight
+elimination-order heuristic."""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping
 
 from .errors import CyclicGraphError
@@ -88,41 +87,6 @@ def descendants(dag: Dag, v: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def non_descendants(dag: Dag, v: int) -> frozenset[int]:
-    """Complement of the descendant set; includes v and its ancestors."""
-    return frozenset(range(dag.vertex_count)) - descendants(dag, v)
-
-
-@dataclass(frozen=True)
-class UndirectedGraph:
-    """Undirected graph with edges normalized to (min, max) pairs."""
-
-    vertex_count: int
-    edges: frozenset[tuple[int, int]]
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(b if a == v else a for a, b in self.edges if v in (a, b))
-
-
-def moralize(dag: Dag) -> UndirectedGraph:
-    """Symmetrized DAG edges plus an edge between every pair of co-parents."""
-    edges: set[tuple[int, int]] = set()
-    for v, ps in enumerate(dag.parent_lists):
-        for p in ps:
-            edges.add((min(p, v), max(p, v)))
-        for a, b in combinations(sorted(ps), 2):
-            edges.add((a, b))
-    return UndirectedGraph(dag.vertex_count, frozenset(edges))
-
-
-def skeleton(dag: Dag) -> UndirectedGraph:
-    """Moral graph with every edge made undirected.
-
-    Identical edge set to `moralize`; kept as a separate named operation.
-    """
-    return moralize(dag)
-
-
 @dataclass(frozen=True)
 class Hypergraph:
     """Vertex set plus a list of nonempty hyperedges (vertex subsets)."""
@@ -139,12 +103,6 @@ class Hypergraph:
                 raise ValueError("hyperedges must be nonempty")
             if not e <= self.vertices:
                 raise ValueError(f"hyperedge {sorted(e)} leaves the vertex set")
-
-
-def family_hypergraph(dag: Dag) -> Hypergraph:
-    """One hyperedge {v} | parents(v) per vertex."""
-    edges = tuple(frozenset({v}) | frozenset(ps) for v, ps in enumerate(dag.parent_lists))
-    return Hypergraph(frozenset(range(dag.vertex_count)), edges)
 
 
 def min_weight_order(

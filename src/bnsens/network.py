@@ -19,14 +19,12 @@ import numpy as np
 from .errors import (
     AxisCardinalityMismatchError,
     ContractionUnderflowWarning,
-    DivisionByZeroError,
     InvalidAssignmentError,
     UnknownAxisError,
 )
 from .graph import Hypergraph, min_weight_order
 from .model import AnalysisSpec, DiscreteBayesNet, output_values
 from .tensor import (
-    ZERO_NUMERATOR_TOL,
     Factor,
     factor_div,
     factor_product,
@@ -144,6 +142,21 @@ def restrict(tn: TensorNetwork, assignment: Mapping[int, int]) -> TensorNetwork:
     )
 
 
+def _combine(terms: Sequence[tuple[Factor, bool]]) -> Factor:
+    """Product of the plain factors divided by the product of the inverted
+    ones, each multiplied smallest first; `factor_div`'s 0/0 rule applies."""
+    out = Factor.scalar(1.0)
+    for f in sorted((f for f, inv in terms if not inv), key=lambda f: f.values.size):
+        out = factor_product(out, f)
+    denominators = sorted((f for f, inv in terms if inv), key=lambda f: f.values.size)
+    if denominators:
+        den = Factor.scalar(1.0)
+        for f in denominators:
+            den = factor_product(den, f)
+        out = factor_div(out, den)
+    return out
+
+
 def marginalize(
     tn: TensorNetwork,
     eliminate: Iterable[int],
@@ -182,21 +195,7 @@ def marginalize(
             terms.append((Factor.scalar(tn.universe[v]), False))
             continue
         terms = [(f, inv) for f, inv in terms if v not in f.axes]
-        numerators = sorted(
-            (f for f, inv in bucket if not inv), key=lambda f: f.values.size
-        )
-        denominators = sorted(
-            (f for f, inv in bucket if inv), key=lambda f: f.values.size
-        )
-        combined = Factor.scalar(1.0)
-        for f in numerators:
-            combined = factor_product(combined, f)
-        if denominators:
-            den = Factor.scalar(1.0)
-            for f in denominators:
-                den = factor_product(den, f)
-            combined = factor_div(combined, den)
-        terms.append((factor_sum_out(combined, {v}), False))
+        terms.append((factor_sum_out(_combine(bucket), {v}), False))
 
     universe = {k: c for k, c in tn.universe.items() if k not in targets}
     replica_map = {r: o for r, o in tn.replica_map.items() if r in universe}
@@ -210,26 +209,14 @@ def marginalize(
 
 def contract_all(tn: TensorNetwork) -> float:
     """Marginalize the whole universe and return the resulting scalar."""
-    reduced = marginalize(tn, set(tn.universe))
-    num = 1.0
-    for f in reduced.factors:
-        num *= float(f.values)
-    den = 1.0
-    for f in reduced.inverted:
-        den *= float(f.values)
-    if den == 0.0:
-        if abs(num) > ZERO_NUMERATOR_TOL:
-            raise DivisionByZeroError("nonzero contraction over zero divisor")
-        value = 0.0
-    else:
-        value = num / den
+    value = float(collapse(tn, ()).values)
     if value != 0.0 and abs(value) < np.finfo(np.float64).tiny and _inputs_normal(tn):
         warnings.warn(
             f"contraction underflowed to subnormal {value!r}",
             ContractionUnderflowWarning,
             stacklevel=2,
         )
-    return float(value)
+    return value
 
 
 def _inputs_normal(tn: TensorNetwork) -> bool:
@@ -315,14 +302,9 @@ def collapse(tn: TensorNetwork, keep: Iterable[int]) -> Factor:
     if missing:
         raise UnknownAxisError(f"keep variables {sorted(missing)} not in universe")
     reduced = marginalize(tn, set(tn.universe) - keep_set)
-    out = Factor.scalar(1.0)
-    for f in sorted(reduced.factors, key=lambda f: f.values.size):
-        out = factor_product(out, f)
-    if reduced.inverted:
-        den = Factor.scalar(1.0)
-        for f in sorted(reduced.inverted, key=lambda f: f.values.size):
-            den = factor_product(den, f)
-        out = factor_div(out, den)
+    out = _combine(
+        [(f, False) for f in reduced.factors] + [(f, True) for f in reduced.inverted]
+    )
     for v in sorted(keep_set - set(out.axes)):
         out = factor_product(out, Factor((v,), np.ones(tn.universe[v])))
     return out

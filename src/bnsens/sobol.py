@@ -4,9 +4,9 @@ For the function of interest f(evidence) = E[mapped output | evidence], the
 variance component S_i = Var_i[E_{~i}[f]] / Var[f] measures the additive
 effect of evidential variable i, and the total index
 S^T_i = E_{~i}[Var_i[f]] / Var[f] = 1 - Var_{~i}[E_i[f]] / Var[f] its
-overall effect including interactions. Every required moment is read off a
-handful of marginalization queries over squared and quotient networks, so f
-itself is never tabulated.
+overall effect including interactions. Every required moment is one
+conditional-moment query E[E[f | keep]^2] over a squared and quotient
+network, so f itself is never tabulated.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .model import (
 )
 from .network import (
     TensorNetwork,
-    collapse,
+    collapse,  # unused here; bench/spans.py hooks it by name in this module
     contract_all,
     function_tn,
     marginalize,
@@ -39,7 +39,6 @@ from .network import (
     quotient,
     square_wrt,
 )
-from .tensor import factor_square
 
 DEGENERATE_VARIANCE_TOL = 1e-12
 NEGATIVE_VARIANCE_TOL = 1e-9
@@ -79,6 +78,21 @@ def _evidential_set(j: TensorNetwork) -> frozenset[int]:
     return frozenset(j.universe)
 
 
+def _conditional_second_moment(
+    t: TensorNetwork, j: TensorNetwork, keep: frozenset[int]
+) -> float:
+    """E[E[f | keep]^2] for a subset `keep` of the evidential variables.
+
+    Everything outside `keep` is summed out of the function network, which
+    leaves P(keep) E[f | keep] in factored form; squaring it (no replicas,
+    since every remaining variable is shared) and dividing by P(keep), the
+    evidence marginal with the rest of the evidence summed out, contracts
+    to the second moment of the conditional mean."""
+    numerator = marginalize(t, set(t.universe) - keep)
+    divisor = marginalize(j, _evidential_set(j) - keep)
+    return contract_all(quotient(square_wrt(numerator, keep), divisor))
+
+
 def expected_value(t: TensorNetwork) -> float:
     """E[f]: the full contraction of the function network."""
     return contract_all(t)
@@ -91,19 +105,16 @@ def global_variance(
     mean: float | None = None,
     check: bool = True,
 ) -> float:
-    """Var[f] = E[f^2] - E[f]^2.
+    """Var[f] = E[E[f | E]^2] - E[f]^2, with E all evidential variables.
 
-    E[f^2] comes from one contraction of the function network squared with
-    respect to the evidential variables and divided by the evidence
-    marginal; squaring first leaves the elimination heuristic free to pick
-    one global order. Tiny negative results clamp to zero; with `check` the
-    degenerate case (variance at numerical zero) raises, because every
-    downstream index would be undefined."""
-    e_set = _evidential_set(j)
+    The second moment is the conditional-moment query with every evidential
+    variable kept. `t` may range over the whole network or be already
+    reduced to the evidential variables. Tiny negative results clamp to
+    zero; with `check` the degenerate case (variance at numerical zero)
+    raises, because every downstream index would be undefined."""
     if mean is None:
         mean = contract_all(t)
-    second_moment = contract_all(quotient(square_wrt(t, e_set), j))
-    variance = second_moment - mean * mean
+    variance = _conditional_second_moment(t, j, _evidential_set(j)) - mean * mean
     if -NEGATIVE_VARIANCE_TOL <= variance < 0.0:
         variance = 0.0
     if check and variance <= DEGENERATE_VARIANCE_TOL:
@@ -111,6 +122,20 @@ def global_variance(
             f"output variance {variance!r} is numerically zero; indices undefined"
         )
     return variance
+
+
+def _checked_variance(
+    t: TensorNetwork, j: TensorNetwork, mean: float | None, variance: float | None
+) -> tuple[float, float]:
+    """The mean and variance, computed where the caller passed none; a
+    variance at numerical zero raises, since every index divides by it."""
+    if mean is None:
+        mean = contract_all(t)
+    if variance is None:
+        variance = global_variance(t, j, mean=mean)
+    if variance <= DEGENERATE_VARIANCE_TOL:
+        raise DegenerateOutputError("output variance is numerically zero")
+    return mean, variance
 
 
 def closed_index(
@@ -123,29 +148,16 @@ def closed_index(
 ) -> float:
     """Closed (grouped) variance component Var_subset[E_{rest}[f]] / Var[f].
 
-    The function network is collapsed to a single factor over the subset,
-    squared elementwise, and divided by the evidence marginal restricted to
-    the subset; one contraction then gives the second moment of the
-    conditional mean."""
+    The numerator is E[E[f | subset]^2] - E[f]^2, the conditional-moment
+    query with the subset kept."""
     e_set = _evidential_set(j)
     ids = frozenset(int(v) for v in subset)
     if not ids:
         raise NotEvidentialError("the variable subset is empty")
     if not ids <= e_set:
         raise NotEvidentialError(f"variables {sorted(ids - e_set)} are not evidential")
-    if mean is None:
-        mean = contract_all(t)
-    if variance is None:
-        variance = global_variance(t, j, mean=mean)
-    if variance <= DEGENERATE_VARIANCE_TOL:
-        raise DegenerateOutputError("output variance is numerically zero")
-    collapsed = collapse(t, ids)
-    numerator_net = TensorNetwork(
-        {v: t.universe[v] for v in ids}, (factor_square(collapsed),)
-    )
-    j_subset = marginalize(j, e_set - ids)
-    second_moment = contract_all(quotient(numerator_net, j_subset))
-    return (second_moment - mean * mean) / variance
+    mean, variance = _checked_variance(t, j, mean, variance)
+    return (_conditional_second_moment(t, j, ids) - mean * mean) / variance
 
 
 def variance_component(
@@ -168,26 +180,16 @@ def total_index(
     mean: float | None = None,
     variance: float | None = None,
 ) -> float:
-    """Total effect S^T_i via 1 - Var_{~i}[E_i[f]] / Var[f].
+    """Total effect S^T_i = 1 - Var_{~i}[E_i[f]] / Var[f].
 
-    Variable i is marginalized out of the function network, the remainder is
-    squared with respect to the other evidential variables, and the quotient
-    with the evidence marginal (i marginalized out of it as well) contracts
-    to the second moment of E_i[f]."""
+    Var_{~i}[E_i[f]] is E[E[f | E - {i}]^2] - E[f]^2, the conditional-moment
+    query with every evidential variable but i kept."""
     var_id = int(i)
     e_set = _evidential_set(j)
     if var_id not in e_set:
         raise NotEvidentialError(f"variable {var_id} is not evidential")
-    if mean is None:
-        mean = contract_all(t)
-    if variance is None:
-        variance = global_variance(t, j, mean=mean)
-    if variance <= DEGENERATE_VARIANCE_TOL:
-        raise DegenerateOutputError("output variance is numerically zero")
-    t_without = marginalize(t, {var_id})
-    squared = square_wrt(t_without, e_set - {var_id})
-    j_without = marginalize(j, {var_id})
-    second_moment = contract_all(quotient(squared, j_without))
+    mean, variance = _checked_variance(t, j, mean, variance)
+    second_moment = _conditional_second_moment(t, j, e_set - {var_id})
     return 1.0 - (second_moment - mean * mean) / variance
 
 
@@ -198,18 +200,20 @@ def compute_all(
 ) -> SobolReport:
     """Compute the requested indices for every evidential variable.
 
-    Builds the probability network once, adjoins the output-value factor,
-    marginalizes the non-evidential variables into the evidence marginal,
-    and then answers each index with a few squared/quotient contractions.
-    Per-variable work is independent; `options.workers` > 1 runs it in a
-    thread pool. Entries are ordered by variable id regardless."""
+    Builds the probability network once and sums the non-evidential
+    variables out of both the function network and the probability network
+    (the evidence marginal). Every index is then one conditional-moment
+    query over these two small networks, so no query squares a chance
+    variable. Per-variable work is independent; `options.workers` > 1 runs
+    it in a thread pool. Entries are ordered by variable id regardless."""
     options = options or ComputeOptions()
     validate_network(bn)
     validate_partition(bn, spec)
     started = time.perf_counter()
     mrf = mrf_from_bn(bn)
-    t = function_tn(mrf, spec, bn)
-    j = marginalize(mrf, set(mrf.universe) - spec.evidential)
+    chance = set(mrf.universe) - spec.evidential
+    t = marginalize(function_tn(mrf, spec, bn), chance)
+    j = marginalize(mrf, chance)
     mean = contract_all(t)
     variance = global_variance(t, j, mean=mean)
 

@@ -1,5 +1,5 @@
-"""Dense factors over integer variable axes: products, marginal sums,
-guarded division, and elementwise maps."""
+"""Dense factors over integer variable axes: products, marginal sums and
+guarded division."""
 
 from __future__ import annotations
 
@@ -118,10 +118,3 @@ def factor_div(a: Factor, b: Factor) -> Factor:
         out = num / den
     return Factor(axes, out)
 
-
-def factor_square(a: Factor) -> Factor:
-    return Factor(a.axes, a.values * a.values)
-
-
-def factor_affine(a: Factor, scale: float, shift: float) -> Factor:
-    return Factor(a.axes, scale * a.values + shift)

@@ -121,27 +121,44 @@ def common_parent_bn() -> tuple[DiscreteBayesNet, AnalysisSpec]:
     return bn, spec
 
 
+def layered_network(
+    seed: int, n_roots: int, n_mid: int, cardinality: int | tuple[int, int]
+) -> tuple[DiscreteBayesNet, AnalysisSpec]:
+    """Roots, then interior nodes with 3 or 4 parents drawn from the roots
+    and earlier interior nodes, then one output with 3 interior parents.
+
+    `cardinality` is one domain size for every node or a (lo, hi) range
+    drawn per node. The roots are evidential and output label k scores k."""
+    rng = np.random.default_rng(seed)
+    n = n_roots + n_mid + 1
+    if isinstance(cardinality, int):
+        cards = [cardinality] * n
+    else:
+        cards = [int(c) for c in rng.integers(cardinality[0], cardinality[1] + 1, size=n)]
+    parent_map: dict[int, tuple[int, ...]] = {i: () for i in range(n_roots)}
+    mids = list(range(n_roots, n - 1))
+    for k, m in enumerate(mids):
+        pool = list(range(n_roots)) + mids[:k]
+        chosen = rng.choice(pool, size=3 + (k % 2), replace=False)
+        parent_map[m] = tuple(sorted(int(x) for x in chosen))
+    parent_map[n - 1] = tuple(sorted(int(x) for x in rng.choice(mids, size=3, replace=False)))
+    variables = tuple(
+        Variable(i, f"N{i}", tuple(str(d) for d in range(cards[i]))) for i in range(n)
+    )
+    cpts = []
+    for i in range(n):
+        rows = int(np.prod([cards[p] for p in parent_map[i]], dtype=np.int64))
+        cpts.append(Cpt(i, parent_map[i], rng.dirichlet(np.ones(cards[i]), size=rows)))
+    bn = DiscreteBayesNet(variables, tuple(cpts))
+    validate_network(bn)
+    value_map = {str(d): float(d) for d in range(cards[n - 1])}
+    return bn, AnalysisSpec(n - 1, frozenset(range(n_roots)), value_map)
+
+
 def concrete_style_network(seed: int = 7) -> tuple[DiscreteBayesNet, AnalysisSpec]:
     """A 24-node ternary network with 16 evidential roots, 7 intermediate
     chance nodes, and one sink output; evidence grid 3^16 (~4.3e7 points)."""
-    rng = np.random.default_rng(seed)
-    parent_map: dict[int, tuple[int, ...]] = {i: () for i in range(16)}
-    mids = list(range(16, 23))
-    for k, m in enumerate(mids):
-        pool = list(range(16)) + mids[:k]
-        count = 3 + (k % 2)
-        chosen = rng.choice(pool, size=count, replace=False)
-        parent_map[m] = tuple(sorted(int(x) for x in chosen))
-    parent_map[23] = tuple(sorted(int(x) for x in rng.choice(mids, size=3, replace=False)))
-    variables = tuple(Variable(i, f"N{i}", ("0", "1", "2")) for i in range(24))
-    cpts = []
-    for i in range(24):
-        rows = 3 ** len(parent_map[i])
-        cpts.append(Cpt(i, parent_map[i], rng.dirichlet(np.ones(3), size=rows)))
-    bn = DiscreteBayesNet(variables, tuple(cpts))
-    validate_network(bn)
-    spec = AnalysisSpec(23, frozenset(range(16)), {"0": 0.0, "1": 1.0, "2": 2.0})
-    return bn, spec
+    return layered_network(seed, 16, 7, 3)
 
 
 # --------------------------------------------------------- random instances

@@ -3,6 +3,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import bnsens.network
+from bnsens.cli import main
+
 GOLDEN = Path(__file__).parent / "golden"
 CHAIN = str(GOLDEN / "chain.native")
 
@@ -111,6 +114,15 @@ def test_oracle_cap_exits_4(tmp_path):
     code, _, err = run_cli("oracle", "--network", str(path))
     assert code == 4
     assert "StateSpaceTooLarge" in err
+
+
+def test_out_of_memory_exits_4(monkeypatch, capsys):
+    def refuse(a, b):
+        raise MemoryError("cannot allocate the product")
+
+    monkeypatch.setattr(bnsens.network, "factor_product", refuse)
+    assert main(["compute", "--network", CHAIN]) == 4
+    assert "error: MemoryError: cannot allocate" in capsys.readouterr().err
 
 
 def test_oracle_compare_reports_deviation():

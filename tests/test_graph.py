@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -9,12 +7,8 @@ from bnsens import (
     Hypergraph,
     children,
     descendants,
-    family_hypergraph,
     min_weight_order,
-    moralize,
-    non_descendants,
     parents,
-    skeleton,
 )
 
 # The five-vertex example graph: 0->2, 0->3, 1->3, 2->4, 3->4.
@@ -39,108 +33,11 @@ def test_parent_child_relations():
 def test_descendants():
     assert descendants(FIVE, 0) == {2, 3, 4}
     assert descendants(FIVE, 4) == frozenset()
-    assert non_descendants(FIVE, 0) == {0, 1}
-    assert non_descendants(FIVE, 4) == {0, 1, 2, 3, 4}
 
 
 def test_isolated_vertex_has_no_descendants():
     dag = Dag(((), (0,), ()))
     assert descendants(dag, 2) == frozenset()
-
-
-def test_moralize_five_node():
-    moral = moralize(FIVE)
-    # Directed edges symmetrized plus the co-parent links {0,1} and {2,3}.
-    assert moral.edges == frozenset(
-        {(0, 2), (0, 3), (1, 3), (2, 4), (3, 4), (0, 1), (2, 3)}
-    )
-
-
-def test_moralize_chain_adds_nothing():
-    chain = Dag(((), (0,), (1,)))
-    assert moralize(chain).edges == frozenset({(0, 1), (1, 2)})
-
-
-def test_moralize_collider():
-    collider = Dag(((), (), (0, 1)))
-    assert (0, 1) in moralize(collider).edges
-
-
-def test_skeleton_equals_moral_edge_set():
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        n = int(rng.integers(1, 9))
-        parent_lists = []
-        for v in range(n):
-            pool = list(range(v))
-            count = int(rng.integers(0, min(3, v) + 1)) if v else 0
-            chosen = rng.choice(pool, size=count, replace=False) if count else []
-            parent_lists.append(tuple(sorted(int(x) for x in chosen)))
-        dag = Dag(tuple(parent_lists))
-        assert skeleton(dag).edges == moralize(dag).edges
-
-
-def test_skeleton_five_node_cliques_and_separators():
-    skel = skeleton(FIVE)
-    assert len(skel.edges) == 7
-
-    def is_complete(vertices):
-        return all(
-            (min(a, b), max(a, b)) in skel.edges
-            for a, b in itertools.combinations(vertices, 2)
-        )
-
-    complete = [
-        frozenset(c)
-        for r in range(2, 6)
-        for c in itertools.combinations(range(5), r)
-        if is_complete(c)
-    ]
-    cliques = {c for c in complete if not any(c < d for d in complete)}
-    assert cliques == {frozenset({0, 1, 3}), frozenset({0, 2, 3}), frozenset({2, 3, 4})}
-    # Separators between overlapping cliques.
-    assert frozenset({0, 3}) == frozenset({0, 1, 3}) & frozenset({0, 2, 3})
-    assert frozenset({2, 3}) == frozenset({0, 2, 3}) & frozenset({2, 3, 4})
-
-
-def test_single_node_skeleton_empty():
-    assert skeleton(Dag(((),))).edges == frozenset()
-
-
-def test_family_hypergraph_five_node():
-    h = family_hypergraph(FIVE)
-    assert set(h.hyperedges) == {
-        frozenset({0}),
-        frozenset({1}),
-        frozenset({0, 2}),
-        frozenset({0, 1, 3}),
-        frozenset({2, 3, 4}),
-    }
-
-
-def test_family_hypergraph_edgeless():
-    dag = Dag(((), (), ()))
-    assert set(family_hypergraph(dag).hyperedges) == {
-        frozenset({0}),
-        frozenset({1}),
-        frozenset({2}),
-    }
-
-
-def test_families_complete_in_moral_graph():
-    rng = np.random.default_rng(11)
-    for _ in range(30):
-        n = int(rng.integers(2, 13))
-        parent_lists = []
-        for v in range(n):
-            count = int(rng.integers(0, min(3, v) + 1)) if v else 0
-            chosen = rng.choice(range(v), size=count, replace=False) if count else []
-            parent_lists.append(tuple(sorted(int(x) for x in chosen)))
-        dag = Dag(tuple(parent_lists))
-        moral = moralize(dag)
-        for edge in family_hypergraph(dag).hyperedges:
-            for a, b in itertools.combinations(sorted(edge), 2):
-                assert (a, b) in moral.edges
 
 
 def test_hypergraph_rejects_bad_edges():

@@ -6,6 +6,7 @@ import pytest
 from bnsens import (
     AnalysisSpec,
     ContractionUnderflowWarning,
+    DivisionByZeroError,
     Factor,
     InvalidAssignmentError,
     MissingValueMapError,
@@ -168,6 +169,21 @@ def test_contract_empty_network_is_one():
 def test_contract_single_factor():
     tn = TensorNetwork({0: 2}, (Factor((0,), [0.4, 0.6]),))
     assert contract_all(tn) == pytest.approx(1.0)
+
+
+def test_contract_over_zero_divisor():
+    # The first divisor is zero only as a scalar residue after elimination,
+    # the second cell by cell inside the bucket of variable 0.
+    divisors = (
+        TensorNetwork({0: 2}, (Factor.scalar(0.0),)),
+        TensorNetwork({0: 2}, (Factor((0,), [0.0, 0.0]),)),
+    )
+    for divisor in divisors:
+        zero = TensorNetwork({0: 2}, (Factor((0,), [0.0, 0.0]),))
+        assert contract_all(quotient(zero, divisor)) == 0.0
+        nonzero = TensorNetwork({0: 2}, (Factor((0,), [0.5, 0.0]),))
+        with pytest.raises(DivisionByZeroError):
+            contract_all(quotient(nonzero, divisor))
 
 
 def test_contract_underflow_warns():

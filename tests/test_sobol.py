@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import bnsens.network
 from bnsens import (
     AnalysisSpec,
     ComputeOptions,
@@ -29,6 +30,7 @@ from helpers import (
     chain_bn,
     chain_spec,
     common_parent_bn,
+    layered_network,
     random_instance,
     random_roots_instance,
     xor_bn,
@@ -145,6 +147,40 @@ def test_closed_index_of_singleton_matches_component():
             assert closed_index({i}, t, j) == pytest.approx(
                 variance_component(i, t, j), abs=1e-12
             )
+
+
+def test_queries_agree_on_full_and_reduced_function_network():
+    for seed in range(6):
+        bn, spec = random_instance(seed + 250)
+        t, j = _networks(bn, spec)
+        reduced = marginalize(t, set(t.universe) - spec.evidential)
+        assert global_variance(reduced, j) == pytest.approx(global_variance(t, j), abs=1e-12)
+        evid = sorted(spec.evidential)
+        for i in evid:
+            for query in (variance_component, total_index):
+                assert query(i, reduced, j) == pytest.approx(query(i, t, j), abs=1e-12)
+        assert closed_index(evid[:2], reduced, j) == pytest.approx(
+            closed_index(evid[:2], t, j), abs=1e-12
+        )
+
+
+def test_compute_all_never_squares_chance_variables(monkeypatch):
+    # Ten 5-7-state roots under five interior nodes: squaring the interior
+    # nodes along with the evidence asks for products of ~3e9 cells.
+    bn, spec = layered_network(4, 10, 5, (5, 7))
+    product = bnsens.network.factor_product
+
+    def capped(a, b):
+        cards = dict(zip(a.axes, a.values.shape)) | dict(zip(b.axes, b.values.shape))
+        cells = int(np.prod(list(cards.values()), dtype=np.int64))
+        assert cells <= 1e8, f"factor_product asked for {cells:.3g} cells"
+        return product(a, b)
+
+    monkeypatch.setattr(bnsens.network, "factor_product", capped)
+    report = compute_all(bn, spec)
+    for entry in report.indices:
+        assert -1e-12 <= entry.s <= entry.st + 1e-12
+        assert entry.st <= 1.0 + 1e-12
 
 
 def test_closed_index_of_full_set_is_one():

@@ -8,10 +8,8 @@ from bnsens import (
     DivisionByZeroError,
     Factor,
     UnknownAxisError,
-    factor_affine,
     factor_div,
     factor_product,
-    factor_square,
     factor_sum_out,
 )
 
@@ -87,14 +85,6 @@ def test_div_broadcasts_over_union():
     b = Factor((1,), np.array([2.0, 4.0]))
     out = factor_div(a, b)
     np.testing.assert_allclose(out.values, [[0.5, 0.5], [1.5, 1.0]])
-
-
-def test_square_and_affine():
-    f = Factor((0,), [-1.0, 2.0])
-    np.testing.assert_array_equal(factor_square(f).values, [1.0, 4.0])
-    np.testing.assert_array_equal(factor_affine(f, 1.0, 0.0).values, f.values)
-    g = Factor((0,), [0.0, 1.0, 2.0])
-    np.testing.assert_array_equal(factor_affine(g, 2.0, 1.0).values, [1.0, 3.0, 5.0])
 
 
 # ----------------------------------------------------------- property tests
