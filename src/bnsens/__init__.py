@@ -36,7 +36,9 @@ from .errors import (
 from .graph import (
     Dag,
     Hypergraph,
+    ancestors,
     children,
+    d_separated,
     descendants,
     min_weight_order,
     parents,

@@ -87,6 +87,52 @@ def descendants(dag: Dag, v: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def ancestors(dag: Dag, targets: Iterable[int]) -> frozenset[int]:
+    """The ancestral set An(targets): the targets themselves plus every
+    vertex with a directed path into one of them."""
+    stack = [int(v) for v in targets]
+    for v in stack:
+        _check_vertex(dag, v)
+    out: set[int] = set()
+    while stack:
+        v = stack.pop()
+        if v not in out:
+            out.add(v)
+            stack.extend(dag.parent_lists[v])
+    return frozenset(out)
+
+
+def d_separated(dag: Dag, a: int, b: int, given: Iterable[int] = ()) -> bool:
+    """Whether `given` d-separates vertex a from vertex b.
+
+    The moralized-ancestral-graph criterion (Lauritzen et al. 1990): a and
+    b are d-separated by Z exactly when no path joins them in the moral
+    graph of An({a, b} | Z) once Z is deleted. Every family (a vertex with
+    its parents) is a clique of that graph, so the search walks families.
+    """
+    a, b = int(a), int(b)
+    z = {int(v) for v in given}
+    if a in z or b in z:
+        raise ValueError("a and b must lie outside the conditioning set")
+    relevant = ancestors(dag, {a, b} | z)
+    incident: dict[int, list[tuple[int, ...]]] = {v: [] for v in relevant}
+    for v in relevant:
+        family = (v, *dag.parent_lists[v])
+        for u in family:
+            incident[u].append(family)
+    seen = {a}
+    frontier = [a]
+    while frontier:
+        for family in incident[frontier.pop()]:
+            for u in family:
+                if u == b:
+                    return False
+                if u not in seen and u not in z:
+                    seen.add(u)
+                    frontier.append(u)
+    return True
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """Vertex set plus a list of nonempty hyperedges (vertex subsets)."""

@@ -77,21 +77,29 @@ def _scope_hypergraph(tn: TensorNetwork) -> Hypergraph:
     return Hypergraph(frozenset(tn.universe), scopes)
 
 
-def mrf_from_bn(bn: DiscreteBayesNet) -> TensorNetwork:
+def mrf_from_bn(
+    bn: DiscreteBayesNet, nodes: Iterable[int] | None = None
+) -> TensorNetwork:
     """One factor per node over its family (the node plus its parents),
     holding the node's conditional probabilities.
 
     The full contraction of the result is 1: the factors multiply to the
-    joint distribution, so no normalizing constant is needed.
+    joint distribution, so no normalizing constant is needed. With `nodes`
+    only those nodes enter the universe and get a factor. The set must hold
+    the parents of each of its members, as an ancestral set
+    `ancestors(bn.dag(), targets)` does (otherwise a factor axis falls
+    outside the universe); the result is then the exact joint marginal of
+    `nodes`, since every dropped factor sums to 1 over its own node.
     """
-    universe = {v.id: v.cardinality for v in bn.variables}
+    kept = range(bn.n) if nodes is None else sorted({int(v) for v in nodes})
+    if kept and not 0 <= kept[0] <= kept[-1] < bn.n:
+        raise IndexError(f"node ids must lie in 0..{bn.n - 1}")
+    universe = {i: bn.variables[i].cardinality for i in kept}
     factors = []
-    for v in bn.variables:
-        cpt = bn.cpts[v.id]
-        shape = tuple(bn.variables[p].cardinality for p in cpt.parents) + (
-            v.cardinality,
-        )
-        factors.append(Factor.of((*cpt.parents, v.id), cpt.table.reshape(shape)))
+    for i in kept:
+        scope = (*bn.cpts[i].parents, i)
+        shape = tuple(bn.variables[p].cardinality for p in scope)
+        factors.append(Factor.of(scope, bn.cpts[i].table.reshape(shape)))
     return TensorNetwork(universe, tuple(factors))
 
 

@@ -12,6 +12,7 @@ network, so f itself is never tabulated.
 from __future__ import annotations
 
 import itertools
+import logging
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +22,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DegenerateOutputError, NotEvidentialError, PartialFunctionError
+from .graph import ancestors, d_separated
 from .model import (
     AnalysisSpec,
     Cpt,
@@ -43,6 +45,8 @@ from .network import (
 DEGENERATE_VARIANCE_TOL = 1e-12
 NEGATIVE_VARIANCE_TOL = 1e-9
 NEGATIVE_INDEX_WARNING = 1e-6
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -200,17 +204,42 @@ def compute_all(
 ) -> SobolReport:
     """Compute the requested indices for every evidential variable.
 
-    Builds the probability network once and sums the non-evidential
-    variables out of both the function network and the probability network
-    (the evidence marginal). Every index is then one conditional-moment
-    query over these two small networks, so no query squares a chance
-    variable. Per-variable work is independent; `options.workers` > 1 runs
-    it in a thread pool. Entries are ordered by variable id regardless."""
+    Builds the probability network over An(output | evidence) only: a
+    barren node, an ancestor of neither, has a factor that sums to 1 and
+    drops out exactly. It then sums the non-evidential variables out of
+    both the function network and the probability network (the evidence
+    marginal). Every index is then one conditional-moment query over these
+    two small networks, so no query squares a chance variable. Some
+    indices need no query and are exact zeros: S_i when i is d-separated
+    from the output, since E[f | i] is then constant, and S^T_i when the
+    rest of the evidence d-separates i from the output, since f is then
+    flat along i. Per-variable work is independent; `options.workers` > 1
+    runs it in a thread pool. Entries are ordered by variable id
+    regardless."""
     options = options or ComputeOptions()
     validate_network(bn)
     validate_partition(bn, spec)
     started = time.perf_counter()
-    mrf = mrf_from_bn(bn)
+    dag = bn.dag()
+    relevant = ancestors(dag, spec.evidential | {spec.output})
+    _log.debug("pruned barren nodes %s", sorted(set(range(bn.n)) - relevant))
+    targets = sorted(spec.evidential)
+    zero_s = zero_st = frozenset()
+    if options.first:
+        zero_s = frozenset(i for i in targets if d_separated(dag, i, spec.output))
+    if options.total:
+        zero_st = frozenset(
+            i for i in targets
+            if d_separated(dag, i, spec.output, spec.evidential - {i})
+        )
+    for label, zeros in (("S", zero_s), ("ST", zero_st)):
+        for i in sorted(zeros):
+            _log.debug(
+                "%s of %s (id %d) = 0.0 by d-separation from the output",
+                label, bn.variables[i].name, i,
+            )
+
+    mrf = mrf_from_bn(bn, relevant)
     chance = set(mrf.universe) - spec.evidential
     t = marginalize(function_tn(mrf, spec, bn), chance)
     j = marginalize(mrf, chance)
@@ -221,15 +250,18 @@ def compute_all(
         s = s_time = st = st_time = None
         if options.first:
             t0 = time.perf_counter()
-            s = variance_component(i, t, j, mean=mean, variance=variance)
+            s = 0.0 if i in zero_s else variance_component(
+                i, t, j, mean=mean, variance=variance
+            )
             s_time = time.perf_counter() - t0
         if options.total:
             t0 = time.perf_counter()
-            st = total_index(i, t, j, mean=mean, variance=variance)
+            st = 0.0 if i in zero_st else total_index(
+                i, t, j, mean=mean, variance=variance
+            )
             st_time = time.perf_counter() - t0
         return IndexEntry((i,), bn.variables[i].name, s, s_time, st, st_time)
 
-    targets = sorted(spec.evidential)
     if options.workers > 1:
         with ThreadPoolExecutor(max_workers=options.workers) as pool:
             entries = list(pool.map(one_variable, targets))

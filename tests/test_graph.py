@@ -5,7 +5,9 @@ from bnsens import (
     CyclicGraphError,
     Dag,
     Hypergraph,
+    ancestors,
     children,
+    d_separated,
     descendants,
     min_weight_order,
     parents,
@@ -33,6 +35,32 @@ def test_parent_child_relations():
 def test_descendants():
     assert descendants(FIVE, 0) == {2, 3, 4}
     assert descendants(FIVE, 4) == frozenset()
+
+
+def test_ancestors_include_the_targets():
+    assert ancestors(FIVE, {3}) == {0, 1, 3}
+    assert ancestors(FIVE, {2, 1}) == {0, 1, 2}
+    assert ancestors(FIVE, {4}) == {0, 1, 2, 3, 4}
+    assert ancestors(FIVE, ()) == frozenset()
+    with pytest.raises(IndexError):
+        ancestors(FIVE, {5})
+
+
+def test_d_separation_on_five_vertex_graph():
+    # 0 and 1 meet only at the collider 3 (and its descendant 4).
+    assert d_separated(FIVE, 0, 1)
+    assert not d_separated(FIVE, 0, 1, {3})
+    assert not d_separated(FIVE, 0, 1, {4})
+    # 2 and 3 share the parent 0.
+    assert not d_separated(FIVE, 2, 3)
+    assert d_separated(FIVE, 2, 3, {0})
+    assert not d_separated(FIVE, 2, 3, {0, 4})
+    # The chain 0 -> 2 -> 4 is blocked at 2 only if 0 -> 3 -> 4 is too.
+    assert not d_separated(FIVE, 0, 4, {2})
+    assert d_separated(FIVE, 0, 4, {2, 3})
+    assert not d_separated(FIVE, 1, 1)
+    with pytest.raises(ValueError):
+        d_separated(FIVE, 0, 4, {0})
 
 
 def test_isolated_vertex_has_no_descendants():

@@ -1,0 +1,183 @@
+"""Relevance pruning in `compute_all`: barren nodes never reach a factor,
+and evidential variables d-separated from the output get exact zeros
+without a query. Every case is checked against the brute-force oracle."""
+
+import logging
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bnsens.network
+import bnsens.sobol
+from bnsens import AnalysisSpec, Cpt, DiscreteBayesNet, Variable, compute_all
+from bnsens.oracle import brute_force_indices
+from helpers import random_instance
+
+
+def binary_bn(parent_map, tables):
+    """Binary nodes named by `parent_map` keys (in id order) with the given
+    rows of P(node = 1 | parents)."""
+    names = list(parent_map)
+    ids = {name: i for i, name in enumerate(names)}
+    variables = tuple(Variable(i, name, ("0", "1")) for i, name in enumerate(names))
+    cpts = tuple(
+        Cpt(ids[name], tuple(ids[p] for p in parent_map[name]),
+            [[1.0 - q, q] for q in tables[name]])
+        for name in names
+    )
+    return DiscreteBayesNet(variables, cpts), ids
+
+
+def spec_for(ids, output, evidential):
+    return AnalysisSpec(ids[output], frozenset(ids[e] for e in evidential),
+                        {"0": 0.0, "1": 1.0})
+
+
+def by_name(report):
+    return {entry.name: entry for entry in report.indices}
+
+
+def assert_matches_oracle(report, bn, spec, tol=1e-10):
+    reference = brute_force_indices(bn, spec)
+    assert report.expected_value == pytest.approx(reference.expected_value, abs=tol)
+    assert report.variance == pytest.approx(reference.variance, abs=tol)
+    for mine, ref in zip(report.indices, reference.indices):
+        assert mine.name == ref.name
+        assert mine.s == pytest.approx(ref.s, abs=tol)
+        assert mine.st == pytest.approx(ref.st, abs=tol)
+
+
+def with_barren_nodes(bn, spec, count, seed):
+    """`bn` plus `count` random nodes that are ancestors of neither the
+    output nor the evidence, their ids scattered among the original ones.
+    Returns the network, the spec carried over, and the added ids."""
+    rng = np.random.default_rng(seed)
+    n = bn.n
+    parent_map = {i: bn.cpts[i].parents for i in range(n)}
+    domains = {i: bn.variables[i].domain for i in range(n)}
+    tables = {i: bn.cpts[i].table for i in range(n)}
+    for b in range(n, n + count):
+        chosen = rng.choice(b, size=int(rng.integers(0, min(3, b) + 1)), replace=False)
+        parent_map[b] = tuple(int(p) for p in chosen)
+        domains[b] = tuple(str(d) for d in range(int(rng.integers(2, 4))))
+        rows = int(np.prod([len(domains[p]) for p in parent_map[b]]))
+        tables[b] = rng.dirichlet(np.ones(len(domains[b])), size=rows)
+    # The original nodes keep their relative id order, so the pruned network
+    # is the original one relabelled and eliminates in the same order.
+    slots = rng.permutation(n + count)
+    new_id = sorted(int(x) for x in slots[:n]) + [int(x) for x in slots[n:]]
+    variables = tuple(sorted(
+        (Variable(new_id[i], bn.variables[i].name if i < n else f"B{i}", domains[i])
+         for i in range(n + count)),
+        key=lambda v: v.id,
+    ))
+    cpts = tuple(
+        Cpt(new_id[i], tuple(new_id[p] for p in parent_map[i]), tables[i])
+        for i in range(n + count)
+    )
+    moved = AnalysisSpec(new_id[spec.output],
+                         frozenset(new_id[e] for e in spec.evidential), spec.value_map)
+    return DiscreteBayesNet(variables, cpts), moved, {new_id[b] for b in range(n, n + count)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    instance_seed=st.integers(0, 10**6),
+    count=st.integers(1, 4),
+    barren_seed=st.integers(0, 10**6),
+)
+def test_barren_subnetwork_changes_nothing(instance_seed, count, barren_seed):
+    bn, spec = random_instance(instance_seed, max_nodes=7, max_evidence=4)
+    grown, grown_spec, barren = with_barren_nodes(bn, spec, count, barren_seed)
+    product = bnsens.network.factor_product
+    named_axes: set[int] = set()
+
+    def recording(a, b):
+        out = product(a, b)
+        named_axes.update(a.axes, b.axes, out.axes)
+        return out
+
+    with mock.patch.object(bnsens.network, "factor_product", recording):
+        report = compute_all(grown, grown_spec)
+    assert not named_axes & barren
+    base = compute_all(bn, spec)
+    assert report.expected_value == pytest.approx(base.expected_value, abs=1e-12)
+    assert report.variance == pytest.approx(base.variance, abs=1e-12)
+    grown_entries = by_name(report)
+    assert set(grown_entries) == set(by_name(base))
+    for name, entry in by_name(base).items():
+        assert grown_entries[name].s == pytest.approx(entry.s, abs=1e-12)
+        assert grown_entries[name].st == pytest.approx(entry.st, abs=1e-12)
+    assert_matches_oracle(report, grown, grown_spec, tol=1e-9)
+
+
+def isolated_root_bn():
+    # B is an evidential root with no path to O; D is a barren child of O.
+    return binary_bn(
+        {"A": (), "B": (), "O": ("A",), "D": ("O",)},
+        {"A": [0.4], "B": [0.7], "O": [0.1, 0.8], "D": [0.3, 0.6]},
+    )
+
+
+def test_isolated_root_gets_exact_zeros_without_a_query(monkeypatch):
+    bn, ids = isolated_root_bn()
+    spec = spec_for(ids, "O", ("A", "B"))
+    queried = []
+    for name in ("variance_component", "total_index"):
+        original = getattr(bnsens.sobol, name)
+
+        def recording(i, *args, _original=original, **kwargs):
+            queried.append(i)
+            return _original(i, *args, **kwargs)
+
+        monkeypatch.setattr(bnsens.sobol, name, recording)
+    report = compute_all(bn, spec)
+    isolated = by_name(report)["B"]
+    assert isolated.s == 0.0 and isolated.st == 0.0
+    assert sorted(queried) == [ids["A"], ids["A"]]
+    assert_matches_oracle(report, bn, spec)
+
+
+def test_chain_total_index_is_zero_but_first_order_is_not():
+    # i -> k -> O with E = {i, k}: k screens i off the output, so f is flat
+    # along i, yet i still moves E[f | i] through k.
+    bn, ids = binary_bn(
+        {"i": (), "k": ("i",), "O": ("k",)},
+        {"i": [0.4], "k": [0.2, 0.9], "O": [0.1, 0.7]},
+    )
+    spec = spec_for(ids, "O", ("i", "k"))
+    report = compute_all(bn, spec)
+    entry = by_name(report)["i"]
+    assert entry.st == 0.0
+    assert entry.s > 0.1
+    assert_matches_oracle(report, bn, spec)
+
+
+def test_collider_first_order_is_zero_but_total_index_is_not():
+    # i -> C <- X -> O with E = {i, C}: i alone says nothing about O, but
+    # once C is known, i explains X away.
+    bn, ids = binary_bn(
+        {"i": (), "X": (), "C": ("i", "X"), "O": ("X",)},
+        {"i": [0.5], "X": [0.3], "C": [0.05, 0.9, 0.6, 0.95], "O": [0.1, 0.8]},
+    )
+    spec = spec_for(ids, "O", ("i", "C"))
+    report = compute_all(bn, spec)
+    entry = by_name(report)["i"]
+    assert entry.s == 0.0
+    assert entry.st > 0.01
+    assert_matches_oracle(report, bn, spec)
+
+
+def test_pruning_and_zeros_are_logged(caplog):
+    bn, ids = isolated_root_bn()
+    spec = spec_for(ids, "O", ("A", "B"))
+    with caplog.at_level(logging.DEBUG, logger="bnsens.sobol"):
+        compute_all(bn, spec)
+    messages = [r.getMessage() for r in caplog.records if r.name == "bnsens.sobol"]
+    assert f"pruned barren nodes [{ids['D']}]" in messages
+    assert f"S of B (id {ids['B']}) = 0.0 by d-separation from the output" in messages
+    assert f"ST of B (id {ids['B']}) = 0.0 by d-separation from the output" in messages
+    assert not any("of A " in m for m in messages)
