@@ -10,9 +10,9 @@ from bnsens import (
     Cpt,
     DiscreteBayesNet,
     Variable,
+    brute_force_f,
     compute_all,
     contract_all,
-    evaluate_f,
     function_tn,
     joint_probability,
     mrf_from_bn,
@@ -43,9 +43,10 @@ print(f"\nfull contraction of the probability network: {contract_all(mrf):.6f} (
 t = function_tn(mrf, spec, bn)
 print(f"expected output E[f] = {contract_all(t):.6f} (hand value 0.41)")
 
+# f tabulated by direct summation over the joint (the brute-force oracle).
+f_table = brute_force_f(bn, spec).values
 for e in (0, 1):
-    value = evaluate_f(mrf, spec, bn, {0: e}).value
-    print(f"f(E={e}) = {value:.6f}")
+    print(f"f(E={e}) = {f_table[e]:.6f}")
 
 report = compute_all(bn, spec)
 print(f"\nVar[f] = {report.variance:.6f} (hand value 0.1029)")

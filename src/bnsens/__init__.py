@@ -35,7 +35,6 @@ from .errors import (
 )
 from .graph import (
     Dag,
-    Hypergraph,
     ancestors,
     children,
     d_separated,
@@ -61,16 +60,13 @@ from .model import (
     validate_partition,
 )
 from .network import (
-    ConditionalMean,
     TensorNetwork,
     collapse,
     contract_all,
-    evaluate_f,
     function_tn,
     marginalize,
     mrf_from_bn,
     quotient,
-    restrict,
     square_wrt,
 )
 from .oracle import (

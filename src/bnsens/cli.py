@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -19,6 +18,7 @@ from .errors import (
     DegenerateOutputError,
     InvalidAssignmentError,
     MissingValueMapError,
+    SchemaError,
     StateSpaceTooLargeError,
 )
 from .ingest import NativeDocument, generate_random_bn, load_native, parse_bif, save_native
@@ -32,30 +32,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_RESOURCE = 4
-
-
-@dataclass
-class RunConfig:
-    """Resolved command-line options for one invocation."""
-
-    command: str
-    network: str | None = None
-    input_format: str | None = None
-    output: str | None = None
-    evidence: str | None = None
-    value_map: str | None = None
-    indices: str = "first,total"
-    report_format: str = "table"
-    no_timings: bool = False
-    workers: int = 1
-    compare: bool = False
-    max_cells: int = DEFAULT_CELL_CAP
-    from_report: str | None = None
-    seed: int = 0
-    nodes: int = 0
-    max_parents: int = 2
-    cardinality: str = "2"
-    gen_name: str | None = None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -144,9 +120,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # ------------------------------------------------------------------ loading
 
-def _load_network(config: RunConfig) -> tuple[DiscreteBayesNet, AnalysisSpec | None, str]:
-    path = Path(config.network)
-    fmt = config.input_format or ("bif" if path.suffix == ".bif" else "native")
+def _load_network(
+    args: argparse.Namespace,
+) -> tuple[DiscreteBayesNet, AnalysisSpec | None, str]:
+    path = Path(args.network)
+    fmt = args.input_format or ("bif" if path.suffix == ".bif" else "native")
     text = path.read_text()
     if fmt == "bif":
         bn = parse_bif(text)
@@ -172,28 +150,28 @@ def _parse_value_map(text: str) -> dict[str, float]:
 
 
 def _resolve_spec(
-    bn: DiscreteBayesNet, base: AnalysisSpec | None, config: RunConfig
+    bn: DiscreteBayesNet, base: AnalysisSpec | None, args: argparse.Namespace
 ) -> AnalysisSpec:
-    if config.output is not None:
-        output = bn.variable_named(config.output).id
+    if args.output is not None:
+        output = bn.variable_named(args.output).id
     elif base is not None:
         output = base.output
     else:
         raise InvalidAssignmentError("no output node specified")
 
-    if config.evidence is not None:
-        if config.evidence.strip() == "roots":
+    if args.evidence is not None:
+        if args.evidence.strip() == "roots":
             evidential = frozenset(bn.roots())
         else:
-            names = [x.strip() for x in config.evidence.split(",") if x.strip()]
+            names = [x.strip() for x in args.evidence.split(",") if x.strip()]
             evidential = frozenset(bn.variable_named(x).id for x in names)
     elif base is not None:
         evidential = base.evidential
     else:
         raise InvalidAssignmentError("no evidential nodes specified")
 
-    if config.value_map is not None:
-        value_map = _parse_value_map(config.value_map)
+    if args.value_map is not None:
+        value_map = _parse_value_map(args.value_map)
     elif base is not None:
         value_map = dict(base.value_map)
     else:
@@ -357,24 +335,24 @@ def _format_dot(
 
 # ----------------------------------------------------------------- commands
 
-def cmd_compute(config: RunConfig) -> int:
-    bn, base_spec, name = _load_network(config)
+def cmd_compute(args: argparse.Namespace) -> int:
+    bn, base_spec, name = _load_network(args)
     validate_network(bn)
-    spec = _resolve_spec(bn, base_spec, config)
-    first, total, closed = _parse_indices(config.indices, bn)
-    options = ComputeOptions(first=first, total=total, closed=closed, workers=config.workers)
+    spec = _resolve_spec(bn, base_spec, args)
+    first, total, closed = _parse_indices(args.indices, bn)
+    options = ComputeOptions(first=first, total=total, closed=closed, workers=args.workers)
     report = compute_all(bn, spec, options)
-    sys.stdout.write(_format_report(report, name, config.report_format, config.no_timings))
+    sys.stdout.write(_format_report(report, name, args.report_format, args.no_timings))
     return EXIT_OK
 
 
-def cmd_oracle(config: RunConfig) -> int:
-    bn, base_spec, name = _load_network(config)
+def cmd_oracle(args: argparse.Namespace) -> int:
+    bn, base_spec, name = _load_network(args)
     validate_network(bn)
-    spec = _resolve_spec(bn, base_spec, config)
-    report = brute_force_indices(bn, spec, max_cells=config.max_cells)
+    spec = _resolve_spec(bn, base_spec, args)
+    report = brute_force_indices(bn, spec, max_cells=args.max_cells)
     comparison = None
-    if config.compare:
+    if args.compare:
         mine = compute_all(bn, spec)
         by_id = {e.variables[0]: e for e in mine.indices}
         dev_s = max(
@@ -390,12 +368,12 @@ def cmd_oracle(config: RunConfig) -> int:
     text = _format_report(
         report,
         name,
-        config.report_format,
-        config.no_timings,
-        comparison if config.report_format != "csv" else None,
+        args.report_format,
+        args.no_timings,
+        comparison if args.report_format != "csv" else None,
     )
     sys.stdout.write(text)
-    if comparison is not None and config.report_format == "csv":
+    if comparison is not None and args.report_format == "csv":
         sys.stderr.write(
             "comparison: max |dS| = {max_abs_s_deviation:.3e}, "
             "max |dST| = {max_abs_st_deviation:.3e}\n".format(**comparison)
@@ -403,14 +381,35 @@ def cmd_oracle(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_dot(config: RunConfig) -> int:
-    bn, base_spec, name = _load_network(config)
+def _report_totals(text: str) -> dict[str, float | None]:
+    """Total index (or None) by variable name from a json report of
+    `compute`; a report of any other shape raises SchemaError."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise SchemaError("report", "top level must be an object")
+    rows = data.get("indices", [])
+    if not isinstance(rows, list):
+        raise SchemaError("indices", "expected list")
+    totals: dict[str, float | None] = {}
+    for k, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise SchemaError(f"indices[{k}]", "expected object")
+        name, st = row.get("variable"), row.get("ST")
+        if not isinstance(name, str):
+            raise SchemaError(f"indices[{k}].variable", "expected str")
+        if st is not None and (isinstance(st, bool) or not isinstance(st, (int, float))):
+            raise SchemaError(f"indices[{k}].ST", "expected number or null")
+        totals[name] = st
+    return totals
+
+
+def cmd_dot(args: argparse.Namespace) -> int:
+    bn, base_spec, name = _load_network(args)
     validate_network(bn)
-    spec = _resolve_spec(bn, base_spec, config)
+    spec = _resolve_spec(bn, base_spec, args)
     st_by_id: dict[int, float | None] = {}
-    if config.from_report:
-        data = json.loads(Path(config.from_report).read_text())
-        by_name = {row["variable"]: row.get("ST") for row in data.get("indices", [])}
+    if args.from_report:
+        by_name = _report_totals(Path(args.from_report).read_text())
         for i in spec.evidential:
             st_by_id[i] = by_name.get(bn.variables[i].name)
     else:
@@ -446,11 +445,11 @@ def _deepest_sink(bn: DiscreteBayesNet) -> int:
     return min(sinks, key=lambda v: (-depth_of(v), v))
 
 
-def cmd_gen(config: RunConfig) -> int:
-    if config.nodes < 1:
+def cmd_gen(args: argparse.Namespace) -> int:
+    if args.nodes < 1:
         raise ValueError("--nodes must be at least 1")
-    lo, hi = _parse_cardinality(config.cardinality)
-    bn = generate_random_bn(config.seed, config.nodes, config.max_parents, (lo, hi))
+    lo, hi = _parse_cardinality(args.cardinality)
+    bn = generate_random_bn(args.seed, args.nodes, args.max_parents, (lo, hi))
     output = _deepest_sink(bn)
     evidential = frozenset(bn.roots()) - {output}
     value_map = {
@@ -461,7 +460,7 @@ def cmd_gen(config: RunConfig) -> int:
     doc = NativeDocument(
         bn,
         spec,
-        name=config.gen_name or f"random-s{config.seed}-n{config.nodes}",
+        name=args.gen_name or f"random-s{args.seed}-n{args.nodes}",
     )
     sys.stdout.write(save_native(doc))
     return EXIT_OK
@@ -478,9 +477,8 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(**vars(args))
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except DegenerateOutputError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

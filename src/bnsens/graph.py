@@ -1,5 +1,4 @@
-"""DAG relations, hypergraphs, and the greedy minimal-weight
-elimination-order heuristic."""
+"""DAG relations and the greedy minimal-weight elimination-order heuristic."""
 
 from __future__ import annotations
 
@@ -133,40 +132,29 @@ def d_separated(dag: Dag, a: int, b: int, given: Iterable[int] = ()) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Hypergraph:
-    """Vertex set plus a list of nonempty hyperedges (vertex subsets)."""
-
-    vertices: frozenset[int]
-    hyperedges: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", frozenset(int(v) for v in self.vertices))
-        edges = tuple(frozenset(int(v) for v in e) for e in self.hyperedges)
-        object.__setattr__(self, "hyperedges", edges)
-        for e in edges:
-            if not e:
-                raise ValueError("hyperedges must be nonempty")
-            if not e <= self.vertices:
-                raise ValueError(f"hyperedge {sorted(e)} leaves the vertex set")
-
-
 def min_weight_order(
-    h: Hypergraph,
+    scopes: Iterable[Iterable[int]],
     cardinalities: Mapping[int, int],
     keep: Iterable[int] = (),
 ) -> tuple[int, ...]:
     """Greedy elimination order over the vertices outside `keep`.
 
-    At each step the eliminable vertex minimizing the product of its current
-    neighbors' cardinalities goes next (ties broken by smallest id); its
-    incident hyperedges are replaced by their union minus the vertex.
+    The vertices are the keys of `cardinalities`, and each nonempty scope
+    (the axes of one factor) is a hyperedge among them. At each step the
+    eliminable vertex minimizing the product of its current neighbors'
+    cardinalities goes next (ties broken by smallest id); its incident
+    hyperedges are replaced by their union minus the vertex.
     """
+    vertices = {int(v) for v in cardinalities}
+    edges: list[set[int]] = [{int(v) for v in scope} for scope in scopes]
+    for e in edges:
+        if not e <= vertices:
+            raise ValueError(f"scope {sorted(e)} leaves the vertex set")
+    edges = [e for e in edges if e]
     keep_set = {int(v) for v in keep}
-    if not keep_set <= h.vertices:
-        raise ValueError(f"keep set {sorted(keep_set - h.vertices)} outside the vertex set")
-    edges: list[set[int]] = [set(e) for e in h.hyperedges]
-    live = set(h.vertices) - keep_set
+    if not keep_set <= vertices:
+        raise ValueError(f"keep set {sorted(keep_set - vertices)} outside the vertex set")
+    live = vertices - keep_set
     order: list[int] = []
     while live:
         best_v = -1

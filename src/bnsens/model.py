@@ -88,9 +88,6 @@ class DiscreteBayesNet:
     def n(self) -> int:
         return len(self.variables)
 
-    def cardinality(self, i: int) -> int:
-        return self.variables[i].cardinality
-
     def parents(self, i: int) -> tuple[int, ...]:
         return self.cpts[i].parents
 
@@ -105,12 +102,6 @@ class DiscreteBayesNet:
 
     def dag(self) -> Dag:
         return Dag(tuple(c.parents for c in self.cpts))
-
-    def state_space_size(self) -> int:
-        size = 1
-        for v in self.variables:
-            size *= v.cardinality
-        return size
 
 
 def validate_network(bn: DiscreteBayesNet) -> None:

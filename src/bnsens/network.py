@@ -11,18 +11,17 @@ evidence sets far too large to tabulate.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
     AxisCardinalityMismatchError,
     ContractionUnderflowWarning,
-    InvalidAssignmentError,
     UnknownAxisError,
 )
-from .graph import Hypergraph, min_weight_order
+from .graph import min_weight_order
 from .model import AnalysisSpec, DiscreteBayesNet, output_values
 from .tensor import (
     Factor,
@@ -38,21 +37,18 @@ class TensorNetwork:
 
     `factors` multiply into the network value. `inverted` factors divide it;
     the division is deferred to contraction sites so the 0/0 convention can
-    be applied cell by cell where numerator context exists. `replica_map`
-    sends replica ids introduced by squaring back to their originals.
+    be applied cell by cell where numerator context exists.
     """
 
     universe: Mapping[int, int]
     factors: tuple[Factor, ...] = ()
     inverted: tuple[Factor, ...] = ()
-    replica_map: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
         universe = {int(k): int(v) for k, v in dict(self.universe).items()}
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "factors", tuple(self.factors))
         object.__setattr__(self, "inverted", tuple(self.inverted))
-        object.__setattr__(self, "replica_map", dict(self.replica_map))
         for f in (*self.factors, *self.inverted):
             for ax, card in zip(f.axes, f.values.shape):
                 have = universe.get(ax)
@@ -62,19 +58,6 @@ class TensorNetwork:
                     raise AxisCardinalityMismatchError(
                         f"axis {ax}: factor cardinality {card}, universe says {have}"
                     )
-        reps = self.replica_map
-        originals = set(reps.values())
-        if len(originals) != len(reps):
-            raise ValueError("replica map must be injective")
-        if originals & set(reps):
-            raise ValueError("replica ids must be disjoint from original ids")
-
-
-def _scope_hypergraph(tn: TensorNetwork) -> Hypergraph:
-    scopes = tuple(
-        frozenset(f.axes) for f in (*tn.factors, *tn.inverted) if f.axes
-    )
-    return Hypergraph(frozenset(tn.universe), scopes)
 
 
 def mrf_from_bn(
@@ -113,41 +96,7 @@ def function_tn(
     mapped output."""
     values = output_values(bn, spec)
     extra = Factor((spec.output,), values)
-    return TensorNetwork(
-        mrf.universe, (*mrf.factors, extra), mrf.inverted, mrf.replica_map
-    )
-
-
-def restrict(tn: TensorNetwork, assignment: Mapping[int, int]) -> TensorNetwork:
-    """Slice every factor at the assigned values; assigned variables leave
-    the universe."""
-    if not assignment:
-        return tn
-    fixed = {int(k): int(v) for k, v in dict(assignment).items()}
-    for var, val in fixed.items():
-        if var not in tn.universe:
-            raise InvalidAssignmentError(f"variable {var} not in the universe")
-        if not 0 <= val < tn.universe[var]:
-            raise InvalidAssignmentError(
-                f"value {val} out of range for variable {var} "
-                f"(cardinality {tn.universe[var]})"
-            )
-
-    def sliced(f: Factor) -> Factor:
-        if not set(f.axes) & set(fixed):
-            return f
-        indexer = tuple(fixed.get(ax, slice(None)) for ax in f.axes)
-        kept = tuple(ax for ax in f.axes if ax not in fixed)
-        return Factor(kept, f.values[indexer])
-
-    universe = {k: c for k, c in tn.universe.items() if k not in fixed}
-    replica_map = {r: o for r, o in tn.replica_map.items() if r in universe}
-    return TensorNetwork(
-        universe,
-        tuple(sliced(f) for f in tn.factors),
-        tuple(sliced(f) for f in tn.inverted),
-        replica_map,
-    )
+    return TensorNetwork(mrf.universe, (*mrf.factors, extra), mrf.inverted)
 
 
 def _combine(terms: Sequence[tuple[Factor, bool]]) -> Factor:
@@ -188,7 +137,9 @@ def marginalize(
         )
     if order is None:
         order = min_weight_order(
-            _scope_hypergraph(tn), tn.universe, keep=set(tn.universe) - targets
+            [f.axes for f in (*tn.factors, *tn.inverted)],
+            tn.universe,
+            keep=set(tn.universe) - targets,
         )
     else:
         order = tuple(int(v) for v in order)
@@ -205,13 +156,10 @@ def marginalize(
         terms = [(f, inv) for f, inv in terms if v not in f.axes]
         terms.append((factor_sum_out(_combine(bucket), {v}), False))
 
-    universe = {k: c for k, c in tn.universe.items() if k not in targets}
-    replica_map = {r: o for r, o in tn.replica_map.items() if r in universe}
     return TensorNetwork(
-        universe,
+        {k: c for k, c in tn.universe.items() if k not in targets},
         tuple(f for f, inv in terms if not inv),
         tuple(f for f, inv in terms if inv),
-        replica_map,
     )
 
 
@@ -254,10 +202,8 @@ def square_wrt(tn: TensorNetwork, shared: Iterable[int]) -> TensorNetwork:
     stride = max(tn.universe) + 1 if tn.universe else 0
     renames = {v: v + stride for v in outside}
     universe = dict(tn.universe)
-    replica_map = dict(tn.replica_map)
     for v in outside:
         universe[renames[v]] = tn.universe[v]
-        replica_map[renames[v]] = v
 
     def mirrored(f: Factor) -> Factor:
         if not set(f.axes) & set(renames):
@@ -268,7 +214,6 @@ def square_wrt(tn: TensorNetwork, shared: Iterable[int]) -> TensorNetwork:
         universe,
         tn.factors + tuple(mirrored(f) for f in tn.factors),
         tn.inverted + tuple(mirrored(f) for f in tn.inverted),
-        replica_map,
     )
 
 
@@ -287,14 +232,10 @@ def quotient(tn: TensorNetwork, divisor: TensorNetwork) -> TensorNetwork:
             raise AxisCardinalityMismatchError(
                 f"variable {var}: cardinality {tn.universe[var]} vs divisor {card}"
             )
-    replica_map = dict(tn.replica_map)
-    for rep, orig in divisor.replica_map.items():
-        replica_map.setdefault(rep, orig)
     return TensorNetwork(
         tn.universe,
         tn.factors + divisor.inverted,
         tn.inverted + divisor.factors,
-        replica_map,
     )
 
 
@@ -316,32 +257,3 @@ def collapse(tn: TensorNetwork, keep: Iterable[int]) -> Factor:
     for v in sorted(keep_set - set(out.axes)):
         out = factor_product(out, Factor((v,), np.ones(tn.universe[v])))
     return out
-
-
-class ConditionalMean(NamedTuple):
-    value: float
-    zero_probability: bool
-
-
-def evaluate_f(
-    mrf: TensorNetwork,
-    spec: AnalysisSpec,
-    bn: DiscreteBayesNet,
-    evidence: Mapping[int, int],
-) -> ConditionalMean:
-    """Conditional expectation of the mapped output for one full evidence
-    assignment (variable id -> value index).
-
-    Returns (0.0, True) when the evidence configuration has probability
-    zero, in which case the conditional expectation is undefined."""
-    fixed = {int(k): int(v) for k, v in dict(evidence).items()}
-    if set(fixed) != set(spec.evidential):
-        raise InvalidAssignmentError(
-            "evidence must assign exactly the evidential variables"
-        )
-    t = function_tn(mrf, spec, bn)
-    numerator = contract_all(restrict(t, fixed))
-    denominator = contract_all(restrict(mrf, fixed))
-    if denominator == 0.0:
-        return ConditionalMean(0.0, True)
-    return ConditionalMean(numerator / denominator, False)

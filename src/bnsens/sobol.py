@@ -107,21 +107,20 @@ def global_variance(
     j: TensorNetwork,
     *,
     mean: float | None = None,
-    check: bool = True,
 ) -> float:
     """Var[f] = E[E[f | E]^2] - E[f]^2, with E all evidential variables.
 
     The second moment is the conditional-moment query with every evidential
     variable kept. `t` may range over the whole network or be already
     reduced to the evidential variables. Tiny negative results clamp to
-    zero; with `check` the degenerate case (variance at numerical zero)
-    raises, because every downstream index would be undefined."""
+    zero; the degenerate case (variance at numerical zero) raises, because
+    every downstream index would be undefined."""
     if mean is None:
         mean = contract_all(t)
     variance = _conditional_second_moment(t, j, _evidential_set(j)) - mean * mean
     if -NEGATIVE_VARIANCE_TOL <= variance < 0.0:
         variance = 0.0
-    if check and variance <= DEGENERATE_VARIANCE_TOL:
+    if variance <= DEGENERATE_VARIANCE_TOL:
         raise DegenerateOutputError(
             f"output variance {variance!r} is numerically zero; indices undefined"
         )

@@ -50,10 +50,6 @@ class Factor:
     def scalar(cls, value: float) -> "Factor":
         return cls((), np.asarray(float(value)))
 
-    @property
-    def cardinalities(self) -> tuple[int, ...]:
-        return self.values.shape
-
 
 def _merged_axes(a: Factor, b: Factor) -> tuple[tuple[int, ...], tuple[int, ...]]:
     cards: dict[int, int] = {}

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bnsens.network
 from bnsens.cli import main
 
@@ -69,6 +71,24 @@ def test_dot_from_report(tmp_path):
     code, out, _ = run_cli("dot", "--network", CHAIN, "--from-report", str(path))
     assert code == 0
     assert out == (GOLDEN / "graph.dot").read_text()
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        {"indices": [{"ST": 0.5}]},
+        [1, 2],
+        {"indices": [{"variable": "E", "ST": "high"}]},
+    ],
+)
+def test_dot_from_malformed_report_exits_2(tmp_path, report):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code, out, err = run_cli("dot", "--network", CHAIN, "--from-report", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: SchemaError: ")
+    assert "Traceback" not in err
 
 
 def test_compute_is_deterministic_modulo_timings():

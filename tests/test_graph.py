@@ -4,7 +4,6 @@ import pytest
 from bnsens import (
     CyclicGraphError,
     Dag,
-    Hypergraph,
     ancestors,
     children,
     d_separated,
@@ -68,45 +67,47 @@ def test_isolated_vertex_has_no_descendants():
     assert descendants(dag, 2) == frozenset()
 
 
-def test_hypergraph_rejects_bad_edges():
+def test_min_weight_order_checks_scopes_and_ignores_empty_ones():
+    cards = {0: 2, 1: 3, 2: 2}
+    scopes = ((0, 1), (1, 2))
     with pytest.raises(ValueError):
-        Hypergraph(frozenset({0, 1}), (frozenset(),))
+        min_weight_order(((0, 1), (1, 3)), cards)
     with pytest.raises(ValueError):
-        Hypergraph(frozenset({0, 1}), (frozenset({2}),))
+        min_weight_order(scopes, cards, keep={3})
+    order = min_weight_order(scopes, cards)
+    assert sorted(order) == [0, 1, 2]
+    assert min_weight_order(((), *scopes, ()), cards) == order
+    # A vertex in no scope still gets eliminated.
+    assert min_weight_order(scopes, {**cards, 5: 4}) == (5, *order)
 
 
 def test_min_weight_star_eliminates_leaf_first():
     # Hub 0 with cardinality 2; leaves 1..3 with cardinality 5.
-    h = Hypergraph(frozenset({0, 1, 2, 3}), (frozenset({0, 1}), frozenset({0, 2}), frozenset({0, 3})))
     cards = {0: 2, 1: 5, 2: 5, 3: 5}
-    order = min_weight_order(h, cards)
+    order = min_weight_order(((0, 1), (0, 2), (0, 3)), cards)
     assert order[0] == 1  # leaf weight 2 beats hub weight 125
 
 
 def test_min_weight_keep_everything():
-    h = Hypergraph(frozenset({0, 1}), (frozenset({0, 1}),))
-    assert min_weight_order(h, {0: 2, 1: 2}, keep={0, 1}) == ()
+    assert min_weight_order(((0, 1),), {0: 2, 1: 2}, keep={0, 1}) == ()
 
 
 def test_min_weight_tie_breaks_by_id():
     # Path 1-2-3, all binary, keep the middle: both ends weigh 2.
-    h = Hypergraph(frozenset({1, 2, 3}), (frozenset({1, 2}), frozenset({2, 3})))
-    assert min_weight_order(h, {1: 2, 2: 2, 3: 2}, keep={2}) == (1, 3)
+    assert min_weight_order(((1, 2), (2, 3)), {1: 2, 2: 2, 3: 2}, keep={2}) == (1, 3)
 
 
 def test_min_weight_order_is_permutation_and_deterministic():
     rng = np.random.default_rng(3)
     for _ in range(25):
         n = int(rng.integers(2, 10))
-        vertices = frozenset(range(n))
-        edges = []
+        scopes = []
         for _ in range(int(rng.integers(1, n + 2))):
             size = int(rng.integers(1, min(3, n) + 1))
-            edges.append(frozenset(int(x) for x in rng.choice(n, size=size, replace=False)))
-        h = Hypergraph(vertices, tuple(edges))
+            scopes.append(tuple(int(x) for x in rng.choice(n, size=size, replace=False)))
         cards = {v: int(rng.integers(2, 5)) for v in range(n)}
         keep = {int(x) for x in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)}
-        first = min_weight_order(h, cards, keep)
-        second = min_weight_order(h, cards, keep)
+        first = min_weight_order(scopes, cards, keep)
+        second = min_weight_order(scopes, cards, keep)
         assert first == second
-        assert sorted(first) == sorted(vertices - keep)
+        assert sorted(first) == sorted(set(range(n)) - keep)

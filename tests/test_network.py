@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -8,18 +6,15 @@ from bnsens import (
     ContractionUnderflowWarning,
     DivisionByZeroError,
     Factor,
-    InvalidAssignmentError,
     MissingValueMapError,
     TensorNetwork,
     collapse,
     contract_all,
-    evaluate_f,
     function_tn,
     generate_random_bn,
     marginalize,
     mrf_from_bn,
     quotient,
-    restrict,
     square_wrt,
 )
 from bnsens.oracle import brute_force_f
@@ -84,36 +79,6 @@ def test_function_tn_missing_label(chain):
     spec = AnalysisSpec(1, frozenset({0}), {"0": 0.0})
     with pytest.raises(MissingValueMapError):
         function_tn(mrf_from_bn(chain), spec, chain)
-
-
-def test_restrict_chain(chain):
-    mrf = mrf_from_bn(chain)
-    cut = restrict(mrf, {0: 1})
-    assert set(cut.universe) == {1}
-    values = sorted(tuple(np.atleast_1d(f.values).tolist()) for f in cut.factors)
-    assert values == [(0.1, 0.9), (0.3,)]
-    assert contract_all(cut) == pytest.approx(0.3, abs=1e-15)
-
-
-def test_restrict_empty_is_identity(chain):
-    mrf = mrf_from_bn(chain)
-    assert restrict(mrf, {}) is mrf
-
-
-def test_restrict_matches_marginal_cell(five_node):
-    mrf = mrf_from_bn(five_node)
-    spec_vars = {0: 1, 1: 0}
-    cell = contract_all(restrict(mrf, spec_vars))
-    table = tn_marginal(mrf, {0, 1})
-    assert cell == pytest.approx(table[1, 0], abs=1e-12)
-
-
-def test_restrict_validates(chain):
-    mrf = mrf_from_bn(chain)
-    with pytest.raises(InvalidAssignmentError):
-        restrict(mrf, {5: 0})
-    with pytest.raises(InvalidAssignmentError):
-        restrict(mrf, {0: 2})
 
 
 def test_marginalize_nothing(five_node):
@@ -200,7 +165,6 @@ def test_square_wrt_whole_universe_doubles_factors():
     tn = random_tn(rng, n_vars=3)
     squared = square_wrt(tn, set(tn.universe))
     assert len(squared.factors) == 2 * len(tn.factors)
-    assert squared.replica_map == {}
     base = tn_table(tn)[1]
     np.testing.assert_allclose(tn_table(squared)[1], base * base, rtol=1e-12)
 
@@ -216,7 +180,6 @@ def test_square_wrt_replicas_and_mirrored_scopes():
     )
     tn = TensorNetwork(universe, factors)
     squared = square_wrt(tn, {0, 1})
-    assert squared.replica_map == {7: 2, 8: 3, 9: 4}
     scopes = sorted(tuple(f.axes) for f in squared.factors)
     assert scopes == sorted(
         [(0, 1, 3), (0, 2, 3), (2, 3, 4), (0, 1, 8), (0, 7, 8), (7, 8, 9)]
@@ -275,45 +238,6 @@ def test_quotient_marginalization_commutes():
         rhs_num = tn_marginal(tn, keep)
         rhs_den = tn_marginal(divisor, keep)
         np.testing.assert_allclose(lhs, rhs_num / rhs_den, rtol=1e-9)
-
-
-def test_evaluate_f_chain(chain, chain_analysis):
-    mrf = mrf_from_bn(chain)
-    assert evaluate_f(mrf, chain_analysis, chain, {0: 0}).value == pytest.approx(0.2)
-    assert evaluate_f(mrf, chain_analysis, chain, {0: 1}).value == pytest.approx(0.9)
-
-
-def test_evaluate_f_constant_map(chain):
-    spec = AnalysisSpec(1, frozenset({0}), {"0": 3.5, "1": 3.5})
-    mrf = mrf_from_bn(chain)
-    for e in (0, 1):
-        assert evaluate_f(mrf, spec, chain, {0: e}).value == pytest.approx(3.5)
-
-
-def test_evaluate_f_zero_probability_flag():
-    from bnsens import Cpt, DiscreteBayesNet, Variable
-
-    bn = DiscreteBayesNet(
-        (Variable(0, "E", ("0", "1")), Variable(1, "O", ("0", "1"))),
-        (Cpt(0, (), [[1.0, 0.0]]), Cpt(1, (0,), [[0.5, 0.5], [0.5, 0.5]])),
-    )
-    spec = AnalysisSpec(1, frozenset({0}), {"0": 0.0, "1": 1.0})
-    result = evaluate_f(mrf_from_bn(bn), spec, bn, {0: 1})
-    assert result.value == 0.0
-    assert result.zero_probability
-
-
-def test_evaluate_f_matches_oracle_on_random_nets():
-    for seed in range(5):
-        bn = generate_random_bn(seed + 50, 8, 3, (2, 2))
-        spec = AnalysisSpec(7, frozenset({0, 1, 2}), {"0": 0.0, "1": 1.0})
-        mrf = mrf_from_bn(bn)
-        table = brute_force_f(bn, spec)
-        for combo in itertools.product(range(2), repeat=3):
-            evidence = dict(zip((0, 1, 2), combo))
-            assert evaluate_f(mrf, spec, bn, evidence).value == pytest.approx(
-                table.values[combo], abs=1e-12
-            )
 
 
 def test_expected_value_identity_against_oracle():
