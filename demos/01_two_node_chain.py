@@ -16,16 +16,15 @@ from bnsens import (
     function_tn,
     joint_probability,
     mrf_from_bn,
-    validate_network,
     validate_partition,
 )
 
-# Pr(E) = (0.7, 0.3); Pr(O=1 | E=0) = 0.2, Pr(O=1 | E=1) = 0.9.
+# Pr(E) = (0.7, 0.3); Pr(O=1 | E=0) = 0.2, Pr(O=1 | E=1) = 0.9. Building
+# the network checks it (acyclic, table shapes, rows summing to 1).
 bn = DiscreteBayesNet(
     (Variable(0, "E", ("0", "1")), Variable(1, "O", ("0", "1"))),
     (Cpt(0, (), [[0.7, 0.3]]), Cpt(1, (0,), [[0.8, 0.2], [0.1, 0.9]])),
 )
-validate_network(bn)
 
 print("joint probabilities (should sum to 1):")
 for e in "01":

@@ -86,7 +86,6 @@ from .sobol import (
     closed_index,
     compute_all,
     encode_utility_node,
-    expected_value,
     global_variance,
     total_index,
     variance_component,

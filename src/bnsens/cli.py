@@ -22,7 +22,7 @@ from .errors import (
     StateSpaceTooLargeError,
 )
 from .ingest import NativeDocument, generate_random_bn, load_native, parse_bif, save_native
-from .model import AnalysisSpec, DiscreteBayesNet, validate_network, validate_partition
+from .model import AnalysisSpec, DiscreteBayesNet, validate_partition
 from .oracle import DEFAULT_CELL_CAP, brute_force_indices
 from .sobol import ComputeOptions, SobolReport, compute_all
 
@@ -337,7 +337,6 @@ def _format_dot(
 
 def cmd_compute(args: argparse.Namespace) -> int:
     bn, base_spec, name = _load_network(args)
-    validate_network(bn)
     spec = _resolve_spec(bn, base_spec, args)
     first, total, closed = _parse_indices(args.indices, bn)
     options = ComputeOptions(first=first, total=total, closed=closed, workers=args.workers)
@@ -348,7 +347,6 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     bn, base_spec, name = _load_network(args)
-    validate_network(bn)
     spec = _resolve_spec(bn, base_spec, args)
     report = brute_force_indices(bn, spec, max_cells=args.max_cells)
     comparison = None
@@ -405,7 +403,6 @@ def _report_totals(text: str) -> dict[str, float | None]:
 
 def cmd_dot(args: argparse.Namespace) -> int:
     bn, base_spec, name = _load_network(args)
-    validate_network(bn)
     spec = _resolve_spec(bn, base_spec, args)
     st_by_id: dict[int, float | None] = {}
     if args.from_report:

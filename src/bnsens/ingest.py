@@ -28,7 +28,6 @@ from .model import (
     Cpt,
     DiscreteBayesNet,
     Variable,
-    validate_network,
     validate_partition,
 )
 
@@ -151,7 +150,6 @@ def load_native(text: str) -> NativeDocument:
         raise SchemaError("cpts", f"no CPT for {missing}")
 
     bn = DiscreteBayesNet(tuple(variables), tuple(cpts[i] for i in range(len(variables))))
-    validate_network(bn)
 
     spec = None
     raw_spec = data.get("spec")
@@ -329,12 +327,8 @@ class _BifParser:
             self.fail(f"no probability block for {missing}")
         if not self.variables:
             self.fail("document declares no variables")
-        cpts = tuple(
-            Cpt(v.id, *self.blocks[v.id]) for v in self.variables
-        )
-        bn = DiscreteBayesNet(tuple(self.variables), cpts)
-        validate_network(bn)
-        return bn
+        cpts = tuple(Cpt(v.id, *self.blocks[v.id]) for v in self.variables)
+        return DiscreteBayesNet(tuple(self.variables), cpts)
 
     def parse_variable(self) -> None:
         name_tok = self.expect_name()
@@ -561,6 +555,4 @@ def generate_random_bn(
             rows *= cards[p]
         table = rng.dirichlet(np.ones(cards[i]), size=rows)
         cpts.append(Cpt(i, parent_map[i], table))
-    bn = DiscreteBayesNet(variables, tuple(cpts))
-    validate_network(bn)
-    return bn
+    return DiscreteBayesNet(variables, tuple(cpts))

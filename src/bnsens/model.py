@@ -54,7 +54,8 @@ class Cpt:
 
     Rows enumerate parent configurations row-major over the listed parent
     order; columns enumerate the child domain. Root nodes have an empty
-    parent list and a single row.
+    parent list and a single row. The table is a read-only copy of the
+    given array, so a network that passed validation cannot change later.
     """
 
     child: int
@@ -64,16 +65,18 @@ class Cpt:
     def __post_init__(self):
         object.__setattr__(self, "child", int(self.child))
         object.__setattr__(self, "parents", tuple(int(p) for p in self.parents))
-        table = np.asarray(self.table, dtype=np.float64)
+        table = np.array(self.table, dtype=np.float64)
         if table.ndim == 1:
             table = table.reshape(1, -1)
+        table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
 
 @dataclass(frozen=True, eq=False)
 class DiscreteBayesNet:
     """Variables plus one CPT per variable; edges are implied by the CPT
-    parent lists. Immutable after construction; validate before use."""
+    parent lists. Construction runs `validate_network`, so every instance
+    is valid, and it is immutable afterwards."""
 
     variables: tuple[Variable, ...]
     cpts: tuple[Cpt, ...]
@@ -83,6 +86,7 @@ class DiscreteBayesNet:
         object.__setattr__(
             self, "cpts", tuple(sorted(self.cpts, key=lambda c: c.child))
         )
+        validate_network(self)
 
     @property
     def n(self) -> int:
@@ -106,6 +110,7 @@ class DiscreteBayesNet:
 
 def validate_network(bn: DiscreteBayesNet) -> None:
     """Check every structural invariant; raise on the first violation.
+    Every `DiscreteBayesNet` runs this once, when it is built.
 
     Raises CyclicGraphError, UnnormalizedCptError, ShapeMismatchError, or a
     generic ValidationError naming the offending node.
@@ -146,7 +151,8 @@ def validate_network(bn: DiscreteBayesNet) -> None:
             raise ShapeMismatchError(
                 f"node {names[i]!r}: table shape {cpt.table.shape}, expected {expected}"
             )
-        if cpt.table.min() < -ENTRY_RANGE_TOL or cpt.table.max() > 1.0 + ENTRY_RANGE_TOL:
+        lo, hi = cpt.table.min(), cpt.table.max()
+        if not (lo >= -ENTRY_RANGE_TOL and hi <= 1.0 + ENTRY_RANGE_TOL):  # NaN fails too
             raise UnnormalizedCptError(f"node {names[i]!r}: entries outside [0, 1]")
         sums = cpt.table.sum(axis=1)
         off = np.abs(sums - 1.0)

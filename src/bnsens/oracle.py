@@ -25,6 +25,9 @@ from .model import AnalysisSpec, DiscreteBayesNet, output_values, validate_parti
 from .sobol import IndexEntry, SobolReport
 
 DEFAULT_CELL_CAP = 10_000_000
+# Var[f] at or below this share of the output's own variance is rounding
+# noise in the tabulated f: the output is constant and every index undefined.
+DEGENERATE_SHARE = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,76 +84,88 @@ def brute_force_f(
     """Tabulate Pr(evidence) and f(evidence) = E[mapped output | evidence]
     by direct summation over the joint; f is 0 (and flagged) wherever the
     evidence has probability zero."""
+    ft, mean, spread, _ = _centred(bn, spec, max_cells)
+    f = np.where(ft.zero_probability, 0.0, mean + spread * ft.values)
+    return FunctionTable(ft.evidential, ft.probabilities, f, ft.zero_probability)
+
+
+def _centred(
+    bn: DiscreteBayesNet, spec: AnalysisSpec, max_cells: int
+) -> tuple[FunctionTable, float, float, float]:
+    """`brute_force_f` for the value map v rescaled to g = (v - E[f]) /
+    spread, spread = max v - min v (1 for a constant map), with E[f] from
+    the output marginal; then E[f] and spread, which undo that, and
+    Var[g(O)], which bounds the rounding noise in the table."""
     validate_partition(bn, spec)
     joint = enumerate_joint(bn, max_cells).probabilities
-    n = bn.n
-    e_axes = tuple(sorted(spec.evidential))
-    drop = tuple(a for a in range(n) if a not in spec.evidential)
-    pr = joint.sum(axis=drop)
     values = output_values(bn, spec)
-    broadcast = tuple(
-        bn.variables[spec.output].cardinality if a == spec.output else 1
-        for a in range(n)
-    )
-    weighted = (joint * values.reshape(broadcast)).sum(axis=drop)
+    low, spread = float(values.min()), float(np.ptp(values)) or 1.0
+    p_out = joint.sum(axis=tuple(a for a in range(bn.n) if a != spec.output))
+    unit = (values - low) / spread
+    g = unit - unit @ p_out
+    drop = tuple(a for a in range(bn.n) if a not in spec.evidential)
+    pr = joint.sum(axis=drop)
+    broadcast = [1] * bn.n
+    broadcast[spec.output] = len(g)
+    weighted = (joint * g.reshape(broadcast)).sum(axis=drop)
     zero = pr == 0.0
-    f = np.divide(weighted, pr, out=np.zeros_like(weighted), where=~zero)
-    return FunctionTable(e_axes, pr, f, zero)
+    table = np.divide(weighted, pr, out=np.zeros_like(weighted), where=~zero)
+    ft = FunctionTable(tuple(sorted(spec.evidential)), pr, table, zero)
+    return ft, low + spread * float(unit @ p_out), spread, float(p_out @ (g * g))
+
+
+def _nondegenerate(variance: float, output_variance: float) -> float:
+    """`variance` of the rescaled f; a noise-level share of Var[g(O)] raises."""
+    if not variance > DEGENERATE_SHARE * output_variance:
+        raise DegenerateOutputError(f"output variance {variance!r} is numerically zero")
+    return variance
+
+
+def _closed_moment(pr: np.ndarray, g: np.ndarray, rest: tuple[int, ...]) -> float:
+    """E[E[g | kept]^2], with the axes in `rest` summed out and the others
+    kept; cells of zero probability contribute nothing."""
+    p_kept = pr.sum(axis=rest)
+    weighted = (pr * g).sum(axis=rest)
+    cond_mean = np.divide(weighted, p_kept, out=np.zeros_like(weighted), where=p_kept > 0)
+    return float((p_kept * cond_mean**2).sum())
 
 
 def brute_force_indices(
     bn: DiscreteBayesNet, spec: AnalysisSpec, max_cells: int = DEFAULT_CELL_CAP
 ) -> SobolReport:
-    """Exact indices by direct summation over the f table.
+    """Exact indices by direct summation over f minus its mean.
 
     S_i uses the conditional weights Pr(rest | y_i) inside the mean and the
-    marginal Pr(y_i) outside; the total index takes the expectation of the
-    conditional variance under Pr(y_i | rest). Both therefore stay exact
-    under dependent evidential variables."""
+    marginal Pr(y_i) outside; the total index is the expected squared
+    deviation of f from its mean given the rest, under Pr(y_i | rest). Both
+    therefore stay exact under dependent evidential variables."""
     started = time.perf_counter()
-    ft = brute_force_f(bn, spec, max_cells)
-    pr, f = ft.probabilities, ft.values
-    mean = float((pr * f).sum())
-    second = float((pr * f * f).sum())
-    variance = second - mean * mean
-    if -1e-9 <= variance < 0.0:
-        variance = 0.0
-    if variance <= 1e-12:
-        raise DegenerateOutputError("output variance is numerically zero")
+    ft, mean, spread, output_variance = _centred(bn, spec, max_cells)
+    pr, g = ft.probabilities, ft.values
+    residual = float((pr * g).sum())
+    variance = _nondegenerate(_closed_moment(pr, g, ()) - residual**2, output_variance)
     entries = []
     k = len(ft.evidential)
     for pos, var_id in enumerate(ft.evidential):
         t0 = time.perf_counter()
         rest = tuple(a for a in range(k) if a != pos)
-        pr_i = pr.sum(axis=rest) if rest else pr
-        weighted = (pr * f).sum(axis=rest) if rest else pr * f
-        cond_mean = np.divide(
-            weighted, pr_i, out=np.zeros_like(weighted), where=pr_i > 0
-        )
-        s = float(((pr_i * cond_mean**2).sum() - mean * mean) / variance)
+        s = (_closed_moment(pr, g, rest) - residual**2) / variance
         s_time = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        pr_rest = pr.sum(axis=pos)
-        m1 = np.divide(
-            (pr * f).sum(axis=pos),
-            pr_rest,
-            out=np.zeros_like(pr_rest),
-            where=pr_rest > 0,
-        )
-        m2 = np.divide(
-            (pr * f * f).sum(axis=pos),
-            pr_rest,
-            out=np.zeros_like(pr_rest),
-            where=pr_rest > 0,
-        )
-        st = float((pr_rest * (m2 - m1**2)).sum() / variance)
+        p_rest = pr.sum(axis=pos, keepdims=True)
+        weighted = (pr * g).sum(axis=pos, keepdims=True)
+        cond = np.divide(weighted, p_rest, out=np.zeros_like(p_rest), where=p_rest > 0)
+        st = float((pr * (g - cond) ** 2).sum() / variance)
         st_time = time.perf_counter() - t0
         entries.append(
             IndexEntry((var_id,), bn.variables[var_id].name, s, s_time, st, st_time)
         )
     return SobolReport(
-        mean, variance, tuple(entries), time.perf_counter() - started
+        mean + spread * residual,
+        spread * spread * variance,
+        tuple(entries),
+        time.perf_counter() - started,
     )
 
 
@@ -161,18 +176,13 @@ def brute_force_closed(
     max_cells: int = DEFAULT_CELL_CAP,
 ) -> float:
     """Closed index of a variable group by direct summation."""
-    ft = brute_force_f(bn, spec, max_cells)
-    pr, f = ft.probabilities, ft.values
-    mean = float((pr * f).sum())
-    variance = float((pr * f * f).sum()) - mean * mean
-    if variance <= 1e-12:
-        raise DegenerateOutputError("output variance is numerically zero")
+    ft, _, _, output_variance = _centred(bn, spec, max_cells)
+    pr, g = ft.probabilities, ft.values
+    residual = float((pr * g).sum())
+    variance = _nondegenerate(_closed_moment(pr, g, ()) - residual**2, output_variance)
     ids = frozenset(int(v) for v in subset)
     rest = tuple(pos for pos, v in enumerate(ft.evidential) if v not in ids)
-    pr_s = pr.sum(axis=rest) if rest else pr
-    weighted = (pr * f).sum(axis=rest) if rest else pr * f
-    cond_mean = np.divide(weighted, pr_s, out=np.zeros_like(weighted), where=pr_s > 0)
-    return float(((pr_s * cond_mean**2).sum() - mean * mean) / variance)
+    return (_closed_moment(pr, g, rest) - residual**2) / variance
 
 
 @dataclass(frozen=True)
@@ -215,7 +225,10 @@ def mc_indices(
             f"evidential nodes {names} have parents; pick-freeze needs "
             "independent root inputs"
         )
-    ft = brute_force_f(bn, spec, max_cells)
+    # Pick-freeze on the rescaled f, whose exact mean is zero, so a shift of
+    # the output values adds no sampling noise.
+    ft, mean, spread, output_variance = _centred(bn, spec, max_cells)
+    g = ft.values
     rng = np.random.default_rng(int(seed))
     marginals = [bn.cpts[i].table[0] for i in ft.evidential]
     a = np.stack(
@@ -224,20 +237,18 @@ def mc_indices(
     b = np.stack(
         [rng.choice(len(p), size=samples, p=p) for p in marginals], axis=1
     )
-    f_a = ft.values[tuple(a.T)]
-    f_b = ft.values[tuple(b.T)]
-    pooled = np.concatenate([f_a, f_b])
-    mean = float(pooled.mean())
-    variance = float(pooled.var())
-    if variance <= 1e-12:
-        raise DegenerateOutputError("sampled output variance is numerically zero")
+    g_a = g[tuple(a.T)]
+    g_b = g[tuple(b.T)]
+    pooled = np.concatenate([g_a, g_b])
+    residual = float(pooled.mean())
+    variance = _nondegenerate(float((pooled * pooled).mean()) - residual**2, output_variance)
     estimates = []
     for pos, var_id in enumerate(ft.evidential):
         mixed = a.copy()
         mixed[:, pos] = b[:, pos]
-        f_m = ft.values[tuple(mixed.T)]
-        s_terms = f_b * (f_m - f_a) / variance
-        st_terms = (f_a - f_m) ** 2 / (2.0 * variance)
+        g_m = g[tuple(mixed.T)]
+        s_terms = g_b * (g_m - g_a) / variance
+        st_terms = (g_a - g_m) ** 2 / (2.0 * variance)
         estimates.append(
             McIndexEstimate(
                 var_id,
@@ -248,4 +259,6 @@ def mc_indices(
                 float(st_terms.std(ddof=1) / np.sqrt(samples)),
             )
         )
-    return McReport(mean, variance, tuple(estimates), samples, int(seed))
+    return McReport(
+        mean + spread * residual, spread * spread * variance, tuple(estimates), samples, int(seed)
+    )

@@ -28,22 +28,25 @@ from .model import (
     Cpt,
     DiscreteBayesNet,
     Variable,
-    validate_network,
+    output_values,
     validate_partition,
 )
 from .network import (
     TensorNetwork,
-    collapse,  # unused here; bench/spans.py hooks it by name in this module
+    collapse,
     contract_all,
-    function_tn,
     marginalize,
     mrf_from_bn,
     quotient,
     square_wrt,
 )
+from .tensor import Factor
 
+# Var[f] at most this share of a scale that bounds its rounding noise means
+# f is constant and every index undefined. The scale is E[E[f | E]^2] for a
+# raw value map; for the centred map of `compute_all` it is Var[v(O)], since
+# each E[v(O) | e] is off by about n*eps*E[|v(O) - E[f]| | e].
 DEGENERATE_VARIANCE_TOL = 1e-12
-NEGATIVE_VARIANCE_TOL = 1e-9
 NEGATIVE_INDEX_WARNING = 1e-6
 
 _log = logging.getLogger(__name__)
@@ -97,9 +100,11 @@ def _conditional_second_moment(
     return contract_all(quotient(square_wrt(numerator, keep), divisor))
 
 
-def expected_value(t: TensorNetwork) -> float:
-    """E[f]: the full contraction of the function network."""
-    return contract_all(t)
+def _nondegenerate(variance: float, scale: float) -> float:
+    """`variance`; at most DEGENERATE_VARIANCE_TOL times `scale` raises."""
+    if not variance > DEGENERATE_VARIANCE_TOL * scale:
+        raise DegenerateOutputError(f"output variance {variance!r} is numerically zero")
+    return variance
 
 
 def global_variance(
@@ -112,33 +117,24 @@ def global_variance(
 
     The second moment is the conditional-moment query with every evidential
     variable kept. `t` may range over the whole network or be already
-    reduced to the evidential variables. Tiny negative results clamp to
-    zero; the degenerate case (variance at numerical zero) raises, because
-    every downstream index would be undefined."""
+    reduced to the evidential variables. A variance at most
+    DEGENERATE_VARIANCE_TOL times that second moment raises."""
     if mean is None:
         mean = contract_all(t)
-    variance = _conditional_second_moment(t, j, _evidential_set(j)) - mean * mean
-    if -NEGATIVE_VARIANCE_TOL <= variance < 0.0:
-        variance = 0.0
-    if variance <= DEGENERATE_VARIANCE_TOL:
-        raise DegenerateOutputError(
-            f"output variance {variance!r} is numerically zero; indices undefined"
-        )
-    return variance
+    second_moment = _conditional_second_moment(t, j, _evidential_set(j))
+    return _nondegenerate(second_moment - mean * mean, second_moment)
 
 
 def _checked_variance(
     t: TensorNetwork, j: TensorNetwork, mean: float | None, variance: float | None
 ) -> tuple[float, float]:
     """The mean and variance, computed where the caller passed none; a
-    variance at numerical zero raises, since every index divides by it."""
+    variance that is not positive raises, since every index divides by it."""
     if mean is None:
         mean = contract_all(t)
     if variance is None:
         variance = global_variance(t, j, mean=mean)
-    if variance <= DEGENERATE_VARIANCE_TOL:
-        raise DegenerateOutputError("output variance is numerically zero")
-    return mean, variance
+    return mean, _nondegenerate(variance, 0.0)
 
 
 def closed_index(
@@ -205,20 +201,26 @@ def compute_all(
 
     Builds the probability network over An(output | evidence) only: a
     barren node, an ancestor of neither, has a factor that sums to 1 and
-    drops out exactly. It then sums the non-evidential variables out of
-    both the function network and the probability network (the evidence
-    marginal). Every index is then one conditional-moment query over these
-    two small networks, so no query squares a chance variable. Some
-    indices need no query and are exact zeros: S_i when i is d-separated
-    from the output, since E[f | i] is then constant, and S^T_i when the
-    rest of the evidence d-separates i from the output, since f is then
-    flat along i. Per-variable work is independent; `options.workers` > 1
-    runs it in a thread pool. Entries are ordered by variable id
-    regardless."""
+    drops out exactly. The function network maps each output value v to
+    (v - E[f]) / (max v - min v), with E[f] from the output marginal, so
+    the moments are taken about the mean and the indices hold under any
+    affine map of the values and for rare events; Var[f] at most
+    DEGENERATE_VARIANCE_TOL times Var[v(O)] raises. Both networks have the
+    non-evidential variables summed out, so every index is one
+    conditional-moment query over two small networks and no query squares
+    a chance variable. Some indices need no query and are exact zeros: S_i
+    when i is d-separated from the output, since E[f | i] is then constant,
+    and S^T_i when the rest of the evidence d-separates i from the output,
+    since f is then flat along i. Per-variable work is independent;
+    `options.workers` > 1 runs it in a thread pool. Entries are ordered by
+    variable id regardless."""
     options = options or ComputeOptions()
-    validate_network(bn)
     validate_partition(bn, spec)
     started = time.perf_counter()
+    values = output_values(bn, spec)
+    low, spread = float(values.min()), float(np.ptp(values))
+    if spread == 0.0:
+        raise DegenerateOutputError("the value map is constant; indices undefined")
     dag = bn.dag()
     relevant = ancestors(dag, spec.evidential | {spec.output})
     _log.debug("pruned barren nodes %s", sorted(set(range(bn.n)) - relevant))
@@ -239,11 +241,19 @@ def compute_all(
             )
 
     mrf = mrf_from_bn(bn, relevant)
+    p_out = collapse(mrf, {spec.output}).values
+    unit = (values - low) / spread
+    centre = float(unit @ p_out)
+    g = unit - centre
     chance = set(mrf.universe) - spec.evidential
-    t = marginalize(function_tn(mrf, spec, bn), chance)
+    t_full = TensorNetwork(mrf.universe, (*mrf.factors, Factor((spec.output,), g)))
+    t = marginalize(t_full, chance)
     j = marginalize(mrf, chance)
+    # t has mean zero up to rounding; taking that residual out as well drops
+    # the constant offset that the rounding of `centre` leaves in g.
     mean = contract_all(t)
-    variance = global_variance(t, j, mean=mean)
+    second_moment = _conditional_second_moment(t, j, spec.evidential)
+    variance = _nondegenerate(second_moment - mean * mean, float(p_out @ (g * g)))
 
     def one_variable(i: int) -> IndexEntry:
         s = s_time = st = st_time = None
@@ -291,7 +301,10 @@ def compute_all(
                     stacklevel=2,
                 )
     return SobolReport(
-        mean, variance, tuple(entries), time.perf_counter() - started
+        low + spread * (centre + mean),
+        spread * spread * variance,
+        tuple(entries),
+        time.perf_counter() - started,
     )
 
 
@@ -307,7 +320,9 @@ def encode_utility_node(
     `g` maps a tuple of parent labels (in the given parent order; sets are
     sorted by id) to one label of `out_domain`; the new node's CPT has a
     single 1 per row. The result turns an arbitrary function of several
-    nodes into a single output variable."""
+    nodes into a single output variable. The extended network is checked
+    when it is built: a repeated parent, a domain of fewer than two distinct
+    labels or a name already in use raises ValidationError."""
     if isinstance(parents, (set, frozenset)):
         parent_ids = tuple(sorted(int(p) for p in parents))
     else:
@@ -315,11 +330,7 @@ def encode_utility_node(
     for p in parent_ids:
         if not 0 <= p < bn.n:
             raise ValueError(f"parent id {p} out of range")
-    if len(set(parent_ids)) != len(parent_ids):
-        raise ValueError("parent ids must be unique")
     domain = tuple(str(label) for label in out_domain)
-    if len(set(domain)) != len(domain) or len(domain) < 2:
-        raise ValueError("output domain needs at least two distinct labels")
     taken = {v.name for v in bn.variables}
     if name is None:
         name = "O"
@@ -327,8 +338,6 @@ def encode_utility_node(
         while name in taken:
             k += 1
             name = f"O{k}"
-    elif name in taken:
-        raise ValueError(f"variable name {name!r} already in use")
     position = {label: col for col, label in enumerate(domain)}
     parent_domains = [bn.variables[p].domain for p in parent_ids]
     rows = []

@@ -7,6 +7,8 @@ the elimination machinery, so it can serve as an oracle for it.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from bnsens import (
@@ -17,7 +19,6 @@ from bnsens import (
     TensorNetwork,
     Variable,
     generate_random_bn,
-    validate_network,
 )
 from bnsens.oracle import brute_force_f
 
@@ -47,9 +48,7 @@ def five_node_dag_bn() -> DiscreteBayesNet:
     for i in range(5):
         rows = 2 ** len(parent_map[i])
         cpts.append(Cpt(i, parent_map[i], rng.dirichlet(np.ones(2), size=rows)))
-    bn = DiscreteBayesNet(variables, tuple(cpts))
-    validate_network(bn)
-    return bn
+    return DiscreteBayesNet(variables, tuple(cpts))
 
 
 def xor_bn() -> tuple[DiscreteBayesNet, AnalysisSpec]:
@@ -121,6 +120,38 @@ def common_parent_bn() -> tuple[DiscreteBayesNet, AnalysisSpec]:
     return bn, spec
 
 
+def fault_tree(p: float) -> tuple[DiscreteBayesNet, AnalysisSpec]:
+    """A fault tree over eight basic events B0..B7 failing with
+    probabilities between p and 2.75p, its AND/OR gates as deterministic
+    CPTs and the top event as output. Every cut set holds two basic events,
+    so the top event has probability of order p^2. The evidence is six basic
+    events and gate G1 = AND(B2, B3): it is correlated, and its marginal has
+    zero cells (G1 failed while B2 works)."""
+    gates = {
+        "G0": ("OR", ("B0", "B1")),
+        "G1": ("AND", ("B2", "B3")),
+        "G2": ("OR", ("G1", "B4")),
+        "G3": ("AND", ("G0", "G2")),
+        "G4": ("OR", ("B5", "B6")),
+        "G5": ("AND", ("G4", "B7")),
+        "TOP": ("OR", ("G3", "G5")),
+    }
+    names = [f"B{k}" for k in range(8)] + list(gates)
+    ids = {name: i for i, name in enumerate(names)}
+    variables = tuple(Variable(i, name, ("ok", "failed")) for i, name in enumerate(names))
+    cpts = [Cpt(k, (), [[1.0 - q, q]]) for k, q in enumerate(p * (1.0 + np.arange(8) / 4))]
+    for name, (kind, inputs) in gates.items():
+        combine = all if kind == "AND" else any
+        rows = [
+            [0.0, 1.0] if combine(bits) else [1.0, 0.0]
+            for bits in itertools.product((False, True), repeat=len(inputs))
+        ]
+        cpts.append(Cpt(ids[name], tuple(ids[x] for x in inputs), rows))
+    evidence = frozenset(ids[x] for x in ("B0", "B1", "B2", "B4", "B5", "B7", "G1"))
+    spec = AnalysisSpec(ids["TOP"], evidence, {"ok": 0.0, "failed": 1.0})
+    return DiscreteBayesNet(variables, tuple(cpts)), spec
+
+
 def layered_network(
     seed: int, n_roots: int, n_mid: int, cardinality: int | tuple[int, int]
 ) -> tuple[DiscreteBayesNet, AnalysisSpec]:
@@ -150,7 +181,6 @@ def layered_network(
         rows = int(np.prod([cards[p] for p in parent_map[i]], dtype=np.int64))
         cpts.append(Cpt(i, parent_map[i], rng.dirichlet(np.ones(cards[i]), size=rows)))
     bn = DiscreteBayesNet(variables, tuple(cpts))
-    validate_network(bn)
     value_map = {str(d): float(d) for d in range(cards[n - 1])}
     return bn, AnalysisSpec(n - 1, frozenset(range(n_roots)), value_map)
 

@@ -145,6 +145,21 @@ def test_out_of_memory_exits_4(monkeypatch, capsys):
     assert "error: MemoryError: cannot allocate" in capsys.readouterr().err
 
 
+def test_compute_validates_the_network_once(monkeypatch, capsys):
+    calls = []
+    for module in [m for name, m in sys.modules.items() if name.startswith("bnsens")]:
+        check = getattr(module, "validate_network", None)
+        if check is not None:
+            def counted(bn, check=check):
+                calls.append(bn)
+                return check(bn)
+
+            monkeypatch.setattr(module, "validate_network", counted)
+    assert main(["compute", "--network", CHAIN, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["indices"][0]["ST"] == 1.0
+    assert len(calls) == 1
+
+
 def test_oracle_compare_reports_deviation():
     code, out, _ = run_cli("oracle", "--network", CHAIN, "--compare", "--format", "json")
     assert code == 0

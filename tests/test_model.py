@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from bnsens import (
@@ -61,6 +62,22 @@ def test_duplicate_names_rejected():
     cpts = (Cpt(0, (), [[0.5, 0.5]]), Cpt(1, (), [[0.5, 0.5]]))
     with pytest.raises(ValidationError, match="duplicate"):
         validate_network(DiscreteBayesNet(variables, cpts))
+
+
+def test_nan_entry_is_rejected():
+    variables = (Variable(0, "E", ("0", "1")), Variable(1, "O", ("0", "1")))
+    cpts = (Cpt(0, (), [[np.nan, np.nan]]), Cpt(1, (0,), [[0.8, 0.2], [0.1, 0.9]]))
+    with pytest.raises(UnnormalizedCptError, match="'E'"):
+        DiscreteBayesNet(variables, cpts)
+
+
+def test_cpt_table_is_a_read_only_copy(chain):
+    with pytest.raises(ValueError):
+        chain.cpts[0].table[0, 0] = 0.5
+    rows = np.array([[0.7, 0.3]])
+    cpt = Cpt(0, (), rows)
+    rows[0, 0] = 0.1
+    assert cpt.table[0, 0] == 0.7
 
 
 def test_joint_probability_chain(chain):

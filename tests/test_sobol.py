@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bnsens.network
 from bnsens import (
@@ -12,11 +14,12 @@ from bnsens import (
     DiscreteBayesNet,
     NotEvidentialError,
     PartialFunctionError,
+    ValidationError,
     Variable,
     closed_index,
     compute_all,
+    contract_all,
     encode_utility_node,
-    expected_value,
     function_tn,
     global_variance,
     marginalize,
@@ -30,6 +33,7 @@ from helpers import (
     chain_bn,
     chain_spec,
     common_parent_bn,
+    fault_tree,
     layered_network,
     random_instance,
     random_roots_instance,
@@ -60,13 +64,13 @@ def test_expected_value_scales_linearly(chain):
     scaled = AnalysisSpec(1, frozenset({0}), {"0": 0.0, "1": 3.0})
     t_base, _ = _networks(chain, base)
     t_scaled, _ = _networks(chain, scaled)
-    assert expected_value(t_scaled) == pytest.approx(3.0 * expected_value(t_base), rel=1e-12)
+    assert contract_all(t_scaled) == pytest.approx(3.0 * contract_all(t_base), rel=1e-12)
 
 
 def test_constant_map_is_degenerate(chain):
     spec = AnalysisSpec(1, frozenset({0}), {"0": 2.0, "1": 2.0})
     t, j = _networks(chain, spec)
-    assert expected_value(t) == pytest.approx(2.0)
+    assert contract_all(t) == pytest.approx(2.0)
     with pytest.raises(DegenerateOutputError):
         global_variance(t, j)
     with pytest.raises(DegenerateOutputError):
@@ -205,23 +209,101 @@ def test_closed_index_pairs_match_oracle():
     assert checked >= 5
 
 
-def test_affine_invariance_of_indices():
-    for seed in range(6):
-        bn, spec = random_instance(seed + 500)
-        shifted = AnalysisSpec(
-            spec.output,
-            spec.evidential,
-            {k: 2.0 * v + 5.0 for k, v in spec.value_map.items()},
-        )
-        base = compute_all(bn, spec)
-        moved = compute_all(bn, shifted)
-        assert moved.expected_value == pytest.approx(
-            2.0 * base.expected_value + 5.0, rel=1e-9, abs=1e-9
-        )
-        assert moved.variance == pytest.approx(4.0 * base.variance, rel=1e-9)
-        for a, b in zip(base.indices, moved.indices):
-            assert a.s == pytest.approx(b.s, abs=1e-9)
-            assert a.st == pytest.approx(b.st, abs=1e-9)
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    eighths=st.lists(st.integers(0, 16), min_size=3, max_size=3),
+    shift=st.integers(-10**8, 10**8),
+    mantissa=st.integers(-15, 15).filter(bool),
+    exponent=st.integers(-30, 3),
+)
+def test_affine_invariance_of_indices(seed, eighths, shift, mantissa, exponent):
+    # Multiples of 1/8 shifted by an integer up to 1e8, times a scale of at
+    # most four significant bits (2^-30 ~ 9e-10 up to 120), are exact
+    # doubles: the moved map is exactly the affine image of the base map.
+    scale = mantissa * 2.0**exponent
+    bn, spec = random_instance(seed, max_nodes=9, max_evidence=4)
+    domain = bn.variables[spec.output].domain
+    values = {label: k / 8 for label, k in zip(domain, eighths)}
+    base_spec = AnalysisSpec(spec.output, spec.evidential, values)
+    moved_spec = AnalysisSpec(
+        spec.output,
+        spec.evidential,
+        {label: scale * (v + shift) for label, v in values.items()},
+    )
+    try:
+        base = compute_all(bn, base_spec)
+    except DegenerateOutputError:
+        with pytest.raises(DegenerateOutputError):
+            compute_all(bn, moved_spec)
+        return
+    moved = compute_all(bn, moved_spec)
+    assert moved.expected_value == pytest.approx(
+        scale * (base.expected_value + shift), rel=1e-9
+    )
+    assert moved.variance == pytest.approx(scale * scale * base.variance, rel=1e-9)
+    for a, b in zip(base.indices, moved.indices):
+        assert a.s == pytest.approx(b.s, abs=1e-9)
+        assert a.st == pytest.approx(b.st, abs=1e-9)
+
+
+@pytest.mark.parametrize("output_parent", ["E0", "U"])
+def test_output_ignoring_the_evidence_is_degenerate_under_a_shift(output_parent):
+    # O's rows are all equal, so f is constant whatever the evidence.
+    variables = tuple(
+        Variable(i, name, ("0", "1")) for i, name in enumerate(("E0", "E1", "U", "O"))
+    )
+    parent = 0 if output_parent == "E0" else 2
+    bn = DiscreteBayesNet(
+        variables,
+        (
+            Cpt(0, (), [[0.6, 0.4]]),
+            Cpt(1, (), [[0.25, 0.75]]),
+            Cpt(2, (0, 1), [[0.9, 0.1], [0.5, 0.5], [0.3, 0.7], [0.2, 0.8]]),
+            Cpt(3, (parent,), [[0.3, 0.7], [0.3, 0.7]]),
+        ),
+    )
+    spec = AnalysisSpec(3, frozenset({0, 1}), {"0": 1e6, "1": 1e6 + 1.0})
+    with pytest.raises(DegenerateOutputError):
+        compute_all(bn, spec)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6])
+@pytest.mark.parametrize("analysis", [compute_all, brute_force_indices])
+def test_output_constant_through_a_chance_node_is_degenerate(analysis, shift):
+    # Every row of P(U | E) gives P(O=1 | E) = 0.45, but each through its own
+    # rounded sums, so the conditional means differ by rounding noise alone.
+    variables = (
+        Variable(0, "E", ("a", "b", "c", "d")),
+        Variable(1, "U", ("0", "1", "2")),
+        Variable(2, "O", ("0", "1")),
+    )
+    rows = [[0.5, 0.0, 0.5], [0.0, 0.7, 0.3], [0.25, 0.35, 0.4], [0.125, 0.525, 0.35]]
+    bn = DiscreteBayesNet(
+        variables,
+        (
+            Cpt(0, (), [[0.1, 0.2, 0.3, 0.4]]),
+            Cpt(1, (0,), rows),
+            Cpt(2, (1,), [[0.9, 0.1], [0.7, 0.3], [0.2, 0.8]]),
+        ),
+    )
+    spec = AnalysisSpec(2, frozenset({0}), {"0": shift, "1": shift + 1.0})
+    with pytest.raises(DegenerateOutputError):
+        analysis(bn, spec)
+
+
+@pytest.mark.parametrize("p",[1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+def test_rare_event_fault_tree_matches_centred_oracle(p):
+    bn, spec = fault_tree(p)
+    report = compute_all(bn, spec)
+    reference = brute_force_indices(bn, spec)
+    assert report.expected_value == pytest.approx(reference.expected_value, rel=1e-9)
+    assert report.variance == pytest.approx(reference.variance, rel=1e-9)
+    for mine, ref in zip(report.indices, reference.indices):
+        assert mine.name == ref.name
+        assert mine.s == pytest.approx(ref.s, abs=1e-12)
+        assert mine.st == pytest.approx(ref.st, abs=1e-12)
+    assert max(e.st for e in report.indices) > 0.1
 
 
 def test_freezing_a_zero_total_index_variable():
@@ -323,3 +405,13 @@ def test_utility_rejects_partial_functions():
         encode_utility_node(bn, lambda labels: {"0": "0"}[labels[0]], (1,), ("0", "1"))
     with pytest.raises(PartialFunctionError):
         encode_utility_node(bn, lambda labels: "nope", (1,), ("0", "1"))
+
+
+@pytest.mark.parametrize(
+    "parents, domain, name",
+    [((0, 0), ("0", "1"), None), ((0,), ("a", "a"), None), ((0,), ("a",), None),
+     ((0,), ("0", "1"), "E")],
+)
+def test_utility_node_is_checked_as_the_network_is_built(parents, domain, name):
+    with pytest.raises(ValidationError):
+        encode_utility_node(chain_bn(), lambda labels: domain[0], parents, domain, name)
