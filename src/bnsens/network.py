@@ -5,7 +5,11 @@ value at a full assignment is the product of all factor entries divided by
 the entries of the inverted (divisor) factors. Marginalization runs variable
 elimination under the minimal-weight heuristic and keeps the result
 factored, which is what makes squaring/quotient pipelines affordable on
-evidence sets far too large to tabulate.
+evidence sets far too large to tabulate. Each bucket of the elimination is
+one einsum that multiplies its factors and sums the variable away in the
+same pass, so the product of a bucket is never stored; only a bucket with
+divisors forms its numerator and denominator first, to divide them cell by
+cell.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import numpy as np
 from .errors import (
     AxisCardinalityMismatchError,
     ContractionUnderflowWarning,
+    StateSpaceTooLargeError,
     UnknownAxisError,
 )
 from .graph import min_weight_order
@@ -26,7 +31,7 @@ from .model import AnalysisSpec, DiscreteBayesNet, output_values
 from .tensor import (
     Factor,
     factor_div,
-    factor_product,
+    factor_product,  # unused here; bench/spans.py hooks it by name in this module
     factor_sum_out,
 )
 
@@ -99,19 +104,52 @@ def function_tn(
     return TensorNetwork(mrf.universe, (*mrf.factors, extra), mrf.inverted)
 
 
-def _combine(terms: Sequence[tuple[Factor, bool]]) -> Factor:
+# np.einsum names the axes of one call with the integers 0..51.
+EINSUM_LABELS = 52
+
+
+def _einsum(factors: Sequence[Factor], axes: Sequence[int]) -> np.ndarray:
+    """Product of `factors` over exactly `axes`, every other axis summed
+    away, in one `np.einsum` pass: the product itself is never stored.
+
+    Axis ids are renumbered 0..k-1 per call. A call over more than
+    EINSUM_LABELS axes raises `StateSpaceTooLargeError` before einsum runs;
+    unless some of its axes have cardinality 1, its product would have at
+    least 2^53 cells."""
+    if not factors:
+        return np.ones(())
+    labels: dict[int, int] = {}
+    operands: list = []
+    for f in factors:
+        operands += [f.values, [labels.setdefault(ax, len(labels)) for ax in f.axes]]
+    if len(labels) > EINSUM_LABELS:
+        raise StateSpaceTooLargeError(
+            f"a bucket over {len(labels)} axes exceeds einsum's {EINSUM_LABELS} labels"
+        )
+    return np.einsum(*operands, [labels[ax] for ax in axes], optimize=False)
+
+
+def _eliminate(terms: Sequence[tuple[Factor, bool]], drop: set[int]) -> Factor:
     """Product of the plain factors divided by the product of the inverted
-    ones, each multiplied smallest first; `factor_div`'s 0/0 rule applies."""
-    out = Factor.scalar(1.0)
-    for f in sorted((f for f, inv in terms if not inv), key=lambda f: f.values.size):
-        out = factor_product(out, f)
-    denominators = sorted((f for f, inv in terms if inv), key=lambda f: f.values.size)
-    if denominators:
-        den = Factor.scalar(1.0)
-        for f in denominators:
-            den = factor_product(den, f)
-        out = factor_div(out, den)
-    return out
+    ones, with the axes in `drop` summed away.
+
+    Without divisors, product and sum-out are one `_einsum`. With divisors,
+    `_einsum` forms the numerator and the denominator over their own axes,
+    `factor_div` divides them cell by cell under its 0/0 rule, and only
+    then are `drop` summed away."""
+    plain = [f for f, inv in terms if not inv]
+    inverted = [f for f, inv in terms if inv]
+
+    def spanned(factors):
+        return tuple(sorted({ax for f in factors for ax in f.axes}))
+
+    if not inverted:
+        kept = tuple(ax for ax in spanned(plain) if ax not in drop)
+        return Factor(kept, _einsum(plain, kept))
+    num, den = spanned(plain), spanned(inverted)
+    numerator = Factor(num, _einsum(plain, num))
+    ratio = factor_div(numerator, Factor(den, _einsum(inverted, den)))
+    return factor_sum_out(ratio, drop)
 
 
 def marginalize(
@@ -121,13 +159,15 @@ def marginalize(
 ) -> TensorNetwork:
     """Sum the given variables out of the network by variable elimination.
 
-    Each step multiplies the factors containing the next variable (dividing
-    in any inverted factors among them) and sums that variable away. The
-    minimal-weight heuristic picks the order unless an explicit permutation
-    of `eliminate` is supplied. The result keeps its factored structure: for
-    every assignment of the remaining variables, its contraction equals the
-    sum of the input's contraction over the eliminated ones. A variable
-    carried by no factor contributes its cardinality as a scalar.
+    Each step sums the next variable out of the product of the factors that
+    contain it, in one einsum pass that never stores the product; when
+    inverted factors are among them, the product of the plain ones is first
+    divided by theirs, cell by cell. The minimal-weight heuristic picks the
+    order unless an explicit permutation of `eliminate` is supplied. The
+    result keeps its factored structure: for every assignment of the
+    remaining variables, its contraction equals the sum of the input's
+    contraction over the eliminated ones. A variable carried by no factor
+    contributes its cardinality as a scalar.
     """
     targets = {int(v) for v in eliminate}
     missing = targets - set(tn.universe)
@@ -154,7 +194,7 @@ def marginalize(
             terms.append((Factor.scalar(tn.universe[v]), False))
             continue
         terms = [(f, inv) for f, inv in terms if v not in f.axes]
-        terms.append((factor_sum_out(_combine(bucket), {v}), False))
+        terms.append((_eliminate(bucket, {v}), False))
 
     return TensorNetwork(
         {k: c for k, c in tn.universe.items() if k not in targets},
@@ -251,9 +291,10 @@ def collapse(tn: TensorNetwork, keep: Iterable[int]) -> Factor:
     if missing:
         raise UnknownAxisError(f"keep variables {sorted(missing)} not in universe")
     reduced = marginalize(tn, set(tn.universe) - keep_set)
-    out = _combine(
-        [(f, False) for f in reduced.factors] + [(f, True) for f in reduced.inverted]
+    mentioned = {ax for f in (*reduced.factors, *reduced.inverted) for ax in f.axes}
+    constant = [Factor((v,), np.ones(tn.universe[v])) for v in keep_set - mentioned]
+    return _eliminate(
+        [(f, False) for f in (*reduced.factors, *constant)]
+        + [(f, True) for f in reduced.inverted],
+        set(),
     )
-    for v in sorted(keep_set - set(out.axes)):
-        out = factor_product(out, Factor((v,), np.ones(tn.universe[v])))
-    return out

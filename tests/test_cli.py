@@ -6,6 +6,14 @@ from pathlib import Path
 import pytest
 
 import bnsens.network
+from bnsens import (
+    AnalysisSpec,
+    Cpt,
+    DiscreteBayesNet,
+    NativeDocument,
+    Variable,
+    save_native,
+)
 from bnsens.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -137,12 +145,29 @@ def test_oracle_cap_exits_4(tmp_path):
 
 
 def test_out_of_memory_exits_4(monkeypatch, capsys):
-    def refuse(a, b):
-        raise MemoryError("cannot allocate the product")
+    def refuse(factors, axes):
+        raise MemoryError("cannot allocate the bucket")
 
-    monkeypatch.setattr(bnsens.network, "factor_product", refuse)
+    monkeypatch.setattr(bnsens.network, "_einsum", refuse)
     assert main(["compute", "--network", CHAIN]) == 4
     assert "error: MemoryError: cannot allocate" in capsys.readouterr().err
+
+
+def test_bucket_beyond_einsum_labels_exits_4(tmp_path, capsys):
+    # A chance root with 53 evidential children: summing it out of the
+    # evidence network leaves a bucket over 54 axes, which einsum cannot label.
+    n = 53
+    variables = [Variable(0, "C", ("0", "1"))]
+    variables += [Variable(k, f"E{k}", ("0", "1")) for k in range(1, n + 1)]
+    variables.append(Variable(n + 1, "O", ("0", "1")))
+    cpts = [Cpt(0, (), [[0.5, 0.5]])]
+    cpts += [Cpt(k, (0,), [[0.9, 0.1], [0.2, 0.8]]) for k in range(1, n + 1)]
+    cpts.append(Cpt(n + 1, (1,), [[0.7, 0.3], [0.4, 0.6]]))
+    spec = AnalysisSpec(n + 1, frozenset(range(1, n + 1)), {"0": 0.0, "1": 1.0})
+    path = tmp_path / "wide.native"
+    path.write_text(save_native(NativeDocument(DiscreteBayesNet(variables, cpts), spec)))
+    assert main(["compute", "--network", str(path)]) == 4
+    assert "error: StateSpaceTooLargeError: a bucket over 54 axes" in capsys.readouterr().err
 
 
 def test_compute_validates_the_network_once(monkeypatch, capsys):

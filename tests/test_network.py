@@ -1,5 +1,9 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnsens import (
     AnalysisSpec,
@@ -7,6 +11,7 @@ from bnsens import (
     DivisionByZeroError,
     Factor,
     MissingValueMapError,
+    StateSpaceTooLargeError,
     TensorNetwork,
     collapse,
     contract_all,
@@ -17,7 +22,9 @@ from bnsens import (
     quotient,
     square_wrt,
 )
+from bnsens.network import _eliminate
 from bnsens.oracle import brute_force_f
+from bnsens.tensor import factor_div, factor_product, factor_sum_out
 from helpers import chain_bn, random_tn, tn_marginal, tn_table
 
 
@@ -149,6 +156,51 @@ def test_contract_over_zero_divisor():
         nonzero = TensorNetwork({0: 2}, (Factor((0,), [0.5, 0.0]),))
         with pytest.raises(DivisionByZeroError):
             contract_all(quotient(nonzero, divisor))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_bucket_kernel_matches_stepwise_product_division_and_sum(seed):
+    # Some divisor cells are zero; half the time a plain factor is zero on
+    # the same cells (0/0 -> 0), otherwise the numerator there is nonzero.
+    rng = np.random.default_rng(seed)
+    tn = random_tn(rng)
+    plain = list(tn.factors)
+    inverted = []
+    count = int(rng.integers(0, 3))
+    for f in random_tn(rng, positive=True, universe=tn.universe).factors[:count]:
+        zero = rng.random(f.values.shape) < 0.3
+        inverted.append(Factor(f.axes, np.where(zero, 0.0, f.values)))
+        if rng.random() < 0.5:
+            plain.append(Factor(f.axes, np.where(zero, 0.0, 1.0)))
+    axes = sorted({ax for f in (*plain, *inverted) for ax in f.axes})
+    drop = {ax for ax in axes if rng.random() < 0.5}
+    terms = [(f, False) for f in plain] + [(f, True) for f in inverted]
+
+    ratio = reduce(factor_product, plain, Factor.scalar(1.0))
+    try:
+        if inverted:
+            ratio = factor_div(ratio, reduce(factor_product, inverted, Factor.scalar(1.0)))
+    except DivisionByZeroError:
+        with pytest.raises(DivisionByZeroError):
+            _eliminate(terms, drop)
+        return
+    expected = factor_sum_out(ratio, drop)
+    out = _eliminate(terms, drop)
+    assert out.axes == expected.axes
+    np.testing.assert_allclose(out.values, expected.values, rtol=1e-12, atol=1e-12)
+
+
+def test_bucket_beyond_einsum_labels_raises_before_einsum(monkeypatch):
+    pairs = tuple(Factor((0, k), np.full((2, 2), 0.5)) for k in range(1, 54))
+    tn = TensorNetwork({k: 2 for k in range(54)}, pairs)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("np.einsum was called")
+
+    monkeypatch.setattr(np, "einsum", unreachable)
+    with pytest.raises(StateSpaceTooLargeError, match="54 axes"):
+        marginalize(tn, {0})
 
 
 def test_contract_underflow_warns():

@@ -92,15 +92,15 @@ def with_barren_nodes(bn, spec, count, seed):
 def test_barren_subnetwork_changes_nothing(instance_seed, count, barren_seed):
     bn, spec = random_instance(instance_seed, max_nodes=7, max_evidence=4)
     grown, grown_spec, barren = with_barren_nodes(bn, spec, count, barren_seed)
-    product = bnsens.network.factor_product
+    eliminate = bnsens.network._eliminate
     named_axes: set[int] = set()
 
-    def recording(a, b):
-        out = product(a, b)
-        named_axes.update(a.axes, b.axes, out.axes)
+    def recording(terms, drop):
+        out = eliminate(terms, drop)
+        named_axes.update(*(f.axes for f, _ in terms), drop, out.axes)
         return out
 
-    with mock.patch.object(bnsens.network, "factor_product", recording):
+    with mock.patch.object(bnsens.network, "_eliminate", recording):
         report = compute_all(grown, grown_spec)
     assert not named_axes & barren
     base = compute_all(bn, spec)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -169,17 +170,17 @@ def test_queries_agree_on_full_and_reduced_function_network():
 
 def test_compute_all_never_squares_chance_variables(monkeypatch):
     # Ten 5-7-state roots under five interior nodes: squaring the interior
-    # nodes along with the evidence asks for products of ~3e9 cells.
+    # nodes along with the evidence makes buckets of ~3e9 cells.
     bn, spec = layered_network(4, 10, 5, (5, 7))
-    product = bnsens.network.factor_product
+    eliminate = bnsens.network._eliminate
 
-    def capped(a, b):
-        cards = dict(zip(a.axes, a.values.shape)) | dict(zip(b.axes, b.values.shape))
-        cells = int(np.prod(list(cards.values()), dtype=np.int64))
-        assert cells <= 1e8, f"factor_product asked for {cells:.3g} cells"
-        return product(a, b)
+    def capped(terms, drop):
+        cards = {ax: n for f, _ in terms for ax, n in zip(f.axes, f.values.shape)}
+        cells = math.prod(cards.values())
+        assert cells <= 1e8, f"a bucket spans {cells:.3g} cells"
+        return eliminate(terms, drop)
 
-    monkeypatch.setattr(bnsens.network, "factor_product", capped)
+    monkeypatch.setattr(bnsens.network, "_eliminate", capped)
     report = compute_all(bn, spec)
     for entry in report.indices:
         assert -1e-12 <= entry.s <= entry.st + 1e-12
