@@ -2,12 +2,12 @@
 
 A 24-node ternary network with 16 evidential roots: the function of
 interest lives on a 3^16 grid (about 4.3e7 points), far past what the
-brute-force oracle will enumerate, yet all 16 index pairs come out of the
-factored pipeline in under a quarter of a second (0.21-0.25 s on two
-cores). This is the point of the method: marginalization queries replace
-enumeration or sampling of f. Three interior nodes are barren and never
-become factors, and roots N1, N4, N5 and N6 have no path to the output,
-so their indices are exact zeros that need no query.
+brute-force oracle will enumerate, yet all 16 index pairs come out of
+the factored pipeline in about a quarter of a second (0.18-0.30 s over
+ten runs on two cores). This is the point of the method: marginalization
+queries replace enumeration or sampling of f. Three interior nodes are
+barren and never become factors, and roots N1, N4, N5 and N6 have no
+path to the output, so their indices are exact zeros that need no query.
 """
 
 import time

@@ -14,6 +14,7 @@ cell.
 
 from __future__ import annotations
 
+import string
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -104,29 +105,55 @@ def function_tn(
     return TensorNetwork(mrf.universe, (*mrf.factors, extra), mrf.inverted)
 
 
-# np.einsum names the axes of one call with the integers 0..51.
-EINSUM_LABELS = 52
+# One np.einsum call names its axes with these 52 letters and takes at most
+# 31 operands (63 on numpy 2; numpy 1.x keeps one of its 32 slots for the
+# output).
+EINSUM_LETTERS = string.ascii_letters
+EINSUM_OPERANDS = 31
+
+
+def _spanned(factors: Sequence[Factor]) -> tuple[int, ...]:
+    return tuple(sorted({ax for f in factors for ax in f.axes}))
 
 
 def _einsum(factors: Sequence[Factor], axes: Sequence[int]) -> np.ndarray:
     """Product of `factors` over exactly `axes`, every other axis summed
     away, in one `np.einsum` pass: the product itself is never stored.
 
-    Axis ids are renumbered 0..k-1 per call. A call over more than
-    EINSUM_LABELS axes raises `StateSpaceTooLargeError` before einsum runs;
+    Axis ids are renamed to letters per call; the string form of the
+    subscripts has no length cap, unlike einsum's list form. A call over
+    more than 52 axes raises `StateSpaceTooLargeError` before einsum runs;
     unless some of its axes have cardinality 1, its product would have at
-    least 2^53 cells."""
+    least 2^53 cells. More than EINSUM_OPERANDS factors are first multiplied
+    in chunks over their own axes, summing nothing away. The result never
+    shares memory with a factor."""
     if not factors:
         return np.ones(())
-    labels: dict[int, int] = {}
-    operands: list = []
+    index: dict[int, int] = {}
     for f in factors:
-        operands += [f.values, [labels.setdefault(ax, len(labels)) for ax in f.axes]]
-    if len(labels) > EINSUM_LABELS:
+        for ax in f.axes:
+            index.setdefault(ax, len(index))
+    if len(index) > len(EINSUM_LETTERS):
         raise StateSpaceTooLargeError(
-            f"a bucket over {len(labels)} axes exceeds einsum's {EINSUM_LABELS} labels"
+            f"a bucket over {len(index)} axes exceeds einsum's "
+            f"{len(EINSUM_LETTERS)} labels"
         )
-    return np.einsum(*operands, [labels[ax] for ax in axes], optimize=False)
+    if len(factors) > EINSUM_OPERANDS:
+        chunks = [
+            factors[i : i + EINSUM_OPERANDS]
+            for i in range(0, len(factors), EINSUM_OPERANDS)
+        ]
+        products = [Factor(_spanned(c), _einsum(c, _spanned(c))) for c in chunks]
+        return _einsum(products, axes)
+
+    def letters(scope):
+        return "".join(EINSUM_LETTERS[index[ax]] for ax in scope)
+
+    subscripts = ",".join(letters(f.axes) for f in factors) + "->" + letters(axes)
+    out = np.einsum(subscripts, *(f.values for f in factors), optimize=False)
+    if len(factors) == 1 and np.may_share_memory(out, factors[0].values):
+        out = out.copy()  # a lone operand over its own axes comes back as a view
+    return out
 
 
 def _eliminate(terms: Sequence[tuple[Factor, bool]], drop: set[int]) -> Factor:
@@ -139,14 +166,10 @@ def _eliminate(terms: Sequence[tuple[Factor, bool]], drop: set[int]) -> Factor:
     then are `drop` summed away."""
     plain = [f for f, inv in terms if not inv]
     inverted = [f for f, inv in terms if inv]
-
-    def spanned(factors):
-        return tuple(sorted({ax for f in factors for ax in f.axes}))
-
     if not inverted:
-        kept = tuple(ax for ax in spanned(plain) if ax not in drop)
+        kept = tuple(ax for ax in _spanned(plain) if ax not in drop)
         return Factor(kept, _einsum(plain, kept))
-    num, den = spanned(plain), spanned(inverted)
+    num, den = _spanned(plain), _spanned(inverted)
     numerator = Factor(num, _einsum(plain, num))
     ratio = factor_div(numerator, Factor(den, _einsum(inverted, den)))
     return factor_sum_out(ratio, drop)

@@ -203,6 +203,32 @@ def test_bucket_beyond_einsum_labels_raises_before_einsum(monkeypatch):
         marginalize(tn, {0})
 
 
+def test_bucket_beyond_einsum_operand_cap_is_chunked(monkeypatch):
+    # 70 factors share axis 0: more operands than one np.einsum call takes
+    # (31 on numpy 1.x, 63 on numpy 2), so no call may see them all.
+    rng = np.random.default_rng(5)
+    factors = [Factor((0,), rng.uniform(0.5, 1.5, size=2)) for _ in range(69)]
+    factors.append(Factor((0, 1), rng.uniform(size=(2, 3))))
+    tn = TensorNetwork({0: 2, 1: 3}, tuple(factors))
+    einsum = np.einsum
+
+    def capped(subscripts, *operands, **kwargs):
+        assert len(operands) <= 31, f"{len(operands)} operands in one einsum call"
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", capped)
+    expected = factor_sum_out(reduce(factor_product, factors), {0})
+    np.testing.assert_allclose(collapse(tn, {1}).values, expected.values, rtol=1e-12)
+
+
+def test_collapse_result_does_not_share_memory_with_its_input():
+    values = np.arange(6.0).reshape(2, 3)
+    tn = TensorNetwork({0: 2, 1: 3}, (Factor((0, 1), values),))
+    out = collapse(tn, {0, 1})
+    np.testing.assert_array_equal(out.values, values)
+    assert not np.shares_memory(out.values, values)
+
+
 def test_contract_underflow_warns():
     tn = TensorNetwork(
         {0: 2},

@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from bnsens import (
     Cpt,
     DegenerateOutputError,
     DiscreteBayesNet,
+    Factor,
     NotEvidentialError,
     PartialFunctionError,
     ValidationError,
@@ -29,6 +31,7 @@ from bnsens import (
     variance_component,
 )
 from bnsens.oracle import brute_force_closed, brute_force_f, brute_force_indices
+from bnsens.tensor import factor_product, factor_sum_out
 from helpers import (
     additive_bn,
     chain_bn,
@@ -185,6 +188,36 @@ def test_compute_all_never_squares_chance_variables(monkeypatch):
     for entry in report.indices:
         assert -1e-12 <= entry.s <= entry.st + 1e-12
         assert entry.st <= 1.0 + 1e-12
+
+
+def test_bucket_beyond_einsum_operand_cap_matches_stepwise(monkeypatch):
+    # An evidential root C with an output child and 64 evidential leaves:
+    # min-weight eliminates each leaf first, leaving C's bucket 66 factors,
+    # more operands than one np.einsum call accepts (63; 31 on numpy 1.x).
+    # Total indices are left out: S^T of C keeps all 64 leaves, 2^64 cells.
+    n = 64
+    rng = np.random.default_rng(7)
+    variables = [Variable(0, "C", ("0", "1")), Variable(1, "O", ("0", "1"))]
+    variables += [Variable(k, f"E{k}", ("0", "1")) for k in range(2, n + 2)]
+    cpts = [Cpt(0, (), [[0.4, 0.6]]), Cpt(1, (0,), [[0.7, 0.3], [0.2, 0.8]])]
+    for k in range(2, n + 2):
+        p, q = rng.uniform(0.05, 0.95, size=2)
+        cpts.append(Cpt(k, (0,), [[p, 1 - p], [q, 1 - q]]))
+    spec = AnalysisSpec(1, frozenset({0, *range(2, n + 2)}), {"0": 0.0, "1": 1.0})
+    bn = DiscreteBayesNet(variables, cpts)
+    first_only = ComputeOptions(total=False)
+    fused = compute_all(bn, spec, first_only)
+
+    def stepwise(factors, axes):
+        product = reduce(factor_product, factors, Factor.scalar(1.0))
+        return factor_sum_out(product, set(product.axes) - set(axes)).values
+
+    monkeypatch.setattr(bnsens.network, "_einsum", stepwise)
+    reference = compute_all(bn, spec, first_only)
+    assert len(fused.indices) == n + 1
+    for a, b in zip(fused.indices, reference.indices):
+        assert a.variables == b.variables
+        assert a.s == pytest.approx(b.s, abs=1e-12)
 
 
 def test_closed_index_of_full_set_is_one():
