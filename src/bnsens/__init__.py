@@ -83,12 +83,8 @@ from .sobol import (
     ComputeOptions,
     IndexEntry,
     SobolReport,
-    closed_index,
     compute_all,
     encode_utility_node,
-    global_variance,
-    total_index,
-    variance_component,
 )
 from .tensor import (
     Factor,

@@ -4,9 +4,11 @@ For the function of interest f(evidence) = E[mapped output | evidence], the
 variance component S_i = Var_i[E_{~i}[f]] / Var[f] measures the additive
 effect of evidential variable i, and the total index
 S^T_i = E_{~i}[Var_i[f]] / Var[f] = 1 - Var_{~i}[E_i[f]] / Var[f] its
-overall effect including interactions. Every required moment is one
-conditional-moment query E[E[f | keep]^2] over a squared and quotient
-network, so f itself is never tabulated.
+overall effect including interactions; the closed index of a group of
+evidential variables is the group's variance component. `compute_all`
+computes them all, each from one conditional-moment query
+E[E[f | keep]^2] over a squared and quotient network, so f itself is
+never tabulated.
 """
 
 from __future__ import annotations
@@ -42,10 +44,9 @@ from .network import (
 )
 from .tensor import Factor
 
-# Var[f] at most this share of a scale that bounds its rounding noise means
-# f is constant and every index undefined. The scale is E[E[f | E]^2] for a
-# raw value map; for the centred map of `compute_all` it is Var[v(O)], since
-# each E[v(O) | e] is off by about n*eps*E[|v(O) - E[f]| | e].
+# Var[f] at most this share of Var[g(O)], the variance of the centred map g
+# of `compute_all`, means f is constant and every index undefined: each
+# E[g(O) | e] is off by about n*eps*E[|g(O)| | e].
 DEGENERATE_VARIANCE_TOL = 1e-12
 NEGATIVE_INDEX_WARNING = 1e-6
 
@@ -80,11 +81,6 @@ class ComputeOptions:
     workers: int = 1
 
 
-def _evidential_set(j: TensorNetwork) -> frozenset[int]:
-    # The evidence marginal lives exactly on the evidential variables.
-    return frozenset(j.universe)
-
-
 def _conditional_second_moment(
     t: TensorNetwork, j: TensorNetwork, keep: frozenset[int]
 ) -> float:
@@ -94,102 +90,27 @@ def _conditional_second_moment(
     leaves P(keep) E[f | keep] in factored form; squaring it (no replicas,
     since every remaining variable is shared) and dividing by P(keep), the
     evidence marginal with the rest of the evidence summed out, contracts
-    to the second moment of the conditional mean."""
+    to the second moment of the conditional mean. `j` is the evidence
+    marginal, over the evidential variables only."""
     numerator = marginalize(t, set(t.universe) - keep)
-    divisor = marginalize(j, _evidential_set(j) - keep)
+    divisor = marginalize(j, frozenset(j.universe) - keep)
     return contract_all(quotient(square_wrt(numerator, keep), divisor))
 
 
-def _nondegenerate(variance: float, scale: float) -> float:
-    """`variance`; at most DEGENERATE_VARIANCE_TOL times `scale` raises."""
-    if not variance > DEGENERATE_VARIANCE_TOL * scale:
-        raise DegenerateOutputError(f"output variance {variance!r} is numerically zero")
-    return variance
-
-
-def global_variance(
-    t: TensorNetwork,
-    j: TensorNetwork,
-    *,
-    mean: float | None = None,
-) -> float:
-    """Var[f] = E[E[f | E]^2] - E[f]^2, with E all evidential variables.
-
-    The second moment is the conditional-moment query with every evidential
-    variable kept. `t` may range over the whole network or be already
-    reduced to the evidential variables. A variance at most
-    DEGENERATE_VARIANCE_TOL times that second moment raises."""
-    if mean is None:
-        mean = contract_all(t)
-    second_moment = _conditional_second_moment(t, j, _evidential_set(j))
-    return _nondegenerate(second_moment - mean * mean, second_moment)
-
-
-def _checked_variance(
-    t: TensorNetwork, j: TensorNetwork, mean: float | None, variance: float | None
-) -> tuple[float, float]:
-    """The mean and variance, computed where the caller passed none; a
-    variance that is not positive raises, since every index divides by it."""
-    if mean is None:
-        mean = contract_all(t)
-    if variance is None:
-        variance = global_variance(t, j, mean=mean)
-    return mean, _nondegenerate(variance, 0.0)
-
-
-def closed_index(
-    subset: Iterable[int],
-    t: TensorNetwork,
-    j: TensorNetwork,
-    *,
-    mean: float | None = None,
-    variance: float | None = None,
-) -> float:
-    """Closed (grouped) variance component Var_subset[E_{rest}[f]] / Var[f].
-
-    The numerator is E[E[f | subset]^2] - E[f]^2, the conditional-moment
-    query with the subset kept."""
-    e_set = _evidential_set(j)
-    ids = frozenset(int(v) for v in subset)
-    if not ids:
-        raise NotEvidentialError("the variable subset is empty")
-    if not ids <= e_set:
-        raise NotEvidentialError(f"variables {sorted(ids - e_set)} are not evidential")
-    mean, variance = _checked_variance(t, j, mean, variance)
-    return (_conditional_second_moment(t, j, ids) - mean * mean) / variance
-
-
+# Module-level so that bench/spans.py and the tests can hook each query.
 def variance_component(
-    i: int,
-    t: TensorNetwork,
-    j: TensorNetwork,
-    *,
-    mean: float | None = None,
-    variance: float | None = None,
+    i: int, t: TensorNetwork, j: TensorNetwork, mean: float, variance: float
 ) -> float:
-    """First-order effect S_i; the singleton case of `closed_index`."""
-    return closed_index((int(i),), t, j, mean=mean, variance=variance)
+    """First-order effect S_i = (E[E[f | i]^2] - E[f]^2) / Var[f]."""
+    return (_conditional_second_moment(t, j, frozenset((i,))) - mean * mean) / variance
 
 
 def total_index(
-    i: int,
-    t: TensorNetwork,
-    j: TensorNetwork,
-    *,
-    mean: float | None = None,
-    variance: float | None = None,
+    i: int, t: TensorNetwork, j: TensorNetwork, mean: float, variance: float
 ) -> float:
-    """Total effect S^T_i = 1 - Var_{~i}[E_i[f]] / Var[f].
-
-    Var_{~i}[E_i[f]] is E[E[f | E - {i}]^2] - E[f]^2, the conditional-moment
-    query with every evidential variable but i kept."""
-    var_id = int(i)
-    e_set = _evidential_set(j)
-    if var_id not in e_set:
-        raise NotEvidentialError(f"variable {var_id} is not evidential")
-    mean, variance = _checked_variance(t, j, mean, variance)
-    second_moment = _conditional_second_moment(t, j, e_set - {var_id})
-    return 1.0 - (second_moment - mean * mean) / variance
+    """Total effect S^T_i = 1 - (E[E[f | E - {i}]^2] - E[f]^2) / Var[f]."""
+    rest = frozenset(j.universe) - {i}
+    return 1.0 - (_conditional_second_moment(t, j, rest) - mean * mean) / variance
 
 
 def compute_all(
@@ -199,23 +120,33 @@ def compute_all(
 ) -> SobolReport:
     """Compute the requested indices for every evidential variable.
 
-    Builds the probability network over An(output | evidence) only: a
-    barren node, an ancestor of neither, has a factor that sums to 1 and
-    drops out exactly. The function network maps each output value v to
-    (v - E[f]) / (max v - min v), with E[f] from the output marginal, so
-    the moments are taken about the mean and the indices hold under any
-    affine map of the values and for rare events; Var[f] at most
-    DEGENERATE_VARIANCE_TOL times Var[v(O)] raises. Both networks have the
-    non-evidential variables summed out, so every index is one
-    conditional-moment query over two small networks and no query squares
-    a chance variable. Some indices need no query and are exact zeros: S_i
-    when i is d-separated from the output, since E[f | i] is then constant,
-    and S^T_i when the rest of the evidence d-separates i from the output,
-    since f is then flat along i. Per-variable work is independent;
-    `options.workers` > 1 runs it in a thread pool. Entries are ordered by
-    variable id regardless."""
+    The closed subsets of `options` are checked before any elimination: an
+    empty subset, a repeated variable or a non-evidential one raises
+    NotEvidentialError. Builds the probability network over
+    An(output | evidence) only: a barren node, an ancestor of neither, has
+    a factor that sums to 1 and drops out exactly. The function network
+    maps each output value v to g(v) = (v - E[f]) / (max v - min v), with
+    E[f] from the output marginal, so the moments are taken about the mean
+    and the indices hold under any affine map of the values and for rare
+    events; Var[f] at most DEGENERATE_VARIANCE_TOL times Var[g(O)] raises.
+    Both networks have the non-evidential variables summed out, so every
+    index is one conditional-moment query over two small networks and no
+    query squares a chance variable. Some indices need no query and are
+    exact zeros: S_i when i is d-separated from the output, since E[f | i]
+    is then constant, and S^T_i when the rest of the evidence d-separates i
+    from the output, since f is then flat along i. Per-variable work is
+    independent; `options.workers` > 1 runs it in a thread pool. Entries
+    are ordered by variable id regardless, with the closed subsets last;
+    with neither `first` nor `total` requested there are no per-variable
+    entries."""
     options = options or ComputeOptions()
     validate_partition(bn, spec)
+    for subset in options.closed:
+        ids = [int(v) for v in subset]
+        if not ids or len(set(ids)) < len(ids) or not set(ids) <= spec.evidential:
+            raise NotEvidentialError(
+                f"closed subset {ids} must be nonempty, without repeats and evidential"
+            )
     started = time.perf_counter()
     values = output_values(bn, spec)
     low, spread = float(values.min()), float(np.ptp(values))
@@ -224,7 +155,7 @@ def compute_all(
     dag = bn.dag()
     relevant = ancestors(dag, spec.evidential | {spec.output})
     _log.debug("pruned barren nodes %s", sorted(set(range(bn.n)) - relevant))
-    targets = sorted(spec.evidential)
+    targets = sorted(spec.evidential) if options.first or options.total else []
     zero_s = zero_st = frozenset()
     if options.first:
         zero_s = frozenset(i for i in targets if d_separated(dag, i, spec.output))
@@ -252,22 +183,19 @@ def compute_all(
     # t has mean zero up to rounding; taking that residual out as well drops
     # the constant offset that the rounding of `centre` leaves in g.
     mean = contract_all(t)
-    second_moment = _conditional_second_moment(t, j, spec.evidential)
-    variance = _nondegenerate(second_moment - mean * mean, float(p_out @ (g * g)))
+    variance = _conditional_second_moment(t, j, spec.evidential) - mean * mean
+    if not variance > DEGENERATE_VARIANCE_TOL * float(p_out @ (g * g)):
+        raise DegenerateOutputError(f"output variance {variance!r} is numerically zero")
 
     def one_variable(i: int) -> IndexEntry:
         s = s_time = st = st_time = None
         if options.first:
             t0 = time.perf_counter()
-            s = 0.0 if i in zero_s else variance_component(
-                i, t, j, mean=mean, variance=variance
-            )
+            s = 0.0 if i in zero_s else variance_component(i, t, j, mean, variance)
             s_time = time.perf_counter() - t0
         if options.total:
             t0 = time.perf_counter()
-            st = 0.0 if i in zero_st else total_index(
-                i, t, j, mean=mean, variance=variance
-            )
+            st = 0.0 if i in zero_st else total_index(i, t, j, mean, variance)
             st_time = time.perf_counter() - t0
         return IndexEntry((i,), bn.variables[i].name, s, s_time, st, st_time)
 
@@ -280,7 +208,8 @@ def compute_all(
     for subset in options.closed:
         ids = tuple(sorted(int(v) for v in subset))
         t0 = time.perf_counter()
-        value = closed_index(ids, t, j, mean=mean, variance=variance)
+        moment = _conditional_second_moment(t, j, frozenset(ids))
+        value = (moment - mean * mean) / variance
         elapsed = time.perf_counter() - t0
         name = "+".join(bn.variables[v].name for v in ids)
         entries.append(IndexEntry(ids, name, value, elapsed, None, None))

@@ -185,6 +185,24 @@ def layered_network(
     return bn, AnalysisSpec(n - 1, frozenset(range(n_roots)), value_map)
 
 
+def wide_chance_network(c: int) -> tuple[DiscreteBayesNet, AnalysisSpec]:
+    """An evidential binary root R over three c-state chance nodes C0-C2,
+    each over an evidential binary leaf F0-F2, and a binary output O under
+    C0. Every node is relevant; summing R out of the network while the
+    C's stay in it spans 2 * c^3 cells."""
+    rng = np.random.default_rng(11)
+    states = tuple(str(k) for k in range(c))
+    variables = [Variable(0, "R", ("0", "1")), Variable(1, "O", ("0", "1"))]
+    cpts = [Cpt(0, (), [[0.45, 0.55]]), Cpt(1, (2,), rng.dirichlet(np.ones(2), size=c))]
+    for k in range(3):
+        ck, fk = 2 + 2 * k, 3 + 2 * k
+        variables += [Variable(ck, f"C{k}", states), Variable(fk, f"F{k}", ("0", "1"))]
+        cpts.append(Cpt(ck, (0,), rng.dirichlet(np.ones(c), size=2)))
+        cpts.append(Cpt(fk, (ck,), rng.dirichlet(np.ones(2), size=c)))
+    bn = DiscreteBayesNet(tuple(variables), tuple(cpts))
+    return bn, AnalysisSpec(1, frozenset({0, 3, 5, 7}), {"0": 0.0, "1": 1.0})
+
+
 def concrete_style_network(seed: int = 7) -> tuple[DiscreteBayesNet, AnalysisSpec]:
     """A 24-node ternary network with 16 evidential roots, 7 intermediate
     chance nodes, and one sink output; evidence grid 3^16 (~4.3e7 points)."""

@@ -251,6 +251,24 @@ def test_closed_index_selection():
         assert f"{evid[0]}+{evid[1]}" in out
 
 
+def test_closed_only_selection_has_no_per_variable_rows():
+    code, out, _ = run_cli(
+        "compute", "--network", CHAIN, "--indices", "closed:E",
+        "--format", "csv", "--no-timings",
+    )
+    assert code == 0
+    assert out == "variable,S,S_time,ST,ST_time\nE,1.0,0.00000,,\n"
+
+
+def test_closed_subset_naming_a_variable_twice_is_an_input_error():
+    code, out, err = run_cli(
+        "compute", "--network", CHAIN, "--indices", "first,closed:E+E", "--format", "csv",
+    )
+    assert code == 2
+    assert out == ""
+    assert "NotEvidentialError" in err
+
+
 def test_sixteen_root_fixture_through_cli(tmp_path):
     from bnsens.ingest import NativeDocument, save_native
     from helpers import concrete_style_network

@@ -19,18 +19,15 @@ from bnsens import (
     PartialFunctionError,
     ValidationError,
     Variable,
-    closed_index,
     compute_all,
     contract_all,
     encode_utility_node,
     function_tn,
-    global_variance,
     marginalize,
     mrf_from_bn,
-    total_index,
-    variance_component,
 )
 from bnsens.oracle import brute_force_closed, brute_force_f, brute_force_indices
+from bnsens.sobol import _conditional_second_moment
 from bnsens.tensor import factor_product, factor_sum_out
 from helpers import (
     additive_bn,
@@ -41,6 +38,7 @@ from helpers import (
     layered_network,
     random_instance,
     random_roots_instance,
+    wide_chance_network,
     xor_bn,
 )
 
@@ -73,28 +71,26 @@ def test_expected_value_scales_linearly(chain):
 
 def test_constant_map_is_degenerate(chain):
     spec = AnalysisSpec(1, frozenset({0}), {"0": 2.0, "1": 2.0})
-    t, j = _networks(chain, spec)
+    t, _ = _networks(chain, spec)
     assert contract_all(t) == pytest.approx(2.0)
-    with pytest.raises(DegenerateOutputError):
-        global_variance(t, j)
     with pytest.raises(DegenerateOutputError):
         compute_all(chain, spec)
 
 
-def test_single_evidential_variable_has_unit_indices(chain, chain_analysis):
-    t, j = _networks(chain, chain_analysis)
-    assert variance_component(0, t, j) == pytest.approx(1.0, abs=1e-12)
-    assert total_index(0, t, j) == pytest.approx(1.0, abs=1e-12)
+def test_not_evidential_rejected(chain, chain_analysis, monkeypatch):
+    # Closed subsets are checked before anything is eliminated.
+    eliminated = []
+    eliminate = bnsens.network._eliminate
 
+    def recording(terms, drop):
+        eliminated.append(drop)
+        return eliminate(terms, drop)
 
-def test_not_evidential_rejected(chain, chain_analysis):
-    t, j = _networks(chain, chain_analysis)
-    with pytest.raises(NotEvidentialError):
-        variance_component(1, t, j)
-    with pytest.raises(NotEvidentialError):
-        total_index(1, t, j)
-    with pytest.raises(NotEvidentialError):
-        closed_index((), t, j)
+    monkeypatch.setattr(bnsens.network, "_eliminate", recording)
+    for subset in ((), (1,), (0, 0)):
+        with pytest.raises(NotEvidentialError):
+            compute_all(chain, chain_analysis, ComputeOptions(closed=(subset,)))
+    assert eliminated == []
 
 
 def test_xor_interaction_only():
@@ -149,11 +145,13 @@ def test_matches_oracle_on_random_instances():
 def test_closed_index_of_singleton_matches_component():
     for seed in range(6):
         bn, spec = random_instance(seed + 200)
-        t, j = _networks(bn, spec)
-        for i in sorted(spec.evidential):
-            assert closed_index({i}, t, j) == pytest.approx(
-                variance_component(i, t, j), abs=1e-12
-            )
+        evid = sorted(spec.evidential)
+        options = ComputeOptions(total=False, closed=tuple((i,) for i in evid))
+        report = compute_all(bn, spec, options)
+        singles, closed = report.indices[: len(evid)], report.indices[len(evid):]
+        for single, group in zip(singles, closed):
+            assert group.variables == single.variables
+            assert group.s == pytest.approx(single.s, abs=1e-12)
 
 
 def test_queries_agree_on_full_and_reduced_function_network():
@@ -161,20 +159,21 @@ def test_queries_agree_on_full_and_reduced_function_network():
         bn, spec = random_instance(seed + 250)
         t, j = _networks(bn, spec)
         reduced = marginalize(t, set(t.universe) - spec.evidential)
-        assert global_variance(reduced, j) == pytest.approx(global_variance(t, j), abs=1e-12)
         evid = sorted(spec.evidential)
+        keeps = [spec.evidential, frozenset(evid[:2])]
         for i in evid:
-            for query in (variance_component, total_index):
-                assert query(i, reduced, j) == pytest.approx(query(i, t, j), abs=1e-12)
-        assert closed_index(evid[:2], reduced, j) == pytest.approx(
-            closed_index(evid[:2], t, j), abs=1e-12
-        )
+            keeps += [frozenset({i}), spec.evidential - {i}]
+        for keep in keeps:
+            assert _conditional_second_moment(reduced, j, keep) == pytest.approx(
+                _conditional_second_moment(t, j, keep), abs=1e-12
+            )
 
 
 def test_compute_all_never_squares_chance_variables(monkeypatch):
-    # Ten 5-7-state roots under five interior nodes: squaring the interior
-    # nodes along with the evidence makes buckets of ~3e9 cells.
-    bn, spec = layered_network(4, 10, 5, (5, 7))
+    # Ten 5-7-state roots under five interior nodes, some of them barren:
+    # squaring every interior node along with the evidence makes buckets of
+    # ~3e9 cells. In the second network every node is relevant, and summing
+    # its root out with the chance nodes kept makes a bucket of 1.28e8.
     eliminate = bnsens.network._eliminate
 
     def capped(terms, drop):
@@ -184,10 +183,12 @@ def test_compute_all_never_squares_chance_variables(monkeypatch):
         return eliminate(terms, drop)
 
     monkeypatch.setattr(bnsens.network, "_eliminate", capped)
-    report = compute_all(bn, spec)
-    for entry in report.indices:
-        assert -1e-12 <= entry.s <= entry.st + 1e-12
-        assert entry.st <= 1.0 + 1e-12
+    for bn, spec in (layered_network(4, 10, 5, (5, 7)), wide_chance_network(400)):
+        report = compute_all(bn, spec)
+        assert len(report.indices) == len(spec.evidential)
+        for entry in report.indices:
+            for value in (entry.s, entry.st):
+                assert -1e-12 <= value <= 1.0 + 1e-12
 
 
 def test_bucket_beyond_einsum_operand_cap_matches_stepwise(monkeypatch):
@@ -223,8 +224,9 @@ def test_bucket_beyond_einsum_operand_cap_matches_stepwise(monkeypatch):
 def test_closed_index_of_full_set_is_one():
     for seed in range(6):
         bn, spec = random_instance(seed + 300)
-        t, j = _networks(bn, spec)
-        assert closed_index(spec.evidential, t, j) == pytest.approx(1.0, abs=1e-9)
+        options = ComputeOptions(first=False, total=False, closed=(tuple(spec.evidential),))
+        (entry,) = compute_all(bn, spec, options).indices
+        assert entry.s == pytest.approx(1.0, abs=1e-9)
 
 
 def test_closed_index_pairs_match_oracle():
@@ -234,11 +236,10 @@ def test_closed_index_pairs_match_oracle():
         evid = sorted(spec.evidential)
         if len(evid) < 2:
             continue
-        t, j = _networks(bn, spec)
         pair = (evid[0], evid[1])
-        assert closed_index(pair, t, j) == pytest.approx(
-            brute_force_closed(bn, spec, pair), abs=1e-8
-        )
+        options = ComputeOptions(first=False, total=False, closed=(pair,))
+        (entry,) = compute_all(bn, spec, options).indices
+        assert entry.s == pytest.approx(brute_force_closed(bn, spec, pair), abs=1e-8)
         checked += 1
     assert checked >= 5
 
