@@ -141,11 +141,12 @@ def compute_all(
     entries."""
     options = options or ComputeOptions()
     validate_partition(bn, spec)
-    for subset in options.closed:
-        ids = [int(v) for v in subset]
+    closed = [tuple(sorted(int(v) for v in subset)) for subset in options.closed]
+    for ids in closed:
         if not ids or len(set(ids)) < len(ids) or not set(ids) <= spec.evidential:
             raise NotEvidentialError(
-                f"closed subset {ids} must be nonempty, without repeats and evidential"
+                f"closed subset {list(ids)} must be nonempty, without repeats "
+                "and evidential"
             )
     started = time.perf_counter()
     values = output_values(bn, spec)
@@ -205,8 +206,7 @@ def compute_all(
     else:
         entries = [one_variable(i) for i in targets]
 
-    for subset in options.closed:
-        ids = tuple(sorted(int(v) for v in subset))
+    for ids in closed:
         t0 = time.perf_counter()
         moment = _conditional_second_moment(t, j, frozenset(ids))
         value = (moment - mean * mean) / variance
