@@ -36,7 +36,8 @@ class EmptyEvidenceSetError(PartitionError):
 
 
 class MissingValueMapError(PartitionError):
-    """The value map does not cover every label of the output domain."""
+    """The value map does not give every label of the output domain a
+    finite value."""
 
 
 class InvalidAssignmentError(BnSensError):

@@ -11,12 +11,17 @@ Two formats are supported:
 * The Bayesian Interchange Format, read-only and restricted to discrete
   variables: ``variable`` blocks with ``type discrete [k] { labels };`` and
   ``probability`` blocks with parenthesized parent-configuration rows, or a
-  ``table`` row for roots. ``property`` annotations are skipped.
+  ``table`` row for roots. Each configuration takes one row or ``table``
+  line. ``property`` statements are skipped, as are ``//``, ``#`` and
+  ``/* */`` comments. Names and labels are bare words or double-quoted
+  strings; a punctuation mark is never a label. Every syntax error carries
+  its line and column.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -176,7 +181,14 @@ def load_native(text: str) -> NativeDocument:
 
 # ----------------------------------------------------------------- BIF input
 
-_PUNCT = set("{}()[];,|")
+# Whitespace and comments, then one token: a quoted string, a punctuation
+# mark, an opening '/*' or '"' without its end, or an atom.
+_BIF_TOKEN = re.compile(
+    r'(?:[ \t\r\n]+|(?://|#)[^\n]*|/\*.*?\*/)*'
+    r'(?:(?P<string>"[^"]*")|(?P<punct>[{}()\[\];,|])|(?P<open>/\*|")'
+    r'|(?P<atom>[^ \t\r\n"{}()\[\];,|]+))?',
+    re.DOTALL,
+)
 
 
 @dataclass(frozen=True)
@@ -189,58 +201,27 @@ class _Token:
 
 def _tokenize_bif(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def advance_over(chunk: str) -> None:
-        nonlocal line, col
-        newlines = chunk.count("\n")
+    pos = counted = line_start = 0
+    line = 1
+    while True:
+        match = _BIF_TOKEN.match(text, pos)
+        kind = match.lastgroup or "eof"
+        start = match.start(kind) if match.lastgroup else match.end()
+        # Count newlines only over the text since the previous token.
+        newlines = text.count("\n", counted, start)
         if newlines:
             line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance_over(ch)
-            i += 1
-            continue
-        if text.startswith("//", i) or ch == "#":
-            end = text.find("\n", i)
-            end = n if end < 0 else end
-            advance_over(text[i:end])
-            i = end
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise BifSyntaxError("unterminated comment", line, col)
-            advance_over(text[i : end + 2])
-            i = end + 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, "punct", line, col))
-            advance_over(ch)
-            i += 1
-            continue
-        if ch == '"':
-            end = text.find('"', i + 1)
-            if end < 0:
-                raise BifSyntaxError("unterminated string", line, col)
-            tokens.append(_Token(text[i + 1 : end], "string", line, col))
-            advance_over(text[i : end + 1])
-            i = end + 1
-            continue
-        j = i
-        while j < n and text[j] not in ' \t\r\n"' and text[j] not in _PUNCT:
-            j += 1
-        tokens.append(_Token(text[i:j], "atom", line, col))
-        advance_over(text[i:j])
-        i = j
-    tokens.append(_Token("", "eof", line, col))
-    return tokens
+            line_start = text.rfind("\n", counted, start) + 1
+        counted, column = start, start - line_start + 1
+        if kind == "eof":
+            tokens.append(_Token("", kind, line, column))
+            return tokens
+        if kind == "open":
+            what = "comment" if match[kind] == "/*" else "string"
+            raise BifSyntaxError(f"unterminated {what}", line, column)
+        token = match[kind][1:-1] if kind == "string" else match[kind]
+        tokens.append(_Token(token, kind, line, column))
+        pos = match.end()
 
 
 class _BifParser:
@@ -276,12 +257,27 @@ class _BifParser:
             self.fail(f"expected a name, got {tok.text!r}", tok)
         return tok
 
-    def expect_number(self) -> float:
-        tok = self.next()
-        try:
-            return float(tok.text)
-        except ValueError:
-            self.fail(f"expected a number, got {tok.text!r}", tok)
+    def items(self, close: str, what: str, numbers: bool = False) -> list:
+        # The tokens up to the mark `close`, commas dropped: labels, or
+        # with `numbers` floats.
+        values: list = []
+        while True:
+            tok = self.next()
+            if tok.kind == "eof":
+                self.fail(f"unterminated {what}", tok)
+            if tok.kind == "punct" and tok.text == close:
+                return values
+            if tok.kind == "punct" and tok.text == ",":
+                continue
+            if numbers:
+                try:
+                    values.append(float(tok.text))
+                except ValueError:
+                    self.fail(f"expected a number, got {tok.text!r}", tok)
+            elif tok.kind == "punct":
+                self.fail(f"unexpected {tok.text!r} in {what}", tok)
+            else:
+                values.append(tok.text)
 
     def skip_statement(self) -> None:
         # Consume tokens through the next ';' (used for property lines).
@@ -352,16 +348,7 @@ class _BifParser:
             self.fail(f"expected a label count, got {count_tok.text!r}", count_tok)
         self.expect_punct("]")
         self.expect_punct("{")
-        labels: list[str] = []
-        while True:
-            tok = self.next()
-            if tok.kind == "punct" and tok.text == "}":
-                break
-            if tok.kind == "punct" and tok.text == ",":
-                continue
-            if tok.kind == "eof":
-                self.fail("unterminated label list", tok)
-            labels.append(tok.text)
+        labels = self.items("}", "label list")
         if self.peek().kind == "punct" and self.peek().text == ";":
             self.next()
         if len(labels) != count:
@@ -412,49 +399,40 @@ class _BifParser:
         rows = 1
         for p in parents:
             rows *= self.variables[p].cardinality
-        table = np.full((rows, card), np.nan)
+        table = np.zeros((rows, card))
+        filled = np.zeros(rows, dtype=bool)
         self.expect_punct("{")
         while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text == "}":
-                self.next()
-                break
+            tok = self.next()
             if tok.kind == "eof":
                 self.fail("unterminated probability block", tok)
+            if tok.kind == "punct" and tok.text == "}":
+                break
             if tok.kind == "atom" and tok.text == "property":
-                self.next()
                 self.skip_statement()
-            elif tok.kind == "atom" and tok.text == "table":
-                self.next()
+                continue
+            if tok.kind == "atom" and tok.text == "table":
                 if parents:
                     raise UnsupportedFeatureError(
                         f"node {child_tok.text!r}: the 'table' form is only "
                         "supported for root nodes"
                     )
-                values = self.read_numbers()
-                if len(values) != card:
-                    self.fail(
-                        f"table for {child_tok.text!r} has {len(values)} "
-                        f"entries, expected {card}",
-                        tok,
-                    )
-                table[0, :] = values
+                form, row = "table", 0
             elif tok.kind == "punct" and tok.text == "(":
-                self.next()
-                row = self.read_row_index(child_tok, parents)
-                values = self.read_numbers()
-                if len(values) != card:
-                    self.fail(
-                        f"row for {child_tok.text!r} has {len(values)} "
-                        f"entries, expected {card}",
-                        tok,
-                    )
-                if not np.isnan(table[row]).all():
-                    self.fail(f"duplicate row for {child_tok.text!r}", tok)
-                table[row, :] = values
+                form, row = "row", self.row_index(child_tok, parents)
             else:
                 self.fail(f"unexpected {tok.text!r} in probability block", tok)
-        if np.isnan(table).any():
+            values = self.items(";", "number list", numbers=True)
+            if len(values) != card:
+                self.fail(
+                    f"{form} for {child_tok.text!r} has {len(values)} "
+                    f"entries, expected {card}",
+                    tok,
+                )
+            if filled[row]:
+                self.fail(f"duplicate row for {child_tok.text!r}", tok)
+            table[row], filled[row] = values, True
+        if not filled.all():
             self.fail(
                 f"probability block for {child_tok.text!r} leaves rows "
                 "unspecified",
@@ -462,17 +440,8 @@ class _BifParser:
             )
         self.blocks[child] = (tuple(parents), table)
 
-    def read_row_index(self, child_tok: _Token, parents: list[int]) -> int:
-        labels: list[str] = []
-        while True:
-            tok = self.next()
-            if tok.kind == "punct" and tok.text == ")":
-                break
-            if tok.kind == "punct" and tok.text == ",":
-                continue
-            if tok.kind == "eof":
-                self.fail("unterminated row header", tok)
-            labels.append(tok.text)
+    def row_index(self, child_tok: _Token, parents: list[int]) -> int:
+        labels = self.items(")", "row header")
         if len(labels) != len(parents):
             self.fail(
                 f"row for {child_tok.text!r} names {len(labels)} parent "
@@ -488,20 +457,6 @@ class _BifParser:
                 )
             row = row * len(domain) + domain.index(label)
         return row
-
-    def read_numbers(self) -> list[float]:
-        values: list[float] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text == ";":
-                self.next()
-                return values
-            if tok.kind == "punct" and tok.text == ",":
-                self.next()
-                continue
-            if tok.kind == "eof":
-                self.fail("unterminated number list", tok)
-            values.append(self.expect_number())
 
 
 def parse_bif(text: str) -> DiscreteBayesNet:

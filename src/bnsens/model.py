@@ -208,15 +208,20 @@ class AnalysisSpec:
 
 
 def output_values(bn: DiscreteBayesNet, spec: AnalysisSpec) -> np.ndarray:
-    """The value map applied to the output domain, in domain order."""
+    """The value map applied to the output domain, in domain order; every
+    label needs a finite value."""
     domain = bn.variables[spec.output].domain
+    name = bn.variables[spec.output].name
     missing = [label for label in domain if label not in spec.value_map]
     if missing:
+        raise MissingValueMapError(f"value map misses label(s) {missing} of output {name!r}")
+    values = np.array([spec.value_map[label] for label in domain], dtype=np.float64)
+    bad = [label for label, x in zip(domain, values) if not np.isfinite(x)]
+    if bad:
         raise MissingValueMapError(
-            f"value map misses label(s) {missing} of output "
-            f"{bn.variables[spec.output].name!r}"
+            f"value map gives label(s) {bad} of output {name!r} no finite value"
         )
-    return np.array([spec.value_map[label] for label in domain], dtype=np.float64)
+    return values
 
 
 def validate_partition(bn: DiscreteBayesNet, spec: AnalysisSpec) -> None:

@@ -8,6 +8,7 @@ the elimination machinery, so it can serve as an oracle for it.
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 
@@ -335,3 +336,59 @@ def relabeled_network(bn: DiscreteBayesNet, perm: list[int]) -> DiscreteBayesNet
         for old in order
     )
     return DiscreteBayesNet(variables, cpts)
+
+
+# ------------------------------------------------------------ BIF rendering
+
+# Every gap starts with whitespace, so a comment never glues onto an atom.
+_BIF_GAPS = (
+    " ", "\n", "\t ", " /* a { comment ; */ ", "\n// line ( comment ;\n",
+    "\n# hash \" comment\n", " /* spans\ntwo lines */\n",
+)
+_BIF_PROPERTIES = (
+    "property position = (100, 200);",
+    'property note "a { b ; c";',
+    "property weight 1;",
+)
+
+
+def render_bif(bn: DiscreteBayesNet, rng: random.Random) -> str:
+    """`bn` as a BIF document that exercises the reader: each gap between
+    tokens holds whitespace or one of the three comment forms, names and
+    labels are quoted at random (always when they hold a space or a
+    punctuation mark), every block may carry `property` lines, roots use
+    `table` or `()` at random, and rows come in a random order. Numbers
+    are written with `repr`, so the reader returns the same floats."""
+
+    def word(text: str) -> str:
+        plain = text and not any(c in text for c in ' \t\n"{}()[];,|#/')
+        return text if plain and rng.random() < 0.7 else f'"{text}"'
+
+    def props() -> list[str]:
+        return [rng.choice(_BIF_PROPERTIES) for _ in range(rng.randint(0, 2))]
+
+    names = [v.name for v in bn.variables]
+    parts = ["network", word("net"), "{", *props(), "}"]
+    for v in bn.variables:
+        parts += ["variable", word(v.name), "{", "type", "discrete",
+                  "[", str(v.cardinality), "]", "{"]
+        parts += [", ".join(word(label) for label in v.domain), "};", *props(), "}"]
+    for i in rng.sample(range(bn.n), bn.n):
+        cpt = bn.cpts[i]
+        head = word(names[i])
+        if cpt.parents:
+            head += " | " + ", ".join(word(names[p]) for p in cpt.parents)
+        configs = list(itertools.product(
+            *(bn.variables[p].domain for p in cpt.parents)
+        ))
+        statements = props()
+        for row, config in enumerate(configs):
+            numbers = ", ".join(repr(float(x)) for x in cpt.table[row]) + ";"
+            if not config and rng.random() < 0.5:
+                statements.append("table " + numbers)
+            else:
+                header = ", ".join(word(label) for label in config)
+                statements.append(f"({header}) {numbers}")
+        rng.shuffle(statements)
+        parts += ["probability", "(", head, ")", "{", *statements, "}"]
+    return "".join(rng.choice(_BIF_GAPS) + part for part in parts) + "\n"

@@ -132,6 +132,26 @@ def test_degenerate_output_exits_3(tmp_path):
     assert "DegenerateOutput" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_value_map_exits_2(value):
+    code, _, err = run_cli(
+        "compute", "--network", CHAIN, "--value-map", f"0={value},1=1"
+    )
+    assert code == 2
+    assert "MissingValueMapError" in err
+    assert "Warning" not in err
+
+
+def test_non_finite_value_map_in_document_exits_2(tmp_path):
+    text = (GOLDEN / "chain.native").read_text()
+    path = tmp_path / "nan.native"
+    path.write_text(text.replace('"0": 0.0', '"0": NaN'))
+    for command in ("compute", "oracle"):
+        code, _, err = run_cli(command, "--network", str(path))
+        assert code == 2
+        assert "MissingValueMapError" in err
+
+
 def test_oracle_cap_exits_4(tmp_path):
     code, doc, _ = run_cli(
         "gen", "--seed", "1", "--nodes", "30", "--max-parents", "2", "--cardinality", "2"
@@ -231,20 +251,17 @@ def test_evidence_roots_shorthand(tmp_path):
     assert code == 0
 
 
-def test_closed_index_selection():
+def test_closed_index_selection(tmp_path):
     code, doc, _ = run_cli("gen", "--seed", "21", "--nodes", "8", "--max-parents", "2", "--cardinality", "2")
     assert code == 0
-    import tempfile
-
-    with tempfile.NamedTemporaryFile("w", suffix=".native", delete=False) as handle:
-        handle.write(doc)
-        path = handle.name
+    path = tmp_path / "net.native"
+    path.write_text(doc)
     payload = json.loads(doc)
     evid = payload["spec"]["evidential"]
     if len(evid) >= 2:
         selection = f"first,closed:{evid[0]}+{evid[1]}"
         code, out, _ = run_cli(
-            "compute", "--network", path, "--indices", selection,
+            "compute", "--network", str(path), "--indices", selection,
             "--format", "csv", "--no-timings",
         )
         assert code == 0

@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnsens import (
     BifSyntaxError,
+    DiscreteBayesNet,
     NativeDocument,
     SchemaError,
+    UnnormalizedCptError,
     UnsupportedFeatureError,
+    Variable,
     generate_random_bn,
     load_native,
     parse_bif,
     save_native,
     validate_network,
 )
-from helpers import chain_bn
+from helpers import chain_bn, render_bif
 
 SINGLE_ROOT_BIF = """
 network small {
@@ -136,10 +141,142 @@ variable A { type discrete [ 2 ] { a0, a1 }; }
 
 def test_parse_never_returns_invalid_network():
     bad = SINGLE_ROOT_BIF.replace("0.4, 0.6", "0.4, 0.7")
-    from bnsens import UnnormalizedCptError
-
     with pytest.raises(UnnormalizedCptError):
         parse_bif(bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 7),
+    max_parents=st.integers(0, 3),
+    rng=st.randoms(use_true_random=False),
+)
+def test_bif_round_trip(seed, n, max_parents, rng):
+    bn = generate_random_bn(seed, n, max_parents, (2, 4))
+    names = [rng.choice((f"X{i}", f"node {i}", f"n{i} (a, b; c|d)")) for i in range(n)]
+    bn = DiscreteBayesNet(
+        tuple(Variable(v.id, names[v.id], v.domain) for v in bn.variables), bn.cpts
+    )
+    parsed = parse_bif(render_bif(bn, rng))
+    assert parsed.variables == bn.variables
+    for got, want in zip(parsed.cpts, bn.cpts):
+        assert got.parents == want.parents
+        assert got.table.tobytes() == want.table.tobytes()
+
+
+_V = "variable A { type discrete [ 2 ] { a0, a1 }; }\n"
+_W = "variable B { type discrete [ 2 ] { b0, b1 }; }\n"
+_P = "probability ( A ) { table 0.4, 0.6; }\n"
+_VWP = _V + _W + _P
+
+# One malformed document per BifSyntaxError raise site: (message fragment,
+# document, line, column).
+BIF_ERRORS = [
+    ("unterminated comment", _V + "/* open\n" + _P, 2, 1),
+    ("unterminated string", _V + 'variable "B { }\n', 2, 10),
+    ("expected '{', got ';'", "network n ;\n" + _V + _P, 1, 11),
+    ("expected a name, got '{'", "variable { type discrete [ 2 ] { a0, a1 }; }\n", 1, 10),
+    ("expected a number, got '('", _V + "probability ( A ) { table 0.4, (; }\n", 2, 32),
+    ("expected a number, got '}'", _V + "probability ( A ) { table 0.4, 0.6 }\n" + _W, 2, 36),
+    ("unterminated statement", _V + "probability ( A ) { property x = 1", 2, 35),
+    ("unterminated block", "network n { property a;\n", 2, 1),
+    ("unexpected '}'", _V + _P + "}\n", 3, 1),
+    ("expected 'network', 'variable' or 'probability', got 'potential'",
+     _V + "potential ( A ) { }\n", 2, 1),
+    ("no probability block for ['B']", _VWP, 4, 1),
+    ("document declares no variables", "// nothing\nnetwork n { }\n", 3, 1),
+    ("duplicate variable 'A'", _V + _V + _P, 2, 10),
+    ("expected 'type', got 'kind'", "variable A { kind discrete [ 2 ] { a0, a1 }; }\n", 1, 14),
+    ("expected a label count, got 'two'",
+     "variable A { type discrete [ two ] { a0, a1 }; }\n", 1, 30),
+    ("unterminated label list", "variable A { type discrete [ 2 ] { a0, a1", 1, 42),
+    ("variable 'A' declares 3 labels but lists 2",
+     "variable A {\n  type discrete [ 3 ] { a0, a1 };\n}\n" + _P, 1, 10),
+    ("unexpected 'size' in variable block",
+     "variable A { type discrete [ 2 ] { a0, a1 };\n  size 2; }\n" + _P, 2, 3),
+    ("unknown variable 'Z'", _V + "probability ( Z ) { table 0.4, 0.6; }\n", 2, 15),
+    ("expected ',' or ')', got 'A'", _V + _W + "probability ( B | A A ) { }\n", 3, 21),
+    ("expected '|' or ')', got ','", _V + "probability ( A , ) { }\n", 2, 17),
+    ("second probability block for 'A'", _V + _P + _P, 3, 15),
+    ("unterminated probability block", _V + "probability ( A ) { table 0.4, 0.6;\n", 3, 1),
+    ("table for 'A' has 3 entries, expected 2",
+     _V + "probability ( A ) {\n  table 0.4, 0.3, 0.3;\n}\n", 3, 3),
+    ("row for 'B' has 1 entries, expected 2",
+     _VWP + "probability ( B | A ) {\n  (a0) 0.9, 0.1;\n  (a1) 1.0;\n}\n", 6, 3),
+    ("duplicate row for 'B'",
+     _VWP + "probability ( B | A ) {\n  (a0) 0.9, 0.1;\n  (a0) 0.3, 0.7;\n}\n", 6, 3),
+    ("unexpected 'weight' in probability block",
+     _V + "probability ( A ) {\n  weight 1;\n}\n", 3, 3),
+    ("probability block for 'B' leaves rows unspecified",
+     _VWP + "probability ( B | A ) {\n  (a1) 0.3, 0.7;\n}\n", 4, 15),
+    ("unterminated row header", _VWP + "probability ( B | A ) { (a0", 4, 28),
+    ("row for 'B' names 2 parent values, expected 1",
+     _VWP + "probability ( B | A ) {\n  (a0, a1) 0.9, 0.1;\n}\n", 4, 15),
+    ("'a2' is not a label of 'A'",
+     _VWP + "probability ( B | A ) {\n  (a2) 0.9, 0.1;\n}\n", 5, 8),
+    ("unterminated number list", _V + "probability ( A ) { table 0.4, 0.6", 2, 35),
+]
+
+
+@pytest.mark.parametrize(
+    "fragment, text, line, column", BIF_ERRORS, ids=[case[0] for case in BIF_ERRORS]
+)
+def test_bif_error_sites(fragment, text, line, column):
+    with pytest.raises(BifSyntaxError) as info:
+        parse_bif(text)
+    assert fragment in str(info.value)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+_ROWS_B = "probability ( B | A ) {\n  (a0) 0.9, 0.1;\n  (a1) 0.3, 0.7;\n}\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("variable A { type discrete [ 3 ] { a0; a1 }; }\n"
+         "probability ( A ) { table 0.2, 0.3, 0.5; }\n", 1, 38),
+        ("variable A { type discrete [ 3 ] { a0 ( a1 }; }\n"
+         "probability ( A ) { table 0.2, 0.3, 0.5; }\n", 1, 39),
+        # A quoted label may be any text; the bare mark is still punctuation.
+        ('variable A { type discrete [ 2 ] { a0, ";" }; }\n' + _W + _P
+         + _ROWS_B.replace("(a1)", "(;)"), 6, 4),
+        (_VWP + _ROWS_B.replace("(a1)", "(a1 ;)"), 6, 7),
+    ],
+    ids=["semicolon-label", "paren-label", "bare-parent-value", "extra-parent-value"],
+)
+def test_punctuation_is_never_a_label(text, line, column):
+    with pytest.raises(BifSyntaxError) as info:
+        parse_bif(text)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "table 0.4, 0.6;\n  table 0.1, 0.9;",
+        "() 0.4, 0.6;\n  table 0.1, 0.9;",
+        "table 0.4, 0.6;\n  () 0.1, 0.9;",
+    ],
+    ids=["table-table", "row-table", "table-row"],
+)
+def test_root_row_may_appear_once(rows):
+    with pytest.raises(BifSyntaxError, match="duplicate row for 'A'") as info:
+        parse_bif(_V + "probability ( A ) {\n  " + rows + "\n}\n")
+    assert (info.value.line, info.value.column) == (4, 3)
+
+
+def test_nan_row_counts_as_given():
+    text = _VWP + _ROWS_B.replace("(a0) 0.9, 0.1;", "(a0) nan, nan;\n  (a0) 0.9, 0.1;")
+    with pytest.raises(BifSyntaxError, match="duplicate row for 'B'") as info:
+        parse_bif(text)
+    assert (info.value.line, info.value.column) == (6, 3)
+
+
+def test_nan_entry_is_an_unnormalized_cpt():
+    with pytest.raises(UnnormalizedCptError):
+        parse_bif(_VWP + _ROWS_B.replace("0.9, 0.1", "nan, 0.1"))
 
 
 # ------------------------------------------------------------ native format

@@ -5,22 +5,28 @@ import pytest
 
 from bnsens import (
     AnalysisSpec,
+    ComputeOptions,
     Cpt,
     CyclicGraphError,
     DiscreteBayesNet,
     EmptyEvidenceSetError,
     InvalidAssignmentError,
     MissingValueMapError,
+    NativeDocument,
     OverlappingPartitionError,
     ShapeMismatchError,
     UnnormalizedCptError,
     ValidationError,
     Variable,
+    compute_all,
     joint_probability,
+    load_native,
     output_values,
+    save_native,
     validate_network,
     validate_partition,
 )
+from bnsens.oracle import brute_force_indices, mc_indices
 from helpers import relabeled_network
 
 
@@ -178,3 +184,19 @@ def test_output_values_in_domain_order():
     bn = DiscreteBayesNet(variables, (Cpt(0, (), [[0.5, 0.5]]), Cpt(1, (0,), rows)))
     spec = AnalysisSpec(1, frozenset({0}), {"high": 2.0, "low": 0.0, "medium": 1.0})
     assert output_values(bn, spec).tolist() == [0.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_map_is_rejected(chain, value):
+    spec = AnalysisSpec(1, frozenset({0}), {"0": value, "1": 1.0})
+    with pytest.raises(MissingValueMapError, match="finite"):
+        output_values(chain, spec)
+    for run in (
+        lambda: validate_partition(chain, spec),
+        lambda: compute_all(chain, spec, ComputeOptions()),
+        lambda: brute_force_indices(chain, spec),
+        lambda: mc_indices(chain, spec, samples=10, seed=0),
+        lambda: load_native(save_native(NativeDocument(chain, spec))),
+    ):
+        with pytest.raises(MissingValueMapError):
+            run()
