@@ -34,13 +34,11 @@ from .errors import (
     ValidationError,
 )
 from .graph import (
-    Dag,
     ancestors,
     children,
     d_separated,
     descendants,
     min_weight_order,
-    parents,
 )
 from .ingest import (
     NativeDocument,
@@ -86,11 +84,6 @@ from .sobol import (
     compute_all,
     encode_utility_node,
 )
-from .tensor import (
-    Factor,
-    factor_div,
-    factor_product,
-    factor_sum_out,
-)
+from .tensor import Factor
 
 __version__ = "0.1.0"

@@ -301,6 +301,12 @@ def _format_report(
     return "\n".join(lines) + "\n"
 
 
+def _dot_escaped(name: str) -> str:
+    """`name` as the inside of a DOT quoted string. The backslash goes
+    first, so a name ending in one cannot escape the closing quote."""
+    return name.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _format_dot(
     bn: DiscreteBayesNet, spec: AnalysisSpec, st_by_id: dict[int, float | None]
 ) -> str:
@@ -310,7 +316,7 @@ def _format_dot(
     max_st = max(finite) if finite else 0.0
     lines = ["digraph bn {", "  node [style=filled];"]
     for v in bn.variables:
-        name = v.name.replace('"', '\\"')
+        name = _dot_escaped(v.name)
         if v.id == spec.output:
             lines.append(f'  "{name}" [fillcolor="orange"];')
         elif v.id in spec.evidential:
@@ -325,9 +331,9 @@ def _format_dot(
         else:
             lines.append(f'  "{name}" [fillcolor="gray"];')
     for cpt in bn.cpts:
-        child = bn.variables[cpt.child].name.replace('"', '\\"')
+        child = _dot_escaped(bn.variables[cpt.child].name)
         for p in cpt.parents:
-            parent = bn.variables[p].name.replace('"', '\\"')
+            parent = _dot_escaped(bn.variables[p].name)
             lines.append(f'  "{parent}" -> "{child}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,78 +1,29 @@
-"""DAG relations and the greedy minimal-weight elimination-order heuristic."""
+"""DAG relations and the greedy minimal-weight elimination-order heuristic.
+
+A DAG is a tuple of parent tuples, one per vertex 0..n-1, as
+`DiscreteBayesNet.dag()` returns it. `validate_network` has checked those
+parents: each in range, none the vertex itself, none repeated, and no
+directed cycle among them. The relations below trust that and check only
+the vertices they are asked about.
+"""
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Mapping
-
-from .errors import CyclicGraphError
+from typing import Iterable, Mapping, Sequence
 
 
-@dataclass(frozen=True)
-class Dag:
-    """Directed acyclic graph given as one parent tuple per vertex.
-
-    Vertices are 0..n-1; acyclicity is checked on construction.
-    """
-
-    parent_lists: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        lists = tuple(tuple(int(p) for p in ps) for ps in self.parent_lists)
-        object.__setattr__(self, "parent_lists", lists)
-        n = len(lists)
-        for v, ps in enumerate(lists):
-            for p in ps:
-                if not 0 <= p < n:
-                    raise IndexError(f"parent {p} of vertex {v} out of range 0..{n - 1}")
-            if len(set(ps)) != len(ps):
-                raise ValueError(f"vertex {v} lists a parent twice")
-        _check_acyclic(lists)
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.parent_lists)
+def _check_vertex(dag: Sequence[tuple[int, ...]], v: int) -> None:
+    if not 0 <= v < len(dag):
+        raise IndexError(f"vertex {v} out of range 0..{len(dag) - 1}")
 
 
-def _check_acyclic(parent_lists: tuple[tuple[int, ...], ...]) -> None:
-    # Kahn's algorithm over the child relation.
-    n = len(parent_lists)
-    outstanding = [len(ps) for ps in parent_lists]
-    child_lists: list[list[int]] = [[] for _ in range(n)]
-    for v, ps in enumerate(parent_lists):
-        for p in ps:
-            child_lists[p].append(v)
-    ready = deque(v for v in range(n) if outstanding[v] == 0)
-    seen = 0
-    while ready:
-        v = ready.popleft()
-        seen += 1
-        for c in child_lists[v]:
-            outstanding[c] -= 1
-            if outstanding[c] == 0:
-                ready.append(c)
-    if seen != n:
-        cyclic = sorted(v for v in range(n) if outstanding[v] > 0)
-        raise CyclicGraphError(f"directed cycle through vertices {cyclic}")
-
-
-def _check_vertex(dag: Dag, v: int) -> None:
-    if not 0 <= v < dag.vertex_count:
-        raise IndexError(f"vertex {v} out of range 0..{dag.vertex_count - 1}")
-
-
-def parents(dag: Dag, v: int) -> frozenset[int]:
+def children(dag: Sequence[tuple[int, ...]], v: int) -> frozenset[int]:
     _check_vertex(dag, v)
-    return frozenset(dag.parent_lists[v])
+    return frozenset(c for c, ps in enumerate(dag) if v in ps)
 
 
-def children(dag: Dag, v: int) -> frozenset[int]:
-    _check_vertex(dag, v)
-    return frozenset(c for c, ps in enumerate(dag.parent_lists) if v in ps)
-
-
-def descendants(dag: Dag, v: int) -> frozenset[int]:
+def descendants(dag: Sequence[tuple[int, ...]], v: int) -> frozenset[int]:
     """Vertices reachable from v by a directed path of length >= 1."""
     _check_vertex(dag, v)
     out: set[int] = set()
@@ -86,7 +37,7 @@ def descendants(dag: Dag, v: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def ancestors(dag: Dag, targets: Iterable[int]) -> frozenset[int]:
+def ancestors(dag: Sequence[tuple[int, ...]], targets: Iterable[int]) -> frozenset[int]:
     """The ancestral set An(targets): the targets themselves plus every
     vertex with a directed path into one of them."""
     stack = [int(v) for v in targets]
@@ -97,11 +48,13 @@ def ancestors(dag: Dag, targets: Iterable[int]) -> frozenset[int]:
         v = stack.pop()
         if v not in out:
             out.add(v)
-            stack.extend(dag.parent_lists[v])
+            stack.extend(dag[v])
     return frozenset(out)
 
 
-def d_separated(dag: Dag, a: int, b: int, given: Iterable[int] = ()) -> bool:
+def d_separated(
+    dag: Sequence[tuple[int, ...]], a: int, b: int, given: Iterable[int] = ()
+) -> bool:
     """Whether `given` d-separates vertex a from vertex b.
 
     The moralized-ancestral-graph criterion (Lauritzen et al. 1990): a and
@@ -116,7 +69,7 @@ def d_separated(dag: Dag, a: int, b: int, given: Iterable[int] = ()) -> bool:
     relevant = ancestors(dag, {a, b} | z)
     incident: dict[int, list[tuple[int, ...]]] = {v: [] for v in relevant}
     for v in relevant:
-        family = (v, *dag.parent_lists[v])
+        family = (v, *dag[v])
         for u in family:
             incident[u].append(family)
     seen = {a}

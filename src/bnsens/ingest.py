@@ -90,10 +90,20 @@ def _expect(data: dict, field: str, kind, where: str, default=None, required=Fal
     return value
 
 
+def _floats(values: list, field: str, what: str) -> np.ndarray:
+    """`values` as float64; each must be a number that a float can hold."""
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values):
+        raise SchemaError(field, f"{what} must be numbers")
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise SchemaError(field, f"{what} hold an integer too large for a float") from None
+
+
 def load_native(text: str) -> NativeDocument:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
         raise SchemaError("document", f"not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise SchemaError("document", "top level must be an object")
@@ -138,8 +148,7 @@ def load_native(text: str) -> NativeDocument:
                 raise SchemaError(f"{where}parents", f"unknown variable {p!r}")
             parent_ids.append(ids[p])
         table = _expect(item, "table", list, where, required=True)
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in table):
-            raise SchemaError(f"{where}table", "entries must be numbers")
+        table = _floats(table, f"{where}table", "entries")
         rows = 1
         for p in parent_ids:
             rows *= variables[p].cardinality
@@ -149,7 +158,7 @@ def load_native(text: str) -> NativeDocument:
                 f"{where}table",
                 f"expected {rows * card} entries, got {len(table)}",
             )
-        cpts[child] = Cpt(child, tuple(parent_ids), np.array(table).reshape(rows, card))
+        cpts[child] = Cpt(child, tuple(parent_ids), table.reshape(rows, card))
     missing = [v.name for v in variables if v.id not in cpts]
     if missing:
         raise SchemaError("cpts", f"no CPT for {missing}")
@@ -171,10 +180,8 @@ def load_native(text: str) -> NativeDocument:
                 raise SchemaError("spec.evidential", f"unknown variable {e!r}")
             evid.add(ids[e])
         vmap = _expect(raw_spec, "value_map", dict, "spec.", required=True)
-        for k, v in vmap.items():
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise SchemaError("spec.value_map", f"value for {k!r} must be a number")
-        spec = AnalysisSpec(ids[out_name], frozenset(evid), dict(vmap))
+        values = _floats(list(vmap.values()), "spec.value_map", "values")
+        spec = AnalysisSpec(ids[out_name], frozenset(evid), dict(zip(vmap, values)))
         validate_partition(bn, spec)
     return NativeDocument(bn, spec, name, description)
 
@@ -258,8 +265,8 @@ class _BifParser:
         return tok
 
     def items(self, close: str, what: str, numbers: bool = False) -> list:
-        # The tokens up to the mark `close`, commas dropped: labels, or
-        # with `numbers` floats.
+        # The tokens up to the mark `close`, commas dropped: label tokens,
+        # or with `numbers` floats.
         values: list = []
         while True:
             tok = self.next()
@@ -277,7 +284,7 @@ class _BifParser:
             elif tok.kind == "punct":
                 self.fail(f"unexpected {tok.text!r} in {what}", tok)
             else:
-                values.append(tok.text)
+                values.append(tok)
 
     def skip_statement(self) -> None:
         # Consume tokens through the next ';' (used for property lines).
@@ -348,7 +355,7 @@ class _BifParser:
             self.fail(f"expected a label count, got {count_tok.text!r}", count_tok)
         self.expect_punct("]")
         self.expect_punct("{")
-        labels = self.items("}", "label list")
+        labels = [tok.text for tok in self.items("}", "label list")]
         if self.peek().kind == "punct" and self.peek().text == ";":
             self.next()
         if len(labels) != count:
@@ -451,11 +458,12 @@ class _BifParser:
         row = 0
         for label, p in zip(labels, parents):
             domain = self.variables[p].domain
-            if label not in domain:
+            if label.text not in domain:
                 self.fail(
-                    f"{label!r} is not a label of {self.variables[p].name!r}"
+                    f"{label.text!r} is not a label of {self.variables[p].name!r}",
+                    label,
                 )
-            row = row * len(domain) + domain.index(label)
+            row = row * len(domain) + domain.index(label.text)
         return row
 
 

@@ -3,12 +3,14 @@ output/evidential/chance partition used by the sensitivity pipeline."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .errors import (
+    CyclicGraphError,
     EmptyEvidenceSetError,
     InvalidAssignmentError,
     MissingValueMapError,
@@ -18,7 +20,6 @@ from .errors import (
     UnnormalizedCptError,
     ValidationError,
 )
-from .graph import Dag
 
 ROW_SUM_TOL = 1e-9
 ENTRY_RANGE_TOL = 1e-12
@@ -92,9 +93,6 @@ class DiscreteBayesNet:
     def n(self) -> int:
         return len(self.variables)
 
-    def parents(self, i: int) -> tuple[int, ...]:
-        return self.cpts[i].parents
-
     def variable_named(self, name: str) -> Variable:
         for v in self.variables:
             if v.name == name:
@@ -104,15 +102,18 @@ class DiscreteBayesNet:
     def roots(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if not self.cpts[i].parents)
 
-    def dag(self) -> Dag:
-        return Dag(tuple(c.parents for c in self.cpts))
+    def dag(self) -> tuple[tuple[int, ...], ...]:
+        """The parent tuple of each variable, the DAG form of `bnsens.graph`."""
+        return tuple(c.parents for c in self.cpts)
 
 
 def validate_network(bn: DiscreteBayesNet) -> None:
     """Check every structural invariant; raise on the first violation.
     Every `DiscreteBayesNet` runs this once, when it is built.
 
-    Raises CyclicGraphError, UnnormalizedCptError, ShapeMismatchError, or a
+    This is the only check of the parent lists: each parent in range, not
+    the node itself, not repeated, and no directed cycle. Raises
+    CyclicGraphError, UnnormalizedCptError, ShapeMismatchError, or a
     generic ValidationError naming the offending node.
     """
     n = len(bn.variables)
@@ -141,7 +142,7 @@ def validate_network(bn: DiscreteBayesNet) -> None:
             raise ValidationError(f"node {names[i]!r} lists itself as a parent")
         if len(set(cpt.parents)) != len(cpt.parents):
             raise ValidationError(f"node {names[i]!r} repeats a parent")
-    bn.dag()  # raises CyclicGraphError on a directed cycle
+    _check_acyclic(bn.dag())
     for i, cpt in enumerate(bn.cpts):
         rows = 1
         for p in cpt.parents:
@@ -161,6 +162,28 @@ def validate_network(bn: DiscreteBayesNet) -> None:
             raise UnnormalizedCptError(
                 f"node {names[i]!r}: row {r} sums to {sums[r]!r}"
             )
+
+
+def _check_acyclic(parent_lists: tuple[tuple[int, ...], ...]) -> None:
+    # Kahn's algorithm over the child relation.
+    n = len(parent_lists)
+    outstanding = [len(ps) for ps in parent_lists]
+    child_lists: list[list[int]] = [[] for _ in range(n)]
+    for v, ps in enumerate(parent_lists):
+        for p in ps:
+            child_lists[p].append(v)
+    ready = deque(v for v in range(n) if outstanding[v] == 0)
+    seen = 0
+    while ready:
+        v = ready.popleft()
+        seen += 1
+        for c in child_lists[v]:
+            outstanding[c] -= 1
+            if outstanding[c] == 0:
+                ready.append(c)
+    if seen != n:
+        cyclic = sorted(v for v in range(n) if outstanding[v] > 0)
+        raise CyclicGraphError(f"directed cycle through vertices {cyclic}")
 
 
 def joint_probability(bn: DiscreteBayesNet, assignment: Mapping[str, str]) -> float:
@@ -202,9 +225,6 @@ class AnalysisSpec:
         object.__setattr__(
             self, "value_map", {str(k): float(v) for k, v in dict(self.value_map).items()}
         )
-
-    def chance(self, bn: DiscreteBayesNet) -> frozenset[int]:
-        return frozenset(range(bn.n)) - {self.output} - self.evidential
 
 
 def output_values(bn: DiscreteBayesNet, spec: AnalysisSpec) -> np.ndarray:

@@ -175,20 +175,15 @@ def _eliminate(terms: Sequence[tuple[Factor, bool]], drop: set[int]) -> Factor:
     return factor_sum_out(ratio, drop)
 
 
-def marginalize(
-    tn: TensorNetwork,
-    eliminate: Iterable[int],
-    order: Sequence[int] | None = None,
-) -> TensorNetwork:
+def marginalize(tn: TensorNetwork, eliminate: Iterable[int]) -> TensorNetwork:
     """Sum the given variables out of the network by variable elimination.
 
     Each step sums the next variable out of the product of the factors that
     contain it, in one einsum pass that never stores the product; when
     inverted factors are among them, the product of the plain ones is first
     divided by theirs, cell by cell. The minimal-weight heuristic picks the
-    order unless an explicit permutation of `eliminate` is supplied. The
-    result keeps its factored structure: for every assignment of the
-    remaining variables, its contraction equals the sum of the input's
+    order. The result keeps its factored structure: for every assignment of
+    the remaining variables, its contraction equals the sum of the input's
     contraction over the eliminated ones. A variable carried by no factor
     contributes its cardinality as a scalar.
     """
@@ -198,16 +193,11 @@ def marginalize(
         raise UnknownAxisError(
             f"cannot eliminate {sorted(missing)}: not in the universe"
         )
-    if order is None:
-        order = min_weight_order(
-            [f.axes for f in (*tn.factors, *tn.inverted)],
-            tn.universe,
-            keep=set(tn.universe) - targets,
-        )
-    else:
-        order = tuple(int(v) for v in order)
-        if len(order) != len(targets) or set(order) != targets:
-            raise ValueError("order must be a permutation of the eliminated set")
+    order = min_weight_order(
+        [f.axes for f in (*tn.factors, *tn.inverted)],
+        tn.universe,
+        keep=set(tn.universe) - targets,
+    )
 
     terms: list[tuple[Factor, bool]] = [(f, False) for f in tn.factors]
     terms += [(f, True) for f in tn.inverted]

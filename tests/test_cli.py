@@ -1,10 +1,12 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import bnsens.model
 import bnsens.network
 from bnsens import (
     AnalysisSpec,
@@ -99,6 +101,41 @@ def test_dot_from_malformed_report_exits_2(tmp_path, report):
     assert "Traceback" not in err
 
 
+# A DOT quoted string as Graphviz scans it: a backslash always escapes the
+# character after it, so a trailing one would swallow the closing quote.
+DOT_STRING = r'"((?:[^"\\]|\\.)*)"'
+
+
+def test_dot_escapes_backslashes_and_quotes(tmp_path):
+    names = ["A\\", 'B"', 'C\\"', 'D"\\']
+    variables = [Variable(i, name, ("0", "1")) for i, name in enumerate(names)]
+    cpts = [Cpt(0, (), [[0.5, 0.5]])]
+    cpts += [Cpt(i, (i - 1,), [[0.9, 0.1], [0.2, 0.8]]) for i in range(1, 4)]
+    spec = AnalysisSpec(3, frozenset({0, 1}), {"0": 0.0, "1": 1.0})
+    path = tmp_path / "quoted.native"
+    path.write_text(save_native(NativeDocument(DiscreteBayesNet(variables, cpts), spec)))
+    code, out, _ = run_cli("dot", "--network", str(path))
+    assert code == 0
+
+    def unquoted(text):
+        return re.sub(r"\\(.)", r"\1", text)
+
+    nodes, edges = [], []
+    for line in out.splitlines()[2:-1]:
+        node = re.fullmatch(rf"  {DOT_STRING} \[(.*)\];", line)
+        edge = re.fullmatch(rf"  {DOT_STRING} -> {DOT_STRING};", line)
+        assert node or edge, line
+        if edge:
+            edges.append((unquoted(edge[1]), unquoted(edge[2])))
+        else:
+            nodes.append(unquoted(node[1]))
+            label = re.search(rf"label={DOT_STRING}", node[2])
+            if label:
+                assert unquoted(label[1]).startswith(nodes[-1] + "nST=")
+    assert nodes == names
+    assert edges == list(zip(names, names[1:]))
+
+
 def test_compute_is_deterministic_modulo_timings():
     _, first, _ = run_cli("compute", "--network", CHAIN, "--format", "json", "--no-timings")
     _, second, _ = run_cli("compute", "--network", CHAIN, "--format", "json", "--no-timings")
@@ -112,8 +149,6 @@ def test_missing_value_map_exits_2(tmp_path):
         text.replace('"0",\n        "1"', '"lo",\n        "hi"')
         .replace('"0": 0.0,\n      "1": 1.0', '"lo": 0.0, "hi": 1.0')
     )
-    import re
-
     broken = re.sub(r',\s*"spec": \{.*\}\n\}', "\n}", broken, flags=re.S)
     path = tmp_path / "nospec.native"
     path.write_text(broken)
@@ -150,6 +185,26 @@ def test_non_finite_value_map_in_document_exits_2(tmp_path):
         code, _, err = run_cli(command, "--network", str(path))
         assert code == 2
         assert "MissingValueMapError" in err
+
+
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        ('"0": 0.0', '"0": ' + "9" * 400, "spec.value_map"),
+        ("0.7,\n        0.3", "0.7,\n        " + "9" * 400, "cpts[0].table"),
+    ],
+    ids=["value-map", "table"],
+)
+def test_integer_too_large_for_a_float_exits_2(tmp_path, old, new, field):
+    text = (GOLDEN / "chain.native").read_text()
+    assert old in text
+    path = tmp_path / "huge.native"
+    path.write_text(text.replace(old, new, 1))
+    code, out, err = run_cli("compute", "--network", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: SchemaError: {field}: ")
+    assert "Traceback" not in err
 
 
 def test_oracle_cap_exits_4(tmp_path):
@@ -200,9 +255,15 @@ def test_compute_validates_the_network_once(monkeypatch, capsys):
                 return check(bn)
 
             monkeypatch.setattr(module, "validate_network", counted)
+    kahn = []
+    check_acyclic = bnsens.model._check_acyclic
+    monkeypatch.setattr(
+        bnsens.model, "_check_acyclic", lambda dag: kahn.append(dag) or check_acyclic(dag)
+    )
     assert main(["compute", "--network", CHAIN, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["indices"][0]["ST"] == 1.0
     assert len(calls) == 1
+    assert len(kahn) == 1  # compute_all reads bn.dag() without checking it again
 
 
 def test_oracle_compare_reports_deviation():

@@ -60,7 +60,7 @@ def test_parse_single_root():
 
 def test_parse_conditional_rows():
     bn = parse_bif(TWO_NODE_BIF)
-    assert bn.parents(1) == (0,)
+    assert bn.cpts[1].parents == (0,)
     np.testing.assert_allclose(bn.cpts[1].table, [[0.9, 0.1], [0.3, 0.7]])
 
 
@@ -214,7 +214,7 @@ BIF_ERRORS = [
     ("row for 'B' names 2 parent values, expected 1",
      _VWP + "probability ( B | A ) {\n  (a0, a1) 0.9, 0.1;\n}\n", 4, 15),
     ("'a2' is not a label of 'A'",
-     _VWP + "probability ( B | A ) {\n  (a2) 0.9, 0.1;\n}\n", 5, 8),
+     _VWP + "probability ( B | A ) {\n  (a2) 0.9, 0.1;\n}\n", 5, 4),
     ("unterminated number list", _V + "probability ( A ) { table 0.4, 0.6", 2, 35),
 ]
 
@@ -314,9 +314,33 @@ def test_native_bad_table_size(chain):
         load_native(broken)
 
 
+HUGE = "9" * 400  # a JSON integer far beyond the largest float
+
+
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        ('"0": 0.0', f'"0": {HUGE}', "spec.value_map"),
+        ("0.7,\n        0.3", f"0.7,\n        {HUGE}", "cpts[0].table"),
+    ],
+    ids=["value-map", "table"],
+)
+def test_native_rejects_an_integer_too_large_for_a_float(
+    chain, chain_analysis, old, new, field
+):
+    text = save_native(NativeDocument(chain, chain_analysis))
+    assert old in text
+    with pytest.raises(SchemaError, match="too large for a float") as info:
+        load_native(text.replace(old, new, 1))
+    assert info.value.field == field
+
+
 def test_native_rejects_non_json():
     with pytest.raises(SchemaError, match="document"):
         load_native("variables: nope")
+    # Python's json refuses an integer of more than 4300 digits (3.10.7+).
+    with pytest.raises(SchemaError):
+        load_native('{"name": ' + "9" * 5000 + "}")
 
 
 def test_native_names_unknown_field():

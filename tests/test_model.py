@@ -14,6 +14,7 @@ from bnsens import (
     MissingValueMapError,
     NativeDocument,
     OverlappingPartitionError,
+    PartitionError,
     ShapeMismatchError,
     UnnormalizedCptError,
     ValidationError,
@@ -75,6 +76,44 @@ def test_nan_entry_is_rejected():
     cpts = (Cpt(0, (), [[np.nan, np.nan]]), Cpt(1, (0,), [[0.8, 0.2], [0.1, 0.9]]))
     with pytest.raises(UnnormalizedCptError, match="'E'"):
         DiscreteBayesNet(variables, cpts)
+
+
+def _binary(*names):
+    return tuple(Variable(i, name, ("0", "1")) for i, name in enumerate(names))
+
+
+_ROOT = [[0.5, 0.5]]
+_ONE_PARENT = [[0.9, 0.1], [0.2, 0.8]]
+
+
+# validate_network is the only check of a network's parents.
+@pytest.mark.parametrize(
+    "variables, cpts, error, match",
+    [
+        ((), (), ValidationError, "no variables"),
+        ((Variable(1, "A", ("0", "1")), Variable(0, "B", ("0", "1"))),
+         (Cpt(0, (), _ROOT), Cpt(1, (), _ROOT)), ValidationError, "dense"),
+        (_binary("A", "B"), (Cpt(0, (), _ROOT),), ValidationError, "one CPT"),
+        (_binary("A", "B"), (Cpt(0, (), _ROOT), Cpt(5, (), _ROOT)),
+         ValidationError, "one CPT"),
+        (_binary("A", "B"), (Cpt(0, (), _ROOT), Cpt(1, (2,), _ONE_PARENT)),
+         ValidationError, "parent id 2 out of range"),
+        (_binary("A", "B"), (Cpt(0, (), _ROOT), Cpt(1, (-1,), _ONE_PARENT)),
+         ValidationError, "parent id -1 out of range"),
+        (_binary("A", "B"), (Cpt(0, (), _ROOT), Cpt(1, (1,), _ONE_PARENT)),
+         ValidationError, "itself"),
+        (_binary("A", "B"), (Cpt(0, (), _ROOT), Cpt(1, (0, 0), [[0.5, 0.5]] * 4)),
+         ValidationError, "repeats a parent"),
+        (_binary("A", "B"), (Cpt(0, (1,), _ONE_PARENT), Cpt(1, (0,), _ONE_PARENT)),
+         CyclicGraphError, "cycle"),
+    ],
+    ids=["empty", "non-dense-ids", "cpt-count", "cpt-child", "parent-above",
+         "parent-below", "self-parent", "repeated-parent", "cycle"],
+)
+def test_network_validation_errors(variables, cpts, error, match):
+    with pytest.raises(error, match=match) as info:
+        DiscreteBayesNet(variables, cpts)
+    assert type(info.value) is error
 
 
 def test_cpt_table_is_a_read_only_copy(chain):
@@ -154,7 +193,26 @@ def test_joint_invariant_under_relabeling(five_node):
 
 def test_partition_valid(chain, chain_analysis):
     validate_partition(chain, chain_analysis)
-    assert chain_analysis.chance(chain) == frozenset()
+
+
+@pytest.mark.parametrize(
+    "output, evidential, error",
+    [
+        (2, {0}, PartitionError),
+        (-1, {0}, PartitionError),
+        (1, {0, 2}, PartitionError),
+        (1, {-1}, PartitionError),
+        (1, {0, 1}, OverlappingPartitionError),
+        (1, set(), EmptyEvidenceSetError),
+    ],
+    ids=["output-above", "output-below", "evidence-above", "evidence-below",
+         "overlap", "empty-evidence"],
+)
+def test_partition_errors(chain, output, evidential, error):
+    spec = AnalysisSpec(output, frozenset(evidential), {"0": 0.0, "1": 1.0})
+    with pytest.raises(error) as info:
+        validate_partition(chain, spec)
+    assert type(info.value) is error
 
 
 def test_partition_overlap(chain):

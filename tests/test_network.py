@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bnsens.network
 from bnsens import (
     AnalysisSpec,
+    AxisCardinalityMismatchError,
     ContractionUnderflowWarning,
     DivisionByZeroError,
     Factor,
     MissingValueMapError,
     StateSpaceTooLargeError,
     TensorNetwork,
+    UnknownAxisError,
     collapse,
     contract_all,
     function_tn,
@@ -26,6 +29,37 @@ from bnsens.network import _eliminate
 from bnsens.oracle import brute_force_f
 from bnsens.tensor import factor_div, factor_product, factor_sum_out
 from helpers import chain_bn, random_tn, tn_marginal, tn_table
+
+
+_PAIR = TensorNetwork({0: 2, 1: 3}, (Factor((0, 1), np.ones((2, 3))),))
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: TensorNetwork({0: 2}, (Factor((1,), [1.0, 1.0]),)), UnknownAxisError),
+        (lambda: TensorNetwork({0: 2}, (), (Factor((1,), [1.0, 1.0]),)),
+         UnknownAxisError),
+        (lambda: TensorNetwork({0: 3}, (Factor((0,), [1.0, 1.0]),)),
+         AxisCardinalityMismatchError),
+        (lambda: TensorNetwork({0: 3}, (), (Factor((0,), [1.0, 1.0]),)),
+         AxisCardinalityMismatchError),
+        (lambda: marginalize(_PAIR, {0, 7}), UnknownAxisError),
+        (lambda: square_wrt(_PAIR, {7}), UnknownAxisError),
+        (lambda: collapse(_PAIR, {1, 7}), UnknownAxisError),
+        (lambda: quotient(_PAIR, TensorNetwork({7: 2})), UnknownAxisError),
+        (lambda: quotient(_PAIR, TensorNetwork({1: 2})), AxisCardinalityMismatchError),
+        (lambda: mrf_from_bn(chain_bn(), {0, 2}), IndexError),
+        (lambda: mrf_from_bn(chain_bn(), {-1, 1}), IndexError),
+    ],
+    ids=["factor-axis", "inverted-axis", "factor-card", "inverted-card",
+         "marginalize", "square", "collapse", "quotient-axis", "quotient-card",
+         "mrf-above", "mrf-below"],
+)
+def test_network_argument_errors(build, error):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
 
 
 def test_mrf_factor_scopes(five_node):
@@ -115,7 +149,7 @@ def test_marginalize_matches_enumeration_on_random_nets():
         assert np.abs(mine - reference).max() <= 1e-10
 
 
-def test_marginalize_with_explicit_orders_matches_heuristic():
+def test_marginalize_with_explicit_orders_matches_heuristic(monkeypatch):
     rng = np.random.default_rng(17)
     for _ in range(5):
         tn = random_tn(rng, n_vars=6)
@@ -124,7 +158,19 @@ def test_marginalize_with_explicit_orders_matches_heuristic():
         for _ in range(20):
             order = list(eliminate)
             rng.shuffle(order)
-            other = collapse(marginalize(tn, eliminate, order=order), {4, 5}).values
+            calls = []
+
+            def shuffled(scopes, cardinalities, keep=()):
+                calls.append(set(keep))
+                return tuple(order)
+
+            # Only this marginalize takes the shuffled order; collapse's own
+            # call below keeps the heuristic.
+            with monkeypatch.context() as m:
+                m.setattr(bnsens.network, "min_weight_order", shuffled)
+                reduced = marginalize(tn, eliminate)
+            assert calls == [{4, 5}]
+            other = collapse(reduced, {4, 5}).values
             np.testing.assert_allclose(other, base, rtol=1e-9, atol=1e-12)
 
 

@@ -449,6 +449,27 @@ def test_utility_rejects_partial_functions():
 
 
 @pytest.mark.parametrize(
+    "g, parents, error",
+    [
+        (lambda labels: labels[0], (0, 2), ValueError),
+        (lambda labels: labels[0], (-1,), ValueError),
+        (lambda labels: None, (1,), PartialFunctionError),
+    ],
+    ids=["parent-above", "parent-below", "g-returns-none"],
+)
+def test_utility_node_argument_errors(g, parents, error):
+    with pytest.raises(error) as info:
+        encode_utility_node(chain_bn(), g, parents, ("0", "1"))
+    assert type(info.value) is error
+
+
+def test_utility_node_sorts_a_set_of_parents():
+    extended = encode_utility_node(chain_bn(), lambda labels: labels[0], {1, 0}, ("0", "1"))
+    assert extended.cpts[2].parents == (0, 1)
+    np.testing.assert_array_equal(extended.cpts[2].table, [[1, 0], [1, 0], [0, 1], [0, 1]])
+
+
+@pytest.mark.parametrize(
     "parents, domain, name",
     [((0, 0), ("0", "1"), None), ((0,), ("a", "a"), None), ((0,), ("a",), None),
      ((0,), ("0", "1"), "E")],

@@ -8,10 +8,24 @@ from bnsens import (
     DivisionByZeroError,
     Factor,
     UnknownAxisError,
-    factor_div,
-    factor_product,
-    factor_sum_out,
 )
+from bnsens.tensor import factor_div, factor_product, factor_sum_out
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Factor((0, 1), np.zeros(2)),
+        lambda: Factor((0,), np.zeros((2, 2))),
+        lambda: Factor((), np.zeros(2)),
+        lambda: Factor.of((1, 0), np.zeros(2)),
+        lambda: Factor.of((0,), 1.0),
+    ],
+    ids=["2-axes-1d", "1-axis-2d", "scalar-1d", "of-2-axes-1d", "of-1-axis-0d"],
+)
+def test_values_must_have_one_dimension_per_axis(build):
+    with pytest.raises(ValueError, match="-d values for"):
+        build()
 
 
 def test_axes_must_be_ascending():
