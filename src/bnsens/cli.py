@@ -21,7 +21,14 @@ from .errors import (
     SchemaError,
     StateSpaceTooLargeError,
 )
-from .ingest import NativeDocument, generate_random_bn, load_native, parse_bif, save_native
+from .ingest import (
+    NativeDocument,
+    _floats,
+    generate_random_bn,
+    load_native,
+    parse_bif,
+    save_native,
+)
 from .model import AnalysisSpec, DiscreteBayesNet, validate_partition
 from .oracle import DEFAULT_CELL_CAP, brute_force_indices
 from .sobol import ComputeOptions, SobolReport, compute_all
@@ -401,8 +408,8 @@ def _report_totals(text: str) -> dict[str, float | None]:
         name, st = row.get("variable"), row.get("ST")
         if not isinstance(name, str):
             raise SchemaError(f"indices[{k}].variable", "expected str")
-        if st is not None and (isinstance(st, bool) or not isinstance(st, (int, float))):
-            raise SchemaError(f"indices[{k}].ST", "expected number or null")
+        if st is not None:
+            st = float(_floats([st], f"indices[{k}].ST", "ST")[0])
         totals[name] = st
     return totals
 

@@ -1,15 +1,14 @@
 """Tensor networks over discrete variables and their arithmetic.
 
 A tensor network here is a bag of factors over a universe of variables; its
-value at a full assignment is the product of all factor entries divided by
-the entries of the inverted (divisor) factors. Marginalization runs variable
-elimination under the minimal-weight heuristic and keeps the result
-factored, which is what makes squaring/quotient pipelines affordable on
-evidence sets far too large to tabulate. Each bucket of the elimination is
-one einsum that multiplies its factors and sums the variable away in the
-same pass, so the product of a bucket is never stored; only a bucket with
-divisors forms its numerator and denominator first, to divide them cell by
-cell.
+value at a full assignment is the product of all factor entries. A quotient
+network holds its divisor as factors of zero-safe reciprocals, so dividing
+costs no more than multiplying. Marginalization runs variable elimination
+under the minimal-weight heuristic and keeps the result factored, which is
+what makes squaring/quotient pipelines affordable on evidence sets far too
+large to tabulate. Each bucket of the elimination is one einsum that
+multiplies its factors and sums the variable away in the same pass, so the
+product of a bucket is never stored.
 """
 
 from __future__ import annotations
@@ -29,33 +28,28 @@ from .errors import (
 )
 from .graph import min_weight_order
 from .model import AnalysisSpec, DiscreteBayesNet, output_values
-from .tensor import (
-    Factor,
-    factor_div,
-    factor_product,  # unused here; bench/spans.py hooks it by name in this module
-    factor_sum_out,
-)
+from .tensor import Factor
+
+# Not called here: hooked by bench/spans.py, which looks them up in this module.
+from .tensor import factor_div, factor_product, factor_sum_out  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
 class TensorNetwork:
     """A set of factors over a universe of variables with cardinalities.
 
-    `factors` multiply into the network value. `inverted` factors divide it;
-    the division is deferred to contraction sites so the 0/0 convention can
-    be applied cell by cell where numerator context exists.
+    The factors multiply into the network value; a divisor enters as
+    factors of reciprocals (see `quotient`).
     """
 
     universe: Mapping[int, int]
     factors: tuple[Factor, ...] = ()
-    inverted: tuple[Factor, ...] = ()
 
     def __post_init__(self):
         universe = {int(k): int(v) for k, v in dict(self.universe).items()}
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "factors", tuple(self.factors))
-        object.__setattr__(self, "inverted", tuple(self.inverted))
-        for f in (*self.factors, *self.inverted):
+        for f in self.factors:
             for ax, card in zip(f.axes, f.values.shape):
                 have = universe.get(ax)
                 if have is None:
@@ -102,7 +96,7 @@ def function_tn(
     mapped output."""
     values = output_values(bn, spec)
     extra = Factor((spec.output,), values)
-    return TensorNetwork(mrf.universe, (*mrf.factors, extra), mrf.inverted)
+    return TensorNetwork(mrf.universe, (*mrf.factors, extra))
 
 
 # One np.einsum call names its axes with these 52 letters and takes at most
@@ -156,36 +150,23 @@ def _einsum(factors: Sequence[Factor], axes: Sequence[int]) -> np.ndarray:
     return out
 
 
-def _eliminate(terms: Sequence[tuple[Factor, bool]], drop: set[int]) -> Factor:
-    """Product of the plain factors divided by the product of the inverted
-    ones, with the axes in `drop` summed away.
-
-    Without divisors, product and sum-out are one `_einsum`. With divisors,
-    `_einsum` forms the numerator and the denominator over their own axes,
-    `factor_div` divides them cell by cell under its 0/0 rule, and only
-    then are `drop` summed away."""
-    plain = [f for f, inv in terms if not inv]
-    inverted = [f for f, inv in terms if inv]
-    if not inverted:
-        kept = tuple(ax for ax in _spanned(plain) if ax not in drop)
-        return Factor(kept, _einsum(plain, kept))
-    num, den = _spanned(plain), _spanned(inverted)
-    numerator = Factor(num, _einsum(plain, num))
-    ratio = factor_div(numerator, Factor(den, _einsum(inverted, den)))
-    return factor_sum_out(ratio, drop)
+def _eliminate(factors: Sequence[Factor], drop: set[int]) -> Factor:
+    """Product of `factors` with the axes in `drop` summed away, in one
+    `_einsum`."""
+    kept = tuple(ax for ax in _spanned(factors) if ax not in drop)
+    return Factor(kept, _einsum(factors, kept))
 
 
 def marginalize(tn: TensorNetwork, eliminate: Iterable[int]) -> TensorNetwork:
     """Sum the given variables out of the network by variable elimination.
 
     Each step sums the next variable out of the product of the factors that
-    contain it, in one einsum pass that never stores the product; when
-    inverted factors are among them, the product of the plain ones is first
-    divided by theirs, cell by cell. The minimal-weight heuristic picks the
-    order. The result keeps its factored structure: for every assignment of
-    the remaining variables, its contraction equals the sum of the input's
-    contraction over the eliminated ones. A variable carried by no factor
-    contributes its cardinality as a scalar.
+    contain it, in one einsum pass that never stores the product. The
+    minimal-weight heuristic picks the order. The result keeps its factored
+    structure: for every assignment of the remaining variables, its
+    contraction equals the sum of the input's contraction over the
+    eliminated ones. A variable carried by no factor contributes its
+    cardinality as a scalar.
     """
     targets = {int(v) for v in eliminate}
     missing = targets - set(tn.universe)
@@ -194,25 +175,23 @@ def marginalize(tn: TensorNetwork, eliminate: Iterable[int]) -> TensorNetwork:
             f"cannot eliminate {sorted(missing)}: not in the universe"
         )
     order = min_weight_order(
-        [f.axes for f in (*tn.factors, *tn.inverted)],
+        [f.axes for f in tn.factors],
         tn.universe,
         keep=set(tn.universe) - targets,
     )
 
-    terms: list[tuple[Factor, bool]] = [(f, False) for f in tn.factors]
-    terms += [(f, True) for f in tn.inverted]
+    factors = list(tn.factors)
     for v in order:
-        bucket = [(f, inv) for f, inv in terms if v in f.axes]
+        bucket = [f for f in factors if v in f.axes]
         if not bucket:
-            terms.append((Factor.scalar(tn.universe[v]), False))
+            factors.append(Factor.scalar(tn.universe[v]))
             continue
-        terms = [(f, inv) for f, inv in terms if v not in f.axes]
-        terms.append((_eliminate(bucket, {v}), False))
+        factors = [f for f in factors if v not in f.axes]
+        factors.append(_eliminate(bucket, {v}))
 
     return TensorNetwork(
         {k: c for k, c in tn.universe.items() if k not in targets},
-        tuple(f for f, inv in terms if not inv),
-        tuple(f for f, inv in terms if inv),
+        tuple(factors),
     )
 
 
@@ -230,7 +209,7 @@ def contract_all(tn: TensorNetwork) -> float:
 
 def _inputs_normal(tn: TensorNetwork) -> bool:
     tiny = np.finfo(np.float64).tiny
-    for f in (*tn.factors, *tn.inverted):
+    for f in tn.factors:
         nonzero = f.values[f.values != 0.0]
         if nonzero.size and np.abs(nonzero).min() < tiny:
             return False
@@ -263,21 +242,19 @@ def square_wrt(tn: TensorNetwork, shared: Iterable[int]) -> TensorNetwork:
             return f
         return Factor.of(tuple(renames.get(ax, ax) for ax in f.axes), f.values)
 
-    return TensorNetwork(
-        universe,
-        tn.factors + tuple(mirrored(f) for f in tn.factors),
-        tn.inverted + tuple(mirrored(f) for f in tn.inverted),
-    )
+    return TensorNetwork(universe, tn.factors + tuple(mirrored(f) for f in tn.factors))
 
 
 def quotient(tn: TensorNetwork, divisor: TensorNetwork) -> TensorNetwork:
     """Network contracting to the pointwise quotient of the two inputs
-    wherever the divisor is nonzero.
+    wherever the divisor is nonzero, and to 0 wherever a divisor factor is
+    zero.
 
-    Divisor factors are adjoined in inverted form rather than reciprocated
-    eagerly; a stored reciprocal of a zero cell would have no correct
-    standalone value, so the actual division happens inside later
-    contractions via `factor_div`."""
+    Each divisor factor is adjoined as its zero-safe reciprocal: 1/x where
+    |x| is at least the smallest normal float, 0 elsewhere (the reciprocal
+    of a subnormal overflows). Setting the quotient to 0 where the divisor
+    vanishes is exact for a conditional-moment query, whose numerator is
+    zero wherever its evidence marginal is."""
     for var, card in divisor.universe.items():
         if var not in tn.universe:
             raise UnknownAxisError(f"divisor variable {var} not in the network")
@@ -285,11 +262,13 @@ def quotient(tn: TensorNetwork, divisor: TensorNetwork) -> TensorNetwork:
             raise AxisCardinalityMismatchError(
                 f"variable {var}: cardinality {tn.universe[var]} vs divisor {card}"
             )
-    return TensorNetwork(
-        tn.universe,
-        tn.factors + divisor.inverted,
-        tn.inverted + divisor.factors,
-    )
+    tiny = np.finfo(np.float64).tiny
+    reciprocals = []
+    for f in divisor.factors:
+        small = np.abs(f.values) < tiny
+        values = np.divide(1.0, f.values, out=np.zeros(f.values.shape), where=~small)
+        reciprocals.append(Factor(f.axes, values))
+    return TensorNetwork(tn.universe, tn.factors + tuple(reciprocals))
 
 
 def collapse(tn: TensorNetwork, keep: Iterable[int]) -> Factor:
@@ -304,10 +283,6 @@ def collapse(tn: TensorNetwork, keep: Iterable[int]) -> Factor:
     if missing:
         raise UnknownAxisError(f"keep variables {sorted(missing)} not in universe")
     reduced = marginalize(tn, set(tn.universe) - keep_set)
-    mentioned = {ax for f in (*reduced.factors, *reduced.inverted) for ax in f.axes}
+    mentioned = {ax for f in reduced.factors for ax in f.axes}
     constant = [Factor((v,), np.ones(tn.universe[v])) for v in keep_set - mentioned]
-    return _eliminate(
-        [(f, False) for f in (*reduced.factors, *constant)]
-        + [(f, True) for f in reduced.inverted],
-        set(),
-    )
+    return _eliminate([*reduced.factors, *constant], set())

@@ -27,7 +27,8 @@ from .sobol import IndexEntry, SobolReport
 DEFAULT_CELL_CAP = 10_000_000
 # Var[f] at or below this share of the output's own variance is rounding
 # noise in the tabulated f: the output is constant and every index undefined.
-DEGENERATE_SHARE = 1e-12
+# The noise is quadratic in eps, the same floor as bnsens.sobol's.
+DEGENERATE_SHARE = 1e-24
 
 
 @dataclass(frozen=True, eq=False)

@@ -46,8 +46,10 @@ from .tensor import Factor
 
 # Var[f] at most this share of Var[g(O)], the variance of the centred map g
 # of `compute_all`, means f is constant and every index undefined: each
-# E[g(O) | e] is off by about n*eps*E[|g(O)| | e].
-DEGENERATE_VARIANCE_TOL = 1e-12
+# E[g(O) | e] is off by about n*eps*E[|g(O)| | e], so the rounding noise in
+# Var[f] is about (n*eps)^2 * Var[g(O)]. A rare evidential event can explain
+# a far smaller share than n*eps and still be the whole of Var[f].
+DEGENERATE_VARIANCE_TOL = 1e-24
 NEGATIVE_INDEX_WARNING = 1e-6
 
 _log = logging.getLogger(__name__)
@@ -91,7 +93,8 @@ def _conditional_second_moment(
     since every remaining variable is shared) and dividing by P(keep), the
     evidence marginal with the rest of the evidence summed out, contracts
     to the second moment of the conditional mean. `j` is the evidence
-    marginal, over the evidential variables only."""
+    marginal, over the evidential variables only. Where P(keep) is zero so
+    is the numerator, and `quotient`'s 0 there is exact."""
     numerator = marginalize(t, set(t.universe) - keep)
     divisor = marginalize(j, frozenset(j.universe) - keep)
     return contract_all(quotient(square_wrt(numerator, keep), divisor))
@@ -131,14 +134,16 @@ def compute_all(
     events; Var[f] at most DEGENERATE_VARIANCE_TOL times Var[g(O)] raises.
     Both networks have the non-evidential variables summed out, so every
     index is one conditional-moment query over two small networks and no
-    query squares a chance variable. Some indices need no query and are
-    exact zeros: S_i when i is d-separated from the output, since E[f | i]
-    is then constant, and S^T_i when the rest of the evidence d-separates i
-    from the output, since f is then flat along i. Per-variable work is
-    independent; `options.workers` > 1 runs it in a thread pool. Entries
-    are ordered by variable id regardless, with the closed subsets last;
-    with neither `first` nor `total` requested there are no per-variable
-    entries."""
+    query squares a chance variable. The evidence marginal is built over
+    An(evidence) alone, where every other node is barren; with root
+    evidence nothing is eliminated to build it. Some indices need no query
+    and are exact zeros: S_i when i is d-separated from the output, since
+    E[f | i] is then constant, and S^T_i when the rest of the evidence
+    d-separates i from the output, since f is then flat along i.
+    Per-variable work is independent; `options.workers` > 1 runs it in a
+    thread pool. Entries are ordered by variable id regardless, with the
+    closed subsets last; with neither `first` nor `total` requested there
+    are no per-variable entries."""
     options = options or ComputeOptions()
     validate_partition(bn, spec)
     closed = [tuple(sorted(int(v) for v in subset)) for subset in options.closed]
@@ -180,7 +185,8 @@ def compute_all(
     chance = set(mrf.universe) - spec.evidential
     t_full = TensorNetwork(mrf.universe, (*mrf.factors, Factor((spec.output,), g)))
     t = marginalize(t_full, chance)
-    j = marginalize(mrf, chance)
+    evidence_mrf = mrf_from_bn(bn, ancestors(dag, spec.evidential))
+    j = marginalize(evidence_mrf, set(evidence_mrf.universe) - spec.evidential)
     # t has mean zero up to rounding; taking that residual out as well drops
     # the constant offset that the rounding of `centre` leaves in g.
     mean = contract_all(t)

@@ -1,7 +1,7 @@
 """Shared builders and independent enumeration helpers for the test suite.
 
 `tn_table` evaluates a tensor network cell by cell from its definition (a
-plain product/quotient loop over full assignments) and deliberately avoids
+plain product loop over full assignments) and deliberately avoids
 the elimination machinery, so it can serve as an oracle for it.
 """
 
@@ -298,7 +298,7 @@ def random_tn(
 
 def tn_table(tn: TensorNetwork) -> tuple[list[int], np.ndarray]:
     """Tabulate the network value at every full assignment by a direct
-    product/quotient loop; no elimination involved."""
+    product loop; no elimination involved."""
     axes = sorted(tn.universe)
     shape = tuple(tn.universe[a] for a in axes)
     position = {a: k for k, a in enumerate(axes)}
@@ -307,13 +307,7 @@ def tn_table(tn: TensorNetwork) -> tuple[list[int], np.ndarray]:
         value = 1.0
         for f in tn.factors:
             value *= f.values[tuple(idx[position[a]] for a in f.axes)]
-        denominator = 1.0
-        for f in tn.inverted:
-            denominator *= f.values[tuple(idx[position[a]] for a in f.axes)]
-        if denominator == 0.0:
-            out[idx] = 0.0
-        else:
-            out[idx] = value / denominator
+        out[idx] = value
     return axes, out
 
 

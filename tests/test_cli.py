@@ -89,6 +89,7 @@ def test_dot_from_report(tmp_path):
         {"indices": [{"ST": 0.5}]},
         [1, 2],
         {"indices": [{"variable": "E", "ST": "high"}]},
+        {"indices": [{"variable": "E", "ST": int("9" * 400)}]},
     ],
 )
 def test_dot_from_malformed_report_exits_2(tmp_path, report):

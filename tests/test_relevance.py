@@ -14,7 +14,7 @@ import bnsens.network
 import bnsens.sobol
 from bnsens import AnalysisSpec, Cpt, DiscreteBayesNet, Variable, compute_all
 from bnsens.oracle import brute_force_indices
-from helpers import random_instance
+from helpers import random_instance, random_roots_instance
 
 
 def binary_bn(parent_map, tables):
@@ -95,9 +95,9 @@ def test_barren_subnetwork_changes_nothing(instance_seed, count, barren_seed):
     eliminate = bnsens.network._eliminate
     named_axes: set[int] = set()
 
-    def recording(terms, drop):
-        out = eliminate(terms, drop)
-        named_axes.update(*(f.axes for f, _ in terms), drop, out.axes)
+    def recording(factors, drop):
+        out = eliminate(factors, drop)
+        named_axes.update(*(f.axes for f in factors), drop, out.axes)
         return out
 
     with mock.patch.object(bnsens.network, "_eliminate", recording):
@@ -112,6 +112,29 @@ def test_barren_subnetwork_changes_nothing(instance_seed, count, barren_seed):
         assert grown_entries[name].s == pytest.approx(entry.s, abs=1e-12)
         assert grown_entries[name].st == pytest.approx(entry.st, abs=1e-12)
     assert_matches_oracle(report, grown, grown_spec, tol=1e-9)
+
+
+def test_evidence_marginal_of_root_evidence_eliminates_nothing(monkeypatch):
+    # The evidence marginal needs only An(E); with root evidence that is E
+    # itself, and every other node, the output included, is barren for it.
+    bn, spec = random_roots_instance(4)
+    built, eliminated = [], []
+    mrf_from_bn, marginalize = bnsens.sobol.mrf_from_bn, bnsens.sobol.marginalize
+
+    def recording_mrf(*args):
+        built.append(mrf_from_bn(*args))
+        return built[-1]
+
+    def recording_marginalize(tn, variables):
+        if any(tn is mrf for mrf in built):
+            eliminated.append(set(variables))
+        return marginalize(tn, variables)
+
+    monkeypatch.setattr(bnsens.sobol, "mrf_from_bn", recording_mrf)
+    monkeypatch.setattr(bnsens.sobol, "marginalize", recording_marginalize)
+    report = compute_all(bn, spec)
+    assert eliminated == [set()]
+    assert_matches_oracle(report, bn, spec)
 
 
 def isolated_root_bn():

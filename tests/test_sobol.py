@@ -82,9 +82,9 @@ def test_not_evidential_rejected(chain, chain_analysis, monkeypatch):
     eliminated = []
     eliminate = bnsens.network._eliminate
 
-    def recording(terms, drop):
+    def recording(factors, drop):
         eliminated.append(drop)
-        return eliminate(terms, drop)
+        return eliminate(factors, drop)
 
     monkeypatch.setattr(bnsens.network, "_eliminate", recording)
     for subset in ((), (1,), (0, 0)):
@@ -176,11 +176,11 @@ def test_compute_all_never_squares_chance_variables(monkeypatch):
     # its root out with the chance nodes kept makes a bucket of 1.28e8.
     eliminate = bnsens.network._eliminate
 
-    def capped(terms, drop):
-        cards = {ax: n for f, _ in terms for ax, n in zip(f.axes, f.values.shape)}
+    def capped(factors, drop):
+        cards = {ax: n for f in factors for ax, n in zip(f.axes, f.values.shape)}
         cells = math.prod(cards.values())
         assert cells <= 1e8, f"a bucket spans {cells:.3g} cells"
-        return eliminate(terms, drop)
+        return eliminate(factors, drop)
 
     monkeypatch.setattr(bnsens.network, "_eliminate", capped)
     bn, spec = layered_network(4, 10, 5, (5, 7))
@@ -345,6 +345,57 @@ def test_rare_event_fault_tree_matches_centred_oracle(p):
         assert mine.s == pytest.approx(ref.s, abs=1e-12)
         assert mine.st == pytest.approx(ref.st, abs=1e-12)
     assert max(e.st for e in report.indices) > 0.1
+
+
+@pytest.mark.parametrize("q", [1e-12, 1e-13, 1e-14, 1e-15, 1e-16])
+@pytest.mark.parametrize("analysis", [compute_all, brute_force_indices])
+def test_rare_evidence_is_not_degenerate(analysis, q):
+    # TOP = OR(A, B): the evidential root A fails with probability q, the
+    # chance root B with 1/2. E[TOP | A] is 1 or 1/2, so Var[f] = q(1 - q)/4,
+    # a share of about q of Var[TOP], and all of it is A's.
+    variables = tuple(
+        Variable(i, name, ("ok", "failed")) for i, name in enumerate(("A", "B", "TOP"))
+    )
+    bn = DiscreteBayesNet(
+        variables,
+        (
+            Cpt(0, (), [[1.0 - q, q]]),
+            Cpt(1, (), [[0.5, 0.5]]),
+            Cpt(2, (0, 1), [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]),
+        ),
+    )
+    spec = AnalysisSpec(2, frozenset({0}), {"ok": 0.0, "failed": 1.0})
+    report = analysis(bn, spec)
+    assert report.variance == pytest.approx(q * (1.0 - q) / 4.0, rel=1e-9)
+    (entry,) = report.indices
+    assert entry.s == pytest.approx(1.0, abs=1e-9)
+    assert entry.st == pytest.approx(1.0, abs=1e-9)
+
+
+def test_subnormal_root_prior_matches_oracle():
+    # P(A = 1) = 1e-310 is subnormal and its reciprocal overflows, so the
+    # evidence marginal's reciprocal must count that cell as zero.
+    variables = tuple(
+        Variable(i, name, ("0", "1")) for i, name in enumerate(("A", "B", "O"))
+    )
+    bn = DiscreteBayesNet(
+        variables,
+        (
+            Cpt(0, (), [[1.0 - 1e-310, 1e-310]]),
+            Cpt(1, (), [[0.3, 0.7]]),
+            Cpt(2, (0, 1), [[0.9, 0.1], [0.4, 0.6], [0.2, 0.8], [0.05, 0.95]]),
+        ),
+    )
+    spec = AnalysisSpec(2, frozenset({0, 1}), {"0": 0.0, "1": 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = compute_all(bn, spec)
+        reference = brute_force_indices(bn, spec)
+    assert report.expected_value == pytest.approx(reference.expected_value, abs=1e-12)
+    assert report.variance == pytest.approx(reference.variance, abs=1e-12)
+    for mine, ref in zip(report.indices, reference.indices):
+        assert mine.s == pytest.approx(ref.s, abs=1e-12)
+        assert mine.st == pytest.approx(ref.st, abs=1e-12)
 
 
 def test_freezing_a_zero_total_index_variable():
