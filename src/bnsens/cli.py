@@ -149,8 +149,11 @@ def _parse_value_map(text: str) -> dict[str, float]:
         label, _, value = chunk.partition("=")
         if not _:
             raise ValueError(f"value-map entry {chunk!r} is not label=value")
+        label = label.strip()
+        if label in mapping:
+            raise ValueError(f"value-map label {label!r} given twice")
         try:
-            mapping[label.strip()] = float(value)
+            mapping[label] = float(value)
         except ValueError:
             raise ValueError(f"value-map entry {chunk!r}: {value!r} is not a number")
     return mapping

@@ -1,15 +1,20 @@
-"""DAG relations and the greedy minimal-weight elimination-order heuristic.
+"""DAG relations, d-separation and the greedy minimal-weight elimination order.
 
 A DAG is a tuple of parent tuples, one per vertex 0..n-1, as
 `DiscreteBayesNet.dag()` returns it. `validate_network` has checked those
 parents: each in range, none the vertex itself, none repeated, and no
 directed cycle among them. The relations below trust that and check only
 the vertices they are asked about.
+
+The two algorithms that need an undirected graph, d-separation and the
+elimination order, share one representation: a neighbour set per vertex,
+built by `_primal` from scopes (families of a DAG, or the axes of factors).
 """
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
+import math
 from typing import Iterable, Mapping, Sequence
 
 
@@ -27,13 +32,12 @@ def descendants(dag: Sequence[tuple[int, ...]], v: int) -> frozenset[int]:
     """Vertices reachable from v by a directed path of length >= 1."""
     _check_vertex(dag, v)
     out: set[int] = set()
-    frontier = deque(children(dag, v))
-    while frontier:
-        u = frontier.popleft()
-        if u in out:
-            continue
-        out.add(u)
-        frontier.extend(children(dag, u))
+    stack = list(children(dag, v))
+    while stack:
+        u = stack.pop()
+        if u not in out:
+            out.add(u)
+            stack.extend(children(dag, u))
     return frozenset(out)
 
 
@@ -52,6 +56,19 @@ def ancestors(dag: Sequence[tuple[int, ...]], targets: Iterable[int]) -> frozens
     return frozenset(out)
 
 
+def _primal(scopes: Iterable[Iterable[int]], vertices: Iterable[int]) -> dict[int, set[int]]:
+    """The neighbour set of every vertex: u and v are neighbours when some
+    scope holds both. A scope that leaves `vertices` is a ValueError."""
+    graph: dict[int, set[int]] = {int(v): set() for v in vertices}
+    for scope in scopes:
+        clique = {int(v) for v in scope}
+        if not clique <= graph.keys():
+            raise ValueError(f"scope {sorted(clique)} leaves the vertex set")
+        for v in clique:
+            graph[v] |= clique - {v}
+    return graph
+
+
 def d_separated(
     dag: Sequence[tuple[int, ...]], a: int, b: int, given: Iterable[int] = ()
 ) -> bool:
@@ -59,29 +76,25 @@ def d_separated(
 
     The moralized-ancestral-graph criterion (Lauritzen et al. 1990): a and
     b are d-separated by Z exactly when no path joins them in the moral
-    graph of An({a, b} | Z) once Z is deleted. Every family (a vertex with
-    its parents) is a clique of that graph, so the search walks families.
+    graph of An({a, b} | Z) once Z is deleted. That moral graph is the
+    neighbour-set graph of the families (a vertex with its parents); the
+    search walks it from a and never enters Z. No vertex is d-separated
+    from itself.
     """
     a, b = int(a), int(b)
     z = {int(v) for v in given}
     if a in z or b in z:
         raise ValueError("a and b must lie outside the conditioning set")
     relevant = ancestors(dag, {a, b} | z)
-    incident: dict[int, list[tuple[int, ...]]] = {v: [] for v in relevant}
-    for v in relevant:
-        family = (v, *dag[v])
-        for u in family:
-            incident[u].append(family)
-    seen = {a}
-    frontier = [a]
+    moral = _primal(((v, *dag[v]) for v in relevant), relevant)
+    seen, frontier = set(z), [a]
     while frontier:
-        for family in incident[frontier.pop()]:
-            for u in family:
-                if u == b:
-                    return False
-                if u not in seen and u not in z:
-                    seen.add(u)
-                    frontier.append(u)
+        v = frontier.pop()
+        if v == b:
+            return False
+        if v not in seen:
+            seen.add(v)
+            frontier.extend(moral[v])
     return True
 
 
@@ -92,43 +105,35 @@ def min_weight_order(
 ) -> tuple[int, ...]:
     """Greedy elimination order over the vertices outside `keep`.
 
-    The vertices are the keys of `cardinalities`, and each nonempty scope
-    (the axes of one factor) is a hyperedge among them. At each step the
-    eliminable vertex minimizing the product of its current neighbors'
-    cardinalities goes next (ties broken by smallest id); its incident
-    hyperedges are replaced by their union minus the vertex.
+    The vertices are the keys of `cardinalities`, and two are neighbours
+    when some scope (the axes of one factor) holds both. At each step the
+    eliminable vertex minimizing the product of its current neighbours'
+    cardinalities goes next (ties broken by smallest id); its neighbours
+    then become a clique and it leaves the graph. Weights are cached and
+    only the eliminated vertex's neighbours are weighed again; a heap of
+    (weight, id) entries yields the next vertex and skips stale entries.
     """
-    vertices = {int(v) for v in cardinalities}
-    edges: list[set[int]] = [{int(v) for v in scope} for scope in scopes]
-    for e in edges:
-        if not e <= vertices:
-            raise ValueError(f"scope {sorted(e)} leaves the vertex set")
-    edges = [e for e in edges if e]
+    graph = _primal(scopes, cardinalities)
     keep_set = {int(v) for v in keep}
-    if not keep_set <= vertices:
-        raise ValueError(f"keep set {sorted(keep_set - vertices)} outside the vertex set")
-    live = vertices - keep_set
+    if not keep_set <= graph.keys():
+        raise ValueError(f"keep set {sorted(keep_set - graph.keys())} outside the vertex set")
+
+    def weight(v: int) -> int:
+        return math.prod(int(cardinalities[u]) for u in graph[v])
+
+    weights = {v: weight(v) for v in graph if v not in keep_set}
+    heap = sorted((w, v) for v, w in weights.items())  # a sorted list is a heap
     order: list[int] = []
-    while live:
-        best_v = -1
-        best_w: int | None = None
-        for v in sorted(live):
-            weight = 1
-            neighbor_seen: set[int] = set()
-            for e in edges:
-                if v in e:
-                    for u in e:
-                        if u != v and u not in neighbor_seen:
-                            neighbor_seen.add(u)
-                            weight *= int(cardinalities[u])
-            if best_w is None or weight < best_w:
-                best_v, best_w = v, weight
-        order.append(best_v)
-        live.discard(best_v)
-        incident = [e for e in edges if best_v in e]
-        edges = [e for e in edges if best_v not in e]
-        if incident:
-            merged = set().union(*incident) - {best_v}
-            if merged:
-                edges.append(merged)
+    while heap:
+        w, v = heapq.heappop(heap)
+        if weights.get(v) != w:
+            continue
+        del weights[v]
+        order.append(v)
+        neighbours = graph.pop(v)
+        for u in neighbours:
+            graph[u] = (graph[u] | neighbours) - {u, v}
+            if u in weights:
+                weights[u] = weight(u)
+                heapq.heappush(heap, (weights[u], u))
     return tuple(order)

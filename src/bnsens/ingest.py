@@ -100,9 +100,18 @@ def _floats(values: list, field: str, what: str) -> np.ndarray:
         raise SchemaError(field, f"{what} hold an integer too large for a float") from None
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    data: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in data:
+            raise SchemaError("document", f"key {key!r} repeated in one object")
+        data[key] = value
+    return data
+
+
 def load_native(text: str) -> NativeDocument:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
         raise SchemaError("document", f"not valid JSON: {exc}") from None
     if not isinstance(data, dict):

@@ -2,7 +2,10 @@
 
 `tn_table` evaluates a tensor network cell by cell from its definition (a
 plain product loop over full assignments) and deliberately avoids
-the elimination machinery, so it can serve as an oracle for it.
+the elimination machinery, so it can serve as an oracle for it. In the
+same spirit, `reference_min_weight_order` and `reference_d_separated`
+compute the graph algorithms from their definitions, without the
+neighbour sets of `bnsens.graph`.
 """
 
 from __future__ import annotations
@@ -151,6 +154,45 @@ def fault_tree(p: float) -> tuple[DiscreteBayesNet, AnalysisSpec]:
     evidence = frozenset(ids[x] for x in ("B0", "B1", "B2", "B4", "B5", "B7", "G1"))
     spec = AnalysisSpec(ids["TOP"], evidence, {"ok": 0.0, "failed": 1.0})
     return DiscreteBayesNet(variables, tuple(cpts)), spec
+
+
+def gate_tree(leaves: int, seed: int) -> tuple[DiscreteBayesNet, AnalysisSpec, float]:
+    """A fault tree of 2 * leaves - 1 nodes and its top event's failure
+    probability from a per-gate recursion.
+
+    Each basic event fails with probability 10^U(-6,-3). Each gate joins
+    two members, drawn at random, of the pool of events that feed no gate
+    yet, until only the top event is left; a gate is OR with probability
+    0.6, else AND. Basic events take ids 0..leaves-1 and gates follow in
+    the order they are built. The evidence is every fourth basic event
+    plus the lowest eighth of the gates, and the output is the top event.
+    No event feeds two gates, so the inputs of a gate are independent and
+    the recursion P(AND) = pa*pb, P(OR) = pa + pb - pa*pb is exact.
+    """
+    rng = np.random.default_rng(seed)
+    n = 2 * leaves - 1
+    p = [float(q) for q in 10.0 ** rng.uniform(-6.0, -3.0, size=leaves)]
+    cpts = [Cpt(k, (), [[1.0 - q, q]]) for k, q in enumerate(p)]
+    pool = list(range(leaves))
+    for gate in range(leaves, n):
+        a, b = (pool.pop(int(rng.integers(len(pool)))) for _ in range(2))
+        if rng.random() < 0.6:
+            p.append(p[a] + p[b] - p[a] * p[b])
+            rows = [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]
+        else:
+            p.append(p[a] * p[b])
+            rows = [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        cpts.append(Cpt(gate, (a, b), rows))
+        pool.append(gate)
+    variables = tuple(
+        Variable(i, f"B{i}" if i < leaves else f"G{i - leaves}", ("ok", "failed"))
+        for i in range(n)
+    )
+    evidence = frozenset(range(0, leaves, 4)) | frozenset(
+        range(leaves, leaves + (leaves - 1) // 8)
+    )
+    spec = AnalysisSpec(n - 1, evidence, {"ok": 0.0, "failed": 1.0})
+    return DiscreteBayesNet(variables, tuple(cpts)), spec, p[-1]
 
 
 def layered_network(
@@ -386,3 +428,84 @@ def render_bif(bn: DiscreteBayesNet, rng: random.Random) -> str:
         rng.shuffle(statements)
         parts += ["probability", "(", head, ")", "{", *statements, "}"]
     return "".join(rng.choice(_BIF_GAPS) + part for part in parts) + "\n"
+
+
+# ------------------------------------------------ graph definitions, by rote
+
+def reference_min_weight_order(scopes, cardinalities, keep=()) -> tuple[int, ...]:
+    """The greedy minimal-weight elimination order straight from its
+    definition: the scopes are hyperedges, and at each step every live
+    vertex is weighed afresh by a scan of every hyperedge. The eliminated
+    vertex's hyperedges are replaced by their union minus the vertex.
+    `bnsens.min_weight_order` must return this order exactly."""
+    vertices = {int(v) for v in cardinalities}
+    edges: list[set[int]] = [{int(v) for v in scope} for scope in scopes]
+    for e in edges:
+        if not e <= vertices:
+            raise ValueError(f"scope {sorted(e)} leaves the vertex set")
+    edges = [e for e in edges if e]
+    keep_set = {int(v) for v in keep}
+    if not keep_set <= vertices:
+        raise ValueError(f"keep set {sorted(keep_set - vertices)} outside the vertex set")
+    live = vertices - keep_set
+    order: list[int] = []
+    while live:
+        best_v = -1
+        best_w: int | None = None
+        for v in sorted(live):
+            weight = 1
+            neighbor_seen: set[int] = set()
+            for e in edges:
+                if v in e:
+                    for u in e:
+                        if u != v and u not in neighbor_seen:
+                            neighbor_seen.add(u)
+                            weight *= int(cardinalities[u])
+            if best_w is None or weight < best_w:
+                best_v, best_w = v, weight
+        order.append(best_v)
+        live.discard(best_v)
+        incident = [e for e in edges if best_v in e]
+        edges = [e for e in edges if best_v not in e]
+        if incident:
+            merged = set().union(*incident) - {best_v}
+            if merged:
+                edges.append(merged)
+    return tuple(order)
+
+
+def reference_d_separated(dag, a: int, b: int, given=()) -> bool:
+    """d-separation by enumeration of trails, the simple paths of the
+    skeleton from a to b. A trail is active when each collider on it (both
+    trail edges point into it) or one of its descendants is in Z, and no
+    other interior vertex is in Z; a and b are d-separated when no trail is
+    active. The one-vertex trail keeps a vertex d-connected to itself."""
+    z = set(given)
+    kids = [[c for c in range(len(dag)) if v in dag[c]] for v in range(len(dag))]
+
+    def below(v: int) -> set[int]:  # v and its descendants
+        out, stack = set(), [v]
+        while stack:
+            u = stack.pop()
+            if u not in out:
+                out.add(u)
+                stack.extend(kids[u])
+        return out
+
+    def active(trail: list[int]) -> bool:
+        for prev, mid, nxt in zip(trail, trail[1:], trail[2:]):
+            if prev in dag[mid] and nxt in dag[mid]:
+                if not below(mid) & z:
+                    return False
+            elif mid in z:
+                return False
+        return True
+
+    def trails(path: list[int]):
+        if path[-1] == b:
+            yield path
+            return
+        for u in {*dag[path[-1]], *kids[path[-1]]} - set(path):
+            yield from trails([*path, u])
+
+    return not any(active(trail) for trail in trails([a]))

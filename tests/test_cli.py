@@ -188,6 +188,27 @@ def test_non_finite_value_map_in_document_exits_2(tmp_path):
         assert "MissingValueMapError" in err
 
 
+def test_repeated_value_map_label_exits_2():
+    # The last "1=" used to win silently, giving E[f] = 2.05.
+    code, out, err = run_cli(
+        "compute", "--network", CHAIN, "--value-map", "0=0,1=1,1=5"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: ValueError: value-map label '1' given twice\n"
+
+
+def test_repeated_value_map_key_in_document_exits_2(tmp_path):
+    text = (GOLDEN / "chain.native").read_text()
+    assert '"1": 1.0\n' in text
+    path = tmp_path / "twice.native"
+    path.write_text(text.replace('"1": 1.0\n', '"1": 1.0, "1": 5.0\n', 1))
+    code, out, err = run_cli("compute", "--network", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: SchemaError: document: key '1' repeated in one object\n"
+
+
 @pytest.mark.parametrize(
     "old, new, field",
     [

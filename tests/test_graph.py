@@ -1,15 +1,22 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnsens import (
     CyclicGraphError,
     ancestors,
     children,
+    collapse,
     d_separated,
     descendants,
     min_weight_order,
+    mrf_from_bn,
 )
 from bnsens.model import _check_acyclic
+from helpers import gate_tree, reference_d_separated, reference_min_weight_order
 
 # The five-vertex example graph: 0->2, 0->3, 1->3, 2->4, 3->4.
 FIVE = ((), (), (0,), (0, 1), (2, 3))
@@ -109,3 +116,56 @@ def test_min_weight_order_is_permutation_and_deterministic():
         second = min_weight_order(scopes, cards, keep)
         assert first == second
         assert sorted(first) == sorted(set(range(n)) - keep)
+
+
+@st.composite
+def hypergraphs(draw):
+    """Scopes over up to 16 vertex ids with cardinalities 1-4 (so weights
+    tie often), empty scopes, vertices in no scope, and a keep set."""
+    vertices = sorted(draw(st.sets(st.integers(0, 40), max_size=16)))
+    cards = {v: draw(st.integers(1, 4)) for v in vertices}
+    if not vertices:
+        return [(), ()], cards, set()
+    member = st.sampled_from(vertices)
+    scopes = draw(st.lists(st.lists(member, max_size=4).map(tuple), max_size=20))
+    return scopes, cards, draw(st.sets(member))
+
+
+@settings(max_examples=400, deadline=None)
+@given(hypergraphs())
+def test_min_weight_order_matches_the_rescan_reference(case):
+    scopes, cards, keep = case
+    assert min_weight_order(scopes, cards, keep) == reference_min_weight_order(
+        scopes, cards, keep
+    )
+
+
+def test_d_separation_matches_trail_enumeration():
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        n = int(rng.integers(1, 8))
+        label = rng.permutation(n)  # so that ids are not a topological order
+        parents = [[] for _ in range(n)]
+        for child in range(n):
+            for parent in range(child):
+                if rng.random() < 0.4:
+                    parents[label[child]].append(int(label[parent]))
+        dag = tuple(tuple(ps) for ps in parents)
+        for a in range(n):
+            for b in range(n):
+                others = [v for v in range(n) if v not in (a, b)]
+                givens = [()] + [
+                    tuple(v for v in others if rng.random() < 0.4) for _ in range(3)
+                ]
+                for z in givens:
+                    assert d_separated(dag, a, b, z) == reference_d_separated(dag, a, b, z)
+
+
+def test_fault_tree_of_1023_nodes_marginalizes_in_seconds():
+    bn, spec, top_probability = gate_tree(512, 0)
+    assert top_probability > np.finfo(float).tiny
+    start = time.perf_counter()
+    marginal = collapse(mrf_from_bn(bn), {spec.output})
+    elapsed = time.perf_counter() - start
+    assert marginal.values[1] == pytest.approx(top_probability, rel=1e-12, abs=0.0)
+    assert elapsed < 2.0

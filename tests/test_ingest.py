@@ -335,6 +335,23 @@ def test_native_rejects_an_integer_too_large_for_a_float(
     assert info.value.field == field
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ('"1": 1.0', '"1": 1.0, "1": 5.0', "1"),
+        ('"child": "E"', '"child": "E", "child": "O"', "child"),
+    ],
+    ids=["value-map", "cpt"],
+)
+def test_native_rejects_a_repeated_key(chain, chain_analysis, old, new, key):
+    text = save_native(NativeDocument(chain, chain_analysis))
+    assert old in text
+    with pytest.raises(SchemaError, match="repeated in one object") as info:
+        load_native(text.replace(old, new, 1))
+    assert info.value.field == "document"
+    assert str(info.value) == f"document: key {key!r} repeated in one object"
+
+
 def test_native_rejects_non_json():
     with pytest.raises(SchemaError, match="document"):
         load_native("variables: nope")
