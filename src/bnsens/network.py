@@ -6,13 +6,17 @@ network holds its divisor as factors of zero-safe reciprocals, so dividing
 costs no more than multiplying. Marginalization runs variable elimination
 under the minimal-weight heuristic and keeps the result factored, which is
 what makes squaring/quotient pipelines affordable on evidence sets far too
-large to tabulate. Each bucket of the elimination is one einsum that
-multiplies its factors and sums the variable away in the same pass, so the
-product of a bucket is never stored.
+large to tabulate. Each bucket of the elimination multiplies its factors
+and sums the variable away in one kernel call, so the product of a bucket
+is never stored. A large bucket of two factors whose result outgrows both
+(an outer product over a shared summed axis) is one batched matmul; any
+other bucket is one einsum, after the one-axis factors over a common axis
+of a large bucket are multiplied into one.
 """
 
 from __future__ import annotations
 
+import math
 import string
 import warnings
 from dataclasses import dataclass
@@ -104,6 +108,15 @@ def function_tn(
 # output).
 EINSUM_LETTERS = string.ascii_letters
 EINSUM_OPERANDS = 31
+# Buckets spanning at most this many cells skip both routes of `_einsum`
+# and go straight to one np.einsum: their Python set-up costs more than it
+# saves. Measured on two cores, the matmul route took 15-28 us against
+# einsum's 5-12 us for pairs spanning up to 3072 cells and won from 12288
+# cells (31 against 50 us); merging three vectors beside two copies of a
+# 3^k factor cost 4-8 us more up to 729 cells and won from 2187 cells.
+# Networks that pruning leaves small, such as the sparse200 benchmark
+# (largest bucket 432 cells), thus never take either route.
+ROUTE_CELLS = 4096
 
 
 def _spanned(factors: Sequence[Factor]) -> tuple[int, ...]:
@@ -112,11 +125,26 @@ def _spanned(factors: Sequence[Factor]) -> tuple[int, ...]:
 
 def _einsum(factors: Sequence[Factor], axes: Sequence[int]) -> np.ndarray:
     """Product of `factors` over exactly `axes`, every other axis summed
-    away, in one `np.einsum` pass: the product itself is never stored.
+    away, without storing the product itself.
+
+    Buckets spanning more than ROUTE_CELLS cells take one of two routes,
+    chosen from the bucket's shapes alone:
+
+    - An outer-product pair (two factors that share every summed axis, with
+      a result larger than either) runs as one batched `np.matmul`: each
+      factor is copied to (shared kept, own, summed) order, and the result
+      comes back as a transposed view of the matmul output, not copied
+      into C order. With a short summed axis, einsum's inner loop is a few
+      cells long; matmul's runs over whole rows.
+    - In a bucket of more than two operands, the one-axis operands over
+      the same axis are first multiplied into one vector, so that einsum
+      multiplies fewer operands per cell.
+
+    Every other bucket, and the merged one, is one `np.einsum` pass.
 
     Axis ids are renamed to letters per call; the string form of the
     subscripts has no length cap, unlike einsum's list form. A call over
-    more than 52 axes raises `StateSpaceTooLargeError` before einsum runs;
+    more than 52 axes raises `StateSpaceTooLargeError` before any work;
     unless some of its axes have cardinality 1, its product would have at
     least 2^53 cells. More than EINSUM_OPERANDS factors are first multiplied
     in chunks over their own axes, summing nothing away. The result never
@@ -124,9 +152,13 @@ def _einsum(factors: Sequence[Factor], axes: Sequence[int]) -> np.ndarray:
     if not factors:
         return np.ones(())
     index: dict[int, int] = {}
+    span = 1  # cells of the product
     for f in factors:
-        for ax in f.axes:
-            index.setdefault(ax, len(index))
+        shape = f.values.shape
+        for k, ax in enumerate(f.axes):
+            if ax not in index:
+                index[ax] = len(index)
+                span *= shape[k]
     if len(index) > len(EINSUM_LETTERS):
         raise StateSpaceTooLargeError(
             f"a bucket over {len(index)} axes exceeds einsum's "
@@ -139,6 +171,13 @@ def _einsum(factors: Sequence[Factor], axes: Sequence[int]) -> np.ndarray:
         ]
         products = [Factor(_spanned(c), _einsum(c, _spanned(c))) for c in chunks]
         return _einsum(products, axes)
+    if span > ROUTE_CELLS:
+        if len(factors) == 2:
+            out = _outer_pair(*factors, axes)
+            if out is not None:
+                return out
+        elif len(factors) > 2:
+            factors = _merged_vectors(factors)
 
     def letters(scope):
         return "".join(EINSUM_LETTERS[index[ax]] for ax in scope)
@@ -148,6 +187,50 @@ def _einsum(factors: Sequence[Factor], axes: Sequence[int]) -> np.ndarray:
     if len(factors) == 1 and np.may_share_memory(out, factors[0].values):
         out = out.copy()  # a lone operand over its own axes comes back as a view
     return out
+
+
+def _outer_pair(a: Factor, b: Factor, axes: Sequence[int]) -> np.ndarray | None:
+    """The pair's contraction over `axes` as one batched matmul, or None
+    unless every summed axis is in both factors and the result has more
+    cells than either factor (so that neither copy below is the larger
+    array)."""
+    kept = set(axes)
+    in_a, in_b = set(a.axes), set(b.axes)
+    if in_a - kept != in_b - kept:
+        return None  # a summed axis lies in one factor only
+    cards = dict(zip(a.axes, a.values.shape))
+    cards.update(zip(b.axes, b.values.shape))
+    cells = math.prod(cards[ax] for ax in axes)
+    if cells <= a.values.size or cells <= b.values.size:
+        return None
+    batch = [ax for ax in a.axes if ax in in_b and ax in kept]
+    own_a = [ax for ax in a.axes if ax not in in_b]
+    own_b = [ax for ax in b.axes if ax not in in_a]
+    summed = [ax for ax in a.axes if ax not in kept]
+
+    def block(f: Factor, groups) -> np.ndarray:
+        position = {ax: i for i, ax in enumerate(f.axes)}
+        order = [position[ax] for group in groups for ax in group]
+        shape = [math.prod(cards[ax] for ax in group) for group in groups]
+        return np.ascontiguousarray(f.values.transpose(order)).reshape(shape)
+
+    out = np.matmul(block(a, (batch, own_a, summed)), block(b, (batch, summed, own_b)))
+    labels = batch + own_a + own_b
+    out = out.reshape([cards[ax] for ax in labels])
+    return out.transpose([labels.index(ax) for ax in axes])
+
+
+def _merged_vectors(factors: Sequence[Factor]) -> list[Factor]:
+    """`factors` with the one-axis factors over each axis multiplied into
+    one, placed after the others."""
+    vectors: dict[int, list[np.ndarray]] = {}
+    others = []
+    for f in factors:
+        if len(f.axes) == 1:
+            vectors.setdefault(f.axes[0], []).append(f.values)
+        else:
+            others.append(f)
+    return others + [Factor((ax,), math.prod(vs)) for ax, vs in vectors.items()]
 
 
 def _eliminate(factors: Sequence[Factor], drop: set[int]) -> Factor:
@@ -161,7 +244,7 @@ def marginalize(tn: TensorNetwork, eliminate: Iterable[int]) -> TensorNetwork:
     """Sum the given variables out of the network by variable elimination.
 
     Each step sums the next variable out of the product of the factors that
-    contain it, in one einsum pass that never stores the product. The
+    contain it, in one `_einsum` call that never stores the product. The
     minimal-weight heuristic picks the order. The result keeps its factored
     structure: for every assignment of the remaining variables, its
     contraction equals the sum of the input's contraction over the
@@ -180,18 +263,36 @@ def marginalize(tn: TensorNetwork, eliminate: Iterable[int]) -> TensorNetwork:
         keep=set(tn.universe) - targets,
     )
 
-    factors = list(tn.factors)
+    # Each bucket's result is appended and its factors set to None, so the
+    # live factors keep the order of a list that drops each bucket and
+    # appends its result. `holders` lists, ascending, the positions of the
+    # factors over each variable; a bucket skips those already eliminated,
+    # so no bucket scans the other factors.
+    factors: list[Factor | None] = list(tn.factors)
+    holders: dict[int, list[int]] = {}
+    for i, f in enumerate(factors):
+        for ax in f.axes:
+            if ax in holders:
+                holders[ax].append(i)
+            else:
+                holders[ax] = [i]
     for v in order:
-        bucket = [f for f in factors if v in f.axes]
-        if not bucket:
-            factors.append(Factor.scalar(tn.universe[v]))
-            continue
-        factors = [f for f in factors if v not in f.axes]
-        factors.append(_eliminate(bucket, {v}))
+        bucket = []
+        for i in holders.pop(v, ()):
+            if factors[i] is not None:
+                bucket.append(factors[i])
+                factors[i] = None
+        if bucket:
+            out = _eliminate(bucket, {v})
+            for ax in out.axes:
+                holders[ax].append(len(factors))
+        else:
+            out = Factor.scalar(tn.universe[v])
+        factors.append(out)
 
     return TensorNetwork(
         {k: c for k, c in tn.universe.items() if k not in targets},
-        tuple(factors),
+        tuple(f for f in factors if f is not None),
     )
 
 

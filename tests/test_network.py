@@ -269,6 +269,121 @@ def test_collapse_result_does_not_share_memory_with_its_input():
     assert not np.shares_memory(out.values, values)
 
 
+def _stepwise(factors, drop):
+    product = reduce(factor_product, factors)
+    return factor_sum_out(product, set(drop) & set(product.axes))
+
+
+def _pair_bucket(rng, roles, cards):
+    """Two factors over axes 0..len(roles)-1, each built by `Factor.of`
+    from a shuffled axis order, so that its values are a non-contiguous
+    view. Role k: in both, kept; s: in both, summed; a / b: in one factor
+    only, kept; x: in the first factor only, summed."""
+    scopes = (
+        [ax for ax, r in enumerate(roles) if r in "ksax"],
+        [ax for ax, r in enumerate(roles) if r in "ksb"],
+    )
+    factors = []
+    for scope in scopes:
+        shuffled = [int(ax) for ax in rng.permutation(scope)]
+        values = rng.uniform(0.5, 1.5, size=[cards[ax] for ax in shuffled])
+        factors.append(Factor.of(shuffled, values))
+    kept = tuple(ax for ax, r in enumerate(roles) if r in "kab")
+    return factors, kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    roles=st.lists(st.sampled_from("ksabx"), min_size=1, max_size=8),
+    cards=st.lists(st.integers(1, 3), min_size=8, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_einsum_of_a_pair_is_the_summed_product(roles, cards, seed):
+    # ROUTE_CELLS 0 sends every qualifying pair, however small, down the
+    # matmul route; the others (an "x" axis, or no larger result) to einsum.
+    factors, kept = _pair_bucket(np.random.default_rng(seed), roles, cards)
+    expected = _stepwise(factors, set(range(len(roles))) - set(kept)).values
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bnsens.network, "ROUTE_CELLS", 0)
+        out = bnsens.network._einsum(factors, kept)
+    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0.0)
+    assert not any(np.shares_memory(out, f.values) for f in factors)
+
+
+def _outer_pair_network():
+    """A pair over 4^7 cells whose matmul result (4^6 cells) is larger than
+    either factor (4^4 cells), beside a third factor over two of its axes.
+    The factors' own axes interleave, so the result comes back transposed."""
+    rng = np.random.default_rng(11)
+    universe = {ax: 4 for ax in range(7)}
+    a = Factor.of((4, 0, 3, 2), rng.uniform(0.5, 1.5, size=(4,) * 4))
+    b = Factor((1, 3, 5, 6), rng.uniform(0.5, 1.5, size=(4,) * 4))
+    c = Factor((0, 6), rng.uniform(0.5, 1.5, size=(4, 4)))
+    return universe, a, b, c
+
+
+def test_outer_product_pair_runs_without_einsum(monkeypatch):
+    _, a, b, _ = _outer_pair_network()
+    expected = _stepwise([a, b], {3})
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("np.einsum was called")
+
+    monkeypatch.setattr(np, "einsum", unreachable)
+    out = bnsens.network._eliminate([a, b], {3})
+    assert out.axes == expected.axes
+    np.testing.assert_allclose(out.values, expected.values, rtol=1e-12)
+
+
+def test_transposed_pair_result_feeds_buckets_quotients_and_collapse():
+    universe, a, b, c = _outer_pair_network()
+    pair = bnsens.network._eliminate([a, b], {3})
+    assert not pair.values.flags.c_contiguous  # the matmul output, transposed
+    reference = _stepwise([a, b], {3})
+    np.testing.assert_allclose(pair.values, reference.values, rtol=1e-12)
+
+    further = bnsens.network._eliminate([pair, c], {0, 6})
+    np.testing.assert_allclose(
+        further.values, _stepwise([reference, c], {0, 6}).values, rtol=1e-12
+    )
+
+    del universe[3]
+    tn = TensorNetwork(universe, (pair, c))
+    expected = _stepwise([reference, c], {1, 2, 4, 5})
+    np.testing.assert_allclose(collapse(tn, {0, 6}).values, expected.values, rtol=1e-12)
+
+    ratio = collapse(quotient(tn, TensorNetwork(universe, (pair,))), {0, 6})
+    np.testing.assert_allclose(
+        ratio.values, _stepwise([Factor((0, 6), np.full((4, 4), 4.0**4)), c], ()).values,
+        rtol=1e-12,
+    )
+
+
+def test_vectors_over_one_axis_reach_einsum_as_one_operand(monkeypatch):
+    # Two copies of a 3^9 factor, four vectors over axis 0 and two over
+    # axis 4: einsum sees the factors and one vector per axis.
+    rng = np.random.default_rng(3)
+    big = Factor(tuple(range(9)), rng.uniform(0.5, 1.5, size=(3,) * 9))
+    vectors = [Factor((0,), rng.uniform(0.5, 1.5, size=3)) for _ in range(4)]
+    vectors += [Factor((4,), rng.uniform(0.5, 1.5, size=3)) for _ in range(2)]
+    bucket = [vectors[0], big, vectors[4], vectors[1], big, *vectors[2:4], vectors[5]]
+    expected = _stepwise(bucket, {0})
+    einsum = np.einsum
+    seen = []
+
+    def recorded(subscripts, *operands, **kwargs):
+        seen.append(subscripts.split("->")[0].split(","))
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", recorded)
+    out = bnsens.network._eliminate(bucket, {0})
+    np.testing.assert_allclose(out.values, expected.values, rtol=1e-12)
+    (inputs,) = seen
+    assert len(inputs) == 4
+    assert sorted(len(s) for s in inputs) == [1, 1, 9, 9]
+    assert len({s for s in inputs if len(s) == 1}) == 2
+
+
 def test_contract_underflow_warns():
     tn = TensorNetwork(
         {0: 2},
