@@ -3,9 +3,10 @@
 A 24-node ternary network with 16 evidential roots: the function of
 interest lives on a 3^16 grid (about 4.3e7 points), far past what the
 brute-force oracle will enumerate, yet all 16 index pairs come out of
-the factored pipeline in a few hundredths of a second (0.031-0.034 s
-over ten runs on two idle cores, 0.08-0.15 s on two busy ones). This is the point of the method: marginalization
-queries replace enumeration or sampling of f. Three interior nodes are
+the factored pipeline in a few hundredths of a second (0.044-0.064 s
+over ten runs on two shared cores). This is the point of the method:
+marginalization queries replace enumeration or sampling of f, and one
+calibration gives all 16 first-order indices at once. Three interior nodes are
 barren and never become factors, and roots N1, N4, N5 and N6 have no
 path to the output, so their indices are exact zeros that need no query.
 """

@@ -11,16 +11,21 @@ and sums the variable away in one kernel call, so the product of a bucket
 is never stored. A large bucket of two factors whose result outgrows both
 (an outer product over a shared summed axis) is one batched matmul; any
 other bucket is one einsum, after the one-axis factors over a common axis
-of a large bucket are multiplied into one.
+of a large bucket are multiplied into one. `marginals` gives the marginal
+on every variable from one order: the same buckets run forward, and a
+backward pass over them sends each message the contraction of everything
+else, its outside factor.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import string
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -240,6 +245,41 @@ def _eliminate(factors: Sequence[Factor], drop: set[int]) -> Factor:
     return Factor(kept, _einsum(factors, kept))
 
 
+def _buckets(
+    factors: list[Factor | None], universe: Mapping[int, int], order: Iterable[int]
+) -> Iterator[tuple[int, list[int]]]:
+    """Eliminate the variables of `order` from `factors` in place, one
+    bucket each, and yield each bucket's variable and the positions of its
+    factors once its message is appended.
+
+    Each bucket's message is appended and its factors set to None, so the
+    live factors keep the order of a list that drops each bucket and
+    appends its result, and with n factors passed in, the message of the
+    k-th bucket sits at position n + k. `holders` lists, ascending, the
+    positions of the factors over each variable; a bucket skips those
+    already eliminated, so no bucket scans the other factors. A variable
+    carried by no factor sends its cardinality as a scalar."""
+    holders: dict[int, list[int]] = {}
+    for i, f in enumerate(factors):
+        for ax in f.axes:
+            if ax in holders:
+                holders[ax].append(i)
+            else:
+                holders[ax] = [i]
+    for v in order:
+        positions = [i for i in holders.pop(v, ()) if factors[i] is not None]
+        if positions:
+            out = _eliminate([factors[i] for i in positions], {v})
+            for i in positions:
+                factors[i] = None
+            for ax in out.axes:
+                holders[ax].append(len(factors))
+        else:
+            out = Factor.scalar(universe[v])
+        factors.append(out)
+        yield v, positions
+
+
 def marginalize(tn: TensorNetwork, eliminate: Iterable[int]) -> TensorNetwork:
     """Sum the given variables out of the network by variable elimination.
 
@@ -262,38 +302,72 @@ def marginalize(tn: TensorNetwork, eliminate: Iterable[int]) -> TensorNetwork:
         tn.universe,
         keep=set(tn.universe) - targets,
     )
-
-    # Each bucket's result is appended and its factors set to None, so the
-    # live factors keep the order of a list that drops each bucket and
-    # appends its result. `holders` lists, ascending, the positions of the
-    # factors over each variable; a bucket skips those already eliminated,
-    # so no bucket scans the other factors.
     factors: list[Factor | None] = list(tn.factors)
-    holders: dict[int, list[int]] = {}
-    for i, f in enumerate(factors):
-        for ax in f.axes:
-            if ax in holders:
-                holders[ax].append(i)
-            else:
-                holders[ax] = [i]
-    for v in order:
-        bucket = []
-        for i in holders.pop(v, ()):
-            if factors[i] is not None:
-                bucket.append(factors[i])
-                factors[i] = None
-        if bucket:
-            out = _eliminate(bucket, {v})
-            for ax in out.axes:
-                holders[ax].append(len(factors))
-        else:
-            out = Factor.scalar(tn.universe[v])
-        factors.append(out)
+    for _ in _buckets(factors, tn.universe, order):
+        pass
 
     return TensorNetwork(
         {k: c for k, c in tn.universe.items() if k not in targets},
         tuple(f for f in factors if f is not None),
     )
+
+
+def marginals(tn: TensorNetwork) -> dict[int, np.ndarray]:
+    """The marginal of the network's contraction on each variable of its
+    universe, from one elimination order and two passes over its buckets.
+
+    The forward pass eliminates every variable as `marginalize` does and
+    keeps each bucket's factors. The backward pass walks the buckets in
+    reverse and gives each message an outside factor over its axes: the
+    contraction of everything but the message, which is the product of the
+    other final scalars for a message that no bucket takes, and otherwise
+    one `_einsum` of the taking bucket's other factors and that bucket's
+    own outside factor. A bucket's variable then has the marginal
+    `_einsum` of the bucket's factors and its outside factor; a variable
+    carried by no factor has its outside scalar in every state. No product
+    is ever divided out, so zero and negative entries are exact. Each
+    message is dropped once its taker has sent its outside factor."""
+    order = min_weight_order([f.axes for f in tn.factors], tn.universe, keep=())
+    factors: list[Factor | None] = list(tn.factors)
+    kept: list[Factor | None] = list(tn.factors)  # factors and messages, by position
+    buckets = []
+    for v, positions in _buckets(factors, tn.universe, order):
+        buckets.append((v, positions))
+        kept.append(factors[-1])
+
+    # The live factors are now scalars that multiply to the contraction;
+    # each gets the product of the others, from prefix and suffix products.
+    finals = [i for i, f in enumerate(factors) if f is not None]
+    scalars = [float(factors[i].values) for i in finals]
+    before = itertools.accumulate(scalars[:-1], operator.mul, initial=1.0)
+    after = itertools.accumulate(reversed(scalars[1:]), operator.mul, initial=1.0)
+    outside = {
+        i: Factor.scalar(b * a) for i, b, a in zip(finals, before, [*after][::-1])
+    }
+
+    first_message = len(tn.factors)
+    result = {}
+    for k in reversed(range(len(buckets))):
+        v, positions = buckets[k]
+        out = outside.pop(first_message + k)
+        if not positions:
+            result[v] = np.full(tn.universe[v], float(out.values))
+            continue
+        bucket = [kept[i] for i in positions]
+        result[v] = _einsum([*bucket, out], (v,))
+        for m, i in enumerate(positions):
+            if i < first_message:
+                continue
+            others = [*bucket[:m], *bucket[m + 1 :], out]
+            held = {ax for f in others for ax in f.axes}
+            axes = kept[i].axes
+            ones = [
+                Factor((ax,), np.ones(tn.universe[ax])) for ax in axes if ax not in held
+            ]
+            outside[i] = Factor(axes, _einsum([*others, *ones], axes))
+        for i in positions:
+            kept[i] = None
+    return result
 
 
 def contract_all(tn: TensorNetwork) -> float:
@@ -363,13 +437,14 @@ def quotient(tn: TensorNetwork, divisor: TensorNetwork) -> TensorNetwork:
             raise AxisCardinalityMismatchError(
                 f"variable {var}: cardinality {tn.universe[var]} vs divisor {card}"
             )
-    tiny = np.finfo(np.float64).tiny
-    reciprocals = []
-    for f in divisor.factors:
-        small = np.abs(f.values) < tiny
-        values = np.divide(1.0, f.values, out=np.zeros(f.values.shape), where=~small)
-        reciprocals.append(Factor(f.axes, values))
-    return TensorNetwork(tn.universe, tn.factors + tuple(reciprocals))
+    reciprocals = tuple(Factor(f.axes, reciprocal(f.values)) for f in divisor.factors)
+    return TensorNetwork(tn.universe, tn.factors + reciprocals)
+
+
+def reciprocal(values: np.ndarray) -> np.ndarray:
+    """1/x where |x| is at least the smallest normal float, else 0."""
+    small = np.abs(values) < np.finfo(np.float64).tiny
+    return np.divide(1.0, values, out=np.zeros(values.shape), where=~small)
 
 
 def collapse(tn: TensorNetwork, keep: Iterable[int]) -> Factor:

@@ -6,9 +6,11 @@ effect of evidential variable i, and the total index
 S^T_i = E_{~i}[Var_i[f]] / Var[f] = 1 - Var_{~i}[E_i[f]] / Var[f] its
 overall effect including interactions; the closed index of a group of
 evidential variables is the group's variance component. `compute_all`
-computes them all, each from one conditional-moment query
-E[E[f | keep]^2] over a squared and quotient network, so f itself is
-never tabulated.
+computes them all without tabulating f. Each total and closed index, and
+Var[f], is one conditional-moment query E[E[f | keep]^2] over a squared
+and quotient network. The first-order indices need only one-variable
+marginals, and one calibration of the function network and one of the
+evidence marginal give them for every variable at once.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ from .network import (
     collapse,
     contract_all,
     marginalize,
+    marginals,
     mrf_from_bn,
     quotient,
+    reciprocal,
     square_wrt,
 )
 from .tensor import Factor
@@ -57,7 +61,12 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class IndexEntry:
-    """Sensitivity results for one evidential variable or variable group."""
+    """Sensitivity results for one evidential variable or variable group.
+
+    `s_time` and `st_time` are the seconds spent on `s` and `st`. The
+    first-order indices share one calibration, and each one computed from
+    it is charged an equal share of its time plus its own arithmetic, so
+    the times still add up to the work done."""
 
     variables: tuple[int, ...]
     name: str
@@ -102,10 +111,15 @@ def _conditional_second_moment(
 
 # Module-level so that bench/spans.py and the tests can hook each query.
 def variance_component(
-    i: int, t: TensorNetwork, j: TensorNetwork, mean: float, variance: float
+    i: int, t_i: np.ndarray, j_i: np.ndarray, mean: float, variance: float
 ) -> float:
-    """First-order effect S_i = (E[E[f | i]^2] - E[f]^2) / Var[f]."""
-    return (_conditional_second_moment(t, j, frozenset((i,))) - mean * mean) / variance
+    """First-order effect S_i = (E[E[f | i]^2] - E[f]^2) / Var[f] of
+    variable i, from the marginals t_i = P(i) E[f | i] and j_i = P(i) of
+    the function network and the evidence marginal on i: E[E[f | i]^2] is
+    the sum of t_i^2 / j_i, and a zero cell of j_i, where t_i is zero too,
+    adds 0. `i` names the variable for the hooks; the value does not
+    depend on it."""
+    return (float(t_i @ (t_i * reciprocal(j_i))) - mean * mean) / variance
 
 
 def total_index(
@@ -132,18 +146,22 @@ def compute_all(
     E[f] from the output marginal, so the moments are taken about the mean
     and the indices hold under any affine map of the values and for rare
     events; Var[f] at most DEGENERATE_VARIANCE_TOL times Var[g(O)] raises.
-    Both networks have the non-evidential variables summed out, so every
-    index is one conditional-moment query over two small networks and no
-    query squares a chance variable. The evidence marginal is built over
-    An(evidence) alone, where every other node is barren; with root
-    evidence nothing is eliminated to build it. Some indices need no query
-    and are exact zeros: S_i when i is d-separated from the output, since
-    E[f | i] is then constant, and S^T_i when the rest of the evidence
-    d-separates i from the output, since f is then flat along i.
-    Per-variable work is independent; `options.workers` > 1 runs it in a
-    thread pool. Entries are ordered by variable id regardless, with the
-    closed subsets last; with neither `first` nor `total` requested there
-    are no per-variable entries."""
+    Both networks have the non-evidential variables summed out, so no
+    query squares a chance variable. Var[f] and each total and closed index
+    are one conditional-moment query over the two small networks. Every
+    first-order index comes from the one-variable marginals of both, which
+    one calibration of each yields for all variables (`marginals`); with a
+    single evidential variable, E[f | i] is f and S_i is 1.0 without one.
+    The evidence marginal is built over An(evidence) alone, where every
+    other node is barren; with root evidence nothing is eliminated to build
+    it. Some indices need no query and are exact zeros: S_i when i is
+    d-separated from the output, since E[f | i] is then constant, and S^T_i
+    when the rest of the evidence d-separates i from the output, since f is
+    then flat along i. Per-variable work after the calibration is
+    independent; `options.workers` > 1 runs it in a thread pool. Entries
+    are ordered by variable id regardless, with the closed subsets last;
+    with neither `first` nor `total` requested there are no per-variable
+    entries."""
     options = options or ComputeOptions()
     validate_partition(bn, spec)
     closed = [tuple(sorted(int(v) for v in subset)) for subset in options.closed]
@@ -194,12 +212,32 @@ def compute_all(
     if not variance > DEGENERATE_VARIANCE_TOL * float(p_out @ (g * g)):
         raise DegenerateOutputError(f"output variance {variance!r} is numerically zero")
 
+    # Every first-order query needs only the one-variable marginals of t
+    # and j, so one calibration of each serves them all, and each S_i is
+    # charged an equal share of it. With one evidential variable, E[f | i]
+    # is f itself and S_i is the variance query over itself, 1.0 exactly.
+    queried = [i for i in targets if i not in zero_s] if options.first else []
+    calibration_share = 0.0
+    if queried and len(spec.evidential) > 1:
+        t0 = time.perf_counter()
+        t_marginals, j_marginals = marginals(t), marginals(j)
+        calibration_share = (time.perf_counter() - t0) / len(queried)
+
+    def first_order(i: int) -> float:
+        if i in zero_s:
+            return 0.0
+        if len(spec.evidential) == 1:
+            return 1.0
+        return variance_component(i, t_marginals[i], j_marginals[i], mean, variance)
+
     def one_variable(i: int) -> IndexEntry:
         s = s_time = st = st_time = None
         if options.first:
             t0 = time.perf_counter()
-            s = 0.0 if i in zero_s else variance_component(i, t, j, mean, variance)
+            s = first_order(i)
             s_time = time.perf_counter() - t0
+            if i not in zero_s:
+                s_time += calibration_share
         if options.total:
             t0 = time.perf_counter()
             st = 0.0 if i in zero_st else total_index(i, t, j, mean, variance)

@@ -24,6 +24,7 @@ from bnsens import (
     quotient,
     square_wrt,
 )
+from bnsens.network import marginals
 from bnsens.oracle import brute_force_f
 from bnsens.tensor import factor_product, factor_sum_out
 from helpers import chain_bn, random_tn, tn_marginal, tn_table
@@ -171,6 +172,47 @@ def test_marginalize_counts_unsupported_variables():
     # A universe variable carried by no factor sums to its cardinality.
     tn = TensorNetwork({0: 3, 1: 2}, (Factor((1,), [0.5, 0.5]),))
     assert contract_all(tn) == pytest.approx(3.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    empty=st.booleans(),
+    unit_axis=st.booleans(),
+    loose=st.booleans(),
+    second=st.booleans(),
+    scalar=st.booleans(),
+)
+def test_marginals_match_collapse_on_every_variable(
+    seed, empty, unit_axis, loose, second, scalar
+):
+    # random_tn draws entries in [-1, 1.5), so products change sign and no
+    # outside factor may be taken by division. The flags add a
+    # cardinality-1 axis, a variable in no factor, a second component over
+    # ids of its own and a scalar factor; with `empty` and no other flag
+    # the universe is empty.
+    rng = np.random.default_rng(seed)
+    n = 0 if empty else int(rng.integers(2, 6))
+    universe = {i: int(rng.integers(2, 4)) for i in range(n)}
+    if unit_axis:
+        universe[7] = 1
+    tn = random_tn(rng, universe=universe) if universe else TensorNetwork({})
+    universe, factors = dict(tn.universe), list(tn.factors)
+    if second:
+        other = random_tn(rng, universe={10: 3, 11: 2, 12: 2})
+        universe.update(other.universe)
+        factors += other.factors
+    if loose:
+        universe[20] = 3
+    if scalar:
+        factors.append(Factor.scalar(float(rng.uniform(-2.0, 2.0))))
+    tn = TensorNetwork(universe, tuple(factors))
+    got = marginals(tn)
+    assert sorted(got) == sorted(universe)
+    for v in universe:
+        want = collapse(tn, {v}).values
+        assert got[v].shape == want.shape
+        np.testing.assert_allclose(got[v], want, rtol=1e-12, atol=1e-12)
 
 
 def test_contract_empty_network_is_one():

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from functools import reduce
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bnsens.network
+import bnsens.sobol
 from bnsens import (
     AnalysisSpec,
     ComputeOptions,
@@ -140,6 +142,75 @@ def test_matches_oracle_on_random_instances():
         for a, b in zip(mine.indices, reference.indices):
             assert a.s == pytest.approx(b.s, abs=1e-8)
             assert a.st == pytest.approx(b.st, abs=1e-8)
+
+
+def test_first_order_indices_match_oracle_with_non_root_evidence():
+    checked = 0
+    for seed in range(40):
+        bn, spec = random_instance(seed + 700)
+        if all(not bn.cpts[i].parents for i in spec.evidential):
+            continue
+        mine = compute_all(bn, spec, ComputeOptions(total=False))
+        reference = brute_force_indices(bn, spec)
+        for a, b in zip(mine.indices, reference.indices):
+            assert a.variables == b.variables
+            assert a.s == pytest.approx(b.s, abs=1e-10)
+        checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("p", [1e-3, 1e-6])
+def test_first_order_indices_match_oracle_on_zero_probability_evidence_cells(p):
+    # B0 never fails, so the marginal of B0 has a zero cell; G1 = AND(B2,
+    # B3) makes zero cells in the joint evidence marginal as well.
+    bn, spec = fault_tree(p)
+    bn = DiscreteBayesNet(bn.variables, (Cpt(0, (), [[1.0, 0.0]]), *bn.cpts[1:]))
+    mine = compute_all(bn, spec)
+    reference = brute_force_indices(bn, spec)
+    for a, b in zip(mine.indices, reference.indices):
+        assert a.name == b.name
+        assert a.s == pytest.approx(b.s, abs=1e-12)
+        assert a.st == pytest.approx(b.st, abs=1e-12)
+
+
+def test_first_order_indices_take_a_fixed_number_of_orderings(monkeypatch):
+    # All first-order indices come from one calibration of each network,
+    # so the ordering calls do not grow with the number of evidential roots.
+    order = bnsens.network.min_weight_order
+    counts = []
+    for roots in (4, 12):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return order(*args, **kwargs)
+
+        bn, spec = layered_network(5, roots, 5, 2)
+        with monkeypatch.context() as m:
+            m.setattr(bnsens.network, "min_weight_order", counted)
+            report = compute_all(bn, spec, ComputeOptions(total=False))
+        assert sum(e.s > 0.0 for e in report.indices) >= 2
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_first_order_times_share_the_calibration(monkeypatch):
+    # Each calibration is slowed by 20 ms: the first-order times must still
+    # add up to the work, shared equally by the variables that used it.
+    calibrate = bnsens.sobol.marginals
+
+    def slow(tn):
+        time.sleep(0.02)
+        return calibrate(tn)
+
+    monkeypatch.setattr(bnsens.sobol, "marginals", slow)
+    bn, spec = layered_network(5, 4, 5, 2)
+    entries = compute_all(bn, spec, ComputeOptions(total=False)).indices
+    queried = [e for e in entries if e.s != 0.0]
+    assert len(queried) >= 2
+    for entry in queried:
+        assert entry.s_time >= 0.04 / len(queried)
+    assert sum(e.s_time for e in entries) >= 0.04
 
 
 def test_closed_index_of_singleton_matches_component():
