@@ -35,7 +35,6 @@ from .errors import (
 )
 from .graph import (
     ancestors,
-    children,
     d_separated,
     descendants,
     min_weight_order,
@@ -71,7 +70,6 @@ from .oracle import (
     FunctionTable,
     JointTable,
     McReport,
-    brute_force_closed,
     brute_force_f,
     brute_force_indices,
     enumerate_joint,

@@ -86,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="report timing fields as zero (for reproducible output)",
     )
-    compute.add_argument("--workers", type=int, default=1)
 
     oracle = sub.add_parser("oracle", help="brute-force reference computation")
     add_network_args(oracle)
@@ -355,7 +354,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     bn, base_spec, name = _load_network(args)
     spec = _resolve_spec(bn, base_spec, args)
     first, total, closed = _parse_indices(args.indices, bn)
-    options = ComputeOptions(first=first, total=total, closed=closed, workers=args.workers)
+    options = ComputeOptions(first=first, total=total, closed=closed)
     report = compute_all(bn, spec, options)
     sys.stdout.write(_format_report(report, name, args.report_format, args.no_timings))
     return EXIT_OK

@@ -96,7 +96,9 @@ def _centred(
     """`brute_force_f` for the value map v rescaled to g = (v - E[f]) /
     spread, spread = max v - min v (1 for a constant map), with E[f] from
     the output marginal; then E[f] and spread, which undo that, and
-    Var[g(O)], which bounds the rounding noise in the table."""
+    Var[g(O)], which bounds the rounding noise in the table. Var[g(O)] is
+    exactly 0 when v is constant on the labels of nonzero probability,
+    where summing it would leave rounding noise instead."""
     validate_partition(bn, spec)
     joint = enumerate_joint(bn, max_cells).probabilities
     values = output_values(bn, spec)
@@ -112,11 +114,18 @@ def _centred(
     zero = pr == 0.0
     table = np.divide(weighted, pr, out=np.zeros_like(weighted), where=~zero)
     ft = FunctionTable(tuple(sorted(spec.evidential)), pr, table, zero)
-    return ft, low + spread * float(unit @ p_out), spread, float(p_out @ (g * g))
+    output_variance = float(p_out @ (g * g)) if np.ptp(values[p_out != 0]) else 0.0
+    return ft, low + spread * float(unit @ p_out), spread, output_variance
 
 
 def _nondegenerate(variance: float, output_variance: float) -> float:
-    """`variance` of the rescaled f; a noise-level share of Var[g(O)] raises."""
+    """`variance` of the rescaled f; a zero Var[g(O)] or a noise-level
+    share of it raises."""
+    if output_variance == 0.0:
+        raise DegenerateOutputError(
+            "the value map is constant on the output's possible labels; "
+            "indices undefined"
+        )
     if not variance > DEGENERATE_SHARE * output_variance:
         raise DegenerateOutputError(f"output variance {variance!r} is numerically zero")
     return variance

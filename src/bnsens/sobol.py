@@ -19,7 +19,6 @@ import itertools
 import logging
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -86,6 +85,15 @@ class SobolReport:
 
 @dataclass(frozen=True)
 class ComputeOptions:
+    """What `compute_all` computes.
+
+    `first` and `total` ask for S_i and S^T_i of every evidential variable;
+    `closed` lists groups of evidential variable ids whose closed index is
+    reported after them. `workers` is accepted and ignored: the queries
+    run one after another, since spreading them over threads never paid
+    on the benchmark workloads, and the field stays only while the
+    benchmark harness (`bench/run.py`) still passes it."""
+
     first: bool = True
     total: bool = True
     closed: tuple[tuple[int, ...], ...] = ()
@@ -145,9 +153,11 @@ def compute_all(
     maps each output value v to g(v) = (v - E[f]) / (max v - min v), with
     E[f] from the output marginal, so the moments are taken about the mean
     and the indices hold under any affine map of the values and for rare
-    events; Var[f] at most DEGENERATE_VARIANCE_TOL times Var[g(O)] raises.
-    Both networks have the non-evidential variables summed out, so no
-    query squares a chance variable. Var[f] and each total and closed index
+    events. A value map constant on the labels of nonzero probability
+    raises DegenerateOutputError, and so does Var[f] at most
+    DEGENERATE_VARIANCE_TOL times Var[g(O)]. Both networks have the
+    non-evidential variables summed out, so no query squares a chance
+    variable. Var[f] and each total and closed index
     are one conditional-moment query over the two small networks. Every
     first-order index comes from the one-variable marginals of both, which
     one calibration of each yields for all variables (`marginals`); with a
@@ -157,11 +167,9 @@ def compute_all(
     it. Some indices need no query and are exact zeros: S_i when i is
     d-separated from the output, since E[f | i] is then constant, and S^T_i
     when the rest of the evidence d-separates i from the output, since f is
-    then flat along i. Per-variable work after the calibration is
-    independent; `options.workers` > 1 runs it in a thread pool. Entries
-    are ordered by variable id regardless, with the closed subsets last;
-    with neither `first` nor `total` requested there are no per-variable
-    entries."""
+    then flat along i. Entries are ordered by variable id, with the closed
+    subsets last; with neither `first` nor `total` requested there are no
+    per-variable entries."""
     options = options or ComputeOptions()
     validate_partition(bn, spec)
     closed = [tuple(sorted(int(v) for v in subset)) for subset in options.closed]
@@ -174,8 +182,6 @@ def compute_all(
     started = time.perf_counter()
     values = output_values(bn, spec)
     low, spread = float(values.min()), float(np.ptp(values))
-    if spread == 0.0:
-        raise DegenerateOutputError("the value map is constant; indices undefined")
     dag = bn.dag()
     relevant = ancestors(dag, spec.evidential | {spec.output})
     _log.debug("pruned barren nodes %s", sorted(set(range(bn.n)) - relevant))
@@ -197,6 +203,11 @@ def compute_all(
 
     mrf = mrf_from_bn(bn, relevant)
     p_out = collapse(mrf, {spec.output}).values
+    if np.ptp(values[p_out != 0]) == 0:
+        raise DegenerateOutputError(
+            "the value map is constant on the output's possible labels; "
+            "indices undefined"
+        )
     unit = (values - low) / spread
     centre = float(unit @ p_out)
     g = unit - centre
@@ -223,18 +234,17 @@ def compute_all(
         t_marginals, j_marginals = marginals(t), marginals(j)
         calibration_share = (time.perf_counter() - t0) / len(queried)
 
-    def first_order(i: int) -> float:
-        if i in zero_s:
-            return 0.0
-        if len(spec.evidential) == 1:
-            return 1.0
-        return variance_component(i, t_marginals[i], j_marginals[i], mean, variance)
-
-    def one_variable(i: int) -> IndexEntry:
+    entries = []
+    for i in targets:
         s = s_time = st = st_time = None
         if options.first:
             t0 = time.perf_counter()
-            s = first_order(i)
+            if i in zero_s:
+                s = 0.0
+            elif len(spec.evidential) == 1:
+                s = 1.0
+            else:
+                s = variance_component(i, t_marginals[i], j_marginals[i], mean, variance)
             s_time = time.perf_counter() - t0
             if i not in zero_s:
                 s_time += calibration_share
@@ -242,13 +252,7 @@ def compute_all(
             t0 = time.perf_counter()
             st = 0.0 if i in zero_st else total_index(i, t, j, mean, variance)
             st_time = time.perf_counter() - t0
-        return IndexEntry((i,), bn.variables[i].name, s, s_time, st, st_time)
-
-    if options.workers > 1:
-        with ThreadPoolExecutor(max_workers=options.workers) as pool:
-            entries = list(pool.map(one_variable, targets))
-    else:
-        entries = [one_variable(i) for i in targets]
+        entries.append(IndexEntry((i,), bn.variables[i].name, s, s_time, st, st_time))
 
     for ids in closed:
         t0 = time.perf_counter()

@@ -1,5 +1,9 @@
-"""Dense factors over integer variable axes: products, marginal sums and
-guarded division."""
+"""Dense factors over integer variable axes.
+
+The engine uses only `Factor`: `bnsens.network` contracts whole buckets in
+one kernel. `factor_product`, `factor_sum_out` and `factor_div` (a guarded
+pointwise division) remain as plain references for the tests and as the
+functions that `bench/spans.py` hooks."""
 
 from __future__ import annotations
 

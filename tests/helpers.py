@@ -156,6 +156,83 @@ def fault_tree(p: float) -> tuple[DiscreteBayesNet, AnalysisSpec]:
     return DiscreteBayesNet(variables, tuple(cpts)), spec
 
 
+def constant_on_support_chain() -> tuple[DiscreteBayesNet, AnalysisSpec]:
+    """A -> O and a root B, both evidential; O is "0" whatever A is, so the
+    value map, whose two values differ by 1e9, is constant where O has
+    nonzero probability."""
+    variables = (
+        Variable(0, "A", ("0", "1")),
+        Variable(1, "O", ("0", "1")),
+        Variable(2, "B", ("0", "1", "2")),
+    )
+    cpts = (
+        Cpt(0, (), [[0.6461178510477767, 0.35388214895222336]]),
+        Cpt(1, (0,), [[1.0, 0.0], [1.0, 0.0]]),
+        Cpt(2, (), [[0.877452715446918, 0.10352075442536514, 0.01902653012771668]]),
+    )
+    spec = AnalysisSpec(1, frozenset({0, 2}), {"0": 1000000001.9493587, "1": 17.37900495331739})
+    return DiscreteBayesNet(variables, cpts), spec
+
+
+def impossible_label_grid() -> tuple[DiscreteBayesNet, AnalysisSpec]:
+    """Evidential roots A and B over O, whose label "1" is impossible in
+    every row of its CPT."""
+    variables = (
+        Variable(0, "A", ("0", "1")),
+        Variable(1, "B", ("0", "1", "2")),
+        Variable(2, "O", ("0", "1")),
+    )
+    cpts = (
+        Cpt(0, (), [[0.05, 0.95]]),
+        Cpt(1, (), [[0.2, 0.3, 0.5]]),
+        Cpt(2, (0, 1), [[1.0, 0.0]] * 6),
+    )
+    spec = AnalysisSpec(2, frozenset({0, 1}), {"0": 1.0, "1": 0.0})
+    return DiscreteBayesNet(variables, cpts), spec
+
+
+def sparse_instance(seed: int) -> tuple[DiscreteBayesNet, AnalysisSpec]:
+    """A seeded network of 3-7 nodes with cardinalities 2-4 and an output
+    with parents where there is one. The CPTs have zero entries, more of
+    them in the output's rows; in about a quarter of the networks one
+    output label is impossible in every row. The value map is scaled by
+    1e-4 to 1e4 and shifted by 0 or 1e6. Nothing is filtered out, so the
+    analysis may be degenerate."""
+    rng = np.random.default_rng((seed, 15))
+    n = int(rng.integers(3, 8))
+    cards = [int(c) for c in rng.integers(2, 5, size=n)]
+    parent_sets = []
+    for i in range(n):
+        k = int(rng.integers(0, min(i, 3) + 1))
+        parent_sets.append(tuple(sorted(int(p) for p in rng.choice(i, size=k, replace=False))))
+    with_parents = [i for i in range(n) if parent_sets[i]] or list(range(n))
+    output = int(rng.choice(with_parents))
+    impossible = int(rng.integers(0, cards[output])) if rng.random() < 0.25 else None
+    variables, cpts = [], []
+    for i, parents in enumerate(parent_sets):
+        variables.append(Variable(i, f"X{i}", tuple(str(k) for k in range(cards[i]))))
+        rows = int(np.prod([cards[p] for p in parents]))
+        table = rng.random((rows, cards[i]))
+        table[rng.random(table.shape) < (0.5 if i == output else 0.2)] = 0.0
+        if i == output and impossible is not None:
+            table[:, impossible] = 0.0
+        for row in table:
+            if not row.any():
+                choices = [c for c in range(cards[i]) if c != impossible or i != output]
+                row[rng.choice(choices)] = 1.0
+        cpts.append(Cpt(i, parents, table / table.sum(axis=1, keepdims=True)))
+    others = [i for i in range(n) if i != output]
+    k = int(rng.integers(1, len(others) + 1))
+    evidential = frozenset(int(x) for x in rng.choice(others, size=k, replace=False))
+    scale = 10.0 ** rng.uniform(-4, 4)
+    shift = float(rng.choice([0.0, 1e6]))
+    value_map = {
+        label: scale * float(rng.random()) + shift for label in variables[output].domain
+    }
+    spec = AnalysisSpec(output, evidential, value_map)
+    return DiscreteBayesNet(tuple(variables), tuple(cpts)), spec
+
+
 def gate_tree(leaves: int, seed: int) -> tuple[DiscreteBayesNet, AnalysisSpec, float]:
     """A fault tree of 2 * leaves - 1 nodes and its top event's failure
     probability from a per-gate recursion.

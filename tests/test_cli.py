@@ -17,6 +17,7 @@ from bnsens import (
     save_native,
 )
 from bnsens.cli import main
+from helpers import constant_on_support_chain, impossible_label_grid
 
 GOLDEN = Path(__file__).parent / "golden"
 CHAIN = str(GOLDEN / "chain.native")
@@ -166,6 +167,18 @@ def test_degenerate_output_exits_3(tmp_path):
     )
     assert code == 3
     assert "DegenerateOutput" in err
+
+
+@pytest.mark.parametrize("network", [constant_on_support_chain, impossible_label_grid])
+@pytest.mark.parametrize("command", ["compute", "oracle"])
+def test_map_constant_on_the_output_support_exits_3(tmp_path, command, network):
+    bn, spec = network()
+    path = tmp_path / "constant.native"
+    path.write_text(save_native(NativeDocument(bn, spec)))
+    code, out, err = run_cli(command, "--network", str(path))
+    assert code == 3
+    assert out == ""
+    assert "DegenerateOutputError" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from bnsens import (
     CyclicGraphError,
     ancestors,
-    children,
     collapse,
     d_separated,
     descendants,
     min_weight_order,
     mrf_from_bn,
 )
+from bnsens.graph import children
 from bnsens.model import _check_acyclic
 from helpers import gate_tree, reference_d_separated, reference_min_weight_order
 

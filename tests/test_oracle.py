@@ -9,12 +9,18 @@ from bnsens import (
     generate_random_bn,
 )
 from bnsens.oracle import (
+    brute_force_closed,
     brute_force_f,
     brute_force_indices,
     enumerate_joint,
     mc_indices,
 )
-from helpers import common_parent_bn, xor_bn
+from helpers import (
+    common_parent_bn,
+    constant_on_support_chain,
+    impossible_label_grid,
+    xor_bn,
+)
 
 
 def test_enumerate_chain_joint(chain):
@@ -83,6 +89,20 @@ def test_brute_force_degenerate(chain):
     spec = AnalysisSpec(1, frozenset({0}), {"0": 1.0, "1": 1.0})
     with pytest.raises(DegenerateOutputError):
         brute_force_indices(chain, spec)
+
+
+@pytest.mark.parametrize("network", [constant_on_support_chain, impossible_label_grid])
+def test_map_constant_on_the_output_support_is_degenerate(network):
+    # brute_force_f still tabulates f; every index function raises.
+    bn, spec = network()
+    table = brute_force_f(bn, spec)
+    assert np.ptp(table.values[~table.zero_probability]) <= 1e-6
+    with pytest.raises(DegenerateOutputError):
+        brute_force_indices(bn, spec)
+    with pytest.raises(DegenerateOutputError):
+        brute_force_closed(bn, spec, sorted(spec.evidential)[:1])
+    with pytest.raises(DegenerateOutputError):
+        mc_indices(bn, spec, samples=100, seed=1)
 
 
 def test_mc_within_three_standard_errors(chain, chain_analysis):

@@ -36,10 +36,13 @@ from helpers import (
     chain_bn,
     chain_spec,
     common_parent_bn,
+    constant_on_support_chain,
     fault_tree,
+    impossible_label_grid,
     layered_network,
     random_instance,
     random_roots_instance,
+    sparse_instance,
     wide_chance_network,
     xor_bn,
 )
@@ -404,6 +407,34 @@ def test_output_constant_through_a_chance_node_is_degenerate(analysis, shift):
         analysis(bn, spec)
 
 
+@pytest.mark.parametrize("network", [constant_on_support_chain, impossible_label_grid])
+@pytest.mark.parametrize("analysis", [compute_all, brute_force_indices])
+def test_map_constant_on_the_output_support_is_degenerate(analysis, network):
+    # Only O = "0" has nonzero probability, so f is constant, and Var[f] and
+    # Var[g(O)] are both rounding noise: their ratio can clear any relative
+    # floor and give indices such as S_A = 0.5 or S = 2.0.
+    bn, spec = network()
+    with pytest.raises(DegenerateOutputError):
+        analysis(bn, spec)
+
+
+def test_sparse_networks_agree_with_the_oracle():
+    # Zero CPT entries, impossible output labels and affinely moved maps:
+    # the engine and the oracle both call the analysis degenerate, or agree.
+    for seed in range(300):
+        bn, spec = sparse_instance(seed)
+        try:
+            reference = brute_force_indices(bn, spec)
+        except DegenerateOutputError:
+            with pytest.raises(DegenerateOutputError):
+                compute_all(bn, spec)
+            continue
+        report = compute_all(bn, spec)
+        for mine, ref in zip(report.indices, reference.indices, strict=True):
+            assert mine.s == pytest.approx(ref.s, abs=1e-9), seed
+            assert mine.st == pytest.approx(ref.st, abs=1e-9), seed
+
+
 @pytest.mark.parametrize("p",[1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
 def test_rare_event_fault_tree_matches_centred_oracle(p):
     bn, spec = fault_tree(p)
@@ -492,14 +523,15 @@ def test_freezing_a_zero_total_index_variable():
     assert np.abs(table.values - frozen[:, None]).max() <= 1e-6
 
 
-def test_compute_all_parallel_matches_sequential():
+def test_compute_options_workers_is_accepted_and_ignored():
     bn, spec = random_instance(601)
-    sequential = compute_all(bn, spec)
-    parallel = compute_all(bn, spec, ComputeOptions(workers=4))
-    for a, b in zip(sequential.indices, parallel.indices):
-        assert a.variables == b.variables
-        assert a.s == pytest.approx(b.s, abs=1e-12)
-        assert a.st == pytest.approx(b.st, abs=1e-12)
+    default = compute_all(bn, spec)
+    workers = compute_all(bn, spec, ComputeOptions(workers=4))
+    assert workers.expected_value == default.expected_value
+    assert workers.variance == default.variance
+    assert len(workers.indices) == len(default.indices)
+    for a, b in zip(default.indices, workers.indices):
+        assert (a.variables, a.s, a.st) == (b.variables, b.s, b.st)
 
 
 def test_compute_all_closed_option():
