@@ -16,6 +16,7 @@ from bnsens import (
     function_tn,
     joint_probability,
     mrf_from_bn,
+    output_values,
     validate_partition,
 )
 
@@ -39,7 +40,7 @@ validate_partition(bn, spec)
 mrf = mrf_from_bn(bn)
 print(f"\nfull contraction of the probability network: {contract_all(mrf):.6f} (= 1)")
 
-t = function_tn(mrf, spec, bn)
+t = function_tn(mrf, spec.output, output_values(bn, spec))
 print(f"expected output E[f] = {contract_all(t):.6f} (hand value 0.41)")
 
 # f tabulated by direct summation over the joint (the brute-force oracle).

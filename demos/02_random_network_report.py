@@ -5,19 +5,17 @@ every CPT with rows sampled uniformly from the probability simplex, so the
 same seed always yields the same network.
 """
 
-from bnsens import AnalysisSpec, compute_all, generate_random_bn
+from bnsens import AnalysisSpec, ancestors, compute_all, generate_random_bn
 
 bn = generate_random_bn(seed=15, n=14, max_parents=2, cardinality_range=(2, 3))
 roots = bn.roots()
 print(f"network with {bn.n} nodes; roots: {[bn.variables[i].name for i in roots]}")
 
-# Output: the non-root node reachable from the most roots; evidence: all roots.
-from bnsens.graph import descendants
-
+# Output: the non-root node with the most root ancestors; evidence: all roots.
 dag = bn.dag()
 output = max(
     (i for i in range(bn.n) if i not in roots),
-    key=lambda i: sum(i in descendants(dag, r) for r in roots),
+    key=lambda i: len(ancestors(dag, {i}) & set(roots)),
 )
 value_map = {label: float(k) for k, label in enumerate(bn.variables[output].domain)}
 spec = AnalysisSpec(output, frozenset(roots), value_map)

@@ -17,7 +17,6 @@ from .errors import (
     CyclicGraphError,
     DegenerateOutputError,
     DependentInputsError,
-    DivisionByZeroError,
     EmptyEvidenceSetError,
     InvalidAssignmentError,
     MissingValueMapError,
@@ -36,7 +35,6 @@ from .errors import (
 from .graph import (
     ancestors,
     d_separated,
-    descendants,
     min_weight_order,
 )
 from .ingest import (
@@ -68,7 +66,6 @@ from .network import (
 )
 from .oracle import (
     FunctionTable,
-    JointTable,
     McReport,
     brute_force_f,
     brute_force_indices,

@@ -8,6 +8,7 @@ variance, 4 resource caps (state space too large, out of memory).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -40,6 +41,11 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_RESOURCE = 4
 
+COMPARISON_LINE = (
+    "comparison: max |dS| = {max_abs_s_deviation:.3e}, "
+    "max |dST| = {max_abs_st_deviation:.3e}"
+)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -67,35 +73,31 @@ def _build_parser() -> argparse.ArgumentParser:
             help="output label values, e.g. low=0,medium=1,high=2",
         )
 
+    def add_report_args(p: argparse.ArgumentParser) -> None:
+        add_network_args(p)
+        p.add_argument(
+            "--format",
+            dest="report_format",
+            choices=["table", "csv", "json"],
+            default="table",
+        )
+        p.add_argument(
+            "--no-timings",
+            dest="no_timings",
+            action="store_true",
+            help="report timing fields as zero (for reproducible output)",
+        )
+
     compute = sub.add_parser("compute", help="compute sensitivity indices")
-    add_network_args(compute)
+    add_report_args(compute)
     compute.add_argument(
         "--indices",
         default="first,total",
         help="any of first, total, closed:<name+name+...> (comma-separated)",
     )
-    compute.add_argument(
-        "--format",
-        dest="report_format",
-        choices=["table", "csv", "json"],
-        default="table",
-    )
-    compute.add_argument(
-        "--no-timings",
-        dest="no_timings",
-        action="store_true",
-        help="report timing fields as zero (for reproducible output)",
-    )
 
     oracle = sub.add_parser("oracle", help="brute-force reference computation")
-    add_network_args(oracle)
-    oracle.add_argument(
-        "--format",
-        dest="report_format",
-        choices=["table", "csv", "json"],
-        default="table",
-    )
-    oracle.add_argument("--no-timings", dest="no_timings", action="store_true")
+    add_report_args(oracle)
     oracle.add_argument(
         "--compare",
         action="store_true",
@@ -230,17 +232,23 @@ def _fmt_value(x: float | None) -> str:
     return "" if x is None else repr(float(x))
 
 
-def _fmt_time(t: float | None, no_timings: bool) -> str:
-    if t is None:
-        return ""
-    return "0.00000" if no_timings else f"{t:.5f}"
+def _fmt_time(t: float | None) -> str:
+    return "" if t is None else f"{t:.5f}"
 
 
-def _report_payload(report: SobolReport, name: str, no_timings: bool) -> dict:
+def _without_timings(report: SobolReport) -> SobolReport:
+    """`report` with every measured time set to zero; a time that is None
+    (an index not computed) stays None."""
+    indices = tuple(
+        dataclasses.replace(e, s_time=e.s_time and 0.0, st_time=e.st_time and 0.0)
+        for e in report.indices
+    )
+    return dataclasses.replace(report, indices=indices, total_time=0.0)
+
+
+def _report_payload(report: SobolReport, name: str) -> dict:
     def num_time(t: float | None):
-        if t is None:
-            return None
-        return 0.0 if no_timings else round(t, 5)
+        return None if t is None else round(t, 5)
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -263,10 +271,13 @@ def _report_payload(report: SobolReport, name: str, no_timings: bool) -> dict:
 def _format_report(
     report: SobolReport,
     name: str,
-    fmt: str,
-    no_timings: bool,
+    args: argparse.Namespace,
     comparison: dict | None = None,
 ) -> str:
+    """The report in `--format`, its times zeroed under `--no-timings`."""
+    if args.no_timings:
+        report = _without_timings(report)
+    fmt = args.report_format
     if fmt == "csv":
         lines = ["variable,S,S_time,ST,ST_time"]
         for e in report.indices:
@@ -275,15 +286,15 @@ def _format_report(
                     [
                         e.name,
                         _fmt_value(e.s),
-                        _fmt_time(e.s_time, no_timings),
+                        _fmt_time(e.s_time),
                         _fmt_value(e.st),
-                        _fmt_time(e.st_time, no_timings),
+                        _fmt_time(e.st_time),
                     ]
                 )
             )
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        payload = _report_payload(report, name, no_timings)
+        payload = _report_payload(report, name)
         if comparison is not None:
             payload["comparison"] = comparison
         return json.dumps(payload, indent=2) + "\n"
@@ -298,15 +309,11 @@ def _format_report(
     for e in report.indices:
         s = "-" if e.s is None else f"{e.s:.10f}"
         st = "-" if e.st is None else f"{e.st:.10f}"
-        ts = "-" if e.s_time is None else _fmt_time(e.s_time, no_timings)
-        tst = "-" if e.st_time is None else _fmt_time(e.st_time, no_timings)
+        ts, tst = _fmt_time(e.s_time) or "-", _fmt_time(e.st_time) or "-"
         lines.append(f"{e.name:<{width}}  {s:>14}  {ts:>9}  {st:>14}  {tst:>9}")
-    lines.append(f"total time: {'0.00000' if no_timings else f'{report.total_time:.5f}'} s")
+    lines.append(f"total time: {_fmt_time(report.total_time)} s")
     if comparison is not None:
-        lines.append(
-            "comparison: max |dS| = {max_abs_s_deviation:.3e}, "
-            "max |dST| = {max_abs_st_deviation:.3e}".format(**comparison)
-        )
+        lines.append(COMPARISON_LINE.format(**comparison))
     return "\n".join(lines) + "\n"
 
 
@@ -356,7 +363,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     first, total, closed = _parse_indices(args.indices, bn)
     options = ComputeOptions(first=first, total=total, closed=closed)
     report = compute_all(bn, spec, options)
-    sys.stdout.write(_format_report(report, name, args.report_format, args.no_timings))
+    sys.stdout.write(_format_report(report, name, args))
     return EXIT_OK
 
 
@@ -378,19 +385,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "max_abs_s_deviation": dev_s,
             "max_abs_st_deviation": dev_st,
         }
-    text = _format_report(
-        report,
-        name,
-        args.report_format,
-        args.no_timings,
-        comparison if args.report_format != "csv" else None,
-    )
-    sys.stdout.write(text)
-    if comparison is not None and args.report_format == "csv":
-        sys.stderr.write(
-            "comparison: max |dS| = {max_abs_s_deviation:.3e}, "
-            "max |dST| = {max_abs_st_deviation:.3e}\n".format(**comparison)
-        )
+    # A CSV has no room for the comparison, which goes to stderr instead.
+    csv = args.report_format == "csv"
+    sys.stdout.write(_format_report(report, name, args, None if csv else comparison))
+    if csv and comparison is not None:
+        sys.stderr.write(COMPARISON_LINE.format(**comparison) + "\n")
     return EXIT_OK
 
 

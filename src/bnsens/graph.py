@@ -1,10 +1,10 @@
-"""DAG relations, d-separation and the greedy minimal-weight elimination order.
+"""Ancestral sets, d-separation and the greedy minimal-weight elimination order.
 
 A DAG is a tuple of parent tuples, one per vertex 0..n-1, as
 `DiscreteBayesNet.dag()` returns it. `validate_network` has checked those
 parents: each in range, none the vertex itself, none repeated, and no
-directed cycle among them. The relations below trust that and check only
-the vertices they are asked about.
+directed cycle among them. `ancestors` and `d_separated` trust that and
+check only the vertices they are asked about.
 
 The two algorithms that need an undirected graph, d-separation and the
 elimination order, share one representation: a neighbour set per vertex,
@@ -18,35 +18,13 @@ import math
 from typing import Iterable, Mapping, Sequence
 
 
-def _check_vertex(dag: Sequence[tuple[int, ...]], v: int) -> None:
-    if not 0 <= v < len(dag):
-        raise IndexError(f"vertex {v} out of range 0..{len(dag) - 1}")
-
-
-def children(dag: Sequence[tuple[int, ...]], v: int) -> frozenset[int]:
-    _check_vertex(dag, v)
-    return frozenset(c for c, ps in enumerate(dag) if v in ps)
-
-
-def descendants(dag: Sequence[tuple[int, ...]], v: int) -> frozenset[int]:
-    """Vertices reachable from v by a directed path of length >= 1."""
-    _check_vertex(dag, v)
-    out: set[int] = set()
-    stack = list(children(dag, v))
-    while stack:
-        u = stack.pop()
-        if u not in out:
-            out.add(u)
-            stack.extend(children(dag, u))
-    return frozenset(out)
-
-
 def ancestors(dag: Sequence[tuple[int, ...]], targets: Iterable[int]) -> frozenset[int]:
     """The ancestral set An(targets): the targets themselves plus every
     vertex with a directed path into one of them."""
     stack = [int(v) for v in targets]
     for v in stack:
-        _check_vertex(dag, v)
+        if not 0 <= v < len(dag):
+            raise IndexError(f"vertex {v} out of range 0..{len(dag) - 1}")
     out: set[int] = set()
     while stack:
         v = stack.pop()

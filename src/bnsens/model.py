@@ -229,12 +229,17 @@ class AnalysisSpec:
 
 def output_values(bn: DiscreteBayesNet, spec: AnalysisSpec) -> np.ndarray:
     """The value map applied to the output domain, in domain order; every
-    label needs a finite value."""
+    label needs a finite value, and the map may name no other label."""
     domain = bn.variables[spec.output].domain
     name = bn.variables[spec.output].name
     missing = [label for label in domain if label not in spec.value_map]
     if missing:
         raise MissingValueMapError(f"value map misses label(s) {missing} of output {name!r}")
+    unknown = sorted(set(spec.value_map) - set(domain))
+    if unknown:
+        raise InvalidAssignmentError(
+            f"value map names label(s) {unknown} that output {name!r} does not have"
+        )
     values = np.array([spec.value_map[label] for label in domain], dtype=np.float64)
     bad = [label for label, x in zip(domain, values) if not np.isfinite(x)]
     if bad:

@@ -36,7 +36,7 @@ from .errors import (
     UnknownAxisError,
 )
 from .graph import min_weight_order
-from .model import AnalysisSpec, DiscreteBayesNet, output_values
+from .model import DiscreteBayesNet
 from .tensor import Factor
 
 # Not called here: hooked by bench/spans.py, which looks them up in this module.
@@ -95,17 +95,14 @@ def mrf_from_bn(
     return TensorNetwork(universe, tuple(factors))
 
 
-def function_tn(
-    mrf: TensorNetwork, spec: AnalysisSpec, bn: DiscreteBayesNet
-) -> TensorNetwork:
-    """Copy of `mrf` with one extra single-axis factor over the output
-    variable carrying the numeric value of each output label.
+def function_tn(mrf: TensorNetwork, output: int, values: np.ndarray) -> TensorNetwork:
+    """Copy of `mrf` with one extra single-axis factor over `output`
+    carrying the numeric value of each of its labels, in domain order
+    (`output_values` gives them for an analysis).
 
     Contracting the result over everything yields the expected value of the
     mapped output."""
-    values = output_values(bn, spec)
-    extra = Factor((spec.output,), values)
-    return TensorNetwork(mrf.universe, (*mrf.factors, extra))
+    return TensorNetwork(mrf.universe, (*mrf.factors, Factor((output,), values)))
 
 
 # One np.einsum call names its axes with these 52 letters and takes at most

@@ -32,14 +32,6 @@ DEGENERATE_SHARE = 1e-24
 
 
 @dataclass(frozen=True, eq=False)
-class JointTable:
-    """Dense joint distribution, axes in variable-id order."""
-
-    variables: tuple[int, ...]
-    probabilities: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class FunctionTable:
     """Evidence marginal and conditional output expectation, tabulated over
     the (ascending) evidential variables."""
@@ -58,8 +50,9 @@ def _axis_range(axis: int, cards: tuple[int, ...]) -> np.ndarray:
 
 def enumerate_joint(
     bn: DiscreteBayesNet, max_cells: int = DEFAULT_CELL_CAP
-) -> JointTable:
-    """The factorized joint probability evaluated at every full assignment."""
+) -> np.ndarray:
+    """The factorized joint probability evaluated at every full assignment,
+    one axis per variable in id order."""
     cards = tuple(v.cardinality for v in bn.variables)
     cells = 1
     for c in cards:
@@ -76,7 +69,7 @@ def enumerate_joint(
         for p in cpt.parents:
             row = row * bn.variables[p].cardinality + _axis_range(p, cards)
         joint = joint * cpt.table[row, _axis_range(v.id, cards)]
-    return JointTable(tuple(range(n)), joint)
+    return joint
 
 
 def brute_force_f(
@@ -100,7 +93,7 @@ def _centred(
     exactly 0 when v is constant on the labels of nonzero probability,
     where summing it would leave rounding noise instead."""
     validate_partition(bn, spec)
-    joint = enumerate_joint(bn, max_cells).probabilities
+    joint = enumerate_joint(bn, max_cells)
     values = output_values(bn, spec)
     low, spread = float(values.min()), float(np.ptp(values)) or 1.0
     p_out = joint.sum(axis=tuple(a for a in range(bn.n) if a != spec.output))

@@ -38,6 +38,7 @@ from .network import (
     TensorNetwork,
     collapse,
     contract_all,
+    function_tn,
     marginalize,
     marginals,
     mrf_from_bn,
@@ -45,7 +46,6 @@ from .network import (
     reciprocal,
     square_wrt,
 )
-from .tensor import Factor
 
 # Var[f] at most this share of Var[g(O)], the variance of the centred map g
 # of `compute_all`, means f is constant and every index undefined: each
@@ -212,7 +212,7 @@ def compute_all(
     centre = float(unit @ p_out)
     g = unit - centre
     chance = set(mrf.universe) - spec.evidential
-    t_full = TensorNetwork(mrf.universe, (*mrf.factors, Factor((spec.output,), g)))
+    t_full = function_tn(mrf, spec.output, g)
     t = marginalize(t_full, chance)
     evidence_mrf = mrf_from_bn(bn, ancestors(dag, spec.evidential))
     j = marginalize(evidence_mrf, set(evidence_mrf.universe) - spec.evidential)

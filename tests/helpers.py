@@ -191,6 +191,57 @@ def impossible_label_grid() -> tuple[DiscreteBayesNet, AnalysisSpec]:
     return DiscreteBayesNet(variables, cpts), spec
 
 
+def constant_behind_rare_evidence(seed: int) -> tuple[DiscreteBayesNet, AnalysisSpec]:
+    """Rare evidential roots E1 ("failed" with probability p) and E2 (each
+    fault with probability p), a chance root U, and an output O over all
+    three, with p = 10^U(-12,-6). O is exactly "mid" while neither root has
+    failed, and elsewhere a mean-preserving spread of it, so under the map
+    {-0.3, 0.1, 0.7} f is constant. Var[g(O)] is of order p and
+    (E|g(O)|)^2 of order p^2, while the rounding noise in Var[f] is of
+    order 1e-33 p."""
+    rng = np.random.default_rng(seed)
+    p = float(10.0 ** rng.uniform(-12.0, -6.0))
+    variables = (
+        Variable(0, "E1", ("ok", "failed")),
+        Variable(1, "E2", ("ok", "minor", "major")),
+        Variable(2, "U", ("0", "1", "2")),
+        Variable(3, "O", ("low", "mid", "high")),
+    )
+    rows = []
+    for e1, e2, _ in itertools.product(range(2), range(3), range(3)):
+        if e1 == e2 == 0:
+            rows.append([0.0, 1.0, 0.0])
+        else:
+            a = float(rng.uniform(0.0, 0.6))
+            rows.append([a, 1.0 - a - 2.0 * a / 3.0, 2.0 * a / 3.0])
+    cpts = (
+        Cpt(0, (), [[1.0 - p, p]]),
+        Cpt(1, (), [[1.0 - 2.0 * p, p, p]]),
+        Cpt(2, (), [rng.dirichlet(np.ones(3))]),
+        Cpt(3, (0, 1, 2), rows),
+    )
+    spec = AnalysisSpec(3, frozenset({0, 1}), {"low": -0.3, "mid": 0.1, "high": 0.7})
+    return DiscreteBayesNet(variables, cpts), spec
+
+
+def rare_chance_gate(q: float) -> tuple[DiscreteBayesNet, AnalysisSpec]:
+    """AND(OR(E1, E2), C) with P(E1) = 0.1, P(E2) = 0.2 and the chance root
+    C failing with probability q. The evidence is E1 and E2, so f is q times
+    OR(E1, E2): Var[f] is 0.2016 q^2, and the indices do not depend on q
+    (S = 2/7 and 9/14, S^T = 5/14 and 5/7)."""
+    names = ("E1", "E2", "OR", "C", "AND")
+    variables = tuple(Variable(i, name, ("ok", "failed")) for i, name in enumerate(names))
+    cpts = (
+        Cpt(0, (), [[0.9, 0.1]]),
+        Cpt(1, (), [[0.8, 0.2]]),
+        Cpt(2, (0, 1), [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]),
+        Cpt(3, (), [[1.0 - q, q]]),
+        Cpt(4, (2, 3), [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+    )
+    spec = AnalysisSpec(4, frozenset({0, 1}), {"ok": 0.0, "failed": 1.0})
+    return DiscreteBayesNet(variables, cpts), spec
+
+
 def sparse_instance(seed: int) -> tuple[DiscreteBayesNet, AnalysisSpec]:
     """A seeded network of 3-7 nodes with cardinalities 2-4 and an output
     with parents where there is one. The CPTs have zero entries, more of

@@ -21,6 +21,7 @@ from bnsens import (
     function_tn,
     marginalize,
     mrf_from_bn,
+    output_values,
     quotient,
     square_wrt,
 )
@@ -123,7 +124,7 @@ def test_criterion_04_expectation_and_variance_paths():
         for seed in range(100):
             bn, spec = random_instance(seed + 4000, max_nodes=9, max_evidence=4)
             mrf = mrf_from_bn(bn)
-            t = function_tn(mrf, spec, bn)
+            t = function_tn(mrf, spec.output, output_values(bn, spec))
             j = marginalize(mrf, set(mrf.universe) - spec.evidential)
             # Expectation identity against the enumeration oracle.
             table = brute_force_f(bn, spec)

@@ -201,6 +201,24 @@ def test_non_finite_value_map_in_document_exits_2(tmp_path):
         assert "MissingValueMapError" in err
 
 
+def test_unknown_value_map_label_exits_2(tmp_path):
+    # The mistyped "hgih" used to be dropped, and the run exited 0.
+    code, out, err = run_cli(
+        "compute", "--network", CHAIN, "--value-map", "0=0,1=1,hgih=5"
+    )
+    assert code == 2
+    assert out == ""
+    assert "InvalidAssignmentError" in err and "hgih" in err
+    text = (GOLDEN / "chain.native").read_text()
+    path = tmp_path / "unknown.native"
+    path.write_text(text.replace('"1": 1.0\n', '"1": 1.0, "hgih": 5.0\n', 1))
+    for command in ("compute", "oracle"):
+        code, out, err = run_cli(command, "--network", str(path))
+        assert code == 2
+        assert out == ""
+        assert "InvalidAssignmentError" in err and "hgih" in err
+
+
 def test_repeated_value_map_label_exits_2():
     # The last "1=" used to win silently, giving E[f] = 2.05.
     code, out, err = run_cli(

@@ -1,7 +1,7 @@
 """Every demo script runs to completion against the current package.
 
 The demos import public names directly (demo 02 walks the DAG with
-`bnsens.graph.descendants`), so a removed or renamed export breaks them.
+`bnsens.ancestors`), so a removed or renamed export breaks them.
 They run on a copy because demo 06 writes its `.dot` file beside itself.
 """
 

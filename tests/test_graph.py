@@ -10,11 +10,9 @@ from bnsens import (
     ancestors,
     collapse,
     d_separated,
-    descendants,
     min_weight_order,
     mrf_from_bn,
 )
-from bnsens.graph import children
 from bnsens.model import _check_acyclic
 from helpers import gate_tree, reference_d_separated, reference_min_weight_order
 
@@ -28,18 +26,6 @@ def test_acyclicity_check_finds_cycles():
     with pytest.raises(CyclicGraphError):
         _check_acyclic(((2,), (0,), (1,)))
     _check_acyclic(FIVE)
-
-
-def test_parent_child_relations():
-    assert children(FIVE, 0) == {2, 3}
-    assert children(FIVE, 4) == frozenset()
-    with pytest.raises(IndexError):
-        children(FIVE, 5)
-
-
-def test_descendants():
-    assert descendants(FIVE, 0) == {2, 3, 4}
-    assert descendants(FIVE, 4) == frozenset()
 
 
 def test_ancestors_include_the_targets():
@@ -66,10 +52,6 @@ def test_d_separation_on_five_vertex_graph():
     assert not d_separated(FIVE, 1, 1)
     with pytest.raises(ValueError):
         d_separated(FIVE, 0, 4, {0})
-
-
-def test_isolated_vertex_has_no_descendants():
-    assert descendants(((), (0,), ()), 2) == frozenset()
 
 
 def test_min_weight_order_checks_scopes_and_ignores_empty_ones():

@@ -258,3 +258,22 @@ def test_non_finite_value_map_is_rejected(chain, value):
     ):
         with pytest.raises(MissingValueMapError):
             run()
+
+
+def test_value_map_naming_an_unknown_label_is_rejected(chain):
+    # A mistyped label used to be dropped silently.
+    spec = AnalysisSpec(1, frozenset({0}), {"0": 0.0, "1": 1.0, "hgih": 5.0})
+    with pytest.raises(InvalidAssignmentError, match="hgih"):
+        output_values(chain, spec)
+    document = save_native(NativeDocument(chain, spec)).replace(
+        '"1": 1.0\n', '"1": 1.0, "hgih": 5.0\n'
+    )
+    for run in (
+        lambda: validate_partition(chain, spec),
+        lambda: compute_all(chain, spec, ComputeOptions()),
+        lambda: brute_force_indices(chain, spec),
+        lambda: mc_indices(chain, spec, samples=10, seed=0),
+        lambda: load_native(document),
+    ):
+        with pytest.raises(InvalidAssignmentError, match="hgih"):
+            run()

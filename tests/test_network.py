@@ -11,7 +11,6 @@ from bnsens import (
     AxisCardinalityMismatchError,
     ContractionUnderflowWarning,
     Factor,
-    MissingValueMapError,
     StateSpaceTooLargeError,
     TensorNetwork,
     UnknownAxisError,
@@ -21,6 +20,7 @@ from bnsens import (
     generate_random_bn,
     marginalize,
     mrf_from_bn,
+    output_values,
     quotient,
     square_wrt,
 )
@@ -82,7 +82,7 @@ def test_random_mrfs_normalize():
 
 def test_function_tn_appends_value_factor(chain, chain_analysis):
     mrf = mrf_from_bn(chain)
-    t = function_tn(mrf, chain_analysis, chain)
+    t = function_tn(mrf, chain_analysis.output, output_values(chain, chain_analysis))
     assert len(t.factors) == len(mrf.factors) + 1
     extra = t.factors[-1]
     assert extra.axes == (1,)
@@ -100,20 +100,14 @@ def test_function_tn_ternary_map():
         (Cpt(0, (), [[0.5, 0.5]]), Cpt(1, (0,), [[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]])),
     )
     spec = AnalysisSpec(1, frozenset({0}), {"low": 0.0, "medium": 1.0, "high": 2.0})
-    t = function_tn(mrf_from_bn(bn), spec, bn)
+    t = function_tn(mrf_from_bn(bn), spec.output, output_values(bn, spec))
     np.testing.assert_array_equal(t.factors[-1].values, [0.0, 1.0, 2.0])
 
 
 def test_function_tn_zero_map(chain):
     spec = AnalysisSpec(1, frozenset({0}), {"0": 0.0, "1": 0.0})
-    t = function_tn(mrf_from_bn(chain), spec, chain)
+    t = function_tn(mrf_from_bn(chain), spec.output, output_values(chain, spec))
     assert contract_all(t) == 0.0
-
-
-def test_function_tn_missing_label(chain):
-    spec = AnalysisSpec(1, frozenset({0}), {"0": 0.0})
-    with pytest.raises(MissingValueMapError):
-        function_tn(mrf_from_bn(chain), spec, chain)
 
 
 def test_marginalize_nothing(five_node):
@@ -523,7 +517,7 @@ def test_expected_value_identity_against_oracle():
             frozenset({0, 1}),
             {label: float(k) for k, label in enumerate(bn.variables[6].domain)},
         )
-        t = function_tn(mrf_from_bn(bn), spec, bn)
+        t = function_tn(mrf_from_bn(bn), spec.output, output_values(bn, spec))
         table = brute_force_f(bn, spec)
         expected = float((table.probabilities * table.values).sum())
         assert contract_all(t) == pytest.approx(expected, abs=1e-10)

@@ -27,6 +27,7 @@ from bnsens import (
     function_tn,
     marginalize,
     mrf_from_bn,
+    output_values,
 )
 from bnsens.oracle import brute_force_closed, brute_force_f, brute_force_indices
 from bnsens.sobol import _conditional_second_moment
@@ -36,12 +37,14 @@ from helpers import (
     chain_bn,
     chain_spec,
     common_parent_bn,
+    constant_behind_rare_evidence,
     constant_on_support_chain,
     fault_tree,
     impossible_label_grid,
     layered_network,
     random_instance,
     random_roots_instance,
+    rare_chance_gate,
     sparse_instance,
     wide_chance_network,
     xor_bn,
@@ -50,7 +53,7 @@ from helpers import (
 
 def _networks(bn, spec):
     mrf = mrf_from_bn(bn)
-    t = function_tn(mrf, spec, bn)
+    t = function_tn(mrf, spec.output, output_values(bn, spec))
     j = marginalize(mrf, set(mrf.universe) - spec.evidential)
     return t, j
 
@@ -416,6 +419,43 @@ def test_map_constant_on_the_output_support_is_degenerate(analysis, network):
     bn, spec = network()
     with pytest.raises(DegenerateOutputError):
         analysis(bn, spec)
+
+
+@pytest.mark.parametrize("analysis", [compute_all, brute_force_indices])
+def test_constant_output_behind_rare_evidence_is_degenerate(analysis):
+    # f is constant and Var[f] is rounding noise of order 1e-33 p. A floor
+    # relative to (E|g(O)|)^2, of order p^2, would let that noise through
+    # as indices on about half of these networks; the floor relative to
+    # Var[g(O)], of order p, stops all of them.
+    for seed in range(40):
+        bn, spec = constant_behind_rare_evidence(seed)
+        with pytest.raises(DegenerateOutputError):
+            analysis(bn, spec)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        1e-20,
+        pytest.param(
+            1e-26,
+            marks=pytest.mark.xfail(
+                raises=DegenerateOutputError,
+                strict=True,
+                reason="Var[f] is 0.72q of Var[g(O)], below the 1e-24 floor, "
+                "although Var[f] is exact",
+            ),
+        ),
+    ],
+)
+@pytest.mark.parametrize("analysis", [compute_all, brute_force_indices])
+def test_rare_chance_factor_leaves_the_indices_exact(analysis, q):
+    bn, spec = rare_chance_gate(q)
+    report = analysis(bn, spec)
+    assert report.variance == pytest.approx(0.2016 * q * q, rel=1e-12)
+    for entry, s, st in zip(report.indices, (2 / 7, 9 / 14), (5 / 14, 5 / 7), strict=True):
+        assert entry.s == pytest.approx(s, abs=1e-12)
+        assert entry.st == pytest.approx(st, abs=1e-12)
 
 
 def test_sparse_networks_agree_with_the_oracle():

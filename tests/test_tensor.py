@@ -3,12 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnsens import (
-    AxisCardinalityMismatchError,
-    DivisionByZeroError,
-    Factor,
-    UnknownAxisError,
-)
+from bnsens import AxisCardinalityMismatchError, Factor, UnknownAxisError
+from bnsens.errors import DivisionByZeroError
 from bnsens.tensor import factor_div, factor_product, factor_sum_out
 
 
