@@ -3,10 +3,12 @@
 A 24-node ternary network with 16 evidential roots: the function of
 interest lives on a 3^16 grid (about 4.3e7 points), far past what the
 brute-force oracle will enumerate, yet all 16 index pairs come out of
-the factored pipeline in a few hundredths of a second (0.044-0.064 s
-over ten runs on two shared cores). This is the point of the method:
-marginalization queries replace enumeration or sampling of f, and one
-calibration gives all 16 first-order indices at once. Three interior nodes are
+the factored pipeline in about a hundredth of a second (0.008-0.011 s
+for the same network in the grid3e16 benchmark, two shared cores). This
+is the point of the method: marginalization queries replace enumeration
+or sampling of f, one calibration gives all 16 first-order indices at
+once, and the roots are independent, so one calibration of a coupled
+squared network gives all 16 total indices. Three interior nodes are
 barren and never become factors, and roots N1, N4, N5 and N6 have no
 path to the output, so their indices are exact zeros that need no query.
 """

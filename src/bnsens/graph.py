@@ -14,7 +14,6 @@ built by `_primal` from scopes (families of a DAG, or the axes of factors).
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Iterable, Mapping, Sequence
 
 
@@ -39,11 +38,13 @@ def _primal(scopes: Iterable[Iterable[int]], vertices: Iterable[int]) -> dict[in
     scope holds both. A scope that leaves `vertices` is a ValueError."""
     graph: dict[int, set[int]] = {int(v): set() for v in vertices}
     for scope in scopes:
-        clique = {int(v) for v in scope}
+        clique = set(map(int, scope))
         if not clique <= graph.keys():
             raise ValueError(f"scope {sorted(clique)} leaves the vertex set")
         for v in clique:
-            graph[v] |= clique - {v}
+            graph[v] |= clique
+    for v, neighbours in graph.items():
+        neighbours.discard(v)
     return graph
 
 
@@ -76,11 +77,26 @@ def d_separated(
     return True
 
 
+class EliminationOrder(tuple):
+    """Vertices in elimination order, with `cells`: for each, the cells its
+    bucket spans, its weight times its own cardinality. Eliminating by
+    exactly this order over the scopes it was computed from builds buckets
+    of exactly these sizes, so the cost of a plan is known before any array
+    exists."""
+
+    cells: tuple[int, ...]
+
+    def __new__(cls, order: Iterable[int], cells: Iterable[int]) -> "EliminationOrder":
+        self = super().__new__(cls, order)
+        self.cells = tuple(cells)
+        return self
+
+
 def min_weight_order(
     scopes: Iterable[Iterable[int]],
     cardinalities: Mapping[int, int],
     keep: Iterable[int] = (),
-) -> tuple[int, ...]:
+) -> EliminationOrder:
     """Greedy elimination order over the vertices outside `keep`.
 
     The vertices are the keys of `cardinalities`, and two are neighbours
@@ -90,28 +106,39 @@ def min_weight_order(
     then become a clique and it leaves the graph. Weights are cached and
     only the eliminated vertex's neighbours are weighed again; a heap of
     (weight, id) entries yields the next vertex and skips stale entries.
+    Each vertex's weight when it goes, times its cardinality, is the size
+    of its bucket (`EliminationOrder.cells`).
     """
     graph = _primal(scopes, cardinalities)
     keep_set = {int(v) for v in keep}
     if not keep_set <= graph.keys():
         raise ValueError(f"keep set {sorted(keep_set - graph.keys())} outside the vertex set")
+    cards = {int(v): int(c) for v, c in cardinalities.items()}
 
     def weight(v: int) -> int:
-        return math.prod(int(cardinalities[u]) for u in graph[v])
+        w = 1
+        for u in graph[v]:
+            w *= cards[u]
+        return w
 
     weights = {v: weight(v) for v in graph if v not in keep_set}
     heap = sorted((w, v) for v, w in weights.items())  # a sorted list is a heap
     order: list[int] = []
+    cells: list[int] = []
     while heap:
         w, v = heapq.heappop(heap)
         if weights.get(v) != w:
             continue
         del weights[v]
         order.append(v)
+        cells.append(w * cards[v])
         neighbours = graph.pop(v)
         for u in neighbours:
-            graph[u] = (graph[u] | neighbours) - {u, v}
+            joined = graph[u]  # updated in place: no other vertex holds this set
+            joined |= neighbours
+            joined.discard(u)
+            joined.discard(v)
             if u in weights:
                 weights[u] = weight(u)
                 heapq.heappush(heap, (weights[u], u))
-    return tuple(order)
+    return EliminationOrder(order, cells)

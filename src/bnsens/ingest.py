@@ -50,7 +50,13 @@ class NativeDocument:
 # ------------------------------------------------------------- native format
 
 def save_native(doc: NativeDocument) -> str:
+    """The document as native JSON text. A spec is checked against the
+    network first (`validate_partition`), so a value map that misses an
+    output label or names one the output lacks raises a PartitionError or
+    InvalidAssignmentError instead of being written."""
     bn = doc.network
+    if doc.spec is not None:
+        validate_partition(bn, doc.spec)
     payload: dict[str, Any] = {}
     if doc.name:
         payload["name"] = doc.name

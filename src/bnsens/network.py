@@ -35,7 +35,7 @@ from .errors import (
     StateSpaceTooLargeError,
     UnknownAxisError,
 )
-from .graph import min_weight_order
+from .graph import EliminationOrder, min_weight_order
 from .model import DiscreteBayesNet
 from .tensor import Factor
 
@@ -282,11 +282,13 @@ def marginalize(tn: TensorNetwork, eliminate: Iterable[int]) -> TensorNetwork:
 
     Each step sums the next variable out of the product of the factors that
     contain it, in one `_einsum` call that never stores the product. The
-    minimal-weight heuristic picks the order. The result keeps its factored
-    structure: for every assignment of the remaining variables, its
-    contraction equals the sum of the input's contraction over the
-    eliminated ones. A variable carried by no factor contributes its
-    cardinality as a scalar.
+    minimal-weight heuristic picks the order; an `EliminationOrder` of this
+    network's factor scopes with the rest kept (as a plan that costed it
+    has one) names the variables and is followed as it stands. The result
+    keeps its factored structure: for every assignment of the remaining
+    variables, its contraction equals the sum of the input's contraction
+    over the eliminated ones. A variable carried by no factor contributes
+    its cardinality as a scalar.
     """
     targets = {int(v) for v in eliminate}
     missing = targets - set(tn.universe)
@@ -294,11 +296,12 @@ def marginalize(tn: TensorNetwork, eliminate: Iterable[int]) -> TensorNetwork:
         raise UnknownAxisError(
             f"cannot eliminate {sorted(missing)}: not in the universe"
         )
-    order = min_weight_order(
-        [f.axes for f in tn.factors],
-        tn.universe,
-        keep=set(tn.universe) - targets,
-    )
+    if isinstance(eliminate, EliminationOrder):
+        order = eliminate
+    else:
+        order = min_weight_order(
+            [f.axes for f in tn.factors], tn.universe, keep=set(tn.universe) - targets
+        )
     factors: list[Factor | None] = list(tn.factors)
     for _ in _buckets(factors, tn.universe, order):
         pass
@@ -309,7 +312,12 @@ def marginalize(tn: TensorNetwork, eliminate: Iterable[int]) -> TensorNetwork:
     )
 
 
-def marginals(tn: TensorNetwork) -> dict[int, np.ndarray]:
+def marginals(
+    tn: TensorNetwork,
+    order: Sequence[int] | None = None,
+    *,
+    outside_of: Iterable[int] | None = None,
+) -> dict[int, np.ndarray]:
     """The marginal of the network's contraction on each variable of its
     universe, from one elimination order and two passes over its buckets.
 
@@ -323,14 +331,35 @@ def marginals(tn: TensorNetwork) -> dict[int, np.ndarray]:
     `_einsum` of the bucket's factors and its outside factor; a variable
     carried by no factor has its outside scalar in every state. No product
     is ever divided out, so zero and negative entries are exact. Each
-    message is dropped once its taker has sent its outside factor."""
-    order = min_weight_order([f.axes for f in tn.factors], tn.universe, keep=())
+    message is dropped once its taker has sent its outside factor.
+
+    With `outside_of`, positions in `tn.factors`, the result holds instead
+    the outside factor of each of those input factors, by position and over
+    the factor's own axes, and no marginal: the backward pass then visits
+    only the buckets whose messages lead to one of them. The network's
+    contraction is linear in each input factor, so the sum of an input
+    times its outside factor is the contraction, and the sum of the outside
+    factor alone is the contraction with that input replaced by ones.
+    `order`, if given, is the `min_weight_order` of the network's factor
+    scopes with nothing kept."""
+    if order is None:
+        order = min_weight_order([f.axes for f in tn.factors], tn.universe, keep=())
+    wanted = None if outside_of is None else {int(i) for i in outside_of}
+    first_message = len(tn.factors)
     factors: list[Factor | None] = list(tn.factors)
     kept: list[Factor | None] = list(tn.factors)  # factors and messages, by position
+
+    def sends(i: int) -> bool:
+        if i >= first_message:
+            return needed[i - first_message]
+        return wanted is not None and i in wanted
+
     buckets = []
+    needed: list[bool] = []  # whether the backward pass visits each bucket
     for v, positions in _buckets(factors, tn.universe, order):
         buckets.append((v, positions))
         kept.append(factors[-1])
+        needed.append(wanted is None or any(sends(i) for i in positions))
 
     # The live factors are now scalars that multiply to the contraction;
     # each gets the product of the others, from prefix and suffix products.
@@ -342,18 +371,20 @@ def marginals(tn: TensorNetwork) -> dict[int, np.ndarray]:
         i: Factor.scalar(b * a) for i, b, a in zip(finals, before, [*after][::-1])
     }
 
-    first_message = len(tn.factors)
     result = {}
     for k in reversed(range(len(buckets))):
+        if not needed[k]:
+            continue
         v, positions = buckets[k]
         out = outside.pop(first_message + k)
         if not positions:
             result[v] = np.full(tn.universe[v], float(out.values))
             continue
         bucket = [kept[i] for i in positions]
-        result[v] = _einsum([*bucket, out], (v,))
+        if wanted is None:
+            result[v] = _einsum([*bucket, out], (v,))
         for m, i in enumerate(positions):
-            if i < first_message:
+            if not sends(i):
                 continue
             others = [*bucket[:m], *bucket[m + 1 :], out]
             held = {ax for f in others for ax in f.axes}
@@ -364,7 +395,9 @@ def marginals(tn: TensorNetwork) -> dict[int, np.ndarray]:
             outside[i] = Factor(axes, _einsum([*others, *ones], axes))
         for i in positions:
             kept[i] = None
-    return result
+    if wanted is None:
+        return result
+    return {i: outside[i].values for i in sorted(wanted)}
 
 
 def contract_all(tn: TensorNetwork) -> float:

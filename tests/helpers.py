@@ -374,6 +374,23 @@ def wide_chance_network(c: int) -> tuple[DiscreteBayesNet, AnalysisSpec]:
     return bn, AnalysisSpec(1, frozenset({0, 3, 5, 7}), {"0": 0.0, "1": 1.0})
 
 
+def driven_chain(m: int, seed: int) -> tuple[DiscreteBayesNet, AnalysisSpec]:
+    """Evidential binary roots R0..R{m-1} driving a binary chance chain
+    C0 -> ... -> C{m-1}, where C_k also has parent R_k, and a ternary
+    output O under the last link. Summing the chain out with the roots
+    kept couples every root; eliminating everything does not."""
+    rng = np.random.default_rng(seed)
+    variables = [Variable(k, f"R{k}", ("0", "1")) for k in range(m)]
+    variables += [Variable(m + k, f"C{k}", ("0", "1")) for k in range(m)]
+    variables.append(Variable(2 * m, "O", ("0", "1", "2")))
+    cpts = [Cpt(k, (), rng.dirichlet(np.ones(2), size=1)) for k in range(m)]
+    cpts.append(Cpt(m, (0,), rng.dirichlet(np.ones(2), size=2)))
+    cpts += [Cpt(m + k, (k, m + k - 1), rng.dirichlet(np.ones(2), size=4)) for k in range(1, m)]
+    cpts.append(Cpt(2 * m, (2 * m - 1,), rng.dirichlet(np.ones(3), size=2)))
+    bn = DiscreteBayesNet(tuple(variables), tuple(cpts))
+    return bn, AnalysisSpec(2 * m, frozenset(range(m)), {"0": 0.0, "1": 1.0, "2": 3.0})
+
+
 def concrete_style_network(seed: int = 7) -> tuple[DiscreteBayesNet, AnalysisSpec]:
     """A 24-node ternary network with 16 evidential roots, 7 intermediate
     chance nodes, and one sink output; evidence grid 3^16 (~4.3e7 points)."""

@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnsens import (
+    AnalysisSpec,
     BifSyntaxError,
     DiscreteBayesNet,
+    InvalidAssignmentError,
+    MissingValueMapError,
     NativeDocument,
     SchemaError,
     UnnormalizedCptError,
@@ -298,6 +301,20 @@ def test_native_without_spec(chain):
     text = save_native(NativeDocument(chain))
     loaded = load_native(text)
     assert loaded.spec is None
+
+
+@pytest.mark.parametrize(
+    "value_map, error",
+    [
+        ({"0": 0.0}, MissingValueMapError),
+        ({"0": 0.0, "1": 1.0, "2": 2.0}, InvalidAssignmentError),
+    ],
+    ids=["missing-label", "unknown-label"],
+)
+def test_native_save_checks_the_value_map(chain, chain_analysis, value_map, error):
+    spec = AnalysisSpec(chain_analysis.output, chain_analysis.evidential, value_map)
+    with pytest.raises(error, match="value map"):
+        save_native(NativeDocument(chain, spec))
 
 
 def test_native_unknown_spec_output(chain, chain_analysis):

@@ -209,6 +209,32 @@ def test_marginals_match_collapse_on_every_variable(
         np.testing.assert_allclose(got[v], want, rtol=1e-12, atol=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scalar=st.booleans())
+def test_outside_factors_give_the_contraction_with_and_without_each_input(seed, scalar):
+    # The contraction is linear in each factor: an input times its outside
+    # factor sums to the contraction, and the outside factor alone to the
+    # contraction with that input replaced by ones. Asked for every other
+    # input, the backward pass skips buckets that lead to none of them.
+    rng = np.random.default_rng(seed)
+    tn = random_tn(rng, n_vars=int(rng.integers(2, 6)))
+    if scalar:
+        tn = TensorNetwork(tn.universe, (*tn.factors, Factor.scalar(-1.5)))
+    chosen = list(range(0, len(tn.factors), 2))
+    got = marginals(tn, outside_of=chosen)
+    assert sorted(got) == chosen
+    total = contract_all(tn)
+    for i in chosen:
+        f = tn.factors[i]
+        assert got[i].shape == f.values.shape
+        assert float(np.sum(got[i] * f.values)) == pytest.approx(total, rel=1e-12, abs=1e-12)
+        ones = Factor(f.axes, np.ones(f.values.shape))
+        rest = TensorNetwork(tn.universe, (*tn.factors[:i], ones, *tn.factors[i + 1 :]))
+        assert float(np.sum(got[i])) == pytest.approx(
+            contract_all(rest), rel=1e-12, abs=1e-12
+        )
+
+
 def test_contract_empty_network_is_one():
     assert contract_all(TensorNetwork({})) == 1.0
 

@@ -37,9 +37,12 @@ from helpers import (
     chain_bn,
     chain_spec,
     common_parent_bn,
+    concrete_style_network,
     constant_behind_rare_evidence,
     constant_on_support_chain,
+    driven_chain,
     fault_tree,
+    gate_tree,
     impossible_label_grid,
     layered_network,
     random_instance,
@@ -272,6 +275,97 @@ def test_compute_all_never_squares_chance_variables(monkeypatch):
     for entry in report.indices:
         for value in (entry.s, entry.st):
             assert -1e-12 <= value <= 1.0 + 1e-12
+
+
+def _gate_tree_root_evidence(leaves):
+    # Every fourth basic event alone: independent roots.
+    bn, spec, _ = gate_tree(leaves, 0)
+    return bn, AnalysisSpec(spec.output, frozenset(range(0, leaves, 4)), spec.value_map)
+
+
+def _refuse_queries(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a conditional-moment query ran")
+
+    monkeypatch.setattr(bnsens.sobol, "_conditional_second_moment", refuse)
+
+
+@pytest.mark.parametrize(
+    "network",
+    [concrete_style_network, lambda: _gate_tree_root_evidence(64)],
+    ids=["concrete-style", "gate-tree-64"],
+)
+def test_coupled_totals_match_their_per_query_moments(monkeypatch, network):
+    # Root evidence makes the evidence marginal one-axis factors, and both
+    # networks cost fewer cells coupled than summing t_full down to t; the
+    # coupled plan then runs no conditional-moment query at all.
+    bn, spec = network()
+    with monkeypatch.context() as m:
+        _refuse_queries(m)
+        report = compute_all(bn, spec)
+    mrf = mrf_from_bn(bn)
+    values = output_values(bn, spec) - report.expected_value
+    t_full = function_tn(mrf, spec.output, values)
+    t = marginalize(t_full, set(mrf.universe) - spec.evidential)
+    j = marginalize(mrf, set(mrf.universe) - spec.evidential)
+    mean = contract_all(t)
+    variance = _conditional_second_moment(t, j, spec.evidential) - mean * mean
+    for entry in report.indices:
+        (i,) = entry.variables
+        rest = _conditional_second_moment(t, j, spec.evidential - {i})
+        assert entry.st == pytest.approx(1.0 - (rest - mean * mean) / variance, abs=1e-12)
+
+
+def test_coupled_plan_matches_brute_force_on_a_driven_chain(monkeypatch):
+    # Ten roots drive a chain: building t would span 2478 cells, the
+    # coupled calibration 1028, and the joint (3e6 cells) is still small
+    # enough for the oracle.
+    bn, spec = driven_chain(10, 3)
+    with monkeypatch.context() as m:
+        _refuse_queries(m)
+        report = compute_all(bn, spec)
+    reference = brute_force_indices(bn, spec)
+    assert report.variance == pytest.approx(reference.variance, rel=1e-12)
+    for a, b in zip(report.indices, reference.indices):
+        assert a.name == b.name
+        assert a.s == pytest.approx(b.s, abs=1e-12)
+        assert a.st == pytest.approx(b.st, abs=1e-12)
+
+
+def test_coupled_totals_take_a_fixed_number_of_orderings(monkeypatch):
+    # Gate trees of 64 and 128 leaves have 16 and 32 evidential roots.
+    order = bnsens.network.min_weight_order
+    counts = []
+    for leaves in (64, 128):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return order(*args, **kwargs)
+
+        bn, spec = _gate_tree_root_evidence(leaves)
+        with monkeypatch.context() as m:
+            _refuse_queries(m)
+            m.setattr(bnsens.network, "min_weight_order", counted)
+            report = compute_all(bn, spec, ComputeOptions(first=False))
+        assert sum(e.st > 0.0 for e in report.indices) >= 8
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_gate_tree_of_256_leaves_with_root_evidence_finishes_in_seconds():
+    # Summing the chance variables out of t_full for the per-query plan
+    # would make a bucket of about 3.7e19 cells.
+    bn, spec = _gate_tree_root_evidence(256)
+    started = time.perf_counter()
+    report = compute_all(bn, spec)
+    assert time.perf_counter() - started < 30.0
+    assert len(report.indices) == 64
+    for entry in report.indices:
+        assert 0.0 <= entry.s <= entry.st + 1e-12
+        assert entry.st <= 1.0 + 1e-12
+    assert sum(e.s for e in report.indices) <= 1.0 + 1e-12
+    assert sum(e.st for e in report.indices) >= 1.0 - 1e-12
 
 
 def test_bucket_beyond_einsum_operand_cap_matches_stepwise(monkeypatch):
