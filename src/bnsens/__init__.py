@@ -5,7 +5,8 @@ factor mapping the output labels to reals, and computes Sobol variance
 components and total indices for the evidential variables from a handful of
 marginalization queries over squared and quotient networks. The function of
 interest (the conditional expected output over the evidence grid) is never
-tabulated or sampled, so evidence domains with tens of millions of
+sampled, and tabulated only where its table is no larger than a factor the
+elimination builds anyway, so evidence domains with tens of millions of
 configurations stay tractable.
 """
 
@@ -34,8 +35,8 @@ from .errors import (
 )
 from .graph import (
     ancestors,
-    d_separated,
     min_weight_order,
+    separated_evidence,
 )
 from .ingest import (
     NativeDocument,

@@ -1,10 +1,11 @@
-"""Ancestral sets, d-separation and the greedy minimal-weight elimination order.
+"""Ancestral sets, d-separation of the evidence and the greedy minimal-weight
+elimination order.
 
 A DAG is a tuple of parent tuples, one per vertex 0..n-1, as
 `DiscreteBayesNet.dag()` returns it. `validate_network` has checked those
 parents: each in range, none the vertex itself, none repeated, and no
-directed cycle among them. `ancestors` and `d_separated` trust that and
-check only the vertices they are asked about.
+directed cycle among them. `ancestors` and `separated_evidence` trust
+that and check only the vertices they are asked about.
 
 The two algorithms that need an undirected graph, d-separation and the
 elimination order, share one representation: a neighbour set per vertex,
@@ -48,33 +49,51 @@ def _primal(scopes: Iterable[Iterable[int]], vertices: Iterable[int]) -> dict[in
     return graph
 
 
-def d_separated(
-    dag: Sequence[tuple[int, ...]], a: int, b: int, given: Iterable[int] = ()
-) -> bool:
-    """Whether `given` d-separates vertex a from vertex b.
+def separated_evidence(
+    dag: Sequence[tuple[int, ...]], output: int, evidential: Iterable[int]
+) -> tuple[frozenset[int], frozenset[int]]:
+    """The evidential vertices d-separated from `output`: first those
+    separated with nothing given, then those separated by the rest of the
+    evidence. One search up and one down decide the first set, and one
+    moral graph and one search the second, for every vertex at once.
 
-    The moralized-ancestral-graph criterion (Lauritzen et al. 1990): a and
-    b are d-separated by Z exactly when no path joins them in the moral
-    graph of An({a, b} | Z) once Z is deleted. That moral graph is the
-    neighbour-set graph of the families (a vertex with its parents); the
-    search walks it from a and never enters Z. No vertex is d-separated
-    from itself.
+    With nothing given, i and the output are d-connected exactly when they
+    have a common ancestor (a trail with no collider runs up from one of
+    them and down to the other), that is, when i is a descendant of
+    An(output), itself included. Given Z = E - {i}, the moralized-ancestral-
+    graph criterion (Lauritzen et al. 1990) asks for a path from i to the
+    output that avoids Z in the moral graph of An({i, output} | Z), which
+    is the moral graph of An(E | {output}) for every i. Such a path steps
+    from i to a neighbour in the output's component of that graph with all
+    of E deleted; the moral graph is the neighbour-set graph of the
+    families (a vertex with its parents).
     """
-    a, b = int(a), int(b)
-    z = {int(v) for v in given}
-    if a in z or b in z:
-        raise ValueError("a and b must lie outside the conditioning set")
-    relevant = ancestors(dag, {a, b} | z)
-    moral = _primal(((v, *dag[v]) for v in relevant), relevant)
-    seen, frontier = set(z), [a]
+    output = int(output)
+    evidence = {int(v) for v in evidential}
+    if output in evidence:
+        raise ValueError("the output must lie outside the evidence")
+    relevant = ancestors(dag, evidence | {output})
+    kids: list[list[int]] = [[] for _ in dag]
+    for v, parents in enumerate(dag):
+        for p in parents:
+            kids[p].append(v)
+    below, frontier = set(), list(ancestors(dag, {output}))
     while frontier:
         v = frontier.pop()
-        if v == b:
-            return False
-        if v not in seen:
-            seen.add(v)
-            frontier.extend(moral[v])
-    return True
+        if v not in below:
+            below.add(v)
+            frontier.extend(kids[v])
+    moral = _primal(((v, *dag[v]) for v in relevant), relevant)
+    reached, frontier = set(), [output]
+    while frontier:
+        v = frontier.pop()
+        if v not in reached:
+            reached.add(v)
+            frontier.extend(moral[v] - evidence)
+    return (
+        frozenset(evidence - below),
+        frozenset(i for i in evidence if not moral[i] & reached),
+    )
 
 
 class EliminationOrder(tuple):

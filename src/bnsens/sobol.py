@@ -6,34 +6,46 @@ effect of evidential variable i, and the total index
 S^T_i = E_{~i}[Var_i[f]] / Var[f] = 1 - Var_{~i}[E_i[f]] / Var[f] its
 overall effect including interactions; the closed index of a group of
 evidential variables is the group's variance component. `compute_all`
-computes them all without tabulating f. The first-order indices need only
-one-variable marginals, which one calibration of the function network and
-one of the evidence marginal give for every variable at once. Var[f] and
-the total indices take one of two plans. Per-query, each of them, and each
-closed index, is one conditional-moment query E[E[f | keep]^2] over a
-squared and quotient network whose chance variables are summed out. With
-independent evidence, the coupled plan calibrates once a network that
-couples the function network to a renamed replica of itself through one
-factor per evidential variable: the contraction is linear in each coupling
-factor, so its outside factor gives E[E[f | E - {k}]^2] for every k at once
-(the differential approach, Darwiche 2003; Park and Darwiche 2004).
+computes them all without tabulating f over the evidence, except where that
+table is no larger than a factor the analysis builds anyway. Every index
+comes from conditional moments E[E[f | keep]^2], which three plans take:
+
+- Per-query: the chance variables are summed out of the function network
+  into `t`; Var[f] and each total and closed index are one conditional-
+  moment query over a squared and quotient network, and the first-order
+  indices need only one-variable marginals, which one calibration of `t`
+  and one of the evidence marginal give for every variable at once.
+- Tabulated: when the table over the evidence has no more cells than the
+  largest factor of `t`, `t` and the evidence marginal are each contracted
+  into one table over the evidence, and every moment is a sum over the
+  tables, with no further elimination order.
+- Coupled: with independent evidence, one calibration of a network that
+  couples the function network to a renamed replica of itself through one
+  factor per evidential variable gives Var[f] and every total index: the
+  contraction is linear in each coupling factor, so its outside factor
+  gives E[E[f | E - {k}]^2] for every k at once (the differential
+  approach, Darwiche 2003; Park and Darwiche 2004).
+
 `compute_all` takes the coupled plan when its elimination order predicts
-fewer cells than summing the chance variables out for the per-query plan.
+fewer cells than summing the chance variables out into `t`; otherwise it
+builds `t` and tabulates when the table is no larger than `t`'s largest
+factor, which each per-query query would read at least once.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+import math
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Container, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateOutputError, NotEvidentialError, PartialFunctionError
-from .graph import ancestors, d_separated
+from .graph import ancestors, separated_evidence
 from .model import (
     AnalysisSpec,
     Cpt,
@@ -73,10 +85,11 @@ class IndexEntry:
     """Sensitivity results for one evidential variable or variable group.
 
     `s_time` and `st_time` are the seconds spent on `s` and `st`. The
-    first-order indices share one calibration, and so do the total indices
-    of the coupled plan; each index computed from a calibration is charged
-    an equal share of its time plus its own arithmetic, so the times still
-    add up to the work done."""
+    first-order indices share one calibration, the total indices of the
+    coupled plan share another, and every index of the tabulated plan shares
+    the tables; each index computed from a calibration or the tables is
+    charged an equal share of its time plus its own arithmetic, so the
+    times still add up to the work done."""
 
     variables: tuple[int, ...]
     name: str
@@ -220,31 +233,45 @@ def compute_all(
     built over An(evidence) alone, where every other node is barren; with
     root evidence nothing is eliminated to build it.
 
-    Var[f] and the total indices come from one of two plans:
+    The indices come from one of three plans:
 
-    - Per-query: the non-evidential variables are summed out of `t_full`
-      into `t`, so no query squares a chance variable, and Var[f] and each
-      total and closed index are one conditional-moment query over `t` and
-      `j`. The first-order indices come from one calibration each of `t`
-      and `j` (`marginals`).
     - Coupled: when `j` is a product of one-axis factors (the evidence is
       independent), one calibration of `_coupled_network`, which squares
       `t_full` with every variable replicated, gives Var[f] and every total
       index from the outside factors of its coupling factors; the
       first-order indices and E[f] come from one calibration of `t_full`,
       and `t` is never built.
+    - Tabulated: the non-evidential variables are summed out of `t_full`
+      into `t`, and `t` and `j` are each contracted into one table over the
+      sorted evidence, with no elimination order. E[E[f | keep]^2] is the
+      sum of T_keep^2 / J_keep, the tables with the evidence outside `keep`
+      summed away, and gives Var[f] and every total and closed index; the
+      first-order indices take the tables' one-variable marginals, and E[f]
+      is the sum of T.
+    - Per-query: `t` is built as above, Var[f] and each total and closed
+      index are one conditional-moment query over `t` and `j`, and the
+      first-order indices come from one calibration each of `t` and `j`
+      (`marginals`).
 
     The coupled plan is taken when totals are asked for, without closed
     subsets, on independent evidence, and when the cells of its forward and
     backward passes, predicted by its elimination order, are fewer than
-    those of summing `t_full` down to `t`, which the per-query plan pays
-    before its first query. Each costed order is the one that runs.
+    those of summing `t_full` down to `t`, which the other plans pay before
+    anything else. Each costed order is the one that runs. Otherwise `t` is
+    built, and the tabulated plan is taken when the table over the evidence
+    (the product of the evidential cardinalities, a Python int) has no more
+    cells than the largest factor of `t` and no more axes than one einsum
+    takes: every per-query query contracts a network that holds that
+    factor, so it reads at least as many cells as the table. The choice is
+    logged at DEBUG level on the `bnsens.sobol` logger with the cells it
+    compared.
 
     With a single evidential variable, E[f | i] is f and S_i is 1.0
     without a calibration. Some indices need no query and are exact zeros:
     S_i when i is d-separated from the output, since E[f | i] is then
     constant, and S^T_i when the rest of the evidence d-separates i from
-    the output, since f is then flat along i. Entries are ordered by
+    the output, since f is then flat along i; `separated_evidence` finds
+    both sets for every variable at once. Entries are ordered by
     variable id, with the closed subsets last; with neither `first` nor
     `total` requested there are no per-variable entries."""
     options = options or ComputeOptions()
@@ -263,14 +290,9 @@ def compute_all(
     relevant = ancestors(dag, spec.evidential | {spec.output})
     _log.debug("pruned barren nodes %s", sorted(set(range(bn.n)) - relevant))
     targets = sorted(spec.evidential) if options.first or options.total else []
-    zero_s = zero_st = frozenset()
-    if options.first:
-        zero_s = frozenset(i for i in targets if d_separated(dag, i, spec.output))
-    if options.total:
-        zero_st = frozenset(
-            i for i in targets
-            if d_separated(dag, i, spec.output, spec.evidential - {i})
-        )
+    separated, screened = separated_evidence(dag, spec.output, spec.evidential)
+    zero_s = separated if options.first else frozenset()
+    zero_st = screened if options.total else frozenset()
     for label, zeros in (("S", zero_s), ("ST", zero_st)):
         for i in sorted(zeros):
             _log.debug(
@@ -305,8 +327,8 @@ def compute_all(
         coupled_cells = 2 * sum(coupled_order.cells)
         reduce_cells = sum(t_order.cells)
         _log.debug(
-            "%s plan: coupled calibration %d cells, building t %d cells",
-            "coupled" if coupled_cells < reduce_cells else "per-query",
+            "%s: coupled calibration %d cells, building t %d cells",
+            "coupled plan" if coupled_cells < reduce_cells else "coupled plan declined",
             coupled_cells, reduce_cells,
         )
         if coupled_cells < reduce_cells:
@@ -315,12 +337,14 @@ def compute_all(
     # One calibration of the function network and one of j give every
     # first-order index, and one calibration of the coupled network every
     # total index; each index is charged an equal share of its
-    # calibration's time. With one evidential variable, E[f | i] is f
-    # itself and S_i is 1.0 exactly. The function network has mean zero
-    # up to rounding; taking that residual out as well drops the constant
-    # offset that the rounding of `centre` leaves in g.
+    # calibration's time, and in the tabulated plan of the tabulation's.
+    # With one evidential variable, E[f | i] is f itself and S_i is 1.0
+    # exactly. The function network has mean zero up to rounding; taking
+    # that residual out as well drops the constant offset that the
+    # rounding of `centre` leaves in g.
     queried = [i for i in targets if i not in zero_s] if options.first else []
-    s_share = st_share = 0.0
+    s_share = st_share = closed_share = 0.0
+    tabulated = False
     if coupled is not None:
         t0 = time.perf_counter()
         t_marginals, j_marginals = marginals(t_full), priors
@@ -337,16 +361,54 @@ def compute_all(
         st_share = (time.perf_counter() - t0) / max(len(set(targets) - zero_st), 1)
     else:
         t = marginalize(t_full, t_order)
-        mean = contract_all(t)
-        second = _conditional_second_moment(t, j, spec.evidential)
+        evidence = sorted(spec.evidential)
+        # A Python int: a product over many evidential variables overflows int64.
+        table_cells = math.prod(t.universe[k] for k in evidence)
+        largest = max(f.values.size for f in t.factors)
+        tabulated = (
+            table_cells <= largest and len(evidence) <= len(network.EINSUM_LETTERS)
+        )
+        _log.debug(
+            "%s plan: table over the evidence %d cells, largest factor of t %d cells",
+            "tabulated" if tabulated else "per-query", table_cells, largest,
+        )
+        if tabulated:
+            t0 = time.perf_counter()
+            # Every evidential variable is an axis of t and of j, so each
+            # table is over the sorted evidence.
+            tables = [network._eliminate(tn.factors, set()).values for tn in (t, j)]
+
+            def summed(keep: Container[int]) -> list[np.ndarray]:
+                axes = tuple(a for a, k in enumerate(evidence) if k not in keep)
+                return [table.sum(axis=axes) for table in tables]
+
+            def conditional(keep: frozenset[int]) -> float:
+                t_keep, j_keep = summed(keep)
+                return float(np.vdot(t_keep, t_keep * reciprocal(j_keep)))
+
+            mean = float(tables[0].sum())
+            t_marginals, j_marginals = {}, {}
+            for i in queried:
+                t_marginals[i], j_marginals[i] = summed({i})
+            users = len(queried) + len(closed)
+            if options.total:
+                users += len(targets) - len(zero_st)
+            s_share = st_share = closed_share = (time.perf_counter() - t0) / max(users, 1)
+        else:
+            mean = contract_all(t)
+
+            def conditional(keep: frozenset[int]) -> float:
+                return _conditional_second_moment(t, j, keep)
+
+        second = conditional(spec.evidential)
 
         def moment(i: int) -> float:
-            return _conditional_second_moment(t, j, spec.evidential - {i})
+            return conditional(spec.evidential - {i})
 
     variance = second - mean * mean
     if not variance > DEGENERATE_VARIANCE_TOL * float(p_out @ (g * g)):
         raise DegenerateOutputError(f"output variance {variance!r} is numerically zero")
-    if coupled is None and queried and len(spec.evidential) > 1:
+    if coupled is None and not tabulated and queried and len(spec.evidential) > 1:
         t0 = time.perf_counter()
         t_marginals, j_marginals = marginals(t), marginals(j)
         s_share = (time.perf_counter() - t0) / len(queried)
@@ -375,8 +437,8 @@ def compute_all(
 
     for ids in closed:
         t0 = time.perf_counter()
-        value = (_conditional_second_moment(t, j, frozenset(ids)) - mean * mean) / variance
-        elapsed = time.perf_counter() - t0
+        value = (conditional(frozenset(ids)) - mean * mean) / variance
+        elapsed = time.perf_counter() - t0 + closed_share
         name = "+".join(bn.variables[v].name for v in ids)
         entries.append(IndexEntry(ids, name, value, elapsed, None, None))
 

@@ -391,6 +391,21 @@ def driven_chain(m: int, seed: int) -> tuple[DiscreteBayesNet, AnalysisSpec]:
     return bn, AnalysisSpec(2 * m, frozenset(range(m)), {"0": 0.0, "1": 1.0, "2": 3.0})
 
 
+def fan_in(m: int, seed: int) -> tuple[DiscreteBayesNet, AnalysisSpec]:
+    """Evidential binary roots R0..R{m-1}, all of them parents of one
+    ternary chance node C, and a binary output O under C. Summing C and O
+    out leaves one factor over every root, as large as the table over the
+    evidence."""
+    rng = np.random.default_rng(seed)
+    variables = [Variable(k, f"R{k}", ("0", "1")) for k in range(m)]
+    variables += [Variable(m, "C", ("0", "1", "2")), Variable(m + 1, "O", ("0", "1"))]
+    cpts = [Cpt(k, (), rng.dirichlet(np.ones(2), size=1)) for k in range(m)]
+    cpts.append(Cpt(m, tuple(range(m)), rng.dirichlet(np.ones(3), size=2**m)))
+    cpts.append(Cpt(m + 1, (m,), rng.dirichlet(np.ones(2), size=3)))
+    bn = DiscreteBayesNet(tuple(variables), tuple(cpts))
+    return bn, AnalysisSpec(m + 1, frozenset(range(m)), {"0": 0.0, "1": 1.0})
+
+
 def concrete_style_network(seed: int = 7) -> tuple[DiscreteBayesNet, AnalysisSpec]:
     """A 24-node ternary network with 16 evidential roots, 7 intermediate
     chance nodes, and one sink output; evidence grid 3^16 (~4.3e7 points)."""

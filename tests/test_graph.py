@@ -9,9 +9,9 @@ from bnsens import (
     CyclicGraphError,
     ancestors,
     collapse,
-    d_separated,
     min_weight_order,
     mrf_from_bn,
+    separated_evidence,
 )
 from bnsens.model import _check_acyclic
 from helpers import gate_tree, reference_d_separated, reference_min_weight_order
@@ -38,20 +38,30 @@ def test_ancestors_include_the_targets():
 
 
 def test_d_separation_on_five_vertex_graph():
-    # 0 and 1 meet only at the collider 3 (and its descendant 4).
-    assert d_separated(FIVE, 0, 1)
-    assert not d_separated(FIVE, 0, 1, {3})
-    assert not d_separated(FIVE, 0, 1, {4})
-    # 2 and 3 share the parent 0.
-    assert not d_separated(FIVE, 2, 3)
-    assert d_separated(FIVE, 2, 3, {0})
-    assert not d_separated(FIVE, 2, 3, {0, 4})
-    # The chain 0 -> 2 -> 4 is blocked at 2 only if 0 -> 3 -> 4 is too.
-    assert not d_separated(FIVE, 0, 4, {2})
-    assert d_separated(FIVE, 0, 4, {2, 3})
-    assert not d_separated(FIVE, 1, 1)
+    # Each case gives the output, the evidence, the evidence d-separated
+    # from the output with nothing given, and the evidence d-separated
+    # from it by the rest of the evidence.
+    cases = [
+        # 0 and 1 meet only at the collider 3 (and its descendant 4).
+        (1, {0}, {0}, {0}),
+        (1, {0, 3}, {0}, set()),
+        (1, {0, 4}, {0}, set()),
+        # 2 and 3 share the parent 0.
+        (3, {0, 2}, set(), {2}),
+        (3, {0, 2, 4}, set(), set()),
+        # The chain 0 -> 2 -> 4 is blocked at 2 only if 0 -> 3 -> 4 is too.
+        (4, {0, 2}, set(), set()),
+        (4, {0, 2, 3}, set(), {0}),
+        (2, {1}, {1}, {1}),
+        (4, {0, 1, 2, 3}, set(), {0, 1}),
+    ]
+    for output, evidence, alone, given_rest in cases:
+        assert separated_evidence(FIVE, output, evidence) == (alone, given_rest)
+    # No vertex is d-separated from itself, so the output is never evidence.
     with pytest.raises(ValueError):
-        d_separated(FIVE, 0, 4, {0})
+        separated_evidence(FIVE, 0, {0, 4})
+    with pytest.raises(IndexError):
+        separated_evidence(FIVE, 0, {5})
 
 
 def test_min_weight_order_checks_scopes_and_ignores_empty_ones():
@@ -124,8 +134,8 @@ def test_min_weight_order_matches_the_rescan_reference(case):
 
 def test_d_separation_matches_trail_enumeration():
     rng = np.random.default_rng(12)
-    for _ in range(60):
-        n = int(rng.integers(1, 8))
+    for _ in range(300):
+        n = int(rng.integers(2, 8))
         label = rng.permutation(n)  # so that ids are not a topological order
         parents = [[] for _ in range(n)]
         for child in range(n):
@@ -133,14 +143,17 @@ def test_d_separation_matches_trail_enumeration():
                 if rng.random() < 0.4:
                     parents[label[child]].append(int(label[parent]))
         dag = tuple(tuple(ps) for ps in parents)
-        for a in range(n):
-            for b in range(n):
-                others = [v for v in range(n) if v not in (a, b)]
-                givens = [()] + [
-                    tuple(v for v in others if rng.random() < 0.4) for _ in range(3)
-                ]
-                for z in givens:
-                    assert d_separated(dag, a, b, z) == reference_d_separated(dag, a, b, z)
+        for output in range(n):
+            others = [v for v in range(n) if v != output]
+            evidences = [others] + [
+                [v for v in others if rng.random() < 0.5] for _ in range(2)
+            ]
+            for evidence in evidences:
+                alone, given_rest = separated_evidence(dag, output, evidence)
+                for i in evidence:
+                    rest = [v for v in evidence if v != i]
+                    assert (i in alone) == reference_d_separated(dag, i, output)
+                    assert (i in given_rest) == reference_d_separated(dag, i, output, rest)
 
 
 def test_fault_tree_of_1023_nodes_marginalizes_in_seconds():

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bnsens.graph
 import bnsens.network
 import bnsens.sobol
 from bnsens import AnalysisSpec, Cpt, DiscreteBayesNet, Variable, compute_all
 from bnsens.oracle import brute_force_indices
-from helpers import random_instance, random_roots_instance
+from helpers import gate_tree, random_instance, random_roots_instance
 
 
 def binary_bn(parent_map, tables):
@@ -204,3 +205,26 @@ def test_pruning_and_zeros_are_logged(caplog):
     assert f"S of B (id {ids['B']}) = 0.0 by d-separation from the output" in messages
     assert f"ST of B (id {ids['B']}) = 0.0 by d-separation from the output" in messages
     assert not any("of A " in m for m in messages)
+
+
+def test_relevance_builds_one_moral_graph_whatever_the_evidence(monkeypatch):
+    # Gate trees of 64 and 256 leaves with every fourth basic event as
+    # evidence: 16 and 64 independent roots. Both zero sets come from one
+    # moral graph, so the neighbour-set graphs built do not grow with the
+    # evidence.
+    primal = bnsens.graph._primal
+    counts = []
+    for leaves in (64, 256):
+        bn, spec, _ = gate_tree(leaves, 0)
+        spec = AnalysisSpec(spec.output, frozenset(range(0, leaves, 4)), spec.value_map)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return primal(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(bnsens.graph, "_primal", counted)
+            compute_all(bn, spec)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

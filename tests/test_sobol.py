@@ -1,3 +1,4 @@
+import logging
 import math
 import time
 import warnings
@@ -41,6 +42,7 @@ from helpers import (
     constant_behind_rare_evidence,
     constant_on_support_chain,
     driven_chain,
+    fan_in,
     fault_tree,
     gate_tree,
     impossible_label_grid,
@@ -182,30 +184,56 @@ def test_first_order_indices_match_oracle_on_zero_probability_evidence_cells(p):
         assert a.st == pytest.approx(b.st, abs=1e-12)
 
 
+def _count_orderings(monkeypatch, analysis):
+    """The `min_weight_order` calls that `analysis()` makes, and its result."""
+    order = bnsens.network.min_weight_order
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return order(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(bnsens.network, "min_weight_order", counted)
+        result = analysis()
+    return len(calls), result
+
+
 def test_first_order_indices_take_a_fixed_number_of_orderings(monkeypatch):
     # All first-order indices come from one calibration of each network,
     # so the ordering calls do not grow with the number of evidential roots.
-    order = bnsens.network.min_weight_order
+    # Both networks stay per-query: their tables over the evidence (64 and
+    # 4096 cells) outgrow t's largest factor (32 and 256 cells).
     counts = []
-    for roots in (4, 12):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return order(*args, **kwargs)
-
+    for roots in (6, 12):
         bn, spec = layered_network(5, roots, 5, 2)
-        with monkeypatch.context() as m:
-            m.setattr(bnsens.network, "min_weight_order", counted)
-            report = compute_all(bn, spec, ComputeOptions(total=False))
+        calls, report = _count_orderings(
+            monkeypatch, lambda: compute_all(bn, spec, ComputeOptions(total=False))
+        )
         assert sum(e.s > 0.0 for e in report.indices) >= 2
-        counts.append(len(calls))
+        counts.append(calls)
     assert counts[0] == counts[1]
+
+
+def test_tabulated_indices_take_a_fixed_number_of_orderings(monkeypatch):
+    # The tables take no ordering, so every index of 4 or 10 roots takes
+    # only the orderings of P(O), of the evidence marginal, of t and of the
+    # coupled network that the plan costed and turned down.
+    counts = []
+    for roots in (4, 10):
+        bn, spec = fan_in(roots, 0)
+        with monkeypatch.context() as m:
+            _refuse_queries(m)
+            calls, report = _count_orderings(m, lambda: compute_all(bn, spec))
+        assert all(e.s > 0.0 and e.st > 0.0 for e in report.indices)
+        counts.append(calls)
+    assert counts == [4, 4]
 
 
 def test_first_order_times_share_the_calibration(monkeypatch):
     # Each calibration is slowed by 20 ms: the first-order times must still
     # add up to the work, shared equally by the variables that used it.
+    # The network stays per-query, so it calibrates t and j.
     calibrate = bnsens.sobol.marginals
 
     def slow(tn):
@@ -213,13 +241,90 @@ def test_first_order_times_share_the_calibration(monkeypatch):
         return calibrate(tn)
 
     monkeypatch.setattr(bnsens.sobol, "marginals", slow)
-    bn, spec = layered_network(5, 4, 5, 2)
+    bn, spec = layered_network(5, 6, 5, 2)
     entries = compute_all(bn, spec, ComputeOptions(total=False)).indices
     queried = [e for e in entries if e.s != 0.0]
     assert len(queried) >= 2
     for entry in queried:
         assert entry.s_time >= 0.04 / len(queried)
     assert sum(e.s_time for e in entries) >= 0.04
+
+
+def test_tabulated_times_share_the_tabulation(monkeypatch):
+    # Each of the two tables over the evidence is slowed by 20 ms: the
+    # times of the 4 first-order, 4 total and 1 closed index taken from
+    # them must add up to the tabulation, in equal shares.
+    bn, spec = fan_in(4, 0)
+    eliminate = bnsens.network._eliminate
+
+    def slow(factors, drop):
+        if not drop and {ax for f in factors for ax in f.axes} == spec.evidential:
+            time.sleep(0.02)
+        return eliminate(factors, drop)
+
+    monkeypatch.setattr(bnsens.network, "_eliminate", slow)
+    entries = compute_all(bn, spec, ComputeOptions(closed=((0, 1),))).indices
+    times = [e.s_time for e in entries] + [e.st_time for e in entries[:-1]]
+    assert len(times) == 9
+    for elapsed in times:
+        assert elapsed >= 0.04 / 9
+    assert sum(times) >= 0.04
+
+
+def _plans(caplog) -> list[str]:
+    """The plan named by each analysis's DEBUG plan line, in order."""
+    return [
+        message.split(" plan:")[0]
+        for message in (r.getMessage() for r in caplog.records if r.name == "bnsens.sobol")
+        if " plan:" in message
+    ]
+
+
+def test_tabulated_plan_matches_the_oracle(monkeypatch, caplog):
+    # Where the table over the evidence is no larger than t's largest
+    # factor, every index, the closed ones included, comes from the tables
+    # and no conditional-moment query runs, with evidence that has parents
+    # (dependent) as well as root evidence.
+    tabulated = dependent = 0
+    for seed in range(60):
+        bn, spec = random_instance(seed + 900)
+        evid = sorted(spec.evidential)
+        options = ComputeOptions(closed=(tuple(evid[:2]), tuple(evid)))
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="bnsens.sobol"):
+            compute_all(bn, spec, options)
+        if _plans(caplog) != ["tabulated"]:
+            continue
+        with monkeypatch.context() as m:
+            _refuse_queries(m)
+            report = compute_all(bn, spec, options)
+        reference = brute_force_indices(bn, spec)
+        assert report.expected_value == pytest.approx(reference.expected_value, abs=1e-9)
+        assert report.variance == pytest.approx(reference.variance, abs=1e-9)
+        for a, b in zip(report.indices, reference.indices):
+            assert a.variables == b.variables
+            assert a.s == pytest.approx(b.s, abs=1e-9)
+            assert a.st == pytest.approx(b.st, abs=1e-9)
+        pair, full = report.indices[len(evid):]
+        assert pair.s == pytest.approx(brute_force_closed(bn, spec, pair.variables), abs=1e-9)
+        assert full.s == pytest.approx(1.0, abs=1e-9)
+        tabulated += 1
+        dependent += any(bn.cpts[i].parents for i in evid)
+    assert tabulated >= 20 and dependent >= 10
+
+
+def test_plan_line_names_the_plan_and_its_cells(caplog):
+    # fan_in's t has one factor over all four roots; the six roots of the
+    # layered network span 64 cells, and t's largest factor only 32, so it
+    # stays per-query and runs its conditional-moment queries.
+    with caplog.at_level(logging.DEBUG, logger="bnsens.sobol"):
+        compute_all(*fan_in(4, 0))
+        compute_all(*layered_network(5, 6, 5, 2))
+    lines = [r.getMessage() for r in caplog.records if " plan:" in r.getMessage()]
+    assert lines == [
+        "tabulated plan: table over the evidence 16 cells, largest factor of t 16 cells",
+        "per-query plan: table over the evidence 64 cells, largest factor of t 32 cells",
+    ]
 
 
 def test_closed_index_of_singleton_matches_component():
@@ -334,22 +439,16 @@ def test_coupled_plan_matches_brute_force_on_a_driven_chain(monkeypatch):
 
 def test_coupled_totals_take_a_fixed_number_of_orderings(monkeypatch):
     # Gate trees of 64 and 128 leaves have 16 and 32 evidential roots.
-    order = bnsens.network.min_weight_order
     counts = []
     for leaves in (64, 128):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return order(*args, **kwargs)
-
         bn, spec = _gate_tree_root_evidence(leaves)
         with monkeypatch.context() as m:
             _refuse_queries(m)
-            m.setattr(bnsens.network, "min_weight_order", counted)
-            report = compute_all(bn, spec, ComputeOptions(first=False))
+            calls, report = _count_orderings(
+                m, lambda: compute_all(bn, spec, ComputeOptions(first=False))
+            )
         assert sum(e.st > 0.0 for e in report.indices) >= 8
-        counts.append(len(calls))
+        counts.append(calls)
     assert counts[0] == counts[1]
 
 
@@ -368,11 +467,14 @@ def test_gate_tree_of_256_leaves_with_root_evidence_finishes_in_seconds():
     assert sum(e.st for e in report.indices) >= 1.0 - 1e-12
 
 
-def test_bucket_beyond_einsum_operand_cap_matches_stepwise(monkeypatch):
+def test_bucket_beyond_einsum_operand_cap_matches_stepwise(monkeypatch, caplog):
     # An evidential root C with an output child and 64 evidential leaves:
     # min-weight eliminates each leaf first, leaving C's bucket 66 factors,
     # more operands than one np.einsum call accepts (63; 31 on numpy 1.x).
     # Total indices are left out: S^T of C keeps all 64 leaves, 2^64 cells.
+    # The table over the 65 evidential variables has 2^65 cells, a count
+    # that wraps to 0 in int64, and more axes than einsum has labels: the
+    # analysis must stay per-query.
     n = 64
     rng = np.random.default_rng(7)
     variables = [Variable(0, "C", ("0", "1")), Variable(1, "O", ("0", "1"))]
@@ -384,7 +486,10 @@ def test_bucket_beyond_einsum_operand_cap_matches_stepwise(monkeypatch):
     spec = AnalysisSpec(1, frozenset({0, *range(2, n + 2)}), {"0": 0.0, "1": 1.0})
     bn = DiscreteBayesNet(variables, cpts)
     first_only = ComputeOptions(total=False)
-    fused = compute_all(bn, spec, first_only)
+    with caplog.at_level(logging.DEBUG, logger="bnsens.sobol"):
+        fused = compute_all(bn, spec, first_only)
+    assert _plans(caplog) == ["per-query"]
+    assert f"table over the evidence {2**65} cells" in caplog.text
 
     def stepwise(factors, axes):
         product = reduce(factor_product, factors, Factor.scalar(1.0))
