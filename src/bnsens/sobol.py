@@ -13,8 +13,10 @@ comes from conditional moments E[E[f | keep]^2], which three plans take:
 - Per-query: the chance variables are summed out of the function network
   into `t`; Var[f] and each total and closed index are one conditional-
   moment query over a squared and quotient network, and the first-order
-  indices need only one-variable marginals, which one calibration of `t`
-  and one of the evidence marginal give for every variable at once.
+  indices need only one-variable marginals, which one calibration of the
+  function network itself gives for every variable at once, with the
+  priors (one calibration of the evidence marginal when the evidence is
+  dependent).
 - Tabulated: when the table over the evidence has no more cells than the
   largest factor of `t`, `t` and the evidence marginal are each contracted
   into one table over the evidence, and every moment is a sum over the
@@ -24,7 +26,8 @@ comes from conditional moments E[E[f | keep]^2], which three plans take:
   factor per evidential variable gives Var[f] and every total index: the
   contraction is linear in each coupling factor, so its outside factor
   gives E[E[f | E - {k}]^2] for every k at once (the differential
-  approach, Darwiche 2003; Park and Darwiche 2004).
+  approach, Darwiche 2003; Park and Darwiche 2004). The first-order
+  indices come from the function network as in the per-query plan.
 
 `compute_all` takes the coupled plan when its elimination order predicts
 fewer cells than summing the chance variables out into `t`; otherwise it
@@ -85,7 +88,9 @@ class IndexEntry:
     """Sensitivity results for one evidential variable or variable group.
 
     `s_time` and `st_time` are the seconds spent on `s` and `st`. The
-    first-order indices share one calibration, the total indices of the
+    first-order indices of the coupled and per-query plans share one
+    calibration of the function network `t_full` (and, with dependent
+    evidence, one of the evidence marginal), the total indices of the
     coupled plan share another, and every index of the tabulated plan shares
     the tables; each index computed from a calibration or the tables is
     charged an equal share of its time plus its own arithmetic, so the
@@ -125,7 +130,10 @@ class ComputeOptions:
 
 
 def _conditional_second_moment(
-    t: TensorNetwork, j: TensorNetwork, keep: frozenset[int]
+    t: TensorNetwork,
+    j: TensorNetwork,
+    keep: frozenset[int],
+    inverse: dict[int, Factor] | None = None,
 ) -> float:
     """E[E[f | keep]^2] for a subset `keep` of the evidential variables.
 
@@ -134,11 +142,16 @@ def _conditional_second_moment(
     since every remaining variable is shared) and dividing by P(keep), the
     evidence marginal with the rest of the evidence summed out, contracts
     to the second moment of the conditional mean. `j` is the evidence
-    marginal, over the evidential variables only. Where P(keep) is zero so
-    is the numerator, and `quotient`'s 0 there is exact."""
-    numerator = marginalize(t, set(t.universe) - keep)
-    divisor = marginalize(j, frozenset(j.universe) - keep)
-    return contract_all(quotient(square_wrt(numerator, keep), divisor))
+    marginal, over the evidential variables only. With independent
+    evidence, `inverse` holds the zero-safe reciprocal of each prior P(x_k)
+    as a factor over k; P(keep) is then their product over `keep`, and `j`
+    is not read. Where P(keep) is zero so is the numerator, and the
+    reciprocal's 0 there is exact."""
+    squared = square_wrt(marginalize(t, set(t.universe) - keep), keep)
+    if inverse is None:
+        return contract_all(quotient(squared, marginalize(j, frozenset(j.universe) - keep)))
+    divisor = tuple(inverse[k] for k in sorted(keep))
+    return contract_all(TensorNetwork(squared.universe, squared.factors + divisor))
 
 
 # Module-level so that bench/spans.py and the tests can hook each query.
@@ -238,9 +251,8 @@ def compute_all(
     - Coupled: when `j` is a product of one-axis factors (the evidence is
       independent), one calibration of `_coupled_network`, which squares
       `t_full` with every variable replicated, gives Var[f] and every total
-      index from the outside factors of its coupling factors; the
-      first-order indices and E[f] come from one calibration of `t_full`,
-      and `t` is never built.
+      index from the outside factors of its coupling factors, and `t` is
+      never built.
     - Tabulated: the non-evidential variables are summed out of `t_full`
       into `t`, and `t` and `j` are each contracted into one table over the
       sorted evidence, with no elimination order. E[E[f | keep]^2] is the
@@ -248,10 +260,18 @@ def compute_all(
       summed away, and gives Var[f] and every total and closed index; the
       first-order indices take the tables' one-variable marginals, and E[f]
       is the sum of T.
-    - Per-query: `t` is built as above, Var[f] and each total and closed
-      index are one conditional-moment query over `t` and `j`, and the
-      first-order indices come from one calibration each of `t` and `j`
-      (`marginals`).
+    - Per-query: `t` is built as above, and Var[f] and each total and
+      closed index are one conditional-moment query over `t`. Each query
+      divides by the evidence marginal over its kept variables: with
+      independent evidence, the product of the reciprocal priors, taken
+      once per analysis; otherwise `j` with the rest summed out.
+
+    Outside the tabulated plan, the first-order indices and E[f] come from
+    one calibration of `t_full` (`marginals`), whose marginal on each
+    evidential variable equals that of `t`, and the evidence marginals are
+    the priors, or one calibration of `j` when the evidence is dependent.
+    Without first-order indices to compute, E[f] is one contraction, of
+    `t_full` in the coupled plan and of `t` in the per-query plan.
 
     The coupled plan is taken when totals are asked for, without closed
     subsets, on independent evidence, and when the cells of its forward and
@@ -318,9 +338,9 @@ def compute_all(
     t_order = network.min_weight_order(
         [f.axes for f in t_full.factors], t_full.universe, keep=spec.evidential
     )
-    priors = _priors(j) if options.total and not closed else None
+    priors = _priors(j)
     coupled = None
-    if priors is not None:
+    if priors is not None and options.total and not closed:
         layout = _coupled_layout(t_full, priors)
         coupled_order = network.min_weight_order(layout[1], layout[0])
         # a forward pass, and a backward pass over about as many cells
@@ -334,32 +354,15 @@ def compute_all(
         if coupled_cells < reduce_cells:
             coupled = _coupled_network(t_full, priors, layout)
 
-    # One calibration of the function network and one of j give every
-    # first-order index, and one calibration of the coupled network every
-    # total index; each index is charged an equal share of its
-    # calibration's time, and in the tabulated plan of the tabulation's.
-    # With one evidential variable, E[f | i] is f itself and S_i is 1.0
-    # exactly. The function network has mean zero up to rounding; taking
-    # that residual out as well drops the constant offset that the
-    # rounding of `centre` leaves in g.
+    # Each index is charged an equal share of the time of the calibration
+    # or tabulation it came from. With one evidential variable, E[f | i] is
+    # f itself and S_i is 1.0 exactly. The function network has mean zero
+    # up to rounding; taking that residual out as well drops the constant
+    # offset that the rounding of `centre` leaves in g.
     queried = [i for i in targets if i not in zero_s] if options.first else []
     s_share = st_share = closed_share = 0.0
     tabulated = False
-    if coupled is not None:
-        t0 = time.perf_counter()
-        t_marginals, j_marginals = marginals(t_full), priors
-        mean = float(t_marginals[spec.output].sum())
-        s_share = (time.perf_counter() - t0) / max(len(queried), 1)
-        t0 = time.perf_counter()
-        start = len(coupled.factors) - len(priors)
-        outside = marginals(
-            coupled, coupled_order, outside_of=range(start, len(coupled.factors))
-        )
-        second = float(np.sum(outside[start] * coupled.factors[start].values))
-        without = {k: float(outside[p].sum()) for p, k in enumerate(priors, start)}
-        moment = without.__getitem__
-        st_share = (time.perf_counter() - t0) / max(len(set(targets) - zero_st), 1)
-    else:
+    if coupled is None:
         t = marginalize(t_full, t_order)
         evidence = sorted(spec.evidential)
         # A Python int: a product over many evidential variables overflows int64.
@@ -372,33 +375,57 @@ def compute_all(
             "%s plan: table over the evidence %d cells, largest factor of t %d cells",
             "tabulated" if tabulated else "per-query", table_cells, largest,
         )
-        if tabulated:
-            t0 = time.perf_counter()
-            # Every evidential variable is an axis of t and of j, so each
-            # table is over the sorted evidence.
-            tables = [network._eliminate(tn.factors, set()).values for tn in (t, j)]
+    if tabulated:
+        t0 = time.perf_counter()
+        # Every evidential variable is an axis of t and of j, so each
+        # table is over the sorted evidence.
+        tables = [network._eliminate(tn.factors, set()).values for tn in (t, j)]
 
-            def summed(keep: Container[int]) -> list[np.ndarray]:
-                axes = tuple(a for a, k in enumerate(evidence) if k not in keep)
-                return [table.sum(axis=axes) for table in tables]
+        def summed(keep: Container[int]) -> list[np.ndarray]:
+            axes = tuple(a for a, k in enumerate(evidence) if k not in keep)
+            return [table.sum(axis=axes) for table in tables]
+
+        def conditional(keep: frozenset[int]) -> float:
+            t_keep, j_keep = summed(keep)
+            return float(np.vdot(t_keep, t_keep * reciprocal(j_keep)))
+
+        mean = float(tables[0].sum())
+        t_marginals, j_marginals = {}, {}
+        for i in queried:
+            t_marginals[i], j_marginals[i] = summed({i})
+        users = len(queried) + len(closed)
+        if options.total:
+            users += len(targets) - len(zero_st)
+        s_share = st_share = closed_share = (time.perf_counter() - t0) / max(users, 1)
+    elif queried and len(spec.evidential) > 1:
+        t0 = time.perf_counter()
+        t_marginals = marginals(t_full)
+        j_marginals = marginals(j) if priors is None else priors
+        mean = float(t_marginals[spec.output].sum())
+        s_share = (time.perf_counter() - t0) / len(queried)
+    else:
+        mean = contract_all(t_full if coupled is not None else t)
+
+    if coupled is not None:
+        t0 = time.perf_counter()
+        start = len(coupled.factors) - len(priors)
+        outside = marginals(
+            coupled, coupled_order, outside_of=range(start, len(coupled.factors))
+        )
+        second = float(np.sum(outside[start] * coupled.factors[start].values))
+        without = {k: float(outside[p].sum()) for p, k in enumerate(priors, start)}
+        moment = without.__getitem__
+        st_share = (time.perf_counter() - t0) / max(len(set(targets) - zero_st), 1)
+    else:
+        if not tabulated:
+            # With independent evidence every query divides by the priors,
+            # whose reciprocals are taken once here.
+            inverse = None if priors is None else {
+                k: Factor((k,), reciprocal(p)) for k, p in priors.items()
+            }
 
             def conditional(keep: frozenset[int]) -> float:
-                t_keep, j_keep = summed(keep)
-                return float(np.vdot(t_keep, t_keep * reciprocal(j_keep)))
-
-            mean = float(tables[0].sum())
-            t_marginals, j_marginals = {}, {}
-            for i in queried:
-                t_marginals[i], j_marginals[i] = summed({i})
-            users = len(queried) + len(closed)
-            if options.total:
-                users += len(targets) - len(zero_st)
-            s_share = st_share = closed_share = (time.perf_counter() - t0) / max(users, 1)
-        else:
-            mean = contract_all(t)
-
-            def conditional(keep: frozenset[int]) -> float:
-                return _conditional_second_moment(t, j, keep)
+                return _conditional_second_moment(t, j, keep, inverse)
 
         second = conditional(spec.evidential)
 
@@ -408,10 +435,6 @@ def compute_all(
     variance = second - mean * mean
     if not variance > DEGENERATE_VARIANCE_TOL * float(p_out @ (g * g)):
         raise DegenerateOutputError(f"output variance {variance!r} is numerically zero")
-    if coupled is None and not tabulated and queried and len(spec.evidential) > 1:
-        t0 = time.perf_counter()
-        t_marginals, j_marginals = marginals(t), marginals(j)
-        s_share = (time.perf_counter() - t0) / len(queried)
 
     entries = []
     for i in targets:

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 import time
@@ -22,6 +23,7 @@ from bnsens import (
     PartialFunctionError,
     ValidationError,
     Variable,
+    ancestors,
     compute_all,
     contract_all,
     encode_utility_node,
@@ -29,6 +31,7 @@ from bnsens import (
     marginalize,
     mrf_from_bn,
     output_values,
+    separated_evidence,
 )
 from bnsens.oracle import brute_force_closed, brute_force_f, brute_force_indices
 from bnsens.sobol import _conditional_second_moment
@@ -233,10 +236,13 @@ def test_tabulated_indices_take_a_fixed_number_of_orderings(monkeypatch):
 def test_first_order_times_share_the_calibration(monkeypatch):
     # Each calibration is slowed by 20 ms: the first-order times must still
     # add up to the work, shared equally by the variables that used it.
-    # The network stays per-query, so it calibrates t and j.
+    # The network stays per-query; with root evidence it calibrates t_full
+    # alone, and j would add a second calibration.
     calibrate = bnsens.sobol.marginals
+    calls = []
 
     def slow(tn):
+        calls.append(tn)
         time.sleep(0.02)
         return calibrate(tn)
 
@@ -244,10 +250,11 @@ def test_first_order_times_share_the_calibration(monkeypatch):
     bn, spec = layered_network(5, 6, 5, 2)
     entries = compute_all(bn, spec, ComputeOptions(total=False)).indices
     queried = [e for e in entries if e.s != 0.0]
-    assert len(queried) >= 2
+    assert len(queried) >= 2 and calls
+    work = 0.02 * len(calls)
     for entry in queried:
-        assert entry.s_time >= 0.04 / len(queried)
-    assert sum(e.s_time for e in entries) >= 0.04
+        assert entry.s_time >= work / len(queried)
+    assert sum(e.s_time for e in entries) >= work
 
 
 def test_tabulated_times_share_the_tabulation(monkeypatch):
@@ -325,6 +332,142 @@ def test_plan_line_names_the_plan_and_its_cells(caplog):
         "tabulated plan: table over the evidence 16 cells, largest factor of t 16 cells",
         "per-query plan: table over the evidence 64 cells, largest factor of t 32 cells",
     ]
+
+
+def _evidence_marginal(bn, spec):
+    mrf = mrf_from_bn(bn, ancestors(bn.dag(), spec.evidential))
+    return marginalize(mrf, set(mrf.universe) - spec.evidential)
+
+
+def _guard_per_query(monkeypatch, spec):
+    """Record the networks that `marginals` calibrates and those that
+    `contract_all` contracts outside conditional-moment queries; refuse a
+    calibration of the reduced t, which unlike t_full lacks the output and
+    unlike the evidence marginal does not sum to 1."""
+    calibrated, contracted, inside = [], [], []
+    calibrate = bnsens.sobol.marginals
+    contract = bnsens.sobol.contract_all
+    query = bnsens.sobol._conditional_second_moment
+
+    def guarded(tn, *args, **kwargs):
+        if spec.output not in tn.universe and abs(contract_all(tn) - 1.0) > 1e-9:
+            raise AssertionError("the reduced t was calibrated")
+        calibrated.append(tn)
+        return calibrate(tn, *args, **kwargs)
+
+    def recorded(tn):
+        if not inside:
+            contracted.append(tn)
+        return contract(tn)
+
+    def queried(*args):
+        inside.append(True)
+        try:
+            return query(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(bnsens.sobol, "marginals", guarded)
+    monkeypatch.setattr(bnsens.sobol, "contract_all", recorded)
+    monkeypatch.setattr(bnsens.sobol, "_conditional_second_moment", queried)
+    return calibrated, contracted
+
+
+def _per_query_instances(caplog, count):
+    """The first `count` networks of `random_roots_instance` (independent
+    evidence) and of `random_instance` (mostly dependent evidence) that take
+    the per-query plan."""
+    found = []
+    for make in (random_roots_instance, random_instance):
+        taken = 0
+        for seed in itertools.count(400):
+            bn, spec = make(seed)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="bnsens.sobol"):
+                compute_all(bn, spec)
+            if _plans(caplog) == ["per-query"]:
+                found.append((bn, spec))
+                taken += 1
+                if taken == count:
+                    break
+    return found
+
+
+def test_per_query_plan_calibrates_t_full_and_never_t(monkeypatch, caplog):
+    # Independent evidence: one calibration, of t_full, gives E[f] and every
+    # S_i, and the queries divide by the priors. Dependent evidence adds one
+    # calibration of the evidence marginal j. Neither calibrates t or
+    # contracts it outside a query; without an S_i to compute (first=False,
+    # one evidential variable, or every S_i zero by d-separation), one
+    # contraction of t gives E[f].
+    kinds = {True: 0, False: 0}
+    for bn, spec in _per_query_instances(caplog, 15):
+        independent = bnsens.sobol._priors(_evidence_marginal(bn, spec)) is not None
+        separated, _ = separated_evidence(bn.dag(), spec.output, spec.evidential)
+        calibrates = len(spec.evidential) > 1 and spec.evidential - separated
+        for first in (True, False):
+            with monkeypatch.context() as m:
+                calibrated, contracted = _guard_per_query(m, spec)
+                compute_all(bn, spec, ComputeOptions(first=first))
+            if first and calibrates:
+                assert spec.output in calibrated[0].universe
+                assert len(calibrated) == (1 if independent else 2)
+                assert contracted == []
+                kinds[independent] += 1
+            else:
+                assert calibrated == [] and len(contracted) == 1
+                assert spec.output not in contracted[0].universe  # t, not t_full
+    assert kinds[True] >= 5 and kinds[False] >= 5
+
+
+def test_per_query_plan_matches_the_oracle(monkeypatch, caplog):
+    dependent = 0
+    for bn, spec in _per_query_instances(caplog, 15):
+        evid = sorted(spec.evidential)
+        options = ComputeOptions(closed=(tuple(evid[:2]),))
+        with monkeypatch.context() as m:
+            _guard_per_query(m, spec)
+            report = compute_all(bn, spec, options)
+        reference = brute_force_indices(bn, spec)
+        assert report.expected_value == pytest.approx(reference.expected_value, abs=1e-9)
+        assert report.variance == pytest.approx(reference.variance, abs=1e-9)
+        for a, b in zip(report.indices, reference.indices):
+            assert a.variables == b.variables
+            assert a.s == pytest.approx(b.s, abs=1e-9)
+            assert a.st == pytest.approx(b.st, abs=1e-9)
+        pair = report.indices[-1]
+        assert pair.s == pytest.approx(brute_force_closed(bn, spec, pair.variables), abs=1e-9)
+        dependent += bnsens.sobol._priors(_evidence_marginal(bn, spec)) is None
+    assert 10 <= dependent <= 20
+
+
+@pytest.mark.parametrize(
+    "network, plan, calibrations",
+    [(concrete_style_network, "coupled", 1), (lambda: layered_network(5, 6, 5, 2), "per-query", 0)],
+    ids=["coupled", "per-query"],
+)
+def test_expected_value_without_first_order_takes_no_backward_pass(
+    monkeypatch, caplog, network, plan, calibrations
+):
+    # With first=False, E[f] is one contraction: only the coupled network
+    # is calibrated, for its outside factors.
+    bn, spec = network()
+    calibrate = bnsens.sobol.marginals
+    calibrated = []
+
+    def counted(tn, *args, **kwargs):
+        calibrated.append(kwargs)
+        return calibrate(tn, *args, **kwargs)
+
+    with monkeypatch.context() as m, caplog.at_level(logging.DEBUG, logger="bnsens.sobol"):
+        m.setattr(bnsens.sobol, "marginals", counted)
+        report = compute_all(bn, spec, ComputeOptions(first=False))
+    assert _plans(caplog) == [plan]
+    assert len(calibrated) == calibrations
+    assert all("outside_of" in kwargs for kwargs in calibrated)
+    assert report.expected_value == pytest.approx(
+        compute_all(bn, spec).expected_value, abs=1e-15
+    )
 
 
 def test_closed_index_of_singleton_matches_component():
