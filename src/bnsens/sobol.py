@@ -7,8 +7,9 @@ S^T_i = E_{~i}[Var_i[f]] / Var[f] = 1 - Var_{~i}[E_i[f]] / Var[f] its
 overall effect including interactions; the closed index of a group of
 evidential variables is the group's variance component. `compute_all`
 computes them all without tabulating f over the evidence, except where that
-table is no larger than a factor the analysis builds anyway. Every index
-comes from conditional moments E[E[f | keep]^2], which three plans take:
+table is small or no larger than a factor the analysis builds anyway. Every
+index comes from conditional moments E[E[f | keep]^2], which four plans
+take:
 
 - Per-query: the chance variables are summed out of the function network
   into `t`; Var[f] and each total and closed index are one conditional-
@@ -21,6 +22,11 @@ comes from conditional moments E[E[f | keep]^2], which three plans take:
   largest factor of `t`, `t` and the evidence marginal are each contracted
   into one table over the evidence, and every moment is a sum over the
   tables, with no further elimination order.
+- Shared elimination: when the table over the evidence and the output has
+  at most SHARED_ELIMINATION_CELLS cells, the chance variables are summed
+  out of the probability network once, and P(O) and `t` both start from
+  that reduced network, so that `t` eliminates the output alone; the
+  indices then come from the tables as in the tabulated plan.
 - Coupled: with independent evidence, one calibration of a network that
   couples the function network to a renamed replica of itself through one
   factor per evidential variable gives Var[f] and every total index: the
@@ -29,10 +35,12 @@ comes from conditional moments E[E[f | keep]^2], which three plans take:
   approach, Darwiche 2003; Park and Darwiche 2004). The first-order
   indices come from the function network as in the per-query plan.
 
-`compute_all` takes the coupled plan when its elimination order predicts
-fewer cells than summing the chance variables out into `t`; otherwise it
-builds `t` and tabulates when the table is no larger than `t`'s largest
-factor, which each per-query query would read at least once.
+`compute_all` first takes the shared elimination when the table over the
+evidence and the output is that small, a test of cardinalities alone that
+costs no ordering. Otherwise it takes the coupled plan when its elimination
+order predicts fewer cells than summing the chance variables out into `t`,
+and failing that builds `t` and tabulates when the table is no larger than
+`t`'s largest factor, which each per-query query would read at least once.
 """
 
 from __future__ import annotations
@@ -79,6 +87,18 @@ from .tensor import Factor
 # a far smaller share than n*eps and still be the whole of Var[f].
 DEGENERATE_VARIANCE_TOL = 1e-24
 NEGATIVE_INDEX_WARNING = 1e-6
+# An analysis whose table over the evidence and the output has at most this
+# many cells sums the chance variables out of the probability network once,
+# before P(O), so that P(O) and t share that elimination, and tabulates
+# without ordering the coupled network. Such an analysis is so small that
+# each bucket's and each ordering's Python set-up outweighs its arithmetic:
+# on the sparse200 benchmark (648 cells) the numpy kernels were 0.25-0.35 ms
+# of a 3-3.5 ms analysis, which summed the chance variables out twice (21
+# buckets for P(O), 16 for t) and ordered a 44-vertex coupled network it
+# then declined. The value is network.ROUTE_CELLS, the size below which a
+# bucket's set-up outweighs its cells. Cardinalities are at least 2, so
+# the table has at most 11 evidential axes, well within one einsum.
+SHARED_ELIMINATION_CELLS = 4096
 
 _log = logging.getLogger(__name__)
 
@@ -91,8 +111,8 @@ class IndexEntry:
     first-order indices of the coupled and per-query plans share one
     calibration of the function network `t_full` (and, with dependent
     evidence, one of the evidence marginal), the total indices of the
-    coupled plan share another, and every index of the tabulated plan shares
-    the tables; each index computed from a calibration or the tables is
+    coupled plan share another, and every index of the tabulated plan and
+    of the shared elimination shares the tables; each index computed from a calibration or the tables is
     charged an equal share of its time plus its own arithmetic, so the
     times still add up to the work done."""
 
@@ -246,8 +266,16 @@ def compute_all(
     built over An(evidence) alone, where every other node is barren; with
     root evidence nothing is eliminated to build it.
 
-    The indices come from one of three plans:
+    The indices come from one of four plans:
 
+    - Shared elimination: when the table over the evidence and the output
+      (the product of their cardinalities, a Python int) has at most
+      SHARED_ELIMINATION_CELLS cells, the chance variables (every relevant
+      node outside the evidence and the output) are summed out of the
+      probability network once, before P(O) is taken. P(O), `t_full` and
+      `t` all start from that reduced network, so `t` eliminates the
+      output alone, and the indices come from the tables as in the
+      tabulated plan. The coupled network is never ordered.
     - Coupled: when `j` is a product of one-axis factors (the evidence is
       independent), one calibration of `_coupled_network`, which squares
       `t_full` with every variable replicated, gives Var[f] and every total
@@ -266,25 +294,30 @@ def compute_all(
       independent evidence, the product of the reciprocal priors, taken
       once per analysis; otherwise `j` with the rest summed out.
 
-    Outside the tabulated plan, the first-order indices and E[f] come from
-    one calibration of `t_full` (`marginals`), whose marginal on each
-    evidential variable equals that of `t`, and the evidence marginals are
-    the priors, or one calibration of `j` when the evidence is dependent.
-    Without first-order indices to compute, E[f] is one contraction, of
-    `t_full` in the coupled plan and of `t` in the per-query plan.
+    In the coupled and per-query plans, the first-order indices and E[f]
+    come from one calibration of `t_full` (`marginals`), whose marginal on
+    each evidential variable equals that of `t`, and the evidence marginals
+    are the priors, or one calibration of `j` when the evidence is
+    dependent. Without first-order indices to compute, E[f] is one
+    contraction, of `t_full` in the coupled plan and of `t` in the
+    per-query plan.
 
-    The coupled plan is taken when totals are asked for, without closed
-    subsets, on independent evidence, and when the cells of its forward and
-    backward passes, predicted by its elimination order, are fewer than
-    those of summing `t_full` down to `t`, which the other plans pay before
-    anything else. Each costed order is the one that runs. Otherwise `t` is
-    built, and the tabulated plan is taken when the table over the evidence
-    (the product of the evidential cardinalities, a Python int) has no more
-    cells than the largest factor of `t` and no more axes than one einsum
-    takes: every per-query query contracts a network that holds that
-    factor, so it reads at least as many cells as the table. The choice is
-    logged at DEBUG level on the `bnsens.sobol` logger with the cells it
-    compared.
+    The shared elimination is chosen first, from the cardinalities alone,
+    so that choosing it costs no ordering; at that size each bucket's and
+    each ordering's Python set-up outweighs its arithmetic (see
+    SHARED_ELIMINATION_CELLS). Otherwise the coupled plan is taken when
+    totals are asked for, without closed subsets, on independent evidence,
+    and when the cells of its forward and backward passes, predicted by its
+    elimination order, are fewer than those of summing `t_full` down to
+    `t`, which the other plans pay before anything else. Each costed order
+    is the one that runs. Otherwise `t` is built, and the tabulated plan is
+    taken when the table over the evidence (the product of the evidential
+    cardinalities, a Python int) has no more cells than the largest factor
+    of `t` and no more axes than one einsum takes: every per-query query
+    contracts a network that holds that factor, so it reads at least as
+    many cells as the table. The choice is logged at DEBUG level on the
+    `bnsens.sobol` logger with the cells it compared, or for the shared
+    elimination with the table's cells and the limit.
 
     With a single evidential variable, E[f | i] is f and S_i is 1.0
     without a calibration. Some indices need no query and are exact zeros:
@@ -321,6 +354,18 @@ def compute_all(
             )
 
     mrf = mrf_from_bn(bn, relevant)
+    evidence = sorted(spec.evidential)
+    # A Python int: a product over many evidential variables overflows int64.
+    table_cells = math.prod(mrf.universe[k] for k in evidence)
+    shared_cells = table_cells * mrf.universe[spec.output]
+    shared = shared_cells <= SHARED_ELIMINATION_CELLS
+    if shared:
+        _log.debug(
+            "shared-elimination plan: table over the evidence and the output "
+            "%d cells, at most %d", shared_cells, SHARED_ELIMINATION_CELLS,
+        )
+        # One elimination of the chance variables serves P(O) and t alike.
+        mrf = marginalize(mrf, relevant - spec.evidential - {spec.output})
     p_out = collapse(mrf, {spec.output}).values
     if np.ptp(values[p_out != 0]) == 0:
         raise DegenerateOutputError(
@@ -340,7 +385,7 @@ def compute_all(
     )
     priors = _priors(j)
     coupled = None
-    if priors is not None and options.total and not closed:
+    if not shared and priors is not None and options.total and not closed:
         layout = _coupled_layout(t_full, priors)
         coupled_order = network.min_weight_order(layout[1], layout[0])
         # a forward pass, and a backward pass over about as many cells
@@ -361,20 +406,18 @@ def compute_all(
     # offset that the rounding of `centre` leaves in g.
     queried = [i for i in targets if i not in zero_s] if options.first else []
     s_share = st_share = closed_share = 0.0
-    tabulated = False
+    tabulated = shared
     if coupled is None:
         t = marginalize(t_full, t_order)
-        evidence = sorted(spec.evidential)
-        # A Python int: a product over many evidential variables overflows int64.
-        table_cells = math.prod(t.universe[k] for k in evidence)
-        largest = max(f.values.size for f in t.factors)
-        tabulated = (
-            table_cells <= largest and len(evidence) <= len(network.EINSUM_LETTERS)
-        )
-        _log.debug(
-            "%s plan: table over the evidence %d cells, largest factor of t %d cells",
-            "tabulated" if tabulated else "per-query", table_cells, largest,
-        )
+        if not shared:
+            largest = max(f.values.size for f in t.factors)
+            tabulated = (
+                table_cells <= largest and len(evidence) <= len(network.EINSUM_LETTERS)
+            )
+            _log.debug(
+                "%s plan: table over the evidence %d cells, largest factor of t %d cells",
+                "tabulated" if tabulated else "per-query", table_cells, largest,
+            )
     if tabulated:
         t0 = time.perf_counter()
         # Every evidential variable is an axis of t and of j, so each

@@ -206,7 +206,9 @@ def test_first_order_indices_take_a_fixed_number_of_orderings(monkeypatch):
     # All first-order indices come from one calibration of each network,
     # so the ordering calls do not grow with the number of evidential roots.
     # Both networks stay per-query: their tables over the evidence (64 and
-    # 4096 cells) outgrow t's largest factor (32 and 256 cells).
+    # 4096 cells) outgrow t's largest factor (32 and 256 cells). The first
+    # is small enough for the shared elimination, switched off here.
+    monkeypatch.setattr(bnsens.sobol, "SHARED_ELIMINATION_CELLS", 0)
     counts = []
     for roots in (6, 12):
         bn, spec = layered_network(5, roots, 5, 2)
@@ -220,24 +222,30 @@ def test_first_order_indices_take_a_fixed_number_of_orderings(monkeypatch):
 
 def test_tabulated_indices_take_a_fixed_number_of_orderings(monkeypatch):
     # The tables take no ordering, so every index of 4 or 10 roots takes
-    # only the orderings of P(O), of the evidence marginal, of t and of the
-    # coupled network that the plan costed and turned down.
+    # four orderings. With the shared elimination switched off, those are
+    # of P(O), of the evidence marginal, of t and of the coupled network
+    # that the plan costed and turned down; with it, of the chance
+    # variables, of P(O), of the evidence marginal and of t.
     counts = []
-    for roots in (4, 10):
-        bn, spec = fan_in(roots, 0)
-        with monkeypatch.context() as m:
-            _refuse_queries(m)
-            calls, report = _count_orderings(m, lambda: compute_all(bn, spec))
-        assert all(e.s > 0.0 and e.st > 0.0 for e in report.indices)
-        counts.append(calls)
-    assert counts == [4, 4]
+    for limit in (0, bnsens.sobol.SHARED_ELIMINATION_CELLS):
+        for roots in (4, 10):
+            bn, spec = fan_in(roots, 0)
+            with monkeypatch.context() as m:
+                m.setattr(bnsens.sobol, "SHARED_ELIMINATION_CELLS", limit)
+                _refuse_queries(m)
+                calls, report = _count_orderings(m, lambda: compute_all(bn, spec))
+            assert all(e.s > 0.0 and e.st > 0.0 for e in report.indices)
+            counts.append(calls)
+    assert counts == [4, 4, 4, 4]
 
 
 def test_first_order_times_share_the_calibration(monkeypatch):
     # Each calibration is slowed by 20 ms: the first-order times must still
     # add up to the work, shared equally by the variables that used it.
-    # The network stays per-query; with root evidence it calibrates t_full
-    # alone, and j would add a second calibration.
+    # The network stays per-query once the shared elimination is switched
+    # off; with root evidence it calibrates t_full alone, and j would add a
+    # second calibration.
+    monkeypatch.setattr(bnsens.sobol, "SHARED_ELIMINATION_CELLS", 0)
     calibrate = bnsens.sobol.marginals
     calls = []
 
@@ -291,7 +299,10 @@ def test_tabulated_plan_matches_the_oracle(monkeypatch, caplog):
     # Where the table over the evidence is no larger than t's largest
     # factor, every index, the closed ones included, comes from the tables
     # and no conditional-moment query runs, with evidence that has parents
-    # (dependent) as well as root evidence.
+    # (dependent) as well as root evidence. These networks are small enough
+    # for the shared elimination, which is switched off here and checked in
+    # test_shared_elimination_matches_the_oracle.
+    monkeypatch.setattr(bnsens.sobol, "SHARED_ELIMINATION_CELLS", 0)
     tabulated = dependent = 0
     for seed in range(60):
         bn, spec = random_instance(seed + 900)
@@ -320,15 +331,21 @@ def test_tabulated_plan_matches_the_oracle(monkeypatch, caplog):
     assert tabulated >= 20 and dependent >= 10
 
 
-def test_plan_line_names_the_plan_and_its_cells(caplog):
-    # fan_in's t has one factor over all four roots; the six roots of the
-    # layered network span 64 cells, and t's largest factor only 32, so it
-    # stays per-query and runs its conditional-moment queries.
+def test_plan_line_names_the_plan_and_its_cells(monkeypatch, caplog):
+    # fan_in(4, 0) has four binary roots and a binary output, a table of 32
+    # cells, so it shares one elimination. With that switched off, fan_in's
+    # t has one factor over all four roots; the six roots of the layered
+    # network span 64 cells, and t's largest factor only 32, so it stays
+    # per-query and runs its conditional-moment queries.
     with caplog.at_level(logging.DEBUG, logger="bnsens.sobol"):
+        compute_all(*fan_in(4, 0))
+        monkeypatch.setattr(bnsens.sobol, "SHARED_ELIMINATION_CELLS", 0)
         compute_all(*fan_in(4, 0))
         compute_all(*layered_network(5, 6, 5, 2))
     lines = [r.getMessage() for r in caplog.records if " plan:" in r.getMessage()]
     assert lines == [
+        "shared-elimination plan: table over the evidence and the output 32 cells, "
+        "at most 4096",
         "tabulated plan: table over the evidence 16 cells, largest factor of t 16 cells",
         "per-query plan: table over the evidence 64 cells, largest factor of t 32 cells",
     ]
@@ -373,10 +390,12 @@ def _guard_per_query(monkeypatch, spec):
     return calibrated, contracted
 
 
-def _per_query_instances(caplog, count):
+def _per_query_instances(monkeypatch, caplog, count):
     """The first `count` networks of `random_roots_instance` (independent
     evidence) and of `random_instance` (mostly dependent evidence) that take
-    the per-query plan."""
+    the per-query plan. Every one of them is small enough for the shared
+    elimination, which stays switched off for the rest of the test."""
+    monkeypatch.setattr(bnsens.sobol, "SHARED_ELIMINATION_CELLS", 0)
     found = []
     for make in (random_roots_instance, random_instance):
         taken = 0
@@ -401,7 +420,7 @@ def test_per_query_plan_calibrates_t_full_and_never_t(monkeypatch, caplog):
     # one evidential variable, or every S_i zero by d-separation), one
     # contraction of t gives E[f].
     kinds = {True: 0, False: 0}
-    for bn, spec in _per_query_instances(caplog, 15):
+    for bn, spec in _per_query_instances(monkeypatch, caplog, 15):
         independent = bnsens.sobol._priors(_evidence_marginal(bn, spec)) is not None
         separated, _ = separated_evidence(bn.dag(), spec.output, spec.evidential)
         calibrates = len(spec.evidential) > 1 and spec.evidential - separated
@@ -422,7 +441,7 @@ def test_per_query_plan_calibrates_t_full_and_never_t(monkeypatch, caplog):
 
 def test_per_query_plan_matches_the_oracle(monkeypatch, caplog):
     dependent = 0
-    for bn, spec in _per_query_instances(caplog, 15):
+    for bn, spec in _per_query_instances(monkeypatch, caplog, 15):
         evid = sorted(spec.evidential)
         options = ComputeOptions(closed=(tuple(evid[:2]),))
         with monkeypatch.context() as m:
@@ -441,16 +460,131 @@ def test_per_query_plan_matches_the_oracle(monkeypatch, caplog):
     assert 10 <= dependent <= 20
 
 
+def test_shared_elimination_matches_the_oracle(monkeypatch, caplog):
+    # A small table over the evidence and the output: the chance variables
+    # are summed out once, for P(O) and t alike, and every index, first-
+    # order, total and closed, comes from the two tables with no
+    # conditional-moment query, with dependent and with root evidence, and
+    # with first=False or total=False.
+    _refuse_queries(monkeypatch)
+    kinds = {True: 0, False: 0}
+    for make in (random_instance, random_roots_instance):
+        for seed in range(1000, 1015):
+            bn, spec = make(seed)
+            evid = sorted(spec.evidential)
+            closed = (tuple(evid[:2]), tuple(evid))
+            reference = brute_force_indices(bn, spec)
+            closed_reference = [brute_force_closed(bn, spec, ids) for ids in closed]
+            for first, total in ((True, True), (False, True), (True, False)):
+                options = ComputeOptions(first=first, total=total, closed=closed)
+                caplog.clear()
+                with caplog.at_level(logging.DEBUG, logger="bnsens.sobol"):
+                    report = compute_all(bn, spec, options)
+                assert _plans(caplog) == ["shared-elimination"]
+                assert report.expected_value == pytest.approx(
+                    reference.expected_value, abs=1e-9
+                )
+                assert report.variance == pytest.approx(reference.variance, abs=1e-9)
+                for a, b in zip(report.indices, reference.indices):
+                    assert a.variables == b.variables
+                    assert a.s == (pytest.approx(b.s, abs=1e-9) if first else None)
+                    assert a.st == (pytest.approx(b.st, abs=1e-9) if total else None)
+                for entry, value in zip(report.indices[len(evid):], closed_reference):
+                    assert entry.s == pytest.approx(value, abs=1e-9)
+            kinds[bnsens.sobol._priors(_evidence_marginal(bn, spec)) is not None] += 1
+    assert kinds[True] >= 10 and kinds[False] >= 5
+
+
+def test_shared_elimination_with_one_evidential_variable():
+    # E[f | i] is f itself: S_i = S^T_i = 1, and so is the closed index.
+    # The table over i and the output has at most 9 cells.
+    checked = 0
+    for seed in range(1100, 1110):
+        bn, spec = random_instance(seed)
+        for i in sorted(spec.evidential):
+            single = AnalysisSpec(spec.output, frozenset({i}), spec.value_map)
+            try:
+                reference = brute_force_indices(bn, single)
+            except DegenerateOutputError:
+                with pytest.raises(DegenerateOutputError):
+                    compute_all(bn, single)
+                continue
+            report = compute_all(bn, single, ComputeOptions(closed=((i,),)))
+            assert report.expected_value == pytest.approx(
+                reference.expected_value, abs=1e-9
+            )
+            assert report.variance == pytest.approx(reference.variance, abs=1e-9)
+            entry, group = report.indices
+            assert entry.s == 1.0 and entry.st == pytest.approx(1.0, abs=1e-9)
+            assert reference.indices[0].st == pytest.approx(1.0, abs=1e-9)
+            assert group.s == pytest.approx(1.0, abs=1e-9)
+            checked += 1
+    assert checked >= 10
+
+
+def test_shared_elimination_sums_the_chance_variables_out_once(monkeypatch, caplog):
+    # With root evidence the evidence marginal eliminates nothing, so each
+    # chance variable is summed out in exactly one bucket: P(O) is collapsed
+    # from the network over the evidence and the output, t eliminates O
+    # alone, and no ordering spans the coupled network's replicas.
+    eliminate = bnsens.network._eliminate
+    order = bnsens.network.min_weight_order
+    collapse = bnsens.sobol.collapse
+    dropped, ordered, collapsed = [], [], []
+
+    def recording_eliminate(factors, drop):
+        dropped.extend(drop)
+        return eliminate(factors, drop)
+
+    def recording_order(scopes, cardinalities, keep=()):
+        ordered.append(set(cardinalities))
+        return order(scopes, cardinalities, keep=keep)
+
+    def recording_collapse(tn, keep):
+        collapsed.append(set(tn.universe))
+        return collapse(tn, keep)
+
+    monkeypatch.setattr(bnsens.network, "_eliminate", recording_eliminate)
+    monkeypatch.setattr(bnsens.network, "min_weight_order", recording_order)
+    monkeypatch.setattr(bnsens.sobol, "collapse", recording_collapse)
+    checked = 0
+    for seed in range(1200, 1220):
+        bn, spec = random_roots_instance(seed)
+        relevant = ancestors(bn.dag(), spec.evidential | {spec.output})
+        chance = relevant - spec.evidential - {spec.output}
+        for log in (dropped, ordered, collapsed):
+            log.clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="bnsens.sobol"):
+            compute_all(bn, spec)
+        if not chance or _plans(caplog) != ["shared-elimination"]:
+            continue
+        assert sorted(v for v in dropped if v in chance) == sorted(chance)
+        assert dropped.count(spec.output) == 1
+        assert collapsed == [spec.evidential | {spec.output}]
+        assert ordered and all(vertices <= relevant for vertices in ordered)
+        checked += 1
+    assert checked >= 8
+
+
 @pytest.mark.parametrize(
     "network, plan, calibrations",
-    [(concrete_style_network, "coupled", 1), (lambda: layered_network(5, 6, 5, 2), "per-query", 0)],
-    ids=["coupled", "per-query"],
+    [
+        (concrete_style_network, "coupled", 1),
+        (lambda: layered_network(5, 6, 5, 2), "per-query", 0),
+        (lambda: fan_in(4, 0), "shared-elimination", 0),
+    ],
+    ids=["coupled", "per-query", "shared-elimination"],
 )
 def test_expected_value_without_first_order_takes_no_backward_pass(
     monkeypatch, caplog, network, plan, calibrations
 ):
-    # With first=False, E[f] is one contraction: only the coupled network
-    # is calibrated, for its outside factors.
+    # With first=False, E[f] is one contraction (or the sum of a table):
+    # only the coupled network is calibrated, for its outside factors. The
+    # layered network is small enough for the shared elimination, which is
+    # switched off outside its own case.
+    if plan != "shared-elimination":
+        monkeypatch.setattr(bnsens.sobol, "SHARED_ELIMINATION_CELLS", 0)
     bn, spec = network()
     calibrate = bnsens.sobol.marginals
     calibrated = []
@@ -564,14 +698,17 @@ def test_coupled_totals_match_their_per_query_moments(monkeypatch, network):
         assert entry.st == pytest.approx(1.0 - (rest - mean * mean) / variance, abs=1e-12)
 
 
-def test_coupled_plan_matches_brute_force_on_a_driven_chain(monkeypatch):
+def test_coupled_plan_matches_brute_force_on_a_driven_chain(monkeypatch, caplog):
     # Ten roots drive a chain: building t would span 2478 cells, the
     # coupled calibration 1028, and the joint (3e6 cells) is still small
-    # enough for the oracle.
+    # enough for the oracle. The table over the evidence and the output
+    # (3072 cells) is small enough for the shared elimination, switched off.
     bn, spec = driven_chain(10, 3)
-    with monkeypatch.context() as m:
+    with caplog.at_level(logging.DEBUG, logger="bnsens.sobol"), monkeypatch.context() as m:
+        m.setattr(bnsens.sobol, "SHARED_ELIMINATION_CELLS", 0)
         _refuse_queries(m)
         report = compute_all(bn, spec)
+    assert _plans(caplog) == ["coupled"]
     reference = brute_force_indices(bn, spec)
     assert report.variance == pytest.approx(reference.variance, rel=1e-12)
     for a, b in zip(report.indices, reference.indices):
