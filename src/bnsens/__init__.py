@@ -6,8 +6,7 @@ components and total indices for the evidential variables from a handful of
 marginalization queries over squared and quotient networks. The function of
 interest (the conditional expected output over the evidence grid) is never
 sampled, and tabulated only where its table is small (at most a few
-thousand cells) or no larger than a factor the elimination builds anyway,
-so evidence domains with tens of millions of
+thousand cells), so evidence domains with tens of millions of
 configurations stay tractable.
 """
 

@@ -7,40 +7,23 @@ S^T_i = E_{~i}[Var_i[f]] / Var[f] = 1 - Var_{~i}[E_i[f]] / Var[f] its
 overall effect including interactions; the closed index of a group of
 evidential variables is the group's variance component. `compute_all`
 computes them all without tabulating f over the evidence, except where that
-table is small or no larger than a factor the analysis builds anyway. Every
-index comes from conditional moments E[E[f | keep]^2], which four plans
-take:
+table is small. Every index comes from conditional moments
+E[E[f | keep]^2], which one of three plans takes:
 
+- Shared elimination, when the table over the evidence and the output is
+  small: the chance variables are summed out once, and every moment is a
+  sum over one table of the function network and one of the evidence
+  marginal.
+- Coupled, for independent evidence when it costs fewer cells: one
+  calibration of the function network coupled to a renamed replica of
+  itself gives Var[f] and every total index (the differential approach,
+  Darwiche 2003; Park and Darwiche 2004).
 - Per-query: the chance variables are summed out of the function network
-  into `t`; Var[f] and each total and closed index are one conditional-
-  moment query over a squared and quotient network, and the first-order
-  indices need only one-variable marginals, which one calibration of the
-  function network itself gives for every variable at once, with the
-  priors (one calibration of the evidence marginal when the evidence is
-  dependent).
-- Tabulated: when the table over the evidence has no more cells than the
-  largest factor of `t`, `t` and the evidence marginal are each contracted
-  into one table over the evidence, and every moment is a sum over the
-  tables, with no further elimination order.
-- Shared elimination: when the table over the evidence and the output has
-  at most SHARED_ELIMINATION_CELLS cells, the chance variables are summed
-  out of the probability network once, and P(O) and `t` both start from
-  that reduced network, so that `t` eliminates the output alone; the
-  indices then come from the tables as in the tabulated plan.
-- Coupled: with independent evidence, one calibration of a network that
-  couples the function network to a renamed replica of itself through one
-  factor per evidential variable gives Var[f] and every total index: the
-  contraction is linear in each coupling factor, so its outside factor
-  gives E[E[f | E - {k}]^2] for every k at once (the differential
-  approach, Darwiche 2003; Park and Darwiche 2004). The first-order
-  indices come from the function network as in the per-query plan.
+  into `t`, and Var[f] and each total and closed index are one
+  conditional-moment query over a squared and quotient network.
 
-`compute_all` first takes the shared elimination when the table over the
-evidence and the output is that small, a test of cardinalities alone that
-costs no ordering. Otherwise it takes the coupled plan when its elimination
-order predicts fewer cells than summing the chance variables out into `t`,
-and failing that builds `t` and tabulates when the table is no larger than
-`t`'s largest factor, which each per-query query would read at least once.
+In the last two, the first-order indices come from one calibration of the
+function network. `compute_all` says how the plan is chosen.
 """
 
 from __future__ import annotations
@@ -89,15 +72,16 @@ DEGENERATE_VARIANCE_TOL = 1e-24
 NEGATIVE_INDEX_WARNING = 1e-6
 # An analysis whose table over the evidence and the output has at most this
 # many cells sums the chance variables out of the probability network once,
-# before P(O), so that P(O) and t share that elimination, and tabulates
-# without ordering the coupled network. Such an analysis is so small that
-# each bucket's and each ordering's Python set-up outweighs its arithmetic:
-# on the sparse200 benchmark (648 cells) the numpy kernels were 0.25-0.35 ms
-# of a 3-3.5 ms analysis, which summed the chance variables out twice (21
-# buckets for P(O), 16 for t) and ordered a 44-vertex coupled network it
-# then declined. The value is network.ROUTE_CELLS, the size below which a
-# bucket's set-up outweighs its cells. Cardinalities are at least 2, so
-# the table has at most 11 evidential axes, well within one einsum.
+# before P(O), so that P(O) and t share that elimination, and takes every
+# index from two tables without ordering the coupled network. Such an
+# analysis is so small that each bucket's and each ordering's Python set-up
+# outweighs its arithmetic: on the sparse200 benchmark (648 cells) the numpy
+# kernels were 0.25-0.35 ms of a 3-3.5 ms analysis, which summed the chance
+# variables out twice (21 buckets for P(O), 16 for t) and ordered a
+# 44-vertex coupled network it then declined. The value is
+# network.ROUTE_CELLS, the size below which a bucket's set-up outweighs its
+# cells. Cardinalities are at least 2, so the table has at most 11
+# evidential axes, well within one einsum.
 SHARED_ELIMINATION_CELLS = 4096
 
 _log = logging.getLogger(__name__)
@@ -111,10 +95,10 @@ class IndexEntry:
     first-order indices of the coupled and per-query plans share one
     calibration of the function network `t_full` (and, with dependent
     evidence, one of the evidence marginal), the total indices of the
-    coupled plan share another, and every index of the tabulated plan and
-    of the shared elimination shares the tables; each index computed from a calibration or the tables is
-    charged an equal share of its time plus its own arithmetic, so the
-    times still add up to the work done."""
+    coupled plan share another, and every index of the shared elimination
+    shares its tables. Each index computed from a calibration or the
+    tables is charged an equal share of its time plus its own arithmetic,
+    so the times still add up to the work done."""
 
     variables: tuple[int, ...]
     name: str
@@ -266,7 +250,7 @@ def compute_all(
     built over An(evidence) alone, where every other node is barren; with
     root evidence nothing is eliminated to build it.
 
-    The indices come from one of four plans:
+    The indices come from one of three plans:
 
     - Shared elimination: when the table over the evidence and the output
       (the product of their cardinalities, a Python int) has at most
@@ -274,25 +258,24 @@ def compute_all(
       node outside the evidence and the output) are summed out of the
       probability network once, before P(O) is taken. P(O), `t_full` and
       `t` all start from that reduced network, so `t` eliminates the
-      output alone, and the indices come from the tables as in the
-      tabulated plan. The coupled network is never ordered.
+      output alone. `t` and `j` are each contracted into one table over
+      the sorted evidence, with no elimination order. E[E[f | keep]^2] is
+      the sum of T_keep^2 / J_keep, the tables with the evidence outside
+      `keep` summed away, and gives Var[f] and every total and closed
+      index; the first-order indices take the tables' one-variable
+      marginals, and E[f] is the sum of T. The coupled network is never
+      ordered.
     - Coupled: when `j` is a product of one-axis factors (the evidence is
       independent), one calibration of `_coupled_network`, which squares
       `t_full` with every variable replicated, gives Var[f] and every total
       index from the outside factors of its coupling factors, and `t` is
       never built.
-    - Tabulated: the non-evidential variables are summed out of `t_full`
-      into `t`, and `t` and `j` are each contracted into one table over the
-      sorted evidence, with no elimination order. E[E[f | keep]^2] is the
-      sum of T_keep^2 / J_keep, the tables with the evidence outside `keep`
-      summed away, and gives Var[f] and every total and closed index; the
-      first-order indices take the tables' one-variable marginals, and E[f]
-      is the sum of T.
-    - Per-query: `t` is built as above, and Var[f] and each total and
-      closed index are one conditional-moment query over `t`. Each query
-      divides by the evidence marginal over its kept variables: with
-      independent evidence, the product of the reciprocal priors, taken
-      once per analysis; otherwise `j` with the rest summed out.
+    - Per-query: the non-evidential variables are summed out of `t_full`
+      into `t`, and Var[f] and each total and closed index are one
+      conditional-moment query over `t`. Each query divides by the
+      evidence marginal over its kept variables: with independent
+      evidence, the product of the reciprocal priors, taken once per
+      analysis; otherwise `j` with the rest summed out.
 
     In the coupled and per-query plans, the first-order indices and E[f]
     come from one calibration of `t_full` (`marginals`), whose marginal on
@@ -309,15 +292,10 @@ def compute_all(
     totals are asked for, without closed subsets, on independent evidence,
     and when the cells of its forward and backward passes, predicted by its
     elimination order, are fewer than those of summing `t_full` down to
-    `t`, which the other plans pay before anything else. Each costed order
-    is the one that runs. Otherwise `t` is built, and the tabulated plan is
-    taken when the table over the evidence (the product of the evidential
-    cardinalities, a Python int) has no more cells than the largest factor
-    of `t` and no more axes than one einsum takes: every per-query query
-    contracts a network that holds that factor, so it reads at least as
-    many cells as the table. The choice is logged at DEBUG level on the
-    `bnsens.sobol` logger with the cells it compared, or for the shared
-    elimination with the table's cells and the limit.
+    `t`, which the per-query plan pays before anything else. Each costed
+    order is the one that runs. Otherwise the per-query plan is taken. The
+    choice is logged at DEBUG level on the `bnsens.sobol` logger with the
+    cells it rests on.
 
     With a single evidential variable, E[f | i] is f and S_i is 1.0
     without a calibration. Some indices need no query and are exact zeros:
@@ -354,10 +332,8 @@ def compute_all(
             )
 
     mrf = mrf_from_bn(bn, relevant)
-    evidence = sorted(spec.evidential)
     # A Python int: a product over many evidential variables overflows int64.
-    table_cells = math.prod(mrf.universe[k] for k in evidence)
-    shared_cells = table_cells * mrf.universe[spec.output]
+    shared_cells = math.prod(mrf.universe[k] for k in spec.evidential | {spec.output})
     shared = shared_cells <= SHARED_ELIMINATION_CELLS
     if shared:
         _log.debug(
@@ -400,28 +376,18 @@ def compute_all(
             coupled = _coupled_network(t_full, priors, layout)
 
     # Each index is charged an equal share of the time of the calibration
-    # or tabulation it came from. With one evidential variable, E[f | i] is
+    # or the tables it came from. With one evidential variable, E[f | i] is
     # f itself and S_i is 1.0 exactly. The function network has mean zero
     # up to rounding; taking that residual out as well drops the constant
     # offset that the rounding of `centre` leaves in g.
     queried = [i for i in targets if i not in zero_s] if options.first else []
     s_share = st_share = closed_share = 0.0
-    tabulated = shared
-    if coupled is None:
+    if shared:
         t = marginalize(t_full, t_order)
-        if not shared:
-            largest = max(f.values.size for f in t.factors)
-            tabulated = (
-                table_cells <= largest and len(evidence) <= len(network.EINSUM_LETTERS)
-            )
-            _log.debug(
-                "%s plan: table over the evidence %d cells, largest factor of t %d cells",
-                "tabulated" if tabulated else "per-query", table_cells, largest,
-            )
-    if tabulated:
         t0 = time.perf_counter()
         # Every evidential variable is an axis of t and of j, so each
         # table is over the sorted evidence.
+        evidence = sorted(spec.evidential)
         tables = [network._eliminate(tn.factors, set()).values for tn in (t, j)]
 
         def summed(keep: Container[int]) -> list[np.ndarray]:
@@ -440,14 +406,31 @@ def compute_all(
         if options.total:
             users += len(targets) - len(zero_st)
         s_share = st_share = closed_share = (time.perf_counter() - t0) / max(users, 1)
-    elif queried and len(spec.evidential) > 1:
-        t0 = time.perf_counter()
-        t_marginals = marginals(t_full)
-        j_marginals = marginals(j) if priors is None else priors
-        mean = float(t_marginals[spec.output].sum())
-        s_share = (time.perf_counter() - t0) / len(queried)
     else:
-        mean = contract_all(t_full if coupled is not None else t)
+        if coupled is None:
+            _log.debug(
+                "per-query plan: table over the evidence and the output %d cells, "
+                "above %d; building t %d cells",
+                shared_cells, SHARED_ELIMINATION_CELLS, sum(t_order.cells),
+            )
+            t = marginalize(t_full, t_order)
+            # With independent evidence every query divides by the priors,
+            # whose reciprocals are taken once here.
+            inverse = None if priors is None else {
+                k: Factor((k,), reciprocal(p)) for k, p in priors.items()
+            }
+
+            def conditional(keep: frozenset[int]) -> float:
+                return _conditional_second_moment(t, j, keep, inverse)
+
+        if queried and len(spec.evidential) > 1:
+            t0 = time.perf_counter()
+            t_marginals = marginals(t_full)
+            j_marginals = marginals(j) if priors is None else priors
+            mean = float(t_marginals[spec.output].sum())
+            s_share = (time.perf_counter() - t0) / len(queried)
+        else:
+            mean = contract_all(t_full if coupled is not None else t)
 
     if coupled is not None:
         t0 = time.perf_counter()
@@ -460,16 +443,6 @@ def compute_all(
         moment = without.__getitem__
         st_share = (time.perf_counter() - t0) / max(len(set(targets) - zero_st), 1)
     else:
-        if not tabulated:
-            # With independent evidence every query divides by the priors,
-            # whose reciprocals are taken once here.
-            inverse = None if priors is None else {
-                k: Factor((k,), reciprocal(p)) for k, p in priors.items()
-            }
-
-            def conditional(keep: frozenset[int]) -> float:
-                return _conditional_second_moment(t, j, keep, inverse)
-
         second = conditional(spec.evidential)
 
         def moment(i: int) -> float:

@@ -323,6 +323,54 @@ def gate_tree(leaves: int, seed: int) -> tuple[DiscreteBayesNet, AnalysisSpec, f
     return DiscreteBayesNet(variables, tuple(cpts)), spec, p[-1]
 
 
+def gate_tree_reference(
+    bn: DiscreteBayesNet, spec: AnalysisSpec
+) -> tuple[float, float, dict[int, tuple[float, float]]]:
+    """E[f], Var[f] and each variable's (S_i, S^T_i) for a `gate_tree`
+    whose evidence is basic events alone, without the elimination engine.
+
+    f is tabulated over the evidence cells by the per-gate recursion on the
+    pair (P(ok), P(failed)): an AND gate holds with oa + fa*ob and fails
+    with fa*fb, an OR gate holds with oa*ob and fails with fa + oa*fb. No
+    probability is 1 minus a rounded sum, so a rare top event keeps its
+    precision. The evidence is independent, so P(e) is the product of the
+    priors and every moment is a sum over the table."""
+    evidence = sorted(spec.evidential)
+    priors = [bn.cpts[k].table[0] for k in evidence]
+    scores = [spec.value_map[label] for label in bn.variables[spec.output].domain]
+    f = np.empty((2,) * len(evidence))
+    for cell in itertools.product((0, 1), repeat=len(evidence)):
+        pair = {k: (1.0 - x, float(x)) for k, x in zip(evidence, cell)}
+        for cpt in bn.cpts:
+            if cpt.child in pair:
+                continue
+            if not cpt.parents:
+                pair[cpt.child] = tuple(cpt.table[0])
+                continue
+            (oa, fa), (ob, fb) = (pair[parent] for parent in cpt.parents)
+            if cpt.table[1, 1] == 1.0:  # OR: one failed input fails the gate
+                pair[cpt.child] = (oa * ob, fa + oa * fb)
+            else:
+                pair[cpt.child] = (oa + fa * ob, fa * fb)
+        ok, failed = pair[spec.output]
+        f[cell] = scores[0] * ok + scores[1] * failed
+    joint = np.ones(())
+    for prior in priors:
+        joint = np.multiply.outer(joint, prior)
+    mean = float(np.sum(joint * f))
+    variance = float(np.sum(joint * (f - mean) ** 2))
+    indices = {}
+    for a, (k, prior) in enumerate(zip(evidence, priors)):
+        rest = tuple(b for b in range(len(evidence)) if b != a)
+        given_k = (joint * f).sum(axis=rest) / prior
+        given_rest = np.expand_dims(np.tensordot(f, prior, axes=([a], [0])), a)
+        indices[k] = (
+            float(prior @ (given_k - mean) ** 2) / variance,
+            float(np.sum(joint * (f - given_rest) ** 2)) / variance,
+        )
+    return mean, variance, indices
+
+
 def layered_network(
     seed: int, n_roots: int, n_mid: int, cardinality: int | tuple[int, int]
 ) -> tuple[DiscreteBayesNet, AnalysisSpec]:
