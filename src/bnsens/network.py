@@ -443,7 +443,7 @@ def square_wrt(tn: TensorNetwork, shared: Iterable[int]) -> TensorNetwork:
         universe[renames[v]] = tn.universe[v]
 
     def mirrored(f: Factor) -> Factor:
-        if not set(f.axes) & set(renames):
+        if not any(ax in renames for ax in f.axes):
             return f
         return Factor.of(tuple(renames.get(ax, ax) for ax in f.axes), f.values)
 

@@ -7,23 +7,42 @@ S^T_i = E_{~i}[Var_i[f]] / Var[f] = 1 - Var_{~i}[E_i[f]] / Var[f] its
 overall effect including interactions; the closed index of a group of
 evidential variables is the group's variance component. `compute_all`
 computes them all without tabulating f over the evidence, except where that
-table is small. Every index comes from conditional moments
-E[E[f | keep]^2], which one of three plans takes:
+table is small. Every index comes from one quantity, the conditional
+moment E[E[f | keep]^2] over a subset `keep` of the evidence E: Var[f] is
+its value at E minus E[f]^2, S^T_i reads it at E - {i}, and a closed index
+at the group. The function network `t_full` is the probability network
+with g(O), the centred value of the output, as one more factor. Each of
+three plans gives E[f], the one-variable marginals P(i) E[f | i] and P(i)
+for the first-order indices, and `moment(keep)`:
 
-- Shared elimination, when the table over the evidence and the output is
-  small: the chance variables are summed out once, and every moment is a
-  sum over one table of the function network and one of the evidence
-  marginal.
-- Coupled, for independent evidence when it costs fewer cells: one
-  calibration of the function network coupled to a renamed replica of
-  itself gives Var[f] and every total index (the differential approach,
-  Darwiche 2003; Park and Darwiche 2004).
-- Per-query: the chance variables are summed out of the function network
-  into `t`, and Var[f] and each total and closed index are one
-  conditional-moment query over a squared and quotient network.
+- Shared elimination: the chance variables (every relevant node outside
+  the evidence and the output) are summed out of the probability network
+  once, before P(O) is taken, so `t`, the function network over the
+  evidence alone, eliminates the output only. `t` and the evidence
+  marginal `j` are each contracted into one table over the sorted
+  evidence, with no elimination order; `moment(keep)` is the sum of
+  T_keep^2 / J_keep, the tables with the evidence outside `keep` summed
+  away, and the marginals are those of the tables.
+- Coupled, for independent evidence: `t_full` squared with every variable
+  replicated (`square_wrt`), times one coupling factor diag(1 / P(x_k))
+  per evidential k, is calibrated once for the outside factors of its
+  couplings (the differential approach, Darwiche 2003; Park and Darwiche
+  2004). The coupling of the first evidential variable times its outside
+  factor sums to `moment(E)`, and the outside factor of C_k alone to
+  `moment(E - {k})`; there is no other `keep`, so this plan serves no
+  closed index, and `t` is never built.
+- Per-query: the non-evidential variables are summed out of `t_full` into
+  `t`, and each `moment(keep)` is one query over `t` squared and divided
+  by the evidence marginal over `keep`: with independent evidence, the
+  product of the reciprocal priors, taken once per analysis; otherwise
+  `j` with the rest summed out.
 
-In the last two, the first-order indices come from one calibration of the
-function network. `compute_all` says how the plan is chosen.
+In the last two, E[f] and the first-order marginals come from one
+calibration of `t_full`, whose marginal on each evidential variable equals
+that of `t`, and the evidence marginals are the priors, or one calibration
+of `j` when the evidence is dependent. Without first-order indices to
+compute, E[f] is one contraction, of `t_full` in the coupled plan and of
+`t` in the per-query plan. `compute_all` says how the plan is chosen.
 """
 
 from __future__ import annotations
@@ -82,7 +101,7 @@ NEGATIVE_INDEX_WARNING = 1e-6
 # network.ROUTE_CELLS, the size below which a bucket's set-up outweighs its
 # cells. Cardinalities are at least 2, so the table has at most 11
 # evidential axes, well within one einsum.
-SHARED_ELIMINATION_CELLS = 4096
+SHARED_ELIMINATION_CELLS = network.ROUTE_CELLS
 
 _log = logging.getLogger(__name__)
 
@@ -172,13 +191,16 @@ def variance_component(
 
 
 def total_index(
-    i: int, moment: Callable[[int], float], mean: float, variance: float
+    i: int,
+    moment: Callable[[frozenset[int]], float],
+    evidential: frozenset[int],
+    mean: float,
+    variance: float,
 ) -> float:
-    """Total effect S^T_i = 1 - (E[E[f | E - {i}]^2] - E[f]^2) / Var[f], where
-    `moment(i)` is E[E[f | E - {i}]^2]: one conditional-moment query in the
-    per-query plan, the sum of a calibrated outside factor in the coupled
-    plan."""
-    return 1.0 - (moment(i) - mean * mean) / variance
+    """Total effect S^T_i = 1 - (E[E[f | E - {i}]^2] - E[f]^2) / Var[f] of
+    variable i, where `moment(keep)` is the plan's E[E[f | keep]^2] and E
+    is `evidential`."""
+    return 1.0 - (moment(evidential - {i}) - mean * mean) / variance
 
 
 def _priors(j: TensorNetwork) -> dict[int, np.ndarray] | None:
@@ -195,38 +217,24 @@ def _priors(j: TensorNetwork) -> dict[int, np.ndarray] | None:
     return {k: p / p.sum() for k, p in sorted(products.items())}
 
 
-def _coupled_layout(
-    t_full: TensorNetwork, priors: dict[int, np.ndarray]
-) -> tuple[dict[int, int], list[tuple[int, ...]]]:
-    """The universe and the factor scopes of the coupled network, enough to
-    order and cost it before any of its arrays exists: `t_full`'s scopes, a
-    replica of each with every variable v renamed to v + stride, and one
-    coupling scope (k, k + stride) per evidential k, last and in the order
-    of `priors`."""
-    stride = max(t_full.universe) + 1
-    universe = {**t_full.universe, **{v + stride: c for v, c in t_full.universe.items()}}
-    scopes = [f.axes for f in t_full.factors]
-    scopes += [tuple(ax + stride for ax in scope) for scope in scopes]
-    scopes += [(k, k + stride) for k in priors]
-    return universe, scopes
-
-
 def _coupled_network(
-    t_full: TensorNetwork,
-    priors: dict[int, np.ndarray],
-    layout: tuple[dict[int, int], list[tuple[int, ...]]],
+    t_full: TensorNetwork, priors: dict[int, np.ndarray]
 ) -> TensorNetwork:
-    """`t_full` times its replica times one coupling factor
-    C_k(x_k, x_k') = diag(1 / P(x_k)) per evidential k, over `layout`.
+    """`t_full` squared with every variable replicated (`square_wrt`), times
+    one coupling factor C_k(x_k, x_k') = diag(1 / P(x_k)) per evidential k,
+    last and in the order of `priors`. Its other arrays are those of
+    `t_full`, or views of them.
 
     With independent evidence, 1 / P(e) is the product of the C_k on the
     diagonal, so the network contracts to E[E[f | E]^2]; with C_k replaced
     by ones, to E[E[f | E - {k}]^2]. The zero-safe reciprocal leaves 0
     where P(x_k) is 0, and so is the function network there."""
-    universe, scopes = layout
-    values = [f.values for f in t_full.factors] * 2
-    values += [np.diag(reciprocal(p)) for p in priors.values()]
-    return TensorNetwork(universe, tuple(map(Factor, scopes, values)))
+    squared = square_wrt(t_full, ())
+    stride = max(t_full.universe) + 1  # square_wrt's replica of v is v + stride
+    couplings = tuple(
+        Factor((k, k + stride), np.diag(reciprocal(p))) for k, p in priors.items()
+    )
+    return TensorNetwork(squared.universe, squared.factors + couplings)
 
 
 def compute_all(
@@ -250,52 +258,19 @@ def compute_all(
     built over An(evidence) alone, where every other node is barren; with
     root evidence nothing is eliminated to build it.
 
-    The indices come from one of three plans:
-
-    - Shared elimination: when the table over the evidence and the output
-      (the product of their cardinalities, a Python int) has at most
-      SHARED_ELIMINATION_CELLS cells, the chance variables (every relevant
-      node outside the evidence and the output) are summed out of the
-      probability network once, before P(O) is taken. P(O), `t_full` and
-      `t` all start from that reduced network, so `t` eliminates the
-      output alone. `t` and `j` are each contracted into one table over
-      the sorted evidence, with no elimination order. E[E[f | keep]^2] is
-      the sum of T_keep^2 / J_keep, the tables with the evidence outside
-      `keep` summed away, and gives Var[f] and every total and closed
-      index; the first-order indices take the tables' one-variable
-      marginals, and E[f] is the sum of T. The coupled network is never
-      ordered.
-    - Coupled: when `j` is a product of one-axis factors (the evidence is
-      independent), one calibration of `_coupled_network`, which squares
-      `t_full` with every variable replicated, gives Var[f] and every total
-      index from the outside factors of its coupling factors, and `t` is
-      never built.
-    - Per-query: the non-evidential variables are summed out of `t_full`
-      into `t`, and Var[f] and each total and closed index are one
-      conditional-moment query over `t`. Each query divides by the
-      evidence marginal over its kept variables: with independent
-      evidence, the product of the reciprocal priors, taken once per
-      analysis; otherwise `j` with the rest summed out.
-
-    In the coupled and per-query plans, the first-order indices and E[f]
-    come from one calibration of `t_full` (`marginals`), whose marginal on
-    each evidential variable equals that of `t`, and the evidence marginals
-    are the priors, or one calibration of `j` when the evidence is
-    dependent. Without first-order indices to compute, E[f] is one
-    contraction, of `t_full` in the coupled plan and of `t` in the
-    per-query plan.
-
-    The shared elimination is chosen first, from the cardinalities alone,
-    so that choosing it costs no ordering; at that size each bucket's and
-    each ordering's Python set-up outweighs its arithmetic (see
-    SHARED_ELIMINATION_CELLS). Otherwise the coupled plan is taken when
-    totals are asked for, without closed subsets, on independent evidence,
-    and when the cells of its forward and backward passes, predicted by its
-    elimination order, are fewer than those of summing `t_full` down to
-    `t`, which the per-query plan pays before anything else. Each costed
-    order is the one that runs. Otherwise the per-query plan is taken. The
-    choice is logged at DEBUG level on the `bnsens.sobol` logger with the
-    cells it rests on.
+    The plan (see the module docstring) is chosen as follows. The shared
+    elimination is taken first, when the table over the evidence and the
+    output (the product of their cardinalities, a Python int) has at most
+    SHARED_ELIMINATION_CELLS cells, so that choosing it costs no ordering;
+    at that size each bucket's and each ordering's Python set-up outweighs
+    its arithmetic. Otherwise the coupled plan is taken when totals are
+    asked for, without closed subsets, on independent evidence (`j` is a
+    product of one-axis factors), and when the cells of its forward and
+    backward passes, predicted by its elimination order, are fewer than
+    those of summing `t_full` down to `t`, which the per-query plan pays
+    before anything else. Each costed order is the one that runs.
+    Otherwise the per-query plan is taken. The choice is logged at DEBUG
+    level on the `bnsens.sobol` logger with the cells it rests on.
 
     With a single evidential variable, E[f | i] is f and S_i is 1.0
     without a calibration. Some indices need no query and are exact zeros:
@@ -362,8 +337,10 @@ def compute_all(
     priors = _priors(j)
     coupled = None
     if not shared and priors is not None and options.total and not closed:
-        layout = _coupled_layout(t_full, priors)
-        coupled_order = network.min_weight_order(layout[1], layout[0])
+        coupled = _coupled_network(t_full, priors)
+        coupled_order = network.min_weight_order(
+            [f.axes for f in coupled.factors], coupled.universe
+        )
         # a forward pass, and a backward pass over about as many cells
         coupled_cells = 2 * sum(coupled_order.cells)
         reduce_cells = sum(t_order.cells)
@@ -372,16 +349,18 @@ def compute_all(
             "coupled plan" if coupled_cells < reduce_cells else "coupled plan declined",
             coupled_cells, reduce_cells,
         )
-        if coupled_cells < reduce_cells:
-            coupled = _coupled_network(t_full, priors, layout)
+        if not coupled_cells < reduce_cells:
+            coupled = None
 
-    # Each index is charged an equal share of the time of the calibration
-    # or the tables it came from. With one evidential variable, E[f | i] is
-    # f itself and S_i is 1.0 exactly. The function network has mean zero
-    # up to rounding; taking that residual out as well drops the constant
-    # offset that the rounding of `centre` leaves in g.
+    # Each plan gives E[f], first[i] = (P(i) E[f | i], P(i)) for the queried
+    # variables and moment(keep) = E[E[f | keep]^2]. Each index is charged
+    # an equal share of the time of the calibration or the tables it came
+    # from. With one evidential variable, E[f | i] is f itself and S_i is
+    # 1.0 exactly. The function network has mean zero up to rounding;
+    # taking that residual out as well drops the constant offset that the
+    # rounding of `centre` leaves in g.
     queried = [i for i in targets if i not in zero_s] if options.first else []
-    s_share = st_share = closed_share = 0.0
+    s_share = st_share = 0.0
     if shared:
         t = marginalize(t_full, t_order)
         t0 = time.perf_counter()
@@ -394,18 +373,16 @@ def compute_all(
             axes = tuple(a for a, k in enumerate(evidence) if k not in keep)
             return [table.sum(axis=axes) for table in tables]
 
-        def conditional(keep: frozenset[int]) -> float:
+        def moment(keep: frozenset[int]) -> float:
             t_keep, j_keep = summed(keep)
             return float(np.vdot(t_keep, t_keep * reciprocal(j_keep)))
 
         mean = float(tables[0].sum())
-        t_marginals, j_marginals = {}, {}
-        for i in queried:
-            t_marginals[i], j_marginals[i] = summed({i})
+        first = {i: summed({i}) for i in queried}
         users = len(queried) + len(closed)
         if options.total:
             users += len(targets) - len(zero_st)
-        s_share = st_share = closed_share = (time.perf_counter() - t0) / max(users, 1)
+        s_share = st_share = (time.perf_counter() - t0) / max(users, 1)
     else:
         if coupled is None:
             _log.debug(
@@ -420,35 +397,35 @@ def compute_all(
                 k: Factor((k,), reciprocal(p)) for k, p in priors.items()
             }
 
-            def conditional(keep: frozenset[int]) -> float:
+            def moment(keep: frozenset[int]) -> float:
                 return _conditional_second_moment(t, j, keep, inverse)
 
+        else:
+            t0 = time.perf_counter()
+            start = len(coupled.factors) - len(priors)
+            outside = marginals(
+                coupled, coupled_order, outside_of=range(start, len(coupled.factors))
+            )
+            moments = {
+                spec.evidential - {k}: float(outside[p].sum())
+                for p, k in enumerate(priors, start)
+            }
+            moments[spec.evidential] = float(
+                np.sum(outside[start] * coupled.factors[start].values)
+            )
+            moment = moments.__getitem__
+            st_share = (time.perf_counter() - t0) / max(len(set(targets) - zero_st), 1)
         if queried and len(spec.evidential) > 1:
             t0 = time.perf_counter()
             t_marginals = marginals(t_full)
             j_marginals = marginals(j) if priors is None else priors
+            first = {i: (t_marginals[i], j_marginals[i]) for i in queried}
             mean = float(t_marginals[spec.output].sum())
             s_share = (time.perf_counter() - t0) / len(queried)
         else:
             mean = contract_all(t_full if coupled is not None else t)
 
-    if coupled is not None:
-        t0 = time.perf_counter()
-        start = len(coupled.factors) - len(priors)
-        outside = marginals(
-            coupled, coupled_order, outside_of=range(start, len(coupled.factors))
-        )
-        second = float(np.sum(outside[start] * coupled.factors[start].values))
-        without = {k: float(outside[p].sum()) for p, k in enumerate(priors, start)}
-        moment = without.__getitem__
-        st_share = (time.perf_counter() - t0) / max(len(set(targets) - zero_st), 1)
-    else:
-        second = conditional(spec.evidential)
-
-        def moment(i: int) -> float:
-            return conditional(spec.evidential - {i})
-
-    variance = second - mean * mean
+    variance = moment(spec.evidential) - mean * mean
     if not variance > DEGENERATE_VARIANCE_TOL * float(p_out @ (g * g)):
         raise DegenerateOutputError(f"output variance {variance!r} is numerically zero")
 
@@ -462,13 +439,13 @@ def compute_all(
             elif len(spec.evidential) == 1:
                 s = 1.0
             else:
-                s = variance_component(i, t_marginals[i], j_marginals[i], mean, variance)
+                s = variance_component(i, *first[i], mean, variance)
             s_time = time.perf_counter() - t0
             if i not in zero_s:
                 s_time += s_share
         if options.total:
             t0 = time.perf_counter()
-            st = 0.0 if i in zero_st else total_index(i, moment, mean, variance)
+            st = 0.0 if i in zero_st else total_index(i, moment, spec.evidential, mean, variance)
             st_time = time.perf_counter() - t0
             if i not in zero_st:
                 st_time += st_share
@@ -476,8 +453,8 @@ def compute_all(
 
     for ids in closed:
         t0 = time.perf_counter()
-        value = (conditional(frozenset(ids)) - mean * mean) / variance
-        elapsed = time.perf_counter() - t0 + closed_share
+        value = (moment(frozenset(ids)) - mean * mean) / variance
+        elapsed = time.perf_counter() - t0 + st_share
         name = "+".join(bn.variables[v].name for v in ids)
         entries.append(IndexEntry(ids, name, value, elapsed, None, None))
 
