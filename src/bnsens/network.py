@@ -244,15 +244,16 @@ def _eliminate(factors: Sequence[Factor], drop: set[int]) -> Factor:
 
 def _buckets(
     factors: list[Factor | None], universe: Mapping[int, int], order: Iterable[int]
-) -> Iterator[tuple[int, list[int]]]:
+) -> Iterator[tuple[int, list[int], list[Factor]]]:
     """Eliminate the variables of `order` from `factors` in place, one
-    bucket each, and yield each bucket's variable and the positions of its
-    factors once its message is appended.
+    bucket each, and yield each bucket's variable, the positions of its
+    factors and the factors themselves once its message is appended.
 
     Each bucket's message is appended and its factors set to None, so the
     live factors keep the order of a list that drops each bucket and
     appends its result, and with n factors passed in, the message of the
-    k-th bucket sits at position n + k. `holders` lists, ascending, the
+    k-th bucket sits at position n + k. A message holds every axis of its
+    bucket except the bucket's variable. `holders` lists, ascending, the
     positions of the factors over each variable; a bucket skips those
     already eliminated, so no bucket scans the other factors. A variable
     carried by no factor sends its cardinality as a scalar."""
@@ -265,8 +266,9 @@ def _buckets(
                 holders[ax] = [i]
     for v in order:
         positions = [i for i in holders.pop(v, ()) if factors[i] is not None]
+        bucket = [factors[i] for i in positions]
         if positions:
-            out = _eliminate([factors[i] for i in positions], {v})
+            out = _eliminate(bucket, {v})
             for i in positions:
                 factors[i] = None
             for ax in out.axes:
@@ -274,7 +276,7 @@ def _buckets(
         else:
             out = Factor.scalar(universe[v])
         factors.append(out)
-        yield v, positions
+        yield v, positions, bucket
 
 
 def marginalize(tn: TensorNetwork, eliminate: Iterable[int]) -> TensorNetwork:
@@ -303,8 +305,8 @@ def marginalize(tn: TensorNetwork, eliminate: Iterable[int]) -> TensorNetwork:
             [f.axes for f in tn.factors], tn.universe, keep=set(tn.universe) - targets
         )
     factors: list[Factor | None] = list(tn.factors)
-    for _ in _buckets(factors, tn.universe, order):
-        pass
+    for _, _, bucket in _buckets(factors, tn.universe, order):
+        del bucket  # freed before the next bucket's kernel call, not after
 
     return TensorNetwork(
         {k: c for k, c in tn.universe.items() if k not in targets},
@@ -322,16 +324,18 @@ def marginals(
     universe, from one elimination order and two passes over its buckets.
 
     The forward pass eliminates every variable as `marginalize` does and
-    keeps each bucket's factors. The backward pass walks the buckets in
-    reverse and gives each message an outside factor over its axes: the
-    contraction of everything but the message, which is the product of the
-    other final scalars for a message that no bucket takes, and otherwise
-    one `_einsum` of the taking bucket's other factors and that bucket's
-    own outside factor. A bucket's variable then has the marginal
-    `_einsum` of the bucket's factors and its outside factor; a variable
-    carried by no factor has its outside scalar in every state. No product
-    is ever divided out, so zero and negative entries are exact. Each
-    message is dropped once its taker has sent its outside factor.
+    keeps each bucket's variable, positions and factors. The backward pass
+    walks the buckets in reverse and gives each message an outside factor
+    over its axes: the contraction of everything but the message, which is
+    the product of the other final scalars for a message that no bucket
+    takes, and otherwise one `_einsum` of the taking bucket's other
+    factors and that bucket's own outside factor. A message holds every
+    axis of its bucket except the bucket's variable, so only a bucket of
+    one factor adds ones over that variable. A bucket's variable then has
+    the marginal `_einsum` of the bucket's factors and its outside factor;
+    a variable carried by no factor has its outside scalar in every state.
+    No product is ever divided out, so zero and negative entries are
+    exact. Each bucket is dropped once it has sent its outside factors.
 
     With `outside_of`, positions in `tn.factors`, the result holds instead
     the outside factor of each of those input factors, by position and over
@@ -347,19 +351,15 @@ def marginals(
     wanted = None if outside_of is None else {int(i) for i in outside_of}
     first_message = len(tn.factors)
     factors: list[Factor | None] = list(tn.factors)
-    kept: list[Factor | None] = list(tn.factors)  # factors and messages, by position
 
-    def sends(i: int) -> bool:
-        if i >= first_message:
-            return needed[i - first_message]
-        return wanted is not None and i in wanted
-
+    # The positions that the backward pass gives an outside factor: the
+    # wanted inputs, and the message of each bucket that it visits.
+    sends = set(wanted or ())
     buckets = []
-    needed: list[bool] = []  # whether the backward pass visits each bucket
-    for v, positions in _buckets(factors, tn.universe, order):
-        buckets.append((v, positions))
-        kept.append(factors[-1])
-        needed.append(wanted is None or any(sends(i) for i in positions))
+    for v, positions, bucket in _buckets(factors, tn.universe, order):
+        buckets.append((v, positions, bucket))
+        if wanted is None or sends.intersection(positions):
+            sends.add(len(factors) - 1)
 
     # The live factors are now scalars that multiply to the contraction;
     # each gets the product of the others, from prefix and suffix products.
@@ -372,29 +372,23 @@ def marginals(
     }
 
     result = {}
-    for k in reversed(range(len(buckets))):
-        if not needed[k]:
+    while buckets:
+        v, positions, bucket = buckets.pop()
+        message = first_message + len(buckets)
+        if message not in sends:
             continue
-        v, positions = buckets[k]
-        out = outside.pop(first_message + k)
+        out = outside.pop(message)
         if not positions:
             result[v] = np.full(tn.universe[v], float(out.values))
             continue
-        bucket = [kept[i] for i in positions]
         if wanted is None:
             result[v] = _einsum([*bucket, out], (v,))
         for m, i in enumerate(positions):
-            if not sends(i):
-                continue
-            others = [*bucket[:m], *bucket[m + 1 :], out]
-            held = {ax for f in others for ax in f.axes}
-            axes = kept[i].axes
-            ones = [
-                Factor((ax,), np.ones(tn.universe[ax])) for ax in axes if ax not in held
-            ]
-            outside[i] = Factor(axes, _einsum([*others, *ones], axes))
-        for i in positions:
-            kept[i] = None
+            if i in sends:
+                others = [*bucket[:m], *bucket[m + 1 :], out]
+                if len(bucket) == 1:  # `out` holds every axis of the bucket but v
+                    others.append(Factor((v,), np.ones(tn.universe[v])))
+                outside[i] = Factor(bucket[m].axes, _einsum(others, bucket[m].axes))
     if wanted is None:
         return result
     return {i: outside[i].values for i in sorted(wanted)}

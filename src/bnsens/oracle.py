@@ -22,13 +22,9 @@ from .errors import (
     StateSpaceTooLargeError,
 )
 from .model import AnalysisSpec, DiscreteBayesNet, output_values, validate_partition
-from .sobol import IndexEntry, SobolReport
+from .sobol import DEGENERATE_VARIANCE_TOL, IndexEntry, SobolReport
 
 DEFAULT_CELL_CAP = 10_000_000
-# Var[f] at or below this share of the output's own variance is rounding
-# noise in the tabulated f: the output is constant and every index undefined.
-# The noise is quadratic in eps, the same floor as bnsens.sobol's.
-DEGENERATE_SHARE = 1e-24
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,13 +109,14 @@ def _centred(
 
 def _nondegenerate(variance: float, output_variance: float) -> float:
     """`variance` of the rescaled f; a zero Var[g(O)] or a noise-level
-    share of it raises."""
+    share of it, at most `compute_all`'s floor DEGENERATE_VARIANCE_TOL,
+    raises."""
     if output_variance == 0.0:
         raise DegenerateOutputError(
             "the value map is constant on the output's possible labels; "
             "indices undefined"
         )
-    if not variance > DEGENERATE_SHARE * output_variance:
+    if not variance > DEGENERATE_VARIANCE_TOL * output_variance:
         raise DegenerateOutputError(f"output variance {variance!r} is numerically zero")
     return variance
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import bnsens.network
 from bnsens import AnalysisSpec, compute_all
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -43,11 +44,22 @@ def test_each_workload_takes_its_plan(monkeypatch, caplog, name, plan):
     # A plan that flips would otherwise show only as a timing change. The
     # tables over the evidence and the output have 1.3e8 (grid3e16), 648
     # (sparse200) and 3.4e7 (dense-card) cells: only sparse200 is small
-    # enough to sum its chance variables out once for P(O) and t.
+    # enough to sum its chance variables out once for P(O) and t. The
+    # orderings per analysis are the `graph.order_calls` of `--trace 1`,
+    # which hooks the same name.
     workloads = _load(monkeypatch, "workloads")
     bn, output, evidential = workloads.network(name)
     spec = AnalysisSpec(output, evidential, workloads.seeded_map(bn, output, 1))
+    calls = []
+    order = bnsens.network.min_weight_order
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return order(*args, **kwargs)
+
+    monkeypatch.setattr(bnsens.network, "min_weight_order", counted)
     with caplog.at_level(logging.DEBUG, logger="bnsens.sobol"):
         compute_all(bn, spec)
     lines = [r.getMessage() for r in caplog.records if r.name == "bnsens.sobol"]
     assert [line.split(" plan:")[0] for line in lines if " plan:" in line] == [plan]
+    assert len(calls) == {"grid3e16": 5, "sparse200": 4, "dense-card": 21}[name]

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -162,6 +163,23 @@ def test_marginalize_with_explicit_orders_matches_heuristic(monkeypatch):
             np.testing.assert_allclose(other, base, rtol=1e-9, atol=1e-12)
 
 
+def test_marginalize_frees_each_message_once_it_is_taken():
+    # A chain whose messages carry a wide kept axis: while a bucket runs,
+    # only its incoming message and its result are alive, not the message
+    # its predecessor took.
+    wide, links = 100_000, 6
+    factors = [Factor((i, i + 1, 99), np.ones((2, 2, wide))) for i in range(links - 1)]
+    tn = TensorNetwork({**{i: 2 for i in range(links)}, 99: wide}, tuple(factors))
+    message = 2 * wide * 8  # bytes of one float64 message over (i + 1, 99)
+    tracemalloc.start()
+    try:
+        marginalize(tn, set(range(links - 1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2 * message <= peak < 2.5 * message
+
+
 def test_marginalize_counts_unsupported_variables():
     # A universe variable carried by no factor sums to its cardinality.
     tn = TensorNetwork({0: 3, 1: 2}, (Factor((1,), [0.5, 0.5]),))
@@ -210,16 +228,37 @@ def test_marginals_match_collapse_on_every_variable(
 
 
 @settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), scalar=st.booleans())
-def test_outside_factors_give_the_contraction_with_and_without_each_input(seed, scalar):
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    unit_axis=st.booleans(),
+    loose=st.booleans(),
+    second=st.booleans(),
+    scalar=st.booleans(),
+)
+def test_outside_factors_give_the_contraction_with_and_without_each_input(
+    seed, unit_axis, loose, second, scalar
+):
     # The contraction is linear in each factor: an input times its outside
     # factor sums to the contraction, and the outside factor alone to the
     # contraction with that input replaced by ones. Asked for every other
-    # input, the backward pass skips buckets that lead to none of them.
+    # input, the backward pass skips buckets that lead to none of them. The
+    # flags are those of the marginals test above: with them the pass starts
+    # from several final scalars, and its buckets of one factor pad ones.
     rng = np.random.default_rng(seed)
-    tn = random_tn(rng, n_vars=int(rng.integers(2, 6)))
+    universe = {i: int(rng.integers(2, 4)) for i in range(int(rng.integers(2, 6)))}
+    if unit_axis:
+        universe[7] = 1
+    tn = random_tn(rng, universe=universe)
+    universe, factors = dict(tn.universe), list(tn.factors)
+    if second:
+        other = random_tn(rng, universe={10: 3, 11: 2, 12: 2})
+        universe.update(other.universe)
+        factors += other.factors
+    if loose:
+        universe[20] = 3
     if scalar:
-        tn = TensorNetwork(tn.universe, (*tn.factors, Factor.scalar(-1.5)))
+        factors.append(Factor.scalar(-1.5))
+    tn = TensorNetwork(universe, tuple(factors))
     chosen = list(range(0, len(tn.factors), 2))
     got = marginals(tn, outside_of=chosen)
     assert sorted(got) == chosen
