@@ -175,6 +175,8 @@ def _resolve_spec(
             evidential = frozenset(bn.roots())
         else:
             names = [x.strip() for x in args.evidence.split(",") if x.strip()]
+            if len(set(names)) < len(names):
+                raise ValueError(f"--evidence names a variable twice: {names}")
             evidential = frozenset(bn.variable_named(x).id for x in names)
     elif base is not None:
         evidential = base.evidential

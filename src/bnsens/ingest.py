@@ -193,6 +193,8 @@ def load_native(text: str) -> NativeDocument:
         for e in evid_names:
             if not isinstance(e, str) or e not in ids:
                 raise SchemaError("spec.evidential", f"unknown variable {e!r}")
+            if ids[e] in evid:
+                raise SchemaError("spec.evidential", f"duplicate variable {e!r}")
             evid.add(ids[e])
         vmap = _expect(raw_spec, "value_map", dict, "spec.", required=True)
         values = _floats(list(vmap.values()), "spec.value_map", "values")

@@ -216,7 +216,9 @@ def mc_indices(
     Valid only when every evidential node is a parentless root (independent
     inputs); dependent inputs are rejected because the standard estimators
     are biased there. f is looked up in the exact enumerated table, so the
-    joint must fit under the cell cap."""
+    joint must fit under the cell cap; the standard errors need 2 samples."""
+    if samples < 2:
+        raise ValueError(f"pick-freeze needs at least 2 samples, got {samples}")
     validate_partition(bn, spec)
     dependent = [i for i in sorted(spec.evidential) if bn.cpts[i].parents]
     if dependent:

@@ -9,11 +9,10 @@ evidential variables is the group's variance component. `compute_all`
 computes them all without tabulating f over the evidence, except where that
 table is small. Every index comes from one quantity, the conditional
 moment E[E[f | keep]^2] over a subset `keep` of the evidence E: Var[f] is
-its value at E minus E[f]^2, S^T_i reads it at E - {i}, and a closed index
-at the group. The function network `t_full` is the probability network
-with g(O), the centred value of the output, as one more factor. Each of
-three plans gives E[f], the one-variable marginals P(i) E[f | i] and P(i)
-for the first-order indices, and `moment(keep)`:
+its value at E minus E[f]^2, S_i reads it at {i}, S^T_i at E - {i}, and a
+closed index at the group. The function network `t_full` is the
+probability network with g(O), the centred value of the output, as one
+more factor. Each of three plans gives E[f] and `moment(keep)`:
 
 - Shared elimination: the chance variables (every relevant node outside
   the evidence and the output) are summed out of the probability network
@@ -22,27 +21,27 @@ for the first-order indices, and `moment(keep)`:
   marginal `j` are each contracted into one table over the sorted
   evidence, with no elimination order; `moment(keep)` is the sum of
   T_keep^2 / J_keep, the tables with the evidence outside `keep` summed
-  away, and the marginals are those of the tables.
+  away.
 - Coupled, for independent evidence: `t_full` squared with every variable
   replicated (`square_wrt`), times one coupling factor diag(1 / P(x_k))
   per evidential k, is calibrated once for the outside factors of its
   couplings (the differential approach, Darwiche 2003; Park and Darwiche
   2004). The coupling of the first evidential variable times its outside
   factor sums to `moment(E)`, and the outside factor of C_k alone to
-  `moment(E - {k})`; there is no other `keep`, so this plan serves no
-  closed index, and `t` is never built.
+  `moment(E - {k})`; apart from the {i} below there is no other `keep`,
+  so this plan serves no closed index, and `t` is never built.
 - Per-query: the non-evidential variables are summed out of `t_full` into
   `t`, and each `moment(keep)` is one query over `t` squared and divided
   by the evidence marginal over `keep`: with independent evidence, the
   product of the reciprocal priors, taken once per analysis; otherwise
-  `j` with the rest summed out.
+  `j` with the rest summed out. No `keep` is queried twice.
 
-In the last two, E[f] and the first-order marginals come from one
-calibration of `t_full`, whose marginal on each evidential variable equals
-that of `t`, and the evidence marginals are the priors, or one calibration
-of `j` when the evidence is dependent. Without first-order indices to
-compute, E[f] is one contraction, of `t_full` in the coupled plan and of
-`t` in the per-query plan. `compute_all` says how the plan is chosen.
+In the last two, with more than one evidential variable, E[f] and each
+first-order `moment({i})` come from one calibration of `t_full`, whose
+marginal t_i = P(i) E[f | i] equals that of `t`, and from j_i = P(i), the
+prior or a marginal of one calibration of `j`. Otherwise E[f] is one
+contraction, of `t_full` in the coupled plan and of `t` in the per-query
+plan. `compute_all` says how the plan is chosen.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -179,15 +178,14 @@ def _conditional_second_moment(
 
 # Module-level so that bench/spans.py and the tests can hook each query.
 def variance_component(
-    i: int, t_i: np.ndarray, j_i: np.ndarray, mean: float, variance: float
+    i: int,
+    moment: Callable[[frozenset[int]], float],
+    mean: float,
+    variance: float,
 ) -> float:
     """First-order effect S_i = (E[E[f | i]^2] - E[f]^2) / Var[f] of
-    variable i, from the marginals t_i = P(i) E[f | i] and j_i = P(i) of
-    the function network and the evidence marginal on i: E[E[f | i]^2] is
-    the sum of t_i^2 / j_i, and a zero cell of j_i, where t_i is zero too,
-    adds 0. `i` names the variable for the hooks; the value does not
-    depend on it."""
-    return (float(t_i @ (t_i * reciprocal(j_i))) - mean * mean) / variance
+    variable i, where `moment(keep)` is the plan's E[E[f | keep]^2]."""
+    return (moment(frozenset({i})) - mean * mean) / variance
 
 
 def total_index(
@@ -272,12 +270,13 @@ def compute_all(
     Otherwise the per-query plan is taken. The choice is logged at DEBUG
     level on the `bnsens.sobol` logger with the cells it rests on.
 
-    With a single evidential variable, E[f | i] is f and S_i is 1.0
-    without a calibration. Some indices need no query and are exact zeros:
-    S_i when i is d-separated from the output, since E[f | i] is then
-    constant, and S^T_i when the rest of the evidence d-separates i from
+    With a single evidential variable, {i} is E, so S_i reads the moment
+    that Var[f] was taken from and is exactly 1.0. Some indices need no
+    query and are exact zeros: S_i when i is d-separated from the output,
+    since E[f | i] is then constant, the closed index of a group of such
+    variables, and S^T_i when the rest of the evidence d-separates i from
     the output, since f is then flat along i; `separated_evidence` finds
-    both sets for every variable at once. Entries are ordered by
+    these sets for every variable at once. Entries are ordered by
     variable id, with the closed subsets last; with neither `first` nor
     `total` requested there are no per-variable entries."""
     options = options or ComputeOptions()
@@ -352,13 +351,11 @@ def compute_all(
         if not coupled_cells < reduce_cells:
             coupled = None
 
-    # Each plan gives E[f], first[i] = (P(i) E[f | i], P(i)) for the queried
-    # variables and moment(keep) = E[E[f | keep]^2]. Each index is charged
-    # an equal share of the time of the calibration or the tables it came
-    # from. With one evidential variable, E[f | i] is f itself and S_i is
-    # 1.0 exactly. The function network has mean zero up to rounding;
-    # taking that residual out as well drops the constant offset that the
-    # rounding of `centre` leaves in g.
+    # Each plan gives E[f] and moment(keep) = E[E[f | keep]^2], which every
+    # index reads. Each index is charged an equal share of the time of the
+    # calibration or the tables it came from. The function network has mean
+    # zero up to rounding; taking that residual out as well drops the
+    # constant offset that the rounding of `centre` leaves in g.
     queried = [i for i in targets if i not in zero_s] if options.first else []
     s_share = st_share = 0.0
     if shared:
@@ -369,21 +366,18 @@ def compute_all(
         evidence = sorted(spec.evidential)
         tables = [network._eliminate(tn.factors, set()).values for tn in (t, j)]
 
-        def summed(keep: Container[int]) -> list[np.ndarray]:
-            axes = tuple(a for a, k in enumerate(evidence) if k not in keep)
-            return [table.sum(axis=axes) for table in tables]
-
         def moment(keep: frozenset[int]) -> float:
-            t_keep, j_keep = summed(keep)
+            axes = tuple(a for a, k in enumerate(evidence) if k not in keep)
+            t_keep, j_keep = (table.sum(axis=axes) for table in tables)
             return float(np.vdot(t_keep, t_keep * reciprocal(j_keep)))
 
         mean = float(tables[0].sum())
-        first = {i: summed({i}) for i in queried}
-        users = len(queried) + len(closed)
+        users = len(queried) + sum(not separated.issuperset(ids) for ids in closed)
         if options.total:
             users += len(targets) - len(zero_st)
         s_share = st_share = (time.perf_counter() - t0) / max(users, 1)
     else:
+        moments: dict[frozenset[int], float] = {}
         if coupled is None:
             _log.debug(
                 "per-query plan: table over the evidence and the output %d cells, "
@@ -398,7 +392,9 @@ def compute_all(
             }
 
             def moment(keep: frozenset[int]) -> float:
-                return _conditional_second_moment(t, j, keep, inverse)
+                if keep not in moments:
+                    moments[keep] = _conditional_second_moment(t, j, keep, inverse)
+                return moments[keep]
 
         else:
             t0 = time.perf_counter()
@@ -406,20 +402,22 @@ def compute_all(
             outside = marginals(
                 coupled, coupled_order, outside_of=range(start, len(coupled.factors))
             )
-            moments = {
-                spec.evidential - {k}: float(outside[p].sum())
-                for p, k in enumerate(priors, start)
-            }
+            for p, k in enumerate(priors, start):
+                moments[spec.evidential - {k}] = float(outside[p].sum())
             moments[spec.evidential] = float(
                 np.sum(outside[start] * coupled.factors[start].values)
             )
             moment = moments.__getitem__
             st_share = (time.perf_counter() - t0) / max(len(set(targets) - zero_st), 1)
         if queried and len(spec.evidential) > 1:
+            # E[E[f | i]^2] is the sum of t_i^2 / j_i; a zero cell of j_i,
+            # where t_i is zero too, adds 0.
             t0 = time.perf_counter()
             t_marginals = marginals(t_full)
             j_marginals = marginals(j) if priors is None else priors
-            first = {i: (t_marginals[i], j_marginals[i]) for i in queried}
+            for i in queried:
+                t_i = t_marginals[i]
+                moments[frozenset({i})] = float(t_i @ (t_i * reciprocal(j_marginals[i])))
             mean = float(t_marginals[spec.output].sum())
             s_share = (time.perf_counter() - t0) / len(queried)
         else:
@@ -434,28 +432,23 @@ def compute_all(
         s = s_time = st = st_time = None
         if options.first:
             t0 = time.perf_counter()
-            if i in zero_s:
-                s = 0.0
-            elif len(spec.evidential) == 1:
-                s = 1.0
-            else:
-                s = variance_component(i, *first[i], mean, variance)
-            s_time = time.perf_counter() - t0
-            if i not in zero_s:
-                s_time += s_share
+            s = 0.0 if i in zero_s else variance_component(i, moment, mean, variance)
+            s_time = time.perf_counter() - t0 + (0.0 if i in zero_s else s_share)
         if options.total:
             t0 = time.perf_counter()
             st = 0.0 if i in zero_st else total_index(i, moment, spec.evidential, mean, variance)
-            st_time = time.perf_counter() - t0
-            if i not in zero_st:
-                st_time += st_share
+            st_time = time.perf_counter() - t0 + (0.0 if i in zero_st else st_share)
         entries.append(IndexEntry((i,), bn.variables[i].name, s, s_time, st, st_time))
 
     for ids in closed:
-        t0 = time.perf_counter()
-        value = (moment(frozenset(ids)) - mean * mean) / variance
-        elapsed = time.perf_counter() - t0 + st_share
         name = "+".join(bn.variables[v].name for v in ids)
+        t0 = time.perf_counter()
+        if separated.issuperset(ids):
+            _log.debug("S of %s = 0.0 by d-separation from the output", name)
+            value, share = 0.0, 0.0
+        else:
+            value, share = (moment(frozenset(ids)) - mean * mean) / variance, st_share
+        elapsed = time.perf_counter() - t0 + share
         entries.append(IndexEntry(ids, name, value, elapsed, None, None))
 
     for entry in entries:

@@ -229,6 +229,14 @@ def test_repeated_value_map_label_exits_2():
     assert err == "error: ValueError: value-map label '1' given twice\n"
 
 
+def test_repeated_evidence_name_exits_2():
+    # The repeat used to be dropped silently.
+    code, out, err = run_cli("compute", "--network", CHAIN, "--evidence", "E,E")
+    assert code == 2
+    assert out == ""
+    assert err == "error: ValueError: --evidence names a variable twice: ['E', 'E']\n"
+
+
 def test_repeated_value_map_key_in_document_exits_2(tmp_path):
     text = (GOLDEN / "chain.native").read_text()
     assert '"1": 1.0\n' in text

@@ -369,6 +369,16 @@ def test_native_rejects_a_repeated_key(chain, chain_analysis, old, new, key):
     assert str(info.value) == f"document: key {key!r} repeated in one object"
 
 
+def test_native_rejects_a_repeated_evidential_name(chain, chain_analysis):
+    # The repeat used to be dropped silently.
+    text = save_native(NativeDocument(chain, chain_analysis))
+    old = '"evidential": [\n      "E"\n'
+    assert old in text
+    with pytest.raises(SchemaError, match="duplicate variable 'E'") as info:
+        load_native(text.replace(old, '"evidential": [\n      "E", "E"\n', 1))
+    assert info.value.field == "spec.evidential"
+
+
 def test_native_rejects_non_json():
     with pytest.raises(SchemaError, match="document"):
         load_native("variables: nope")

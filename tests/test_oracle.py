@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,16 @@ def test_mc_within_three_standard_errors(chain, chain_analysis):
     est = report.estimates[0]
     assert abs(est.s - 1.0) <= 3.0 * est.s_se
     assert abs(est.st - 1.0) <= 3.0 * est.st_se
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_mc_rejects_fewer_than_two_samples(chain, chain_analysis, samples):
+    # 0 samples used to end in a false DegenerateOutputError after "Mean of
+    # empty slice" warnings, and 1 sample in S = 2.8 with NaN standard errors.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            mc_indices(chain, chain_analysis, samples=samples, seed=0)
 
 
 def test_mc_is_deterministic(chain, chain_analysis):

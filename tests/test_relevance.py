@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 import bnsens.graph
 import bnsens.network
 import bnsens.sobol
-from bnsens import AnalysisSpec, Cpt, DiscreteBayesNet, Variable, compute_all
+from bnsens import (
+    AnalysisSpec,
+    ComputeOptions,
+    Cpt,
+    DiscreteBayesNet,
+    Variable,
+    compute_all,
+)
 from bnsens.oracle import brute_force_indices
 from helpers import gate_tree, random_instance, random_roots_instance
 
@@ -209,6 +216,39 @@ def test_pruning_and_zeros_are_logged(caplog):
     assert f"S of B (id {ids['B']}) = 0.0 by d-separation from the output" in messages
     assert f"ST of B (id {ids['B']}) = 0.0 by d-separation from the output" in messages
     assert not any("of A " in m for m in messages)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-query"])
+def test_separated_group_gets_an_exact_zero_without_a_query(monkeypatch, caplog, shared):
+    # B and its child C share no ancestor with O, so the group {B, C} is
+    # d-separated from it. Its closed index used to come out as rounding
+    # noise (-1.67e-30 on a generated network).
+    bn, ids = binary_bn(
+        {"A": (), "B": (), "C": ("B",), "O": ("A",)},
+        {"A": [0.4], "B": [0.7], "C": [0.2, 0.9], "O": [0.1, 0.8]},
+    )
+    spec = spec_for(ids, "O", ("A", "B", "C"))
+    group = (ids["B"], ids["C"])
+    if not shared:
+        monkeypatch.setattr(bnsens.sobol, "SHARED_ELIMINATION_CELLS", 0)
+    query = bnsens.sobol._conditional_second_moment
+    queried = []
+
+    def recording(t, j, keep, *args):
+        queried.append(keep)
+        return query(t, j, keep, *args)
+
+    monkeypatch.setattr(bnsens.sobol, "_conditional_second_moment", recording)
+    options = ComputeOptions(first=False, total=False, closed=(group, (ids["A"], ids["B"])))
+    with caplog.at_level(logging.DEBUG, logger="bnsens.sobol"):
+        report = compute_all(bn, spec, options)
+    separated, pair = report.indices
+    assert separated.s == 0.0 and pair.s > 0.1
+    assert frozenset(group) not in queried
+    assert len(queried) == (0 if shared else 2)
+    messages = [r.getMessage() for r in caplog.records if r.name == "bnsens.sobol"]
+    assert "S of B+C = 0.0 by d-separation from the output" in messages
+    assert not any("of A+B" in m for m in messages)
 
 
 def test_relevance_builds_one_moral_graph_whatever_the_evidence(monkeypatch):

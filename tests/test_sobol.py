@@ -33,6 +33,7 @@ from bnsens import (
     output_values,
     separated_evidence,
 )
+from bnsens.graph import EliminationOrder
 from bnsens.oracle import brute_force_closed, brute_force_f, brute_force_indices
 from bnsens.sobol import _conditional_second_moment
 from bnsens.tensor import factor_product, factor_sum_out
@@ -573,6 +574,70 @@ def test_closed_index_of_singleton_matches_component():
         for single, group in zip(singles, closed):
             assert group.variables == single.variables
             assert group.s == pytest.approx(single.s, abs=1e-12)
+
+
+def test_per_query_closed_indices_read_the_moments_of_the_variable_indices(
+    monkeypatch, caplog
+):
+    # The per-query plan queries each keep once: the closed index of {i}
+    # reads the moment S_i came from, and that of E - {i} the one S^T_i
+    # came from, so S_i and 1 - S^T_i are equal to them, not merely close.
+    # A screened S^T_i is an exact zero taken without its moment.
+    monkeypatch.setattr(bnsens.sobol, "SHARED_ELIMINATION_CELLS", 0)
+    checked = 0
+    for seed in range(40):
+        bn, spec = random_instance(seed)
+        evid = sorted(spec.evidential)
+        if len(evid) < 2:
+            continue
+        singles = tuple((i,) for i in evid)
+        rests = tuple(tuple(k for k in evid if k != i) for i in evid)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="bnsens.sobol"):
+            report = compute_all(bn, spec, ComputeOptions(closed=singles + rests))
+        assert _plans(caplog) == ["per-query"]
+        _, screened = separated_evidence(bn.dag(), spec.output, spec.evidential)
+        n = len(evid)
+        entries, ones, others = (
+            report.indices[:n], report.indices[n: 2 * n], report.indices[2 * n:]
+        )
+        for entry, one, other in zip(entries, ones, others):
+            assert one.variables == entry.variables and one.s == entry.s
+            if entry.variables[0] not in screened:
+                assert entry.st == 1.0 - other.s
+                checked += 1
+    assert checked >= 40
+
+
+@pytest.mark.parametrize("plan", ["shared-elimination", "per-query", "coupled"])
+def test_one_evidential_variable_has_a_first_order_index_of_exactly_one(
+    monkeypatch, caplog, plan
+):
+    # With E = {i}, S_i reads the moment that Var[f] was taken from. No
+    # network with one evidential variable was found that costs fewer cells
+    # coupled than building t, so the coupled case inflates the predicted
+    # cells of every ordering that keeps some variables. The orders run as
+    # computed; of those costs only that of t is read, and t is never built.
+    order = bnsens.network.min_weight_order
+
+    def costly(scopes, cardinalities, keep=()):
+        found = order(scopes, cardinalities, keep=keep)
+        if not keep or plan != "coupled":
+            return found
+        return EliminationOrder(found, [10**9 * c for c in found.cells])
+
+    bn, spec = driven_chain(4, 0)
+    for i in sorted(spec.evidential):
+        single = AnalysisSpec(spec.output, frozenset({i}), spec.value_map)
+        with monkeypatch.context() as m:
+            if plan != "shared-elimination":
+                m.setattr(bnsens.sobol, "SHARED_ELIMINATION_CELLS", 0)
+            m.setattr(bnsens.network, "min_weight_order", costly)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="bnsens.sobol"):
+                (entry,) = compute_all(bn, single).indices
+        assert _plans(caplog) == [plan]
+        assert entry.s == 1.0
 
 
 def test_queries_agree_on_full_and_reduced_function_network():
