@@ -60,22 +60,24 @@ def separated_evidence(
     With nothing given, i and the output are d-connected exactly when they
     have a common ancestor (a trail with no collider runs up from one of
     them and down to the other), that is, when i is a descendant of
-    An(output), itself included. Given Z = E - {i}, the moralized-ancestral-
-    graph criterion (Lauritzen et al. 1990) asks for a path from i to the
-    output that avoids Z in the moral graph of An({i, output} | Z), which
-    is the moral graph of An(E | {output}) for every i. Such a path steps
-    from i to a neighbour in the output's component of that graph with all
-    of E deleted; the moral graph is the neighbour-set graph of the
-    families (a vertex with its parents).
+    An(output), itself included; a path down to i stays among i's
+    ancestors, so the search down walks An(E | {output}) alone. Given
+    Z = E - {i}, the moralized-ancestral-graph criterion (Lauritzen et al.
+    1990) asks for a path from i to the output that avoids Z in the moral
+    graph of An({i, output} | Z), which is the moral graph of
+    An(E | {output}) for every i. Such a path steps from i to a neighbour
+    in the output's component of that graph with all of E deleted; the
+    moral graph is the neighbour-set graph of the families (a vertex with
+    its parents).
     """
     output = int(output)
     evidence = {int(v) for v in evidential}
     if output in evidence:
         raise ValueError("the output must lie outside the evidence")
     relevant = ancestors(dag, evidence | {output})
-    kids: list[list[int]] = [[] for _ in dag]
-    for v, parents in enumerate(dag):
-        for p in parents:
+    kids: dict[int, list[int]] = {v: [] for v in relevant}
+    for v in relevant:
+        for p in dag[v]:
             kids[p].append(v)
     below, frontier = set(), list(ancestors(dag, {output}))
     while frontier:

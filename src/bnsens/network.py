@@ -8,13 +8,15 @@ under the minimal-weight heuristic and keeps the result factored, which is
 what makes squaring/quotient pipelines affordable on evidence sets far too
 large to tabulate. Each bucket of the elimination multiplies its factors
 and sums the variable away in one kernel call, so the product of a bucket
-is never stored. A large bucket of two factors whose result outgrows both
-(an outer product over a shared summed axis) is one batched matmul; any
-other bucket is one einsum, after the one-axis factors over a common axis
-of a large bucket are multiplied into one. `marginals` gives the marginal
-on every variable from one order: the same buckets run forward, and a
-backward pass over them sends each message the contraction of everything
-else, its outside factor.
+is never stored. Buckets pass bare arrays beside their axis tuples; only
+what `marginalize` and `collapse` return is built as `Factor`s again. A
+large bucket of two factors whose result outgrows both (an outer product
+over a shared summed axis) is one batched matmul; any other bucket is one
+einsum, after the one-axis factors over a common axis of a large bucket
+are multiplied into one. `marginals` gives the marginal on every variable
+from one order: the same buckets run forward, and a backward pass over
+them sends each message the contraction of everything else, its outside
+factor.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import operator
 import string
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -73,7 +75,7 @@ def mrf_from_bn(
     bn: DiscreteBayesNet, nodes: Iterable[int] | None = None
 ) -> TensorNetwork:
     """One factor per node over its family (the node plus its parents),
-    holding the node's conditional probabilities.
+    holding the node's conditional probabilities, in ascending node order.
 
     The full contraction of the result is 1: the factors multiply to the
     joint distribution, so no normalizing constant is needed. With `nodes`
@@ -121,162 +123,156 @@ EINSUM_OPERANDS = 31
 ROUTE_CELLS = 4096
 
 
-def _spanned(factors: Sequence[Factor]) -> tuple[int, ...]:
-    return tuple(sorted({ax for f in factors for ax in f.axes}))
-
-
-def _einsum(factors: Sequence[Factor], axes: Sequence[int]) -> np.ndarray:
-    """Product of `factors` over exactly `axes`, every other axis summed
-    away, without storing the product itself.
+def _einsum(
+    scopes: Sequence[Sequence[int]], arrays: Sequence[np.ndarray], axes: Sequence[int]
+) -> np.ndarray:
+    """Product of `arrays`, each over the axes of its scope, over exactly
+    `axes`, every other axis summed away, without storing the product.
 
     Buckets spanning more than ROUTE_CELLS cells take one of two routes,
-    chosen from the bucket's shapes alone:
+    chosen from their shapes alone:
 
-    - An outer-product pair (two factors that share every summed axis, with
+    - An outer-product pair (two arrays that share every summed axis, with
       a result larger than either) runs as one batched `np.matmul`: each
-      factor is copied to (shared kept, own, summed) order, and the result
-      comes back as a transposed view of the matmul output, not copied
-      into C order. With a short summed axis, einsum's inner loop is a few
-      cells long; matmul's runs over whole rows.
+      array is copied to (shared kept, own, summed) order, and the result
+      is a transposed view of the matmul output. With a short summed axis,
+      einsum's inner loop is a few cells long; matmul's runs over rows.
     - In a bucket of more than two operands, the one-axis operands over
       the same axis are first multiplied into one vector, so that einsum
       multiplies fewer operands per cell.
 
-    Every other bucket, and the merged one, is one `np.einsum` pass.
-
-    Axis ids are renamed to letters per call; the string form of the
-    subscripts has no length cap, unlike einsum's list form. A call over
-    more than 52 axes raises `StateSpaceTooLargeError` before any work;
-    unless some of its axes have cardinality 1, its product would have at
-    least 2^53 cells. More than EINSUM_OPERANDS factors are first multiplied
-    in chunks over their own axes, summing nothing away. The result never
-    shares memory with a factor."""
-    if not factors:
+    Every other bucket, and the merged one, is one `np.einsum` pass over
+    letter subscripts (their string form has no length cap, unlike the
+    list form). A call over more than 52 axes raises
+    `StateSpaceTooLargeError` before any work; unless some of its axes
+    have cardinality 1, its product would have at least 2^53 cells. More
+    than EINSUM_OPERANDS arrays are first multiplied in chunks over their
+    own axes (`_eliminate` of nothing). The result never shares memory
+    with an operand."""
+    if not arrays:
         return np.ones(())
-    index: dict[int, int] = {}
-    span = 1  # cells of the product
-    for f in factors:
-        shape = f.values.shape
-        for k, ax in enumerate(f.axes):
-            if ax not in index:
-                index[ax] = len(index)
-                span *= shape[k]
-    if len(index) > len(EINSUM_LETTERS):
+    cards: dict[int, int] = {}  # in order of first appearance
+    for scope, array in zip(scopes, arrays):
+        cards.update(zip(scope, array.shape))
+    if len(cards) > len(EINSUM_LETTERS):
         raise StateSpaceTooLargeError(
-            f"a bucket over {len(index)} axes exceeds einsum's "
+            f"a bucket over {len(cards)} axes exceeds einsum's "
             f"{len(EINSUM_LETTERS)} labels"
         )
-    if len(factors) > EINSUM_OPERANDS:
+    if len(arrays) > EINSUM_OPERANDS:
         chunks = [
-            factors[i : i + EINSUM_OPERANDS]
-            for i in range(0, len(factors), EINSUM_OPERANDS)
+            _eliminate(scopes[i : i + EINSUM_OPERANDS], arrays[i : i + EINSUM_OPERANDS], ())
+            for i in range(0, len(arrays), EINSUM_OPERANDS)
         ]
-        products = [Factor(_spanned(c), _einsum(c, _spanned(c))) for c in chunks]
-        return _einsum(products, axes)
-    if span > ROUTE_CELLS:
-        if len(factors) == 2:
-            out = _outer_pair(*factors, axes)
+        return _einsum([c[0] for c in chunks], [c[1] for c in chunks], axes)
+    if math.prod(cards.values()) > ROUTE_CELLS:
+        if len(arrays) == 2:
+            out = _outer_pair(*scopes, *arrays, axes)
             if out is not None:
                 return out
-        elif len(factors) > 2:
-            factors = _merged_vectors(factors)
+        elif len(arrays) > 2:
+            scopes, arrays = _merged_vectors(scopes, arrays)
 
-    def letters(scope):
-        return "".join(EINSUM_LETTERS[index[ax]] for ax in scope)
-
-    subscripts = ",".join(letters(f.axes) for f in factors) + "->" + letters(axes)
-    out = np.einsum(subscripts, *(f.values for f in factors), optimize=False)
-    if len(factors) == 1 and np.may_share_memory(out, factors[0].values):
+    letter = dict(zip(cards, EINSUM_LETTERS))
+    subscripts = ",".join(["".join(map(letter.__getitem__, s)) for s in scopes])
+    subscripts += "->" + "".join(map(letter.__getitem__, axes))
+    out = np.einsum(subscripts, *arrays, optimize=False)
+    if len(arrays) == 1 and np.may_share_memory(out, arrays[0]):
         out = out.copy()  # a lone operand over its own axes comes back as a view
     return out
 
 
-def _outer_pair(a: Factor, b: Factor, axes: Sequence[int]) -> np.ndarray | None:
+def _outer_pair(axes_a, axes_b, a: np.ndarray, b: np.ndarray, axes) -> np.ndarray | None:
     """The pair's contraction over `axes` as one batched matmul, or None
-    unless every summed axis is in both factors and the result has more
-    cells than either factor (so that neither copy below is the larger
-    array)."""
+    unless every summed axis is in both arrays and the result has more
+    cells than either array (so that neither copy below is the larger
+    one)."""
     kept = set(axes)
-    in_a, in_b = set(a.axes), set(b.axes)
+    in_a, in_b = set(axes_a), set(axes_b)
     if in_a - kept != in_b - kept:
-        return None  # a summed axis lies in one factor only
-    cards = dict(zip(a.axes, a.values.shape))
-    cards.update(zip(b.axes, b.values.shape))
+        return None  # a summed axis lies in one array only
+    cards = dict(zip(axes_a, a.shape))
+    cards.update(zip(axes_b, b.shape))
     cells = math.prod(cards[ax] for ax in axes)
-    if cells <= a.values.size or cells <= b.values.size:
+    if cells <= a.size or cells <= b.size:
         return None
-    batch = [ax for ax in a.axes if ax in in_b and ax in kept]
-    own_a = [ax for ax in a.axes if ax not in in_b]
-    own_b = [ax for ax in b.axes if ax not in in_a]
-    summed = [ax for ax in a.axes if ax not in kept]
+    batch = [ax for ax in axes_a if ax in in_b and ax in kept]
+    own_a = [ax for ax in axes_a if ax not in in_b]
+    own_b = [ax for ax in axes_b if ax not in in_a]
+    summed = [ax for ax in axes_a if ax not in kept]
 
-    def block(f: Factor, groups) -> np.ndarray:
-        position = {ax: i for i, ax in enumerate(f.axes)}
+    def block(scope, values: np.ndarray, groups) -> np.ndarray:
+        position = {ax: i for i, ax in enumerate(scope)}
         order = [position[ax] for group in groups for ax in group]
         shape = [math.prod(cards[ax] for ax in group) for group in groups]
-        return np.ascontiguousarray(f.values.transpose(order)).reshape(shape)
+        return np.ascontiguousarray(values.transpose(order)).reshape(shape)
 
-    out = np.matmul(block(a, (batch, own_a, summed)), block(b, (batch, summed, own_b)))
+    out = np.matmul(block(axes_a, a, (batch, own_a, summed)),
+                    block(axes_b, b, (batch, summed, own_b)))
     labels = batch + own_a + own_b
     out = out.reshape([cards[ax] for ax in labels])
     return out.transpose([labels.index(ax) for ax in axes])
 
 
-def _merged_vectors(factors: Sequence[Factor]) -> list[Factor]:
-    """`factors` with the one-axis factors over each axis multiplied into
+def _merged_vectors(scopes, arrays) -> tuple[list[Sequence[int]], list[np.ndarray]]:
+    """The operands with the one-axis arrays over each axis multiplied into
     one, placed after the others."""
     vectors: dict[int, list[np.ndarray]] = {}
-    others = []
-    for f in factors:
-        if len(f.axes) == 1:
-            vectors.setdefault(f.axes[0], []).append(f.values)
+    scopes_out, arrays_out = [], []
+    for scope, array in zip(scopes, arrays):
+        if len(scope) == 1:
+            vectors.setdefault(scope[0], []).append(array)
         else:
-            others.append(f)
-    return others + [Factor((ax,), math.prod(vs)) for ax, vs in vectors.items()]
+            scopes_out.append(scope)
+            arrays_out.append(array)
+    scopes_out += [(ax,) for ax in vectors]
+    return scopes_out, arrays_out + [math.prod(vs) for vs in vectors.values()]
 
 
-def _eliminate(factors: Sequence[Factor], drop: set[int]) -> Factor:
-    """Product of `factors` with the axes in `drop` summed away, in one
-    `_einsum`."""
-    kept = tuple(ax for ax in _spanned(factors) if ax not in drop)
-    return Factor(kept, _einsum(factors, kept))
+def _eliminate(
+    scopes: Sequence[Sequence[int]], arrays: Sequence[np.ndarray], drop: Container[int]
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Product of `arrays`, each over the axes of its scope, with the axes
+    in `drop` summed away, in one `_einsum`; the kept axes, ascending, and
+    the array over them."""
+    kept = tuple(sorted(set().union(*scopes).difference(drop)))
+    return kept, _einsum(scopes, arrays, kept)
 
 
 def _buckets(
-    factors: list[Factor | None], universe: Mapping[int, int], order: Iterable[int]
-) -> Iterator[tuple[int, list[int], list[Factor]]]:
-    """Eliminate the variables of `order` from `factors` in place, one
-    bucket each, and yield each bucket's variable, the positions of its
-    factors and the factors themselves once its message is appended.
+    scopes: list[tuple[int, ...]], arrays: list, universe: Mapping[int, int], order
+) -> Iterator[tuple[int, list[int], list[tuple[int, ...]], list[np.ndarray]]]:
+    """Eliminate the variables of `order` in place from the operands, where
+    `arrays[i]` is over the axes `scopes[i]`, one bucket each, and yield
+    each bucket's variable, the positions of its operands and their scopes
+    and arrays once its message is appended.
 
-    Each bucket's message is appended and its factors set to None, so the
-    live factors keep the order of a list that drops each bucket and
-    appends its result, and with n factors passed in, the message of the
-    k-th bucket sits at position n + k. A message holds every axis of its
-    bucket except the bucket's variable. `holders` lists, ascending, the
-    positions of the factors over each variable; a bucket skips those
-    already eliminated, so no bucket scans the other factors. A variable
-    carried by no factor sends its cardinality as a scalar."""
+    Each bucket's message is appended to both lists and its arrays set to
+    None, so with n operands passed in, the message of the k-th bucket
+    sits at position n + k. A message holds every axis of its bucket
+    except the bucket's variable. `holders` lists, ascending, the
+    positions of the operands over each variable; a bucket skips those
+    already eliminated, so no bucket scans the other operands. A variable
+    carried by no operand sends its cardinality as a scalar."""
     holders: dict[int, list[int]] = {}
-    for i, f in enumerate(factors):
-        for ax in f.axes:
-            if ax in holders:
-                holders[ax].append(i)
-            else:
-                holders[ax] = [i]
+    for i, scope in enumerate(scopes):
+        for ax in scope:
+            holders.setdefault(ax, []).append(i)
     for v in order:
-        positions = [i for i in holders.pop(v, ()) if factors[i] is not None]
-        bucket = [factors[i] for i in positions]
+        positions = [i for i in holders.pop(v, ()) if arrays[i] is not None]
+        axes = [scopes[i] for i in positions]
+        bucket = [arrays[i] for i in positions]
         if positions:
-            out = _eliminate(bucket, {v})
+            kept, out = _eliminate(axes, bucket, (v,))
             for i in positions:
-                factors[i] = None
-            for ax in out.axes:
-                holders[ax].append(len(factors))
+                arrays[i] = None
+            for ax in kept:
+                holders[ax].append(len(arrays))
         else:
-            out = Factor.scalar(universe[v])
-        factors.append(out)
-        yield v, positions, bucket
+            kept, out = (), np.asarray(float(universe[v]))
+        scopes.append(kept)
+        arrays.append(out)
+        yield v, positions, axes, bucket
 
 
 def marginalize(tn: TensorNetwork, eliminate: Iterable[int]) -> TensorNetwork:
@@ -284,34 +280,38 @@ def marginalize(tn: TensorNetwork, eliminate: Iterable[int]) -> TensorNetwork:
 
     Each step sums the next variable out of the product of the factors that
     contain it, in one `_einsum` call that never stores the product. The
-    minimal-weight heuristic picks the order; an `EliminationOrder` of this
-    network's factor scopes with the rest kept (as a plan that costed it
-    has one) names the variables and is followed as it stands. The result
-    keeps its factored structure: for every assignment of the remaining
-    variables, its contraction equals the sum of the input's contraction
-    over the eliminated ones. A variable carried by no factor contributes
-    its cardinality as a scalar.
+    minimal-weight heuristic orders two or more variables; one variable,
+    or none, is its own order. An `EliminationOrder` of this network's
+    factor scopes with the rest kept (as a plan that costed it has one)
+    names the variables and is followed as it stands. Only the messages
+    left at the end become factors. The result keeps its factored
+    structure: for every assignment of the remaining variables, its
+    contraction equals the sum of the input's contraction over the
+    eliminated ones. A variable carried by no factor contributes its
+    cardinality as a scalar.
     """
     targets = {int(v) for v in eliminate}
     missing = targets - set(tn.universe)
     if missing:
-        raise UnknownAxisError(
-            f"cannot eliminate {sorted(missing)}: not in the universe"
-        )
+        raise UnknownAxisError(f"cannot eliminate {sorted(missing)}: not in the universe")
     if isinstance(eliminate, EliminationOrder):
         order = eliminate
+    elif len(targets) < 2:
+        order = tuple(targets)
     else:
         order = min_weight_order(
             [f.axes for f in tn.factors], tn.universe, keep=set(tn.universe) - targets
         )
-    factors: list[Factor | None] = list(tn.factors)
-    for _, _, bucket in _buckets(factors, tn.universe, order):
+    scopes = [f.axes for f in tn.factors]
+    arrays: list[np.ndarray | None] = [f.values for f in tn.factors]
+    for _, _, _, bucket in _buckets(scopes, arrays, tn.universe, order):
         del bucket  # freed before the next bucket's kernel call, not after
 
-    return TensorNetwork(
-        {k: c for k, c in tn.universe.items() if k not in targets},
-        tuple(f for f in factors if f is not None),
-    )
+    n = len(tn.factors)
+    factors = [f for f, a in zip(tn.factors, arrays) if a is not None]
+    factors += [Factor(scopes[i], a) for i, a in enumerate(arrays[n:], n) if a is not None]
+    universe = {k: c for k, c in tn.universe.items() if k not in targets}
+    return TensorNetwork(universe, tuple(factors))
 
 
 def marginals(
@@ -324,16 +324,16 @@ def marginals(
     universe, from one elimination order and two passes over its buckets.
 
     The forward pass eliminates every variable as `marginalize` does and
-    keeps each bucket's variable, positions and factors. The backward pass
-    walks the buckets in reverse and gives each message an outside factor
-    over its axes: the contraction of everything but the message, which is
-    the product of the other final scalars for a message that no bucket
-    takes, and otherwise one `_einsum` of the taking bucket's other
-    factors and that bucket's own outside factor. A message holds every
-    axis of its bucket except the bucket's variable, so only a bucket of
-    one factor adds ones over that variable. A bucket's variable then has
-    the marginal `_einsum` of the bucket's factors and its outside factor;
-    a variable carried by no factor has its outside scalar in every state.
+    keeps each bucket's record from `_buckets`. The backward pass walks the
+    buckets in reverse and gives each message an outside factor over its
+    axes: the contraction of everything but the message, which is the
+    product of the other final scalars for a message that no bucket takes,
+    and otherwise one `_einsum` of the taking bucket's other operands and
+    that bucket's own outside factor. A message holds every axis of its
+    bucket except the bucket's variable, so only a bucket of one operand
+    adds ones over that variable. A bucket's variable then has the
+    marginal `_einsum` of the bucket's operands and its outside factor; a
+    variable carried by no factor has its outside scalar in every state.
     No product is ever divided out, so zero and negative entries are
     exact. Each bucket is dropped once it has sent its outside factors.
 
@@ -350,48 +350,49 @@ def marginals(
         order = min_weight_order([f.axes for f in tn.factors], tn.universe, keep=())
     wanted = None if outside_of is None else {int(i) for i in outside_of}
     first_message = len(tn.factors)
-    factors: list[Factor | None] = list(tn.factors)
+    scopes = [f.axes for f in tn.factors]
+    arrays: list[np.ndarray | None] = [f.values for f in tn.factors]
 
     # The positions that the backward pass gives an outside factor: the
-    # wanted inputs, and the message of each bucket that it visits.
+    # wanted inputs, and the message of each visited bucket.
     sends = set(wanted or ())
     buckets = []
-    for v, positions, bucket in _buckets(factors, tn.universe, order):
-        buckets.append((v, positions, bucket))
-        if wanted is None or sends.intersection(positions):
-            sends.add(len(factors) - 1)
+    for record in _buckets(scopes, arrays, tn.universe, order):
+        buckets.append(record)
+        if wanted is None or sends.intersection(record[1]):
+            sends.add(len(arrays) - 1)
 
-    # The live factors are now scalars that multiply to the contraction;
+    # The live arrays are now scalars that multiply to the contraction;
     # each gets the product of the others, from prefix and suffix products.
-    finals = [i for i, f in enumerate(factors) if f is not None]
-    scalars = [float(factors[i].values) for i in finals]
+    finals = [i for i, a in enumerate(arrays) if a is not None]
+    scalars = [float(arrays[i]) for i in finals]
     before = itertools.accumulate(scalars[:-1], operator.mul, initial=1.0)
     after = itertools.accumulate(reversed(scalars[1:]), operator.mul, initial=1.0)
-    outside = {
-        i: Factor.scalar(b * a) for i, b, a in zip(finals, before, [*after][::-1])
-    }
+    outside = {i: np.asarray(b * a) for i, b, a in zip(finals, before, [*after][::-1])}
 
     result = {}
     while buckets:
-        v, positions, bucket = buckets.pop()
+        v, positions, axes, bucket = buckets.pop()
         message = first_message + len(buckets)
         if message not in sends:
             continue
         out = outside.pop(message)
         if not positions:
-            result[v] = np.full(tn.universe[v], float(out.values))
+            result[v] = np.full(tn.universe[v], float(out))
             continue
         if wanted is None:
-            result[v] = _einsum([*bucket, out], (v,))
+            result[v] = _einsum([*axes, scopes[message]], [*bucket, out], (v,))
         for m, i in enumerate(positions):
             if i in sends:
+                other_axes = [*axes[:m], *axes[m + 1 :], scopes[message]]
                 others = [*bucket[:m], *bucket[m + 1 :], out]
                 if len(bucket) == 1:  # `out` holds every axis of the bucket but v
-                    others.append(Factor((v,), np.ones(tn.universe[v])))
-                outside[i] = Factor(bucket[m].axes, _einsum(others, bucket[m].axes))
+                    other_axes.append((v,))
+                    others.append(np.ones(tn.universe[v]))
+                outside[i] = _einsum(other_axes, others, axes[m])
     if wanted is None:
         return result
-    return {i: outside[i].values for i in sorted(wanted)}
+    return {i: outside[i] for i in sorted(wanted)}
 
 
 def contract_all(tn: TensorNetwork) -> float:
@@ -484,5 +485,6 @@ def collapse(tn: TensorNetwork, keep: Iterable[int]) -> Factor:
         raise UnknownAxisError(f"keep variables {sorted(missing)} not in universe")
     reduced = marginalize(tn, set(tn.universe) - keep_set)
     mentioned = {ax for f in reduced.factors for ax in f.axes}
-    constant = [Factor((v,), np.ones(tn.universe[v])) for v in keep_set - mentioned]
-    return _eliminate([*reduced.factors, *constant], set())
+    factors = [*reduced.factors]
+    factors += [Factor((v,), np.ones(tn.universe[v])) for v in keep_set - mentioned]
+    return Factor(*_eliminate([f.axes for f in factors], [f.values for f in factors], ()))

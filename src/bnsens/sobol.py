@@ -16,12 +16,12 @@ more factor. Each of three plans gives E[f] and `moment(keep)`:
 
 - Shared elimination: the chance variables (every relevant node outside
   the evidence and the output) are summed out of the probability network
-  once, before P(O) is taken, so `t`, the function network over the
-  evidence alone, eliminates the output only. `t` and the evidence
-  marginal `j` are each contracted into one table over the sorted
-  evidence, with no elimination order; `moment(keep)` is the sum of
-  T_keep^2 / J_keep, the tables with the evidence outside `keep` summed
-  away.
+  once; P(O) is the resulting table over the evidence and the output,
+  summed, and `t`, the function network over the evidence alone,
+  eliminates the output only. `t` and the evidence marginal `j` are each
+  contracted into one table over the sorted evidence; `moment(keep)` is
+  the sum of T_keep^2 / J_keep, the tables with the evidence outside
+  `keep` summed away.
 - Coupled, for independent evidence: `t_full` squared with every variable
   replicated (`square_wrt`), times one coupling factor diag(1 / P(x_k))
   per evidential k, is calibrated once for the outside factors of its
@@ -90,16 +90,13 @@ DEGENERATE_VARIANCE_TOL = 1e-24
 NEGATIVE_INDEX_WARNING = 1e-6
 # An analysis whose table over the evidence and the output has at most this
 # many cells sums the chance variables out of the probability network once,
-# before P(O), so that P(O) and t share that elimination, and takes every
-# index from two tables without ordering the coupled network. Such an
-# analysis is so small that each bucket's and each ordering's Python set-up
-# outweighs its arithmetic: on the sparse200 benchmark (648 cells) the numpy
-# kernels were 0.25-0.35 ms of a 3-3.5 ms analysis, which summed the chance
-# variables out twice (21 buckets for P(O), 16 for t) and ordered a
-# 44-vertex coupled network it then declined. The value is
-# network.ROUTE_CELLS, the size below which a bucket's set-up outweighs its
-# cells. Cardinalities are at least 2, so the table has at most 11
-# evidential axes, well within one einsum.
+# takes P(O) from that table, and every index from two tables over the
+# evidence, with one ordering in all. Such an analysis is so small that each
+# bucket's and each ordering's Python set-up outweighs its arithmetic (the
+# numpy kernels were a tenth of a sparse200 analysis, 648 cells). The value
+# is network.ROUTE_CELLS, the size below which a bucket's set-up outweighs
+# its cells. Cardinalities are at least 2, so the table has at most 12 axes,
+# well within one einsum.
 SHARED_ELIMINATION_CELLS = network.ROUTE_CELLS
 
 _log = logging.getLogger(__name__)
@@ -215,24 +212,37 @@ def _priors(j: TensorNetwork) -> dict[int, np.ndarray] | None:
     return {k: p / p.sum() for k, p in sorted(products.items())}
 
 
+def _coupled_scopes(t_full: TensorNetwork, priors: dict[int, np.ndarray]):
+    """The factor scopes of `_coupled_network(t_full, priors)`, in order,
+    and its universe, without building it."""
+    stride = max(t_full.universe) + 1  # square_wrt's replica of v is v + stride
+    scopes = [f.axes for f in t_full.factors]
+    scopes += [tuple(ax + stride for ax in scope) for scope in scopes]
+    universe = {**t_full.universe, **{v + stride: c for v, c in t_full.universe.items()}}
+    return scopes + [(k, k + stride) for k in priors], universe
+
+
 def _coupled_network(
     t_full: TensorNetwork, priors: dict[int, np.ndarray]
 ) -> TensorNetwork:
     """`t_full` squared with every variable replicated (`square_wrt`), times
     one coupling factor C_k(x_k, x_k') = diag(1 / P(x_k)) per evidential k,
     last and in the order of `priors`. Its other arrays are those of
-    `t_full`, or views of them.
+    `t_full`.
 
     With independent evidence, 1 / P(e) is the product of the C_k on the
     diagonal, so the network contracts to E[E[f | E]^2]; with C_k replaced
     by ones, to E[E[f | E - {k}]^2]. The zero-safe reciprocal leaves 0
     where P(x_k) is 0, and so is the function network there."""
-    squared = square_wrt(t_full, ())
-    stride = max(t_full.universe) + 1  # square_wrt's replica of v is v + stride
-    couplings = tuple(
-        Factor((k, k + stride), np.diag(reciprocal(p))) for k, p in priors.items()
-    )
-    return TensorNetwork(squared.universe, squared.factors + couplings)
+    scopes, universe = _coupled_scopes(t_full, priors)
+    arrays = [f.values for f in t_full.factors] * 2
+    arrays += [np.diag(reciprocal(p)) for p in priors.values()]
+    return TensorNetwork(universe, tuple(map(Factor, scopes, arrays)))
+
+
+def _table(tn: TensorNetwork) -> tuple[tuple[int, ...], np.ndarray]:
+    """The contraction of `tn` over all of its axes, ascending."""
+    return network._eliminate([f.axes for f in tn.factors], [f.values for f in tn.factors], ())
 
 
 def compute_all(
@@ -254,21 +264,24 @@ def compute_all(
     raises DegenerateOutputError, and so does Var[f] at most
     DEGENERATE_VARIANCE_TOL times Var[g(O)]. The evidence marginal `j` is
     built over An(evidence) alone, where every other node is barren; with
-    root evidence nothing is eliminated to build it.
+    root evidence it is the evidence's own factors in the probability
+    network, and nothing is eliminated for it.
 
     The plan (see the module docstring) is chosen as follows. The shared
     elimination is taken first, when the table over the evidence and the
     output (the product of their cardinalities, a Python int) has at most
     SHARED_ELIMINATION_CELLS cells, so that choosing it costs no ordering;
     at that size each bucket's and each ordering's Python set-up outweighs
-    its arithmetic. Otherwise the coupled plan is taken when totals are
-    asked for, without closed subsets, on independent evidence (`j` is a
-    product of one-axis factors), and when the cells of its forward and
-    backward passes, predicted by its elimination order, are fewer than
-    those of summing `t_full` down to `t`, which the per-query plan pays
-    before anything else. Each costed order is the one that runs.
-    Otherwise the per-query plan is taken. The choice is logged at DEBUG
-    level on the `bnsens.sobol` logger with the cells it rests on.
+    its arithmetic, and neither `t` nor the coupled network is ordered.
+    Otherwise the coupled plan is taken when totals are asked for, without
+    closed subsets, on independent evidence (`j` is a product of one-axis
+    factors), and when the cells of its forward and backward passes,
+    predicted by its elimination order, are fewer than those of summing
+    `t_full` down to `t`, which the per-query plan pays before anything
+    else; the coupled network is ordered from scopes and built only when
+    taken. Each costed order is the one that runs. Otherwise the per-query
+    plan is taken. The choice is logged at DEBUG level on the
+    `bnsens.sobol` logger with the cells it rests on.
 
     With a single evidential variable, {i} is E, so S_i reads the moment
     that Var[f] was taken from and is exactly 1.0. Some indices need no
@@ -276,9 +289,11 @@ def compute_all(
     since E[f | i] is then constant, the closed index of a group of such
     variables, and S^T_i when the rest of the evidence d-separates i from
     the output, since f is then flat along i; `separated_evidence` finds
-    these sets for every variable at once. Entries are ordered by
-    variable id, with the closed subsets last; with neither `first` nor
-    `total` requested there are no per-variable entries."""
+    these sets for every variable at once. For the same reason an S_i or
+    closed index whose complement in the evidence is all screened reads
+    the moment of E and is exactly 1.0. Entries are ordered by variable
+    id, with the closed subsets last; with neither `first` nor `total`
+    requested there are no per-variable entries."""
     options = options or ComputeOptions()
     validate_partition(bn, spec)
     closed = [tuple(sorted(int(v) for v in subset)) for subset in options.closed]
@@ -306,6 +321,13 @@ def compute_all(
             )
 
     mrf = mrf_from_bn(bn, relevant)
+    # The evidence marginal needs the factors of An(E) alone, all in `mrf`.
+    own = dict(zip(sorted(relevant), mrf.factors))
+    ancestral = sorted(ancestors(dag, spec.evidential))
+    j = marginalize(
+        TensorNetwork({k: mrf.universe[k] for k in ancestral}, [own[k] for k in ancestral]),
+        set(ancestral) - spec.evidential,
+    )
     # A Python int: a product over many evidential variables overflows int64.
     shared_cells = math.prod(mrf.universe[k] for k in spec.evidential | {spec.output})
     shared = shared_cells <= SHARED_ELIMINATION_CELLS
@@ -316,7 +338,10 @@ def compute_all(
         )
         # One elimination of the chance variables serves P(O) and t alike.
         mrf = marginalize(mrf, relevant - spec.evidential - {spec.output})
-    p_out = collapse(mrf, {spec.output}).values
+        axes, table = _table(mrf)
+        p_out = table.sum(axis=tuple(a for a, k in enumerate(axes) if k != spec.output))
+    else:
+        p_out = collapse(mrf, {spec.output}).values
     if np.ptp(values[p_out != 0]) == 0:
         raise DegenerateOutputError(
             "the value map is constant on the output's possible labels; "
@@ -326,30 +351,26 @@ def compute_all(
     centre = float(unit @ p_out)
     g = unit - centre
     t_full = function_tn(mrf, spec.output, g)
-    evidence_mrf = mrf_from_bn(bn, ancestors(dag, spec.evidential))
-    j = marginalize(evidence_mrf, set(evidence_mrf.universe) - spec.evidential)
 
-    # Orderings go through bnsens.network's name, where the benchmark counts them.
-    t_order = network.min_weight_order(
-        [f.axes for f in t_full.factors], t_full.universe, keep=spec.evidential
-    )
     priors = _priors(j)
     coupled = None
-    if not shared and priors is not None and options.total and not closed:
-        coupled = _coupled_network(t_full, priors)
-        coupled_order = network.min_weight_order(
-            [f.axes for f in coupled.factors], coupled.universe
+    if not shared:
+        # Orderings go through bnsens.network's name, where the benchmark counts them.
+        t_order = network.min_weight_order(
+            [f.axes for f in t_full.factors], t_full.universe, keep=spec.evidential
         )
-        # a forward pass, and a backward pass over about as many cells
-        coupled_cells = 2 * sum(coupled_order.cells)
-        reduce_cells = sum(t_order.cells)
-        _log.debug(
-            "%s: coupled calibration %d cells, building t %d cells",
-            "coupled plan" if coupled_cells < reduce_cells else "coupled plan declined",
-            coupled_cells, reduce_cells,
-        )
-        if not coupled_cells < reduce_cells:
-            coupled = None
+        if priors is not None and options.total and not closed:
+            coupled_order = network.min_weight_order(*_coupled_scopes(t_full, priors))
+            # a forward pass, and a backward pass over about as many cells
+            coupled_cells = 2 * sum(coupled_order.cells)
+            reduce_cells = sum(t_order.cells)
+            _log.debug(
+                "%s: coupled calibration %d cells, building t %d cells",
+                "coupled plan" if coupled_cells < reduce_cells else "coupled plan declined",
+                coupled_cells, reduce_cells,
+            )
+            if coupled_cells < reduce_cells:
+                coupled = _coupled_network(t_full, priors)
 
     # Each plan gives E[f] and moment(keep) = E[E[f | keep]^2], which every
     # index reads. Each index is charged an equal share of the time of the
@@ -359,12 +380,12 @@ def compute_all(
     queried = [i for i in targets if i not in zero_s] if options.first else []
     s_share = st_share = 0.0
     if shared:
-        t = marginalize(t_full, t_order)
+        t = marginalize(t_full, {spec.output})
         t0 = time.perf_counter()
         # Every evidential variable is an axis of t and of j, so each
         # table is over the sorted evidence.
         evidence = sorted(spec.evidential)
-        tables = [network._eliminate(tn.factors, set()).values for tn in (t, j)]
+        tables = [_table(tn)[1] for tn in (t, j)]
 
         def moment(keep: frozenset[int]) -> float:
             axes = tuple(a for a, k in enumerate(evidence) if k not in keep)
@@ -427,12 +448,16 @@ def compute_all(
     if not variance > DEGENERATE_VARIANCE_TOL * float(p_out @ (g * g)):
         raise DegenerateOutputError(f"output variance {variance!r} is numerically zero")
 
+    # f = E[f | keep] where the rest of the evidence is screened.
+    def read(keep: frozenset[int]) -> float:
+        return moment(spec.evidential if screened >= spec.evidential - keep else keep)
+
     entries = []
     for i in targets:
         s = s_time = st = st_time = None
         if options.first:
             t0 = time.perf_counter()
-            s = 0.0 if i in zero_s else variance_component(i, moment, mean, variance)
+            s = 0.0 if i in zero_s else variance_component(i, read, mean, variance)
             s_time = time.perf_counter() - t0 + (0.0 if i in zero_s else s_share)
         if options.total:
             t0 = time.perf_counter()
@@ -447,7 +472,7 @@ def compute_all(
             _log.debug("S of %s = 0.0 by d-separation from the output", name)
             value, share = 0.0, 0.0
         else:
-            value, share = (moment(frozenset(ids)) - mean * mean) / variance, st_share
+            value, share = (read(frozenset(ids)) - mean * mean) / variance, st_share
         elapsed = time.perf_counter() - t0 + share
         entries.append(IndexEntry(ids, name, value, elapsed, None, None))
 

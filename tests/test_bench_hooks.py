@@ -1,17 +1,22 @@
 """The benchmark's tracer (bench/spans.py) replaces engine functions by
 name; every name it hooks must still exist, or `--trace 1` breaks. Each
 benchmark workload (bench/workloads.py) must take the plan its timings
-stand for."""
+stand for, and the coupled plan must cost the network it runs before
+building it."""
 
 import importlib.util
 import logging
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bnsens.network
-from bnsens import AnalysisSpec, compute_all
+import bnsens.sobol
+from bnsens import AnalysisSpec, Factor, compute_all, min_weight_order, square_wrt
+from bnsens.network import reciprocal
+from helpers import concrete_style_network, gate_tree
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -44,9 +49,9 @@ def test_each_workload_takes_its_plan(monkeypatch, caplog, name, plan):
     # A plan that flips would otherwise show only as a timing change. The
     # tables over the evidence and the output have 1.3e8 (grid3e16), 648
     # (sparse200) and 3.4e7 (dense-card) cells: only sparse200 is small
-    # enough to sum its chance variables out once for P(O) and t. The
-    # orderings per analysis are the `graph.order_calls` of `--trace 1`,
-    # which hooks the same name.
+    # enough to sum its chance variables out once for P(O) and t, its one
+    # ordering. The orderings per analysis are the `graph.order_calls` of
+    # `--trace 1`, which hooks the same name.
     workloads = _load(monkeypatch, "workloads")
     bn, output, evidential = workloads.network(name)
     spec = AnalysisSpec(output, evidential, workloads.seeded_map(bn, output, 1))
@@ -62,4 +67,74 @@ def test_each_workload_takes_its_plan(monkeypatch, caplog, name, plan):
         compute_all(bn, spec)
     lines = [r.getMessage() for r in caplog.records if r.name == "bnsens.sobol"]
     assert [line.split(" plan:")[0] for line in lines if " plan:" in line] == [plan]
-    assert len(calls) == {"grid3e16": 5, "sparse200": 4, "dense-card": 21}[name]
+    assert len(calls) == {"grid3e16": 4, "sparse200": 1, "dense-card": 12}[name]
+
+
+def _workload(monkeypatch, name):
+    workloads = _load(monkeypatch, "workloads")
+    bn, output, evidential = workloads.network(name)
+    return bn, AnalysisSpec(output, evidential, workloads.seeded_map(bn, output, 1))
+
+
+def _gate_tree_root_evidence(leaves):
+    bn, spec, _ = gate_tree(leaves, 0)
+    return bn, AnalysisSpec(spec.output, frozenset(range(0, leaves, 4)), spec.value_map)
+
+
+@pytest.mark.parametrize(
+    "network",
+    [
+        lambda m: _workload(m, "grid3e16"),
+        lambda m: concrete_style_network(),
+        lambda m: _gate_tree_root_evidence(64),
+        lambda m: _gate_tree_root_evidence(128),
+    ],
+    ids=["grid3e16", "concrete-style", "gate-tree-64", "gate-tree-128"],
+)
+def test_coupled_order_from_scopes_is_the_order_of_the_built_network(
+    monkeypatch, network
+):
+    # The coupled plan orders its network from the scopes of t_full, their
+    # replicas and the couplings, and builds it only once the plan is
+    # taken. That order must be the one of the network that square_wrt and
+    # the couplings make, and the network built must be that network.
+    bn, spec = network(monkeypatch)
+    orders, built = [], []
+    order, build = bnsens.network.min_weight_order, bnsens.sobol._coupled_network
+
+    def recording_order(scopes, cardinalities, keep=()):
+        orders.append((set(cardinalities), order(scopes, cardinalities, keep=keep)))
+        return orders[-1][1]
+
+    def recording_build(t_full, priors):
+        built.append((t_full, priors, build(t_full, priors)))
+        return built[-1][2]
+
+    monkeypatch.setattr(bnsens.network, "min_weight_order", recording_order)
+    monkeypatch.setattr(bnsens.sobol, "_coupled_network", recording_build)
+    compute_all(bn, spec)
+    ((t_full, priors, coupled),) = built
+    squared = square_wrt(t_full, ())
+    stride = max(t_full.universe) + 1
+    factors = [*squared.factors]
+    factors += [Factor((k, k + stride), np.diag(reciprocal(p))) for k, p in priors.items()]
+    assert coupled.universe == squared.universe
+    assert [f.axes for f in coupled.factors] == [f.axes for f in factors]
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(coupled.factors, factors))
+    expected = min_weight_order([f.axes for f in factors], squared.universe)
+    (costed,) = [found for vertices, found in orders if vertices == set(squared.universe)]
+    assert costed == expected
+    assert costed.cells == expected.cells
+
+
+def test_dense_card_never_builds_the_coupled_network(monkeypatch, caplog):
+    # dense-card costs the coupled plan and declines it, from scopes alone.
+    bn, spec = _workload(monkeypatch, "dense-card")
+
+    def refuse(*args):
+        raise AssertionError("the coupled network was built")
+
+    monkeypatch.setattr(bnsens.sobol, "_coupled_network", refuse)
+    with caplog.at_level(logging.DEBUG, logger="bnsens.sobol"):
+        compute_all(bn, spec)
+    assert any("coupled plan declined" in r.getMessage() for r in caplog.records)

@@ -281,7 +281,7 @@ def test_oracle_cap_exits_4(tmp_path):
 
 
 def test_out_of_memory_exits_4(monkeypatch, capsys):
-    def refuse(factors, axes):
+    def refuse(scopes, arrays, axes):
         raise MemoryError("cannot allocate the bucket")
 
     monkeypatch.setattr(bnsens.network, "_einsum", refuse)

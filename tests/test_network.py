@@ -25,6 +25,7 @@ from bnsens import (
     quotient,
     square_wrt,
 )
+from bnsens.graph import min_weight_order
 from bnsens.network import marginals
 from bnsens.oracle import brute_force_f
 from bnsens.tensor import factor_product, factor_sum_out
@@ -161,6 +162,28 @@ def test_marginalize_with_explicit_orders_matches_heuristic(monkeypatch):
             assert calls == [{4, 5}]
             other = collapse(reduced, {4, 5}).values
             np.testing.assert_allclose(other, base, rtol=1e-9, atol=1e-12)
+
+
+def test_marginalize_of_one_variable_or_none_takes_no_ordering(monkeypatch):
+    # One variable, or none, is its own elimination order: no ordering is
+    # computed, and the factors are bitwise those that the explicit order
+    # of the heuristic gives.
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        tn = random_tn(rng, n_vars=5)
+        for eliminate in [set(), *({v} for v in tn.universe)]:
+            order = min_weight_order(
+                [f.axes for f in tn.factors], tn.universe, keep=set(tn.universe) - eliminate
+            )
+            explicit = marginalize(tn, order)
+            with monkeypatch.context() as m:
+                m.setattr(bnsens.network, "min_weight_order", None)  # any call fails
+                reduced = marginalize(tn, eliminate)
+            assert reduced.universe == explicit.universe
+            assert len(reduced.factors) == len(explicit.factors)
+            for a, b in zip(reduced.factors, explicit.factors):
+                assert a.axes == b.axes
+                assert a.values.tobytes() == b.values.tobytes()
 
 
 def test_marginalize_frees_each_message_once_it_is_taken():
@@ -370,6 +393,14 @@ def test_collapse_result_does_not_share_memory_with_its_input():
     assert not np.shares_memory(out.values, values)
 
 
+def _eliminated(factors, drop):
+    """`bnsens.network._eliminate` over the scopes and arrays of `factors`,
+    as a factor."""
+    return Factor(*bnsens.network._eliminate(
+        [f.axes for f in factors], [f.values for f in factors], drop
+    ))
+
+
 def _stepwise(factors, drop):
     product = reduce(factor_product, factors)
     return factor_sum_out(product, set(drop) & set(product.axes))
@@ -406,7 +437,7 @@ def test_einsum_of_a_pair_is_the_summed_product(roles, cards, seed):
     expected = _stepwise(factors, set(range(len(roles))) - set(kept)).values
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bnsens.network, "ROUTE_CELLS", 0)
-        out = bnsens.network._einsum(factors, kept)
+        out = bnsens.network._einsum([f.axes for f in factors], [f.values for f in factors], kept)
     np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0.0)
     assert not any(np.shares_memory(out, f.values) for f in factors)
 
@@ -431,19 +462,19 @@ def test_outer_product_pair_runs_without_einsum(monkeypatch):
         raise AssertionError("np.einsum was called")
 
     monkeypatch.setattr(np, "einsum", unreachable)
-    out = bnsens.network._eliminate([a, b], {3})
+    out = _eliminated([a, b], {3})
     assert out.axes == expected.axes
     np.testing.assert_allclose(out.values, expected.values, rtol=1e-12)
 
 
 def test_transposed_pair_result_feeds_buckets_quotients_and_collapse():
     universe, a, b, c = _outer_pair_network()
-    pair = bnsens.network._eliminate([a, b], {3})
+    pair = _eliminated([a, b], {3})
     assert not pair.values.flags.c_contiguous  # the matmul output, transposed
     reference = _stepwise([a, b], {3})
     np.testing.assert_allclose(pair.values, reference.values, rtol=1e-12)
 
-    further = bnsens.network._eliminate([pair, c], {0, 6})
+    further = _eliminated([pair, c], {0, 6})
     np.testing.assert_allclose(
         further.values, _stepwise([reference, c], {0, 6}).values, rtol=1e-12
     )
@@ -477,7 +508,7 @@ def test_vectors_over_one_axis_reach_einsum_as_one_operand(monkeypatch):
         return einsum(subscripts, *operands, **kwargs)
 
     monkeypatch.setattr(np, "einsum", recorded)
-    out = bnsens.network._eliminate(bucket, {0})
+    out = _eliminated(bucket, {0})
     np.testing.assert_allclose(out.values, expected.values, rtol=1e-12)
     (inputs,) = seen
     assert len(inputs) == 4

@@ -102,14 +102,17 @@ def test_barren_subnetwork_changes_nothing(instance_seed, count, barren_seed):
     grown, grown_spec, barren = with_barren_nodes(bn, spec, count, barren_seed)
     eliminate = bnsens.network._eliminate
     named_axes: set[int] = set()
+    summed = []  # the variables summed away by each call
 
-    def recording(factors, drop):
-        out = eliminate(factors, drop)
-        named_axes.update(*(f.axes for f in factors), drop, out.axes)
-        return out
+    def recording(scopes, arrays, drop):
+        kept, out = eliminate(scopes, arrays, drop)
+        named_axes.update(*scopes, drop, kept)
+        summed.append(drop)
+        return kept, out
 
     with mock.patch.object(bnsens.network, "_eliminate", recording):
         report = compute_all(grown, grown_spec)
+    assert any(summed)  # the hook saw the elimination buckets, not only tables
     assert not named_axes & barren
     base = compute_all(bn, spec)
     assert report.expected_value == pytest.approx(base.expected_value, abs=1e-12)
@@ -125,27 +128,29 @@ def test_barren_subnetwork_changes_nothing(instance_seed, count, barren_seed):
 def test_evidence_marginal_of_root_evidence_eliminates_nothing(monkeypatch):
     # The evidence marginal needs only An(E); with root evidence that is E
     # itself, and every other node, the output included, is barren for it.
-    # Only the evidence network's eliminations are recorded: a small
-    # probability network has its chance variables summed out as well.
+    # Its factors are then the evidence's own CPT factors, taken from the
+    # one probability network built: no second network, and no elimination
+    # that could have produced them.
     bn, spec = random_roots_instance(4)
-    built, eliminated = [], []
-    mrf_from_bn, marginalize = bnsens.sobol.mrf_from_bn, bnsens.sobol.marginalize
+    built, divisors = [], []
+    mrf_from_bn, priors = bnsens.sobol.mrf_from_bn, bnsens.sobol._priors
 
     def recording_mrf(bn, nodes):
-        mrf = mrf_from_bn(bn, nodes)
-        if set(nodes) == spec.evidential:
-            built.append(mrf)
-        return mrf
+        built.append(mrf_from_bn(bn, nodes))
+        return built[-1]
 
-    def recording_marginalize(tn, variables):
-        if any(tn is mrf for mrf in built):
-            eliminated.append(set(variables))
-        return marginalize(tn, variables)
+    def recording_priors(j):
+        divisors.append(j)
+        return priors(j)
 
     monkeypatch.setattr(bnsens.sobol, "mrf_from_bn", recording_mrf)
-    monkeypatch.setattr(bnsens.sobol, "marginalize", recording_marginalize)
+    monkeypatch.setattr(bnsens.sobol, "_priors", recording_priors)
     report = compute_all(bn, spec)
-    assert eliminated == [set()]
+    (mrf,), (j,) = built, divisors
+    own = [f for f in mrf.factors if len(f.axes) == 1 and f.axes[0] in spec.evidential]
+    assert set(j.universe) == spec.evidential
+    assert len(j.factors) == len(own) == len(spec.evidential)
+    assert all(a is b for a, b in zip(j.factors, own))
     assert_matches_oracle(report, bn, spec)
 
 
@@ -245,7 +250,9 @@ def test_separated_group_gets_an_exact_zero_without_a_query(monkeypatch, caplog,
     separated, pair = report.indices
     assert separated.s == 0.0 and pair.s > 0.1
     assert frozenset(group) not in queried
-    assert len(queried) == (0 if shared else 2)
+    # C, the rest of the evidence beside A+B, is screened from O, so A+B
+    # reads the moment of the whole evidence that Var[f] was taken from.
+    assert len(queried) == (0 if shared else 1)
     messages = [r.getMessage() for r in caplog.records if r.name == "bnsens.sobol"]
     assert "S of B+C = 0.0 by d-separation from the output" in messages
     assert not any("of A+B" in m for m in messages)

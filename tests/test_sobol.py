@@ -100,9 +100,9 @@ def test_not_evidential_rejected(chain, chain_analysis, monkeypatch):
     eliminated = []
     eliminate = bnsens.network._eliminate
 
-    def recording(factors, drop):
+    def recording(scopes, arrays, drop):
         eliminated.append(drop)
-        return eliminate(factors, drop)
+        return eliminate(scopes, arrays, drop)
 
     monkeypatch.setattr(bnsens.network, "_eliminate", recording)
     for subset in ((), (1,), (0, 0)):
@@ -223,9 +223,11 @@ def test_first_order_indices_take_a_fixed_number_of_orderings(monkeypatch):
 
 
 def test_shared_elimination_indices_take_a_fixed_number_of_orderings(monkeypatch):
-    # The tables take no ordering, so every index of 4 or 10 roots takes
-    # four orderings: of the chance variables, of P(O), of the evidence
-    # marginal and of t.
+    # The tables take no ordering, and neither does anything else here, so
+    # every index of 4 or 10 roots takes none: C, the one chance variable,
+    # and then the output are each eliminated alone, P(O) is a sum of the
+    # table over the evidence and the output, and the root evidence's
+    # marginal is its own factors.
     counts = []
     for roots in (4, 10):
         bn, spec = fan_in(roots, 0)
@@ -234,7 +236,7 @@ def test_shared_elimination_indices_take_a_fixed_number_of_orderings(monkeypatch
             calls, report = _count_orderings(m, lambda: compute_all(bn, spec))
         assert all(e.s > 0.0 and e.st > 0.0 for e in report.indices)
         counts.append(calls)
-    assert counts == [4, 4]
+    assert counts == [0, 0]
 
 
 def test_first_order_times_share_the_calibration(monkeypatch):
@@ -270,10 +272,10 @@ def test_shared_elimination_times_share_the_tables(monkeypatch):
     bn, spec = fan_in(4, 0)
     eliminate = bnsens.network._eliminate
 
-    def slow(factors, drop):
-        if not drop and {ax for f in factors for ax in f.axes} == spec.evidential:
+    def slow(scopes, arrays, drop):
+        if not drop and {ax for scope in scopes for ax in scope} == spec.evidential:
             time.sleep(0.02)
-        return eliminate(factors, drop)
+        return eliminate(scopes, arrays, drop)
 
     monkeypatch.setattr(bnsens.network, "_eliminate", slow)
     entries = compute_all(bn, spec, ComputeOptions(closed=((0, 1),))).indices
@@ -484,17 +486,18 @@ def test_shared_elimination_with_one_evidential_variable():
 
 def test_shared_elimination_sums_the_chance_variables_out_once(monkeypatch, caplog):
     # With root evidence the evidence marginal eliminates nothing, so each
-    # chance variable is summed out in exactly one bucket: P(O) is collapsed
-    # from the network over the evidence and the output, t eliminates O
-    # alone, and no ordering spans the coupled network's replicas.
+    # chance variable is summed out in exactly one bucket: P(O) is the sum
+    # of one table over the evidence and the output, with nothing collapsed,
+    # t eliminates O alone, and the one ordering, of the chance variables
+    # when there are two or more, spans no replica of the coupled network.
     eliminate = bnsens.network._eliminate
     order = bnsens.network.min_weight_order
     collapse = bnsens.sobol.collapse
     dropped, ordered, collapsed = [], [], []
 
-    def recording_eliminate(factors, drop):
+    def recording_eliminate(scopes, arrays, drop):
         dropped.extend(drop)
-        return eliminate(factors, drop)
+        return eliminate(scopes, arrays, drop)
 
     def recording_order(scopes, cardinalities, keep=()):
         ordered.append(set(cardinalities))
@@ -520,9 +523,10 @@ def test_shared_elimination_sums_the_chance_variables_out_once(monkeypatch, capl
         if not chance or _plans(caplog) != ["shared-elimination"]:
             continue
         assert sorted(v for v in dropped if v in chance) == sorted(chance)
-        assert dropped.count(spec.output) == 1
-        assert collapsed == [spec.evidential | {spec.output}]
-        assert ordered and all(vertices <= relevant for vertices in ordered)
+        assert dropped.count(spec.output) == 1  # t's bucket, seen by the hook
+        assert collapsed == []
+        assert len(ordered) == (len(chance) > 1)
+        assert all(vertices <= relevant for vertices in ordered)
         checked += 1
     assert checked >= 8
 
@@ -609,6 +613,35 @@ def test_per_query_closed_indices_read_the_moments_of_the_variable_indices(
     assert checked >= 40
 
 
+@pytest.mark.parametrize("plan", ["shared-elimination", "per-query"])
+def test_closed_index_of_the_rest_of_a_screened_variable_is_exactly_one(
+    monkeypatch, caplog, plan
+):
+    # When the rest of the evidence d-separates i from the output, f is
+    # E[f | E - {i}]: the closed index of E - {i} reads the moment of E,
+    # so it equals 1 - S^T_i = 1.0 exactly, not up to rounding.
+    if plan == "per-query":
+        monkeypatch.setattr(bnsens.sobol, "SHARED_ELIMINATION_CELLS", 0)
+    checked = 0
+    for seed in range(40):
+        bn, spec = random_instance(seed)
+        _, screened = separated_evidence(bn.dag(), spec.output, spec.evidential)
+        if len(spec.evidential) < 2 or not screened:
+            continue
+        rests = tuple(tuple(sorted(spec.evidential - {i})) for i in sorted(screened))
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="bnsens.sobol"):
+            report = compute_all(bn, spec, ComputeOptions(closed=rests))
+        assert _plans(caplog) == [plan]
+        n = len(spec.evidential)
+        entries = [e for e in report.indices[:n] if e.variables[0] in screened]
+        for entry, rest in zip(entries, report.indices[n:], strict=True):
+            assert entry.st == 0.0
+            assert rest.s == 1.0
+            checked += 1
+    assert checked == 37
+
+
 @pytest.mark.parametrize("plan", ["shared-elimination", "per-query", "coupled"])
 def test_one_evidential_variable_has_a_first_order_index_of_exactly_one(
     monkeypatch, caplog, plan
@@ -661,18 +694,22 @@ def test_compute_all_never_squares_chance_variables(monkeypatch):
     # ~3e9 cells. In the second network every node is relevant, and summing
     # its root out with the chance nodes kept makes a bucket of 1.28e8.
     eliminate = bnsens.network._eliminate
+    summed = []  # the variables summed away by each call
 
-    def capped(factors, drop):
-        cards = {ax: n for f in factors for ax, n in zip(f.axes, f.values.shape)}
+    def capped(scopes, arrays, drop):
+        cards = {ax: n for scope, a in zip(scopes, arrays) for ax, n in zip(scope, a.shape)}
         cells = math.prod(cards.values())
         assert cells <= 1e8, f"a bucket spans {cells:.3g} cells"
-        return eliminate(factors, drop)
+        summed.append(drop)
+        return eliminate(scopes, arrays, drop)
 
     monkeypatch.setattr(bnsens.network, "_eliminate", capped)
     bn, spec = layered_network(4, 10, 5, (5, 7))
     for entry in compute_all(bn, spec).indices:
         assert -1e-12 <= entry.s <= entry.st + 1e-12
         assert entry.st <= 1.0 + 1e-12
+    assert any(summed)  # the cap saw the elimination buckets, not only tables
+    summed.clear()
     # R and F0-F2 are linked through the C's, so S_i <= S^T_i need not hold
     # here (F1, F2: S^T = 0 by d-separation, S > 0); only the range is checked.
     bn, spec = wide_chance_network(400)
@@ -681,6 +718,7 @@ def test_compute_all_never_squares_chance_variables(monkeypatch):
     for entry in report.indices:
         for value in (entry.s, entry.st):
             assert -1e-12 <= value <= 1.0 + 1e-12
+    assert any(summed)
 
 
 def _gate_tree_root_evidence(leaves):
@@ -744,9 +782,9 @@ def test_coupled_plan_matches_brute_force_on_a_driven_chain(monkeypatch, caplog)
 
 def test_coupled_totals_take_a_fixed_number_of_orderings(monkeypatch):
     # Gate trees of 64 and 128 leaves have 16 and 32 evidential roots. The
-    # five orderings are of P(O), of the evidence marginal, of t (costed,
-    # never run), of the coupled network (costed, then run by its
-    # calibration) and of E[f].
+    # four orderings are of P(O), of t (costed, never run), of the coupled
+    # network (costed from scopes, then run by its calibration) and of
+    # E[f]; the root evidence's marginal is its own factors.
     counts = []
     for leaves in (64, 128):
         bn, spec = _gate_tree_root_evidence(leaves)
@@ -757,7 +795,7 @@ def test_coupled_totals_take_a_fixed_number_of_orderings(monkeypatch):
             )
         assert sum(e.st > 0.0 for e in report.indices) >= 8
         counts.append(calls)
-    assert counts == [5, 5]
+    assert counts == [4, 4]
 
 
 def test_gate_tree_of_256_leaves_with_root_evidence_finishes_in_seconds():
@@ -821,7 +859,8 @@ def test_bucket_beyond_einsum_operand_cap_matches_stepwise(monkeypatch, caplog):
     assert _plans(caplog) == ["per-query"]
     assert f"table over the evidence and the output {2**66} cells" in caplog.text
 
-    def stepwise(factors, axes):
+    def stepwise(scopes, arrays, axes):
+        factors = [Factor(scope, a) for scope, a in zip(scopes, arrays)]
         product = reduce(factor_product, factors, Factor.scalar(1.0))
         return factor_sum_out(product, set(product.axes) - set(axes)).values
 
