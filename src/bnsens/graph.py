@@ -125,10 +125,10 @@ def min_weight_order(
     eliminable vertex minimizing the product of its current neighbours'
     cardinalities goes next (ties broken by smallest id); its neighbours
     then become a clique and it leaves the graph. Weights are cached and
-    only the eliminated vertex's neighbours are weighed again; a heap of
-    (weight, id) entries yields the next vertex and skips stale entries.
-    Each vertex's weight when it goes, times its cardinality, is the size
-    of its bucket (`EliminationOrder.cells`).
+    only the eliminated vertex's neighbours are weighed again, and pushed
+    again only if changed; a heap of (weight, id) entries yields the next
+    vertex and skips stale entries. Each vertex's weight when it goes, times
+    its cardinality, is the size of its bucket (`EliminationOrder.cells`).
     """
     graph = _primal(scopes, cardinalities)
     keep_set = {int(v) for v in keep}
@@ -159,7 +159,7 @@ def min_weight_order(
             joined |= neighbours
             joined.discard(u)
             joined.discard(v)
-            if u in weights:
-                weights[u] = weight(u)
-                heapq.heappush(heap, (weights[u], u))
+            if u in weights and weights[u] != (reweighed := weight(u)):
+                weights[u] = reweighed
+                heapq.heappush(heap, (reweighed, u))
     return EliminationOrder(order, cells)

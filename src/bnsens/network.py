@@ -14,9 +14,11 @@ large bucket of two factors whose result outgrows both (an outer product
 over a shared summed axis) is one batched matmul; any other bucket is one
 einsum, after the one-axis factors over a common axis of a large bucket
 are multiplied into one. `marginals` gives the marginal on every variable
-from one order: the same buckets run forward, and a backward pass over
-them sends each message the contraction of everything else, its outside
-factor.
+from one order: an `Elimination` runs the buckets forward (stopped before
+the last variable, it holds that variable's marginal, and may take one more
+factor over it), and a backward pass over them sends each message the
+contraction of everything else, its outside factor. A network derived from
+checked ones is built without the checks of its constructor (`trusted`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import operator
 import string
 import warnings
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from .errors import (
 )
 from .graph import EliminationOrder, min_weight_order
 from .model import DiscreteBayesNet
-from .tensor import Factor
+from .tensor import Factor, transposed, trusted
 
 # Not called here: hooked by bench/spans.py, which looks them up in this module.
 from .tensor import factor_div, factor_product, factor_sum_out  # noqa: F401
@@ -81,9 +83,9 @@ def mrf_from_bn(
     joint distribution, so no normalizing constant is needed. With `nodes`
     only those nodes enter the universe and get a factor. The set must hold
     the parents of each of its members, as an ancestral set
-    `ancestors(bn.dag(), targets)` does (otherwise a factor axis falls
-    outside the universe); the result is then the exact joint marginal of
-    `nodes`, since every dropped factor sums to 1 over its own node.
+    `ancestors(bn.dag(), targets)` does (otherwise UnknownAxisError); the
+    result is then the exact joint marginal of `nodes`, since every dropped
+    factor sums to 1 over its own node. Valid CPTs need no `Factor` checks.
     """
     kept = range(bn.n) if nodes is None else sorted({int(v) for v in nodes})
     if kept and not 0 <= kept[0] <= kept[-1] < bn.n:
@@ -92,9 +94,12 @@ def mrf_from_bn(
     factors = []
     for i in kept:
         scope = (*bn.cpts[i].parents, i)
-        shape = tuple(bn.variables[p].cardinality for p in scope)
-        factors.append(Factor.of(scope, bn.cpts[i].table.reshape(shape)))
-    return TensorNetwork(universe, tuple(factors))
+        try:
+            shape = [universe[p] for p in scope]
+        except KeyError:
+            raise UnknownAxisError(f"a parent of node {i} is not in `nodes`") from None
+        factors.append(trusted(Factor, *transposed(scope, bn.cpts[i].table.reshape(shape))))
+    return trusted(TensorNetwork, universe, tuple(factors))
 
 
 def function_tn(mrf: TensorNetwork, output: int, values: np.ndarray) -> TensorNetwork:
@@ -176,7 +181,7 @@ def _einsum(
     letter = dict(zip(cards, EINSUM_LETTERS))
     subscripts = ",".join(["".join(map(letter.__getitem__, s)) for s in scopes])
     subscripts += "->" + "".join(map(letter.__getitem__, axes))
-    out = np.einsum(subscripts, *arrays, optimize=False)
+    out = np.asarray(np.einsum(subscripts, *arrays, optimize=False))  # not a numpy scalar
     if len(arrays) == 1 and np.may_share_memory(out, arrays[0]):
         out = out.copy()  # a lone operand over its own axes comes back as a view
     return out
@@ -239,40 +244,58 @@ def _eliminate(
     return kept, _einsum(scopes, arrays, kept)
 
 
-def _buckets(
-    scopes: list[tuple[int, ...]], arrays: list, universe: Mapping[int, int], order
-) -> Iterator[tuple[int, list[int], list[tuple[int, ...]], list[np.ndarray]]]:
-    """Eliminate the variables of `order` in place from the operands, where
-    `arrays[i]` is over the axes `scopes[i]`, one bucket each, and yield
-    each bucket's variable, the positions of its operands and their scopes
-    and arrays once its message is appended.
+class Elimination:
+    """Variable elimination in place over a network's factors, one bucket
+    per variable: the forward pass of `marginalize` and, keeping a record
+    of each bucket, of `marginals`. `scopes` and `arrays` list the factors,
+    then the messages and later factors as they came. A bucket sets its
+    operands' arrays to None and appends its message, over every axis of
+    the bucket but its variable (a variable in no operand sends its
+    cardinality). `holders` lists, ascending, the positions of the operands
+    over each variable, so that no bucket scans the other operands; it is
+    built by the first `run`, and `table` needs none."""
 
-    Each bucket's message is appended to both lists and its arrays set to
-    None, so with n operands passed in, the message of the k-th bucket
-    sits at position n + k. A message holds every axis of its bucket
-    except the bucket's variable. `holders` lists, ascending, the
-    positions of the operands over each variable; a bucket skips those
-    already eliminated, so no bucket scans the other operands. A variable
-    carried by no operand sends its cardinality as a scalar."""
-    holders: dict[int, list[int]] = {}
-    for i, scope in enumerate(scopes):
-        for ax in scope:
-            holders.setdefault(ax, []).append(i)
-    for v in order:
-        positions = [i for i in holders.pop(v, ()) if arrays[i] is not None]
-        axes = [scopes[i] for i in positions]
-        bucket = [arrays[i] for i in positions]
-        if positions:
-            kept, out = _eliminate(axes, bucket, (v,))
-            for i in positions:
-                arrays[i] = None
-            for ax in kept:
-                holders[ax].append(len(arrays))
-        else:
-            kept, out = (), np.asarray(float(universe[v]))
-        scopes.append(kept)
-        arrays.append(out)
-        yield v, positions, axes, bucket
+    def __init__(self, tn: TensorNetwork, records: bool = True):
+        self.universe = tn.universe
+        self.scopes: list[tuple[int, ...]] = [f.axes for f in tn.factors]
+        self.arrays: list[np.ndarray | None] = [f.values for f in tn.factors]
+        self.holders: dict[int, list[int]] = {}
+        self.held = 0  # the operands before this position are in `holders`
+        self.buckets: list | None = [] if records else None
+
+    def run(self, order: Iterable[int], *factors: Factor) -> Elimination:
+        """Add `factors`, over live variables, and eliminate those of `order`.
+        A record: variable, operand positions, scopes, arrays, message position."""
+        scopes, arrays, holders = self.scopes, self.arrays, self.holders
+        scopes += [f.axes for f in factors]
+        arrays += [f.values for f in factors]
+        for i in range(self.held, len(scopes)):
+            for ax in scopes[i]:
+                holders.setdefault(ax, []).append(i)
+        for v in order:
+            positions = [i for i in holders.pop(v, ()) if arrays[i] is not None]
+            axes = [scopes[i] for i in positions]
+            bucket = [arrays[i] for i in positions]
+            if positions:
+                kept, out = _eliminate(axes, bucket, (v,))
+                for i in positions:
+                    arrays[i] = None
+                for ax in kept:
+                    holders[ax].append(len(arrays))
+            else:
+                kept, out = (), np.asarray(float(self.universe[v]))
+            scopes.append(kept)
+            arrays.append(out)
+            if self.buckets is not None:
+                self.buckets.append((v, positions, axes, bucket, len(arrays) - 1))
+        self.held = len(scopes)
+        return self
+
+    def table(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """The product of the live arrays over their axes, ascending: after a
+        run by the order of `collapse(tn, keep)`, its result, bit for bit."""
+        live = [i for i, a in enumerate(self.arrays) if a is not None]
+        return _eliminate([self.scopes[i] for i in live], [self.arrays[i] for i in live], ())
 
 
 def marginalize(tn: TensorNetwork, eliminate: Iterable[int]) -> TensorNetwork:
@@ -302,20 +325,17 @@ def marginalize(tn: TensorNetwork, eliminate: Iterable[int]) -> TensorNetwork:
         order = min_weight_order(
             [f.axes for f in tn.factors], tn.universe, keep=set(tn.universe) - targets
         )
-    scopes = [f.axes for f in tn.factors]
-    arrays: list[np.ndarray | None] = [f.values for f in tn.factors]
-    for _, _, _, bucket in _buckets(scopes, arrays, tn.universe, order):
-        del bucket  # freed before the next bucket's kernel call, not after
-
+    forward = Elimination(tn, records=False).run(order)  # each bucket freed as it goes
+    scopes, arrays = forward.scopes, forward.arrays
     n = len(tn.factors)
     factors = [f for f, a in zip(tn.factors, arrays) if a is not None]
-    factors += [Factor(scopes[i], a) for i, a in enumerate(arrays[n:], n) if a is not None]
+    factors += [trusted(Factor, scopes[i], a) for i, a in enumerate(arrays[n:], n) if a is not None]
     universe = {k: c for k, c in tn.universe.items() if k not in targets}
-    return TensorNetwork(universe, tuple(factors))
+    return trusted(TensorNetwork, universe, tuple(factors))
 
 
 def marginals(
-    tn: TensorNetwork,
+    tn: TensorNetwork | Elimination,
     order: Sequence[int] | None = None,
     *,
     outside_of: Iterable[int] | None = None,
@@ -323,19 +343,20 @@ def marginals(
     """The marginal of the network's contraction on each variable of its
     universe, from one elimination order and two passes over its buckets.
 
-    The forward pass eliminates every variable as `marginalize` does and
-    keeps each bucket's record from `_buckets`. The backward pass walks the
-    buckets in reverse and gives each message an outside factor over its
-    axes: the contraction of everything but the message, which is the
-    product of the other final scalars for a message that no bucket takes,
-    and otherwise one `_einsum` of the taking bucket's other operands and
-    that bucket's own outside factor. A message holds every axis of its
-    bucket except the bucket's variable, so only a bucket of one operand
-    adds ones over that variable. A bucket's variable then has the
-    marginal `_einsum` of the bucket's operands and its outside factor; a
-    variable carried by no factor has its outside scalar in every state.
-    No product is ever divided out, so zero and negative entries are
-    exact. Each bucket is dropped once it has sent its outside factors.
+    The forward pass is the `Elimination` of the network by `order`; `tn`
+    may instead be an `Elimination` that has eliminated every variable,
+    which this call then consumes. The backward pass walks the buckets in
+    reverse and gives each message an outside factor over its axes: the
+    contraction of everything but the message, which is the product of the
+    other final scalars for a message that no bucket takes, and otherwise
+    one `_einsum` of the taking bucket's other operands and that bucket's
+    own outside factor. A message holds every axis of its bucket except
+    the bucket's variable, so only a bucket of one operand adds ones over
+    that variable. A bucket's variable then has the marginal `_einsum` of
+    the bucket's operands and its outside factor; a variable carried by no
+    factor has its outside scalar in every state. No product is ever
+    divided out, so zero and negative entries are exact. Each bucket is
+    dropped once it has sent its outside factors.
 
     With `outside_of`, positions in `tn.factors`, the result holds instead
     the outside factor of each of those input factors, by position and over
@@ -346,21 +367,18 @@ def marginals(
     factor alone is the contraction with that input replaced by ones.
     `order`, if given, is the `min_weight_order` of the network's factor
     scopes with nothing kept."""
-    if order is None:
-        order = min_weight_order([f.axes for f in tn.factors], tn.universe, keep=())
+    if isinstance(tn, TensorNetwork):
+        tn = Elimination(tn)
+        tn.run(order or min_weight_order(tn.scopes, tn.universe, keep=()))
+    scopes, arrays, buckets = tn.scopes, tn.arrays, tn.buckets
     wanted = None if outside_of is None else {int(i) for i in outside_of}
-    first_message = len(tn.factors)
-    scopes = [f.axes for f in tn.factors]
-    arrays: list[np.ndarray | None] = [f.values for f in tn.factors]
 
     # The positions that the backward pass gives an outside factor: the
     # wanted inputs, and the message of each visited bucket.
     sends = set(wanted or ())
-    buckets = []
-    for record in _buckets(scopes, arrays, tn.universe, order):
-        buckets.append(record)
-        if wanted is None or sends.intersection(record[1]):
-            sends.add(len(arrays) - 1)
+    for _, positions, _, _, message in buckets:
+        if wanted is None or sends.intersection(positions):
+            sends.add(message)
 
     # The live arrays are now scalars that multiply to the contraction;
     # each gets the product of the others, from prefix and suffix products.
@@ -372,8 +390,7 @@ def marginals(
 
     result = {}
     while buckets:
-        v, positions, axes, bucket = buckets.pop()
-        message = first_message + len(buckets)
+        v, positions, axes, bucket, message = buckets.pop()
         if message not in sends:
             continue
         out = outside.pop(message)
@@ -440,9 +457,9 @@ def square_wrt(tn: TensorNetwork, shared: Iterable[int]) -> TensorNetwork:
     def mirrored(f: Factor) -> Factor:
         if not any(ax in renames for ax in f.axes):
             return f
-        return Factor.of(tuple(renames.get(ax, ax) for ax in f.axes), f.values)
+        return trusted(Factor, *transposed([renames.get(ax, ax) for ax in f.axes], f.values))
 
-    return TensorNetwork(universe, tn.factors + tuple(mirrored(f) for f in tn.factors))
+    return trusted(TensorNetwork, universe, tn.factors + tuple(map(mirrored, tn.factors)))
 
 
 def quotient(tn: TensorNetwork, divisor: TensorNetwork) -> TensorNetwork:
@@ -462,8 +479,8 @@ def quotient(tn: TensorNetwork, divisor: TensorNetwork) -> TensorNetwork:
             raise AxisCardinalityMismatchError(
                 f"variable {var}: cardinality {tn.universe[var]} vs divisor {card}"
             )
-    reciprocals = tuple(Factor(f.axes, reciprocal(f.values)) for f in divisor.factors)
-    return TensorNetwork(tn.universe, tn.factors + reciprocals)
+    reciprocals = tuple(trusted(Factor, f.axes, reciprocal(f.values)) for f in divisor.factors)
+    return trusted(TensorNetwork, tn.universe, tn.factors + reciprocals)
 
 
 def reciprocal(values: np.ndarray) -> np.ndarray:
@@ -486,5 +503,5 @@ def collapse(tn: TensorNetwork, keep: Iterable[int]) -> Factor:
     reduced = marginalize(tn, set(tn.universe) - keep_set)
     mentioned = {ax for f in reduced.factors for ax in f.axes}
     factors = [*reduced.factors]
-    factors += [Factor((v,), np.ones(tn.universe[v])) for v in keep_set - mentioned]
-    return Factor(*_eliminate([f.axes for f in factors], [f.values for f in factors], ()))
+    factors += [trusted(Factor, (v,), np.ones(tn.universe[v])) for v in keep_set - mentioned]
+    return trusted(Factor, *_eliminate([f.axes for f in factors], [f.values for f in factors], ()))

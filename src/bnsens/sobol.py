@@ -36,12 +36,13 @@ more factor. Each of three plans gives E[f] and `moment(keep)`:
   product of the reciprocal priors, taken once per analysis; otherwise
   `j` with the rest summed out. No `keep` is queried twice.
 
-In the last two, with more than one evidential variable, E[f] and each
-first-order `moment({i})` come from one calibration of `t_full`, whose
-marginal t_i = P(i) E[f | i] equals that of `t`, and from j_i = P(i), the
-prior or a marginal of one calibration of `j`. Otherwise E[f] is one
-contraction, of `t_full` in the coupled plan and of `t` in the per-query
-plan. `compute_all` says how the plan is chosen.
+In the last two, P(O) is the forward pass of one calibration of `t_full`,
+ordered as `collapse(mrf, {O})` with O last, up to O's bucket: that
+collapse, bit for bit. With more than one evidential variable and an S_i
+to compute, g joins O's bucket, and the backward pass gives E[f] and each
+first-order `moment({i})` from t_i = P(i) E[f | i], as in `t`, and from
+j_i = P(i), the prior or a marginal of one calibration of `j`. Otherwise
+E[f] is the sum of P(O) g. `compute_all` says how the plan is chosen.
 """
 
 from __future__ import annotations
@@ -69,9 +70,8 @@ from .model import (
 from . import network
 from .network import (
     TensorNetwork,
-    collapse,
+    collapse,  # noqa: F401  (not called here: hooked by bench/spans.py)
     contract_all,
-    function_tn,
     marginalize,
     marginals,
     mrf_from_bn,
@@ -79,7 +79,7 @@ from .network import (
     reciprocal,
     square_wrt,
 )
-from .tensor import Factor
+from .tensor import Factor, trusted
 
 # Var[f] at most this share of Var[g(O)], the variance of the centred map g
 # of `compute_all`, means f is constant and every index undefined: each
@@ -170,7 +170,7 @@ def _conditional_second_moment(
     if inverse is None:
         return contract_all(quotient(squared, marginalize(j, frozenset(j.universe) - keep)))
     divisor = tuple(inverse[k] for k in sorted(keep))
-    return contract_all(TensorNetwork(squared.universe, squared.factors + divisor))
+    return contract_all(trusted(TensorNetwork, squared.universe, squared.factors + divisor))
 
 
 # Module-level so that bench/spans.py and the tests can hook each query.
@@ -237,12 +237,8 @@ def _coupled_network(
     scopes, universe = _coupled_scopes(t_full, priors)
     arrays = [f.values for f in t_full.factors] * 2
     arrays += [np.diag(reciprocal(p)) for p in priors.values()]
-    return TensorNetwork(universe, tuple(map(Factor, scopes, arrays)))
-
-
-def _table(tn: TensorNetwork) -> tuple[tuple[int, ...], np.ndarray]:
-    """The contraction of `tn` over all of its axes, ascending."""
-    return network._eliminate([f.axes for f in tn.factors], [f.values for f in tn.factors], ())
+    factors = tuple(trusted(Factor, scope, array) for scope, array in zip(scopes, arrays))
+    return trusted(TensorNetwork, universe, factors)
 
 
 def compute_all(
@@ -265,7 +261,8 @@ def compute_all(
     DEGENERATE_VARIANCE_TOL times Var[g(O)]. The evidence marginal `j` is
     built over An(evidence) alone, where every other node is barren; with
     root evidence it is the evidence's own factors in the probability
-    network, and nothing is eliminated for it.
+    network, and nothing is eliminated for it. Every network built here
+    derives from `bn` and skips the constructors' checks (`trusted`).
 
     The plan (see the module docstring) is chosen as follows. The shared
     elimination is taken first, when the table over the evidence and the
@@ -308,11 +305,14 @@ def compute_all(
     low, spread = float(values.min()), float(np.ptp(values))
     dag = bn.dag()
     relevant = ancestors(dag, spec.evidential | {spec.output})
-    _log.debug("pruned barren nodes %s", sorted(set(range(bn.n)) - relevant))
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("pruned barren nodes %s", sorted(set(range(bn.n)) - relevant))
     targets = sorted(spec.evidential) if options.first or options.total else []
     separated, screened = separated_evidence(dag, spec.output, spec.evidential)
     zero_s = separated if options.first else frozenset()
     zero_st = screened if options.total else frozenset()
+    queried = [i for i in targets if i not in zero_s] if options.first else []
+    calibrate = bool(queried) and len(spec.evidential) > 1
     for label, zeros in (("S", zero_s), ("ST", zero_st)):
         for i in sorted(zeros):
             _log.debug(
@@ -325,7 +325,8 @@ def compute_all(
     own = dict(zip(sorted(relevant), mrf.factors))
     ancestral = sorted(ancestors(dag, spec.evidential))
     j = marginalize(
-        TensorNetwork({k: mrf.universe[k] for k in ancestral}, [own[k] for k in ancestral]),
+        trusted(TensorNetwork, {k: mrf.universe[k] for k in ancestral},
+                tuple(own[k] for k in ancestral)),
         set(ancestral) - spec.evidential,
     )
     # A Python int: a product over many evidential variables overflows int64.
@@ -338,10 +339,12 @@ def compute_all(
         )
         # One elimination of the chance variables serves P(O) and t alike.
         mrf = marginalize(mrf, relevant - spec.evidential - {spec.output})
-        axes, table = _table(mrf)
+        axes, table = network.Elimination(mrf).table()
         p_out = table.sum(axis=tuple(a for a, k in enumerate(axes) if k != spec.output))
-    else:
-        p_out = collapse(mrf, {spec.output}).values
+    else:  # P(O) from the forward pass of t_full's calibration, up to O's bucket
+        forward = network.Elimination(mrf, records=calibrate)
+        forward.run(network.min_weight_order(forward.scopes, mrf.universe, keep={spec.output}))
+        p_out = forward.table()[1]  # bitwise collapse(mrf, {O}), which takes this order
     if np.ptp(values[p_out != 0]) == 0:
         raise DegenerateOutputError(
             "the value map is constant on the output's possible labels; "
@@ -350,34 +353,14 @@ def compute_all(
     unit = (values - low) / spread
     centre = float(unit @ p_out)
     g = unit - centre
-    t_full = function_tn(mrf, spec.output, g)
-
-    priors = _priors(j)
-    coupled = None
-    if not shared:
-        # Orderings go through bnsens.network's name, where the benchmark counts them.
-        t_order = network.min_weight_order(
-            [f.axes for f in t_full.factors], t_full.universe, keep=spec.evidential
-        )
-        if priors is not None and options.total and not closed:
-            coupled_order = network.min_weight_order(*_coupled_scopes(t_full, priors))
-            # a forward pass, and a backward pass over about as many cells
-            coupled_cells = 2 * sum(coupled_order.cells)
-            reduce_cells = sum(t_order.cells)
-            _log.debug(
-                "%s: coupled calibration %d cells, building t %d cells",
-                "coupled plan" if coupled_cells < reduce_cells else "coupled plan declined",
-                coupled_cells, reduce_cells,
-            )
-            if coupled_cells < reduce_cells:
-                coupled = _coupled_network(t_full, priors)
+    value_factor = trusted(Factor, (spec.output,), g)
+    t_full = trusted(TensorNetwork, mrf.universe, (*mrf.factors, value_factor))
 
     # Each plan gives E[f] and moment(keep) = E[E[f | keep]^2], which every
     # index reads. Each index is charged an equal share of the time of the
     # calibration or the tables it came from. The function network has mean
     # zero up to rounding; taking that residual out as well drops the
     # constant offset that the rounding of `centre` leaves in g.
-    queried = [i for i in targets if i not in zero_s] if options.first else []
     s_share = st_share = 0.0
     if shared:
         t = marginalize(t_full, {spec.output})
@@ -385,7 +368,7 @@ def compute_all(
         # Every evidential variable is an axis of t and of j, so each
         # table is over the sorted evidence.
         evidence = sorted(spec.evidential)
-        tables = [_table(tn)[1] for tn in (t, j)]
+        tables = [network.Elimination(tn).table()[1] for tn in (t, j)]
 
         def moment(keep: frozenset[int]) -> float:
             axes = tuple(a for a, k in enumerate(evidence) if k not in keep)
@@ -398,7 +381,40 @@ def compute_all(
             users += len(targets) - len(zero_st)
         s_share = st_share = (time.perf_counter() - t0) / max(users, 1)
     else:
+        priors = _priors(j)
         moments: dict[frozenset[int], float] = {}
+        if calibrate:
+            # g joins O's bucket, and the backward pass gives E[f] and each
+            # t_i = P(i) E[f | i]; E[E[f | i]^2] is the sum of t_i^2 / j_i,
+            # and a zero cell of j_i, where t_i is zero too, adds 0.
+            t0 = time.perf_counter()
+            t_marginals = marginals(forward.run((spec.output,), value_factor))
+            j_marginals = marginals(j) if priors is None else priors
+            for i in queried:
+                t_i = t_marginals[i]
+                moments[frozenset({i})] = float(t_i @ (t_i * reciprocal(j_marginals[i])))
+            mean = float(t_marginals[spec.output].sum())
+            s_share = (time.perf_counter() - t0) / len(queried)
+        else:
+            mean = float(g @ p_out)  # the contraction of t_full
+
+        # Orderings go through bnsens.network's name, where the benchmark counts them.
+        t_order = network.min_weight_order(
+            [f.axes for f in t_full.factors], t_full.universe, keep=spec.evidential
+        )
+        coupled = None
+        if priors is not None and options.total and not closed:
+            coupled_order = network.min_weight_order(*_coupled_scopes(t_full, priors))
+            # a forward pass, and a backward pass over about as many cells
+            coupled_cells = 2 * sum(coupled_order.cells)
+            reduce_cells = sum(t_order.cells)
+            _log.debug(
+                "%s: coupled calibration %d cells, building t %d cells",
+                "coupled plan" if coupled_cells < reduce_cells else "coupled plan declined",
+                coupled_cells, reduce_cells,
+            )
+            if coupled_cells < reduce_cells:
+                coupled = _coupled_network(t_full, priors)
         if coupled is None:
             _log.debug(
                 "per-query plan: table over the evidence and the output %d cells, "
@@ -409,7 +425,7 @@ def compute_all(
             # With independent evidence every query divides by the priors,
             # whose reciprocals are taken once here.
             inverse = None if priors is None else {
-                k: Factor((k,), reciprocal(p)) for k, p in priors.items()
+                k: trusted(Factor, (k,), reciprocal(p)) for k, p in priors.items()
             }
 
             def moment(keep: frozenset[int]) -> float:
@@ -430,19 +446,6 @@ def compute_all(
             )
             moment = moments.__getitem__
             st_share = (time.perf_counter() - t0) / max(len(set(targets) - zero_st), 1)
-        if queried and len(spec.evidential) > 1:
-            # E[E[f | i]^2] is the sum of t_i^2 / j_i; a zero cell of j_i,
-            # where t_i is zero too, adds 0.
-            t0 = time.perf_counter()
-            t_marginals = marginals(t_full)
-            j_marginals = marginals(j) if priors is None else priors
-            for i in queried:
-                t_i = t_marginals[i]
-                moments[frozenset({i})] = float(t_i @ (t_i * reciprocal(j_marginals[i])))
-            mean = float(t_marginals[spec.output].sum())
-            s_share = (time.perf_counter() - t0) / len(queried)
-        else:
-            mean = contract_all(t_full if coupled is not None else t)
 
     variance = moment(spec.evidential) - mean * mean
     if not variance > DEGENERATE_VARIANCE_TOL * float(p_out @ (g * g)):

@@ -8,7 +8,7 @@ functions that `bench/spans.py` hooks."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,12 +47,27 @@ class Factor:
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != len(axes):
             raise ValueError(f"{values.ndim}-d values for {len(axes)} axes")
-        order = sorted(range(len(axes)), key=axes.__getitem__)
-        return cls(tuple(axes[i] for i in order), values.transpose(order))
+        return cls(*transposed(axes, values))
 
     @classmethod
     def scalar(cls, value: float) -> "Factor":
         return cls((), np.asarray(float(value)))
+
+
+def transposed(axes: Sequence[int], values: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """The axes ascending and `values` over them in that order, a view."""
+    ascending = tuple(sorted(axes))
+    if ascending == tuple(axes):
+        return ascending, values
+    return ascending, values.transpose(sorted(range(len(axes)), key=axes.__getitem__))
+
+
+def trusted(cls, *fields):
+    """An instance of the frozen dataclass `cls` with these fields, in order,
+    made without `__post_init__`: for fields that would pass its checks."""
+    self = object.__new__(cls)
+    self.__dict__.update(zip(cls.__dataclass_fields__, fields))
+    return self
 
 
 def _merged_axes(a: Factor, b: Factor) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -4,6 +4,7 @@ benchmark workload (bench/workloads.py) must take the plan its timings
 stand for, and the coupled plan must cost the network it runs before
 building it."""
 
+import heapq
 import importlib.util
 import logging
 import sys
@@ -14,7 +15,15 @@ import pytest
 
 import bnsens.network
 import bnsens.sobol
-from bnsens import AnalysisSpec, Factor, compute_all, min_weight_order, square_wrt
+from bnsens import (
+    AnalysisSpec,
+    Factor,
+    TensorNetwork,
+    compute_all,
+    min_weight_order,
+    square_wrt,
+)
+from bnsens.graph import _primal
 from bnsens.network import reciprocal
 from helpers import concrete_style_network, gate_tree
 
@@ -50,8 +59,11 @@ def test_each_workload_takes_its_plan(monkeypatch, caplog, name, plan):
     # tables over the evidence and the output have 1.3e8 (grid3e16), 648
     # (sparse200) and 3.4e7 (dense-card) cells: only sparse200 is small
     # enough to sum its chance variables out once for P(O) and t, its one
-    # ordering. The orderings per analysis are the `graph.order_calls` of
-    # `--trace 1`, which hooks the same name.
+    # ordering. The other two order the probability network once, for P(O)
+    # and the first-order calibration, and t_full down to t; grid3e16 also
+    # orders the coupled network, and dense-card the contraction of each of
+    # its 8 total queries. The orderings per analysis are the
+    # `graph.order_calls` of `--trace 1`, which hooks the same name.
     workloads = _load(monkeypatch, "workloads")
     bn, output, evidential = workloads.network(name)
     spec = AnalysisSpec(output, evidential, workloads.seeded_map(bn, output, 1))
@@ -67,7 +79,7 @@ def test_each_workload_takes_its_plan(monkeypatch, caplog, name, plan):
         compute_all(bn, spec)
     lines = [r.getMessage() for r in caplog.records if r.name == "bnsens.sobol"]
     assert [line.split(" plan:")[0] for line in lines if " plan:" in line] == [plan]
-    assert len(calls) == {"grid3e16": 4, "sparse200": 1, "dense-card": 12}[name]
+    assert len(calls) == {"grid3e16": 3, "sparse200": 1, "dense-card": 11}[name]
 
 
 def _workload(monkeypatch, name):
@@ -138,3 +150,91 @@ def test_dense_card_never_builds_the_coupled_network(monkeypatch, caplog):
     with caplog.at_level(logging.DEBUG, logger="bnsens.sobol"):
         compute_all(bn, spec)
     assert any("coupled plan declined" in r.getMessage() for r in caplog.records)
+
+
+@pytest.mark.parametrize("name", ["grid3e16", "sparse200", "dense-card"])
+def test_analysis_runs_no_constructor_check(monkeypatch, name):
+    # Every network of an analysis derives from the validated input network
+    # and is built without the checks of Factor and TensorNetwork, which the
+    # public constructors keep.
+    bn, spec = _workload(monkeypatch, name)
+    checked = []
+    for cls in (Factor, TensorNetwork):
+
+        def counted(self, _check=cls.__post_init__):
+            checked.append(type(self).__name__)
+            _check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    compute_all(bn, spec)
+    assert checked == []
+    TensorNetwork({0: 2}, (Factor((0,), [0.5, 0.5]),))
+    assert checked == ["Factor", "TensorNetwork"]
+
+
+def _order_pushing_every_neighbour(scopes, cardinalities, keep=()):
+    """`min_weight_order` with the loop that pushed every neighbour of the
+    eliminated vertex again, its weight changed or not: the order, the
+    cells, and how many of those pushes left a weight unchanged."""
+    graph = _primal(scopes, cardinalities)
+    cards = {int(v): int(c) for v, c in cardinalities.items()}
+
+    def weight(v):
+        w = 1
+        for u in graph[v]:
+            w *= cards[u]
+        return w
+
+    weights = {v: weight(v) for v in graph if v not in set(keep)}
+    heap = sorted((w, v) for v, w in weights.items())
+    order, cells, unchanged = [], [], 0
+    while heap:
+        w, v = heapq.heappop(heap)
+        if weights.get(v) != w:
+            continue
+        del weights[v]
+        order.append(v)
+        cells.append(w * cards[v])
+        neighbours = graph.pop(v)
+        for u in neighbours:
+            joined = graph[u]
+            joined |= neighbours
+            joined.discard(u)
+            joined.discard(v)
+            if u in weights:
+                unchanged += weights[u] == weight(u)
+                weights[u] = weight(u)
+                heapq.heappush(heap, (weights[u], u))
+    return order, cells, unchanged
+
+
+@pytest.mark.parametrize(
+    "network",
+    [lambda m: _workload(m, "grid3e16"), lambda m: _gate_tree_root_evidence(256)],
+    ids=["grid3e16", "gate-tree-256"],
+)
+def test_min_weight_order_pushes_only_changed_weights_to_the_same_order(
+    monkeypatch, network
+):
+    # Each ordering of the analysis (P(O), t and the coupled network) must
+    # come out in the same order and with the same cells as from the loop
+    # that pushed every neighbour again; some of those pushes were of an
+    # unchanged weight, which the heap now never sees. Each order is
+    # checked before the analysis runs it, so a wrong one allocates nothing.
+    bn, spec = network(monkeypatch)
+    unchanged = []
+    order = bnsens.network.min_weight_order
+
+    def checked(scopes, cardinalities, keep=()):
+        scopes = list(scopes)
+        found = order(scopes, cardinalities, keep=keep)
+        expected, cells, pushes = _order_pushing_every_neighbour(scopes, cardinalities, keep)
+        assert list(found) == expected
+        assert list(found.cells) == cells
+        unchanged.append(pushes)
+        return found
+
+    monkeypatch.setattr(bnsens.network, "min_weight_order", checked)
+    compute_all(bn, spec)
+    assert len(unchanged) == 3
+    assert sum(unchanged) > 0

@@ -48,9 +48,12 @@ _PAIR = TensorNetwork({0: 2, 1: 3}, (Factor((0, 1), np.ones((2, 3))),))
         (lambda: quotient(_PAIR, TensorNetwork({1: 2})), AxisCardinalityMismatchError),
         (lambda: mrf_from_bn(chain_bn(), {0, 2}), IndexError),
         (lambda: mrf_from_bn(chain_bn(), {-1, 1}), IndexError),
+        # node 1 without its parent 0: its factors are built unchecked, so
+        # mrf_from_bn checks that the node set is ancestral itself
+        (lambda: mrf_from_bn(chain_bn(), {1}), UnknownAxisError),
     ],
     ids=["factor-axis", "factor-card", "marginalize", "square", "collapse",
-         "quotient-axis", "quotient-card", "mrf-above", "mrf-below"],
+         "quotient-axis", "quotient-card", "mrf-above", "mrf-below", "mrf-not-ancestral"],
 )
 def test_network_argument_errors(build, error):
     with pytest.raises(error) as info:

@@ -130,23 +130,25 @@ def test_evidence_marginal_of_root_evidence_eliminates_nothing(monkeypatch):
     # itself, and every other node, the output included, is barren for it.
     # Its factors are then the evidence's own CPT factors, taken from the
     # one probability network built: no second network, and no elimination
-    # that could have produced them.
+    # that could have produced them. Only j's network is over E alone.
     bn, spec = random_roots_instance(4)
-    built, divisors = [], []
-    mrf_from_bn, priors = bnsens.sobol.mrf_from_bn, bnsens.sobol._priors
+    built, reduced = [], []
+    mrf_from_bn, marginalize = bnsens.sobol.mrf_from_bn, bnsens.sobol.marginalize
 
     def recording_mrf(bn, nodes):
         built.append(mrf_from_bn(bn, nodes))
         return built[-1]
 
-    def recording_priors(j):
-        divisors.append(j)
-        return priors(j)
+    def recording_marginalize(tn, eliminate):
+        reduced.append((set(tn.universe), set(eliminate), marginalize(tn, eliminate)))
+        return reduced[-1][2]
 
     monkeypatch.setattr(bnsens.sobol, "mrf_from_bn", recording_mrf)
-    monkeypatch.setattr(bnsens.sobol, "_priors", recording_priors)
+    monkeypatch.setattr(bnsens.sobol, "marginalize", recording_marginalize)
     report = compute_all(bn, spec)
-    (mrf,), (j,) = built, divisors
+    (mrf,) = built
+    ((eliminated, j),) = [(e, out) for u, e, out in reduced if u == spec.evidential]
+    assert eliminated == set()
     own = [f for f in mrf.factors if len(f.axes) == 1 and f.axes[0] in spec.evidential]
     assert set(j.universe) == spec.evidential
     assert len(j.factors) == len(own) == len(spec.evidential)

@@ -24,6 +24,7 @@ from bnsens import (
     ValidationError,
     Variable,
     ancestors,
+    collapse,
     compute_all,
     contract_all,
     encode_utility_node,
@@ -319,10 +320,11 @@ def _evidence_marginal(bn, spec):
 
 
 def _guard_per_query(monkeypatch, spec):
-    """Record the networks that `marginals` calibrates and those that
-    `contract_all` contracts outside conditional-moment queries; refuse a
-    calibration of the reduced t, which unlike t_full lacks the output and
-    unlike the evidence marginal does not sum to 1."""
+    """Record the networks (or forward passes, for `t_full`) that `marginals`
+    calibrates and those that `contract_all` contracts outside
+    conditional-moment queries; refuse a calibration of the reduced t,
+    which unlike t_full lacks the output and unlike the evidence marginal
+    does not sum to 1."""
     calibrated, contracted, inside = [], [], []
     calibrate = bnsens.sobol.marginals
     contract = bnsens.sobol.contract_all
@@ -379,8 +381,9 @@ def test_per_query_plan_calibrates_t_full_and_never_t(monkeypatch, caplog):
     # S_i, and the queries divide by the priors. Dependent evidence adds one
     # calibration of the evidence marginal j. Neither calibrates t or
     # contracts it outside a query; without an S_i to compute (first=False,
-    # one evidential variable, or every S_i zero by d-separation), one
-    # contraction of t gives E[f].
+    # one evidential variable, or every S_i zero by d-separation), nothing
+    # is calibrated or contracted: E[f] is the sum of P(O) g, and P(O) comes
+    # from the forward pass that the calibration would have continued.
     kinds = {True: 0, False: 0}
     for bn, spec in _per_query_instances(monkeypatch, caplog, 15):
         independent = bnsens.sobol._priors(_evidence_marginal(bn, spec)) is not None
@@ -396,9 +399,39 @@ def test_per_query_plan_calibrates_t_full_and_never_t(monkeypatch, caplog):
                 assert contracted == []
                 kinds[independent] += 1
             else:
-                assert calibrated == [] and len(contracted) == 1
-                assert spec.output not in contracted[0].universe  # t, not t_full
+                assert calibrated == [] and contracted == []
     assert kinds[True] >= 5 and kinds[False] >= 5
+
+
+@pytest.mark.parametrize("make", [random_instance, random_roots_instance])
+def test_output_marginal_from_the_forward_pass_is_the_collapse_bit_for_bit(
+    monkeypatch, make
+):
+    # Outside the shared elimination (switched off here), P(O) is the table
+    # left by the forward pass of t_full's calibration when it reaches O's
+    # bucket. It must be the collapse of the probability network on O, bit
+    # for bit, even where the analysis goes on to raise.
+    monkeypatch.setattr(bnsens.sobol, "SHARED_ELIMINATION_CELLS", 0)
+    table = bnsens.network.Elimination.table
+    tables = []
+
+    def recording(self):
+        tables.append(table(self))
+        return tables[-1]
+
+    monkeypatch.setattr(bnsens.network.Elimination, "table", recording)
+    for seed in range(40):
+        bn, spec = make(seed)
+        tables.clear()
+        try:
+            compute_all(bn, spec)
+        except DegenerateOutputError:
+            pass
+        ((axes, p_out),) = tables
+        relevant = ancestors(bn.dag(), spec.evidential | {spec.output})
+        expected = collapse(mrf_from_bn(bn, relevant), {spec.output}).values
+        assert axes == (spec.output,)
+        assert p_out.tobytes() == expected.tobytes()
 
 
 def test_per_query_plan_matches_the_oracle(monkeypatch, caplog):
@@ -782,9 +815,10 @@ def test_coupled_plan_matches_brute_force_on_a_driven_chain(monkeypatch, caplog)
 
 def test_coupled_totals_take_a_fixed_number_of_orderings(monkeypatch):
     # Gate trees of 64 and 128 leaves have 16 and 32 evidential roots. The
-    # four orderings are of P(O), of t (costed, never run), of the coupled
-    # network (costed from scopes, then run by its calibration) and of
-    # E[f]; the root evidence's marginal is its own factors.
+    # three orderings are of the probability network for P(O), whose
+    # forward pass also gives E[f] as the sum of P(O) g, of t (costed, never
+    # run) and of the coupled network (costed from scopes, then run by its
+    # calibration); the root evidence's marginal is its own factors.
     counts = []
     for leaves in (64, 128):
         bn, spec = _gate_tree_root_evidence(leaves)
@@ -795,7 +829,7 @@ def test_coupled_totals_take_a_fixed_number_of_orderings(monkeypatch):
             )
         assert sum(e.st > 0.0 for e in report.indices) >= 8
         counts.append(calls)
-    assert counts == [4, 4]
+    assert counts == [3, 3]
 
 
 def test_gate_tree_of_256_leaves_with_root_evidence_finishes_in_seconds():
