@@ -9,11 +9,12 @@ what makes squaring/quotient pipelines affordable on evidence sets far too
 large to tabulate. Each bucket of the elimination multiplies its factors
 and sums the variable away in one kernel call, so the product of a bucket
 is never stored. Buckets pass bare arrays beside their axis tuples; only
-what `marginalize` and `collapse` return is built as `Factor`s again. A
-large bucket of two factors whose result outgrows both (an outer product
-over a shared summed axis) is one batched matmul; any other bucket is one
-einsum, after the one-axis factors over a common axis of a large bucket
-are multiplied into one. `marginals` gives the marginal on every variable
+what `marginalize` and `collapse` return is built as `Factor`s again. In a
+large bucket, each operand whose axes lie within another operand with
+fewer cells than the bucket is first multiplied into the smallest such one
+(folded); two arrays left, each smaller than the bucket and sharing every
+summed axis, are one batched matmul, and any other bucket is one einsum.
+`marginals` gives the marginal on every variable, or on those asked for,
 from one order: an `Elimination` runs the buckets forward (stopped before
 the last variable, it holds that variable's marginal, and may take one more
 factor over it), and a backward pass over them sends each message the
@@ -117,14 +118,16 @@ def function_tn(mrf: TensorNetwork, output: int, values: np.ndarray) -> TensorNe
 # output).
 EINSUM_LETTERS = string.ascii_letters
 EINSUM_OPERANDS = 31
-# Buckets spanning at most this many cells skip both routes of `_einsum`
-# and go straight to one np.einsum: their Python set-up costs more than it
-# saves. Measured on two cores, the matmul route took 15-28 us against
-# einsum's 5-12 us for pairs spanning up to 3072 cells and won from 12288
-# cells (31 against 50 us); merging three vectors beside two copies of a
-# 3^k factor cost 4-8 us more up to 729 cells and won from 2187 cells.
-# Networks that pruning leaves small, such as the sparse200 benchmark
-# (largest bucket 432 cells), thus never take either route.
+# Buckets spanning at most this many cells skip both steps of `_einsum`,
+# the fold and the matmul route, and go straight to one np.einsum: their
+# Python set-up costs more than it saves. Measured on two cores, the matmul
+# route took 15-28 us against einsum's 5-12 us for pairs spanning up to
+# 3072 cells and won from 12288 cells (31 against 50 us); folding three
+# vectors into one beside two copies of a 3^k factor cost 4-8 us more up
+# to 729 cells and won from 2187 cells. Above it, both steps copy or
+# multiply only arrays with fewer cells than the bucket. Networks that
+# pruning leaves small, such as the sparse200 benchmark (largest bucket
+# 432 cells), thus never take either.
 ROUTE_CELLS = 4096
 
 
@@ -134,19 +137,21 @@ def _einsum(
     """Product of `arrays`, each over the axes of its scope, over exactly
     `axes`, every other axis summed away, without storing the product.
 
-    Buckets spanning more than ROUTE_CELLS cells take one of two routes,
-    chosen from their shapes alone:
+    Buckets spanning more than ROUTE_CELLS cells take two steps, chosen
+    from their shapes alone, that copy or multiply only arrays with fewer
+    cells than the bucket:
 
-    - An outer-product pair (two arrays that share every summed axis, with
-      a result larger than either) runs as one batched `np.matmul`: each
-      array is copied to (shared kept, own, summed) order, and the result
-      is a transposed view of the matmul output. With a short summed axis,
-      einsum's inner loop is a few cells long; matmul's runs over rows.
-    - In a bucket of more than two operands, the one-axis operands over
-      the same axis are first multiplied into one vector, so that einsum
-      multiplies fewer operands per cell.
+    - Fold: each operand whose axes lie within another operand smaller
+      than the bucket is multiplied, by broadcasting, into the smallest
+      such one (vectors over one axis into one, a vector into a matrix
+      over its axis), so that fewer operands meet in each cell.
+    - Pair: two arrays left, each smaller than the bucket, that share
+      every summed axis run as one batched `np.matmul`: each array is
+      copied to (shared kept, own, summed) order, and the result is a
+      transposed view of the matmul output. With short axes, einsum's
+      inner loop is a few cells long; matmul's runs over rows.
 
-    Every other bucket, and the merged one, is one `np.einsum` pass over
+    Every other bucket, and a folded one, is one `np.einsum` pass over
     letter subscripts (their string form has no length cap, unlike the
     list form). A call over more than 52 axes raises
     `StateSpaceTooLargeError` before any work; unless some of its axes
@@ -170,13 +175,13 @@ def _einsum(
             for i in range(0, len(arrays), EINSUM_OPERANDS)
         ]
         return _einsum([c[0] for c in chunks], [c[1] for c in chunks], axes)
-    if math.prod(cards.values()) > ROUTE_CELLS:
+    cells = math.prod(cards.values())
+    if cells > ROUTE_CELLS:
+        scopes, arrays = _folded(scopes, arrays, cells)
         if len(arrays) == 2:
-            out = _outer_pair(*scopes, *arrays, axes)
+            out = _outer_pair(*scopes, *arrays, axes, cells)
             if out is not None:
                 return out
-        elif len(arrays) > 2:
-            scopes, arrays = _merged_vectors(scopes, arrays)
 
     letter = dict(zip(cards, EINSUM_LETTERS))
     subscripts = ",".join(["".join(map(letter.__getitem__, s)) for s in scopes])
@@ -187,20 +192,19 @@ def _einsum(
     return out
 
 
-def _outer_pair(axes_a, axes_b, a: np.ndarray, b: np.ndarray, axes) -> np.ndarray | None:
+def _outer_pair(axes_a, axes_b, a: np.ndarray, b: np.ndarray, axes, cells: int):
     """The pair's contraction over `axes` as one batched matmul, or None
-    unless every summed axis is in both arrays and the result has more
-    cells than either array (so that neither copy below is the larger
-    one)."""
+    unless every summed axis is in both arrays and each array has fewer
+    cells than the bucket, `cells` (so that neither copy below is as large
+    as the bucket)."""
+    if a.size >= cells or b.size >= cells:
+        return None
     kept = set(axes)
     in_a, in_b = set(axes_a), set(axes_b)
     if in_a - kept != in_b - kept:
         return None  # a summed axis lies in one array only
     cards = dict(zip(axes_a, a.shape))
     cards.update(zip(axes_b, b.shape))
-    cells = math.prod(cards[ax] for ax in axes)
-    if cells <= a.size or cells <= b.size:
-        return None
     batch = [ax for ax in axes_a if ax in in_b and ax in kept]
     own_a = [ax for ax in axes_a if ax not in in_b]
     own_b = [ax for ax in axes_b if ax not in in_a]
@@ -219,19 +223,30 @@ def _outer_pair(axes_a, axes_b, a: np.ndarray, b: np.ndarray, axes) -> np.ndarra
     return out.transpose([labels.index(ax) for ax in axes])
 
 
-def _merged_vectors(scopes, arrays) -> tuple[list[Sequence[int]], list[np.ndarray]]:
-    """The operands with the one-axis arrays over each axis multiplied into
-    one, placed after the others."""
-    vectors: dict[int, list[np.ndarray]] = {}
-    scopes_out, arrays_out = [], []
-    for scope, array in zip(scopes, arrays):
-        if len(scope) == 1:
-            vectors.setdefault(scope[0], []).append(array)
-        else:
-            scopes_out.append(scope)
-            arrays_out.append(array)
-    scopes_out += [(ax,) for ax in vectors]
-    return scopes_out, arrays_out + [math.prod(vs) for vs in vectors.values()]
+def _folded(scopes, arrays, cells: int) -> tuple[Sequence, Sequence[np.ndarray]]:
+    """The operands with each one whose axes lie within another operand of
+    fewer than `cells` cells multiplied, by broadcasting, into the smallest
+    such operand (of equal ones, the later)."""
+    small = sorted((a.size, i) for i, a in enumerate(arrays) if a.size < cells)
+    into = {}
+    for n, (_, i) in enumerate(small):
+        axes = set(scopes[i])
+        for _, h in small[n + 1 :]:
+            if axes.issubset(scopes[h]):
+                into[i] = h
+                break
+    if not into:
+        return scopes, arrays
+    arrays = list(arrays)
+    for i, h in into.items():  # smallest first, so each is whole before it folds
+        scope, onto, array = scopes[i], scopes[h], arrays[i]
+        if scope != onto:  # a view in the axis order of `onto`, with ones for the rest
+            order = [scope.index(ax) for ax in onto if ax in scope]
+            shape = [array.shape[scope.index(ax)] if ax in scope else 1 for ax in onto]
+            array = array.transpose(order).reshape(shape)
+        arrays[h] = arrays[h] * array
+    kept = [i for i in range(len(arrays)) if i not in into]
+    return [scopes[i] for i in kept], [arrays[i] for i in kept]
 
 
 def _eliminate(
@@ -338,10 +353,12 @@ def marginals(
     tn: TensorNetwork | Elimination,
     order: Sequence[int] | None = None,
     *,
+    of: Iterable[int] | None = None,
     outside_of: Iterable[int] | None = None,
 ) -> dict[int, np.ndarray]:
     """The marginal of the network's contraction on each variable of its
-    universe, from one elimination order and two passes over its buckets.
+    universe, or of `of` alone, from one elimination order and two passes
+    over its buckets.
 
     The forward pass is the `Elimination` of the network by `order`; `tn`
     may instead be an `Elimination` that has eliminated every variable,
@@ -356,12 +373,14 @@ def marginals(
     the bucket's operands and its outside factor; a variable carried by no
     factor has its outside scalar in every state. No product is ever
     divided out, so zero and negative entries are exact. Each bucket is
-    dropped once it has sent its outside factors.
+    dropped once it has sent its outside factors. The backward pass visits
+    only the wanted buckets, those of the variables asked for, and the
+    buckets whose messages lead to one of them.
 
     With `outside_of`, positions in `tn.factors`, the result holds instead
     the outside factor of each of those input factors, by position and over
-    the factor's own axes, and no marginal: the backward pass then visits
-    only the buckets whose messages lead to one of them. The network's
+    the factor's own axes, and no marginal (`of` is not read); the wanted
+    buckets are then those that take one of the inputs. The network's
     contraction is linear in each input factor, so the sum of an input
     times its outside factor is the contraction, and the sum of the outside
     factor alone is the contraction with that input replaced by ones.
@@ -371,13 +390,16 @@ def marginals(
         tn = Elimination(tn)
         tn.run(order or min_weight_order(tn.scopes, tn.universe, keep=()))
     scopes, arrays, buckets = tn.scopes, tn.arrays, tn.buckets
-    wanted = None if outside_of is None else {int(i) for i in outside_of}
+    wanted = {int(i) for i in outside_of or ()}
+    if outside_of is not None:
+        of = ()
+    variables = set(tn.universe if of is None else map(int, of))
 
     # The positions that the backward pass gives an outside factor: the
     # wanted inputs, and the message of each visited bucket.
-    sends = set(wanted or ())
-    for _, positions, _, _, message in buckets:
-        if wanted is None or sends.intersection(positions):
+    sends = set(wanted)
+    for v, positions, _, _, message in buckets:
+        if v in variables or sends.intersection(positions):
             sends.add(message)
 
     # The live arrays are now scalars that multiply to the contraction;
@@ -397,7 +419,7 @@ def marginals(
         if not positions:
             result[v] = np.full(tn.universe[v], float(out))
             continue
-        if wanted is None:
+        if v in variables:
             result[v] = _einsum([*axes, scopes[message]], [*bucket, out], (v,))
         for m, i in enumerate(positions):
             if i in sends:
@@ -407,7 +429,7 @@ def marginals(
                     other_axes.append((v,))
                     others.append(np.ones(tn.universe[v]))
                 outside[i] = _einsum(other_axes, others, axes[m])
-    if wanted is None:
+    if outside_of is None:
         return result
     return {i: outside[i] for i in sorted(wanted)}
 

@@ -213,8 +213,8 @@ def _priors(j: TensorNetwork) -> dict[int, np.ndarray] | None:
 
 
 def _coupled_scopes(t_full: TensorNetwork, priors: dict[int, np.ndarray]):
-    """The factor scopes of `_coupled_network(t_full, priors)`, in order,
-    and its universe, without building it."""
+    """The factor scopes of the coupled network of `t_full` and `priors`
+    (`_coupled_network`), in order, and its universe, without building it."""
     stride = max(t_full.universe) + 1  # square_wrt's replica of v is v + stride
     scopes = [f.axes for f in t_full.factors]
     scopes += [tuple(ax + stride for ax in scope) for scope in scopes]
@@ -223,18 +223,17 @@ def _coupled_scopes(t_full: TensorNetwork, priors: dict[int, np.ndarray]):
 
 
 def _coupled_network(
-    t_full: TensorNetwork, priors: dict[int, np.ndarray]
+    t_full: TensorNetwork, priors: dict[int, np.ndarray], scopes, universe
 ) -> TensorNetwork:
     """`t_full` squared with every variable replicated (`square_wrt`), times
     one coupling factor C_k(x_k, x_k') = diag(1 / P(x_k)) per evidential k,
-    last and in the order of `priors`. Its other arrays are those of
-    `t_full`.
+    last and in the order of `priors`, over the `scopes` and `universe`
+    that `_coupled_scopes` gives. Its other arrays are those of `t_full`.
 
     With independent evidence, 1 / P(e) is the product of the C_k on the
     diagonal, so the network contracts to E[E[f | E]^2]; with C_k replaced
     by ones, to E[E[f | E - {k}]^2]. The zero-safe reciprocal leaves 0
     where P(x_k) is 0, and so is the function network there."""
-    scopes, universe = _coupled_scopes(t_full, priors)
     arrays = [f.values for f in t_full.factors] * 2
     arrays += [np.diag(reciprocal(p)) for p in priors.values()]
     factors = tuple(trusted(Factor, scope, array) for scope, array in zip(scopes, arrays))
@@ -388,8 +387,9 @@ def compute_all(
             # t_i = P(i) E[f | i]; E[E[f | i]^2] is the sum of t_i^2 / j_i,
             # and a zero cell of j_i, where t_i is zero too, adds 0.
             t0 = time.perf_counter()
-            t_marginals = marginals(forward.run((spec.output,), value_factor))
-            j_marginals = marginals(j) if priors is None else priors
+            forward.run((spec.output,), value_factor)
+            t_marginals = marginals(forward, of=[*queried, spec.output])
+            j_marginals = marginals(j, of=queried) if priors is None else priors
             for i in queried:
                 t_i = t_marginals[i]
                 moments[frozenset({i})] = float(t_i @ (t_i * reciprocal(j_marginals[i])))
@@ -404,7 +404,8 @@ def compute_all(
         )
         coupled = None
         if priors is not None and options.total and not closed:
-            coupled_order = network.min_weight_order(*_coupled_scopes(t_full, priors))
+            coupled_scopes = _coupled_scopes(t_full, priors)
+            coupled_order = network.min_weight_order(*coupled_scopes)
             # a forward pass, and a backward pass over about as many cells
             coupled_cells = 2 * sum(coupled_order.cells)
             reduce_cells = sum(t_order.cells)
@@ -414,7 +415,7 @@ def compute_all(
                 coupled_cells, reduce_cells,
             )
             if coupled_cells < reduce_cells:
-                coupled = _coupled_network(t_full, priors)
+                coupled = _coupled_network(t_full, priors, *coupled_scopes)
         if coupled is None:
             _log.debug(
                 "per-query plan: table over the evidence and the output %d cells, "

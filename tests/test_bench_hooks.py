@@ -118,8 +118,8 @@ def test_coupled_order_from_scopes_is_the_order_of_the_built_network(
         orders.append((set(cardinalities), order(scopes, cardinalities, keep=keep)))
         return orders[-1][1]
 
-    def recording_build(t_full, priors):
-        built.append((t_full, priors, build(t_full, priors)))
+    def recording_build(t_full, priors, *scopes):
+        built.append((t_full, priors, build(t_full, priors, *scopes)))
         return built[-1][2]
 
     monkeypatch.setattr(bnsens.network, "min_weight_order", recording_order)

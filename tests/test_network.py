@@ -228,7 +228,8 @@ def test_marginals_match_collapse_on_every_variable(
     # outside factor may be taken by division. The flags add a
     # cardinality-1 axis, a variable in no factor, a second component over
     # ids of its own and a scalar factor; with `empty` and no other flag
-    # the universe is empty.
+    # the universe is empty. Asked for every other variable, the backward
+    # pass gives those marginals bit for bit.
     rng = np.random.default_rng(seed)
     n = 0 if empty else int(rng.integers(2, 6))
     universe = {i: int(rng.integers(2, 4)) for i in range(n)}
@@ -247,6 +248,10 @@ def test_marginals_match_collapse_on_every_variable(
     tn = TensorNetwork(universe, tuple(factors))
     got = marginals(tn)
     assert sorted(got) == sorted(universe)
+    some = sorted(universe)[::2]
+    part = marginals(tn, of=some)
+    assert sorted(part) == some
+    assert all(np.array_equal(part[v], got[v]) for v in some)
     for v in universe:
         want = collapse(tn, {v}).values
         assert got[v].shape == want.shape
@@ -435,7 +440,9 @@ def _pair_bucket(rng, roles, cards):
 )
 def test_einsum_of_a_pair_is_the_summed_product(roles, cards, seed):
     # ROUTE_CELLS 0 sends every qualifying pair, however small, down the
-    # matmul route; the others (an "x" axis, or no larger result) to einsum.
+    # matmul route: each array smaller than the bucket, every summed axis in
+    # both. The others (an "x" axis, or an array over the whole bucket) go
+    # to einsum.
     factors, kept = _pair_bucket(np.random.default_rng(seed), roles, cards)
     expected = _stepwise(factors, set(range(len(roles))) - set(kept)).values
     with pytest.MonkeyPatch.context() as patch:
@@ -517,6 +524,86 @@ def test_vectors_over_one_axis_reach_einsum_as_one_operand(monkeypatch):
     assert len(inputs) == 4
     assert sorted(len(s) for s in inputs) == [1, 1, 9, 9]
     assert len({s for s in inputs if len(s) == 1}) == 2
+
+
+def _nested_bucket(rng, count, cards):
+    """`count` operands over axes 0..5, each drawn from all axes or from
+    the scope of an earlier one (so that scopes nest), and in a shuffled
+    axis order; the factors over the same values, and the kept axes."""
+    scopes = []
+    for _ in range(count):
+        pool = scopes[rng.integers(len(scopes))] if scopes and rng.random() < 0.7 else range(6)
+        size = int(rng.integers(0, len(pool) + 1))
+        scopes.append(tuple(int(ax) for ax in rng.choice(pool, size=size, replace=False)))
+    arrays = [rng.uniform(0.5, 1.5, size=[cards[ax] for ax in scope]) for scope in scopes]
+    union = sorted(set().union(*scopes))
+    kept = tuple(ax for ax in union if rng.random() < 0.7)
+    factors = [Factor.of(scope, array) for scope, array in zip(scopes, arrays)]
+    return scopes, arrays, factors, kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    count=st.integers(3, 6),
+    cards=st.lists(st.integers(1, 3), min_size=6, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_einsum_of_a_nested_bucket_is_the_summed_product(count, cards, seed):
+    # ROUTE_CELLS 0 sends every bucket, however small, through the fold
+    # and, where two arrays are left, the matmul route.
+    scopes, arrays, factors, kept = _nested_bucket(np.random.default_rng(seed), count, cards)
+    copies = [array.copy() for array in arrays]
+    expected = _stepwise(factors, set(range(6)) - set(kept)).values
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bnsens.network, "ROUTE_CELLS", 0)
+        out = bnsens.network._einsum(scopes, arrays, kept)
+    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0.0)
+    assert all(np.array_equal(a, c) for a, c in zip(arrays, copies))
+    assert not any(np.shares_memory(out, array) for array in arrays)
+
+
+def test_bucket_sized_factors_reach_einsum_as_themselves(monkeypatch):
+    # dense-card's shape: two copies of a factor over the whole bucket and
+    # three vectors over one of its axes. Nothing is folded into an
+    # operand as large as the bucket: einsum takes both copies as they
+    # are, beside the vectors folded into one.
+    rng = np.random.default_rng(4)
+    big = Factor(tuple(range(8)), rng.uniform(0.5, 1.5, size=(3,) * 8))
+    vectors = [Factor((2,), rng.uniform(0.5, 1.5, size=3)) for _ in range(3)]
+    bucket = [vectors[0], big, vectors[1], big, vectors[2]]
+    expected = _stepwise(bucket, {2})
+    einsum = np.einsum
+    seen = []
+
+    def recorded(subscripts, *operands, **kwargs):
+        seen.append(operands)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", recorded)
+    out = _eliminated(bucket, {2})
+    np.testing.assert_allclose(out.values, expected.values, rtol=1e-12)
+    (operands,) = seen
+    assert len(operands) == 3
+    assert sum(operand is big.values for operand in operands) == 2
+
+
+def test_pair_of_arrays_smaller_than_the_bucket_runs_without_einsum(monkeypatch):
+    # A pair over 3^8 cells whose result (3^5 cells) is smaller than its
+    # first array (3^7 cells): both arrays are smaller than the bucket and
+    # hold every summed axis, so the pair is one matmul.
+    rng = np.random.default_rng(12)
+    a = Factor(tuple(range(7)), rng.uniform(0.5, 1.5, size=(3,) * 7))
+    b = Factor.of((7, 5, 4, 6), rng.uniform(0.5, 1.5, size=(3,) * 4))
+    expected = _stepwise([a, b], {4, 5, 6})
+    assert expected.values.size < a.values.size
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("np.einsum was called")
+
+    monkeypatch.setattr(np, "einsum", unreachable)
+    out = _eliminated([a, b], {4, 5, 6})
+    assert out.axes == expected.axes
+    np.testing.assert_allclose(out.values, expected.values, rtol=1e-12)
 
 
 def test_contract_underflow_warns():

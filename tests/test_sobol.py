@@ -250,10 +250,10 @@ def test_first_order_times_share_the_calibration(monkeypatch):
     calibrate = bnsens.sobol.marginals
     calls = []
 
-    def slow(tn):
+    def slow(tn, **kwargs):
         calls.append(tn)
         time.sleep(0.02)
-        return calibrate(tn)
+        return calibrate(tn, **kwargs)
 
     monkeypatch.setattr(bnsens.sobol, "marginals", slow)
     bn, spec = layered_network(5, 6, 5, 2)
