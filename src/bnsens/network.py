@@ -261,11 +261,11 @@ def _eliminate(
 
 class Elimination:
     """Variable elimination in place over a network's factors, one bucket
-    per variable: the forward pass of `marginalize` and, keeping a record
-    of each bucket, of `marginals`. `scopes` and `arrays` list the factors,
-    then the messages and later factors as they came. A bucket sets its
-    operands' arrays to None and appends its message, over every axis of
-    the bucket but its variable (a variable in no operand sends its
+    per variable: the forward pass of `marginalize`, `collapse` and, with a
+    record of each bucket, `marginals`. `scopes` and `arrays` list the
+    factors, then the messages and later factors as they came. A bucket
+    sets its operands' arrays to None and appends its message, over every
+    axis of the bucket but its variable (a variable in no operand sends its
     cardinality). `holders` lists, ascending, the positions of the operands
     over each variable, so that no bucket scans the other operands; it is
     built by the first `run`, and `table` needs none."""
@@ -307,21 +307,29 @@ class Elimination:
         return self
 
     def table(self) -> tuple[tuple[int, ...], np.ndarray]:
-        """The product of the live arrays over their axes, ascending: after a
-        run by the order of `collapse(tn, keep)`, its result, bit for bit."""
+        """The product of the live arrays over their axes, ascending, in one
+        `_eliminate`: what `collapse` returns, after a run by its order."""
         live = [i for i, a in enumerate(self.arrays) if a is not None]
         return _eliminate([self.scopes[i] for i in live], [self.arrays[i] for i in live], ())
+
+
+def _order(scopes, universe: Mapping[int, int], keep: set[int]) -> Sequence[int]:
+    """The elimination order of the variables outside `keep`: fewer than two
+    are their own order, more take the `min_weight_order` of the `scopes`."""
+    eliminate = set(universe) - keep
+    if len(eliminate) < 2:
+        return tuple(eliminate)
+    return min_weight_order(scopes, universe, keep=keep)
 
 
 def marginalize(tn: TensorNetwork, eliminate: Iterable[int]) -> TensorNetwork:
     """Sum the given variables out of the network by variable elimination.
 
     Each step sums the next variable out of the product of the factors that
-    contain it, in one `_einsum` call that never stores the product. The
-    minimal-weight heuristic orders two or more variables; one variable,
-    or none, is its own order. An `EliminationOrder` of this network's
-    factor scopes with the rest kept (as a plan that costed it has one)
-    names the variables and is followed as it stands. Only the messages
+    contain it, in one `_einsum` call that never stores the product, by
+    the order of `_order`; an `EliminationOrder` of this network's factor
+    scopes with the rest kept (as a plan that costed it has one) names the
+    variables instead and is followed as it stands. Only the messages
     left at the end become factors. The result keeps its factored
     structure: for every assignment of the remaining variables, its
     contraction equals the sum of the input's contraction over the
@@ -332,16 +340,10 @@ def marginalize(tn: TensorNetwork, eliminate: Iterable[int]) -> TensorNetwork:
     missing = targets - set(tn.universe)
     if missing:
         raise UnknownAxisError(f"cannot eliminate {sorted(missing)}: not in the universe")
-    if isinstance(eliminate, EliminationOrder):
-        order = eliminate
-    elif len(targets) < 2:
-        order = tuple(targets)
-    else:
-        order = min_weight_order(
-            [f.axes for f in tn.factors], tn.universe, keep=set(tn.universe) - targets
-        )
-    forward = Elimination(tn, records=False).run(order)  # each bucket freed as it goes
-    scopes, arrays = forward.scopes, forward.arrays
+    forward = Elimination(tn, records=False)  # each bucket freed as it goes
+    if not isinstance(eliminate, EliminationOrder):
+        eliminate = _order(forward.scopes, tn.universe, set(tn.universe) - targets)
+    scopes, arrays = forward.run(eliminate).scopes, forward.arrays
     n = len(tn.factors)
     factors = [f for f, a in zip(tn.factors, arrays) if a is not None]
     factors += [trusted(Factor, scopes[i], a) for i, a in enumerate(arrays[n:], n) if a is not None]
@@ -512,18 +514,19 @@ def reciprocal(values: np.ndarray) -> np.ndarray:
 
 
 def collapse(tn: TensorNetwork, keep: Iterable[int]) -> Factor:
-    """Marginalize everything outside `keep` and combine the residue into a
-    single factor over exactly the `keep` axes.
-
-    Axes no residual factor mentions come out constant. This is the
-    tabulated marginal of the network over `keep`.
-    """
+    """The tabulated marginal of the network over `keep`, a factor over
+    exactly the `keep` axes, ascending: the `table` of one `Elimination` of
+    every other variable by `_order`, with ones over each kept variable
+    that no live array carries, so that its axis comes out constant."""
     keep_set = {int(v) for v in keep}
     missing = keep_set - set(tn.universe)
     if missing:
         raise UnknownAxisError(f"keep variables {sorted(missing)} not in universe")
-    reduced = marginalize(tn, set(tn.universe) - keep_set)
-    mentioned = {ax for f in reduced.factors for ax in f.axes}
-    factors = [*reduced.factors]
-    factors += [trusted(Factor, (v,), np.ones(tn.universe[v])) for v in keep_set - mentioned]
-    return trusted(Factor, *_eliminate([f.axes for f in factors], [f.values for f in factors], ()))
+    forward = Elimination(tn, records=False)
+    scopes, arrays = forward.scopes, forward.arrays  # extended in place by `run`
+    forward.run(_order(scopes, tn.universe, keep_set))
+    carried = {ax for scope, a in zip(scopes, arrays) if a is not None for ax in scope}
+    for v in keep_set - carried:
+        scopes.append((v,))
+        arrays.append(np.ones(tn.universe[v]))
+    return trusted(Factor, *forward.table())

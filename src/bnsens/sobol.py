@@ -22,27 +22,29 @@ more factor. Each of three plans gives E[f] and `moment(keep)`:
   contracted into one table over the sorted evidence; `moment(keep)` is
   the sum of T_keep^2 / J_keep, the tables with the evidence outside
   `keep` summed away.
-- Coupled, for independent evidence: `t_full` squared with every variable
-  replicated (`square_wrt`), times one coupling factor diag(1 / P(x_k))
-  per evidential k, is calibrated once for the outside factors of its
-  couplings (the differential approach, Darwiche 2003; Park and Darwiche
-  2004). The coupling of the first evidential variable times its outside
-  factor sums to `moment(E)`, and the outside factor of C_k alone to
-  `moment(E - {k})`; apart from the {i} below there is no other `keep`,
-  so this plan serves no closed index, and `t` is never built.
+- Coupled, for independent evidence: `square_wrt(t_full, ())` times one
+  coupling C_k = diag(1 / P(x_k)) over each evidential k and its replica
+  is calibrated once for the outside factors of its couplings (the
+  differential approach, Darwiche 2003; Park and Darwiche 2004). 1 / P(e)
+  is the product of the C_k on the diagonal, so the first coupling times
+  its outside factor sums to `moment(E)`, and the outside factor of C_k
+  alone to `moment(E - {k})`; where P(x_k) is 0, so are C_k (zero-safe)
+  and `t_full`. No other `keep` but the {i} below is read, so this plan
+  serves no closed index, and `t` is never built.
 - Per-query: the non-evidential variables are summed out of `t_full` into
   `t`, and each `moment(keep)` is one query over `t` squared and divided
   by the evidence marginal over `keep`: with independent evidence, the
   product of the reciprocal priors, taken once per analysis; otherwise
   `j` with the rest summed out. No `keep` is queried twice.
 
-In the last two, P(O) is the forward pass of one calibration of `t_full`,
-ordered as `collapse(mrf, {O})` with O last, up to O's bucket: that
-collapse, bit for bit. With more than one evidential variable and an S_i
-to compute, g joins O's bucket, and the backward pass gives E[f] and each
-first-order `moment({i})` from t_i = P(i) E[f | i], as in `t`, and from
-j_i = P(i), the prior or a marginal of one calibration of `j`. Otherwise
-E[f] is the sum of P(O) g. `compute_all` says how the plan is chosen.
+In the last two, P(O) is the table of the forward pass of one calibration
+of `t_full`, run up to O's bucket by the order of `collapse(mrf, {O})`:
+that collapse, bit for bit. With more than one evidential variable and an
+S_i to compute, g joins O's bucket, and the backward pass gives E[f] and
+each first-order `moment({i})` from t_i = P(i) E[f | i], as in `t`, and
+from j_i = P(i), the prior or a marginal of one calibration of `j`.
+Otherwise E[f] is the sum of P(O) g. `compute_all` says how the plan is
+chosen.
 """
 
 from __future__ import annotations
@@ -212,34 +214,6 @@ def _priors(j: TensorNetwork) -> dict[int, np.ndarray] | None:
     return {k: p / p.sum() for k, p in sorted(products.items())}
 
 
-def _coupled_scopes(t_full: TensorNetwork, priors: dict[int, np.ndarray]):
-    """The factor scopes of the coupled network of `t_full` and `priors`
-    (`_coupled_network`), in order, and its universe, without building it."""
-    stride = max(t_full.universe) + 1  # square_wrt's replica of v is v + stride
-    scopes = [f.axes for f in t_full.factors]
-    scopes += [tuple(ax + stride for ax in scope) for scope in scopes]
-    universe = {**t_full.universe, **{v + stride: c for v, c in t_full.universe.items()}}
-    return scopes + [(k, k + stride) for k in priors], universe
-
-
-def _coupled_network(
-    t_full: TensorNetwork, priors: dict[int, np.ndarray], scopes, universe
-) -> TensorNetwork:
-    """`t_full` squared with every variable replicated (`square_wrt`), times
-    one coupling factor C_k(x_k, x_k') = diag(1 / P(x_k)) per evidential k,
-    last and in the order of `priors`, over the `scopes` and `universe`
-    that `_coupled_scopes` gives. Its other arrays are those of `t_full`.
-
-    With independent evidence, 1 / P(e) is the product of the C_k on the
-    diagonal, so the network contracts to E[E[f | E]^2]; with C_k replaced
-    by ones, to E[E[f | E - {k}]^2]. The zero-safe reciprocal leaves 0
-    where P(x_k) is 0, and so is the function network there."""
-    arrays = [f.values for f in t_full.factors] * 2
-    arrays += [np.diag(reciprocal(p)) for p in priors.values()]
-    factors = tuple(trusted(Factor, scope, array) for scope, array in zip(scopes, arrays))
-    return trusted(TensorNetwork, universe, factors)
-
-
 def compute_all(
     bn: DiscreteBayesNet,
     spec: AnalysisSpec,
@@ -274,7 +248,8 @@ def compute_all(
     factors), and when the cells of its forward and backward passes,
     predicted by its elimination order, are fewer than those of summing
     `t_full` down to `t`, which the per-query plan pays before anything
-    else; the coupled network is ordered from scopes and built only when
+    else. That order is of the factor scopes of `square_wrt(t_full, ())`
+    and the coupling pairs; the couplings are made only when the plan is
     taken. Each costed order is the one that runs. Otherwise the per-query
     plan is taken. The choice is logged at DEBUG level on the
     `bnsens.sobol` logger with the cells it rests on.
@@ -342,8 +317,8 @@ def compute_all(
         p_out = table.sum(axis=tuple(a for a, k in enumerate(axes) if k != spec.output))
     else:  # P(O) from the forward pass of t_full's calibration, up to O's bucket
         forward = network.Elimination(mrf, records=calibrate)
-        forward.run(network.min_weight_order(forward.scopes, mrf.universe, keep={spec.output}))
-        p_out = forward.table()[1]  # bitwise collapse(mrf, {O}), which takes this order
+        forward.run(network._order(forward.scopes, mrf.universe, {spec.output}))
+        p_out = forward.table()[1]  # collapse(mrf, {O}), bit for bit
     if np.ptp(values[p_out != 0]) == 0:
         raise DegenerateOutputError(
             "the value map is constant on the output's possible labels; "
@@ -404,8 +379,12 @@ def compute_all(
         )
         coupled = None
         if priors is not None and options.total and not closed:
-            coupled_scopes = _coupled_scopes(t_full, priors)
-            coupled_order = network.min_weight_order(*coupled_scopes)
+            squared = square_wrt(t_full, ())
+            stride = max(t_full.universe) + 1  # square_wrt's replica of v is v + stride
+            couplings = [(k, k + stride) for k in priors]
+            coupled_order = network.min_weight_order(
+                [*(f.axes for f in squared.factors), *couplings], squared.universe
+            )
             # a forward pass, and a backward pass over about as many cells
             coupled_cells = 2 * sum(coupled_order.cells)
             reduce_cells = sum(t_order.cells)
@@ -415,7 +394,9 @@ def compute_all(
                 coupled_cells, reduce_cells,
             )
             if coupled_cells < reduce_cells:
-                coupled = _coupled_network(t_full, priors, *coupled_scopes)
+                diagonals = [np.diag(reciprocal(p)) for p in priors.values()]
+                factors = [trusted(Factor, *c) for c in zip(couplings, diagonals)]
+                coupled = trusted(TensorNetwork, squared.universe, (*squared.factors, *factors))
         if coupled is None:
             _log.debug(
                 "per-query plan: table over the evidence and the output %d cells, "
@@ -436,15 +417,11 @@ def compute_all(
 
         else:
             t0 = time.perf_counter()
-            start = len(coupled.factors) - len(priors)
-            outside = marginals(
-                coupled, coupled_order, outside_of=range(start, len(coupled.factors))
-            )
+            start = len(squared.factors)
+            outside = marginals(coupled, coupled_order, outside_of=range(start, start + len(priors)))
             for p, k in enumerate(priors, start):
                 moments[spec.evidential - {k}] = float(outside[p].sum())
-            moments[spec.evidential] = float(
-                np.sum(outside[start] * coupled.factors[start].values)
-            )
+            moments[spec.evidential] = float(np.sum(outside[start] * diagonals[0]))
             moment = moments.__getitem__
             st_share = (time.perf_counter() - t0) / max(len(set(targets) - zero_st), 1)
 

@@ -62,8 +62,9 @@ def test_each_workload_takes_its_plan(monkeypatch, caplog, name, plan):
     # ordering. The other two order the probability network once, for P(O)
     # and the first-order calibration, and t_full down to t; grid3e16 also
     # orders the coupled network, and dense-card the contraction of each of
-    # its 8 total queries. The orderings per analysis are the
-    # `graph.order_calls` of `--trace 1`, which hooks the same name.
+    # its 7 total queries and of its Var[f] query. The orderings per
+    # analysis are the `graph.order_calls` of `--trace 1`, which hooks the
+    # same name.
     workloads = _load(monkeypatch, "workloads")
     bn, output, evidential = workloads.network(name)
     spec = AnalysisSpec(output, evidential, workloads.seeded_map(bn, output, 1))
@@ -106,30 +107,45 @@ def _gate_tree_root_evidence(leaves):
 def test_coupled_order_from_scopes_is_the_order_of_the_built_network(
     monkeypatch, network
 ):
-    # The coupled plan orders its network from the scopes of t_full, their
-    # replicas and the couplings, and builds it only once the plan is
-    # taken. That order must be the one of the network that square_wrt and
-    # the couplings make, and the network built must be that network.
+    # The coupled plan orders the factor scopes of square_wrt(t_full, ())
+    # and the coupling pairs, and adds the couplings only once the plan is
+    # taken. The network that marginals calibrates must be square_wrt's
+    # network plus those couplings, and its order the one costed.
     bn, spec = network(monkeypatch)
-    orders, built = [], []
-    order, build = bnsens.network.min_weight_order, bnsens.sobol._coupled_network
+    orders, squares, priors, calibrated = [], [], [], []
+    order, square, prior = bnsens.network.min_weight_order, square_wrt, bnsens.sobol._priors
+    calibrate = bnsens.sobol.marginals
 
     def recording_order(scopes, cardinalities, keep=()):
         orders.append((set(cardinalities), order(scopes, cardinalities, keep=keep)))
         return orders[-1][1]
 
-    def recording_build(t_full, priors, *scopes):
-        built.append((t_full, priors, build(t_full, priors, *scopes)))
-        return built[-1][2]
+    def recording_square(tn, shared):
+        squares.append((tn, tuple(shared)))
+        return square(tn, shared)
+
+    def recording_priors(j):
+        priors.append(prior(j))
+        return priors[-1]
+
+    def recording_calibration(tn, order=None, **kwargs):
+        if kwargs.get("outside_of") is not None:
+            calibrated.append((tn, order))
+        return calibrate(tn, order, **kwargs)
 
     monkeypatch.setattr(bnsens.network, "min_weight_order", recording_order)
-    monkeypatch.setattr(bnsens.sobol, "_coupled_network", recording_build)
+    monkeypatch.setattr(bnsens.sobol, "square_wrt", recording_square)
+    monkeypatch.setattr(bnsens.sobol, "_priors", recording_priors)
+    monkeypatch.setattr(bnsens.sobol, "marginals", recording_calibration)
     compute_all(bn, spec)
-    ((t_full, priors, coupled),) = built
+    ((t_full, shared),) = squares
+    ((coupled, run),) = calibrated
+    (p,) = priors
+    assert shared == ()
     squared = square_wrt(t_full, ())
     stride = max(t_full.universe) + 1
     factors = [*squared.factors]
-    factors += [Factor((k, k + stride), np.diag(reciprocal(p))) for k, p in priors.items()]
+    factors += [Factor((k, k + stride), np.diag(reciprocal(q))) for k, q in p.items()]
     assert coupled.universe == squared.universe
     assert [f.axes for f in coupled.factors] == [f.axes for f in factors]
     assert all(np.array_equal(a.values, b.values) for a, b in zip(coupled.factors, factors))
@@ -137,19 +153,30 @@ def test_coupled_order_from_scopes_is_the_order_of_the_built_network(
     (costed,) = [found for vertices, found in orders if vertices == set(squared.universe)]
     assert costed == expected
     assert costed.cells == expected.cells
+    assert run is costed
 
 
 def test_dense_card_never_builds_the_coupled_network(monkeypatch, caplog):
-    # dense-card costs the coupled plan and declines it, from scopes alone.
+    # dense-card costs the coupled plan and declines it, from scopes alone:
+    # no coupling diagonal is made, and no calibration runs over replicas.
     bn, spec = _workload(monkeypatch, "dense-card")
+    calibrated = []
+    calibrate = bnsens.sobol.marginals
 
-    def refuse(*args):
-        raise AssertionError("the coupled network was built")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a coupling diagonal was built")
 
-    monkeypatch.setattr(bnsens.sobol, "_coupled_network", refuse)
+    def recording_calibration(tn, order=None, **kwargs):
+        calibrated.append((set(tn.universe), kwargs.get("outside_of")))
+        return calibrate(tn, order, **kwargs)
+
+    monkeypatch.setattr(bnsens.sobol.np, "diag", refuse)
+    monkeypatch.setattr(bnsens.sobol, "marginals", recording_calibration)
     with caplog.at_level(logging.DEBUG, logger="bnsens.sobol"):
         compute_all(bn, spec)
     assert any("coupled plan declined" in r.getMessage() for r in caplog.records)
+    assert calibrated
+    assert all(outside is None and max(variables) < bn.n for variables, outside in calibrated)
 
 
 @pytest.mark.parametrize("name", ["grid3e16", "sparse200", "dense-card"])

@@ -54,6 +54,33 @@ def test_json_golden_bytes():
     assert set(payload["indices"][0]) == {"variable", "S", "S_time", "ST", "ST_time"}
 
 
+# The chain golden takes the shared elimination; these two take the other
+# plans: `helpers.concrete_style_network()` (24 nodes, 16 evidential roots)
+# the coupled plan, and `bnsens gen --seed 13 --nodes 14 --max-parents 2
+# --cardinality 2:3` the per-query plan.
+@pytest.mark.parametrize("name", ["coupled", "per_query"])
+def test_json_golden_bytes_of_each_plan(name):
+    code, out, _ = run_cli(
+        "compute", "--network", str(GOLDEN / f"{name}.native"),
+        "--format", "json", "--no-timings",
+    )
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_golden_networks_are_the_documented_ones():
+    from helpers import concrete_style_network
+
+    bn, spec = concrete_style_network()
+    doc = NativeDocument(bn, spec, name="concrete-style")
+    assert save_native(doc) == (GOLDEN / "coupled.native").read_text()
+    code, out, _ = run_cli(
+        "gen", "--seed", "13", "--nodes", "14", "--max-parents", "2", "--cardinality", "2:3"
+    )
+    assert code == 0
+    assert out == (GOLDEN / "per_query.native").read_text()
+
+
 def test_dot_golden_bytes():
     code, out, _ = run_cli("dot", "--network", CHAIN)
     assert code == 0

@@ -401,6 +401,26 @@ def test_collapse_result_does_not_share_memory_with_its_input():
     assert not np.shares_memory(out.values, values)
 
 
+def test_collapse_onto_an_uncarried_variable_between_carried_ones():
+    # Variable 2 is in the universe and in `keep`, given out of order, but
+    # no factor carries it: its axis, between 1 and 3, comes out constant.
+    rng = np.random.default_rng(3)
+    universe = {0: 2, 1: 3, 2: 4, 3: 2, 4: 3}
+    factors = [
+        Factor((0, 1), rng.uniform(0.5, 1.5, size=(2, 3))),
+        Factor((0, 3), rng.uniform(0.5, 1.5, size=(2, 2))),
+        Factor((1,), rng.uniform(0.5, 1.5, size=3)),
+        Factor((3, 4), rng.uniform(0.5, 1.5, size=(2, 3))),
+    ]
+    out = collapse(TensorNetwork(universe, tuple(factors)), [3, 2, 1])
+    expected = _stepwise(factors, {0, 4})
+    assert out.axes == (1, 2, 3)
+    np.testing.assert_allclose(
+        out.values, np.broadcast_to(expected.values[:, None, :], (3, 4, 2)), rtol=1e-12
+    )
+    assert not any(np.shares_memory(out.values, f.values) for f in factors)
+
+
 def _eliminated(factors, drop):
     """`bnsens.network._eliminate` over the scopes and arrays of `factors`,
     as a factor."""
