@@ -263,12 +263,14 @@ class Elimination:
     """Variable elimination in place over a network's factors, one bucket
     per variable: the forward pass of `marginalize`, `collapse` and, with a
     record of each bucket, `marginals`. `scopes` and `arrays` list the
-    factors, then the messages and later factors as they came. A bucket
-    sets its operands' arrays to None and appends its message, over every
-    axis of the bucket but its variable (a variable in no operand sends its
-    cardinality). `holders` lists, ascending, the positions of the operands
-    over each variable, so that no bucket scans the other operands; it is
-    built by the first `run`, and `table` needs none."""
+    factors, then the messages and later factors as they came, so a pass
+    resumed by a second `run` sees its live operands in the order of the
+    network `marginalize` would have returned, then the new factors. A
+    bucket sets its operands' arrays to None and appends its message, over
+    every axis of the bucket but its variable (a variable in no operand
+    sends its cardinality). `holders` lists, ascending, the positions of
+    the operands over each variable, so that no bucket scans the other
+    operands; each `run` extends it, and `table` needs none."""
 
     def __init__(self, tn: TensorNetwork, records: bool = True):
         self.universe = tn.universe
@@ -353,7 +355,6 @@ def marginalize(tn: TensorNetwork, eliminate: Iterable[int]) -> TensorNetwork:
 
 def marginals(
     tn: TensorNetwork | Elimination,
-    order: Sequence[int] | None = None,
     *,
     of: Iterable[int] | None = None,
     outside_of: Iterable[int] | None = None,
@@ -362,9 +363,10 @@ def marginals(
     universe, or of `of` alone, from one elimination order and two passes
     over its buckets.
 
-    The forward pass is the `Elimination` of the network by `order`; `tn`
-    may instead be an `Elimination` that has eliminated every variable,
-    which this call then consumes. The backward pass walks the buckets in
+    The forward pass is the `Elimination` of the network by the
+    `min_weight_order` of its factor scopes; `tn` may instead be an
+    `Elimination` that has eliminated every variable, which this call then
+    consumes. The backward pass walks the buckets in
     reverse and gives each message an outside factor over its axes: the
     contraction of everything but the message, which is the product of the
     other final scalars for a message that no bucket takes, and otherwise
@@ -385,12 +387,10 @@ def marginals(
     buckets are then those that take one of the inputs. The network's
     contraction is linear in each input factor, so the sum of an input
     times its outside factor is the contraction, and the sum of the outside
-    factor alone is the contraction with that input replaced by ones.
-    `order`, if given, is the `min_weight_order` of the network's factor
-    scopes with nothing kept."""
+    factor alone is the contraction with that input replaced by ones."""
     if isinstance(tn, TensorNetwork):
         tn = Elimination(tn)
-        tn.run(order or min_weight_order(tn.scopes, tn.universe, keep=()))
+        tn.run(min_weight_order(tn.scopes, tn.universe, keep=()))
     scopes, arrays, buckets = tn.scopes, tn.arrays, tn.buckets
     wanted = {int(i) for i in outside_of or ()}
     if outside_of is not None:

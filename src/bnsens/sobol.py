@@ -12,16 +12,18 @@ moment E[E[f | keep]^2] over a subset `keep` of the evidence E: Var[f] is
 its value at E minus E[f]^2, S_i reads it at {i}, S^T_i at E - {i}, and a
 closed index at the group. The function network `t_full` is the
 probability network with g(O), the centred value of the output, as one
-more factor. Each of three plans gives E[f] and `moment(keep)`:
+more factor. Every plan starts with one forward pass over the probability
+network, run up to O's bucket by the order of `collapse(mrf, kept)`, where
+`kept` is the evidence and O in the shared elimination and O alone
+otherwise: its table is that collapse, bit for bit, and P(O) is the table
+summed over every axis but O. Where the pass goes on, g joins O's bucket.
+Each of three plans gives E[f] and `moment(keep)`:
 
-- Shared elimination: the chance variables (every relevant node outside
-  the evidence and the output) are summed out of the probability network
-  once; P(O) is the resulting table over the evidence and the output,
-  summed, and `t`, the function network over the evidence alone,
-  eliminates the output only. `t` and the evidence marginal `j` are each
-  contracted into one table over the sorted evidence; `moment(keep)` is
-  the sum of T_keep^2 / J_keep, the tables with the evidence outside
-  `keep` summed away.
+- Shared elimination: the pass goes on to eliminate O, and its table is
+  then T, `t_full` tabulated over the sorted evidence; the evidence
+  marginal `j` is contracted into one table J over the same axes.
+  `moment(keep)` is the sum of T_keep^2 / J_keep, the tables with the
+  evidence outside `keep` summed away.
 - Coupled, for independent evidence: `square_wrt(t_full, ())` times one
   coupling C_k = diag(1 / P(x_k)) over each evidential k and its replica
   is calibrated once for the outside factors of its couplings (the
@@ -37,14 +39,12 @@ more factor. Each of three plans gives E[f] and `moment(keep)`:
   product of the reciprocal priors, taken once per analysis; otherwise
   `j` with the rest summed out. No `keep` is queried twice.
 
-In the last two, P(O) is the table of the forward pass of one calibration
-of `t_full`, run up to O's bucket by the order of `collapse(mrf, {O})`:
-that collapse, bit for bit. With more than one evidential variable and an
-S_i to compute, g joins O's bucket, and the backward pass gives E[f] and
-each first-order `moment({i})` from t_i = P(i) E[f | i], as in `t`, and
-from j_i = P(i), the prior or a marginal of one calibration of `j`.
-Otherwise E[f] is the sum of P(O) g. `compute_all` says how the plan is
-chosen.
+In the last two, with more than one evidential variable and an S_i to
+compute, the pass goes on as the calibration of `t_full`: its backward
+pass gives E[f] and each first-order `moment({i})` from t_i = P(i)
+E[f | i], as in `t`, and from j_i = P(i), the prior or a marginal of one
+calibration of `j`. Otherwise E[f] is the sum of P(O) g. `compute_all`
+says how the plan is chosen.
 """
 
 from __future__ import annotations
@@ -225,9 +225,9 @@ def compute_all(
     empty subset, a repeated variable or a non-evidential one raises
     NotEvidentialError. Builds the probability network over
     An(output | evidence) only: a barren node, an ancestor of neither, has
-    a factor that sums to 1 and drops out exactly. The function network
-    `t_full` maps each output value v to g(v) = (v - E[f]) / (max v - min v),
-    with E[f] from the output marginal, so the moments are taken about the
+    a factor that sums to 1 and drops out exactly. The value factor maps
+    each output value v to g(v) = (v - E[f]) / (max v - min v), with E[f]
+    from P(O) of the one forward pass, so the moments are taken about the
     mean and the indices hold under any affine map of the values and for
     rare events. A value map constant on the labels of nonzero probability
     raises DegenerateOutputError, and so does Var[f] at most
@@ -250,7 +250,8 @@ def compute_all(
     `t_full` down to `t`, which the per-query plan pays before anything
     else. That order is of the factor scopes of `square_wrt(t_full, ())`
     and the coupling pairs; the couplings are made only when the plan is
-    taken. Each costed order is the one that runs. Otherwise the per-query
+    taken, and join that network's `Elimination` as its last factors. Each
+    costed order is the one that runs. Otherwise the per-query
     plan is taken. The choice is logged at DEBUG level on the
     `bnsens.sobol` logger with the cells it rests on.
 
@@ -286,7 +287,6 @@ def compute_all(
     zero_s = separated if options.first else frozenset()
     zero_st = screened if options.total else frozenset()
     queried = [i for i in targets if i not in zero_s] if options.first else []
-    calibrate = bool(queried) and len(spec.evidential) > 1
     for label, zeros in (("S", zero_s), ("ST", zero_st)):
         for i in sorted(zeros):
             _log.debug(
@@ -311,14 +311,13 @@ def compute_all(
             "shared-elimination plan: table over the evidence and the output "
             "%d cells, at most %d", shared_cells, SHARED_ELIMINATION_CELLS,
         )
-        # One elimination of the chance variables serves P(O) and t alike.
-        mrf = marginalize(mrf, relevant - spec.evidential - {spec.output})
-        axes, table = network.Elimination(mrf).table()
-        p_out = table.sum(axis=tuple(a for a, k in enumerate(axes) if k != spec.output))
-    else:  # P(O) from the forward pass of t_full's calibration, up to O's bucket
-        forward = network.Elimination(mrf, records=calibrate)
-        forward.run(network._order(forward.scopes, mrf.universe, {spec.output}))
-        p_out = forward.table()[1]  # collapse(mrf, {O}), bit for bit
+    calibrate = bool(queried) and len(spec.evidential) > 1 and not shared
+    # The one forward pass, up to O's bucket: its table is collapse(mrf, kept).
+    kept = spec.evidential | {spec.output} if shared else {spec.output}
+    forward = network.Elimination(mrf, records=calibrate)
+    forward.run(network._order(forward.scopes, mrf.universe, kept))
+    axes, table = forward.table()
+    p_out = table.sum(axis=tuple(a for a, k in enumerate(axes) if k != spec.output))
     if np.ptp(values[p_out != 0]) == 0:
         raise DegenerateOutputError(
             "the value map is constant on the output's possible labels; "
@@ -328,7 +327,6 @@ def compute_all(
     centre = float(unit @ p_out)
     g = unit - centre
     value_factor = trusted(Factor, (spec.output,), g)
-    t_full = trusted(TensorNetwork, mrf.universe, (*mrf.factors, value_factor))
 
     # Each plan gives E[f] and moment(keep) = E[E[f | keep]^2], which every
     # index reads. Each index is charged an equal share of the time of the
@@ -337,12 +335,12 @@ def compute_all(
     # constant offset that the rounding of `centre` leaves in g.
     s_share = st_share = 0.0
     if shared:
-        t = marginalize(t_full, {spec.output})
         t0 = time.perf_counter()
-        # Every evidential variable is an axis of t and of j, so each
-        # table is over the sorted evidence.
+        # g joins O's bucket, which leaves T. Every evidential variable is an
+        # axis of T and of j, so each table is over the sorted evidence.
+        forward.run((spec.output,), value_factor)
         evidence = sorted(spec.evidential)
-        tables = [network.Elimination(tn).table()[1] for tn in (t, j)]
+        tables = [forward.table()[1], network.Elimination(j).table()[1]]
 
         def moment(keep: frozenset[int]) -> float:
             axes = tuple(a for a, k in enumerate(evidence) if k not in keep)
@@ -355,6 +353,7 @@ def compute_all(
             users += len(targets) - len(zero_st)
         s_share = st_share = (time.perf_counter() - t0) / max(users, 1)
     else:
+        t_full = trusted(TensorNetwork, mrf.universe, (*mrf.factors, value_factor))
         priors = _priors(j)
         moments: dict[frozenset[int], float] = {}
         if calibrate:
@@ -377,13 +376,13 @@ def compute_all(
         t_order = network.min_weight_order(
             [f.axes for f in t_full.factors], t_full.universe, keep=spec.evidential
         )
-        coupled = None
+        couplings = None
         if priors is not None and options.total and not closed:
             squared = square_wrt(t_full, ())
             stride = max(t_full.universe) + 1  # square_wrt's replica of v is v + stride
-            couplings = [(k, k + stride) for k in priors]
+            pairs = [(k, k + stride) for k in priors]
             coupled_order = network.min_weight_order(
-                [*(f.axes for f in squared.factors), *couplings], squared.universe
+                [*(f.axes for f in squared.factors), *pairs], squared.universe
             )
             # a forward pass, and a backward pass over about as many cells
             coupled_cells = 2 * sum(coupled_order.cells)
@@ -395,9 +394,8 @@ def compute_all(
             )
             if coupled_cells < reduce_cells:
                 diagonals = [np.diag(reciprocal(p)) for p in priors.values()]
-                factors = [trusted(Factor, *c) for c in zip(couplings, diagonals)]
-                coupled = trusted(TensorNetwork, squared.universe, (*squared.factors, *factors))
-        if coupled is None:
+                couplings = [trusted(Factor, *c) for c in zip(pairs, diagonals)]
+        if couplings is None:
             _log.debug(
                 "per-query plan: table over the evidence and the output %d cells, "
                 "above %d; building t %d cells",
@@ -418,7 +416,8 @@ def compute_all(
         else:
             t0 = time.perf_counter()
             start = len(squared.factors)
-            outside = marginals(coupled, coupled_order, outside_of=range(start, start + len(priors)))
+            coupled = network.Elimination(squared).run(coupled_order, *couplings)
+            outside = marginals(coupled, outside_of=range(start, start + len(priors)))
             for p, k in enumerate(priors, start):
                 moments[spec.evidential - {k}] = float(outside[p].sum())
             moments[spec.evidential] = float(np.sum(outside[start] * diagonals[0]))

@@ -58,7 +58,7 @@ def test_each_workload_takes_its_plan(monkeypatch, caplog, name, plan):
     # A plan that flips would otherwise show only as a timing change. The
     # tables over the evidence and the output have 1.3e8 (grid3e16), 648
     # (sparse200) and 3.4e7 (dense-card) cells: only sparse200 is small
-    # enough to sum its chance variables out once for P(O) and t, its one
+    # enough to sum its chance variables out once for P(O) and T, its one
     # ordering. The other two order the probability network once, for P(O)
     # and the first-order calibration, and t_full down to t; grid3e16 also
     # orders the coupled network, and dense-card the contraction of each of
@@ -109,12 +109,14 @@ def test_coupled_order_from_scopes_is_the_order_of_the_built_network(
 ):
     # The coupled plan orders the factor scopes of square_wrt(t_full, ())
     # and the coupling pairs, and adds the couplings only once the plan is
-    # taken. The network that marginals calibrates must be square_wrt's
-    # network plus those couplings, and its order the one costed.
+    # taken. The Elimination that marginals calibrates must run over
+    # square_wrt's network plus those couplings, by the order costed. Its
+    # operands are recorded as `run` receives them: after the run the
+    # consumed arrays are None.
     bn, spec = network(monkeypatch)
-    orders, squares, priors, calibrated = [], [], [], []
+    orders, squares, priors, runs, calibrated = [], [], [], [], []
     order, square, prior = bnsens.network.min_weight_order, square_wrt, bnsens.sobol._priors
-    calibrate = bnsens.sobol.marginals
+    run, calibrate = bnsens.network.Elimination.run, bnsens.sobol.marginals
 
     def recording_order(scopes, cardinalities, keep=()):
         orders.append((set(cardinalities), order(scopes, cardinalities, keep=keep)))
@@ -128,55 +130,69 @@ def test_coupled_order_from_scopes_is_the_order_of_the_built_network(
         priors.append(prior(j))
         return priors[-1]
 
-    def recording_calibration(tn, order=None, **kwargs):
+    def recording_run(self, order, *factors):
+        runs.append((self, dict(self.universe), [*self.scopes], [*self.arrays], order, factors))
+        return run(self, order, *factors)
+
+    def recording_calibration(tn, **kwargs):
         if kwargs.get("outside_of") is not None:
-            calibrated.append((tn, order))
-        return calibrate(tn, order, **kwargs)
+            calibrated.append(tn)
+        return calibrate(tn, **kwargs)
 
     monkeypatch.setattr(bnsens.network, "min_weight_order", recording_order)
     monkeypatch.setattr(bnsens.sobol, "square_wrt", recording_square)
     monkeypatch.setattr(bnsens.sobol, "_priors", recording_priors)
+    monkeypatch.setattr(bnsens.network.Elimination, "run", recording_run)
     monkeypatch.setattr(bnsens.sobol, "marginals", recording_calibration)
     compute_all(bn, spec)
     ((t_full, shared),) = squares
-    ((coupled, run),) = calibrated
+    (coupled,) = calibrated
+    ((universe, scopes, arrays, ran, added),) = [r[1:] for r in runs if r[0] is coupled]
     (p,) = priors
     assert shared == ()
     squared = square_wrt(t_full, ())
     stride = max(t_full.universe) + 1
     factors = [*squared.factors]
     factors += [Factor((k, k + stride), np.diag(reciprocal(q))) for k, q in p.items()]
-    assert coupled.universe == squared.universe
-    assert [f.axes for f in coupled.factors] == [f.axes for f in factors]
-    assert all(np.array_equal(a.values, b.values) for a, b in zip(coupled.factors, factors))
+    assert universe == squared.universe
+    assert [*scopes, *(f.axes for f in added)] == [f.axes for f in factors]
+    values = [*arrays, *(f.values for f in added)]
+    assert all(np.array_equal(a, b.values) for a, b in zip(values, factors))
     expected = min_weight_order([f.axes for f in factors], squared.universe)
     (costed,) = [found for vertices, found in orders if vertices == set(squared.universe)]
     assert costed == expected
     assert costed.cells == expected.cells
-    assert run is costed
+    assert ran is costed
 
 
 def test_dense_card_never_builds_the_coupled_network(monkeypatch, caplog):
     # dense-card costs the coupled plan and declines it, from scopes alone:
-    # no coupling diagonal is made, and no calibration runs over replicas.
+    # no coupling diagonal is made, and no elimination, calibrated or not,
+    # runs over replicas.
     bn, spec = _workload(monkeypatch, "dense-card")
-    calibrated = []
-    calibrate = bnsens.sobol.marginals
+    calibrated, ran = [], []
+    run, calibrate = bnsens.network.Elimination.run, bnsens.sobol.marginals
 
     def refuse(*args, **kwargs):
         raise AssertionError("a coupling diagonal was built")
 
-    def recording_calibration(tn, order=None, **kwargs):
+    def recording_run(self, order, *factors):
+        ran.append(set(self.universe))
+        return run(self, order, *factors)
+
+    def recording_calibration(tn, **kwargs):
         calibrated.append((set(tn.universe), kwargs.get("outside_of")))
-        return calibrate(tn, order, **kwargs)
+        return calibrate(tn, **kwargs)
 
     monkeypatch.setattr(bnsens.sobol.np, "diag", refuse)
+    monkeypatch.setattr(bnsens.network.Elimination, "run", recording_run)
     monkeypatch.setattr(bnsens.sobol, "marginals", recording_calibration)
     with caplog.at_level(logging.DEBUG, logger="bnsens.sobol"):
         compute_all(bn, spec)
     assert any("coupled plan declined" in r.getMessage() for r in caplog.records)
-    assert calibrated
+    assert calibrated and ran
     assert all(outside is None and max(variables) < bn.n for variables, outside in calibrated)
+    assert all(max(variables) < bn.n for variables in ran)
 
 
 @pytest.mark.parametrize("name", ["grid3e16", "sparse200", "dense-card"])

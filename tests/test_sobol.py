@@ -403,24 +403,39 @@ def test_per_query_plan_calibrates_t_full_and_never_t(monkeypatch, caplog):
     assert kinds[True] >= 5 and kinds[False] >= 5
 
 
-@pytest.mark.parametrize("make", [random_instance, random_roots_instance])
+@pytest.mark.parametrize(
+    "make, shared",
+    [
+        (random_instance, False),
+        (random_roots_instance, False),
+        (random_instance, True),
+        (random_roots_instance, True),
+    ],
+    ids=["random_instance", "random_roots_instance", "random_instance-shared",
+         "random_roots_instance-shared"],
+)
 def test_output_marginal_from_the_forward_pass_is_the_collapse_bit_for_bit(
-    monkeypatch, make
+    monkeypatch, make, shared
 ):
-    # Outside the shared elimination (switched off here), P(O) is the table
-    # left by the forward pass of t_full's calibration when it reaches O's
-    # bucket. It must be the collapse of the probability network on O, bit
-    # for bit, even where the analysis goes on to raise. `collapse` reads an
-    # `Elimination.table` too, so each expected collapse is taken before
-    # the recorder is installed, and the per-query plan's scalar
-    # contractions are the only other tables.
-    monkeypatch.setattr(bnsens.sobol, "SHARED_ELIMINATION_CELLS", 0)
+    # P(O) is the first table, that of the one forward pass when it reaches
+    # O's bucket, summed over every axis but O. With the shared elimination
+    # switched off, the pass keeps O alone, and the table must be the
+    # collapse of the probability network on O; in the shared plan, which
+    # every instance here takes, it keeps the evidence too, and the table
+    # must be the collapse on E | {O}, so that P(O) is that collapse summed
+    # over the evidence axes. Bit for bit, even where the analysis goes on
+    # to raise. `collapse` reads an `Elimination.table` too, so each
+    # expected collapse is taken before the recorder is installed. Outside
+    # the shared plan, the first table is the only one over any axis: the
+    # per-query plan's scalar contractions are the only other tables.
+    if not shared:
+        monkeypatch.setattr(bnsens.sobol, "SHARED_ELIMINATION_CELLS", 0)
     instances = []
     for seed in range(40):
         bn, spec = make(seed)
         relevant = ancestors(bn.dag(), spec.evidential | {spec.output})
-        expected = collapse(mrf_from_bn(bn, relevant), {spec.output}).values
-        instances.append((bn, spec, expected))
+        keep = spec.evidential | {spec.output} if shared else {spec.output}
+        instances.append((bn, spec, collapse(mrf_from_bn(bn, relevant), keep)))
     table = bnsens.network.Elimination.table
     tables = []
 
@@ -435,10 +450,13 @@ def test_output_marginal_from_the_forward_pass_is_the_collapse_bit_for_bit(
             compute_all(bn, spec)
         except DegenerateOutputError:
             pass
-        ((axes, p_out),) = [(axes, t) for axes, t in tables if axes]
-        assert tables[0][0] == axes
-        assert axes == (spec.output,)
-        assert p_out.tobytes() == expected.tobytes()
+        axes, first = tables[0]
+        assert axes == expected.axes
+        assert first.tobytes() == expected.values.tobytes()
+        summed = tuple(a for a, k in enumerate(axes) if k != spec.output)
+        assert first.sum(axis=summed).tobytes() == expected.values.sum(axis=summed).tobytes()
+        if not shared:
+            assert [axes for axes, _ in tables if axes] == [(spec.output,)]
 
 
 def test_per_query_plan_matches_the_oracle(monkeypatch, caplog):
@@ -464,7 +482,7 @@ def test_per_query_plan_matches_the_oracle(monkeypatch, caplog):
 
 def test_shared_elimination_matches_the_oracle(monkeypatch, caplog):
     # A small table over the evidence and the output: the chance variables
-    # are summed out once, for P(O) and t alike, and every index, first-
+    # are summed out once, for P(O) and T alike, and every index, first-
     # order, total and closed, comes from the two tables with no
     # conditional-moment query, with dependent and with root evidence, and
     # with first=False or total=False.
@@ -527,13 +545,15 @@ def test_shared_elimination_with_one_evidential_variable():
 def test_shared_elimination_sums_the_chance_variables_out_once(monkeypatch, caplog):
     # With root evidence the evidence marginal eliminates nothing, so each
     # chance variable is summed out in exactly one bucket: P(O) is the sum
-    # of one table over the evidence and the output, with nothing collapsed,
-    # t eliminates O alone, and the one ordering, of the chance variables
-    # when there are two or more, spans no replica of the coupled network.
+    # of the one forward pass's table over the evidence and the output,
+    # with nothing collapsed, the pass then eliminates O alone, and the one
+    # ordering, of the chance variables when there are two or more, spans
+    # no replica of the coupled network. `marginalize` builds the evidence
+    # marginal, over An(E), and no other network.
     eliminate = bnsens.network._eliminate
     order = bnsens.network.min_weight_order
-    collapse = bnsens.sobol.collapse
-    dropped, ordered, collapsed = [], [], []
+    collapse, marginalize = bnsens.sobol.collapse, bnsens.sobol.marginalize
+    dropped, ordered, collapsed, marginalized = [], [], [], []
 
     def recording_eliminate(scopes, arrays, drop):
         dropped.extend(drop)
@@ -547,23 +567,32 @@ def test_shared_elimination_sums_the_chance_variables_out_once(monkeypatch, capl
         collapsed.append(set(tn.universe))
         return collapse(tn, keep)
 
+    def recording_marginalize(tn, eliminate):
+        marginalized.append(set(tn.universe))
+        return marginalize(tn, eliminate)
+
     monkeypatch.setattr(bnsens.network, "_eliminate", recording_eliminate)
     monkeypatch.setattr(bnsens.network, "min_weight_order", recording_order)
     monkeypatch.setattr(bnsens.sobol, "collapse", recording_collapse)
+    monkeypatch.setattr(bnsens.sobol, "marginalize", recording_marginalize)
     checked = 0
     for seed in range(1200, 1220):
         bn, spec = random_roots_instance(seed)
         relevant = ancestors(bn.dag(), spec.evidential | {spec.output})
         chance = relevant - spec.evidential - {spec.output}
-        for log in (dropped, ordered, collapsed):
+        for log in (dropped, ordered, collapsed, marginalized):
             log.clear()
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="bnsens.sobol"):
             compute_all(bn, spec)
-        if not chance or _plans(caplog) != ["shared-elimination"]:
+        if _plans(caplog) != ["shared-elimination"]:
+            continue
+        (universe,) = marginalized
+        assert universe <= ancestors(bn.dag(), spec.evidential)
+        if not chance:
             continue
         assert sorted(v for v in dropped if v in chance) == sorted(chance)
-        assert dropped.count(spec.output) == 1  # t's bucket, seen by the hook
+        assert dropped.count(spec.output) == 1  # O's bucket, seen by the hook
         assert collapsed == []
         assert len(ordered) == (len(chance) > 1)
         assert all(vertices <= relevant for vertices in ordered)
