@@ -37,7 +37,11 @@ Each of three plans gives E[f] and `moment(keep)`:
   `t`, and each `moment(keep)` is one query over `t` squared and divided
   by the evidence marginal over `keep`: with independent evidence, the
   product of the reciprocal priors, taken once per analysis; otherwise
-  `j` with the rest summed out. No `keep` is queried twice.
+  `j` with the rest summed out. The queries read `t` and `j` and not each
+  other; every `keep` an index reads is listed before any index is
+  computed, and each is queried once, on as many threads as there are
+  CPUs and queries when `t` is large enough for the numpy kernels, which
+  release the GIL, to dominate (`_second_moments`).
 
 In the last two, with more than one evidential variable and an S_i to
 compute, the pass goes on as the calibration of `t_full`: its backward
@@ -52,6 +56,8 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import os
+import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -100,6 +106,18 @@ NEGATIVE_INDEX_WARNING = 1e-6
 # its cells. Cardinalities are at least 2, so the table has at most 12 axes,
 # well within one einsum.
 SHARED_ELIMINATION_CELLS = network.ROUTE_CELLS
+# The per-query queries run on threads when the largest factor of `t` has at
+# least this many cells per variable of `t`: below it a query is mostly
+# Python, which holds the GIL, and a second thread only adds switching.
+# Median time of the queries, 2 threads over 1, in-process on 2 cores (120
+# analyses a side; the largest factor of `t` per variable in brackets):
+# dense-card's network 0.70x (107,520), `layered_network(4, 10, 5, (5, 7))`
+# 0.85x (43,218) and `layered_network(1, 8, 5, (4, 7))` 0.95x (36,015),
+# against `gate_tree(64, 0)` with gate evidence 1.03x (22,795),
+# `layered_network(3, 8, 5, (4, 7))` 1.10x (16,464) and
+# `layered_network(1, 6, 4, (5, 8))` 1.24x (11,200); the tree and layered
+# networks are those of tests/helpers.py.
+THREAD_CELLS_PER_VARIABLE = 2**15
 
 _log = logging.getLogger(__name__)
 
@@ -112,10 +130,12 @@ class IndexEntry:
     first-order indices of the coupled and per-query plans share one
     calibration of the function network `t_full` (and, with dependent
     evidence, one of the evidence marginal), the total indices of the
-    coupled plan share another, and every index of the shared elimination
-    shares its tables. Each index computed from a calibration or the
-    tables is charged an equal share of its time plus its own arithmetic,
-    so the times still add up to the work done."""
+    coupled plan share another, every index of the shared elimination
+    shares its tables, and every index of the per-query plan shares the
+    wall time of its queries, since each reads Var[f] from one of them.
+    Each index computed from a calibration, the tables or the queries is
+    charged an equal share of its time plus its own arithmetic, so the
+    times still add up to the work done."""
 
     variables: tuple[int, ...]
     name: str
@@ -139,10 +159,10 @@ class ComputeOptions:
 
     `first` and `total` ask for S_i and S^T_i of every evidential variable;
     `closed` lists groups of evidential variable ids whose closed index is
-    reported after them. `workers` is accepted and ignored: the queries
-    run one after another, since spreading them over threads never paid
-    on the benchmark workloads, and the field stays only while the
-    benchmark harness (`bench/run.py`) still passes it."""
+    reported after them. `workers` is accepted and ignored, and stays only
+    while the benchmark harness (`bench/run.py`) still passes it: how many
+    threads run the per-query plan's queries follows from the CPUs this
+    process may run on and from the size of `t` (`_second_moments`)."""
 
     first: bool = True
     total: bool = True
@@ -173,6 +193,63 @@ def _conditional_second_moment(
         return contract_all(quotient(squared, marginalize(j, frozenset(j.universe) - keep)))
     divisor = tuple(inverse[k] for k in sorted(keep))
     return contract_all(trusted(TensorNetwork, squared.universe, squared.factors + divisor))
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _second_moments(
+    t: TensorNetwork,
+    j: TensorNetwork,
+    keeps: Sequence[frozenset[int]],
+    inverse: dict[int, Factor] | None,
+) -> tuple[dict[frozenset[int], float], BaseException | None]:
+    """`_conditional_second_moment` of each of `keeps`, and the exception
+    of the first query, in the order of `keeps`, that raised one.
+
+    Every query runs to completion. The queries only read `t`, `j` and
+    `inverse`, so when `t`'s largest factor has at least
+    THREAD_CELLS_PER_VARIABLE cells per variable of `t` they run on the
+    calling thread and one helper thread per further CPU, up to one
+    thread per query, each taking the next query in turn; the helpers are
+    joined before this returns. Each query does the same arithmetic on
+    any thread, so the moments do not depend on how many ran."""
+    largest = max((f.values.size for f in t.factors), default=0)
+    threaded = largest >= THREAD_CELLS_PER_VARIABLE * len(t.universe)
+    workers = min(_cpus(), len(keeps)) if threaded else 1
+    results: list[float | BaseException | None] = [None] * len(keeps)
+    taken = 0
+    lock = threading.Lock()
+
+    def work() -> None:
+        nonlocal taken
+        while True:
+            with lock:
+                q, taken = taken, taken + 1
+            if q >= len(keeps):
+                return
+            try:
+                results[q] = _conditional_second_moment(t, j, keeps[q], inverse)
+            except Exception as exc:  # re-raised by the caller, in list order
+                results[q] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        with lock:  # an interrupt on this thread stops the helpers taking more
+            taken = len(keeps)
+        for helper in helpers:
+            helper.join()
+    values = {k: r for k, r in zip(keeps, results) if not isinstance(r, BaseException)}
+    failure = next((r for r in results if isinstance(r, BaseException)), None)
+    return values, failure
 
 
 # Module-level so that bench/spans.py and the tests can hook each query.
@@ -253,7 +330,12 @@ def compute_all(
     taken, and join that network's `Elimination` as its last factors. Each
     costed order is the one that runs. Otherwise the per-query
     plan is taken. The choice is logged at DEBUG level on the
-    `bnsens.sobol` logger with the cells it rests on.
+    `bnsens.sobol` logger with the cells it rests on. The per-query plan
+    lists its queries before any index is computed, in the order Var[f],
+    each total, each closed group, and runs them all, on threads when `t`
+    is large enough (`_second_moments`); if any fails, Var[f] is still
+    checked for degeneracy first, and then the first failed query in that
+    order raises its exception.
 
     With a single evidential variable, {i} is E, so S_i reads the moment
     that Var[f] was taken from and is exactly 1.0. Some indices need no
@@ -293,6 +375,15 @@ def compute_all(
                 "%s of %s (id %d) = 0.0 by d-separation from the output",
                 label, bn.variables[i].name, i,
             )
+    unseparated = [ids for ids in closed if not separated.issuperset(ids)]
+    # The indices that are no exact zero: each reads Var[f] and one moment.
+    users = len(queried) + len(unseparated)
+    if options.total:
+        users += len(targets) - len(zero_st)
+
+    # f = E[f | keep] where the rest of the evidence is screened.
+    def widened(keep: frozenset[int]) -> frozenset[int]:
+        return spec.evidential if screened >= spec.evidential - keep else keep
 
     mrf = mrf_from_bn(bn, relevant)
     # The evidence marginal needs the factors of An(E) alone, all in `mrf`.
@@ -334,6 +425,7 @@ def compute_all(
     # zero up to rounding; taking that residual out as well drops the
     # constant offset that the rounding of `centre` leaves in g.
     s_share = st_share = 0.0
+    failure = None  # the per-query plan's first failed query, raised after the Var[f] check
     if shared:
         t0 = time.perf_counter()
         # g joins O's bucket, which leaves T. Every evidential variable is an
@@ -348,9 +440,6 @@ def compute_all(
             return float(np.vdot(t_keep, t_keep * reciprocal(j_keep)))
 
         mean = float(tables[0].sum())
-        users = len(queried) + sum(not separated.issuperset(ids) for ids in closed)
-        if options.total:
-            users += len(targets) - len(zero_st)
         s_share = st_share = (time.perf_counter() - t0) / max(users, 1)
     else:
         t_full = trusted(TensorNetwork, mrf.universe, (*mrf.factors, value_factor))
@@ -407,11 +496,23 @@ def compute_all(
             inverse = None if priors is None else {
                 k: trusted(Factor, (k,), reciprocal(p)) for k, p in priors.items()
             }
-
-            def moment(keep: frozenset[int]) -> float:
-                if keep not in moments:
-                    moments[keep] = _conditional_second_moment(t, j, keep, inverse)
-                return moments[keep]
+            # Every moment an index reads that no calibration gave, once:
+            # Var[f]'s, each total's and each closed group's. An S_i reads a
+            # calibrated moment or, with one evidential variable, Var[f]'s.
+            keeps = [spec.evidential]
+            if options.total:
+                keeps += [spec.evidential - {i} for i in targets if i not in zero_st]
+            keeps += [widened(frozenset(ids)) for ids in unseparated]
+            t0 = time.perf_counter()
+            values, failure = _second_moments(
+                t, j, [k for k in dict.fromkeys(keeps) if k not in moments], inverse
+            )
+            if spec.evidential not in values:
+                raise failure  # Var[f]'s query, the first, failed
+            moments.update(values)
+            # Every index reads Var[f], so each shares the queries' wall time.
+            st_share = (time.perf_counter() - t0) / max(users, 1)
+            s_share += st_share
 
         else:
             t0 = time.perf_counter()
@@ -421,16 +522,17 @@ def compute_all(
             for p, k in enumerate(priors, start):
                 moments[spec.evidential - {k}] = float(outside[p].sum())
             moments[spec.evidential] = float(np.sum(outside[start] * diagonals[0]))
-            moment = moments.__getitem__
             st_share = (time.perf_counter() - t0) / max(len(set(targets) - zero_st), 1)
+        moment = moments.__getitem__
 
     variance = moment(spec.evidential) - mean * mean
     if not variance > DEGENERATE_VARIANCE_TOL * float(p_out @ (g * g)):
         raise DegenerateOutputError(f"output variance {variance!r} is numerically zero")
+    if failure is not None:
+        raise failure
 
-    # f = E[f | keep] where the rest of the evidence is screened.
     def read(keep: frozenset[int]) -> float:
-        return moment(spec.evidential if screened >= spec.evidential - keep else keep)
+        return moment(widened(keep))
 
     entries = []
     for i in targets:

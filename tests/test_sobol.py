@@ -1,7 +1,10 @@
 import itertools
 import logging
 import math
+import sys
+import threading
 import time
+import types
 import warnings
 from functools import reduce
 
@@ -34,7 +37,9 @@ from bnsens import (
     output_values,
     separated_evidence,
 )
+from bnsens.cli import main
 from bnsens.graph import EliminationOrder
+from bnsens.ingest import NativeDocument, save_native
 from bnsens.oracle import brute_force_closed, brute_force_f, brute_force_indices
 from bnsens.sobol import _conditional_second_moment
 from bnsens.tensor import factor_product, factor_sum_out
@@ -264,6 +269,30 @@ def test_first_order_times_share_the_calibration(monkeypatch):
     for entry in queried:
         assert entry.s_time >= work / len(queried)
     assert sum(e.s_time for e in entries) >= work
+
+
+def test_per_query_times_share_the_queries(monkeypatch):
+    # Each query is slowed by 20 ms, on one CPU so that they run one after
+    # another: the total-index times must add up to the work, Var[f]'s
+    # query included, shared equally by the 7 indices that read it.
+    monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 1)
+    query = bnsens.sobol._conditional_second_moment
+    calls = []
+
+    def slow(*args):
+        calls.append(args[2])
+        time.sleep(0.02)
+        return query(*args)
+
+    monkeypatch.setattr(bnsens.sobol, "_conditional_second_moment", slow)
+    bn, spec = layered_network(4, 10, 5, (5, 7))
+    entries = compute_all(bn, spec, ComputeOptions(first=False)).indices
+    queried = [e for e in entries if e.st != 0.0]
+    assert len(calls) == len(queried) + 1 == 8
+    work = 0.02 * len(calls)
+    for entry in queried:
+        assert entry.st_time >= work / len(queried)
+    assert sum(e.st_time for e in entries) >= work
 
 
 def test_shared_elimination_times_share_the_tables(monkeypatch):
@@ -1210,6 +1239,230 @@ def test_compute_options_workers_is_accepted_and_ignored():
     assert len(workers.indices) == len(default.indices)
     for a, b in zip(default.indices, workers.indices):
         assert (a.variables, a.s, a.st) == (b.variables, b.s, b.st)
+
+
+def _dense_card():
+    """The network and evidence of the benchmark's dense-card workload
+    (bench/workloads.py), with output label k scoring k: its per-query
+    plan's `t` has 107,520 cells in its largest factor per variable."""
+    return layered_network(1, 8, 5, (5, 8))
+
+
+def _dependent_dense_card():
+    """dense-card's network with interior node 9 as evidence instead of
+    root 7: dependent evidence, and 80,640 cells per variable of `t`."""
+    bn, spec = _dense_card()
+    return bn, AnalysisSpec(spec.output, frozenset({0, 1, 2, 3, 4, 5, 6, 9}), spec.value_map)
+
+
+def _gate_evidence_tree():
+    return gate_tree(64, 0)[:2]
+
+
+def _results(report) -> str:
+    """E[f], Var[f] and every index of a report, without its times."""
+    return repr((report.expected_value, report.variance,
+                 [(e.variables, e.name, e.s, e.st) for e in report.indices]))
+
+
+def _count_threads(monkeypatch) -> list[threading.Thread]:
+    """The threads that `bnsens.sobol` starts from now on."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(
+        bnsens.sobol, "threading", types.SimpleNamespace(Thread=Counted, Lock=threading.Lock)
+    )
+    return started
+
+
+@pytest.mark.parametrize(
+    "network, options, force",
+    [
+        (_dense_card, ComputeOptions(), False),
+        (_dense_card, ComputeOptions(closed=((0, 1), (2, 3, 5), (4,), (0, 1, 2, 3, 5, 6, 7))),
+         False),
+        (_dense_card, ComputeOptions(first=False), False),
+        (lambda: layered_network(4, 10, 5, (5, 7)), ComputeOptions(), False),
+        (lambda: layered_network(1, 8, 5, (4, 7)), ComputeOptions(closed=((0, 2),)), False),
+        (_dependent_dense_card, ComputeOptions(), False),
+        (_dependent_dense_card, ComputeOptions(first=False, closed=((0, 9),)), False),
+        (_gate_evidence_tree, ComputeOptions(), True),
+    ],
+    ids=["dense-card", "dense-card-closed", "dense-card-totals", "layered-4",
+         "layered-1-closed", "dependent", "dependent-totals-closed", "gate-tree-64-forced"],
+)
+def test_threads_leave_every_result_unchanged(monkeypatch, network, options, force):
+    # One CPU runs the queries one after another, two run them on the
+    # calling thread and one helper; each query does the same arithmetic
+    # either way. The gate tree is below the threads' limit, lifted here.
+    if force:
+        monkeypatch.setattr(bnsens.sobol, "THREAD_CELLS_PER_VARIABLE", 0)
+    bn, spec = network()
+    results = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(bnsens.sobol, "_cpus", lambda cpus=cpus: cpus)
+        started = _count_threads(monkeypatch)
+        results.append(_results(compute_all(bn, spec, options)))
+        assert len(started) == cpus - 1
+    assert results[0] == results[1]
+
+
+def test_queries_take_at_most_one_thread_each_and_leave_none(monkeypatch):
+    # 64 CPUs and dense-card's 8 queries: the calling thread and 7 helpers,
+    # all joined by the time compute_all returns or raises.
+    monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 64)
+    bn, spec = _dense_card()
+    query = bnsens.sobol._conditional_second_moment
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return query(*args)
+
+    monkeypatch.setattr(bnsens.sobol, "_conditional_second_moment", counted)
+    before = threading.active_count()
+    started = _count_threads(monkeypatch)
+    compute_all(bn, spec)
+    assert len(calls) == 8 and len(started) == len(calls) - 1
+    assert threading.active_count() == before
+
+    def failing(*args):
+        raise MemoryError("cannot allocate the bucket")
+
+    monkeypatch.setattr(bnsens.sobol, "_conditional_second_moment", failing)
+    started.clear()
+    with pytest.raises(MemoryError):
+        compute_all(bn, spec)
+    assert len(started) == 7 and not any(t.is_alive() for t in started)
+    assert threading.active_count() == before
+
+
+def test_each_query_runs_once_on_many_threads(monkeypatch):
+    # 20 queries on 20 threads, more than there are cores, switching as
+    # often as the interpreter allows: a query taken twice or skipped would
+    # show in the calls or in the results.
+    monkeypatch.setattr(bnsens.sobol, "THREAD_CELLS_PER_VARIABLE", 0)
+    bn, spec = _gate_evidence_tree()
+    monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 1)
+    expected = _results(compute_all(bn, spec))
+    query = bnsens.sobol._conditional_second_moment
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return query(*args)
+
+    monkeypatch.setattr(bnsens.sobol, "_conditional_second_moment", counted)
+    monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 64)
+    started = _count_threads(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            calls.clear()
+            assert _results(compute_all(bn, spec)) == expected
+            assert len(calls) == len(set(calls)) == 20
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(started) == 3 * 19 and not any(t.is_alive() for t in started)
+
+
+def _failing_on_a_helper(monkeypatch):
+    """With 2 CPUs, make the helper thread's third query raise MemoryError:
+    the calling thread holds its first query until then, so the helper runs
+    the rest. Returns the ids of the threads that raised."""
+    monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 2)
+    query = bnsens.sobol._conditional_second_moment
+    caller = threading.get_ident()
+    raised, helper_calls = [], []
+    done = threading.Event()
+
+    def failing(*args):
+        if threading.get_ident() == caller:
+            done.wait(timeout=10)
+            return query(*args)
+        helper_calls.append(args[2])
+        if len(helper_calls) == 3:
+            raised.append(threading.get_ident())
+            done.set()
+            raise MemoryError("cannot allocate the bucket")
+        return query(*args)
+
+    monkeypatch.setattr(bnsens.sobol, "_conditional_second_moment", failing)
+    return raised
+
+
+def test_memory_error_on_a_helper_thread_reaches_the_caller(monkeypatch, tmp_path, capsys):
+    bn, spec = _dense_card()
+    raised = _failing_on_a_helper(monkeypatch)
+    with pytest.raises(MemoryError, match="cannot allocate the bucket"):
+        compute_all(bn, spec)
+    assert len(raised) == 1 and raised[0] != threading.get_ident()
+
+    path = tmp_path / "dense-card.native"
+    path.write_text(save_native(NativeDocument(bn, spec, name="dense-card")))
+    raised = _failing_on_a_helper(monkeypatch)
+    assert main(["compute", "--network", str(path)]) == 4
+    assert "error: MemoryError: cannot allocate" in capsys.readouterr().err
+    assert len(raised) == 1 and raised[0] != threading.get_ident()
+
+
+def test_failed_queries_raise_in_list_order_after_the_variance_check(monkeypatch):
+    # The queries are Var[f]'s, then each total's in variable order. Var[f]
+    # of 0 is degenerate whatever the later queries raise; otherwise the
+    # first failing query in that order raises, however they ran.
+    monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 2)
+    bn, spec = _dense_card()
+    query = bnsens.sobol._conditional_second_moment
+
+    def degenerate(t, j, keep, inverse):
+        if keep == spec.evidential:
+            return 0.0
+        raise MemoryError("cannot allocate the bucket")
+
+    monkeypatch.setattr(bnsens.sobol, "_conditional_second_moment", degenerate)
+    with pytest.raises(DegenerateOutputError):
+        compute_all(bn, spec)
+
+    def failing(t, j, keep, inverse):
+        if keep == spec.evidential:
+            return query(t, j, keep, inverse)
+        time.sleep(0.01 * (8 - min(spec.evidential - keep)))  # later ones fail first
+        raise ValueError(sorted(spec.evidential - keep))
+
+    monkeypatch.setattr(bnsens.sobol, "_conditional_second_moment", failing)
+    with pytest.raises(ValueError) as first:
+        compute_all(bn, spec)
+    assert first.value.args == ([0],)
+
+    def var_fails(t, j, keep, inverse):
+        raise ValueError(len(keep))
+
+    monkeypatch.setattr(bnsens.sobol, "_conditional_second_moment", var_fails)
+    with pytest.raises(ValueError) as first:
+        compute_all(bn, spec)
+    assert first.value.args == (len(spec.evidential),)
+
+
+def test_python_bound_queries_start_no_thread(monkeypatch):
+    # Below THREAD_CELLS_PER_VARIABLE cells of `t` per variable the queries
+    # run one after another however many CPUs there are; dense-card's run
+    # on two threads.
+    monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 2)
+    for network, threads in [
+        (_gate_evidence_tree, 0),
+        (lambda: layered_network(3, 8, 5, (4, 7)), 0),
+        (lambda: layered_network(1, 6, 4, (5, 8)), 0),
+        (_dense_card, 1),
+    ]:
+        started = _count_threads(monkeypatch)
+        compute_all(*network())
+        assert len(started) == threads
 
 
 def test_compute_all_closed_option():
