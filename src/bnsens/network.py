@@ -9,17 +9,22 @@ what makes squaring/quotient pipelines affordable on evidence sets far too
 large to tabulate. Each bucket of the elimination multiplies its factors
 and sums the variable away in one kernel call, so the product of a bucket
 is never stored. Buckets pass bare arrays beside their axis tuples; only
-what `marginalize` and `collapse` return is built as `Factor`s again. In a
-large bucket, each operand whose axes lie within another operand with
-fewer cells than the bucket is first multiplied into the smallest such one
-(folded); two arrays left, each smaller than the bucket and sharing every
-summed axis, are one batched matmul, and any other bucket is one einsum.
-`marginals` gives the marginal on every variable, or on those asked for,
-from one order: an `Elimination` runs the buckets forward (stopped before
-the last variable, it holds that variable's marginal, and may take one more
-factor over it), and a backward pass over them sends each message the
-contraction of everything else, its outside factor. A network derived from
-checked ones is built without the checks of its constructor (`trusted`).
+what `marginalize` and `collapse` return is built as `Factor`s again. A
+contraction is first derived (`_subscripts`: the einsum letters of its
+axes, in order of first appearance, each operand's subscripts, the
+result's, and its cells), then run (`_contract`). In a large bucket, each
+operand whose axes lie within another operand with fewer cells than the
+bucket is first multiplied into the smallest such one (folded); two arrays
+left, each smaller than the bucket and sharing every summed axis, are one
+batched matmul, and any other bucket is one einsum. `marginals` gives the
+marginal on every variable, or on those asked for, from one order: an
+`Elimination` runs the buckets forward, deriving each bucket's subscripts
+once into its record (stopped before the last variable, it holds that
+variable's marginal, and may take one more factor over it), and a backward
+pass over the records sends each message the contraction of everything
+else, its outside factor, by joining the recorded subscripts. A network
+derived from checked ones is built without the checks of its constructor
+(`trusted`).
 """
 
 from __future__ import annotations
@@ -118,7 +123,7 @@ def function_tn(mrf: TensorNetwork, output: int, values: np.ndarray) -> TensorNe
 # output).
 EINSUM_LETTERS = string.ascii_letters
 EINSUM_OPERANDS = 31
-# Buckets spanning at most this many cells skip both steps of `_einsum`,
+# Buckets spanning at most this many cells skip both steps of `_contract`,
 # the fold and the matmul route, and go straight to one np.einsum: their
 # Python set-up costs more than it saves. Measured on two cores, the matmul
 # route took 15-28 us against einsum's 5-12 us for pairs spanning up to
@@ -135,57 +140,72 @@ def _einsum(
     scopes: Sequence[Sequence[int]], arrays: Sequence[np.ndarray], axes: Sequence[int]
 ) -> np.ndarray:
     """Product of `arrays`, each over the axes of its scope, over exactly
-    `axes`, every other axis summed away, without storing the product.
-
-    Buckets spanning more than ROUTE_CELLS cells take two steps, chosen
-    from their shapes alone, that copy or multiply only arrays with fewer
-    cells than the bucket:
-
-    - Fold: each operand whose axes lie within another operand smaller
-      than the bucket is multiplied, by broadcasting, into the smallest
-      such one (vectors over one axis into one, a vector into a matrix
-      over its axis), so that fewer operands meet in each cell.
-    - Pair: two arrays left, each smaller than the bucket, that share
-      every summed axis run as one batched `np.matmul`: each array is
-      copied to (shared kept, own, summed) order, and the result is a
-      transposed view of the matmul output. With short axes, einsum's
-      inner loop is a few cells long; matmul's runs over rows.
-
-    Every other bucket, and a folded one, is one `np.einsum` pass over
-    letter subscripts (their string form has no length cap, unlike the
-    list form). A call over more than 52 axes raises
-    `StateSpaceTooLargeError` before any work; unless some of its axes
-    have cardinality 1, its product would have at least 2^53 cells. More
-    than EINSUM_OPERANDS arrays are first multiplied in chunks over their
-    own axes (`_eliminate` of nothing). The result never shares memory
-    with an operand."""
+    `axes`, every other axis summed away, without storing the product: the
+    `_subscripts` of the call, with each cardinality read from the shapes,
+    then its `_contract`."""
     if not arrays:
         return np.ones(())
     cards: dict[int, int] = {}  # in order of first appearance
     for scope, array in zip(scopes, arrays):
         cards.update(zip(scope, array.shape))
+    return _contract(scopes, arrays, axes, *_subscripts(scopes, cards, axes))
+
+
+def _subscripts(scopes, cards: Mapping[int, int], axes) -> tuple[list[str], str, int]:
+    """The derivation step of a contraction: the einsum subscripts of each
+    scope and of `axes`, and the cells the contraction spans. `cards` has
+    the cardinality of each axis of `scopes`, in order of first appearance,
+    which is the order of their letters. Over more than 52 axes it raises
+    `StateSpaceTooLargeError` before any array is touched; unless some of
+    them have cardinality 1, the product would have at least 2^53 cells."""
     if len(cards) > len(EINSUM_LETTERS):
         raise StateSpaceTooLargeError(
             f"a bucket over {len(cards)} axes exceeds einsum's "
             f"{len(EINSUM_LETTERS)} labels"
         )
+    letter = dict(zip(cards, EINSUM_LETTERS)).__getitem__
+    strings = ["".join(map(letter, scope)) for scope in scopes]
+    return strings, "".join(map(letter, axes)), math.prod(cards.values())
+
+
+def _contract(
+    scopes, arrays: Sequence[np.ndarray], axes, subscripts: Sequence[str], output: str, cells: int
+) -> np.ndarray:
+    """The contraction step of `_einsum`, given the `_subscripts` of the
+    operands and of the result and the cells spanned.
+
+    Contractions spanning more than ROUTE_CELLS cells take two steps,
+    chosen from their shapes alone, that copy or multiply only arrays with
+    fewer cells than the contraction:
+
+    - Fold: each operand whose axes lie within another operand smaller
+      than the contraction is multiplied, by broadcasting, into the
+      smallest such one (vectors over one axis into one, a vector into a
+      matrix over its axis), so that fewer operands meet in each cell.
+    - Pair: two arrays left, each smaller than the contraction, that share
+      every summed axis run as one batched `np.matmul`: each array is
+      copied to (shared kept, own, summed) order, and the result is a
+      transposed view of the matmul output. With short axes, einsum's
+      inner loop is a few cells long; matmul's runs over rows.
+
+    Every other contraction, and a folded one, is one `np.einsum` pass over
+    the subscripts joined (their string form has no length cap, unlike the
+    list form). More than EINSUM_OPERANDS arrays are first multiplied in
+    chunks over their own axes (`_eliminate` of nothing). The result never
+    shares memory with an operand."""
     if len(arrays) > EINSUM_OPERANDS:
         chunks = [
             _eliminate(scopes[i : i + EINSUM_OPERANDS], arrays[i : i + EINSUM_OPERANDS], ())
             for i in range(0, len(arrays), EINSUM_OPERANDS)
         ]
         return _einsum([c[0] for c in chunks], [c[1] for c in chunks], axes)
-    cells = math.prod(cards.values())
     if cells > ROUTE_CELLS:
-        scopes, arrays = _folded(scopes, arrays, cells)
+        scopes, subscripts, arrays = _folded(scopes, subscripts, arrays, cells)
         if len(arrays) == 2:
             out = _outer_pair(*scopes, *arrays, axes, cells)
             if out is not None:
                 return out
-
-    letter = dict(zip(cards, EINSUM_LETTERS))
-    subscripts = ",".join(["".join(map(letter.__getitem__, s)) for s in scopes])
-    subscripts += "->" + "".join(map(letter.__getitem__, axes))
+    subscripts = ",".join(subscripts) + "->" + output
     out = np.asarray(np.einsum(subscripts, *arrays, optimize=False))  # not a numpy scalar
     if len(arrays) == 1 and np.may_share_memory(out, arrays[0]):
         out = out.copy()  # a lone operand over its own axes comes back as a view
@@ -223,10 +243,10 @@ def _outer_pair(axes_a, axes_b, a: np.ndarray, b: np.ndarray, axes, cells: int):
     return out.transpose([labels.index(ax) for ax in axes])
 
 
-def _folded(scopes, arrays, cells: int) -> tuple[Sequence, Sequence[np.ndarray]]:
-    """The operands with each one whose axes lie within another operand of
-    fewer than `cells` cells multiplied, by broadcasting, into the smallest
-    such operand (of equal ones, the later)."""
+def _folded(scopes, subscripts, arrays, cells: int) -> tuple[Sequence, Sequence, Sequence]:
+    """The operands, their subscripts and arrays, with each one whose axes
+    lie within another operand of fewer than `cells` cells multiplied, by
+    broadcasting, into the smallest such operand (of equal ones, the later)."""
     small = sorted((a.size, i) for i, a in enumerate(arrays) if a.size < cells)
     into = {}
     for n, (_, i) in enumerate(small):
@@ -236,7 +256,7 @@ def _folded(scopes, arrays, cells: int) -> tuple[Sequence, Sequence[np.ndarray]]
                 into[i] = h
                 break
     if not into:
-        return scopes, arrays
+        return scopes, subscripts, arrays
     arrays = list(arrays)
     for i, h in into.items():  # smallest first, so each is whole before it folds
         scope, onto, array = scopes[i], scopes[h], arrays[i]
@@ -246,7 +266,7 @@ def _folded(scopes, arrays, cells: int) -> tuple[Sequence, Sequence[np.ndarray]]
             array = array.transpose(order).reshape(shape)
         arrays[h] = arrays[h] * array
     kept = [i for i in range(len(arrays)) if i not in into]
-    return [scopes[i] for i in kept], [arrays[i] for i in kept]
+    return [scopes[i] for i in kept], [subscripts[i] for i in kept], [arrays[i] for i in kept]
 
 
 def _eliminate(
@@ -267,10 +287,14 @@ class Elimination:
     resumed by a second `run` sees its live operands in the order of the
     network `marginalize` would have returned, then the new factors. A
     bucket sets its operands' arrays to None and appends its message, over
-    every axis of the bucket but its variable (a variable in no operand
-    sends its cardinality). `holders` lists, ascending, the positions of
-    the operands over each variable, so that no bucket scans the other
-    operands; each `run` extends it, and `table` needs none."""
+    every axis of the bucket but its variable, ascending (a variable in no
+    operand sends its cardinality). `holders` lists, ascending, the
+    positions of the operands over each variable, so that no bucket scans
+    the other operands; each `run` extends it, and `table` needs none. A
+    bucket's `_subscripts` are derived once, from the universe, and its
+    record is (variable, operand positions, their scopes, their arrays,
+    message position, `_subscripts` triple or None if it has no operands),
+    which the backward pass of `marginals` joins without deriving again."""
 
     def __init__(self, tn: TensorNetwork, records: bool = True):
         self.universe = tn.universe
@@ -281,9 +305,9 @@ class Elimination:
         self.buckets: list | None = [] if records else None
 
     def run(self, order: Iterable[int], *factors: Factor) -> Elimination:
-        """Add `factors`, over live variables, and eliminate those of `order`.
-        A record: variable, operand positions, scopes, arrays, message position."""
+        """Add `factors`, over live variables, and eliminate those of `order`."""
         scopes, arrays, holders = self.scopes, self.arrays, self.holders
+        universe, buckets = self.universe, self.buckets
         scopes += [f.axes for f in factors]
         arrays += [f.values for f in factors]
         for i in range(self.held, len(scopes)):
@@ -294,17 +318,20 @@ class Elimination:
             axes = [scopes[i] for i in positions]
             bucket = [arrays[i] for i in positions]
             if positions:
-                kept, out = _eliminate(axes, bucket, (v,))
+                cards = {ax: universe[ax] for scope in axes for ax in scope}
+                kept = tuple(sorted(ax for ax in cards if ax != v))
+                derived = _subscripts(axes, cards, kept)
+                out = _contract(axes, bucket, kept, *derived)
                 for i in positions:
                     arrays[i] = None
                 for ax in kept:
                     holders[ax].append(len(arrays))
             else:
-                kept, out = (), np.asarray(float(self.universe[v]))
+                kept, out, derived = (), np.asarray(float(universe[v])), None
             scopes.append(kept)
             arrays.append(out)
-            if self.buckets is not None:
-                self.buckets.append((v, positions, axes, bucket, len(arrays) - 1))
+            if buckets is not None:
+                buckets.append((v, positions, axes, bucket, len(arrays) - 1, derived))
         self.held = len(scopes)
         return self
 
@@ -328,7 +355,7 @@ def marginalize(tn: TensorNetwork, eliminate: Iterable[int]) -> TensorNetwork:
     """Sum the given variables out of the network by variable elimination.
 
     Each step sums the next variable out of the product of the factors that
-    contain it, in one `_einsum` call that never stores the product, by
+    contain it, in one `_contract` call that never stores the product, by
     the order of `_order`; an `EliminationOrder` of this network's factor
     scopes with the rest kept (as a plan that costed it has one) names the
     variables instead and is followed as it stands. Only the messages
@@ -370,12 +397,13 @@ def marginals(
     reverse and gives each message an outside factor over its axes: the
     contraction of everything but the message, which is the product of the
     other final scalars for a message that no bucket takes, and otherwise
-    one `_einsum` of the taking bucket's other operands and that bucket's
-    own outside factor. A message holds every axis of its bucket except
-    the bucket's variable, so only a bucket of one operand adds ones over
-    that variable. A bucket's variable then has the marginal `_einsum` of
-    the bucket's operands and its outside factor; a variable carried by no
-    factor has its outside scalar in every state. No product is ever
+    one `_contract` of the taking bucket's other operands and that bucket's
+    own outside factor, by the subscripts in the bucket's record. A message
+    holds every axis of its bucket except the bucket's variable, so only a
+    bucket of one operand adds ones over that variable. A bucket's variable
+    then has the marginal `_contract` of the bucket's operands and its
+    outside factor; a variable carried by no factor has its outside scalar
+    in every state. No product is ever
     divided out, so zero and negative entries are exact. Each bucket is
     dropped once it has sent its outside factors. The backward pass visits
     only the wanted buckets, those of the variables asked for, and the
@@ -400,7 +428,7 @@ def marginals(
     # The positions that the backward pass gives an outside factor: the
     # wanted inputs, and the message of each visited bucket.
     sends = set(wanted)
-    for v, positions, _, _, message in buckets:
+    for v, positions, _, _, message, _ in buckets:
         if v in variables or sends.intersection(positions):
             sends.add(message)
 
@@ -414,23 +442,29 @@ def marginals(
 
     result = {}
     while buckets:
-        v, positions, axes, bucket, message = buckets.pop()
+        v, positions, axes, bucket, message, derived = buckets.pop()
         if message not in sends:
             continue
         out = outside.pop(message)
         if not positions:
             result[v] = np.full(tn.universe[v], float(out))
             continue
+        subscripts, output, cells = derived
+        letter = subscripts[0][axes[0].index(v)]  # every operand holds v
         if v in variables:
-            result[v] = _einsum([*axes, scopes[message]], [*bucket, out], (v,))
+            result[v] = _contract(
+                [*axes, scopes[message]], [*bucket, out], (v,), [*subscripts, output], letter, cells
+            )
         for m, i in enumerate(positions):
             if i in sends:
                 other_axes = [*axes[:m], *axes[m + 1 :], scopes[message]]
                 others = [*bucket[:m], *bucket[m + 1 :], out]
+                strings = [*subscripts[:m], *subscripts[m + 1 :], output]
                 if len(bucket) == 1:  # `out` holds every axis of the bucket but v
                     other_axes.append((v,))
                     others.append(np.ones(tn.universe[v]))
-                outside[i] = _einsum(other_axes, others, axes[m])
+                    strings.append(letter)
+                outside[i] = _contract(other_axes, others, axes[m], strings, subscripts[m], cells)
     if outside_of is None:
         return result
     return {i: outside[i] for i in sorted(wanted)}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -368,6 +369,50 @@ def gate_tree_reference(
             float(prior @ (given_k - mean) ** 2) / variance,
             float(np.sum(joint * (f - given_rest) ** 2)) / variance,
         )
+    return mean, variance, indices
+
+
+def exact_indices(
+    bn: DiscreteBayesNet, spec: AnalysisSpec
+) -> tuple[Fraction, Fraction, dict[int, tuple[Fraction, Fraction]]]:
+    """E[f], Var[f] and each evidential variable's (S_i, S^T_i), exactly:
+    the oracle's enumeration of the joint in `Fraction`s, each CPT entry
+    and value taken as the float it is, without the elimination engine.
+
+    The joint is an object array with one axis per variable, built by
+    broadcasting each CPT over its family, and every moment is a sum of
+    it (`np.einsum` takes object arrays only from numpy 1.25). f(e) =
+    E[v(O) | e] is 0 where P(e) = 0. S_i = Var[E[f | e_i]] / Var[f] and
+    S^T_i = E[(f - E[f | e without i])^2] / Var[f]."""
+    n = bn.n
+    joint = np.full([v.cardinality for v in bn.variables], Fraction(1), dtype=object)
+    for cpt in bn.cpts:
+        family = (*cpt.parents, cpt.child)
+        shape = [bn.variables[k].cardinality if k in family else 1 for k in range(n)]
+        table = np.vectorize(Fraction, otypes=[object])(cpt.table)
+        table = table.reshape([bn.variables[k].cardinality for k in family])
+        joint = joint * table.transpose(np.argsort(family)).reshape(shape)
+    scores = [Fraction(spec.value_map[label]) for label in bn.variables[spec.output].domain]
+    shape = [len(scores) if k == spec.output else 1 for k in range(n)]
+    evidence = sorted(spec.evidential)
+    hidden = tuple(k for k in range(n) if k not in spec.evidential)
+    pr = joint.sum(axis=hidden)
+    weighted = (joint * np.array(scores, dtype=object).reshape(shape)).sum(axis=hidden)
+    f = weighted / np.where(pr == 0, 1, pr)
+
+    def given(axes: tuple[int, ...]) -> np.ndarray:
+        """E[f | the evidence off `axes`], kept over size-1 `axes`."""
+        p = pr.sum(axis=axes, keepdims=True)
+        return (pr * f).sum(axis=axes, keepdims=True) / np.where(p == 0, 1, p)
+
+    mean = (pr * f).sum()
+    variance = (pr * f * f).sum() - mean * mean
+    indices = {}
+    for a, k in enumerate(evidence):
+        rest = tuple(b for b in range(len(evidence)) if b != a)
+        first = (pr * (given(rest) - mean) ** 2).sum()
+        total = (pr * (f - given((a,))) ** 2).sum()
+        indices[k] = (first / variance, total / variance)
     return mean, variance, indices
 
 

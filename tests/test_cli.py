@@ -308,10 +308,10 @@ def test_oracle_cap_exits_4(tmp_path):
 
 
 def test_out_of_memory_exits_4(monkeypatch, capsys):
-    def refuse(scopes, arrays, axes):
+    def refuse(scopes, arrays, axes, *subscripts):
         raise MemoryError("cannot allocate the bucket")
 
-    monkeypatch.setattr(bnsens.network, "_einsum", refuse)
+    monkeypatch.setattr(bnsens.network, "_contract", refuse)
     assert main(["compute", "--network", CHAIN]) == 4
     assert "error: MemoryError: cannot allocate" in capsys.readouterr().err
 

@@ -26,7 +26,7 @@ from bnsens import (
     square_wrt,
 )
 from bnsens.graph import min_weight_order
-from bnsens.network import marginals
+from bnsens.network import Elimination, marginals
 from bnsens.oracle import brute_force_f
 from bnsens.tensor import factor_product, factor_sum_out
 from helpers import chain_bn, random_tn, tn_marginal, tn_table
@@ -303,6 +303,77 @@ def test_outside_factors_give_the_contraction_with_and_without_each_input(
         assert float(np.sum(got[i])) == pytest.approx(
             contract_all(rest), rel=1e-12, abs=1e-12
         )
+
+
+@pytest.mark.parametrize(
+    "route_cells", [bnsens.network.ROUTE_CELLS, 0], ids=["routes", "all-routed"]
+)
+def test_backward_pass_is_bitwise_a_fresh_einsum_of_each_call(monkeypatch, route_cells):
+    # The backward pass joins the subscripts its buckets derived forward,
+    # whose letters follow each bucket's operands rather than the call's
+    # own. Each array it computes, marginal or outside factor, must still
+    # equal bit for bit the `_einsum` of the same operands in the same
+    # order. Squared networks give buckets of many operands; ROUTE_CELLS 0
+    # sends every call through the fold and matmul routes.
+    monkeypatch.setattr(bnsens.network, "ROUTE_CELLS", route_cells)
+    contract, derive = bnsens.network._contract, bnsens.network._subscripts
+    calls = []
+
+    def recorded(scopes, arrays, axes, *subscripts):
+        out = contract(scopes, arrays, axes, *subscripts)
+        calls.append((list(scopes), list(arrays), tuple(axes), subscripts, out))
+        return out
+
+    relettered = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        universe = {i: int(rng.integers(2, 5)) for i in range(int(rng.integers(3, 7)))}
+        shared = [v for v in universe if rng.random() < 0.5]
+        tn = square_wrt(random_tn(rng, universe=universe), shared)
+        order = min_weight_order([f.axes for f in tn.factors], tn.universe, keep=())
+        forms = {"of": sorted(tn.universe)[::2]}, {"outside_of": range(0, len(tn.factors), 2)}
+        for form in forms:
+            forward = Elimination(tn).run(order)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(bnsens.network, "_contract", recorded)
+                got = marginals(forward, **form)
+            assert calls and got
+            for scopes, arrays, axes, subscripts, out in calls:
+                fresh = bnsens.network._einsum(scopes, arrays, axes)
+                assert out.shape == fresh.shape and np.array_equal(out, fresh)
+                cards = {ax: n for s, a in zip(scopes, arrays) for ax, n in zip(s, a.shape)}
+                relettered += derive(scopes, cards, axes) != subscripts
+    assert relettered  # calls whose fresh letters differ from the recorded ones
+
+
+def test_marginals_derive_subscripts_once_per_forward_bucket(monkeypatch):
+    # Every bucket with operands derives its subscripts once, forward; the
+    # backward pass, in all three forms, derives none.
+    derive = bnsens.network._subscripts
+    derived = []
+
+    def counted(scopes, cards, axes):
+        derived.append(tuple(axes))
+        return derive(scopes, cards, axes)
+
+    monkeypatch.setattr(bnsens.network, "_subscripts", counted)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        universe = {i: int(rng.integers(2, 4)) for i in range(int(rng.integers(2, 7)))}
+        factors = random_tn(rng, universe=universe).factors
+        tn = TensorNetwork({**universe, 9: 2}, factors)  # 9 is in no factor
+        order = min_weight_order([f.axes for f in factors], tn.universe, keep=())
+        for form in ({}, {"of": [0]}, {"outside_of": [0]}):
+            derived.clear()
+            forward = Elimination(tn).run(order)
+            buckets = sum(1 for record in forward.buckets if record[1])
+            assert len(derived) == buckets < len(tn.universe)
+            derived.clear()
+            marginals(forward, **form)
+            assert derived == []
+        marginals(tn)
+        assert len(derived) == buckets
 
 
 def test_contract_empty_network_is_one():

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -20,7 +21,9 @@ from bnsens.oracle import (
 from helpers import (
     common_parent_bn,
     constant_on_support_chain,
+    exact_indices,
     impossible_label_grid,
+    random_instance,
     xor_bn,
 )
 
@@ -83,6 +86,28 @@ def test_brute_force_self_consistency():
     mean = float((table.probabilities * table.values).sum())
     second = float((table.probabilities * table.values**2).sum())
     assert report.variance == pytest.approx(second - mean * mean, abs=1e-12)
+
+
+def test_exact_reference_agrees_with_the_oracle():
+    # `exact_indices` enumerates the same joint in Fractions, so the float
+    # oracle may differ from it by rounding alone: within 1e-10 on every
+    # random instance whose joint has at most 1e4 cells.
+    checked = 0
+    for seed in range(40):
+        bn, spec = random_instance(seed)
+        if math.prod(v.cardinality for v in bn.variables) > 10_000:
+            continue
+        mean, variance, indices = exact_indices(bn, spec)
+        report = brute_force_indices(bn, spec)
+        assert report.expected_value == pytest.approx(float(mean), abs=1e-10)
+        assert report.variance == pytest.approx(float(variance), abs=1e-10)
+        assert sorted(indices) == sorted(spec.evidential)
+        for entry in report.indices:
+            s, st = indices[entry.variables[0]]
+            assert entry.s == pytest.approx(float(s), abs=1e-10)
+            assert entry.st == pytest.approx(float(st), abs=1e-10)
+        checked += 1
+    assert checked == 28
 
 
 def test_brute_force_degenerate(chain):

@@ -100,17 +100,16 @@ def with_barren_nodes(bn, spec, count, seed):
 def test_barren_subnetwork_changes_nothing(instance_seed, count, barren_seed):
     bn, spec = random_instance(instance_seed, max_nodes=7, max_evidence=4)
     grown, grown_spec, barren = with_barren_nodes(bn, spec, count, barren_seed)
-    eliminate = bnsens.network._eliminate
+    derive = bnsens.network._subscripts  # once per bucket and per table
     named_axes: set[int] = set()
     summed = []  # the variables summed away by each call
 
-    def recording(scopes, arrays, drop):
-        kept, out = eliminate(scopes, arrays, drop)
-        named_axes.update(*scopes, drop, kept)
-        summed.append(drop)
-        return kept, out
+    def recording(scopes, cards, axes):
+        named_axes.update(*scopes, cards, axes)
+        summed.append(set(cards).difference(axes))
+        return derive(scopes, cards, axes)
 
-    with mock.patch.object(bnsens.network, "_eliminate", recording):
+    with mock.patch.object(bnsens.network, "_subscripts", recording):
         report = compute_all(grown, grown_spec)
     assert any(summed)  # the hook saw the elimination buckets, not only tables
     assert not named_axes & barren

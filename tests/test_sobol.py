@@ -104,13 +104,13 @@ def test_constant_map_is_degenerate(chain):
 def test_not_evidential_rejected(chain, chain_analysis, monkeypatch):
     # Closed subsets are checked before anything is eliminated.
     eliminated = []
-    eliminate = bnsens.network._eliminate
+    derive = bnsens.network._subscripts  # once per bucket and per table
 
-    def recording(scopes, arrays, drop):
-        eliminated.append(drop)
-        return eliminate(scopes, arrays, drop)
+    def recording(scopes, cards, axes):
+        eliminated.append(set(cards).difference(axes))
+        return derive(scopes, cards, axes)
 
-    monkeypatch.setattr(bnsens.network, "_eliminate", recording)
+    monkeypatch.setattr(bnsens.network, "_subscripts", recording)
     for subset in ((), (1,), (0, 0)):
         with pytest.raises(NotEvidentialError):
             compute_all(chain, chain_analysis, ComputeOptions(closed=(subset,)))
@@ -579,14 +579,14 @@ def test_shared_elimination_sums_the_chance_variables_out_once(monkeypatch, capl
     # ordering, of the chance variables when there are two or more, spans
     # no replica of the coupled network. `marginalize` builds the evidence
     # marginal, over An(E), and no other network.
-    eliminate = bnsens.network._eliminate
+    derive = bnsens.network._subscripts  # once per bucket and per table
     order = bnsens.network.min_weight_order
     collapse, marginalize = bnsens.sobol.collapse, bnsens.sobol.marginalize
     dropped, ordered, collapsed, marginalized = [], [], [], []
 
-    def recording_eliminate(scopes, arrays, drop):
-        dropped.extend(drop)
-        return eliminate(scopes, arrays, drop)
+    def recording_derive(scopes, cards, axes):
+        dropped.extend(set(cards).difference(axes))
+        return derive(scopes, cards, axes)
 
     def recording_order(scopes, cardinalities, keep=()):
         ordered.append(set(cardinalities))
@@ -600,7 +600,7 @@ def test_shared_elimination_sums_the_chance_variables_out_once(monkeypatch, capl
         marginalized.append(set(tn.universe))
         return marginalize(tn, eliminate)
 
-    monkeypatch.setattr(bnsens.network, "_eliminate", recording_eliminate)
+    monkeypatch.setattr(bnsens.network, "_subscripts", recording_derive)
     monkeypatch.setattr(bnsens.network, "min_weight_order", recording_order)
     monkeypatch.setattr(bnsens.sobol, "collapse", recording_collapse)
     monkeypatch.setattr(bnsens.sobol, "marginalize", recording_marginalize)
@@ -791,17 +791,16 @@ def test_compute_all_never_squares_chance_variables(monkeypatch):
     # squaring every interior node along with the evidence makes buckets of
     # ~3e9 cells. In the second network every node is relevant, and summing
     # its root out with the chance nodes kept makes a bucket of 1.28e8.
-    eliminate = bnsens.network._eliminate
+    derive = bnsens.network._subscripts  # once per bucket and per table
     summed = []  # the variables summed away by each call
 
-    def capped(scopes, arrays, drop):
-        cards = {ax: n for scope, a in zip(scopes, arrays) for ax, n in zip(scope, a.shape)}
+    def capped(scopes, cards, axes):
         cells = math.prod(cards.values())
         assert cells <= 1e8, f"a bucket spans {cells:.3g} cells"
-        summed.append(drop)
-        return eliminate(scopes, arrays, drop)
+        summed.append(set(cards).difference(axes))
+        return derive(scopes, cards, axes)
 
-    monkeypatch.setattr(bnsens.network, "_eliminate", capped)
+    monkeypatch.setattr(bnsens.network, "_subscripts", capped)
     bn, spec = layered_network(4, 10, 5, (5, 7))
     for entry in compute_all(bn, spec).indices:
         assert -1e-12 <= entry.s <= entry.st + 1e-12
@@ -958,12 +957,12 @@ def test_bucket_beyond_einsum_operand_cap_matches_stepwise(monkeypatch, caplog):
     assert _plans(caplog) == ["per-query"]
     assert f"table over the evidence and the output {2**66} cells" in caplog.text
 
-    def stepwise(scopes, arrays, axes):
+    def stepwise(scopes, arrays, axes, *subscripts):
         factors = [Factor(scope, a) for scope, a in zip(scopes, arrays)]
         product = reduce(factor_product, factors, Factor.scalar(1.0))
         return factor_sum_out(product, set(product.axes) - set(axes)).values
 
-    monkeypatch.setattr(bnsens.network, "_einsum", stepwise)
+    monkeypatch.setattr(bnsens.network, "_contract", stepwise)
     reference = compute_all(bn, spec, first_only)
     assert len(fused.indices) == n + 1
     for a, b in zip(fused.indices, reference.indices):
