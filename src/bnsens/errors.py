@@ -77,10 +77,6 @@ class UnknownAxisError(BnSensError):
     """An operation names an axis the factor or network does not carry."""
 
 
-class DivisionByZeroError(BnSensError, ZeroDivisionError):
-    """A nonzero value was divided by a zero potential."""
-
-
 # --------------------------------------------------- sensitivity analysis
 
 class DegenerateOutputError(BnSensError):

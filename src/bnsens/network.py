@@ -2,13 +2,14 @@
 
 A tensor network here is a bag of factors over a universe of variables; its
 value at a full assignment is the product of all factor entries. A quotient
-network holds its divisor as factors of zero-safe reciprocals, so dividing
-costs no more than multiplying. Marginalization runs variable elimination
-under the minimal-weight heuristic and keeps the result factored, which is
-what makes squaring/quotient pipelines affordable on evidence sets far too
-large to tabulate. Each bucket of the elimination multiplies its factors
-and sums the variable away in one kernel call, so the product of a bucket
-is never stored. Buckets pass bare arrays beside their axis tuples; only
+network holds its divisor as factors of zero-safe reciprocals (the one
+division rule, `bnsens.tensor.reciprocal`), so dividing costs no more than
+multiplying. Marginalization runs variable elimination under the
+minimal-weight heuristic and keeps the result factored, which is what makes
+squaring/quotient pipelines affordable on evidence sets far too large to
+tabulate. Each bucket of the elimination multiplies its factors and sums
+the variable away in one kernel call, so the product of a bucket is never
+stored. Buckets pass bare arrays beside their axis tuples; only
 what `marginalize` and `collapse` return is built as `Factor`s again. A
 contraction is first derived (`_subscripts`: the einsum letters of its
 axes, in order of first appearance, each operand's subscripts, the
@@ -35,7 +36,7 @@ import operator
 import string
 import warnings
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .errors import (
 )
 from .graph import EliminationOrder, min_weight_order
 from .model import DiscreteBayesNet
-from .tensor import Factor, transposed, trusted
+from .tensor import Factor, reciprocal, transposed, trusted
 
 # Not called here: hooked by bench/spans.py, which looks them up in this module.
 from .tensor import factor_div, factor_product, factor_sum_out  # noqa: F401
@@ -191,11 +192,11 @@ def _contract(
     Every other contraction, and a folded one, is one `np.einsum` pass over
     the subscripts joined (their string form has no length cap, unlike the
     list form). More than EINSUM_OPERANDS arrays are first multiplied in
-    chunks over their own axes (`_eliminate` of nothing). The result never
+    chunks over their own axes (`_eliminate`). The result never
     shares memory with an operand."""
     if len(arrays) > EINSUM_OPERANDS:
         chunks = [
-            _eliminate(scopes[i : i + EINSUM_OPERANDS], arrays[i : i + EINSUM_OPERANDS], ())
+            _eliminate(scopes[i : i + EINSUM_OPERANDS], arrays[i : i + EINSUM_OPERANDS])
             for i in range(0, len(arrays), EINSUM_OPERANDS)
         ]
         return _einsum([c[0] for c in chunks], [c[1] for c in chunks], axes)
@@ -270,13 +271,12 @@ def _folded(scopes, subscripts, arrays, cells: int) -> tuple[Sequence, Sequence,
 
 
 def _eliminate(
-    scopes: Sequence[Sequence[int]], arrays: Sequence[np.ndarray], drop: Container[int]
+    scopes: Sequence[Sequence[int]], arrays: Sequence[np.ndarray]
 ) -> tuple[tuple[int, ...], np.ndarray]:
-    """Product of `arrays`, each over the axes of its scope, with the axes
-    in `drop` summed away, in one `_einsum`; the kept axes, ascending, and
-    the array over them."""
-    kept = tuple(sorted(set().union(*scopes).difference(drop)))
-    return kept, _einsum(scopes, arrays, kept)
+    """Product of `arrays`, each over the axes of its scope, in one
+    `_einsum`; every axis of the scopes, ascending, and the array over them."""
+    axes = tuple(sorted(set().union(*scopes)))
+    return axes, _einsum(scopes, arrays, axes)
 
 
 class Elimination:
@@ -339,7 +339,7 @@ class Elimination:
         """The product of the live arrays over their axes, ascending, in one
         `_eliminate`: what `collapse` returns, after a run by its order."""
         live = [i for i, a in enumerate(self.arrays) if a is not None]
-        return _eliminate([self.scopes[i] for i in live], [self.arrays[i] for i in live], ())
+        return _eliminate([self.scopes[i] for i in live], [self.arrays[i] for i in live])
 
 
 def _order(scopes, universe: Mapping[int, int], keep: set[int]) -> Sequence[int]:
@@ -390,10 +390,9 @@ def marginals(
     universe, or of `of` alone, from one elimination order and two passes
     over its buckets.
 
-    The forward pass is the `Elimination` of the network by the
-    `min_weight_order` of its factor scopes; `tn` may instead be an
-    `Elimination` that has eliminated every variable, which this call then
-    consumes. The backward pass walks the buckets in
+    The forward pass is the `Elimination` of the network by the `_order`
+    of its factor scopes; `tn` may instead be an `Elimination` that has
+    eliminated every variable, which this call then consumes. The backward pass walks the buckets in
     reverse and gives each message an outside factor over its axes: the
     contraction of everything but the message, which is the product of the
     other final scalars for a message that no bucket takes, and otherwise
@@ -418,7 +417,7 @@ def marginals(
     factor alone is the contraction with that input replaced by ones."""
     if isinstance(tn, TensorNetwork):
         tn = Elimination(tn)
-        tn.run(min_weight_order(tn.scopes, tn.universe, keep=()))
+        tn.run(_order(tn.scopes, tn.universe, set()))
     scopes, arrays, buckets = tn.scopes, tn.arrays, tn.buckets
     wanted = {int(i) for i in outside_of or ()}
     if outside_of is not None:
@@ -525,11 +524,12 @@ def quotient(tn: TensorNetwork, divisor: TensorNetwork) -> TensorNetwork:
     wherever the divisor is nonzero, and to 0 wherever a divisor factor is
     zero.
 
-    Each divisor factor is adjoined as its zero-safe reciprocal: 1/x where
-    |x| is at least the smallest normal float, 0 elsewhere (the reciprocal
-    of a subnormal overflows). Setting the quotient to 0 where the divisor
-    vanishes is exact for a conditional-moment query, whose numerator is
-    zero wherever its evidence marginal is."""
+    Each divisor factor is adjoined as its zero-safe `reciprocal` (from
+    `bnsens.tensor`): 1/x where |x| is at least the smallest normal float,
+    0 elsewhere (the reciprocal of a subnormal overflows). Setting the
+    quotient to 0 where the divisor vanishes is exact for a
+    conditional-moment query, whose numerator is zero wherever its evidence
+    marginal is."""
     for var, card in divisor.universe.items():
         if var not in tn.universe:
             raise UnknownAxisError(f"divisor variable {var} not in the network")
@@ -539,12 +539,6 @@ def quotient(tn: TensorNetwork, divisor: TensorNetwork) -> TensorNetwork:
             )
     reciprocals = tuple(trusted(Factor, f.axes, reciprocal(f.values)) for f in divisor.factors)
     return trusted(TensorNetwork, tn.universe, tn.factors + reciprocals)
-
-
-def reciprocal(values: np.ndarray) -> np.ndarray:
-    """1/x where |x| is at least the smallest normal float, else 0."""
-    small = np.abs(values) < np.finfo(np.float64).tiny
-    return np.divide(1.0, values, out=np.zeros(values.shape), where=~small)
 
 
 def collapse(tn: TensorNetwork, keep: Iterable[int]) -> Factor:

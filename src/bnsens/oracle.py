@@ -6,7 +6,8 @@ indices from the exact conditional weights. Deliberately no factors and no
 variable elimination are used, so these results are an independent check of
 the contraction engine rather than a restatement of it. A pick-freeze
 sampling estimator is included as a statistical sanity cross-check for the
-independent-inputs case.
+independent-inputs case. Only the degeneracy test on Var[f] is shared with
+the engine, `bnsens.sobol._nondegenerate`, so both raise the same error.
 """
 
 from __future__ import annotations
@@ -16,13 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateOutputError,
-    DependentInputsError,
-    StateSpaceTooLargeError,
-)
+from .errors import DependentInputsError, StateSpaceTooLargeError
 from .model import AnalysisSpec, DiscreteBayesNet, output_values, validate_partition
-from .sobol import DEGENERATE_VARIANCE_TOL, IndexEntry, SobolReport
+from .sobol import IndexEntry, SobolReport, _nondegenerate
 
 DEFAULT_CELL_CAP = 10_000_000
 
@@ -105,20 +102,6 @@ def _centred(
     ft = FunctionTable(tuple(sorted(spec.evidential)), pr, table, zero)
     output_variance = float(p_out @ (g * g)) if np.ptp(values[p_out != 0]) else 0.0
     return ft, low + spread * float(unit @ p_out), spread, output_variance
-
-
-def _nondegenerate(variance: float, output_variance: float) -> float:
-    """`variance` of the rescaled f; a zero Var[g(O)] or a noise-level
-    share of it, at most `compute_all`'s floor DEGENERATE_VARIANCE_TOL,
-    raises."""
-    if output_variance == 0.0:
-        raise DegenerateOutputError(
-            "the value map is constant on the output's possible labels; "
-            "indices undefined"
-        )
-    if not variance > DEGENERATE_VARIANCE_TOL * output_variance:
-        raise DegenerateOutputError(f"output variance {variance!r} is numerically zero")
-    return variance
 
 
 def _closed_moment(pr: np.ndarray, g: np.ndarray, rest: tuple[int, ...]) -> float:

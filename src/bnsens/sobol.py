@@ -84,10 +84,9 @@ from .network import (
     marginals,
     mrf_from_bn,
     quotient,
-    reciprocal,
     square_wrt,
 )
-from .tensor import Factor, trusted
+from .tensor import Factor, reciprocal, trusted
 
 # Var[f] at most this share of Var[g(O)], the variance of the centred map g
 # of `compute_all`, means f is constant and every index undefined: each
@@ -291,6 +290,22 @@ def _priors(j: TensorNetwork) -> dict[int, np.ndarray] | None:
     return {k: p / p.sum() for k, p in sorted(products.items())}
 
 
+def _nondegenerate(variance: float, output_variance: float) -> float:
+    """`variance`, Var[f] of the centred map g, where it is defined: a zero
+    Var[g(O)] `output_variance` (the value map constant on the output's
+    possible labels) or Var[f] at most DEGENERATE_VARIANCE_TOL times it
+    raises DegenerateOutputError. The one degeneracy test of `compute_all`
+    and of `bnsens.oracle`."""
+    if output_variance == 0.0:
+        raise DegenerateOutputError(
+            "the value map is constant on the output's possible labels; "
+            "indices undefined"
+        )
+    if not variance > DEGENERATE_VARIANCE_TOL * output_variance:
+        raise DegenerateOutputError(f"output variance {variance!r} is numerically zero")
+    return variance
+
+
 def compute_all(
     bn: DiscreteBayesNet,
     spec: AnalysisSpec,
@@ -307,8 +322,9 @@ def compute_all(
     from P(O) of the one forward pass, so the moments are taken about the
     mean and the indices hold under any affine map of the values and for
     rare events. A value map constant on the labels of nonzero probability
-    raises DegenerateOutputError, and so does Var[f] at most
-    DEGENERATE_VARIANCE_TOL times Var[g(O)]. The evidence marginal `j` is
+    raises DegenerateOutputError before any plan runs, and so does Var[f]
+    at most DEGENERATE_VARIANCE_TOL times Var[g(O)] (`_nondegenerate`,
+    which the oracle shares). The evidence marginal `j` is
     built over An(evidence) alone, where every other node is barren; with
     root evidence it is the evidence's own factors in the probability
     network, and nothing is eliminated for it. Every network built here
@@ -359,7 +375,7 @@ def compute_all(
             )
     started = time.perf_counter()
     values = output_values(bn, spec)
-    low, spread = float(values.min()), float(np.ptp(values))
+    low, spread = float(values.min()), float(np.ptp(values)) or 1.0
     dag = bn.dag()
     relevant = ancestors(dag, spec.evidential | {spec.output})
     if _log.isEnabledFor(logging.DEBUG):
@@ -409,14 +425,11 @@ def compute_all(
     forward.run(network._order(forward.scopes, mrf.universe, kept))
     axes, table = forward.table()
     p_out = table.sum(axis=tuple(a for a, k in enumerate(axes) if k != spec.output))
-    if np.ptp(values[p_out != 0]) == 0:
-        raise DegenerateOutputError(
-            "the value map is constant on the output's possible labels; "
-            "indices undefined"
-        )
     unit = (values - low) / spread
     centre = float(unit @ p_out)
     g = unit - centre
+    output_variance = float(p_out @ (g * g)) if np.ptp(values[p_out != 0]) else 0.0
+    _nondegenerate(math.inf, output_variance)  # no Var[f] yet: a constant map raises
     value_factor = trusted(Factor, (spec.output,), g)
 
     # Each plan gives E[f] and moment(keep) = E[E[f | keep]^2], which every
@@ -525,9 +538,7 @@ def compute_all(
             st_share = (time.perf_counter() - t0) / max(len(set(targets) - zero_st), 1)
         moment = moments.__getitem__
 
-    variance = moment(spec.evidential) - mean * mean
-    if not variance > DEGENERATE_VARIANCE_TOL * float(p_out @ (g * g)):
-        raise DegenerateOutputError(f"output variance {variance!r} is numerically zero")
+    variance = _nondegenerate(moment(spec.evidential) - mean * mean, output_variance)
     if failure is not None:
         raise failure
 

@@ -1,8 +1,10 @@
-"""Dense factors over integer variable axes.
+"""Dense factors over integer variable axes, and the one division rule.
 
-The engine uses only `Factor`: `bnsens.network` contracts whole buckets in
-one kernel. `factor_product`, `factor_sum_out` and `factor_div` (a guarded
-pointwise division) remain as plain references for the tests and as the
+The engine uses `Factor` and `reciprocal`, the zero-safe 1/x by which every
+division of the package is done: `bnsens.network` contracts whole buckets
+in one kernel and divides as a quotient network, by reciprocals.
+`factor_product`, `factor_sum_out` and `factor_div` (the product with the
+divisor's `reciprocal`) remain as plain references for the tests and as the
 functions that `bench/spans.py` hooks."""
 
 from __future__ import annotations
@@ -12,10 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import AxisCardinalityMismatchError, DivisionByZeroError, UnknownAxisError
-
-# Numerators at or below this magnitude divide to 0 over a zero denominator.
-ZERO_NUMERATOR_TOL = 1e-12
+from .errors import AxisCardinalityMismatchError, UnknownAxisError
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,20 +37,6 @@ class Factor:
             raise ValueError(f"axes must be unique and ascending, got {axes}")
         if values.ndim != len(axes):
             raise ValueError(f"{values.ndim}-d values for {len(axes)} axes")
-
-    @classmethod
-    def of(cls, axes: Iterable[int], values) -> "Factor":
-        """Build a factor from axes in any order, transposing into the
-        canonical ascending layout."""
-        axes = [int(a) for a in axes]
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != len(axes):
-            raise ValueError(f"{values.ndim}-d values for {len(axes)} axes")
-        return cls(*transposed(axes, values))
-
-    @classmethod
-    def scalar(cls, value: float) -> "Factor":
-        return cls((), np.asarray(float(value)))
 
 
 def transposed(axes: Sequence[int], values: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
@@ -114,22 +99,13 @@ def factor_sum_out(a: Factor, variables: Iterable[int]) -> Factor:
     return Factor(kept, a.values.sum(axis=positions))
 
 
+def reciprocal(values: np.ndarray) -> np.ndarray:
+    """1/x where |x| is at least the smallest normal float, else 0."""
+    small = np.abs(values) < np.finfo(np.float64).tiny
+    return np.divide(1.0, values, out=np.zeros(values.shape), where=~small)
+
+
 def factor_div(a: Factor, b: Factor) -> Factor:
-    """Pointwise a / b over the union of axes.
-
-    Cells where b is zero yield 0 provided |a| <= ZERO_NUMERATOR_TOL there;
-    a genuinely nonzero numerator over a zero denominator raises, since it
-    signals an inconsistent network rather than zero-probability evidence.
-    """
-    axes, shape = _merged_axes(a, b)
-    num = np.broadcast_to(_expanded(a, axes), shape)
-    den = np.broadcast_to(_expanded(b, axes), shape)
-    zero = den == 0.0
-    if zero.any():
-        if (zero & (np.abs(num) > ZERO_NUMERATOR_TOL)).any():
-            raise DivisionByZeroError("nonzero numerator over zero potential")
-        out = np.divide(num, den, out=np.zeros(shape), where=~zero)
-    else:
-        out = num / den
-    return Factor(axes, out)
-
+    """Pointwise a / b over the union of axes, as a times the `reciprocal`
+    of b: 0 wherever b is zero or subnormal."""
+    return factor_product(a, Factor(b.axes, reciprocal(b.values)))

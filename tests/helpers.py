@@ -26,6 +26,7 @@ from bnsens import (
     generate_random_bn,
 )
 from bnsens.oracle import brute_force_f
+from bnsens.tensor import transposed
 
 
 # ------------------------------------------------------------ fixed networks
@@ -590,6 +591,12 @@ def random_tn(
 
 
 # ------------------------------------------------------ independent oracles
+
+def factor_of(axes, values) -> Factor:
+    """A factor over `axes` in any order: the values transposed into the
+    ascending layout, and checked by `Factor`."""
+    return Factor(*transposed(tuple(axes), np.asarray(values, dtype=np.float64)))
+
 
 def tn_table(tn: TensorNetwork) -> tuple[list[int], np.ndarray]:
     """Tabulate the network value at every full assignment by a direct

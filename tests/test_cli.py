@@ -68,6 +68,14 @@ def test_json_golden_bytes_of_each_plan(name):
     assert out == (GOLDEN / f"{name}.json").read_text()
 
 
+def test_oracle_json_golden_bytes():
+    code, out, _ = run_cli(
+        "oracle", "--network", CHAIN, "--format", "json", "--no-timings"
+    )
+    assert code == 0
+    assert out == (GOLDEN / "oracle.json").read_text()
+
+
 def test_golden_networks_are_the_documented_ones():
     from helpers import concrete_style_network
 
@@ -206,6 +214,9 @@ def test_map_constant_on_the_output_support_exits_3(tmp_path, command, network):
     assert code == 3
     assert out == ""
     assert "DegenerateOutputError" in err
+    # compute_all and the oracle share one degeneracy test and its message
+    if command == "oracle":
+        assert err == run_cli("compute", "--network", str(path))[2]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

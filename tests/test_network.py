@@ -29,7 +29,7 @@ from bnsens.graph import min_weight_order
 from bnsens.network import Elimination, marginals
 from bnsens.oracle import brute_force_f
 from bnsens.tensor import factor_product, factor_sum_out
-from helpers import chain_bn, random_tn, tn_marginal, tn_table
+from helpers import chain_bn, factor_of, random_tn, tn_marginal, tn_table
 
 
 _PAIR = TensorNetwork({0: 2, 1: 3}, (Factor((0, 1), np.ones((2, 3))),))
@@ -244,7 +244,7 @@ def test_marginals_match_collapse_on_every_variable(
     if loose:
         universe[20] = 3
     if scalar:
-        factors.append(Factor.scalar(float(rng.uniform(-2.0, 2.0))))
+        factors.append(Factor((), float(rng.uniform(-2.0, 2.0))))
     tn = TensorNetwork(universe, tuple(factors))
     got = marginals(tn)
     assert sorted(got) == sorted(universe)
@@ -288,7 +288,7 @@ def test_outside_factors_give_the_contraction_with_and_without_each_input(
     if loose:
         universe[20] = 3
     if scalar:
-        factors.append(Factor.scalar(-1.5))
+        factors.append(Factor((), -1.5))
     tn = TensorNetwork(universe, tuple(factors))
     chosen = list(range(0, len(tn.factors), 2))
     got = marginals(tn, outside_of=chosen)
@@ -391,7 +391,7 @@ def test_contract_over_zero_divisor():
     # is 0 there whatever the numerator, and a subnormal divisor cell counts
     # as zero: its reciprocal would overflow.
     divisors = (
-        TensorNetwork({0: 2}, (Factor.scalar(0.0),)),
+        TensorNetwork({0: 2}, (Factor((), 0.0),)),
         TensorNetwork({0: 2}, (Factor((0,), [0.0, 0.0]),)),
         TensorNetwork({0: 2}, (Factor((0,), [1e-310, -0.0]),)),
     )
@@ -493,11 +493,11 @@ def test_collapse_onto_an_uncarried_variable_between_carried_ones():
 
 
 def _eliminated(factors, drop):
-    """`bnsens.network._eliminate` over the scopes and arrays of `factors`,
-    as a factor."""
-    return Factor(*bnsens.network._eliminate(
-        [f.axes for f in factors], [f.values for f in factors], drop
-    ))
+    """`bnsens.network._einsum` over the scopes and arrays of `factors`,
+    with the axes in `drop` summed away, as a factor over the rest."""
+    scopes = [f.axes for f in factors]
+    kept = tuple(sorted(set().union(*scopes).difference(drop)))
+    return Factor(kept, bnsens.network._einsum(scopes, [f.values for f in factors], kept))
 
 
 def _stepwise(factors, drop):
@@ -506,7 +506,7 @@ def _stepwise(factors, drop):
 
 
 def _pair_bucket(rng, roles, cards):
-    """Two factors over axes 0..len(roles)-1, each built by `Factor.of`
+    """Two factors over axes 0..len(roles)-1, each built by `factor_of`
     from a shuffled axis order, so that its values are a non-contiguous
     view. Role k: in both, kept; s: in both, summed; a / b: in one factor
     only, kept; x: in the first factor only, summed."""
@@ -518,7 +518,7 @@ def _pair_bucket(rng, roles, cards):
     for scope in scopes:
         shuffled = [int(ax) for ax in rng.permutation(scope)]
         values = rng.uniform(0.5, 1.5, size=[cards[ax] for ax in shuffled])
-        factors.append(Factor.of(shuffled, values))
+        factors.append(factor_of(shuffled, values))
     kept = tuple(ax for ax, r in enumerate(roles) if r in "kab")
     return factors, kept
 
@@ -549,7 +549,7 @@ def _outer_pair_network():
     The factors' own axes interleave, so the result comes back transposed."""
     rng = np.random.default_rng(11)
     universe = {ax: 4 for ax in range(7)}
-    a = Factor.of((4, 0, 3, 2), rng.uniform(0.5, 1.5, size=(4,) * 4))
+    a = factor_of((4, 0, 3, 2), rng.uniform(0.5, 1.5, size=(4,) * 4))
     b = Factor((1, 3, 5, 6), rng.uniform(0.5, 1.5, size=(4,) * 4))
     c = Factor((0, 6), rng.uniform(0.5, 1.5, size=(4, 4)))
     return universe, a, b, c
@@ -629,7 +629,7 @@ def _nested_bucket(rng, count, cards):
     arrays = [rng.uniform(0.5, 1.5, size=[cards[ax] for ax in scope]) for scope in scopes]
     union = sorted(set().union(*scopes))
     kept = tuple(ax for ax in union if rng.random() < 0.7)
-    factors = [Factor.of(scope, array) for scope, array in zip(scopes, arrays)]
+    factors = [factor_of(scope, array) for scope, array in zip(scopes, arrays)]
     return scopes, arrays, factors, kept
 
 
@@ -684,7 +684,7 @@ def test_pair_of_arrays_smaller_than_the_bucket_runs_without_einsum(monkeypatch)
     # hold every summed axis, so the pair is one matmul.
     rng = np.random.default_rng(12)
     a = Factor(tuple(range(7)), rng.uniform(0.5, 1.5, size=(3,) * 7))
-    b = Factor.of((7, 5, 4, 6), rng.uniform(0.5, 1.5, size=(3,) * 4))
+    b = factor_of((7, 5, 4, 6), rng.uniform(0.5, 1.5, size=(3,) * 4))
     expected = _stepwise([a, b], {4, 5, 6})
     assert expected.values.size < a.values.size
 
@@ -753,8 +753,8 @@ def test_quotient_by_all_ones_is_identity():
 
 
 def test_quotient_of_scalars():
-    six = TensorNetwork({}, (Factor.scalar(6.0),))
-    three = TensorNetwork({}, (Factor.scalar(3.0),))
+    six = TensorNetwork({}, (Factor((), 6.0),))
+    three = TensorNetwork({}, (Factor((), 3.0),))
     assert contract_all(quotient(six, three)) == pytest.approx(2.0)
 
 

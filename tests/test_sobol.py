@@ -302,10 +302,10 @@ def test_shared_elimination_times_share_the_tables(monkeypatch):
     bn, spec = fan_in(4, 0)
     eliminate = bnsens.network._eliminate
 
-    def slow(scopes, arrays, drop):
-        if not drop and {ax for scope in scopes for ax in scope} == spec.evidential:
+    def slow(scopes, arrays):
+        if {ax for scope in scopes for ax in scope} == spec.evidential:
             time.sleep(0.02)
-        return eliminate(scopes, arrays, drop)
+        return eliminate(scopes, arrays)
 
     monkeypatch.setattr(bnsens.network, "_eliminate", slow)
     entries = compute_all(bn, spec, ComputeOptions(closed=((0, 1),))).indices
@@ -959,7 +959,7 @@ def test_bucket_beyond_einsum_operand_cap_matches_stepwise(monkeypatch, caplog):
 
     def stepwise(scopes, arrays, axes, *subscripts):
         factors = [Factor(scope, a) for scope, a in zip(scopes, arrays)]
-        product = reduce(factor_product, factors, Factor.scalar(1.0))
+        product = reduce(factor_product, factors, Factor((), 1.0))
         return factor_sum_out(product, set(product.axes) - set(axes)).values
 
     monkeypatch.setattr(bnsens.network, "_contract", stepwise)
