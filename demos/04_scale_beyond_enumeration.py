@@ -3,8 +3,9 @@
 A 24-node ternary network with 16 evidential roots: the function of
 interest lives on a 3^16 grid (about 4.3e7 points), far past what the
 brute-force oracle will enumerate, yet all 16 index pairs come out of
-the factored pipeline in about a hundredth of a second (0.008-0.011 s
-for the same network in the grid3e16 benchmark, two shared cores). This
+the factored pipeline in about three thousandths of a second (the demo
+prints 0.003 s; on the same network the grid3e16 benchmark's median
+analysis took 2.44-2.47 ms over ten runs, two shared Xeon cores). This
 is the point of the method: marginalization queries replace enumeration
 or sampling of f, one calibration gives all 16 first-order indices at
 once, and the roots are independent, so one calibration of a coupled

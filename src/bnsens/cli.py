@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -24,6 +25,7 @@ from .errors import (
 )
 from .ingest import (
     NativeDocument,
+    _expect,
     _floats,
     generate_random_bn,
     load_native,
@@ -128,19 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # ------------------------------------------------------------------ loading
 
-def _load_network(
-    args: argparse.Namespace,
-) -> tuple[DiscreteBayesNet, AnalysisSpec | None, str]:
-    path = Path(args.network)
-    fmt = args.input_format or ("bif" if path.suffix == ".bif" else "native")
-    text = path.read_text()
-    if fmt == "bif":
-        bn = parse_bif(text)
-        return bn, None, path.stem
-    doc = load_native(text)
-    return doc.network, doc.spec, doc.name or path.stem
-
-
 def _parse_value_map(text: str) -> dict[str, float]:
     mapping: dict[str, float] = {}
     for chunk in text.split(","):
@@ -160,9 +149,19 @@ def _parse_value_map(text: str) -> dict[str, float]:
     return mapping
 
 
-def _resolve_spec(
-    bn: DiscreteBayesNet, base: AnalysisSpec | None, args: argparse.Namespace
-) -> AnalysisSpec:
+def _load(args: argparse.Namespace) -> tuple[DiscreteBayesNet, AnalysisSpec, str]:
+    """The network of `--network`, its analysis spec and its report name.
+    `--output`, `--evidence` and `--value-map` override the document's spec,
+    field by field, and the spec is checked against the network."""
+    path = Path(args.network)
+    fmt = args.input_format or ("bif" if path.suffix == ".bif" else "native")
+    text = path.read_text()
+    if fmt == "bif":
+        bn, base, name = parse_bif(text), None, path.stem
+    else:
+        doc = load_native(text)
+        bn, base, name = doc.network, doc.spec, doc.name or path.stem
+
     if args.output is not None:
         output = bn.variable_named(args.output).id
     elif base is not None:
@@ -200,7 +199,7 @@ def _resolve_spec(
 
     spec = AnalysisSpec(output, evidential, value_map)
     validate_partition(bn, spec)
-    return spec
+    return bn, spec, name
 
 
 def _parse_indices(
@@ -360,8 +359,7 @@ def _format_dot(
 # ----------------------------------------------------------------- commands
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    bn, base_spec, name = _load_network(args)
-    spec = _resolve_spec(bn, base_spec, args)
+    bn, spec, name = _load(args)
     first, total, closed = _parse_indices(args.indices, bn)
     options = ComputeOptions(first=first, total=total, closed=closed)
     report = compute_all(bn, spec, options)
@@ -370,22 +368,16 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    bn, base_spec, name = _load_network(args)
-    spec = _resolve_spec(bn, base_spec, args)
+    bn, spec, name = _load(args)
     report = brute_force_indices(bn, spec, max_cells=args.max_cells)
     comparison = None
     if args.compare:
         mine = compute_all(bn, spec)
         by_id = {e.variables[0]: e for e in mine.indices}
-        dev_s = max(
-            abs(e.s - by_id[e.variables[0]].s) for e in report.indices
-        )
-        dev_st = max(
-            abs(e.st - by_id[e.variables[0]].st) for e in report.indices
-        )
+        pairs = [(e, by_id[e.variables[0]]) for e in report.indices]
         comparison = {
-            "max_abs_s_deviation": dev_s,
-            "max_abs_st_deviation": dev_st,
+            "max_abs_s_deviation": max(abs(a.s - b.s) for a, b in pairs),
+            "max_abs_st_deviation": max(abs(a.st - b.st) for a, b in pairs),
         }
     # A CSV has no room for the comparison, which goes to stderr instead.
     csv = args.report_format == "csv"
@@ -401,25 +393,22 @@ def _report_totals(text: str) -> dict[str, float | None]:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise SchemaError("report", "top level must be an object")
-    rows = data.get("indices", [])
-    if not isinstance(rows, list):
-        raise SchemaError("indices", "expected list")
     totals: dict[str, float | None] = {}
-    for k, row in enumerate(rows):
+    for k, row in enumerate(_expect(data, "indices", list, "", default=[])):
         if not isinstance(row, dict):
             raise SchemaError(f"indices[{k}]", "expected object")
-        name, st = row.get("variable"), row.get("ST")
-        if not isinstance(name, str):
-            raise SchemaError(f"indices[{k}].variable", "expected str")
+        name = _expect(row, "variable", str, f"indices[{k}].", required=True)
+        st = row.get("ST")
         if st is not None:
             st = float(_floats([st], f"indices[{k}].ST", "ST")[0])
+            if not math.isfinite(st):
+                raise SchemaError(f"indices[{k}].ST", "ST must be finite")
         totals[name] = st
     return totals
 
 
 def cmd_dot(args: argparse.Namespace) -> int:
-    bn, base_spec, name = _load_network(args)
-    spec = _resolve_spec(bn, base_spec, args)
+    bn, spec, name = _load(args)
     st_by_id: dict[int, float | None] = {}
     if args.from_report:
         by_name = _report_totals(Path(args.from_report).read_text())
@@ -468,11 +457,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     value_map = {
         label: float(pos) for pos, label in enumerate(bn.variables[output].domain)
     }
-    spec = AnalysisSpec(output, evidential, value_map)
-    validate_partition(bn, spec)
     doc = NativeDocument(
         bn,
-        spec,
+        AnalysisSpec(output, evidential, value_map),
         name=args.gen_name or f"random-s{args.seed}-n{args.nodes}",
     )
     sys.stdout.write(save_native(doc))
@@ -492,18 +479,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except DegenerateOutputError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except StateSpaceTooLargeError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except MemoryError as exc:
-        # numpy raises a private subclass; name the public type.
-        print(f"error: MemoryError: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (BnSensError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (BnSensError, ValueError, OSError, MemoryError) as exc:
+        # numpy raises a private MemoryError subclass; name the public type.
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"error: {kind}: {exc}", file=sys.stderr)
+        if isinstance(exc, DegenerateOutputError):
+            return EXIT_DEGENERATE
+        if isinstance(exc, (StateSpaceTooLargeError, MemoryError)):
+            return EXIT_RESOURCE
         return EXIT_INPUT
 
 

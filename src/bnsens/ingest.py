@@ -21,6 +21,7 @@ Two formats are supported:
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -106,6 +107,13 @@ def _floats(values: list, field: str, what: str) -> np.ndarray:
         raise SchemaError(field, f"{what} hold an integer too large for a float") from None
 
 
+def _id(ids: dict[str, int], name: Any, field: str) -> int:
+    """The id of the variable `name`; anything else raises SchemaError."""
+    if not isinstance(name, str) or name not in ids:
+        raise SchemaError(field, f"unknown variable {name!r}")
+    return ids[name]
+
+
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     data: dict[str, Any] = {}
     for key, value in pairs:
@@ -151,22 +159,14 @@ def load_native(text: str) -> NativeDocument:
         if not isinstance(item, dict):
             raise SchemaError(f"cpts[{i}]", "expected object")
         child_name = _expect(item, "child", str, where, required=True)
-        if child_name not in ids:
-            raise SchemaError(f"{where}child", f"unknown variable {child_name!r}")
-        child = ids[child_name]
+        child = _id(ids, child_name, f"{where}child")
         if child in cpts:
             raise SchemaError(f"{where}child", f"second CPT for {child_name!r}")
         parent_names = _expect(item, "parents", list, where, required=True)
-        parent_ids = []
-        for p in parent_names:
-            if not isinstance(p, str) or p not in ids:
-                raise SchemaError(f"{where}parents", f"unknown variable {p!r}")
-            parent_ids.append(ids[p])
+        parent_ids = [_id(ids, p, f"{where}parents") for p in parent_names]
         table = _expect(item, "table", list, where, required=True)
         table = _floats(table, f"{where}table", "entries")
-        rows = 1
-        for p in parent_ids:
-            rows *= variables[p].cardinality
+        rows = math.prod(variables[p].cardinality for p in parent_ids)
         card = variables[child].cardinality
         if len(table) != rows * card:
             raise SchemaError(
@@ -186,19 +186,16 @@ def load_native(text: str) -> NativeDocument:
         raise SchemaError("spec", "expected object")
     if raw_spec is not None:
         out_name = _expect(raw_spec, "output", str, "spec.", required=True)
-        if out_name not in ids:
-            raise SchemaError("spec.output", f"unknown variable {out_name!r}")
-        evid_names = _expect(raw_spec, "evidential", list, "spec.", required=True)
+        output = _id(ids, out_name, "spec.output")
         evid = set()
-        for e in evid_names:
-            if not isinstance(e, str) or e not in ids:
-                raise SchemaError("spec.evidential", f"unknown variable {e!r}")
-            if ids[e] in evid:
+        for e in _expect(raw_spec, "evidential", list, "spec.", required=True):
+            i = _id(ids, e, "spec.evidential")
+            if i in evid:
                 raise SchemaError("spec.evidential", f"duplicate variable {e!r}")
-            evid.add(ids[e])
+            evid.add(i)
         vmap = _expect(raw_spec, "value_map", dict, "spec.", required=True)
         values = _floats(list(vmap.values()), "spec.value_map", "values")
-        spec = AnalysisSpec(ids[out_name], frozenset(evid), dict(zip(vmap, values)))
+        spec = AnalysisSpec(output, frozenset(evid), dict(zip(vmap, values)))
         validate_partition(bn, spec)
     return NativeDocument(bn, spec, name, description)
 
@@ -420,9 +417,7 @@ class _BifParser:
                 f"second probability block for {child_tok.text!r}", child_tok
             )
         card = self.variables[child].cardinality
-        rows = 1
-        for p in parents:
-            rows *= self.variables[p].cardinality
+        rows = math.prod(self.variables[p].cardinality for p in parents)
         table = np.zeros((rows, card))
         filled = np.zeros(rows, dtype=bool)
         self.expect_punct("{")
@@ -530,9 +525,7 @@ def generate_random_bn(
     )
     cpts = []
     for i in range(n):
-        rows = 1
-        for p in parent_map[i]:
-            rows *= cards[p]
+        rows = math.prod(cards[p] for p in parent_map[i])
         table = rng.dirichlet(np.ones(cards[i]), size=rows)
         cpts.append(Cpt(i, parent_map[i], table))
     return DiscreteBayesNet(variables, tuple(cpts))

@@ -11,6 +11,7 @@ neighbour sets of `bnsens.graph`.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -383,8 +384,7 @@ def exact_indices(
     The joint is an object array with one axis per variable, built by
     broadcasting each CPT over its family, and every moment is a sum of
     it (`np.einsum` takes object arrays only from numpy 1.25). f(e) =
-    E[v(O) | e] is 0 where P(e) = 0. S_i = Var[E[f | e_i]] / Var[f] and
-    S^T_i = E[(f - E[f | e without i])^2] / Var[f]."""
+    E[v(O) | e] is 0 where P(e) = 0."""
     n = bn.n
     joint = np.full([v.cardinality for v in bn.variables], Fraction(1), dtype=object)
     for cpt in bn.cpts:
@@ -395,11 +395,60 @@ def exact_indices(
         joint = joint * table.transpose(np.argsort(family)).reshape(shape)
     scores = [Fraction(spec.value_map[label]) for label in bn.variables[spec.output].domain]
     shape = [len(scores) if k == spec.output else 1 for k in range(n)]
-    evidence = sorted(spec.evidential)
     hidden = tuple(k for k in range(n) if k not in spec.evidential)
     pr = joint.sum(axis=hidden)
     weighted = (joint * np.array(scores, dtype=object).reshape(shape)).sum(axis=hidden)
-    f = weighted / np.where(pr == 0, 1, pr)
+    return _exact_moments(pr, weighted / np.where(pr == 0, 1, pr), sorted(spec.evidential))
+
+
+def exact_gate_tree_indices(
+    bn: DiscreteBayesNet, spec: AnalysisSpec
+) -> tuple[Fraction, Fraction, dict[int, tuple[Fraction, Fraction]]]:
+    """`exact_indices` for a `gate_tree` whose evidence is basic events
+    alone, by the per-gate recursion of `gate_tree_reference` once per
+    evidence cell, in `Fraction`s, each CPT entry taken as the float it is.
+
+    Each event carries (P(ok), P(failed)) summed over every combination of
+    its inputs' states, weighted by its CPT row: an AND gate holds with
+    oa*ob + oa*fb + fa*ob. No row is assumed to sum to exactly 1, so f(e)
+    is the output's pair weighted by the values over the pair's sum, and
+    P(e) is the product of the evidence's priors. Every input of a gate
+    has a smaller id than the gate, so one pass in id order suffices."""
+    evidence = sorted(spec.evidential)
+    assert all(not bn.cpts[k].parents for k in evidence), "evidence must be basic events"
+    rows = [[[Fraction(x) for x in row] for row in cpt.table] for cpt in bn.cpts]
+    scores = [Fraction(spec.value_map[label]) for label in bn.variables[spec.output].domain]
+    pr = np.empty((2,) * len(evidence), dtype=object)
+    f = np.empty_like(pr)
+    for cell in itertools.product((0, 1), repeat=len(evidence)):
+        pair = {k: (Fraction(1 - x), Fraction(x)) for k, x in zip(evidence, cell)}
+        for cpt in bn.cpts:
+            if cpt.child in pair:
+                continue
+            inputs = [pair[p] for p in cpt.parents]
+            weights = [
+                math.prod(probs[s] for probs, s in zip(inputs, states))
+                for states in itertools.product((0, 1), repeat=len(inputs))
+            ]
+            table = rows[cpt.child]
+            pair[cpt.child] = tuple(
+                sum(w * row[c] for w, row in zip(weights, table)) for c in (0, 1)
+            )
+        out = pair[spec.output]
+        pr[cell] = math.prod(rows[k][0][x] for k, x in zip(evidence, cell))
+        f[cell] = sum(v * p for v, p in zip(scores, out)) / sum(out)
+    return _exact_moments(pr, f, evidence)
+
+
+def _exact_moments(
+    pr: np.ndarray, f: np.ndarray, evidence: list[int]
+) -> tuple[Fraction, Fraction, dict[int, tuple[Fraction, Fraction]]]:
+    """E[f], Var[f] and each (S_i, S^T_i) from the weights `pr` and the
+    values `f` of the evidence cells, one axis per variable of `evidence`.
+    The float CPT rows need not sum to exactly 1, so every moment is taken
+    under `pr` divided by its sum. S_i = Var[E[f | e_i]] / Var[f] and
+    S^T_i = E[(f - E[f | e without i])^2] / Var[f]."""
+    pr = pr / pr.sum()
 
     def given(axes: tuple[int, ...]) -> np.ndarray:
         """E[f | the evidence off `axes`], kept over size-1 `axes`."""

@@ -4,15 +4,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import bnsens.cli
 import bnsens.model
 import bnsens.network
 from bnsens import (
     AnalysisSpec,
     Cpt,
+    DegenerateOutputError,
     DiscreteBayesNet,
     NativeDocument,
+    SchemaError,
+    StateSpaceTooLargeError,
     Variable,
     save_native,
 )
@@ -136,6 +141,17 @@ def test_dot_from_malformed_report_exits_2(tmp_path, report):
     assert out == ""
     assert err.startswith("error: SchemaError: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("total", ["NaN", "Infinity", "-Infinity"])
+def test_dot_from_report_with_a_non_finite_total_exits_2(tmp_path, total):
+    # Python's json reads NaN and Infinity; neither is a total index.
+    path = tmp_path / "report.json"
+    path.write_text('{"indices": [{"variable": "E", "ST": %s}]}' % total)
+    code, out, err = run_cli("dot", "--network", CHAIN, "--from-report", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: SchemaError: indices[0].ST: ST must be finite\n"
 
 
 # A DOT quoted string as Graphviz scans it: a backslash always escapes the
@@ -316,6 +332,58 @@ def test_oracle_cap_exits_4(tmp_path):
     code, _, err = run_cli("oracle", "--network", str(path))
     assert code == 4
     assert "StateSpaceTooLarge" in err
+
+
+try:
+    from numpy._core._exceptions import _ArrayMemoryError
+except ImportError:  # numpy < 2
+    from numpy.core._exceptions import _ArrayMemoryError
+
+
+@pytest.mark.parametrize(
+    "error, code, line",
+    [
+        (DegenerateOutputError("flat"), 3, "error: DegenerateOutputError: flat"),
+        (StateSpaceTooLargeError("big"), 4, "error: StateSpaceTooLargeError: big"),
+        (
+            _ArrayMemoryError((2**40,), np.dtype(np.float64)),
+            4,
+            "error: MemoryError: Unable to allocate 8.00 TiB for an array"
+            " with shape (1099511627776,) and data type float64",
+        ),
+        (SchemaError("cpts", "bad"), 2, "error: SchemaError: cpts: bad"),
+        (ValueError("bad"), 2, "error: ValueError: bad"),
+        (
+            FileNotFoundError(2, "No such file or directory", "x.native"),
+            2,
+            "error: FileNotFoundError: [Errno 2] No such file or directory: 'x.native'",
+        ),
+        (
+            json.JSONDecodeError("Expecting value", "x", 0),
+            2,
+            "error: JSONDecodeError: Expecting value: line 1 column 1 (char 0)",
+        ),
+    ],
+    ids=["degenerate", "state-space", "numpy-memory", "schema", "value", "os", "json"],
+)
+def test_main_maps_each_error_to_its_exit(monkeypatch, capsys, error, code, line):
+    def fail(args):
+        raise error
+
+    monkeypatch.setitem(bnsens.cli._COMMANDS, "compute", fail)
+    assert main(["compute", "--network", CHAIN]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+
+
+def test_main_lets_an_untyped_error_propagate(monkeypatch):
+    def fail(args):
+        raise KeyError("bug")
+
+    monkeypatch.setitem(bnsens.cli._COMMANDS, "compute", fail)
+    with pytest.raises(KeyError):
+        main(["compute", "--network", CHAIN])
 
 
 def test_out_of_memory_exits_4(monkeypatch, capsys):

@@ -324,6 +324,27 @@ def test_native_unknown_spec_output(chain, chain_analysis):
         load_native(broken)
 
 
+@pytest.mark.parametrize(
+    "old, new, field, name",
+    [
+        ('"child": "O"', '"child": "Z"', "cpts[1].child", "'Z'"),
+        ('"parents": [\n        "E"', '"parents": [\n        "Z"', "cpts[1].parents", "'Z'"),
+        ('"parents": [\n        "E"', '"parents": [\n        1', "cpts[1].parents", "1"),
+        ('"output": "O"', '"output": "Z"', "spec.output", "'Z'"),
+        ('"evidential": [\n      "E"', '"evidential": [\n      "Z"', "spec.evidential", "'Z'"),
+        ('"evidential": [\n      "E"', '"evidential": [\n      null', "spec.evidential", "None"),
+    ],
+    ids=["child", "parent", "parent-not-str", "output", "evidential", "evidential-not-str"],
+)
+def test_native_unknown_name_in_each_field(chain, chain_analysis, old, new, field, name):
+    text = save_native(NativeDocument(chain, chain_analysis))
+    assert old in text
+    with pytest.raises(SchemaError) as info:
+        load_native(text.replace(old, new, 1))
+    assert info.value.field == field
+    assert str(info.value) == f"{field}: unknown variable {name}"
+
+
 def test_native_bad_table_size(chain):
     text = save_native(NativeDocument(chain))
     broken = text.replace("0.7,\n        0.3", "0.7")

@@ -20,6 +20,7 @@ from bnsens.oracle import (
 )
 from helpers import (
     common_parent_bn,
+    constant_behind_rare_evidence,
     constant_on_support_chain,
     exact_indices,
     impossible_label_grid,
@@ -108,6 +109,16 @@ def test_exact_reference_agrees_with_the_oracle():
             assert entry.st == pytest.approx(float(st), abs=1e-10)
         checked += 1
     assert checked == 28
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_reference_of_a_constant_f_has_no_variance(seed):
+    # f is constant up to the rounding of its CPT rows, which do not sum to
+    # exactly 1: Var[f] taken under the unnormalized joint came out near
+    # -(M - 1) E[f]^2 for a total mass M, negative for seeds 3 and 4.
+    bn, spec = constant_behind_rare_evidence(seed)
+    _, variance, _ = exact_indices(bn, spec)
+    assert 0 <= variance <= 1e-39
 
 
 def test_brute_force_degenerate(chain):

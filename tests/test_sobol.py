@@ -6,6 +6,7 @@ import threading
 import time
 import types
 import warnings
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -52,6 +53,8 @@ from helpers import (
     constant_behind_rare_evidence,
     constant_on_support_chain,
     driven_chain,
+    exact_gate_tree_indices,
+    exact_indices,
     fan_in,
     fault_tree,
     gate_tree,
@@ -931,6 +934,42 @@ def test_rare_gate_tree_with_root_evidence_matches_the_reference():
         s, st = indices[entry.variables[0]]
         assert entry.s == pytest.approx(s, abs=1e-9)
         assert entry.st == pytest.approx(st, abs=1e-9)
+
+
+@pytest.mark.parametrize("leaves, seed", [(4, 0), (4, 1), (4, 2), (4, 3), (8, 0)])
+def test_exact_gate_tree_reference_equals_the_exact_enumeration(leaves, seed):
+    # Every second basic event as evidence. Both references take each CPT
+    # float exactly, so they agree as Fractions, not merely closely.
+    bn, spec, _ = gate_tree(leaves, seed)
+    spec = AnalysisSpec(spec.output, frozenset(range(0, leaves, 2)), spec.value_map)
+    assert exact_gate_tree_indices(bn, spec) == exact_indices(bn, spec)
+
+
+@pytest.mark.parametrize(
+    "leaves, seed, variance_error, index_error",
+    [(16, 1, 3e-8, 1e-14), (32, 0, 7e-16, 5e-16), (32, 4, 4e-4, 4e-10)],
+)
+def test_engine_digits_on_rare_gate_trees(monkeypatch, leaves, seed, variance_error, index_error):
+    # Every fourth basic event as evidence. Measured against the exact
+    # reference: Var[f] is off by 2.0e-8, 4.4e-16 and 2.6e-4 relative, and
+    # the indices by at most 6.2e-15, 2.8e-16 and 2.2e-10. An index is a
+    # share of Var[f], so its error is pinned as a share of Var[f] (its
+    # absolute error): an index far below the rounding has no digits at
+    # all (gate_tree(32, 0)'s S^T of 2.1e-23 reads 2.2e-16).
+    # Var[f] / Var[g(O)] of both 32-leaf trees is below
+    # DEGENERATE_VARIANCE_TOL, so they raise a false DegenerateOutputError
+    # (gate_tree(32, 0) is the strict xfail above); with the floor at 0 the
+    # engine returns the Var[f] it computed.
+    monkeypatch.setattr(bnsens.sobol, "DEGENERATE_VARIANCE_TOL", 0.0)
+    bn, spec, _ = gate_tree(leaves, seed)
+    spec = AnalysisSpec(spec.output, frozenset(range(0, leaves, 4)), spec.value_map)
+    _, variance, indices = exact_gate_tree_indices(bn, spec)
+    report = compute_all(bn, spec)
+    assert abs(Fraction(report.variance) - variance) <= variance_error * variance
+    assert sorted(indices) == [e.variables[0] for e in report.indices]
+    for entry in report.indices:
+        for value, exact in zip((entry.s, entry.st), indices[entry.variables[0]]):
+            assert abs(Fraction(value) - exact) <= index_error
 
 
 def test_bucket_beyond_einsum_operand_cap_matches_stepwise(monkeypatch, caplog):
