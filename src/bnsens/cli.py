@@ -448,8 +448,6 @@ def _deepest_sink(bn: DiscreteBayesNet) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.nodes < 1:
-        raise ValueError("--nodes must be at least 1")
     lo, hi = _parse_cardinality(args.cardinality)
     bn = generate_random_bn(args.seed, args.nodes, args.max_parents, (lo, hi))
     output = _deepest_sink(bn)

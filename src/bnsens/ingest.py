@@ -98,8 +98,8 @@ def _expect(data: dict, field: str, kind, where: str, default=None, required=Fal
 
 
 def _floats(values: list, field: str, what: str) -> np.ndarray:
-    """`values` as float64; each must be a number that a float can hold."""
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values):
+    """`values` as float64; each an exact int or float (not a bool) that a float can hold."""
+    if not set(map(type, values)) <= {int, float}:
         raise SchemaError(field, f"{what} must be numbers")
     try:
         return np.array(values, dtype=np.float64)

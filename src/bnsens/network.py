@@ -7,25 +7,25 @@ division rule, `bnsens.tensor.reciprocal`), so dividing costs no more than
 multiplying. Marginalization runs variable elimination under the
 minimal-weight heuristic and keeps the result factored, which is what makes
 squaring/quotient pipelines affordable on evidence sets far too large to
-tabulate. Each bucket of the elimination multiplies its factors and sums
-the variable away in one kernel call, so the product of a bucket is never
-stored. Buckets pass bare arrays beside their axis tuples; only
-what `marginalize` and `collapse` return is built as `Factor`s again. A
-contraction is first derived (`_subscripts`: the einsum letters of its
-axes, in order of first appearance, each operand's subscripts, the
-result's, and its cells), then run (`_contract`). In a large bucket, each
-operand whose axes lie within another operand with fewer cells than the
-bucket is first multiplied into the smallest such one (folded); two arrays
-left, each smaller than the bucket and sharing every summed axis, are one
-batched matmul, and any other bucket is one einsum. `marginals` gives the
-marginal on every variable, or on those asked for, from one order: an
-`Elimination` runs the buckets forward, deriving each bucket's subscripts
-once into its record (stopped before the last variable, it holds that
-variable's marginal, and may take one more factor over it), and a backward
-pass over the records sends each message the contraction of everything
-else, its outside factor, by joining the recorded subscripts. A network
-derived from checked ones is built without the checks of its constructor
-(`trusted`).
+tabulate. Each bucket of the elimination multiplies its factors and sums the
+variable away in one kernel call, so the product of a bucket is never
+stored. Buckets pass bare arrays beside their axis tuples; only what
+`marginalize` and `collapse` return is built as `Factor`s again. A
+contraction is first derived (`_subscripts`: the einsum letters of its axes,
+in order of first appearance, each operand's subscripts, the result's, and
+its cells), then run (`_contract`); so is an elimination (`Schedule.derive`,
+or `_program` with no array, then `_execute`), so a caller can plan every
+elimination before any runs. In a large bucket, each operand whose axes lie
+within another operand with fewer cells than the bucket is first multiplied
+into the smallest such one (folded); two arrays left, each smaller than the
+bucket and sharing every summed axis, are one batched matmul, and any other
+bucket is one einsum. `marginals` gives the marginal on every variable, or
+on those asked for, from one order: an `Elimination` runs the buckets
+forward (stopped before the last variable, it holds that variable's
+marginal, and may take one more factor over it), and a backward pass over
+the records sends each message the contraction of everything else, its
+outside factor, by joining the recorded subscripts. A network derived from
+checked ones is built without the checks of its constructor (`trusted`).
 """
 
 from __future__ import annotations
@@ -279,67 +279,99 @@ def _eliminate(
     return axes, _einsum(scopes, arrays, axes)
 
 
-class Elimination:
-    """Variable elimination in place over a network's factors, one bucket
-    per variable: the forward pass of `marginalize`, `collapse` and, with a
-    record of each bucket, `marginals`. `scopes` and `arrays` list the
-    factors, then the messages and later factors as they came, so a pass
-    resumed by a second `run` sees its live operands in the order of the
-    network `marginalize` would have returned, then the new factors. A
-    bucket sets its operands' arrays to None and appends its message, over
-    every axis of the bucket but its variable, ascending (a variable in no
-    operand sends its cardinality). `holders` lists, ascending, the
-    positions of the operands over each variable, so that no bucket scans
-    the other operands; each `run` extends it, and `table` needs none. A
-    bucket's `_subscripts` are derived once, from the universe, and its
-    record is (variable, operand positions, their scopes, their arrays,
-    message position, `_subscripts` triple or None if it has no operands),
-    which the backward pass of `marginals` joins without deriving again."""
+class Schedule:
+    """Variable elimination over operand scopes alone: `scopes` lists the
+    operands, then each message and later operand as it came, `live` those
+    that no bucket has taken, and `holders`, ascending, the positions of the
+    operands over each variable, so that no bucket scans the others."""
 
-    def __init__(self, tn: TensorNetwork, records: bool = True):
-        self.universe = tn.universe
-        self.scopes: list[tuple[int, ...]] = [f.axes for f in tn.factors]
-        self.arrays: list[np.ndarray | None] = [f.values for f in tn.factors]
+    def __init__(self, universe: Mapping[int, int], scopes: list[tuple[int, ...]]):
+        self.universe, self.scopes = universe, scopes  # extended in place
+        self.live = [True] * len(scopes)
         self.holders: dict[int, list[int]] = {}
         self.held = 0  # the operands before this position are in `holders`
+
+    def derive(self, order: Iterable[int | None], added: Sequence = ()) -> list[tuple]:
+        """Add operands over `added`; the record of each bucket of `order`, (v,
+        operand positions, their scopes, message scope, message position,
+        `_subscripts` triple), which takes its live operands and appends its
+        message, over their axes but v, ascending. With no operand the triple
+        is ([], "", v's cardinality); a None v takes every live operand."""
+        universe, scopes, live, holders = self.universe, self.scopes, self.live, self.holders
+        scopes += added
+        live += [True] * len(added)
+        for i in range(self.held, len(scopes)):
+            for ax in scopes[i]:
+                holders.setdefault(ax, []).append(i)
+        records = []
+        for v in order:
+            holding = range(len(scopes)) if v is None else holders.pop(v, ())
+            positions = [i for i in holding if live[i]]
+            axes = [scopes[i] for i in positions]
+            cards = {ax: universe[ax] for scope in axes for ax in scope}
+            kept = tuple(sorted([ax for ax in cards if ax != v]))
+            derived = _subscripts(axes, cards, kept) if positions else ([], "", universe[v])
+            message = len(scopes)
+            for i in positions:
+                live[i] = False
+            for ax in kept:
+                holders[ax].append(message)
+            scopes.append(kept)
+            live.append(True)
+            records.append((v, positions, axes, kept, message, derived))
+        self.held = len(scopes)
+        return records
+
+
+class Elimination(Schedule):
+    """Variable elimination in place over a network's factors, the forward
+    pass of `marginalize`, `collapse` and `marginals`: `run` derives its
+    records, then contracts them (`_execute`) over `arrays`, so a resumed pass
+    sees its live operands in the order of the network `marginalize` would
+    return, then the new factors; `buckets` keeps the records if asked."""
+
+    def __init__(self, tn: TensorNetwork, records: bool = True):
+        Schedule.__init__(self, tn.universe, [f.axes for f in tn.factors])
+        self.arrays: list[np.ndarray | None] = [f.values for f in tn.factors]
         self.buckets: list | None = [] if records else None
 
     def run(self, order: Iterable[int], *factors: Factor) -> Elimination:
         """Add `factors`, over live variables, and eliminate those of `order`."""
-        scopes, arrays, holders = self.scopes, self.arrays, self.holders
-        universe, buckets = self.universe, self.buckets
-        scopes += [f.axes for f in factors]
-        arrays += [f.values for f in factors]
-        for i in range(self.held, len(scopes)):
-            for ax in scopes[i]:
-                holders.setdefault(ax, []).append(i)
-        for v in order:
-            positions = [i for i in holders.pop(v, ()) if arrays[i] is not None]
-            axes = [scopes[i] for i in positions]
-            bucket = [arrays[i] for i in positions]
-            if positions:
-                cards = {ax: universe[ax] for scope in axes for ax in scope}
-                kept = tuple(sorted(ax for ax in cards if ax != v))
-                derived = _subscripts(axes, cards, kept)
-                out = _contract(axes, bucket, kept, *derived)
-                for i in positions:
-                    arrays[i] = None
-                for ax in kept:
-                    holders[ax].append(len(arrays))
-            else:
-                kept, out, derived = (), np.asarray(float(universe[v])), None
-            scopes.append(kept)
-            arrays.append(out)
-            if buckets is not None:
-                buckets.append((v, positions, axes, bucket, len(arrays) - 1, derived))
-        self.held = len(scopes)
+        self.arrays += [f.values for f in factors]
+        _execute(self.derive(order, [f.axes for f in factors]), self.arrays, self.buckets)
         return self
 
     def table(self) -> tuple[tuple[int, ...], np.ndarray]:
         """The product of the live arrays over their axes, ascending, in one
         `_eliminate`: what `collapse` returns, after a run by its order."""
-        live = [i for i, a in enumerate(self.arrays) if a is not None]
+        live = [i for i, alive in enumerate(self.live) if alive]
         return _eliminate([self.scopes[i] for i in live], [self.arrays[i] for i in live])
+
+
+def _execute(records: Sequence[tuple], arrays: list, buckets: list | None = None) -> list:
+    """Each record's `_contract` over `arrays`, by position, appended as its
+    message, its operands freed (None) and, in `buckets`, kept beside it."""
+    for v, positions, axes, kept, message, derived in records:
+        bucket = [arrays[i] for i in positions]
+        out = _contract(axes, bucket, kept, *derived) if bucket else np.asarray(float(derived[2]))
+        arrays.append(out)
+        for i in positions:
+            arrays[i] = None
+        if buckets is not None:
+            buckets.append((v, positions, axes, bucket, message, derived))
+    return arrays
+
+
+def _executed(records: Sequence[tuple], arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The arrays that `records` leave live, run over `arrays`, which stay as they are."""
+    return [a for a in _execute(records, [*arrays]) if a is not None]
+
+
+def _program(universe: Mapping[int, int], scopes, order) -> tuple[list, list]:
+    """The records of `order` over operands of `scopes`, derived with no
+    array, and the scopes of the live operands, which `_executed` returns."""
+    schedule = Schedule(universe, [*scopes])
+    return schedule.derive(order), [s for s, alive in zip(schedule.scopes, schedule.live) if alive]
 
 
 def _order(scopes, universe: Mapping[int, int], keep: set[int]) -> Sequence[int]:
@@ -372,10 +404,10 @@ def marginalize(tn: TensorNetwork, eliminate: Iterable[int]) -> TensorNetwork:
     forward = Elimination(tn, records=False)  # each bucket freed as it goes
     if not isinstance(eliminate, EliminationOrder):
         eliminate = _order(forward.scopes, tn.universe, set(tn.universe) - targets)
-    scopes, arrays = forward.run(eliminate).scopes, forward.arrays
+    scopes, arrays, live = forward.run(eliminate).scopes, forward.arrays, forward.live
     n = len(tn.factors)
-    factors = [f for f, a in zip(tn.factors, arrays) if a is not None]
-    factors += [trusted(Factor, scopes[i], a) for i, a in enumerate(arrays[n:], n) if a is not None]
+    factors = [f for f, alive in zip(tn.factors, live) if alive]
+    factors += [trusted(Factor, scopes[i], arrays[i]) for i in range(n, len(live)) if live[i]]
     universe = {k: c for k, c in tn.universe.items() if k not in targets}
     return trusted(TensorNetwork, universe, tuple(factors))
 
@@ -433,7 +465,7 @@ def marginals(
 
     # The live arrays are now scalars that multiply to the contraction;
     # each gets the product of the others, from prefix and suffix products.
-    finals = [i for i, a in enumerate(arrays) if a is not None]
+    finals = [i for i, alive in enumerate(tn.live) if alive]
     scalars = [float(arrays[i]) for i in finals]
     before = itertools.accumulate(scalars[:-1], operator.mul, initial=1.0)
     after = itertools.accumulate(reversed(scalars[1:]), operator.mul, initial=1.0)
@@ -471,23 +503,17 @@ def marginals(
 
 def contract_all(tn: TensorNetwork) -> float:
     """Marginalize the whole universe and return the resulting scalar."""
-    value = float(collapse(tn, ()).values)
-    if value != 0.0 and abs(value) < np.finfo(np.float64).tiny and _inputs_normal(tn):
-        warnings.warn(
-            f"contraction underflowed to subnormal {value!r}",
-            ContractionUnderflowWarning,
-            stacklevel=2,
-        )
-    return value
+    return _checked(float(collapse(tn, ()).values), [f.values for f in tn.factors])
 
 
-def _inputs_normal(tn: TensorNetwork) -> bool:
+def _checked(value: float, arrays: Iterable[np.ndarray]) -> float:
+    """`value`, the contraction of `arrays`: subnormal from entries that
+    are all normal or zero, it warns ContractionUnderflowWarning."""
     tiny = np.finfo(np.float64).tiny
-    for f in tn.factors:
-        nonzero = f.values[f.values != 0.0]
-        if nonzero.size and np.abs(nonzero).min() < tiny:
-            return False
-    return True
+    if 0.0 < abs(value) < tiny and not any((np.abs(a[a != 0.0]) < tiny).any() for a in arrays):
+        message = f"contraction underflowed to subnormal {value!r}"
+        warnings.warn(message, ContractionUnderflowWarning, stacklevel=3)
+    return value
 
 
 def square_wrt(tn: TensorNetwork, shared: Iterable[int]) -> TensorNetwork:
@@ -551,10 +577,7 @@ def collapse(tn: TensorNetwork, keep: Iterable[int]) -> Factor:
     if missing:
         raise UnknownAxisError(f"keep variables {sorted(missing)} not in universe")
     forward = Elimination(tn, records=False)
-    scopes, arrays = forward.scopes, forward.arrays  # extended in place by `run`
-    forward.run(_order(scopes, tn.universe, keep_set))
-    carried = {ax for scope, a in zip(scopes, arrays) if a is not None for ax in scope}
-    for v in keep_set - carried:
-        scopes.append((v,))
-        arrays.append(np.ones(tn.universe[v]))
-    return trusted(Factor, *forward.table())
+    forward.run(_order(forward.scopes, tn.universe, keep_set))
+    carried = {ax for scope, alive in zip(forward.scopes, forward.live) if alive for ax in scope}
+    ones = [trusted(Factor, (v,), np.ones(tn.universe[v])) for v in keep_set - carried]
+    return trusted(Factor, *forward.run((), *ones).table())

@@ -37,11 +37,12 @@ Each of three plans gives E[f] and `moment(keep)`:
   `t`, and each `moment(keep)` is one query over `t` squared and divided
   by the evidence marginal over `keep`: with independent evidence, the
   product of the reciprocal priors, taken once per analysis; otherwise
-  `j` with the rest summed out. The queries read `t` and `j` and not each
-  other; every `keep` an index reads is listed before any index is
-  computed, and each is queried once, on as many threads as there are
-  CPUs and queries when `t` is large enough for the numpy kernels, which
-  release the GIL, to dominate (`_second_moments`).
+  `j` with the rest summed out. Every `keep` an index reads is listed, and
+  the programs of `t`'s build and of each query (`_plan`) are derived
+  before any array is touched; a helper builds `t` while the caller plans,
+  and the queries, which only contract, run on as many threads as CPUs and
+  queries when `t` is large enough for the GIL-free numpy kernels to
+  dominate (`_second_moments`).
 
 In the last two, with more than one evidential variable and an S_i to
 compute, the pass goes on as the calibration of `t_full`: its backward
@@ -60,6 +61,7 @@ import os
 import threading
 import time
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -79,11 +81,10 @@ from . import network
 from .network import (
     TensorNetwork,
     collapse,  # noqa: F401  (not called here: hooked by bench/spans.py)
-    contract_all,
+    contract_all,  # noqa: F401  (not called here: hooked by bench/spans.py)
     marginalize,
     marginals,
     mrf_from_bn,
-    quotient,
     square_wrt,
 )
 from .tensor import Factor, reciprocal, trusted
@@ -131,10 +132,11 @@ class IndexEntry:
     evidence, one of the evidence marginal), the total indices of the
     coupled plan share another, every index of the shared elimination
     shares its tables, and every index of the per-query plan shares the
-    wall time of its queries, since each reads Var[f] from one of them.
-    Each index computed from a calibration, the tables or the queries is
-    charged an equal share of its time plus its own arithmetic, so the
-    times still add up to the work done."""
+    time from the calibration's end to the last query's (planning, building
+    or awaiting `t`, the queries), since each reads Var[f]. Each index
+    computed from a calibration, the tables or the queries is charged an
+    equal share of its time plus its own arithmetic, so the times still add
+    up to the work done."""
 
     variables: tuple[int, ...]
     name: str
@@ -169,29 +171,36 @@ class ComputeOptions:
     workers: int = 1
 
 
-def _conditional_second_moment(
-    t: TensorNetwork,
-    j: TensorNetwork,
-    keep: frozenset[int],
-    inverse: dict[int, Factor] | None = None,
-) -> float:
-    """E[E[f | keep]^2] for a subset `keep` of the evidential variables.
+_Query = namedtuple("_Query", "keep reduce divide square")
 
-    Everything outside `keep` is summed out of the function network, which
-    leaves P(keep) E[f | keep] in factored form; squaring it (no replicas,
-    since every remaining variable is shared) and dividing by P(keep), the
-    evidence marginal with the rest of the evidence summed out, contracts
-    to the second moment of the conditional mean. `j` is the evidence
-    marginal, over the evidential variables only. With independent
-    evidence, `inverse` holds the zero-safe reciprocal of each prior P(x_k)
-    as a factor over k; P(keep) is then their product over `keep`, and `j`
-    is not read. Where P(keep) is zero so is the numerator, and the
-    reciprocal's 0 there is exact."""
-    squared = square_wrt(marginalize(t, set(t.universe) - keep), keep)
-    if inverse is None:
-        return contract_all(quotient(squared, marginalize(j, frozenset(j.universe) - keep)))
-    divisor = tuple(inverse[k] for k in sorted(keep))
-    return contract_all(trusted(TensorNetwork, squared.universe, squared.factors + divisor))
+
+def _plan(universe: dict, scopes: list, j: TensorNetwork | None, keep: frozenset) -> _Query:
+    """The program of E[E[f | keep]^2] over a `t` of factor `scopes`: `t`
+    summed down to P(keep) E[f | keep] (`reduce`), squared (every variable
+    left is shared) over P(keep), the priors' product with `j` None, else
+    `j` summed down to `keep` (`divide`), to a scalar (`square`), ordered
+    from the unsquared scopes, since a repeated one adds no edge."""
+    reduce, reduced = network._program(universe, scopes, network._order(scopes, universe, keep))
+    divide, divisor = None, [(k,) for k in sorted(keep)]
+    if j is not None:
+        j_scopes = [f.axes for f in j.factors]
+        order = network._order(j_scopes, j.universe, keep)
+        divide, divisor = network._program(j.universe, j_scopes, order)
+    universe = {k: c for k, c in universe.items() if k in keep}
+    order = network._order([*reduced, *divisor], universe, set())
+    square, _ = network._program(universe, [*reduced, *reduced, *divisor], [*order, None])
+    return _Query(keep, reduce, divide, square)
+
+
+def _second_moment(query: _Query, t: list, j: TensorNetwork, inverse: dict | None) -> float:
+    """`query`'s moment over `t`'s arrays and `j` or `inverse`, the zero-safe
+    reciprocal priors: where P(keep) is 0 so is the numerator, and 0 is exact."""
+    reduced = network._executed(query.reduce, t)
+    divisor = [inverse[k] for k in sorted(query.keep)] if query.divide is None else [
+        reciprocal(a) for a in network._executed(query.divide, [f.values for f in j.factors])
+    ]
+    (table,) = network._executed(query.square, [*reduced, *reduced, *divisor])
+    return network._checked(float(table), [*reduced, *divisor])
 
 
 def _cpus() -> int:
@@ -201,54 +210,52 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _second_moments(
-    t: TensorNetwork,
-    j: TensorNetwork,
-    keeps: Sequence[frozenset[int]],
-    inverse: dict[int, Factor] | None,
-) -> tuple[dict[frozenset[int], float], BaseException | None]:
-    """`_conditional_second_moment` of each of `keeps`, and the exception
-    of the first query, in the order of `keeps`, that raised one.
+def _second_moments(build: Callable, plan: Callable, execute: Callable, workers: int) -> list:
+    """Each query of `plan`'s moment by `execute` over `build`'s arrays of
+    `t`, or its exception. The first of `workers` - 1 helpers builds `t`
+    while the caller plans (with none, the caller builds it next); then each
+    thread takes the next query until all have run, each doing the same
+    arithmetic on any thread. The helpers are joined before this returns or
+    raises, and then `build`'s exception raised."""
+    built, queries, results, taken = [], [], [], 0
+    lock, ready = threading.Lock(), threading.Event()  # `lock` is held while the caller plans
 
-    Every query runs to completion. The queries only read `t`, `j` and
-    `inverse`, so when `t`'s largest factor has at least
-    THREAD_CELLS_PER_VARIABLE cells per variable of `t` they run on the
-    calling thread and one helper thread per further CPU, up to one
-    thread per query, each taking the next query in turn; the helpers are
-    joined before this returns. Each query does the same arithmetic on
-    any thread, so the moments do not depend on how many ran."""
-    largest = max((f.values.size for f in t.factors), default=0)
-    threaded = largest >= THREAD_CELLS_PER_VARIABLE * len(t.universe)
-    workers = min(_cpus(), len(keeps)) if threaded else 1
-    results: list[float | BaseException | None] = [None] * len(keeps)
-    taken = 0
-    lock = threading.Lock()
-
-    def work() -> None:
+    def work(first: bool) -> None:
         nonlocal taken
-        while True:
+        if first:
+            try:
+                built.append(build())
+            except BaseException as exc:  # raised by the caller once the helpers are joined
+                built.append(exc)
+            ready.set()
+        ready.wait()
+        while not isinstance(built[0], BaseException):
             with lock:
                 q, taken = taken, taken + 1
-            if q >= len(keeps):
+            if q >= len(queries):
                 return
             try:
-                results[q] = _conditional_second_moment(t, j, keeps[q], inverse)
+                results[q] = execute(queries[q], built[0])
             except Exception as exc:  # re-raised by the caller, in list order
                 results[q] = exc
 
-    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
-    for helper in helpers:
-        helper.start()
+    helpers = [threading.Thread(target=work, args=(n == 0,)) for n in range(workers - 1)]
     try:
-        work()
+        with lock:
+            for helper in helpers:
+                helper.start()
+            queries += plan()
+            results += [None] * len(queries)
+        work(not helpers)
     finally:
         with lock:  # an interrupt on this thread stops the helpers taking more
-            taken = len(keeps)
+            taken = len(queries)
         for helper in helpers:
-            helper.join()
-    values = {k: r for k, r in zip(keeps, results) if not isinstance(r, BaseException)}
-    failure = next((r for r in results if isinstance(r, BaseException)), None)
-    return values, failure
+            if helper.ident is not None:  # started
+                helper.join()
+    if isinstance(built[0], BaseException):
+        raise built[0]
+    return results
 
 
 # Module-level so that bench/spans.py and the tests can hook each query.
@@ -348,10 +355,10 @@ def compute_all(
     plan is taken. The choice is logged at DEBUG level on the
     `bnsens.sobol` logger with the cells it rests on. The per-query plan
     lists its queries before any index is computed, in the order Var[f],
-    each total, each closed group, and runs them all, on threads when `t`
-    is large enough (`_second_moments`); if any fails, Var[f] is still
-    checked for degeneracy first, and then the first failed query in that
-    order raises its exception.
+    each total, each closed group, plans them all (`_plan`), then runs
+    them, on threads when `t` is large enough (`_second_moments`); if any
+    fails, Var[f] is still checked for degeneracy first, and then the
+    first failed query in that order raises its exception.
 
     With a single evidential variable, {i} is E, so S_i reads the moment
     that Var[f] was taken from and is exactly 1.0. Some indices need no
@@ -458,26 +465,9 @@ def compute_all(
         t_full = trusted(TensorNetwork, mrf.universe, (*mrf.factors, value_factor))
         priors = _priors(j)
         moments: dict[frozenset[int], float] = {}
-        if calibrate:
-            # g joins O's bucket, and the backward pass gives E[f] and each
-            # t_i = P(i) E[f | i]; E[E[f | i]^2] is the sum of t_i^2 / j_i,
-            # and a zero cell of j_i, where t_i is zero too, adds 0.
-            t0 = time.perf_counter()
-            forward.run((spec.output,), value_factor)
-            t_marginals = marginals(forward, of=[*queried, spec.output])
-            j_marginals = marginals(j, of=queried) if priors is None else priors
-            for i in queried:
-                t_i = t_marginals[i]
-                moments[frozenset({i})] = float(t_i @ (t_i * reciprocal(j_marginals[i])))
-            mean = float(t_marginals[spec.output].sum())
-            s_share = (time.perf_counter() - t0) / len(queried)
-        else:
-            mean = float(g @ p_out)  # the contraction of t_full
-
+        full_scopes = [f.axes for f in t_full.factors]
         # Orderings go through bnsens.network's name, where the benchmark counts them.
-        t_order = network.min_weight_order(
-            [f.axes for f in t_full.factors], t_full.universe, keep=spec.evidential
-        )
+        t_order = network.min_weight_order(full_scopes, t_full.universe, keep=spec.evidential)
         couplings = None
         if priors is not None and options.total and not closed:
             squared = square_wrt(t_full, ())
@@ -497,38 +487,67 @@ def compute_all(
             if coupled_cells < reduce_cells:
                 diagonals = [np.diag(reciprocal(p)) for p in priors.values()]
                 couplings = [trusted(Factor, *c) for c in zip(pairs, diagonals)]
+
+        def calibration() -> None:  # E[f], each S_i's moment and time share; t0 at its end
+            nonlocal mean, s_share, t0
+            if calibrate:
+                # g joins O's bucket, and the backward pass gives E[f] and each
+                # t_i = P(i) E[f | i]; E[E[f | i]^2] is the sum of t_i^2 / j_i,
+                # and a zero cell of j_i, where t_i is zero too, adds 0.
+                t0 = time.perf_counter()
+                forward.run((spec.output,), value_factor)
+                t_marginals = marginals(forward, of=[*queried, spec.output])
+                j_marginals = marginals(j, of=queried) if priors is None else priors
+                for i in queried:
+                    t_i = t_marginals[i]
+                    moments[frozenset({i})] = float(t_i @ (t_i * reciprocal(j_marginals[i])))
+                mean = float(t_marginals[spec.output].sum())
+                s_share = (time.perf_counter() - t0) / len(queried)
+            else:
+                mean = float(g @ p_out)  # the contraction of t_full
+            t0 = time.perf_counter()
+
         if couplings is None:
             _log.debug(
                 "per-query plan: table over the evidence and the output %d cells, "
                 "above %d; building t %d cells",
                 shared_cells, SHARED_ELIMINATION_CELLS, sum(t_order.cells),
             )
-            t = marginalize(t_full, t_order)
+            build, t_scopes = network._program(t_full.universe, full_scopes, t_order)
+            universe = {k: c for k, c in t_full.universe.items() if k in spec.evidential}
             # With independent evidence every query divides by the priors,
             # whose reciprocals are taken once here.
-            inverse = None if priors is None else {
-                k: trusted(Factor, (k,), reciprocal(p)) for k, p in priors.items()
-            }
-            # Every moment an index reads that no calibration gave, once:
+            inverse = None if priors is None else {k: reciprocal(p) for k, p in priors.items()}
+            # Every moment an index reads that no calibration gives, once:
             # Var[f]'s, each total's and each closed group's. An S_i reads a
             # calibrated moment or, with one evidential variable, Var[f]'s.
             keeps = [spec.evidential]
             if options.total:
                 keeps += [spec.evidential - {i} for i in targets if i not in zero_st]
             keeps += [widened(frozenset(ids)) for ids in unseparated]
-            t0 = time.perf_counter()
-            values, failure = _second_moments(
-                t, j, [k for k in dict.fromkeys(keeps) if k not in moments], inverse
+            calibrated = {frozenset({i}) for i in queried} if calibrate else set()
+            keeps = [k for k in dict.fromkeys(keeps) if k not in calibrated]
+            largest = max((math.prod(universe[ax] for ax in s) for s in t_scopes), default=0)
+            threaded = largest >= THREAD_CELLS_PER_VARIABLE * len(universe)
+
+            def plan() -> list[_Query]:
+                calibration()
+                return [_plan(universe, t_scopes, j if priors is None else None, k) for k in keeps]
+
+            results = _second_moments(
+                lambda: network._executed(build, [f.values for f in t_full.factors]), plan,
+                lambda query, t: _second_moment(query, t, j, inverse),
+                min(_cpus(), len(keeps)) if threaded else 1,
             )
-            if spec.evidential not in values:
+            failure = next((r for r in results if isinstance(r, BaseException)), None)
+            if failure is results[0]:
                 raise failure  # Var[f]'s query, the first, failed
-            moments.update(values)
+            moments.update(zip(keeps, results))
             # Every index reads Var[f], so each shares the queries' wall time.
             st_share = (time.perf_counter() - t0) / max(users, 1)
             s_share += st_share
-
         else:
-            t0 = time.perf_counter()
+            calibration()
             start = len(squared.factors)
             coupled = network.Elimination(squared).run(coupled_order, *couplings)
             outside = marginals(coupled, outside_of=range(start, start + len(priors)))

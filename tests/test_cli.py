@@ -467,6 +467,7 @@ def test_gen_output_runs_end_to_end(tmp_path):
 def test_gen_rejects_zero_nodes():
     code, _, err = run_cli("gen", "--seed", "1", "--nodes", "0")
     assert code == 2
+    assert "error: ValueError: need at least one node" in err
 
 
 def test_evidence_roots_shorthand(tmp_path):

@@ -373,6 +373,26 @@ def test_native_rejects_an_integer_too_large_for_a_float(
     assert info.value.field == field
 
 
+@pytest.mark.parametrize("bad", ["true", '"0.3"', "null", "[0.3]"])
+@pytest.mark.parametrize(
+    "old, field, what",
+    [
+        ('"0": 0.0', "spec.value_map", "values"),
+        ("0.7,\n        0.3", "cpts[0].table", "entries"),
+    ],
+    ids=["value-map", "table"],
+)
+def test_native_rejects_a_number_of_another_type(chain, chain_analysis, old, field, what, bad):
+    # A bool is an int to isinstance, and a string, null or list no number.
+    text = save_native(NativeDocument(chain, chain_analysis))
+    assert old in text
+    new = old.replace("0.0", bad) if field == "spec.value_map" else old.replace("0.3", bad)
+    with pytest.raises(SchemaError) as info:
+        load_native(text.replace(old, new, 1))
+    assert info.value.field == field
+    assert str(info.value) == f"{field}: {what} must be numbers"
+
+
 @pytest.mark.parametrize(
     "old, new, key",
     [

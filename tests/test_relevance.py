@@ -237,14 +237,14 @@ def test_separated_group_gets_an_exact_zero_without_a_query(monkeypatch, caplog,
     group = (ids["B"], ids["C"])
     if not shared:
         monkeypatch.setattr(bnsens.sobol, "SHARED_ELIMINATION_CELLS", 0)
-    query = bnsens.sobol._conditional_second_moment
+    query = bnsens.sobol._second_moment
     queried = []
 
-    def recording(t, j, keep, *args):
-        queried.append(keep)
-        return query(t, j, keep, *args)
+    def recording(q, *args):
+        queried.append(q.keep)
+        return query(q, *args)
 
-    monkeypatch.setattr(bnsens.sobol, "_conditional_second_moment", recording)
+    monkeypatch.setattr(bnsens.sobol, "_second_moment", recording)
     options = ComputeOptions(first=False, total=False, closed=(group, (ids["A"], ids["B"])))
     with caplog.at_level(logging.DEBUG, logger="bnsens.sobol"):
         report = compute_all(bn, spec, options)

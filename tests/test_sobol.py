@@ -19,6 +19,7 @@ import bnsens.sobol
 from bnsens import (
     AnalysisSpec,
     ComputeOptions,
+    ContractionUnderflowWarning,
     Cpt,
     DegenerateOutputError,
     DiscreteBayesNet,
@@ -42,7 +43,6 @@ from bnsens.cli import main
 from bnsens.graph import EliminationOrder
 from bnsens.ingest import NativeDocument, save_native
 from bnsens.oracle import brute_force_closed, brute_force_f, brute_force_indices
-from bnsens.sobol import _conditional_second_moment
 from bnsens.tensor import factor_product, factor_sum_out
 from helpers import (
     additive_bn,
@@ -279,15 +279,15 @@ def test_per_query_times_share_the_queries(monkeypatch):
     # another: the total-index times must add up to the work, Var[f]'s
     # query included, shared equally by the 7 indices that read it.
     monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 1)
-    query = bnsens.sobol._conditional_second_moment
+    query = bnsens.sobol._second_moment
     calls = []
 
     def slow(*args):
-        calls.append(args[2])
+        calls.append(args[0].keep)
         time.sleep(0.02)
         return query(*args)
 
-    monkeypatch.setattr(bnsens.sobol, "_conditional_second_moment", slow)
+    monkeypatch.setattr(bnsens.sobol, "_second_moment", slow)
     bn, spec = layered_network(4, 10, 5, (5, 7))
     entries = compute_all(bn, spec, ComputeOptions(first=False)).indices
     queried = [e for e in entries if e.st != 0.0]
@@ -353,14 +353,15 @@ def _evidence_marginal(bn, spec):
 
 def _guard_per_query(monkeypatch, spec):
     """Record the networks (or forward passes, for `t_full`) that `marginals`
-    calibrates and those that `contract_all` contracts outside
-    conditional-moment queries; refuse a calibration of the reduced t,
-    which unlike t_full lacks the output and unlike the evidence marginal
-    does not sum to 1."""
-    calibrated, contracted, inside = [], [], []
+    calibrates and the programs that `network._executed` runs outside
+    conditional-moment queries, except one run of t's build, the first
+    program derived over `t_full`'s universe (the only one with the output);
+    refuse a calibration of the reduced t, which unlike t_full lacks the
+    output and unlike the evidence marginal does not sum to 1."""
+    calibrated, contracted, inside, builds = [], [], [], []
     calibrate = bnsens.sobol.marginals
-    contract = bnsens.sobol.contract_all
-    query = bnsens.sobol._conditional_second_moment
+    program, executed = bnsens.network._program, bnsens.network._executed
+    query = bnsens.sobol._second_moment
 
     def guarded(tn, *args, **kwargs):
         if spec.output not in tn.universe and abs(contract_all(tn) - 1.0) > 1e-9:
@@ -368,10 +369,19 @@ def _guard_per_query(monkeypatch, spec):
         calibrated.append(tn)
         return calibrate(tn, *args, **kwargs)
 
-    def recorded(tn):
+    def derived(universe, scopes, order):
+        records, live = program(universe, scopes, order)
+        if spec.output in universe:
+            builds.append(records)
+        return records, live
+
+    def recorded(records, arrays):
         if not inside:
-            contracted.append(tn)
-        return contract(tn)
+            if builds and records is builds[0]:
+                builds[0] = None  # t is built once
+            else:
+                contracted.append(records)
+        return executed(records, arrays)
 
     def queried(*args):
         inside.append(True)
@@ -381,8 +391,9 @@ def _guard_per_query(monkeypatch, spec):
             inside.pop()
 
     monkeypatch.setattr(bnsens.sobol, "marginals", guarded)
-    monkeypatch.setattr(bnsens.sobol, "contract_all", recorded)
-    monkeypatch.setattr(bnsens.sobol, "_conditional_second_moment", queried)
+    monkeypatch.setattr(bnsens.network, "_program", derived)
+    monkeypatch.setattr(bnsens.network, "_executed", recorded)
+    monkeypatch.setattr(bnsens.sobol, "_second_moment", queried)
     return calibrated, contracted
 
 
@@ -459,7 +470,8 @@ def test_output_marginal_from_the_forward_pass_is_the_collapse_bit_for_bit(
     # to raise. `collapse` reads an `Elimination.table` too, so each
     # expected collapse is taken before the recorder is installed. Outside
     # the shared plan, the first table is the only one over any axis: the
-    # per-query plan's scalar contractions are the only other tables.
+    # per-query plan's scalar contractions, the table records (variable
+    # None) that `_execute` runs, are the only other tables.
     if not shared:
         monkeypatch.setattr(bnsens.sobol, "SHARED_ELIMINATION_CELLS", 0)
     instances = []
@@ -468,14 +480,25 @@ def test_output_marginal_from_the_forward_pass_is_the_collapse_bit_for_bit(
         relevant = ancestors(bn.dag(), spec.evidential | {spec.output})
         keep = spec.evidential | {spec.output} if shared else {spec.output}
         instances.append((bn, spec, collapse(mrf_from_bn(bn, relevant), keep)))
-    table = bnsens.network.Elimination.table
-    tables = []
+    table, execute = bnsens.network.Elimination.table, bnsens.network._execute
+    tables, scalars = [], []
 
     def recording(self):
         tables.append(table(self))
         return tables[-1]
 
+    def executing(records, *args):
+        def seen():
+            for record in records:
+                if record[0] is None:  # a table: the record's message scope
+                    tables.append((record[3], None))
+                    scalars.append(record[3] == ())
+                yield record
+
+        return execute(seen(), *args)
+
     monkeypatch.setattr(bnsens.network.Elimination, "table", recording)
+    monkeypatch.setattr(bnsens.network, "_execute", executing)
     for bn, spec, expected in instances:
         tables.clear()
         try:
@@ -489,6 +512,7 @@ def test_output_marginal_from_the_forward_pass_is_the_collapse_bit_for_bit(
         assert first.sum(axis=summed).tobytes() == expected.values.sum(axis=summed).tobytes()
         if not shared:
             assert [axes for axes, _ in tables if axes] == [(spec.output,)]
+    assert all(scalars) and len(scalars) >= (0 if shared else 20)
 
 
 def test_per_query_plan_matches_the_oracle(monkeypatch, caplog):
@@ -774,6 +798,13 @@ def test_one_evidential_variable_has_a_first_order_index_of_exactly_one(
         assert entry.s == 1.0
 
 
+def _moment(t, j, keep):
+    """E[E[f | keep]^2] by the per-query plan's program of `keep` and its
+    execution, over the function network `t` and the evidence marginal `j`."""
+    query = bnsens.sobol._plan(t.universe, [f.axes for f in t.factors], j, keep)
+    return bnsens.sobol._second_moment(query, [f.values for f in t.factors], j, None)
+
+
 def test_queries_agree_on_full_and_reduced_function_network():
     for seed in range(6):
         bn, spec = random_instance(seed + 250)
@@ -784,8 +815,8 @@ def test_queries_agree_on_full_and_reduced_function_network():
         for i in evid:
             keeps += [frozenset({i}), spec.evidential - {i}]
         for keep in keeps:
-            assert _conditional_second_moment(reduced, j, keep) == pytest.approx(
-                _conditional_second_moment(t, j, keep), abs=1e-12
+            assert _moment(reduced, j, keep) == pytest.approx(
+                _moment(t, j, keep), abs=1e-12
             )
 
 
@@ -831,7 +862,7 @@ def _refuse_queries(monkeypatch):
     def refuse(*args):
         raise AssertionError("a conditional-moment query ran")
 
-    monkeypatch.setattr(bnsens.sobol, "_conditional_second_moment", refuse)
+    monkeypatch.setattr(bnsens.sobol, "_second_moment", refuse)
 
 
 @pytest.mark.parametrize(
@@ -853,11 +884,11 @@ def test_coupled_totals_match_their_per_query_moments(monkeypatch, network):
     t = marginalize(t_full, set(mrf.universe) - spec.evidential)
     j = marginalize(mrf, set(mrf.universe) - spec.evidential)
     mean = contract_all(t)
-    variance = _conditional_second_moment(t, j, spec.evidential) - mean * mean
+    variance = _moment(t, j, spec.evidential) - mean * mean
     assert report.variance == pytest.approx(variance, rel=1e-12)
     for entry in report.indices:
         (i,) = entry.variables
-        rest = _conditional_second_moment(t, j, spec.evidential - {i})
+        rest = _moment(t, j, spec.evidential - {i})
         assert entry.st == pytest.approx(1.0 - (rest - mean * mean) / variance, abs=1e-12)
 
 
@@ -1313,7 +1344,9 @@ def _count_threads(monkeypatch) -> list[threading.Thread]:
             super().start()
 
     monkeypatch.setattr(
-        bnsens.sobol, "threading", types.SimpleNamespace(Thread=Counted, Lock=threading.Lock)
+        bnsens.sobol,
+        "threading",
+        types.SimpleNamespace(Thread=Counted, Lock=threading.Lock, Event=threading.Event),
     )
     return started
 
@@ -1355,14 +1388,14 @@ def test_queries_take_at_most_one_thread_each_and_leave_none(monkeypatch):
     # all joined by the time compute_all returns or raises.
     monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 64)
     bn, spec = _dense_card()
-    query = bnsens.sobol._conditional_second_moment
+    query = bnsens.sobol._second_moment
     calls = []
 
     def counted(*args):
-        calls.append(args[2])
+        calls.append(args[0].keep)
         return query(*args)
 
-    monkeypatch.setattr(bnsens.sobol, "_conditional_second_moment", counted)
+    monkeypatch.setattr(bnsens.sobol, "_second_moment", counted)
     before = threading.active_count()
     started = _count_threads(monkeypatch)
     compute_all(bn, spec)
@@ -1372,7 +1405,7 @@ def test_queries_take_at_most_one_thread_each_and_leave_none(monkeypatch):
     def failing(*args):
         raise MemoryError("cannot allocate the bucket")
 
-    monkeypatch.setattr(bnsens.sobol, "_conditional_second_moment", failing)
+    monkeypatch.setattr(bnsens.sobol, "_second_moment", failing)
     started.clear()
     with pytest.raises(MemoryError):
         compute_all(bn, spec)
@@ -1388,14 +1421,14 @@ def test_each_query_runs_once_on_many_threads(monkeypatch):
     bn, spec = _gate_evidence_tree()
     monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 1)
     expected = _results(compute_all(bn, spec))
-    query = bnsens.sobol._conditional_second_moment
+    query = bnsens.sobol._second_moment
     calls = []
 
     def counted(*args):
-        calls.append(args[2])
+        calls.append(args[0].keep)
         return query(*args)
 
-    monkeypatch.setattr(bnsens.sobol, "_conditional_second_moment", counted)
+    monkeypatch.setattr(bnsens.sobol, "_second_moment", counted)
     monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 64)
     started = _count_threads(monkeypatch)
     interval = sys.getswitchinterval()
@@ -1415,7 +1448,7 @@ def _failing_on_a_helper(monkeypatch):
     the calling thread holds its first query until then, so the helper runs
     the rest. Returns the ids of the threads that raised."""
     monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 2)
-    query = bnsens.sobol._conditional_second_moment
+    query = bnsens.sobol._second_moment
     caller = threading.get_ident()
     raised, helper_calls = [], []
     done = threading.Event()
@@ -1424,14 +1457,14 @@ def _failing_on_a_helper(monkeypatch):
         if threading.get_ident() == caller:
             done.wait(timeout=10)
             return query(*args)
-        helper_calls.append(args[2])
+        helper_calls.append(args[0].keep)
         if len(helper_calls) == 3:
             raised.append(threading.get_ident())
             done.set()
             raise MemoryError("cannot allocate the bucket")
         return query(*args)
 
-    monkeypatch.setattr(bnsens.sobol, "_conditional_second_moment", failing)
+    monkeypatch.setattr(bnsens.sobol, "_second_moment", failing)
     return raised
 
 
@@ -1456,32 +1489,32 @@ def test_failed_queries_raise_in_list_order_after_the_variance_check(monkeypatch
     # first failing query in that order raises, however they ran.
     monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 2)
     bn, spec = _dense_card()
-    query = bnsens.sobol._conditional_second_moment
+    query = bnsens.sobol._second_moment
 
-    def degenerate(t, j, keep, inverse):
-        if keep == spec.evidential:
+    def degenerate(query, t, j, inverse):
+        if query.keep == spec.evidential:
             return 0.0
         raise MemoryError("cannot allocate the bucket")
 
-    monkeypatch.setattr(bnsens.sobol, "_conditional_second_moment", degenerate)
+    monkeypatch.setattr(bnsens.sobol, "_second_moment", degenerate)
     with pytest.raises(DegenerateOutputError):
         compute_all(bn, spec)
 
-    def failing(t, j, keep, inverse):
-        if keep == spec.evidential:
-            return query(t, j, keep, inverse)
-        time.sleep(0.01 * (8 - min(spec.evidential - keep)))  # later ones fail first
-        raise ValueError(sorted(spec.evidential - keep))
+    def failing(q, t, j, inverse):
+        if q.keep == spec.evidential:
+            return query(q, t, j, inverse)
+        time.sleep(0.01 * (8 - min(spec.evidential - q.keep)))  # later ones fail first
+        raise ValueError(sorted(spec.evidential - q.keep))
 
-    monkeypatch.setattr(bnsens.sobol, "_conditional_second_moment", failing)
+    monkeypatch.setattr(bnsens.sobol, "_second_moment", failing)
     with pytest.raises(ValueError) as first:
         compute_all(bn, spec)
     assert first.value.args == ([0],)
 
-    def var_fails(t, j, keep, inverse):
-        raise ValueError(len(keep))
+    def var_fails(query, t, j, inverse):
+        raise ValueError(len(query.keep))
 
-    monkeypatch.setattr(bnsens.sobol, "_conditional_second_moment", var_fails)
+    monkeypatch.setattr(bnsens.sobol, "_second_moment", var_fails)
     with pytest.raises(ValueError) as first:
         compute_all(bn, spec)
     assert first.value.args == (len(spec.evidential),)
@@ -1501,6 +1534,133 @@ def test_python_bound_queries_start_no_thread(monkeypatch):
         started = _count_threads(monkeypatch)
         compute_all(*network())
         assert len(started) == threads
+
+
+@pytest.mark.parametrize("network", [_dense_card, _dependent_dense_card],
+                         ids=["dense-card", "dependent"])
+def test_per_query_programs_predict_the_cells_they_contract(monkeypatch, network):
+    # Each bucket that the per-query plan programs, in t's build and in every
+    # query, carries the cells a cap can check before any array exists: the
+    # `_contract` that runs it spans exactly those cells, and t's build
+    # spans the cells of the order that costed it.
+    bn, spec = network()
+    program, contract = bnsens.network._program, bnsens.network._contract
+    programs, spans = [], {}
+
+    def recording_program(universe, scopes, order):
+        records, kept = program(universe, scopes, order)
+        programs.append((universe, order, records))
+        return records, kept
+
+    def recording_contract(scopes, arrays, axes, subscripts, output, cells):
+        shape = {ax: n for scope, a in zip(scopes, arrays) for ax, n in zip(scope, a.shape)}
+        spans[id(subscripts)] = math.prod(shape.values())
+        return contract(scopes, arrays, axes, subscripts, output, cells)
+
+    monkeypatch.setattr(bnsens.network, "_program", recording_program)
+    monkeypatch.setattr(bnsens.network, "_contract", recording_contract)
+    compute_all(bn, spec)
+    ((order, build),) = [(o, records) for u, o, records in programs if spec.output in u]
+    assert [record[5][2] for record in build] == list(order.cells)
+    buckets = [record for _, _, records in programs for record in records if record[1]]
+    assert len(programs) > 8 and len(buckets) > len(programs)
+    for v, positions, axes, kept, message, (subscripts, output, cells) in buckets:
+        assert spans[id(subscripts)] == cells
+
+
+def _hook_t_build(monkeypatch, spec, action):
+    """Call `action()` on the thread that builds t, before it does: t's build
+    executes the one program derived over the output, that of t_full."""
+    program, execute = bnsens.network._program, bnsens.network._execute
+    builds = []
+
+    def recording_program(universe, scopes, order):
+        records, kept = program(universe, scopes, order)
+        if spec.output in universe:
+            builds.append(records)
+        return records, kept
+
+    def hooked_execute(records, *args):
+        if builds and records is builds[0]:
+            action()
+        return execute(records, *args)
+
+    monkeypatch.setattr(bnsens.network, "_program", recording_program)
+    monkeypatch.setattr(bnsens.network, "_execute", hooked_execute)
+
+
+def test_threaded_queries_are_all_planned_before_one_contracts(monkeypatch):
+    # On two CPUs the helper builds t while the caller calibrates and plans:
+    # every query's ordering comes before any query runs.
+    monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 2)
+    bn, spec = _dense_card()
+    order, query = bnsens.network.min_weight_order, bnsens.sobol._second_moment
+    events, builders = [], []
+
+    def ordered(*args, **kwargs):
+        events.append("order")
+        return order(*args, **kwargs)
+
+    def queried(*args):
+        events.append("query")
+        return query(*args)
+
+    monkeypatch.setattr(bnsens.network, "min_weight_order", ordered)
+    monkeypatch.setattr(bnsens.sobol, "_second_moment", queried)
+    _hook_t_build(monkeypatch, spec, lambda: builders.append(threading.get_ident()))
+    started = _count_threads(monkeypatch)
+    compute_all(bn, spec)
+    assert events.count("order") == 11 and events.count("query") == 8
+    assert max(i for i, e in enumerate(events) if e == "order") < events.index("query")
+    assert len(started) == 1 and builders == [started[0].ident]
+
+
+def test_an_error_in_the_calibration_stops_the_helper_building_t(monkeypatch):
+    # The caller's calibration raises while the helper is still building t:
+    # the error reaches the caller, and the helper is joined first.
+    monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 2)
+    bn, spec = _dense_card()
+    raised = threading.Event()
+
+    def failing(tn, **kwargs):
+        raised.set()
+        raise RuntimeError("calibration failed")
+
+    monkeypatch.setattr(bnsens.sobol, "marginals", failing)
+    _hook_t_build(monkeypatch, spec, lambda: raised.wait(timeout=10))
+    before = threading.active_count()
+    started = _count_threads(monkeypatch)
+    with pytest.raises(RuntimeError, match="calibration failed"):
+        compute_all(bn, spec)
+    assert len(started) == 1 and not any(t.is_alive() for t in started)
+    assert threading.active_count() == before
+
+
+def test_memory_error_building_t_on_a_helper_exits_4(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 2)
+    bn, spec = _dense_card()
+    path = tmp_path / "dense-card.native"
+    path.write_text(save_native(NativeDocument(bn, spec, name="dense-card")))
+    raised = []
+
+    def failing():
+        raised.append(threading.get_ident())
+        raise MemoryError("cannot allocate t")
+
+    _hook_t_build(monkeypatch, spec, failing)
+    before = threading.active_count()
+    assert main(["compute", "--network", str(path)]) == 4
+    assert "error: MemoryError: cannot allocate t" in capsys.readouterr().err
+    assert len(raised) == 1 and raised[0] != threading.get_ident()
+    assert threading.active_count() == before
+
+
+def test_a_subnormal_query_from_normal_inputs_warns():
+    # E[E[f | 0]^2] = (1e-160)^2 is subnormal, and no input entry is.
+    query = bnsens.sobol._plan({0: 2}, [(0,)], None, frozenset({0}))
+    t, inverse = [np.array([1e-160, 0.0])], {0: np.array([1.0, 0.0])}
+    with pytest.warns(ContractionUnderflowWarning):
+        assert bnsens.sobol._second_moment(query, t, None, inverse) == 1e-320
 
 
 def test_compute_all_closed_option():
