@@ -7,14 +7,16 @@ parents: each in range, none the vertex itself, none repeated, and no
 directed cycle among them. `ancestors` and `separated_evidence` trust
 that and check only the vertices they are asked about.
 
-The two algorithms that need an undirected graph, d-separation and the
-elimination order, share one representation: a neighbour set per vertex,
-built by `_primal` from scopes (families of a DAG, or the axes of factors).
+The algorithms that need an undirected graph, d-separation, the
+elimination order and its least cells, share one representation: a
+neighbour set per vertex, built by `_primal` from scopes (families of a
+DAG, or the axes of factors).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Iterable, Mapping, Sequence
 
 
@@ -96,6 +98,26 @@ def separated_evidence(
         frozenset(evidence - below),
         frozenset(i for i in evidence if not moral[i] & reached),
     )
+
+
+def least_cells(scopes: Iterable[Iterable[int]], cards: Mapping[int, int], keep: frozenset) -> int:
+    """A lower bound on the bucket cells of eliminating the vertices outside
+    `keep` by any order: the last of each connected set K of them has K's
+    kept neighbours in its bucket, their cells times K's least cardinality."""
+    graph, seen, total = _primal(scopes, cards), set(keep), 0
+    for root in graph:
+        if root in seen:
+            continue
+        seen.add(root)
+        least, border, frontier = cards[root], set(), [root]
+        while frontier:
+            v = frontier.pop()
+            least = min(least, cards[v])
+            border |= graph[v] & keep
+            frontier += graph[v] - seen
+            seen |= graph[v]
+        total += least * math.prod(cards[u] for u in border)
+    return total
 
 
 class EliminationOrder(tuple):

@@ -40,9 +40,10 @@ Each of three plans gives E[f] and `moment(keep)`:
   `j` with the rest summed out. Every `keep` an index reads is listed, and
   the programs of `t`'s build and of each query (`_plan`) are derived
   before any array is touched; a helper builds `t` while the caller plans,
-  and the queries, which only contract, run on as many threads as CPUs and
-  queries when `t` is large enough for the GIL-free numpy kernels to
-  dominate (`_second_moments`).
+  taking the GIL back between einsums within SWITCH_INTERVAL, and the
+  queries, which only contract, run on as many threads as CPUs and queries
+  when `t` is large enough for the GIL-free numpy kernels to dominate
+  (`_second_moments`).
 
 In the last two, with more than one evidential variable and an S_i to
 compute, the pass goes on as the calibration of `t_full`: its backward
@@ -54,10 +55,12 @@ says how the plan is chosen.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 import math
 import os
+import sys
 import threading
 import time
 import warnings
@@ -68,7 +71,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DegenerateOutputError, NotEvidentialError, PartialFunctionError
-from .graph import ancestors, separated_evidence
+from .graph import ancestors, least_cells, separated_evidence
 from .model import (
     AnalysisSpec,
     Cpt,
@@ -118,6 +121,17 @@ SHARED_ELIMINATION_CELLS = network.ROUTE_CELLS
 # `layered_network(1, 6, 4, (5, 8))` 1.24x (11,200); the tree and layered
 # networks are those of tests/helpers.py.
 THREAD_CELLS_PER_VARIABLE = 2**15
+# While helpers run, the switch interval is at most this many seconds. A
+# thread waiting for the GIL gets it when the holder blocks or after the
+# interval, by default 5 ms, more than dense-card's planning (1.8 ms); so the
+# helper building `t` stalled after each einsum until the planning ended.
+# dense-card `compute_s`, medians of 300 analyses on 2 cores: -8% at 1e-4 s,
+# none at 5e-4 s. The setting is process-wide, but every other way measured
+# worse: planning before the helper starts +1.4%, a helper that also plans
+# +0.8%, `t` built on the caller +2.9%, `time.sleep(0)` between plans +1.3%.
+SWITCH_INTERVAL = 1e-4
+_switched = [0, 0.0]  # the analyses that have helpers, and the interval found
+_switch_lock = threading.Lock()
 
 _log = logging.getLogger(__name__)
 
@@ -210,13 +224,33 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
+def _switching():
+    """The switch interval at most SWITCH_INTERVAL until no analysis in the
+    process has helpers, then the one found."""
+    with _switch_lock:
+        if not _switched[0]:
+            _switched[1] = sys.getswitchinterval()
+            if _switched[1] > SWITCH_INTERVAL:
+                sys.setswitchinterval(SWITCH_INTERVAL)
+        _switched[0] += 1
+    try:
+        yield
+    finally:
+        with _switch_lock:
+            _switched[0] -= 1
+            if not _switched[0] and _switched[1] > SWITCH_INTERVAL:
+                # kept in whole microseconds, truncated: the one found, plus half of one
+                sys.setswitchinterval((round(_switched[1] * 1e6) + 0.5) / 1e6)
+
+
 def _second_moments(build: Callable, plan: Callable, execute: Callable, workers: int) -> list:
     """Each query of `plan`'s moment by `execute` over `build`'s arrays of
     `t`, or its exception. The first of `workers` - 1 helpers builds `t`
-    while the caller plans (with none, the caller builds it next); then each
-    thread takes the next query until all have run, each doing the same
-    arithmetic on any thread. The helpers are joined before this returns or
-    raises, and then `build`'s exception raised."""
+    while the caller plans, under `_switching` (with none started, the
+    caller builds it next); then each thread takes the next query until all
+    have run, each doing the same arithmetic on any thread. The helpers are
+    joined before this returns or raises, and then `build`'s exception raised."""
     built, queries, results, taken = [], [], [], 0
     lock, ready = threading.Lock(), threading.Event()  # `lock` is held while the caller plans
 
@@ -240,19 +274,23 @@ def _second_moments(build: Callable, plan: Callable, execute: Callable, workers:
                 results[q] = exc
 
     helpers = [threading.Thread(target=work, args=(n == 0,)) for n in range(workers - 1)]
-    try:
-        with lock:
+    with _switching() if helpers else contextlib.nullcontext():
+        try:
+            with lock:
+                for helper in helpers:
+                    try:
+                        helper.start()
+                    except RuntimeError:  # the OS refused it: no more are tried
+                        break
+                queries += plan()
+                results += [None] * len(queries)
+            work(not helpers or helpers[0].ident is None)  # the builder did not start
+        finally:
+            with lock:  # an interrupt on this thread stops the helpers taking more
+                taken = len(queries)
             for helper in helpers:
-                helper.start()
-            queries += plan()
-            results += [None] * len(queries)
-        work(not helpers)
-    finally:
-        with lock:  # an interrupt on this thread stops the helpers taking more
-            taken = len(queries)
-        for helper in helpers:
-            if helper.ident is not None:  # started
-                helper.join()
+                if helper.ident is not None:  # started
+                    helper.join()
     if isinstance(built[0], BaseException):
         raise built[0]
     return results
@@ -272,15 +310,14 @@ def variance_component(
 
 def total_index(
     i: int,
-    moment: Callable[[frozenset[int]], float],
-    evidential: frozenset[int],
+    moment_without: Callable[[int], float],
     mean: float,
     variance: float,
 ) -> float:
     """Total effect S^T_i = 1 - (E[E[f | E - {i}]^2] - E[f]^2) / Var[f] of
-    variable i, where `moment(keep)` is the plan's E[E[f | keep]^2] and E
-    is `evidential`."""
-    return 1.0 - (moment(evidential - {i}) - mean * mean) / variance
+    variable i, where `moment_without(i)` is the plan's E[E[f | E - {i}]^2]
+    over the evidence E."""
+    return 1.0 - (moment_without(i) - mean * mean) / variance
 
 
 def _priors(j: TensorNetwork) -> dict[int, np.ndarray] | None:
@@ -348,17 +385,19 @@ def compute_all(
     factors), and when the cells of its forward and backward passes,
     predicted by its elimination order, are fewer than those of summing
     `t_full` down to `t`, which the per-query plan pays before anything
-    else. That order is of the factor scopes of `square_wrt(t_full, ())`
-    and the coupling pairs; the couplings are made only when the plan is
-    taken, and join that network's `Elimination` as its last factors. Each
-    costed order is the one that runs. Otherwise the per-query
-    plan is taken. The choice is logged at DEBUG level on the
-    `bnsens.sobol` logger with the cells it rests on. The per-query plan
-    lists its queries before any index is computed, in the order Var[f],
-    each total, each closed group, plans them all (`_plan`), then runs
-    them, on threads when `t` is large enough (`_second_moments`); if any
-    fails, Var[f] is still checked for degeneracy first, and then the
-    first failed query in that order raises its exception.
+    else; `t` is ordered only when `least_cells`, which no order of `t`
+    goes below, does not already exceed the coupled cells. The coupled
+    order is of the factor scopes of `square_wrt(t_full, ())` and the
+    coupling pairs; the couplings are made only when the plan is taken,
+    and join that network's `Elimination` as its last factors. Each costed
+    order is the one that runs. Otherwise the per-query plan is taken. The
+    choice is logged at DEBUG level on the `bnsens.sobol` logger with the
+    cells it rests on. The per-query plan lists its queries before any
+    index is computed, in the order Var[f], each total, each closed group,
+    plans them all (`_plan`), then runs them, on threads when `t` is large
+    enough (`_second_moments`); if any fails, Var[f] is still checked for
+    degeneracy first, and then the first failed query in that order raises
+    its exception.
 
     With a single evidential variable, {i} is E, so S_i reads the moment
     that Var[f] was taken from and is exactly 1.0. Some indices need no
@@ -392,6 +431,7 @@ def compute_all(
     zero_s = separated if options.first else frozenset()
     zero_st = screened if options.total else frozenset()
     queried = [i for i in targets if i not in zero_s] if options.first else []
+    totaled = [i for i in targets if i not in zero_st] if options.total else []
     for label, zeros in (("S", zero_s), ("ST", zero_st)):
         for i in sorted(zeros):
             _log.debug(
@@ -400,13 +440,13 @@ def compute_all(
             )
     unseparated = [ids for ids in closed if not separated.issuperset(ids)]
     # The indices that are no exact zero: each reads Var[f] and one moment.
-    users = len(queried) + len(unseparated)
-    if options.total:
-        users += len(targets) - len(zero_st)
+    users = len(queried) + len(totaled) + len(unseparated)
 
     # f = E[f | keep] where the rest of the evidence is screened.
+    unscreened = spec.evidential - screened
+
     def widened(keep: frozenset[int]) -> frozenset[int]:
-        return spec.evidential if screened >= spec.evidential - keep else keep
+        return spec.evidential if unscreened <= keep else keep
 
     mrf = mrf_from_bn(bn, relevant)
     # The evidence marginal needs the factors of An(E) alone, all in `mrf`.
@@ -460,29 +500,35 @@ def compute_all(
             return float(np.vdot(t_keep, t_keep * reciprocal(j_keep)))
 
         mean = float(tables[0].sum())
+        without = {i: moment(spec.evidential - {i}) for i in totaled}
         s_share = st_share = (time.perf_counter() - t0) / max(users, 1)
     else:
         t_full = trusted(TensorNetwork, mrf.universe, (*mrf.factors, value_factor))
         priors = _priors(j)
         moments: dict[frozenset[int], float] = {}
+        without: dict[int, float] = {}  # moment(E - {i}) by i
         full_scopes = [f.axes for f in t_full.factors]
-        # Orderings go through bnsens.network's name, where the benchmark counts them.
-        t_order = network.min_weight_order(full_scopes, t_full.universe, keep=spec.evidential)
-        couplings = None
+        t_order, couplings, coupled_cells, reduce_cells = None, None, 0, 0
         if priors is not None and options.total and not closed:
             squared = square_wrt(t_full, ())
             stride = max(t_full.universe) + 1  # square_wrt's replica of v is v + stride
             pairs = [(k, k + stride) for k in priors]
+            # Orderings go through bnsens.network's name, where the benchmark counts them.
             coupled_order = network.min_weight_order(
                 [*(f.axes for f in squared.factors), *pairs], squared.universe
             )
             # a forward pass, and a backward pass over about as many cells
             coupled_cells = 2 * sum(coupled_order.cells)
+            reduce_cells = least_cells(full_scopes, t_full.universe, spec.evidential)
+        # t is ordered unless its least cells already exceed the coupled cells
+        if coupled_cells >= reduce_cells:
+            t_order = network.min_weight_order(full_scopes, t_full.universe, keep=spec.evidential)
             reduce_cells = sum(t_order.cells)
+        if coupled_cells:
             _log.debug(
-                "%s: coupled calibration %d cells, building t %d cells",
+                "%s: coupled calibration %d cells, building t %s%d cells",
                 "coupled plan" if coupled_cells < reduce_cells else "coupled plan declined",
-                coupled_cells, reduce_cells,
+                coupled_cells, "at least " if t_order is None else "", reduce_cells,
             )
             if coupled_cells < reduce_cells:
                 diagonals = [np.diag(reciprocal(p)) for p in priors.values()]
@@ -511,7 +557,7 @@ def compute_all(
             _log.debug(
                 "per-query plan: table over the evidence and the output %d cells, "
                 "above %d; building t %d cells",
-                shared_cells, SHARED_ELIMINATION_CELLS, sum(t_order.cells),
+                shared_cells, SHARED_ELIMINATION_CELLS, reduce_cells,
             )
             build, t_scopes = network._program(t_full.universe, full_scopes, t_order)
             universe = {k: c for k, c in t_full.universe.items() if k in spec.evidential}
@@ -521,9 +567,8 @@ def compute_all(
             # Every moment an index reads that no calibration gives, once:
             # Var[f]'s, each total's and each closed group's. An S_i reads a
             # calibrated moment or, with one evidential variable, Var[f]'s.
-            keeps = [spec.evidential]
-            if options.total:
-                keeps += [spec.evidential - {i} for i in targets if i not in zero_st]
+            left_out = {i: spec.evidential - {i} for i in totaled}
+            keeps = [spec.evidential, *left_out.values()]
             keeps += [widened(frozenset(ids)) for ids in unseparated]
             calibrated = {frozenset({i}) for i in queried} if calibrate else set()
             keeps = [k for k in dict.fromkeys(keeps) if k not in calibrated]
@@ -543,6 +588,7 @@ def compute_all(
             if failure is results[0]:
                 raise failure  # Var[f]'s query, the first, failed
             moments.update(zip(keeps, results))
+            without.update((i, moments[keep]) for i, keep in left_out.items())
             # Every index reads Var[f], so each shares the queries' wall time.
             st_share = (time.perf_counter() - t0) / max(users, 1)
             s_share += st_share
@@ -552,9 +598,9 @@ def compute_all(
             coupled = network.Elimination(squared).run(coupled_order, *couplings)
             outside = marginals(coupled, outside_of=range(start, start + len(priors)))
             for p, k in enumerate(priors, start):
-                moments[spec.evidential - {k}] = float(outside[p].sum())
+                without[k] = float(outside[p].sum())
             moments[spec.evidential] = float(np.sum(outside[start] * diagonals[0]))
-            st_share = (time.perf_counter() - t0) / max(len(set(targets) - zero_st), 1)
+            st_share = (time.perf_counter() - t0) / max(len(totaled), 1)
         moment = moments.__getitem__
 
     variance = _nondegenerate(moment(spec.evidential) - mean * mean, output_variance)
@@ -573,7 +619,7 @@ def compute_all(
             s_time = time.perf_counter() - t0 + (0.0 if i in zero_s else s_share)
         if options.total:
             t0 = time.perf_counter()
-            st = 0.0 if i in zero_st else total_index(i, moment, spec.evidential, mean, variance)
+            st = 0.0 if i in zero_st else total_index(i, without.__getitem__, mean, variance)
             st_time = time.perf_counter() - t0 + (0.0 if i in zero_st else st_share)
         entries.append(IndexEntry((i,), bn.variables[i].name, s, s_time, st, st_time))
 

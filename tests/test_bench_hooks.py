@@ -60,9 +60,10 @@ def test_each_workload_takes_its_plan(monkeypatch, caplog, name, plan):
     # (sparse200) and 3.4e7 (dense-card) cells: only sparse200 is small
     # enough to sum its chance variables out once for P(O) and T, its one
     # ordering. The other two order the probability network once, for P(O)
-    # and the first-order calibration, and t_full down to t; grid3e16 also
-    # orders the coupled network, and dense-card the contraction of each of
-    # its 7 total queries and of its Var[f] query. The orderings per
+    # and the first-order calibration; grid3e16 then the coupled network,
+    # whose cells fall below the least cells of t, so t is not ordered, and
+    # dense-card t_full down to t and the contraction of each of its 7 total
+    # queries and of its Var[f] query. The orderings per
     # analysis are the `graph.order_calls` of `--trace 1`, which hooks the
     # same name.
     workloads = _load(monkeypatch, "workloads")
@@ -80,7 +81,19 @@ def test_each_workload_takes_its_plan(monkeypatch, caplog, name, plan):
         compute_all(bn, spec)
     lines = [r.getMessage() for r in caplog.records if r.name == "bnsens.sobol"]
     assert [line.split(" plan:")[0] for line in lines if " plan:" in line] == [plan]
-    assert len(calls) == {"grid3e16": 3, "sparse200": 1, "dense-card": 11}[name]
+    assert len(calls) == {"grid3e16": 2, "sparse200": 1, "dense-card": 11}[name]
+
+
+@pytest.mark.parametrize("name, cpus", [("grid3e16", 8), ("sparse200", 8), ("dense-card", 1)])
+def test_an_analysis_without_helpers_leaves_the_switch_interval_alone(monkeypatch, name, cpus):
+    # The coupled and shared plans start no helper, and neither does the
+    # per-query plan on one CPU: the switch interval is never set.
+    monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: cpus)
+    bn, spec = _workload(monkeypatch, name)
+    intervals = []
+    monkeypatch.setattr(sys, "setswitchinterval", intervals.append)
+    compute_all(bn, spec)
+    assert intervals == []
 
 
 def _workload(monkeypatch, name):
@@ -259,7 +272,7 @@ def _order_pushing_every_neighbour(scopes, cardinalities, keep=()):
 def test_min_weight_order_pushes_only_changed_weights_to_the_same_order(
     monkeypatch, network
 ):
-    # Each ordering of the analysis (P(O), t and the coupled network) must
+    # Each ordering of the analysis (P(O) and the coupled network) must
     # come out in the same order and with the same cells as from the loop
     # that pushed every neighbour again; some of those pushes were of an
     # unchanged weight, which the heap now never sees. Each order is
@@ -279,5 +292,5 @@ def test_min_weight_order_pushes_only_changed_weights_to_the_same_order(
 
     monkeypatch.setattr(bnsens.network, "min_weight_order", checked)
     compute_all(bn, spec)
-    assert len(unchanged) == 3
+    assert len(unchanged) == 2
     assert sum(unchanged) > 0

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnsens import (
+    AnalysisSpec,
     CyclicGraphError,
     ancestors,
     collapse,
@@ -13,8 +15,16 @@ from bnsens import (
     mrf_from_bn,
     separated_evidence,
 )
+from bnsens.graph import _primal, least_cells
 from bnsens.model import _check_acyclic
-from helpers import gate_tree, reference_d_separated, reference_min_weight_order
+from helpers import (
+    concrete_style_network,
+    gate_tree,
+    layered_network,
+    random_instance,
+    reference_d_separated,
+    reference_min_weight_order,
+)
 
 # The five-vertex example graph: 0->2, 0->3, 1->3, 2->4, 3->4.
 FIVE = ((), (), (0,), (0, 1), (2, 3))
@@ -130,6 +140,75 @@ def test_min_weight_order_matches_the_rescan_reference(case):
     assert min_weight_order(scopes, cards, keep) == reference_min_weight_order(
         scopes, cards, keep
     )
+
+
+def _order_cells(scopes, cards, order) -> int:
+    """The bucket cells of eliminating by `order`, whatever the order."""
+    graph, total = _primal(scopes, cards), 0
+    for v in order:
+        neighbours = graph.pop(v)
+        total += cards[v] * int(np.prod([cards[u] for u in neighbours]))
+        for u in neighbours:
+            graph[u] |= neighbours - {u, v}
+            graph[u].discard(v)
+    return total
+
+
+@settings(max_examples=400, deadline=None)
+@given(hypergraphs())
+def test_least_cells_bound_every_order(case):
+    # No order eliminating the vertices outside `keep` spans fewer cells:
+    # not the greedy one, nor, with few enough vertices to try them all,
+    # any other.
+    scopes, cards, keep = case
+    bound = least_cells(scopes, cards, frozenset(keep))
+    assert bound <= sum(min_weight_order(scopes, cards, keep).cells)
+    eliminated = sorted(set(cards) - keep)
+    if len(eliminated) <= 6:
+        orders = itertools.permutations(eliminated)
+        assert bound <= min(_order_cells(scopes, cards, order) for order in orders)
+
+
+def test_least_cells_of_a_chain_is_its_cells():
+    # 0 - 1 - 2 - 3 with 0 and 3 kept: the one set {1, 2} ends in a bucket
+    # over 0, 3 and its last vertex, at least 5 * 7 * 2 cells. The greedy
+    # order takes 2 first (weight 2 * 7, against 5 * 3 for 1), a bucket of
+    # 2 * 3 * 7 cells, and then 1 over 0 and 3.
+    cards = {0: 5, 1: 2, 2: 3, 3: 7}
+    scopes = [(0, 1), (1, 2), (2, 3)]
+    assert least_cells(scopes, cards, frozenset({0, 3})) == 70
+    assert min_weight_order(scopes, cards, {0, 3}).cells == (42, 70)
+    assert least_cells(scopes, cards, frozenset()) == 2
+    assert least_cells(scopes, cards, frozenset(cards)) == 0
+
+
+def _root_evidence(leaves, seed):
+    """`gate_tree(leaves, seed)` with every fourth basic event as evidence."""
+    bn, spec, _ = gate_tree(leaves, seed)
+    return bn, AnalysisSpec(spec.output, frozenset(range(0, leaves, 4)), spec.value_map)
+
+
+@pytest.mark.parametrize(
+    "network",
+    [
+        *(lambda seed=seed: random_instance(seed) for seed in range(40)),
+        lambda: layered_network(4, 10, 5, (5, 7)),
+        lambda: layered_network(1, 8, 5, (5, 8)),
+        concrete_style_network,
+        *(lambda leaves=leaves: gate_tree(leaves, 0)[:2] for leaves in (64, 256, 2048)),
+        *(lambda leaves=leaves: _root_evidence(leaves, 0) for leaves in (64, 256, 2048)),
+        lambda: gate_tree(64, 1)[:2],
+        lambda: _root_evidence(256, 1),
+    ],
+)
+def test_least_cells_bound_the_greedy_order_of_t(network):
+    # The cells of summing the chance variables out of an analysis's
+    # network down to its evidence.
+    bn, spec = network()
+    mrf = mrf_from_bn(bn, ancestors(bn.dag(), spec.evidential | {spec.output}))
+    scopes = [f.axes for f in mrf.factors]
+    bound = least_cells(scopes, mrf.universe, spec.evidential)
+    assert 0 < bound <= sum(min_weight_order(scopes, mrf.universe, spec.evidential).cells)
 
 
 def test_d_separation_matches_trail_enumeration():

@@ -913,10 +913,11 @@ def test_coupled_plan_matches_brute_force_on_a_driven_chain(monkeypatch, caplog)
 
 def test_coupled_totals_take_a_fixed_number_of_orderings(monkeypatch):
     # Gate trees of 64 and 128 leaves have 16 and 32 evidential roots. The
-    # three orderings are of the probability network for P(O), whose
-    # forward pass also gives E[f] as the sum of P(O) g, of t (costed, never
-    # run) and of the coupled network (costed from scopes, then run by its
-    # calibration); the root evidence's marginal is its own factors.
+    # two orderings are of the probability network for P(O), whose forward
+    # pass also gives E[f] as the sum of P(O) g, and of the coupled network
+    # (costed from scopes, then run by its calibration); t's least cells
+    # exceed the coupled cells, so t is not ordered, and the root evidence's
+    # marginal is its own factors.
     counts = []
     for leaves in (64, 128):
         bn, spec = _gate_tree_root_evidence(leaves)
@@ -927,7 +928,7 @@ def test_coupled_totals_take_a_fixed_number_of_orderings(monkeypatch):
             )
         assert sum(e.st > 0.0 for e in report.indices) >= 8
         counts.append(calls)
-    assert counts == [3, 3]
+    assert counts == [2, 2]
 
 
 def test_gate_tree_of_256_leaves_with_root_evidence_finishes_in_seconds():
@@ -1569,8 +1570,9 @@ def test_per_query_programs_predict_the_cells_they_contract(monkeypatch, network
 
 
 def _hook_t_build(monkeypatch, spec, action):
-    """Call `action()` on the thread that builds t, before it does: t's build
-    executes the one program derived over the output, that of t_full."""
+    """Call `action()` on the thread that builds t, before it does, in each
+    analysis from now on: t's build executes the one program of an analysis
+    derived over the output, that of t_full."""
     program, execute = bnsens.network._program, bnsens.network._execute
     builds = []
 
@@ -1581,7 +1583,7 @@ def _hook_t_build(monkeypatch, spec, action):
         return records, kept
 
     def hooked_execute(records, *args):
-        if builds and records is builds[0]:
+        if any(records is build for build in builds):
             action()
         return execute(records, *args)
 
@@ -1653,6 +1655,157 @@ def test_memory_error_building_t_on_a_helper_exits_4(monkeypatch, tmp_path, caps
     assert "error: MemoryError: cannot allocate t" in capsys.readouterr().err
     assert len(raised) == 1 and raised[0] != threading.get_ident()
     assert threading.active_count() == before
+
+
+def _recorded_intervals(monkeypatch) -> list[float]:
+    """Every switch interval set from now on."""
+    setswitchinterval, intervals = sys.setswitchinterval, []
+
+    def recording(interval):
+        intervals.append(interval)
+        setswitchinterval(interval)
+
+    monkeypatch.setattr(sys, "setswitchinterval", recording)
+    return intervals
+
+
+@pytest.mark.parametrize("cpus", [2, 8])
+@pytest.mark.parametrize("failure", [None, "query", "build", "calibration", "interrupt"])
+def test_the_switch_interval_is_lowered_while_helpers_run_and_then_restored(
+    monkeypatch, cpus, failure
+):
+    # The helper builds t under SWITCH_INTERVAL, and every way out of the
+    # threaded queries, a failed query, an error building t, one in the
+    # calibration or an interrupt there, leaves the interval found.
+    monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: cpus)
+    bn, spec = _dense_card()
+    query, during = bnsens.sobol._second_moment, []
+
+    def failing_total(q, *args):
+        if q.keep != spec.evidential:
+            raise ValueError("query failed")
+        return query(q, *args)
+
+    def failing(error):
+        def fail(*args, **kwargs):
+            raise error
+
+        return fail
+
+    if failure == "query":
+        monkeypatch.setattr(bnsens.sobol, "_second_moment", failing_total)
+    if failure in ("calibration", "interrupt"):
+        error = RuntimeError("calibration failed") if failure == "calibration" else KeyboardInterrupt
+        monkeypatch.setattr(bnsens.sobol, "marginals", failing(error))
+    if failure == "build":
+        _hook_t_build(monkeypatch, spec, failing(MemoryError("cannot allocate t")))
+    else:
+        _hook_t_build(monkeypatch, spec, lambda: during.append(sys.getswitchinterval()))
+    before = sys.getswitchinterval()
+    started = _count_threads(monkeypatch)
+    intervals = _recorded_intervals(monkeypatch)
+    if failure is None:
+        compute_all(bn, spec)
+        assert during == [pytest.approx(bnsens.sobol.SWITCH_INTERVAL)]
+    else:
+        errors = {"query": ValueError, "build": MemoryError, "calibration": RuntimeError}
+        with pytest.raises(errors.get(failure, KeyboardInterrupt)):
+            compute_all(bn, spec)
+    assert sys.getswitchinterval() == before
+    assert intervals == [bnsens.sobol.SWITCH_INTERVAL, pytest.approx(before, abs=1e-6)]
+    assert len(started) == min(cpus, 8) - 1 and not any(t.is_alive() for t in started)
+
+
+@pytest.mark.parametrize("user", [1e-5, 1.05e-4])
+def test_a_user_switch_interval_is_kept_or_restored_exactly(monkeypatch, user):
+    # An interval below SWITCH_INTERVAL is never set. One above it is
+    # restored exactly even where the interpreter's whole microseconds do
+    # not survive setting what it reads: 105 us reads as 1.05e-4, which
+    # sets 104 us.
+    monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 2)
+    bn, spec = _dense_card()
+    during = []
+    _hook_t_build(monkeypatch, spec, lambda: during.append(sys.getswitchinterval()))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(user)
+    try:
+        before = sys.getswitchinterval()
+        intervals = _recorded_intervals(monkeypatch)
+        compute_all(bn, spec)
+        after, intervals = sys.getswitchinterval(), intervals[:]
+    finally:
+        sys.setswitchinterval(interval)
+    assert after == before
+    if user < bnsens.sobol.SWITCH_INTERVAL:
+        assert intervals == [] and during == [before]
+    else:
+        assert len(intervals) == 2 and during == [pytest.approx(bnsens.sobol.SWITCH_INTERVAL)]
+
+
+def test_analyses_on_two_threads_at_once_leave_the_switch_interval(monkeypatch):
+    # Both builds of t wait for each other, so both analyses have helpers
+    # at once; the one that ends first leaves the interval lowered for the
+    # other, which is held until then, and the last restores it.
+    monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 2)
+    bn, spec = _dense_card()
+    expected = _results(compute_all(bn, spec))
+    both, release = threading.Barrier(2, timeout=10), threading.Event()
+    reports = []
+
+    def meet():
+        if both.wait() == 0:  # one build waits for the other analysis's end
+            release.wait(timeout=10)
+
+    _hook_t_build(monkeypatch, spec, meet)
+    before = sys.getswitchinterval()
+    analyses = [threading.Thread(target=lambda: reports.append(compute_all(bn, spec)))
+                for _ in range(2)]
+    for analysis in analyses:
+        analysis.start()
+    deadline = time.monotonic() + 10
+    while not reports and time.monotonic() < deadline:
+        time.sleep(0.001)
+    lowered = sys.getswitchinterval()
+    release.set()
+    for analysis in analyses:
+        analysis.join(timeout=30)
+    assert not any(analysis.is_alive() for analysis in analyses)
+    assert lowered == pytest.approx(bnsens.sobol.SWITCH_INTERVAL)
+    assert sys.getswitchinterval() == before
+    assert [_results(report) for report in reports] == [expected, expected]
+
+
+@pytest.mark.parametrize("refused", [0, 1], ids=["builder", "second-helper"])
+def test_a_helper_the_os_refuses_leaves_the_results_unchanged(monkeypatch, refused):
+    # Three CPUs ask for two helpers. When the OS refuses one, as under a
+    # limit on threads, no further one is tried and the analysis runs on
+    # the threads that started; without the builder, the caller builds t.
+    bn, spec = _dense_card()
+    monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 1)
+    expected = _results(compute_all(bn, spec))
+    monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 3)
+    tried, started, builders = [], [], []
+
+    class Refused(threading.Thread):
+        def start(self):
+            tried.append(self)
+            if len(tried) == refused + 1:
+                raise RuntimeError("can't start new thread")
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(
+        bnsens.sobol,
+        "threading",
+        types.SimpleNamespace(Thread=Refused, Lock=threading.Lock, Event=threading.Event),
+    )
+    _hook_t_build(monkeypatch, spec, lambda: builders.append(threading.get_ident()))
+    before = sys.getswitchinterval()
+    assert _results(compute_all(bn, spec)) == expected
+    assert len(tried) == refused + 1 and len(started) == refused
+    assert builders == [started[0].ident if started else threading.get_ident()]
+    assert not any(t.is_alive() for t in started)
+    assert sys.getswitchinterval() == before
 
 
 def test_a_subnormal_query_from_normal_inputs_warns():
