@@ -159,10 +159,7 @@ def min_weight_order(
     cards = {int(v): int(c) for v, c in cardinalities.items()}
 
     def weight(v: int) -> int:
-        w = 1
-        for u in graph[v]:
-            w *= cards[u]
-        return w
+        return math.prod(map(cards.__getitem__, graph[v]))
 
     weights = {v: weight(v) for v in graph if v not in keep_set}
     heap = sorted((w, v) for v, w in weights.items())  # a sorted list is a heap

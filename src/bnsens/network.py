@@ -291,7 +291,7 @@ class Schedule:
         self.holders: dict[int, list[int]] = {}
         self.held = 0  # the operands before this position are in `holders`
 
-    def derive(self, order: Iterable[int | None], added: Sequence = ()) -> list[tuple]:
+    def derive(self, order: Iterable[int | None], added: Sequence = ()) -> tuple[tuple, ...]:
         """Add operands over `added`; the record of each bucket of `order`, (v,
         operand positions, their scopes, message scope, message position,
         `_subscripts` triple), which takes its live operands and appends its
@@ -320,7 +320,7 @@ class Schedule:
             live.append(True)
             records.append((v, positions, axes, kept, message, derived))
         self.held = len(scopes)
-        return records
+        return tuple(records)
 
 
 class Elimination(Schedule):
@@ -335,10 +335,16 @@ class Elimination(Schedule):
         self.arrays: list[np.ndarray | None] = [f.values for f in tn.factors]
         self.buckets: list | None = [] if records else None
 
-    def run(self, order: Iterable[int], *factors: Factor) -> Elimination:
-        """Add `factors`, over live variables, and eliminate those of `order`."""
+    def run(self, order: Iterable[int], *factors: Factor, records: Sequence = None) -> Elimination:
+        """Add `factors`, over live variables, and eliminate those of `order`, or
+        replay the `records` that `derive` gave for them (a plan's); no `derive` follows."""
         self.arrays += [f.values for f in factors]
-        _execute(self.derive(order, [f.axes for f in factors]), self.arrays, self.buckets)
+        if records is None:
+            records = self.derive(order, [f.axes for f in factors])
+        else:  # `scopes` as `derive` leaves them, and `live` below
+            self.scopes += [*(f.axes for f in factors), *(record[3] for record in records)]
+        _execute(records, self.arrays, self.buckets)
+        self.live = [a is not None for a in self.arrays]
         return self
 
     def table(self) -> tuple[tuple[int, ...], np.ndarray]:
@@ -367,7 +373,7 @@ def _executed(records: Sequence[tuple], arrays: Sequence[np.ndarray]) -> list[np
     return [a for a in _execute(records, [*arrays]) if a is not None]
 
 
-def _program(universe: Mapping[int, int], scopes, order) -> tuple[list, list]:
+def _program(universe: Mapping[int, int], scopes, order) -> tuple[tuple, list]:
     """The records of `order` over operands of `scopes`, derived with no
     array, and the scopes of the live operands, which `_executed` returns."""
     schedule = Schedule(universe, [*scopes])
@@ -530,19 +536,21 @@ def square_wrt(tn: TensorNetwork, shared: Iterable[int]) -> TensorNetwork:
     missing = shared_set - set(tn.universe)
     if missing:
         raise UnknownAxisError(f"shared variables {sorted(missing)} not in universe")
-    outside = sorted(set(tn.universe) - shared_set)
-    stride = max(tn.universe) + 1 if tn.universe else 0
-    renames = {v: v + stride for v in outside}
-    universe = dict(tn.universe)
-    for v in outside:
-        universe[renames[v]] = tn.universe[v]
+    _, universe, scopes = squared_scopes(tn.universe, [f.axes for f in tn.factors], shared_set)
+    mirrored = (f if axes == f.axes else trusted(Factor, *transposed(axes, f.values))
+                for f, axes in zip(tn.factors, scopes[len(tn.factors):]))
+    return trusted(TensorNetwork, universe, tn.factors + tuple(mirrored))
 
-    def mirrored(f: Factor) -> Factor:
-        if not any(ax in renames for ax in f.axes):
-            return f
-        return trusted(Factor, *transposed([renames.get(ax, ax) for ax in f.axes], f.values))
 
-    return trusted(TensorNetwork, universe, tn.factors + tuple(map(mirrored, tn.factors)))
+def squared_scopes(universe: Mapping[int, int], scopes: Sequence, shared=frozenset()) -> tuple:
+    """`square_wrt`'s layout over `universe` and factor `scopes`: the replica
+    of each variable outside `shared` (itself plus a stride past the largest
+    id), the universe and the scopes with the replicas and the mirrored
+    copies after the originals (ascending with no `shared`)."""
+    stride = max(universe) + 1 if universe else 0
+    replicas = {v: v + stride for v in sorted(set(universe) - shared)}
+    squared = {**universe, **{r: universe[v] for v, r in replicas.items()}}
+    return replicas, squared, [*scopes, *(tuple(replicas.get(v, v) for v in s) for s in scopes)]
 
 
 def quotient(tn: TensorNetwork, divisor: TensorNetwork) -> TensorNetwork:

@@ -37,20 +37,19 @@ Each of three plans gives E[f] and `moment(keep)`:
   `t`, and each `moment(keep)` is one query over `t` squared and divided
   by the evidence marginal over `keep`: with independent evidence, the
   product of the reciprocal priors, taken once per analysis; otherwise
-  `j` with the rest summed out. Every `keep` an index reads is listed, and
-  the programs of `t`'s build and of each query (`_plan`) are derived
-  before any array is touched; a helper builds `t` while the caller plans,
-  taking the GIL back between einsums within SWITCH_INTERVAL, and the
-  queries, which only contract, run on as many threads as CPUs and queries
-  when `t` is large enough for the GIL-free numpy kernels to dominate
+  `j` with the rest summed out. A helper builds `t` while the caller
+  calibrates and, in a plan's first run, programs each query (`_plan`),
+  taking the GIL back between einsums within SWITCH_INTERVAL; the queries,
+  which only contract, run on as many threads as CPUs and queries when `t`
+  is large enough for the GIL-free numpy kernels to dominate
   (`_second_moments`).
 
 In the last two, with more than one evidential variable and an S_i to
 compute, the pass goes on as the calibration of `t_full`: its backward
 pass gives E[f] and each first-order `moment({i})` from t_i = P(i)
 E[f | i], as in `t`, and from j_i = P(i), the prior or a marginal of one
-calibration of `j`. Otherwise E[f] is the sum of P(O) g. `compute_all`
-says how the plan is chosen.
+calibration of `j`. Otherwise E[f] is the sum of P(O) g. The choice of plan,
+and all else that rests on scopes alone, is a `_Plan`, kept per network.
 """
 
 from __future__ import annotations
@@ -64,6 +63,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -123,12 +123,13 @@ SHARED_ELIMINATION_CELLS = network.ROUTE_CELLS
 THREAD_CELLS_PER_VARIABLE = 2**15
 # While helpers run, the switch interval is at most this many seconds. A
 # thread waiting for the GIL gets it when the holder blocks or after the
-# interval, by default 5 ms, more than dense-card's planning (1.8 ms); so the
-# helper building `t` stalled after each einsum until the planning ended.
-# dense-card `compute_s`, medians of 300 analyses on 2 cores: -8% at 1e-4 s,
-# none at 5e-4 s. The setting is process-wide, but every other way measured
-# worse: planning before the helper starts +1.4%, a helper that also plans
-# +0.8%, `t` built on the caller +2.9%, `time.sleep(0)` between plans +1.3%.
+# interval, by default 5 ms, more than the planning of dense-card's queries in
+# a plan's first run (1.1 ms); the helper building `t` stalled after each
+# einsum until it ended. dense-card `compute_s` with it over without, 2 cores,
+# 10 alternating pairs of 150 analyses: first analyses 0.91x (9 pairs of 10),
+# repeated ones, whose caller only calibrates while `t` is built, 1.02x. It is
+# process-wide, but planning before the helper starts, or on it, or `t` built
+# on the caller, each measured worse.
 SWITCH_INTERVAL = 1e-4
 _switched = [0, 0.0]  # the analyses that have helpers, and the interval found
 _switch_lock = threading.Lock()
@@ -247,12 +248,12 @@ def _switching():
 def _second_moments(build: Callable, plan: Callable, execute: Callable, workers: int) -> list:
     """Each query of `plan`'s moment by `execute` over `build`'s arrays of
     `t`, or its exception. The first of `workers` - 1 helpers builds `t`
-    while the caller plans, under `_switching` (with none started, the
-    caller builds it next); then each thread takes the next query until all
+    while the caller runs `plan`, under `_switching` (with none started,
+    the caller builds it next); then each thread takes the next query until all
     have run, each doing the same arithmetic on any thread. The helpers are
     joined before this returns or raises, and then `build`'s exception raised."""
     built, queries, results, taken = [], [], [], 0
-    lock, ready = threading.Lock(), threading.Event()  # `lock` is held while the caller plans
+    lock, ready = threading.Lock(), threading.Event()  # `lock` is held while `plan` runs
 
     def work(first: bool) -> None:
         nonlocal taken
@@ -350,6 +351,128 @@ def _nondegenerate(variance: float, output_variance: float) -> float:
     return variance
 
 
+_Plan = namedtuple(
+    "_Plan", "key notes relevant ancestral j_order forward joined shared calibrate targets "
+    "queried totaled zero_s zero_st separated unscreened users pairs coupled_order coupled "
+    "build t_scopes universe keeps largest queries")
+_Plan.__doc__ = """All that an analysis derives from scopes alone (`_planned`), with no
+    array: its nodes and exact zeros, `j`'s order, the records of each
+    elimination (`forward` to O's bucket, `joined` with g, the `coupled`
+    network's, `t`'s `build`), the per-query `keeps` and their `queries`,
+    None until the first run derives them while a helper builds `t` (before
+    it, a first dense-card analysis took 1.09x as long); `notes` are its
+    DEBUG lines.
+
+    The shared elimination is taken when the table over the evidence and
+    the output (the product of their cardinalities, a Python int) has at
+    most SHARED_ELIMINATION_CELLS cells, where each bucket's and ordering's
+    Python set-up outweighs its arithmetic: neither `t` nor the coupled
+    network is then ordered. Else the coupled plan is taken when totals are
+    asked for, without closed subsets, on independent evidence (`j` a
+    product of one-axis factors), if the cells of its forward and backward
+    passes, by its order of the scopes of `square_wrt(t_full, ())` and the
+    coupling pairs, are fewer than those of summing `t_full` down to `t`;
+    `t` is ordered only when its `least_cells`, which no order goes below,
+    do not already exceed them. Each costed order is the one that runs; the
+    couplings, made only for the coupled plan, join its `Elimination` last.
+    Else the per-query plan runs its queries, in the order Var[f], each
+    total, each closed group (on threads when `t` is large enough,
+    `_second_moments`), before any index is computed; if any fails, Var[f]
+    is still checked for degeneracy first, and then the first failed query
+    in that order raises its exception. The choice is logged with the
+    cells it rests on."""
+
+
+# The last plan of each network, an immutable value hashed by identity.
+_plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _evidence_marginal(mrf: TensorNetwork, ancestral: dict, order) -> TensorNetwork:
+    """`j`: the factors of `mrf` over An(E), `ancestral`, with `order` summed out."""
+    own = dict(zip(mrf.universe, mrf.factors))  # one factor per node, in node order
+    return marginalize(trusted(TensorNetwork, dict(ancestral), tuple(own[k] for k in ancestral)),
+                       order)
+
+
+def _planned(bn: DiscreteBayesNet, spec: AnalysisSpec, options: ComputeOptions,
+             closed: list, key: tuple) -> tuple[_Plan, TensorNetwork, TensorNetwork]:
+    """The `_Plan` of an analysis, with the probability network and `j`
+    whose scopes it was derived from, for its first run. Each ordering goes
+    through bnsens.network's name, where the benchmark counts them."""
+    evidence, output, dag = spec.evidential, spec.output, bn.dag()
+    relevant = ancestors(dag, evidence | {output})
+    targets = sorted(evidence) if options.first or options.total else []
+    separated, screened = separated_evidence(dag, output, evidence)
+    zero_s = separated if options.first else frozenset()
+    zero_st = screened if options.total else frozenset()
+    queried = [i for i in targets if i not in zero_s] if options.first else []
+    totaled = [i for i in targets if i not in zero_st] if options.total else []
+    notes = [("%s of %s (id %d) = 0.0 by d-separation from the output", label,
+              bn.variables[i].name, i) for label, zeros in (("S", zero_s), ("ST", zero_st))
+             for i in sorted(zeros)]
+    unseparated = [ids for ids in closed if not separated.issuperset(ids)]
+    unscreened = evidence - screened  # f = E[f | keep] where the rest is screened
+    mrf = mrf_from_bn(bn, relevant)
+    universe, scopes = mrf.universe, [f.axes for f in mrf.factors]
+    ancestral = {k: universe[k] for k in sorted(ancestors(dag, evidence))}
+    j_order = network._order([s for v, s in zip(universe, scopes) if v in ancestral],
+                             ancestral, evidence)
+    j = _evidence_marginal(mrf, ancestral, j_order)
+    independent = all(len(f.axes) <= 1 for f in j.factors)
+    evidence_universe = {k: c for k, c in universe.items() if k in evidence}
+    # A Python int: a product over many evidential variables overflows int64.
+    shared_cells = math.prod(universe[k] for k in evidence | {output})
+    shared = shared_cells <= SHARED_ELIMINATION_CELLS
+    calibrate = bool(queried) and len(evidence) > 1 and not shared
+    # The one forward pass, up to O's bucket: its table is collapse(mrf, kept).
+    schedule = network.Schedule(universe, [*scopes])
+    kept = evidence | {output} if shared else {output}
+    forward = schedule.derive(network._order(scopes, universe, kept))
+    joined = schedule.derive((output,), [(output,)]) if shared or calibrate else ()
+    pairs = coupled_order = coupled = build = t_scopes = keeps = largest = None
+    if shared:
+        notes.append(("shared-elimination plan: table over the evidence and the output "
+                      "%d cells, at most %d", shared_cells, SHARED_ELIMINATION_CELLS))
+    else:
+        full_scopes = [*scopes, (output,)]  # of t_full, g last
+        t_order, coupled_cells, reduce_cells = None, 0, 0
+        if independent and options.total and not closed:
+            replicas, squared_universe, squared = network.squared_scopes(universe, full_scopes)
+            pairs = tuple((k, replicas[k]) for k in evidence_universe)
+            coupled_order = network.min_weight_order([*squared, *pairs], squared_universe)
+            # a forward pass, and a backward pass over about as many cells
+            coupled_cells = 2 * sum(coupled_order.cells)
+            reduce_cells = least_cells(full_scopes, universe, evidence)
+        # t is ordered unless its least cells already exceed the coupled cells
+        if coupled_cells >= reduce_cells:
+            t_order = network.min_weight_order(full_scopes, universe, keep=evidence)
+            reduce_cells = sum(t_order.cells)
+        if coupled_cells:
+            notes.append(("coupled plan%s: coupled calibration %d cells, building t %s%d cells",
+                          "" if coupled_cells < reduce_cells else " declined", coupled_cells,
+                          "at least " if t_order is None else "", reduce_cells))
+        if coupled_cells and coupled_cells < reduce_cells:
+            coupled = network.Schedule(squared_universe, squared).derive(coupled_order, pairs)
+        else:
+            notes.append(("per-query plan: table over the evidence and the output %d cells, "
+                          "above %d; building t %d cells",
+                          shared_cells, SHARED_ELIMINATION_CELLS, reduce_cells))
+            build, t_scopes = network._program(universe, full_scopes, t_order)
+            # Every moment an index reads that no calibration gives, once:
+            # Var[f]'s, each total's and each closed group's. An S_i reads a
+            # calibrated moment or, with one evidential variable, Var[f]'s.
+            keeps = [evidence, *(evidence - {i} for i in totaled)]
+            keeps += [evidence if unscreened <= set(ids) else frozenset(ids) for ids in unseparated]
+            calibrated = {frozenset({i}) for i in queried} if calibrate else set()
+            keeps = tuple(k for k in dict.fromkeys(keeps) if k not in calibrated)
+            largest = max((math.prod(evidence_universe[v] for v in s) for s in t_scopes), default=0)
+    return _Plan(
+        key, tuple(notes), relevant, ancestral, j_order, forward, joined, shared, calibrate,
+        tuple(targets), tuple(queried), tuple(totaled), zero_s, zero_st, separated, unscreened,
+        len(queried) + len(totaled) + len(unseparated), pairs, coupled_order, coupled, build,
+        t_scopes, evidence_universe, keeps, largest, None), mrf, j
+
+
 def compute_all(
     bn: DiscreteBayesNet,
     spec: AnalysisSpec,
@@ -372,32 +495,11 @@ def compute_all(
     built over An(evidence) alone, where every other node is barren; with
     root evidence it is the evidence's own factors in the probability
     network, and nothing is eliminated for it. Every network built here
-    derives from `bn` and skips the constructors' checks (`trusted`).
-
-    The plan (see the module docstring) is chosen as follows. The shared
-    elimination is taken first, when the table over the evidence and the
-    output (the product of their cardinalities, a Python int) has at most
-    SHARED_ELIMINATION_CELLS cells, so that choosing it costs no ordering;
-    at that size each bucket's and each ordering's Python set-up outweighs
-    its arithmetic, and neither `t` nor the coupled network is ordered.
-    Otherwise the coupled plan is taken when totals are asked for, without
-    closed subsets, on independent evidence (`j` is a product of one-axis
-    factors), and when the cells of its forward and backward passes,
-    predicted by its elimination order, are fewer than those of summing
-    `t_full` down to `t`, which the per-query plan pays before anything
-    else; `t` is ordered only when `least_cells`, which no order of `t`
-    goes below, does not already exceed the coupled cells. The coupled
-    order is of the factor scopes of `square_wrt(t_full, ())` and the
-    coupling pairs; the couplings are made only when the plan is taken,
-    and join that network's `Elimination` as its last factors. Each costed
-    order is the one that runs. Otherwise the per-query plan is taken. The
-    choice is logged at DEBUG level on the `bnsens.sobol` logger with the
-    cells it rests on. The per-query plan lists its queries before any
-    index is computed, in the order Var[f], each total, each closed group,
-    plans them all (`_plan`), then runs them, on threads when `t` is large
-    enough (`_second_moments`); if any fails, Var[f] is still checked for
-    degeneracy first, and then the first failed query in that order raises
-    its exception.
+    derives from `bn` and skips the constructors' checks (`trusted`). The
+    `_Plan` of the last analysis of `bn` that ran without error is kept
+    under its key, the output, the evidence, `first`, `total` and `closed`;
+    an analysis under that key, with any value map, runs it again and says
+    so at DEBUG level.
 
     With a single evidential variable, {i} is E, so S_i reads the moment
     that Var[f] was taken from and is exactly 1.0. Some indices need no
@@ -415,69 +517,40 @@ def compute_all(
     closed = [tuple(sorted(int(v) for v in subset)) for subset in options.closed]
     for ids in closed:
         if not ids or len(set(ids)) < len(ids) or not set(ids) <= spec.evidential:
-            raise NotEvidentialError(
-                f"closed subset {list(ids)} must be nonempty, without repeats "
-                "and evidential"
-            )
+            raise NotEvidentialError(f"closed subset {list(ids)} must be nonempty, "
+                                     "without repeats and evidential")
     started = time.perf_counter()
+    key = (spec.output, spec.evidential, options.first, options.total, tuple(closed))
+    if (plan := _plans.get(bn)) is not None and plan.key == key:
+        _log.debug("reusing the network's plan")
+        mrf = mrf_from_bn(bn, plan.relevant)
+        j = _evidence_marginal(mrf, plan.ancestral, plan.j_order)
+    else:
+        plan, mrf, j = _planned(bn, spec, options, closed, key)
+    return _run(plan, mrf, j, bn, spec, options, closed, started)
+
+
+def _run(plan: _Plan, mrf: TensorNetwork, j: TensorNetwork, bn: DiscreteBayesNet,
+         spec: AnalysisSpec, options: ComputeOptions, closed: list, started: float) -> SobolReport:
+    """`plan` run under `spec`'s value map over `mrf` and `j`, the one step
+    that touches arrays. It changes nothing `plan` holds, and keeps it as
+    `bn`'s, with the query programs it derived if it had none."""
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("pruned barren nodes %s", sorted(set(range(bn.n)) - plan.relevant))
+    for note in plan.notes:
+        _log.debug(*note)
+    evidence, output = spec.evidential, spec.output
     values = output_values(bn, spec)
     low, spread = float(values.min()), float(np.ptp(values)) or 1.0
-    dag = bn.dag()
-    relevant = ancestors(dag, spec.evidential | {spec.output})
-    if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("pruned barren nodes %s", sorted(set(range(bn.n)) - relevant))
-    targets = sorted(spec.evidential) if options.first or options.total else []
-    separated, screened = separated_evidence(dag, spec.output, spec.evidential)
-    zero_s = separated if options.first else frozenset()
-    zero_st = screened if options.total else frozenset()
-    queried = [i for i in targets if i not in zero_s] if options.first else []
-    totaled = [i for i in targets if i not in zero_st] if options.total else []
-    for label, zeros in (("S", zero_s), ("ST", zero_st)):
-        for i in sorted(zeros):
-            _log.debug(
-                "%s of %s (id %d) = 0.0 by d-separation from the output",
-                label, bn.variables[i].name, i,
-            )
-    unseparated = [ids for ids in closed if not separated.issuperset(ids)]
-    # The indices that are no exact zero: each reads Var[f] and one moment.
-    users = len(queried) + len(totaled) + len(unseparated)
-
-    # f = E[f | keep] where the rest of the evidence is screened.
-    unscreened = spec.evidential - screened
-
-    def widened(keep: frozenset[int]) -> frozenset[int]:
-        return spec.evidential if unscreened <= keep else keep
-
-    mrf = mrf_from_bn(bn, relevant)
-    # The evidence marginal needs the factors of An(E) alone, all in `mrf`.
-    own = dict(zip(sorted(relevant), mrf.factors))
-    ancestral = sorted(ancestors(dag, spec.evidential))
-    j = marginalize(
-        trusted(TensorNetwork, {k: mrf.universe[k] for k in ancestral},
-                tuple(own[k] for k in ancestral)),
-        set(ancestral) - spec.evidential,
-    )
-    # A Python int: a product over many evidential variables overflows int64.
-    shared_cells = math.prod(mrf.universe[k] for k in spec.evidential | {spec.output})
-    shared = shared_cells <= SHARED_ELIMINATION_CELLS
-    if shared:
-        _log.debug(
-            "shared-elimination plan: table over the evidence and the output "
-            "%d cells, at most %d", shared_cells, SHARED_ELIMINATION_CELLS,
-        )
-    calibrate = bool(queried) and len(spec.evidential) > 1 and not shared
-    # The one forward pass, up to O's bucket: its table is collapse(mrf, kept).
-    kept = spec.evidential | {spec.output} if shared else {spec.output}
-    forward = network.Elimination(mrf, records=calibrate)
-    forward.run(network._order(forward.scopes, mrf.universe, kept))
+    forward = network.Elimination(mrf, records=plan.calibrate).run((), records=plan.forward)
     axes, table = forward.table()
-    p_out = table.sum(axis=tuple(a for a, k in enumerate(axes) if k != spec.output))
+    p_out = table.sum(axis=tuple(a for a, k in enumerate(axes) if k != output))
     unit = (values - low) / spread
     centre = float(unit @ p_out)
     g = unit - centre
     output_variance = float(p_out @ (g * g)) if np.ptp(values[p_out != 0]) else 0.0
     _nondegenerate(math.inf, output_variance)  # no Var[f] yet: a constant map raises
-    value_factor = trusted(Factor, (spec.output,), g)
+    value_factor = trusted(Factor, (output,), g)
 
     # Each plan gives E[f] and moment(keep) = E[E[f | keep]^2], which every
     # index reads. Each index is charged an equal share of the time of the
@@ -485,148 +558,113 @@ def compute_all(
     # zero up to rounding; taking that residual out as well drops the
     # constant offset that the rounding of `centre` leaves in g.
     s_share = st_share = 0.0
-    failure = None  # the per-query plan's first failed query, raised after the Var[f] check
-    if shared:
+    failure = None  # a failed query, raised once Var[f] is checked
+    if plan.shared:
         t0 = time.perf_counter()
         # g joins O's bucket, which leaves T. Every evidential variable is an
         # axis of T and of j, so each table is over the sorted evidence.
-        forward.run((spec.output,), value_factor)
-        evidence = sorted(spec.evidential)
+        forward.run((), value_factor, records=plan.joined)
         tables = [forward.table()[1], network.Elimination(j).table()[1]]
 
         def moment(keep: frozenset[int]) -> float:
-            axes = tuple(a for a, k in enumerate(evidence) if k not in keep)
+            axes = tuple(a for a, k in enumerate(plan.universe) if k not in keep)
             t_keep, j_keep = (table.sum(axis=axes) for table in tables)
             return float(np.vdot(t_keep, t_keep * reciprocal(j_keep)))
 
         mean = float(tables[0].sum())
-        without = {i: moment(spec.evidential - {i}) for i in totaled}
-        s_share = st_share = (time.perf_counter() - t0) / max(users, 1)
+        without = {i: moment(evidence - {i}) for i in plan.totaled}
+        s_share = st_share = (time.perf_counter() - t0) / max(plan.users, 1)
     else:
         t_full = trusted(TensorNetwork, mrf.universe, (*mrf.factors, value_factor))
         priors = _priors(j)
         moments: dict[frozenset[int], float] = {}
         without: dict[int, float] = {}  # moment(E - {i}) by i
-        full_scopes = [f.axes for f in t_full.factors]
-        t_order, couplings, coupled_cells, reduce_cells = None, None, 0, 0
-        if priors is not None and options.total and not closed:
-            squared = square_wrt(t_full, ())
-            stride = max(t_full.universe) + 1  # square_wrt's replica of v is v + stride
-            pairs = [(k, k + stride) for k in priors]
-            # Orderings go through bnsens.network's name, where the benchmark counts them.
-            coupled_order = network.min_weight_order(
-                [*(f.axes for f in squared.factors), *pairs], squared.universe
-            )
-            # a forward pass, and a backward pass over about as many cells
-            coupled_cells = 2 * sum(coupled_order.cells)
-            reduce_cells = least_cells(full_scopes, t_full.universe, spec.evidential)
-        # t is ordered unless its least cells already exceed the coupled cells
-        if coupled_cells >= reduce_cells:
-            t_order = network.min_weight_order(full_scopes, t_full.universe, keep=spec.evidential)
-            reduce_cells = sum(t_order.cells)
-        if coupled_cells:
-            _log.debug(
-                "%s: coupled calibration %d cells, building t %s%d cells",
-                "coupled plan" if coupled_cells < reduce_cells else "coupled plan declined",
-                coupled_cells, "at least " if t_order is None else "", reduce_cells,
-            )
-            if coupled_cells < reduce_cells:
-                diagonals = [np.diag(reciprocal(p)) for p in priors.values()]
-                couplings = [trusted(Factor, *c) for c in zip(pairs, diagonals)]
 
         def calibration() -> None:  # E[f], each S_i's moment and time share; t0 at its end
             nonlocal mean, s_share, t0
-            if calibrate:
+            if plan.calibrate:
                 # g joins O's bucket, and the backward pass gives E[f] and each
                 # t_i = P(i) E[f | i]; E[E[f | i]^2] is the sum of t_i^2 / j_i,
                 # and a zero cell of j_i, where t_i is zero too, adds 0.
                 t0 = time.perf_counter()
-                forward.run((spec.output,), value_factor)
-                t_marginals = marginals(forward, of=[*queried, spec.output])
-                j_marginals = marginals(j, of=queried) if priors is None else priors
-                for i in queried:
+                forward.run((), value_factor, records=plan.joined)
+                t_marginals = marginals(forward, of=[*plan.queried, output])
+                j_marginals = marginals(j, of=plan.queried) if priors is None else priors
+                for i in plan.queried:
                     t_i = t_marginals[i]
                     moments[frozenset({i})] = float(t_i @ (t_i * reciprocal(j_marginals[i])))
-                mean = float(t_marginals[spec.output].sum())
-                s_share = (time.perf_counter() - t0) / len(queried)
+                mean = float(t_marginals[output].sum())
+                s_share = (time.perf_counter() - t0) / len(plan.queried)
             else:
                 mean = float(g @ p_out)  # the contraction of t_full
             t0 = time.perf_counter()
 
-        if couplings is None:
-            _log.debug(
-                "per-query plan: table over the evidence and the output %d cells, "
-                "above %d; building t %d cells",
-                shared_cells, SHARED_ELIMINATION_CELLS, reduce_cells,
-            )
-            build, t_scopes = network._program(t_full.universe, full_scopes, t_order)
-            universe = {k: c for k, c in t_full.universe.items() if k in spec.evidential}
+        if plan.coupled is None:
             # With independent evidence every query divides by the priors,
             # whose reciprocals are taken once here.
             inverse = None if priors is None else {k: reciprocal(p) for k, p in priors.items()}
-            # Every moment an index reads that no calibration gives, once:
-            # Var[f]'s, each total's and each closed group's. An S_i reads a
-            # calibrated moment or, with one evidential variable, Var[f]'s.
-            left_out = {i: spec.evidential - {i} for i in totaled}
-            keeps = [spec.evidential, *left_out.values()]
-            keeps += [widened(frozenset(ids)) for ids in unseparated]
-            calibrated = {frozenset({i}) for i in queried} if calibrate else set()
-            keeps = [k for k in dict.fromkeys(keeps) if k not in calibrated]
-            largest = max((math.prod(universe[ax] for ax in s) for s in t_scopes), default=0)
-            threaded = largest >= THREAD_CELLS_PER_VARIABLE * len(universe)
+            threaded = plan.largest >= THREAD_CELLS_PER_VARIABLE * len(plan.universe)
 
-            def plan() -> list[_Query]:
+            def calibrated() -> tuple[_Query, ...]:
+                nonlocal plan
                 calibration()
-                return [_plan(universe, t_scopes, j if priors is None else None, k) for k in keeps]
+                if plan.queries is None:  # the plan's first run
+                    plan = plan._replace(queries=tuple(_plan(plan.universe, plan.t_scopes, (
+                        j if priors is None else None), keep) for keep in plan.keeps))
+                return plan.queries
 
             results = _second_moments(
-                lambda: network._executed(build, [f.values for f in t_full.factors]), plan,
-                lambda query, t: _second_moment(query, t, j, inverse),
-                min(_cpus(), len(keeps)) if threaded else 1,
+                lambda: network._executed(plan.build, [f.values for f in t_full.factors]),
+                calibrated, lambda query, t: _second_moment(query, t, j, inverse),
+                min(_cpus(), len(plan.keeps)) if threaded else 1,
             )
             failure = next((r for r in results if isinstance(r, BaseException)), None)
             if failure is results[0]:
                 raise failure  # Var[f]'s query, the first, failed
-            moments.update(zip(keeps, results))
-            without.update((i, moments[keep]) for i, keep in left_out.items())
+            moments.update(zip(plan.keeps, results))
+            without.update((i, moments[evidence - {i}]) for i in plan.totaled)
             # Every index reads Var[f], so each shares the queries' wall time.
-            st_share = (time.perf_counter() - t0) / max(users, 1)
+            st_share = (time.perf_counter() - t0) / max(plan.users, 1)
             s_share += st_share
         else:
             calibration()
+            squared = square_wrt(t_full, ())
+            diagonals = [np.diag(reciprocal(p)) for p in priors.values()]
+            couplings = [trusted(Factor, *c) for c in zip(plan.pairs, diagonals)]
             start = len(squared.factors)
-            coupled = network.Elimination(squared).run(coupled_order, *couplings)
+            coupled = network.Elimination(squared).run(
+                plan.coupled_order, *couplings, records=plan.coupled)
             outside = marginals(coupled, outside_of=range(start, start + len(priors)))
             for p, k in enumerate(priors, start):
                 without[k] = float(outside[p].sum())
-            moments[spec.evidential] = float(np.sum(outside[start] * diagonals[0]))
-            st_share = (time.perf_counter() - t0) / max(len(totaled), 1)
+            moments[evidence] = float(np.sum(outside[start] * diagonals[0]))
+            st_share = (time.perf_counter() - t0) / max(len(plan.totaled), 1)
         moment = moments.__getitem__
 
-    variance = _nondegenerate(moment(spec.evidential) - mean * mean, output_variance)
+    variance = _nondegenerate(moment(evidence) - mean * mean, output_variance)
     if failure is not None:
         raise failure
 
     def read(keep: frozenset[int]) -> float:
-        return moment(widened(keep))
+        return moment(evidence if plan.unscreened <= keep else keep)
 
     entries = []
-    for i in targets:
+    for i in plan.targets:
         s = s_time = st = st_time = None
         if options.first:
             t0 = time.perf_counter()
-            s = 0.0 if i in zero_s else variance_component(i, read, mean, variance)
-            s_time = time.perf_counter() - t0 + (0.0 if i in zero_s else s_share)
+            s = 0.0 if i in plan.zero_s else variance_component(i, read, mean, variance)
+            s_time = time.perf_counter() - t0 + (0.0 if i in plan.zero_s else s_share)
         if options.total:
             t0 = time.perf_counter()
-            st = 0.0 if i in zero_st else total_index(i, without.__getitem__, mean, variance)
-            st_time = time.perf_counter() - t0 + (0.0 if i in zero_st else st_share)
+            st = 0.0 if i in plan.zero_st else total_index(i, without.__getitem__, mean, variance)
+            st_time = time.perf_counter() - t0 + (0.0 if i in plan.zero_st else st_share)
         entries.append(IndexEntry((i,), bn.variables[i].name, s, s_time, st, st_time))
 
     for ids in closed:
         name = "+".join(bn.variables[v].name for v in ids)
         t0 = time.perf_counter()
-        if separated.issuperset(ids):
+        if plan.separated.issuperset(ids):
             _log.debug("S of %s = 0.0 by d-separation from the output", name)
             value, share = 0.0, 0.0
         else:
@@ -647,14 +685,11 @@ def compute_all(
                     f"{label} of {entry.name} is {value:.3e}, negative beyond "
                     "floating-point noise",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
-    return SobolReport(
-        low + spread * (centre + mean),
-        spread * spread * variance,
-        tuple(entries),
-        time.perf_counter() - started,
-    )
+    _plans[bn] = plan
+    return SobolReport(low + spread * (centre + mean), spread * spread * variance,
+                       tuple(entries), time.perf_counter() - started)
 
 
 def encode_utility_node(

@@ -10,10 +10,13 @@ neighbour sets of `bnsens.graph`.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +31,25 @@ from bnsens import (
 )
 from bnsens.oracle import brute_force_f
 from bnsens.tensor import transposed
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_module(monkeypatch, name):
+    """bench/<name>.py as a module, read-only."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclass looks it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_workload(monkeypatch, name, seed=1):
+    """A benchmark workload's network, built afresh, and its spec at `seed`."""
+    workloads = bench_module(monkeypatch, "workloads")
+    bn, output, evidential = workloads.network(name)
+    return bn, AnalysisSpec(output, evidential, workloads.seeded_map(bn, output, seed))
 
 
 # ------------------------------------------------------------ fixed networks

@@ -5,10 +5,8 @@ stand for, and the coupled plan must cost the network it runs before
 building it."""
 
 import heapq
-import importlib.util
 import logging
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,22 +23,11 @@ from bnsens import (
 )
 from bnsens.graph import _primal
 from bnsens.network import reciprocal
-from helpers import concrete_style_network, gate_tree
-
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def _load(monkeypatch, name):
-    """bench/<name>.py as a module, read-only."""
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclass looks it up
-    spec.loader.exec_module(module)
-    return module
+from helpers import bench_module, bench_workload, concrete_style_network, gate_tree
 
 
 def test_every_bench_hook_resolves(monkeypatch):
-    spans = _load(monkeypatch, "spans")
+    spans = bench_module(monkeypatch, "spans")
     assert spans.HOOKS
     for module, attr, _, _ in spans.HOOKS:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
@@ -66,7 +53,7 @@ def test_each_workload_takes_its_plan(monkeypatch, caplog, name, plan):
     # queries and of its Var[f] query. The orderings per
     # analysis are the `graph.order_calls` of `--trace 1`, which hooks the
     # same name.
-    workloads = _load(monkeypatch, "workloads")
+    workloads = bench_module(monkeypatch, "workloads")
     bn, output, evidential = workloads.network(name)
     spec = AnalysisSpec(output, evidential, workloads.seeded_map(bn, output, 1))
     calls = []
@@ -89,17 +76,11 @@ def test_an_analysis_without_helpers_leaves_the_switch_interval_alone(monkeypatc
     # The coupled and shared plans start no helper, and neither does the
     # per-query plan on one CPU: the switch interval is never set.
     monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: cpus)
-    bn, spec = _workload(monkeypatch, name)
+    bn, spec = bench_workload(monkeypatch, name)
     intervals = []
     monkeypatch.setattr(sys, "setswitchinterval", intervals.append)
     compute_all(bn, spec)
     assert intervals == []
-
-
-def _workload(monkeypatch, name):
-    workloads = _load(monkeypatch, "workloads")
-    bn, output, evidential = workloads.network(name)
-    return bn, AnalysisSpec(output, evidential, workloads.seeded_map(bn, output, 1))
 
 
 def _gate_tree_root_evidence(leaves):
@@ -110,7 +91,7 @@ def _gate_tree_root_evidence(leaves):
 @pytest.mark.parametrize(
     "network",
     [
-        lambda m: _workload(m, "grid3e16"),
+        lambda m: bench_workload(m, "grid3e16"),
         lambda m: concrete_style_network(),
         lambda m: _gate_tree_root_evidence(64),
         lambda m: _gate_tree_root_evidence(128),
@@ -143,9 +124,10 @@ def test_coupled_order_from_scopes_is_the_order_of_the_built_network(
         priors.append(prior(j))
         return priors[-1]
 
-    def recording_run(self, order, *factors):
-        runs.append((self, dict(self.universe), [*self.scopes], [*self.arrays], order, factors))
-        return run(self, order, *factors)
+    def recording_run(self, order, *factors, **kwargs):
+        runs.append((self, dict(self.universe), [*self.scopes], [*self.arrays], order, factors,
+                     kwargs.get("records")))
+        return run(self, order, *factors, **kwargs)
 
     def recording_calibration(tn, **kwargs):
         if kwargs.get("outside_of") is not None:
@@ -160,7 +142,7 @@ def test_coupled_order_from_scopes_is_the_order_of_the_built_network(
     compute_all(bn, spec)
     ((t_full, shared),) = squares
     (coupled,) = calibrated
-    ((universe, scopes, arrays, ran, added),) = [r[1:] for r in runs if r[0] is coupled]
+    ((universe, scopes, arrays, ran, added, records),) = [r[1:] for r in runs if r[0] is coupled]
     (p,) = priors
     assert shared == ()
     squared = square_wrt(t_full, ())
@@ -176,22 +158,25 @@ def test_coupled_order_from_scopes_is_the_order_of_the_built_network(
     assert costed == expected
     assert costed.cells == expected.cells
     assert ran is costed
+    # the records the plan derived from the costed order, which the run replays
+    added_scopes = [f.axes for f in added]
+    assert records == bnsens.network.Schedule(universe, [*scopes]).derive(costed, added_scopes)
 
 
 def test_dense_card_never_builds_the_coupled_network(monkeypatch, caplog):
     # dense-card costs the coupled plan and declines it, from scopes alone:
     # no coupling diagonal is made, and no elimination, calibrated or not,
     # runs over replicas.
-    bn, spec = _workload(monkeypatch, "dense-card")
+    bn, spec = bench_workload(monkeypatch, "dense-card")
     calibrated, ran = [], []
     run, calibrate = bnsens.network.Elimination.run, bnsens.sobol.marginals
 
     def refuse(*args, **kwargs):
         raise AssertionError("a coupling diagonal was built")
 
-    def recording_run(self, order, *factors):
+    def recording_run(self, order, *factors, **kwargs):
         ran.append(set(self.universe))
-        return run(self, order, *factors)
+        return run(self, order, *factors, **kwargs)
 
     def recording_calibration(tn, **kwargs):
         calibrated.append((set(tn.universe), kwargs.get("outside_of")))
@@ -213,7 +198,7 @@ def test_analysis_runs_no_constructor_check(monkeypatch, name):
     # Every network of an analysis derives from the validated input network
     # and is built without the checks of Factor and TensorNetwork, which the
     # public constructors keep.
-    bn, spec = _workload(monkeypatch, name)
+    bn, spec = bench_workload(monkeypatch, name)
     checked = []
     for cls in (Factor, TensorNetwork):
 
@@ -266,7 +251,7 @@ def _order_pushing_every_neighbour(scopes, cardinalities, keep=()):
 
 @pytest.mark.parametrize(
     "network",
-    [lambda m: _workload(m, "grid3e16"), lambda m: _gate_tree_root_evidence(256)],
+    [lambda m: bench_workload(m, "grid3e16"), lambda m: _gate_tree_root_evidence(256)],
     ids=["grid3e16", "gate-tree-256"],
 )
 def test_min_weight_order_pushes_only_changed_weights_to_the_same_order(

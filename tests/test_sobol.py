@@ -354,14 +354,13 @@ def _evidence_marginal(bn, spec):
 def _guard_per_query(monkeypatch, spec):
     """Record the networks (or forward passes, for `t_full`) that `marginals`
     calibrates and the programs that `network._executed` runs outside
-    conditional-moment queries, except one run of t's build, the first
-    program derived over `t_full`'s universe (the only one with the output);
-    refuse a calibration of the reduced t, which unlike t_full lacks the
-    output and unlike the evidence marginal does not sum to 1."""
-    calibrated, contracted, inside, builds = [], [], [], []
-    calibrate = bnsens.sobol.marginals
-    program, executed = bnsens.network._program, bnsens.network._executed
-    query = bnsens.sobol._second_moment
+    conditional-moment queries and outside t's one build (the `build` that
+    `_second_moments` calls, from a derived plan or a kept one); refuse a
+    calibration of the reduced t, which unlike t_full lacks the output and
+    unlike the evidence marginal does not sum to 1."""
+    calibrated, contracted, inside = [], [], []
+    calibrate, executed = bnsens.sobol.marginals, bnsens.network._executed
+    query, moments = bnsens.sobol._second_moment, bnsens.sobol._second_moments
 
     def guarded(tn, *args, **kwargs):
         if spec.output not in tn.universe and abs(contract_all(tn) - 1.0) > 1e-9:
@@ -369,31 +368,34 @@ def _guard_per_query(monkeypatch, spec):
         calibrated.append(tn)
         return calibrate(tn, *args, **kwargs)
 
-    def derived(universe, scopes, order):
-        records, live = program(universe, scopes, order)
-        if spec.output in universe:
-            builds.append(records)
-        return records, live
-
     def recorded(records, arrays):
         if not inside:
-            if builds and records is builds[0]:
-                builds[0] = None  # t is built once
-            else:
-                contracted.append(records)
+            contracted.append(records)
         return executed(records, arrays)
 
-    def queried(*args):
+    def within(fn, *args):
         inside.append(True)
         try:
-            return query(*args)
+            return fn(*args)
         finally:
             inside.pop()
 
+    def queried(*args):
+        return within(query, *args)
+
+    def building_once(build, *args):
+        builds = []
+
+        def build_t():  # t is built once: a second build counts as a contraction
+            builds.append(build)
+            return within(build) if len(builds) == 1 else build()
+
+        return moments(build_t, *args)
+
     monkeypatch.setattr(bnsens.sobol, "marginals", guarded)
-    monkeypatch.setattr(bnsens.network, "_program", derived)
     monkeypatch.setattr(bnsens.network, "_executed", recorded)
     monkeypatch.setattr(bnsens.sobol, "_second_moment", queried)
+    monkeypatch.setattr(bnsens.sobol, "_second_moments", building_once)
     return calibrated, contracted
 
 
@@ -1569,26 +1571,20 @@ def test_per_query_programs_predict_the_cells_they_contract(monkeypatch, network
         assert spans[id(subscripts)] == cells
 
 
-def _hook_t_build(monkeypatch, spec, action):
+def _hook_t_build(monkeypatch, action):
     """Call `action()` on the thread that builds t, before it does, in each
-    analysis from now on: t's build executes the one program of an analysis
-    derived over the output, that of t_full."""
-    program, execute = bnsens.network._program, bnsens.network._execute
-    builds = []
+    analysis from now on: t's build is the `build` of `_second_moments`,
+    whether the analysis derives its plan or runs the network's kept one."""
+    moments = bnsens.sobol._second_moments
 
-    def recording_program(universe, scopes, order):
-        records, kept = program(universe, scopes, order)
-        if spec.output in universe:
-            builds.append(records)
-        return records, kept
-
-    def hooked_execute(records, *args):
-        if any(records is build for build in builds):
+    def hooked(build, *args):
+        def build_t():
             action()
-        return execute(records, *args)
+            return build()
 
-    monkeypatch.setattr(bnsens.network, "_program", recording_program)
-    monkeypatch.setattr(bnsens.network, "_execute", hooked_execute)
+        return moments(build_t, *args)
+
+    monkeypatch.setattr(bnsens.sobol, "_second_moments", hooked)
 
 
 def test_threaded_queries_are_all_planned_before_one_contracts(monkeypatch):
@@ -1609,7 +1605,7 @@ def test_threaded_queries_are_all_planned_before_one_contracts(monkeypatch):
 
     monkeypatch.setattr(bnsens.network, "min_weight_order", ordered)
     monkeypatch.setattr(bnsens.sobol, "_second_moment", queried)
-    _hook_t_build(monkeypatch, spec, lambda: builders.append(threading.get_ident()))
+    _hook_t_build(monkeypatch, lambda: builders.append(threading.get_ident()))
     started = _count_threads(monkeypatch)
     compute_all(bn, spec)
     assert events.count("order") == 11 and events.count("query") == 8
@@ -1629,7 +1625,7 @@ def test_an_error_in_the_calibration_stops_the_helper_building_t(monkeypatch):
         raise RuntimeError("calibration failed")
 
     monkeypatch.setattr(bnsens.sobol, "marginals", failing)
-    _hook_t_build(monkeypatch, spec, lambda: raised.wait(timeout=10))
+    _hook_t_build(monkeypatch, lambda: raised.wait(timeout=10))
     before = threading.active_count()
     started = _count_threads(monkeypatch)
     with pytest.raises(RuntimeError, match="calibration failed"):
@@ -1649,7 +1645,7 @@ def test_memory_error_building_t_on_a_helper_exits_4(monkeypatch, tmp_path, caps
         raised.append(threading.get_ident())
         raise MemoryError("cannot allocate t")
 
-    _hook_t_build(monkeypatch, spec, failing)
+    _hook_t_build(monkeypatch, failing)
     before = threading.active_count()
     assert main(["compute", "--network", str(path)]) == 4
     assert "error: MemoryError: cannot allocate t" in capsys.readouterr().err
@@ -1698,9 +1694,9 @@ def test_the_switch_interval_is_lowered_while_helpers_run_and_then_restored(
         error = RuntimeError("calibration failed") if failure == "calibration" else KeyboardInterrupt
         monkeypatch.setattr(bnsens.sobol, "marginals", failing(error))
     if failure == "build":
-        _hook_t_build(monkeypatch, spec, failing(MemoryError("cannot allocate t")))
+        _hook_t_build(monkeypatch, failing(MemoryError("cannot allocate t")))
     else:
-        _hook_t_build(monkeypatch, spec, lambda: during.append(sys.getswitchinterval()))
+        _hook_t_build(monkeypatch, lambda: during.append(sys.getswitchinterval()))
     before = sys.getswitchinterval()
     started = _count_threads(monkeypatch)
     intervals = _recorded_intervals(monkeypatch)
@@ -1725,7 +1721,7 @@ def test_a_user_switch_interval_is_kept_or_restored_exactly(monkeypatch, user):
     monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 2)
     bn, spec = _dense_card()
     during = []
-    _hook_t_build(monkeypatch, spec, lambda: during.append(sys.getswitchinterval()))
+    _hook_t_build(monkeypatch, lambda: during.append(sys.getswitchinterval()))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(user)
     try:
@@ -1756,7 +1752,7 @@ def test_analyses_on_two_threads_at_once_leave_the_switch_interval(monkeypatch):
         if both.wait() == 0:  # one build waits for the other analysis's end
             release.wait(timeout=10)
 
-    _hook_t_build(monkeypatch, spec, meet)
+    _hook_t_build(monkeypatch, meet)
     before = sys.getswitchinterval()
     analyses = [threading.Thread(target=lambda: reports.append(compute_all(bn, spec)))
                 for _ in range(2)]
@@ -1799,7 +1795,7 @@ def test_a_helper_the_os_refuses_leaves_the_results_unchanged(monkeypatch, refus
         "threading",
         types.SimpleNamespace(Thread=Refused, Lock=threading.Lock, Event=threading.Event),
     )
-    _hook_t_build(monkeypatch, spec, lambda: builders.append(threading.get_ident()))
+    _hook_t_build(monkeypatch, lambda: builders.append(threading.get_ident()))
     before = sys.getswitchinterval()
     assert _results(compute_all(bn, spec)) == expected
     assert len(tried) == refused + 1 and len(started) == refused
