@@ -9,11 +9,12 @@ from bnsens import (
     AnalysisSpec,
     Cpt,
     DiscreteBayesNet,
+    Factor,
+    TensorNetwork,
     Variable,
     brute_force_f,
     compute_all,
     contract_all,
-    function_tn,
     joint_probability,
     mrf_from_bn,
     output_values,
@@ -40,7 +41,10 @@ validate_partition(bn, spec)
 mrf = mrf_from_bn(bn)
 print(f"\nfull contraction of the probability network: {contract_all(mrf):.6f} (= 1)")
 
-t = function_tn(mrf, spec.output, output_values(bn, spec))
+# The function network: the probability network times one factor over O
+# holding the value of each of its labels.
+values = Factor((spec.output,), output_values(bn, spec))
+t = TensorNetwork(mrf.universe, (*mrf.factors, values))
 print(f"expected output E[f] = {contract_all(t):.6f} (hand value 0.41)")
 
 # f tabulated by direct summation over the joint (the brute-force oracle).

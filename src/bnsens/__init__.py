@@ -59,10 +59,8 @@ from .network import (
     TensorNetwork,
     collapse,
     contract_all,
-    function_tn,
     marginalize,
     mrf_from_bn,
-    quotient,
     square_wrt,
 )
 from .oracle import (

@@ -1,9 +1,9 @@
 """Tensor networks over discrete variables and their arithmetic.
 
 A tensor network here is a bag of factors over a universe of variables; its
-value at a full assignment is the product of all factor entries. A quotient
-network holds its divisor as factors of zero-safe reciprocals (the one
-division rule, `bnsens.tensor.reciprocal`), so dividing costs no more than
+value at a full assignment is the product of all factor entries. A divisor
+enters a network as factors of its zero-safe reciprocals (the one division
+rule, `bnsens.tensor.reciprocal`), so dividing costs no more than
 multiplying. Marginalization runs variable elimination under the
 minimal-weight heuristic and keeps the result factored, which is what makes
 squaring/quotient pipelines affordable on evidence sets far too large to
@@ -48,7 +48,7 @@ from .errors import (
 )
 from .graph import EliminationOrder, min_weight_order
 from .model import DiscreteBayesNet
-from .tensor import Factor, reciprocal, transposed, trusted
+from .tensor import Factor, transposed, trusted
 
 # Not called here: hooked by bench/spans.py, which looks them up in this module.
 from .tensor import factor_div, factor_product, factor_sum_out  # noqa: F401
@@ -59,7 +59,7 @@ class TensorNetwork:
     """A set of factors over a universe of variables with cardinalities.
 
     The factors multiply into the network value; a divisor enters as
-    factors of reciprocals (see `quotient`).
+    factors of reciprocals (`bnsens.tensor.reciprocal`).
     """
 
     universe: Mapping[int, int]
@@ -107,16 +107,6 @@ def mrf_from_bn(
             raise UnknownAxisError(f"a parent of node {i} is not in `nodes`") from None
         factors.append(trusted(Factor, *transposed(scope, bn.cpts[i].table.reshape(shape))))
     return trusted(TensorNetwork, universe, tuple(factors))
-
-
-def function_tn(mrf: TensorNetwork, output: int, values: np.ndarray) -> TensorNetwork:
-    """Copy of `mrf` with one extra single-axis factor over `output`
-    carrying the numeric value of each of its labels, in domain order
-    (`output_values` gives them for an analysis).
-
-    Contracting the result over everything yields the expected value of the
-    mapped output."""
-    return TensorNetwork(mrf.universe, (*mrf.factors, Factor((output,), values)))
 
 
 # One np.einsum call names its axes with these 52 letters and takes at most
@@ -335,15 +325,17 @@ class Elimination(Schedule):
         self.arrays: list[np.ndarray | None] = [f.values for f in tn.factors]
         self.buckets: list | None = [] if records else None
 
-    def run(self, order: Iterable[int], *factors: Factor, records: Sequence = None) -> Elimination:
-        """Add `factors`, over live variables, and eliminate those of `order`, or
-        replay the `records` that `derive` gave for them (a plan's); no `derive` follows."""
+    def run(self, order: Iterable[int], *factors: Factor, records: Sequence = None,
+            kept: dict = None) -> Elimination:
+        """Add `factors`, over live variables, and eliminate those of `order`, or replay
+        the `records` that `derive` gave for them (a plan's), with the messages
+        `kept` (`_execute`); no `derive` follows."""
         self.arrays += [f.values for f in factors]
         if records is None:
             records = self.derive(order, [f.axes for f in factors])
         else:  # `scopes` as `derive` leaves them, and `live` below
             self.scopes += [*(f.axes for f in factors), *(record[3] for record in records)]
-        _execute(records, self.arrays, self.buckets)
+        _execute(records, self.arrays, self.buckets, kept)
         self.live = [a is not None for a in self.arrays]
         return self
 
@@ -354,12 +346,19 @@ class Elimination(Schedule):
         return _eliminate([self.scopes[i] for i in live], [self.arrays[i] for i in live])
 
 
-def _execute(records: Sequence[tuple], arrays: list, buckets: list | None = None) -> list:
+def _execute(records: Sequence, arrays: list, buckets: list = None, kept: dict = None) -> list:
     """Each record's `_contract` over `arrays`, by position, appended as its
-    message, its operands freed (None) and, in `buckets`, kept beside it."""
-    for v, positions, axes, kept, message, derived in records:
+    message, its operands freed (None) and, in `buckets`, kept beside it. A
+    message that `kept` holds by position is taken, and one it maps to None
+    is put there once contracted."""
+    kept = {} if kept is None else kept
+    for v, positions, axes, scope, message, derived in records:
         bucket = [arrays[i] for i in positions]
-        out = _contract(axes, bucket, kept, *derived) if bucket else np.asarray(float(derived[2]))
+        if (out := kept.get(message)) is None:
+            out = _contract(axes, bucket, scope, *derived) if bucket else np.asarray(
+                float(derived[2]))
+            if message in kept:
+                kept[message] = out
         arrays.append(out)
         for i in positions:
             arrays[i] = None
@@ -368,9 +367,9 @@ def _execute(records: Sequence[tuple], arrays: list, buckets: list | None = None
     return arrays
 
 
-def _executed(records: Sequence[tuple], arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """The arrays that `records` leave live, run over `arrays`, which stay as they are."""
-    return [a for a in _execute(records, [*arrays]) if a is not None]
+def _executed(records: Sequence[tuple], arrays: Sequence, kept: dict = None) -> list[np.ndarray]:
+    """The arrays that `records`, with `kept`, leave live over `arrays`, which stay as they are."""
+    return [a for a in _execute(records, [*arrays], None, kept) if a is not None]
 
 
 def _program(universe: Mapping[int, int], scopes, order) -> tuple[tuple, list]:
@@ -551,28 +550,6 @@ def squared_scopes(universe: Mapping[int, int], scopes: Sequence, shared=frozens
     replicas = {v: v + stride for v in sorted(set(universe) - shared)}
     squared = {**universe, **{r: universe[v] for v, r in replicas.items()}}
     return replicas, squared, [*scopes, *(tuple(replicas.get(v, v) for v in s) for s in scopes)]
-
-
-def quotient(tn: TensorNetwork, divisor: TensorNetwork) -> TensorNetwork:
-    """Network contracting to the pointwise quotient of the two inputs
-    wherever the divisor is nonzero, and to 0 wherever a divisor factor is
-    zero.
-
-    Each divisor factor is adjoined as its zero-safe `reciprocal` (from
-    `bnsens.tensor`): 1/x where |x| is at least the smallest normal float,
-    0 elsewhere (the reciprocal of a subnormal overflows). Setting the
-    quotient to 0 where the divisor vanishes is exact for a
-    conditional-moment query, whose numerator is zero wherever its evidence
-    marginal is."""
-    for var, card in divisor.universe.items():
-        if var not in tn.universe:
-            raise UnknownAxisError(f"divisor variable {var} not in the network")
-        if tn.universe[var] != card:
-            raise AxisCardinalityMismatchError(
-                f"variable {var}: cardinality {tn.universe[var]} vs divisor {card}"
-            )
-    reciprocals = tuple(trusted(Factor, f.axes, reciprocal(f.values)) for f in divisor.factors)
-    return trusted(TensorNetwork, tn.universe, tn.factors + reciprocals)
 
 
 def collapse(tn: TensorNetwork, keep: Iterable[int]) -> Factor:

@@ -49,7 +49,11 @@ compute, the pass goes on as the calibration of `t_full`: its backward
 pass gives E[f] and each first-order `moment({i})` from t_i = P(i)
 E[f | i], as in `t`, and from j_i = P(i), the prior or a marginal of one
 calibration of `j`. Otherwise E[f] is the sum of P(O) g. The choice of plan,
-and all else that rests on scopes alone, is a `_Plan`, kept per network.
+and all else that rests on scopes alone, is a `_Plan`, kept per network with
+what reads no g: its first run's arrays (the probability network, P(O), the
+reciprocals of J's sums, the priors, a dependent `j`'s marginals, the
+divisors) and its second run's messages of buckets that read no g, so a
+later analysis contracts only what reads g.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ import os
 import sys
 import threading
 import time
+import types
 import warnings
 import weakref
 from collections import namedtuple
@@ -207,13 +212,18 @@ def _plan(universe: dict, scopes: list, j: TensorNetwork | None, keep: frozenset
     return _Query(keep, reduce, divide, square)
 
 
-def _second_moment(query: _Query, t: list, j: TensorNetwork, inverse: dict | None) -> float:
-    """`query`'s moment over `t`'s arrays and `j` or `inverse`, the zero-safe
-    reciprocal priors: where P(keep) is 0 so is the numerator, and 0 is exact."""
+def _divisors(queries: Sequence[_Query], j: TensorNetwork, priors: dict | None) -> tuple:
+    """Each query's zero-safe reciprocals of P(keep), of `priors` or of `j` summed
+    down to `keep`: where P(keep) is 0 so is the numerator, and 0 is exact."""
+    inverse = {k: reciprocal(p) for k, p in (priors or {}).items()}
+    arrays = [f.values for f in j.factors] if priors is None else []
+    return tuple([inverse[k] for k in sorted(q.keep)] if q.divide is None else [
+        reciprocal(a) for a in network._executed(q.divide, arrays)] for q in queries)
+
+
+def _second_moment(query: _Query, t: list, divisor: list) -> float:
+    """`query`'s moment over `t`'s arrays and its `divisor` (`_divisors`)."""
     reduced = network._executed(query.reduce, t)
-    divisor = [inverse[k] for k in sorted(query.keep)] if query.divide is None else [
-        reciprocal(a) for a in network._executed(query.divide, [f.values for f in j.factors])
-    ]
     (table,) = network._executed(query.square, [*reduced, *reduced, *divisor])
     return network._checked(float(table), [*reduced, *divisor])
 
@@ -352,16 +362,17 @@ def _nondegenerate(variance: float, output_variance: float) -> float:
 
 
 _Plan = namedtuple(
-    "_Plan", "key notes relevant ancestral j_order forward joined shared calibrate targets "
+    "_Plan", "key notes relevant forward joined shared calibrate targets "
     "queried totaled zero_s zero_st separated unscreened users pairs coupled_order coupled "
-    "build t_scopes universe keeps largest queries")
-_Plan.__doc__ = """All that an analysis derives from scopes alone (`_planned`), with no
-    array: its nodes and exact zeros, `j`'s order, the records of each
-    elimination (`forward` to O's bucket, `joined` with g, the `coupled`
-    network's, `t`'s `build`), the per-query `keeps` and their `queries`,
-    None until the first run derives them while a helper builds `t` (before
-    it, a first dense-card analysis took 1.09x as long); `notes` are its
-    DEBUG lines.
+    "build t_scopes universe keeps largest kept")
+_Plan.__doc__ = """All that an analysis derives from scopes alone (`_planned`): its nodes
+    and exact zeros, the records of each elimination (`forward` to O's
+    bucket, `joined` with g, the `coupled` network's, `t`'s `build`) and the
+    per-query `keeps`; `notes` are its DEBUG lines. `kept`, None until a
+    first run returns, holds by name, read-only, what runs made that reads
+    no g (`_run`): the first run's arrays but messages, and its query
+    programs, derived while a helper builds `t` (derived in `_planned`, a
+    first dense-card analysis took 1.09x as long); the second run's messages.
 
     The shared elimination is taken when the table over the evidence and
     the output (the product of their cardinalities, a Python int) has at
@@ -387,11 +398,25 @@ _Plan.__doc__ = """All that an analysis derives from scopes alone (`_planned`), 
 _plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _evidence_marginal(mrf: TensorNetwork, ancestral: dict, order) -> TensorNetwork:
-    """`j`: the factors of `mrf` over An(E), `ancestral`, with `order` summed out."""
-    own = dict(zip(mrf.universe, mrf.factors))  # one factor per node, in node order
-    return marginalize(trusted(TensorNetwork, dict(ancestral), tuple(own[k] for k in ancestral)),
-                       order)
+def _free(records: Sequence[tuple], dependent: set) -> dict:
+    """None by the position of each message of `records` that reads no value: of a bucket
+    with no operand in `dependent` (g, its replica) nor the message of one that has."""
+    free = set()
+    for _, positions, _, _, message, _ in records:
+        (free if dependent.isdisjoint(positions) else dependent).add(message)
+    return dict.fromkeys(free)
+
+
+def _frozen(found: dict) -> types.MappingProxyType:
+    """`found` read-only, and each array in it, through dicts, lists and plain tuples."""
+    values = [*found.values()]
+    while values:
+        value = values.pop()
+        if isinstance(value, np.ndarray):
+            value.setflags(False)  # write
+        elif type(value) in (dict, list, tuple):  # not a query's records
+            values += value.values() if isinstance(value, dict) else value
+    return types.MappingProxyType(found)
 
 
 def _planned(bn: DiscreteBayesNet, spec: AnalysisSpec, options: ComputeOptions,
@@ -417,7 +442,8 @@ def _planned(bn: DiscreteBayesNet, spec: AnalysisSpec, options: ComputeOptions,
     ancestral = {k: universe[k] for k in sorted(ancestors(dag, evidence))}
     j_order = network._order([s for v, s in zip(universe, scopes) if v in ancestral],
                              ancestral, evidence)
-    j = _evidence_marginal(mrf, ancestral, j_order)
+    own = dict(zip(universe, mrf.factors))  # one factor per node, in node order
+    j = marginalize(trusted(TensorNetwork, ancestral, tuple(own[k] for k in ancestral)), j_order)
     independent = all(len(f.axes) <= 1 for f in j.factors)
     evidence_universe = {k: c for k, c in universe.items() if k in evidence}
     # A Python int: a product over many evidential variables overflows int64.
@@ -467,7 +493,7 @@ def _planned(bn: DiscreteBayesNet, spec: AnalysisSpec, options: ComputeOptions,
             keeps = tuple(k for k in dict.fromkeys(keeps) if k not in calibrated)
             largest = max((math.prod(evidence_universe[v] for v in s) for s in t_scopes), default=0)
     return _Plan(
-        key, tuple(notes), relevant, ancestral, j_order, forward, joined, shared, calibrate,
+        key, tuple(notes), relevant, forward, joined, shared, calibrate,
         tuple(targets), tuple(queried), tuple(totaled), zero_s, zero_st, separated, unscreened,
         len(queried) + len(totaled) + len(unseparated), pairs, coupled_order, coupled, build,
         t_scopes, evidence_universe, keeps, largest, None), mrf, j
@@ -497,9 +523,14 @@ def compute_all(
     network, and nothing is eliminated for it. Every network built here
     derives from `bn` and skips the constructors' checks (`trusted`). The
     `_Plan` of the last analysis of `bn` that ran without error is kept
-    under its key, the output, the evidence, `first`, `total` and `closed`;
-    an analysis under that key, with any value map, runs it again and says
-    so at DEBUG level.
+    under its key, the output, the evidence, `first`, `total` and `closed`,
+    with the arrays its runs made that read no value map; an analysis under
+    that key, with any value map, runs it again on them, contracts only what
+    reads its map, and says so at DEBUG level. They stay as long as `bn`.
+    A first analysis keeps no message: tracemalloc counts 60 KiB kept on
+    grid3e16 (48 without arrays) and 9.8 MiB on `gate_tree(2048, 0)` with
+    root evidence (8.4); a second keeps them, 188 KiB and 12.1 MiB.
+    `bnsens compute` analyses once per process and gains nothing.
 
     With a single evidential variable, {i} is E, so S_i reads the moment
     that Var[f] was taken from and is exactly 1.0. Some indices need no
@@ -523,8 +554,7 @@ def compute_all(
     key = (spec.output, spec.evidential, options.first, options.total, tuple(closed))
     if (plan := _plans.get(bn)) is not None and plan.key == key:
         _log.debug("reusing the network's plan")
-        mrf = mrf_from_bn(bn, plan.relevant)
-        j = _evidence_marginal(mrf, plan.ancestral, plan.j_order)
+        mrf = j = None  # the plan keeps all it reads of them
     else:
         plan, mrf, j = _planned(bn, spec, options, closed, key)
     return _run(plan, mrf, j, bn, spec, options, closed, started)
@@ -533,18 +563,34 @@ def compute_all(
 def _run(plan: _Plan, mrf: TensorNetwork, j: TensorNetwork, bn: DiscreteBayesNet,
          spec: AnalysisSpec, options: ComputeOptions, closed: list, started: float) -> SobolReport:
     """`plan` run under `spec`'s value map over `mrf` and `j`, the one step
-    that touches arrays. It changes nothing `plan` holds, and keeps it as
-    `bn`'s, with the query programs it derived if it had none."""
+    that touches arrays, or, with neither, over what `plan` keeps. It
+    changes nothing `plan` holds, and keeps it as `bn`'s, with what this
+    run made that reads no value map and `plan` lacks (`_Plan.kept`)."""
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("pruned barren nodes %s", sorted(set(range(bn.n)) - plan.relevant))
-    for note in plan.notes:
-        _log.debug(*note)
-    evidence, output = spec.evidential, spec.output
+        for note in plan.notes:
+            _log.debug(*note)
+    found = {"mrf": mrf} if plan.kept is None else {**plan.kept}
+
+    def kept(name: str, make: Callable):
+        """The plan's value-free `name`, or `make`'s, kept."""
+        if name not in found:
+            found[name] = make()
+        return found[name]
+
+    def messages(name: str, records: Sequence, dependent: set) -> dict | None:
+        """The kept messages of `records` that read no value (`_free`), or None in a
+        first run: most of what a plan keeps, which only a network analysed again reads."""
+        return None if plan.kept is None else kept(name, lambda: _free(records, dependent))
+
+    mrf, evidence, output = found["mrf"], spec.evidential, spec.output
     values = output_values(bn, spec)
     low, spread = float(values.min()), float(np.ptp(values)) or 1.0
-    forward = network.Elimination(mrf, records=plan.calibrate).run((), records=plan.forward)
-    axes, table = forward.table()
-    p_out = table.sum(axis=tuple(a for a, k in enumerate(axes) if k != output))
+    forward = network.Elimination(mrf, records=plan.calibrate).run(
+        (), records=plan.forward, kept=messages("forward", plan.forward, set()))
+    if (p_out := found.get("p_out")) is None:
+        axes, table = forward.table()
+        p_out = found["p_out"] = table.sum(axis=tuple(a for a, k in enumerate(axes) if k != output))
     unit = (values - low) / spread
     centre = float(unit @ p_out)
     g = unit - centre
@@ -564,19 +610,24 @@ def _run(plan: _Plan, mrf: TensorNetwork, j: TensorNetwork, bn: DiscreteBayesNet
         # g joins O's bucket, which leaves T. Every evidential variable is an
         # axis of T and of j, so each table is over the sorted evidence.
         forward.run((), value_factor, records=plan.joined)
-        tables = [forward.table()[1], network.Elimination(j).table()[1]]
+        table = forward.table()[1]
+        j_table = None if j is None else network.Elimination(j).table()[1]  # J, for a first run
+        inverses = kept("inverses", dict)  # 1 / J_keep by keep, as the first run read them
 
         def moment(keep: frozenset[int]) -> float:
             axes = tuple(a for a, k in enumerate(plan.universe) if k not in keep)
-            t_keep, j_keep = (table.sum(axis=axes) for table in tables)
-            return float(np.vdot(t_keep, t_keep * reciprocal(j_keep)))
+            if (inverse := inverses.get(keep)) is None:
+                inverse = inverses[keep] = reciprocal(j_table.sum(axis=axes))
+            t_keep = table.sum(axis=axes)
+            return float(np.vdot(t_keep, t_keep * inverse))
 
-        mean = float(tables[0].sum())
+        mean = float(table.sum())
         without = {i: moment(evidence - {i}) for i in plan.totaled}
         s_share = st_share = (time.perf_counter() - t0) / max(plan.users, 1)
     else:
         t_full = trusted(TensorNetwork, mrf.universe, (*mrf.factors, value_factor))
-        priors = _priors(j)
+        priors = kept("priors", lambda: _priors(j))
+        g_at = len(mrf.factors)  # g's position in t_full, and its replica's when squared
         moments: dict[frozenset[int], float] = {}
         without: dict[int, float] = {}  # moment(E - {i}) by i
 
@@ -589,7 +640,8 @@ def _run(plan: _Plan, mrf: TensorNetwork, j: TensorNetwork, bn: DiscreteBayesNet
                 t0 = time.perf_counter()
                 forward.run((), value_factor, records=plan.joined)
                 t_marginals = marginals(forward, of=[*plan.queried, output])
-                j_marginals = marginals(j, of=plan.queried) if priors is None else priors
+                j_marginals = priors if priors is not None else kept(
+                    "marginals", lambda: marginals(j, of=plan.queried))
                 for i in plan.queried:
                     t_i = t_marginals[i]
                     moments[frozenset({i})] = float(t_i @ (t_i * reciprocal(j_marginals[i])))
@@ -600,22 +652,18 @@ def _run(plan: _Plan, mrf: TensorNetwork, j: TensorNetwork, bn: DiscreteBayesNet
             t0 = time.perf_counter()
 
         if plan.coupled is None:
-            # With independent evidence every query divides by the priors,
-            # whose reciprocals are taken once here.
-            inverse = None if priors is None else {k: reciprocal(p) for k, p in priors.items()}
             threaded = plan.largest >= THREAD_CELLS_PER_VARIABLE * len(plan.universe)
 
-            def calibrated() -> tuple[_Query, ...]:
-                nonlocal plan
+            def calibrated() -> list[tuple]:
                 calibration()
-                if plan.queries is None:  # the plan's first run
-                    plan = plan._replace(queries=tuple(_plan(plan.universe, plan.t_scopes, (
-                        j if priors is None else None), keep) for keep in plan.keeps))
-                return plan.queries
+                queries = kept("queries", lambda: tuple(_plan(plan.universe, plan.t_scopes, (
+                    j if priors is None else None), keep) for keep in plan.keeps))
+                return [*zip(queries, kept("divisors", lambda: _divisors(queries, j, priors)))]
 
+            held = messages("build", plan.build, {g_at})
             results = _second_moments(
-                lambda: network._executed(plan.build, [f.values for f in t_full.factors]),
-                calibrated, lambda query, t: _second_moment(query, t, j, inverse),
+                lambda: network._executed(plan.build, [f.values for f in t_full.factors], held),
+                calibrated, lambda task, t: _second_moment(task[0], t, task[1]),
                 min(_cpus(), len(plan.keeps)) if threaded else 1,
             )
             failure = next((r for r in results if isinstance(r, BaseException)), None)
@@ -629,11 +677,12 @@ def _run(plan: _Plan, mrf: TensorNetwork, j: TensorNetwork, bn: DiscreteBayesNet
         else:
             calibration()
             squared = square_wrt(t_full, ())
-            diagonals = [np.diag(reciprocal(p)) for p in priors.values()]
+            diagonals = kept("diagonals", lambda: [np.diag(reciprocal(p)) for p in priors.values()])
             couplings = [trusted(Factor, *c) for c in zip(plan.pairs, diagonals)]
             start = len(squared.factors)
             coupled = network.Elimination(squared).run(
-                plan.coupled_order, *couplings, records=plan.coupled)
+                plan.coupled_order, *couplings, records=plan.coupled,
+                kept=messages("coupled", plan.coupled, {g_at, 2 * g_at + 1}))
             outside = marginals(coupled, outside_of=range(start, start + len(priors)))
             for p, k in enumerate(priors, start):
                 without[k] = float(outside[p].sum())
@@ -687,6 +736,8 @@ def _run(plan: _Plan, mrf: TensorNetwork, j: TensorNetwork, bn: DiscreteBayesNet
                     RuntimeWarning,
                     stacklevel=3,
                 )
+    if len(found) > len(plan.kept or ()):
+        plan = plan._replace(kept=_frozen(found))
     _plans[bn] = plan
     return SobolReport(low + spread * (centre + mean), spread * spread * variance,
                        tuple(entries), time.perf_counter() - started)

@@ -22,15 +22,17 @@ import numpy as np
 
 from bnsens import (
     AnalysisSpec,
+    AxisCardinalityMismatchError,
     Cpt,
     DiscreteBayesNet,
     Factor,
     TensorNetwork,
+    UnknownAxisError,
     Variable,
     generate_random_bn,
 )
 from bnsens.oracle import brute_force_f
-from bnsens.tensor import transposed
+from bnsens.tensor import reciprocal, transposed
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -667,6 +669,36 @@ def factor_of(axes, values) -> Factor:
     """A factor over `axes` in any order: the values transposed into the
     ascending layout, and checked by `Factor`."""
     return Factor(*transposed(tuple(axes), np.asarray(values, dtype=np.float64)))
+
+
+def function_tn(mrf: TensorNetwork, output: int, values: np.ndarray) -> TensorNetwork:
+    """Copy of `mrf` with one extra single-axis factor over `output`
+    carrying the numeric value of each of its labels, in domain order
+    (`output_values` gives them for an analysis).
+
+    Contracting the result over everything yields the expected value of the
+    mapped output."""
+    return TensorNetwork(mrf.universe, (*mrf.factors, Factor((output,), values)))
+
+
+def quotient(tn: TensorNetwork, divisor: TensorNetwork) -> TensorNetwork:
+    """Network contracting to the pointwise quotient of the two inputs
+    wherever the divisor is nonzero, and to 0 wherever a divisor factor is
+    zero: each divisor factor is adjoined as its zero-safe `reciprocal`,
+    the division rule of `compute_all`'s queries.
+
+    Setting the quotient to 0 where the divisor vanishes is exact for a
+    conditional-moment query, whose numerator is zero wherever its evidence
+    marginal is."""
+    for var, card in divisor.universe.items():
+        if var not in tn.universe:
+            raise UnknownAxisError(f"divisor variable {var} not in the network")
+        if tn.universe[var] != card:
+            raise AxisCardinalityMismatchError(
+                f"variable {var}: cardinality {tn.universe[var]} vs divisor {card}"
+            )
+    reciprocals = tuple(Factor(f.axes, reciprocal(f.values)) for f in divisor.factors)
+    return TensorNetwork(tn.universe, tn.factors + reciprocals)
 
 
 def tn_table(tn: TensorNetwork) -> tuple[list[int], np.ndarray]:

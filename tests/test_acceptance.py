@@ -18,11 +18,9 @@ from bnsens import (
     compute_all,
     contract_all,
     encode_utility_node,
-    function_tn,
     marginalize,
     mrf_from_bn,
     output_values,
-    quotient,
     square_wrt,
 )
 from bnsens.oracle import brute_force_f, brute_force_indices, enumerate_joint
@@ -31,6 +29,8 @@ from helpers import (
     chain_bn,
     common_parent_bn,
     concrete_style_network,
+    function_tn,
+    quotient,
     random_instance,
     random_roots_instance,
     random_tn,

@@ -22,7 +22,7 @@ from bnsens import (
     square_wrt,
 )
 from bnsens.graph import _primal
-from bnsens.network import reciprocal
+from bnsens.tensor import reciprocal
 from helpers import bench_module, bench_workload, concrete_style_network, gate_tree
 
 

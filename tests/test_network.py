@@ -17,19 +17,25 @@ from bnsens import (
     UnknownAxisError,
     collapse,
     contract_all,
-    function_tn,
     generate_random_bn,
     marginalize,
     mrf_from_bn,
     output_values,
-    quotient,
     square_wrt,
 )
 from bnsens.graph import min_weight_order
 from bnsens.network import Elimination, marginals
 from bnsens.oracle import brute_force_f
 from bnsens.tensor import factor_product, factor_sum_out
-from helpers import chain_bn, factor_of, random_tn, tn_marginal, tn_table
+from helpers import (
+    chain_bn,
+    factor_of,
+    function_tn,
+    quotient,
+    random_tn,
+    tn_marginal,
+    tn_table,
+)
 
 
 _PAIR = TensorNetwork({0: 2, 1: 3}, (Factor((0, 1), np.ones((2, 3))),))

@@ -1,8 +1,10 @@
 """An analysis keeps its plan, everything it derives from scopes alone, with
-its network: a later analysis of the same network object under the same key
-(output, evidence, `first`, `total`, `closed`) runs that plan under its own
-value map, and gives the bits of a fresh network's analysis. A test that
-patches SHARED_ELIMINATION_CELLS to force a plan builds its network after."""
+its network, and the plan keeps the arrays that read no value, the messages
+from its second run on: a later analysis of the same network object under the
+same key (output, evidence, `first`, `total`, `closed`) runs that plan under
+its own value map, contracts only what reads it, and gives the bits of a
+fresh network's analysis. A test that patches SHARED_ELIMINATION_CELLS to force a plan builds
+its network after."""
 
 import gc
 import logging
@@ -11,6 +13,7 @@ import threading
 import types
 import weakref
 
+import numpy as np
 import pytest
 
 import bnsens.network
@@ -19,6 +22,7 @@ from bnsens import (
     AnalysisSpec,
     ComputeOptions,
     Cpt,
+    DegenerateOutputError,
     DiscreteBayesNet,
     StateSpaceTooLargeError,
     Variable,
@@ -97,22 +101,125 @@ def test_a_kept_plan_gives_the_bits_of_a_fresh_analysis(
     bn, spec = network()
     with caplog.at_level(logging.DEBUG, logger="bnsens.sobol"):
         compute_all(bn, spec, options)
-        kept = repr(bnsens.sobol._plans[bn])  # every record, query and order it holds
+        first = bnsens.sobol._plans[bn]
+        kept = repr(first)  # every record, query, order and array it holds
         assert REUSED not in caplog.messages
         caplog.clear()
         warm = compute_all(bn, _remapped(spec), options)
         assert caplog.messages.count(REUSED) == 1
         assert _plan_names(caplog) == [plan]
-    assert repr(bnsens.sobol._plans[bn]) == kept  # the run changed nothing the plan holds
+    # The run changed nothing the plan holds; it added the messages it keeps.
+    after = bnsens.sobol._plans[bn]
+    assert after.kept.keys() - first.kept.keys() <= {"forward", "build", "coupled"}
+    assert repr(after._replace(kept=types.MappingProxyType(
+        {k: v for k, v in after.kept.items() if k in first.kept}))) == kept
     assert bool(threads) == (patches.get("_cpus", lambda: 1)() > 1)
     assert _bits(warm) == _bits(compute_all(_fresh(bn), _remapped(spec), options))
 
 
-@pytest.mark.parametrize("name", ["grid3e16", "sparse200", "dense-card"])
+def _workload(monkeypatch, name):
+    """A benchmark workload, or dense-card with dependent evidence."""
+    return _dependent_dense_card() if name == "dependent" else bench_workload(monkeypatch, name)
+
+
+def _mapped(spec: AnalysisSpec, shift: float = 0.0, scale: float = 1.0) -> AnalysisSpec:
+    return AnalysisSpec(spec.output, spec.evidential,
+                        {k: v * scale + shift for k, v in spec.value_map.items()})
+
+
+def _kept_arrays(plan) -> list:
+    """Every array the plan keeps, the probability network's included."""
+    arrays, values = [], [*plan.kept.values()]
+    while values:
+        value = values.pop()
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, bnsens.network.TensorNetwork):
+            values += [f.values for f in value.factors]
+        elif isinstance(value, (dict, list, tuple)):
+            values += value.values() if isinstance(value, dict) else value
+    return arrays
+
+
+@pytest.mark.parametrize(
+    "name, cpus",
+    [("sparse200", 1), ("grid3e16", 1), ("dense-card", 1), ("dense-card", 2), ("dependent", 2)],
+    ids=["shared", "coupled", "per-query-inline", "per-query-threaded", "dependent"],
+)
+def test_kept_arrays_give_the_bits_of_a_fresh_analysis_under_any_value_map(
+    monkeypatch, name, cpus
+):
+    # One network object under maps A, B, A, A + 1e6 and A * 1e-5: each
+    # analysis after the first runs on the arrays that the first kept, each
+    # after the second also on the messages that the second kept, and none
+    # of them changes; a fresh network computes every array anew.
+    monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: cpus)
+    bn, spec = _workload(monkeypatch, name)
+    maps = [spec, _remapped(spec), spec, _mapped(spec, shift=1e6), _mapped(spec, scale=1e-5)]
+    kept = {}  # by run: the first, and the second and later
+    for n, analysis in enumerate(maps):
+        assert _bits(compute_all(bn, analysis)) == _bits(compute_all(_fresh(bn), analysis))
+        plan = bnsens.sobol._plans[bn]
+        kept.setdefault(min(n, 1), (plan.kept, [a.copy() for a in _kept_arrays(plan)]))
+        assert plan.kept is kept[min(n, 1)][0]
+    assert all(np.array_equal(a, b) for a, b in zip(_kept_arrays(plan), kept[1][1]))
+
+
+@pytest.mark.parametrize("name", ["sparse200", "grid3e16", "dense-card", "dependent"])
+def test_a_repeated_analysis_contracts_only_what_reads_the_value_map(monkeypatch, name):
+    # A first analysis keeps no message: a network analysed once would never
+    # read one. A repeated analysis builds neither the probability network
+    # nor the evidence marginal, nor its priors. Every kept array is
+    # read-only, and an array the value map made is not, so a contraction of
+    # kept arrays alone would repeat value-free work: from the third
+    # analysis on, each `_contract` reads an array of its own run. Not yet
+    # inside the per-query queries, whose programs run whole, so a bucket
+    # over kept arrays alone is contracted again there in every analysis;
+    # their calls are not checked.
+    monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 1)
+    bn, spec = _workload(monkeypatch, name)
+    compute_all(bn, spec)
+    assert not bnsens.sobol._plans[bn].kept.keys() & {"forward", "build", "coupled"}
+    calls, querying = [], []
+
+    def hooked(module, attr, wrap):
+        original = getattr(module, attr)
+        monkeypatch.setattr(module, attr, lambda *args, **kwargs: wrap(original, *args, **kwargs))
+
+    def contracting(original, scopes, operands, *args):
+        calls.append(bool(querying) or any(a.flags.writeable for a in operands))
+        return original(scopes, operands, *args)
+
+    def query(original, *args):
+        querying.append(True)
+        try:
+            return original(*args)
+        finally:
+            querying.pop()
+
+    def refused(original, *args, **kwargs):
+        raise AssertionError("a repeated analysis rebuilt a value-free array")
+
+    hooked(bnsens.network, "_contract", contracting)
+    hooked(bnsens.sobol, "_second_moment", query)
+    compute_all(_fresh(bn), spec)
+    cold, calls[:] = len(calls), []
+    for attr in ("mrf_from_bn", "marginalize", "_priors"):
+        hooked(bnsens.sobol, attr, refused)
+    compute_all(bn, spec)
+    arrays = _kept_arrays(bnsens.sobol._plans[bn])
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    calls[:] = []
+    compute_all(bn, _remapped(spec))
+    assert calls and all(calls) and len(calls) < cold
+
+
+@pytest.mark.parametrize("name", ["grid3e16", "sparse200", "dense-card", "dependent"])
 def test_a_second_analysis_orders_and_derives_nothing(monkeypatch, name):
     # Every ordering, `least_cells`, `separated_evidence` and every bucket
-    # record belongs to the plan; the hooks see them in a cold analysis.
-    bn, spec = bench_workload(monkeypatch, name)
+    # record belongs to the plan, and so does the calibration of a dependent
+    # evidence marginal; the hooks see them in a cold analysis.
+    bn, spec = _workload(monkeypatch, name)
     symbolic = []
 
     def counted(module, attr):
@@ -196,6 +303,35 @@ def test_a_plan_that_raises_is_not_kept(monkeypatch):
             compute_all(bn, spec)
         assert bn not in bnsens.sobol._plans
     assert planned == [1, 1]
+
+    # A first run raises after its first arrays: a constant map once P(O)
+    # is made, a failed query once every other array is. Neither keeps its
+    # plan or its arrays, and a kept plan outlives a later run that raises.
+    monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 1)
+    bn, spec = _dense_card()
+    constant = _mapped(spec, scale=0.0)
+    query = bnsens.sobol._second_moment
+
+    def failing(q, *args):
+        if q.keep != spec.evidential:
+            raise MemoryError("cannot allocate the bucket")
+        return query(q, *args)
+
+    with pytest.raises(DegenerateOutputError):
+        compute_all(bn, constant)
+    assert bn not in bnsens.sobol._plans
+    with monkeypatch.context() as m:
+        m.setattr(bnsens.sobol, "_second_moment", failing)
+        with pytest.raises(MemoryError):
+            compute_all(bn, spec)
+    assert bn not in bnsens.sobol._plans
+    expected = _bits(compute_all(bn, spec))
+    kept = bnsens.sobol._plans[bn]
+    assert kept.kept is not None
+    with pytest.raises(DegenerateOutputError):
+        compute_all(bn, constant)
+    assert bnsens.sobol._plans[bn] is kept
+    assert _bits(compute_all(bn, spec)) == expected
 
 
 def test_the_plan_goes_with_its_network():

@@ -33,7 +33,6 @@ from bnsens import (
     compute_all,
     contract_all,
     encode_utility_node,
-    function_tn,
     marginalize,
     mrf_from_bn,
     output_values,
@@ -57,6 +56,7 @@ from helpers import (
     exact_indices,
     fan_in,
     fault_tree,
+    function_tn,
     gate_tree,
     gate_tree_reference,
     impossible_label_grid,
@@ -354,13 +354,15 @@ def _evidence_marginal(bn, spec):
 def _guard_per_query(monkeypatch, spec):
     """Record the networks (or forward passes, for `t_full`) that `marginals`
     calibrates and the programs that `network._executed` runs outside
-    conditional-moment queries and outside t's one build (the `build` that
+    conditional-moment queries and their divisors (`_divisors`), and outside
+    t's one build (the `build` that
     `_second_moments` calls, from a derived plan or a kept one); refuse a
     calibration of the reduced t, which unlike t_full lacks the output and
     unlike the evidence marginal does not sum to 1."""
     calibrated, contracted, inside = [], [], []
     calibrate, executed = bnsens.sobol.marginals, bnsens.network._executed
     query, moments = bnsens.sobol._second_moment, bnsens.sobol._second_moments
+    divisors = bnsens.sobol._divisors
 
     def guarded(tn, *args, **kwargs):
         if spec.output not in tn.universe and abs(contract_all(tn) - 1.0) > 1e-9:
@@ -368,10 +370,10 @@ def _guard_per_query(monkeypatch, spec):
         calibrated.append(tn)
         return calibrate(tn, *args, **kwargs)
 
-    def recorded(records, arrays):
+    def recorded(records, *args):
         if not inside:
             contracted.append(records)
-        return executed(records, arrays)
+        return executed(records, *args)
 
     def within(fn, *args):
         inside.append(True)
@@ -382,6 +384,9 @@ def _guard_per_query(monkeypatch, spec):
 
     def queried(*args):
         return within(query, *args)
+
+    def divided(*args):  # the queries' divisors, which contract the evidence marginal
+        return within(divisors, *args)
 
     def building_once(build, *args):
         builds = []
@@ -395,6 +400,7 @@ def _guard_per_query(monkeypatch, spec):
     monkeypatch.setattr(bnsens.sobol, "marginals", guarded)
     monkeypatch.setattr(bnsens.network, "_executed", recorded)
     monkeypatch.setattr(bnsens.sobol, "_second_moment", queried)
+    monkeypatch.setattr(bnsens.sobol, "_divisors", divided)
     monkeypatch.setattr(bnsens.sobol, "_second_moments", building_once)
     return calibrated, contracted
 
@@ -413,8 +419,8 @@ def _per_query_instances(monkeypatch, caplog, count):
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="bnsens.sobol"):
                 compute_all(bn, spec)
-            if _plans(caplog) == ["per-query"]:
-                found.append((bn, spec))
+            if _plans(caplog) == ["per-query"]:  # an equal network, with no plan kept
+                found.append((DiscreteBayesNet(bn.variables, bn.cpts), spec))
                 taken += 1
                 if taken == count:
                     break
@@ -804,7 +810,8 @@ def _moment(t, j, keep):
     """E[E[f | keep]^2] by the per-query plan's program of `keep` and its
     execution, over the function network `t` and the evidence marginal `j`."""
     query = bnsens.sobol._plan(t.universe, [f.axes for f in t.factors], j, keep)
-    return bnsens.sobol._second_moment(query, [f.values for f in t.factors], j, None)
+    divisor = bnsens.sobol._divisors([query], j, None)[0]
+    return bnsens.sobol._second_moment(query, [f.values for f in t.factors], divisor)
 
 
 def test_queries_agree_on_full_and_reduced_function_network():
@@ -1494,7 +1501,7 @@ def test_failed_queries_raise_in_list_order_after_the_variance_check(monkeypatch
     bn, spec = _dense_card()
     query = bnsens.sobol._second_moment
 
-    def degenerate(query, t, j, inverse):
+    def degenerate(query, t, divisor):
         if query.keep == spec.evidential:
             return 0.0
         raise MemoryError("cannot allocate the bucket")
@@ -1503,9 +1510,9 @@ def test_failed_queries_raise_in_list_order_after_the_variance_check(monkeypatch
     with pytest.raises(DegenerateOutputError):
         compute_all(bn, spec)
 
-    def failing(q, t, j, inverse):
+    def failing(q, t, divisor):
         if q.keep == spec.evidential:
-            return query(q, t, j, inverse)
+            return query(q, t, divisor)
         time.sleep(0.01 * (8 - min(spec.evidential - q.keep)))  # later ones fail first
         raise ValueError(sorted(spec.evidential - q.keep))
 
@@ -1514,7 +1521,7 @@ def test_failed_queries_raise_in_list_order_after_the_variance_check(monkeypatch
         compute_all(bn, spec)
     assert first.value.args == ([0],)
 
-    def var_fails(query, t, j, inverse):
+    def var_fails(query, t, divisor):
         raise ValueError(len(query.keep))
 
     monkeypatch.setattr(bnsens.sobol, "_second_moment", var_fails)
@@ -1807,9 +1814,9 @@ def test_a_helper_the_os_refuses_leaves_the_results_unchanged(monkeypatch, refus
 def test_a_subnormal_query_from_normal_inputs_warns():
     # E[E[f | 0]^2] = (1e-160)^2 is subnormal, and no input entry is.
     query = bnsens.sobol._plan({0: 2}, [(0,)], None, frozenset({0}))
-    t, inverse = [np.array([1e-160, 0.0])], {0: np.array([1.0, 0.0])}
+    t, divisor = [np.array([1e-160, 0.0])], [np.array([1.0, 0.0])]
     with pytest.warns(ContractionUnderflowWarning):
-        assert bnsens.sobol._second_moment(query, t, None, inverse) == 1e-320
+        assert bnsens.sobol._second_moment(query, t, divisor) == 1e-320
 
 
 def test_compute_all_closed_option():

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnsens import AxisCardinalityMismatchError, Factor, TensorNetwork, UnknownAxisError
-from bnsens.network import quotient
 from bnsens.tensor import factor_div, factor_product, factor_sum_out
-from helpers import tn_table
+from helpers import quotient, tn_table
 
 
 @pytest.mark.parametrize(
