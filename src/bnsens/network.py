@@ -46,7 +46,7 @@ from .errors import (
     StateSpaceTooLargeError,
     UnknownAxisError,
 )
-from .graph import EliminationOrder, min_weight_order
+from .graph import min_weight_order
 from .model import DiscreteBayesNet
 from .tensor import Factor, transposed, trusted
 
@@ -393,23 +393,19 @@ def marginalize(tn: TensorNetwork, eliminate: Iterable[int]) -> TensorNetwork:
 
     Each step sums the next variable out of the product of the factors that
     contain it, in one `_contract` call that never stores the product, by
-    the order of `_order`; an `EliminationOrder` of this network's factor
-    scopes with the rest kept (as a plan that costed it has one) names the
-    variables instead and is followed as it stands. Only the messages
-    left at the end become factors. The result keeps its factored
-    structure: for every assignment of the remaining variables, its
-    contraction equals the sum of the input's contraction over the
-    eliminated ones. A variable carried by no factor contributes its
-    cardinality as a scalar.
+    the order of `_order`. Only the messages left at the end become
+    factors. The result keeps its factored structure: for every assignment
+    of the remaining variables, its contraction equals the sum of the
+    input's contraction over the eliminated ones. A variable carried by no
+    factor contributes its cardinality as a scalar.
     """
     targets = {int(v) for v in eliminate}
     missing = targets - set(tn.universe)
     if missing:
         raise UnknownAxisError(f"cannot eliminate {sorted(missing)}: not in the universe")
     forward = Elimination(tn, records=False)  # each bucket freed as it goes
-    if not isinstance(eliminate, EliminationOrder):
-        eliminate = _order(forward.scopes, tn.universe, set(tn.universe) - targets)
-    scopes, arrays, live = forward.run(eliminate).scopes, forward.arrays, forward.live
+    order = _order(forward.scopes, tn.universe, set(tn.universe) - targets)
+    scopes, arrays, live = forward.run(order).scopes, forward.arrays, forward.live
     n = len(tn.factors)
     factors = [f for f, alive in zip(tn.factors, live) if alive]
     factors += [trusted(Factor, scopes[i], arrays[i]) for i in range(n, len(live)) if live[i]]

@@ -17,43 +17,12 @@ network, run up to O's bucket by the order of `collapse(mrf, kept)`, where
 `kept` is the evidence and O in the shared elimination and O alone
 otherwise: its table is that collapse, bit for bit, and P(O) is the table
 summed over every axis but O. Where the pass goes on, g joins O's bucket.
-Each of three plans gives E[f] and `moment(keep)`:
-
-- Shared elimination: the pass goes on to eliminate O, and its table is
-  then T, `t_full` tabulated over the sorted evidence; the evidence
-  marginal `j` is contracted into one table J over the same axes.
-  `moment(keep)` is the sum of T_keep^2 / J_keep, the tables with the
-  evidence outside `keep` summed away.
-- Coupled, for independent evidence: `square_wrt(t_full, ())` times one
-  coupling C_k = diag(1 / P(x_k)) over each evidential k and its replica
-  is calibrated once for the outside factors of its couplings (the
-  differential approach, Darwiche 2003; Park and Darwiche 2004). 1 / P(e)
-  is the product of the C_k on the diagonal, so the first coupling times
-  its outside factor sums to `moment(E)`, and the outside factor of C_k
-  alone to `moment(E - {k})`; where P(x_k) is 0, so are C_k (zero-safe)
-  and `t_full`. No other `keep` but the {i} below is read, so this plan
-  serves no closed index, and `t` is never built.
-- Per-query: the non-evidential variables are summed out of `t_full` into
-  `t`, and each `moment(keep)` is one query over `t` squared and divided
-  by the evidence marginal over `keep`: with independent evidence, the
-  product of the reciprocal priors, taken once per analysis; otherwise
-  `j` with the rest summed out. A helper builds `t` while the caller
-  calibrates and, in a plan's first run, programs each query (`_plan`),
-  taking the GIL back between einsums within SWITCH_INTERVAL; the queries,
-  which only contract, run on as many threads as CPUs and queries when `t`
-  is large enough for the GIL-free numpy kernels to dominate
-  (`_second_moments`).
-
-In the last two, with more than one evidential variable and an S_i to
-compute, the pass goes on as the calibration of `t_full`: its backward
-pass gives E[f] and each first-order `moment({i})` from t_i = P(i)
-E[f | i], as in `t`, and from j_i = P(i), the prior or a marginal of one
-calibration of `j`. Otherwise E[f] is the sum of P(O) g. The choice of plan,
-and all else that rests on scopes alone, is a `_Plan`, kept per network with
-what reads no g: its first run's arrays (the probability network, P(O), the
-reciprocals of J's sums, the priors, a dependent `j`'s marginals, the
-divisors) and its second run's messages of buckets that read no g, so a
-later analysis contracts only what reads g.
+Each of three plans gives E[f] and `moment(keep)`: the shared elimination
+(`_shared`), the coupled calibration (`_coupled`) and the per-query queries
+(`_per_query`), the last two after one calibration (`_calibration`). The
+choice of plan, and all else that rests on scopes alone, is a `_Plan`, kept
+per network with the arrays that read no g, so a later analysis contracts
+only what reads g.
 """
 
 from __future__ import annotations
@@ -62,6 +31,7 @@ import contextlib
 import itertools
 import logging
 import math
+import operator
 import os
 import sys
 import threading
@@ -255,13 +225,13 @@ def _switching():
                 sys.setswitchinterval((round(_switched[1] * 1e6) + 0.5) / 1e6)
 
 
-def _second_moments(build: Callable, plan: Callable, execute: Callable, workers: int) -> list:
-    """Each query of `plan`'s moment by `execute` over `build`'s arrays of
-    `t`, or its exception. The first of `workers` - 1 helpers builds `t`
-    while the caller runs `plan`, under `_switching` (with none started,
-    the caller builds it next); then each thread takes the next query until all
-    have run, each doing the same arithmetic on any thread. The helpers are
-    joined before this returns or raises, and then `build`'s exception raised."""
+def _second_moments(build: Callable, plan: Callable, workers: int) -> list:
+    """The `_second_moment` of each (query, divisor) of `plan` over `build`'s
+    arrays of `t`, or its exception. The first of `workers` - 1 helpers
+    builds `t` while the caller runs `plan`, under `_switching` (with none
+    started, the caller builds it next); then each thread takes the next query
+    until all have run, each doing the same arithmetic on any thread. The helpers
+    are joined before this returns or raises, and then `build`'s exception raised."""
     built, queries, results, taken = [], [], [], 0
     lock, ready = threading.Lock(), threading.Event()  # `lock` is held while `plan` runs
 
@@ -280,7 +250,7 @@ def _second_moments(build: Callable, plan: Callable, execute: Callable, workers:
             if q >= len(queries):
                 return
             try:
-                results[q] = execute(queries[q], built[0])
+                results[q] = _second_moment(queries[q][0], built[0], queries[q][1])
             except Exception as exc:  # re-raised by the caller, in list order
                 results[q] = exc
 
@@ -361,18 +331,21 @@ def _nondegenerate(variance: float, output_variance: float) -> float:
     return variance
 
 
+_Key = namedtuple("_Key", "output evidence first total closed")
 _Plan = namedtuple(
     "_Plan", "key notes relevant forward joined shared calibrate targets "
     "queried totaled zero_s zero_st separated unscreened users pairs coupled_order coupled "
     "build t_scopes universe keeps largest kept")
-_Plan.__doc__ = """All that an analysis derives from scopes alone (`_planned`): its nodes
-    and exact zeros, the records of each elimination (`forward` to O's
-    bucket, `joined` with g, the `coupled` network's, `t`'s `build`) and the
-    per-query `keeps`; `notes` are its DEBUG lines. `kept`, None until a
+_Plan.__doc__ = """All that an analysis under `key` derives from scopes alone (`_planned`):
+    its nodes and exact zeros, the records of each elimination (`forward` to
+    O's bucket, `joined` with g, the `coupled` network's, `t`'s `build`) and
+    the per-query `keeps`; `notes` are its DEBUG lines. `kept`, None until a
     first run returns, holds by name, read-only, what runs made that reads
-    no g (`_run`): the first run's arrays but messages, and its query
-    programs, derived while a helper builds `t` (derived in `_planned`, a
-    first dense-card analysis took 1.09x as long); the second run's messages.
+    no g (`_run`): the first run's arrays but messages (the probability
+    network, P(O), the reciprocals of J's sums, the priors, a dependent
+    `j`'s marginals, the divisors), and its query programs, derived while a
+    helper builds `t` (derived in `_planned`, a first dense-card analysis
+    took 1.09x as long); the second run's messages (`_free`).
 
     The shared elimination is taken when the table over the evidence and
     the output (the product of their cardinalities, a Python int) has at
@@ -386,25 +359,31 @@ _Plan.__doc__ = """All that an analysis derives from scopes alone (`_planned`): 
     `t` is ordered only when its `least_cells`, which no order goes below,
     do not already exceed them. Each costed order is the one that runs; the
     couplings, made only for the coupled plan, join its `Elimination` last.
-    Else the per-query plan runs its queries, in the order Var[f], each
-    total, each closed group (on threads when `t` is large enough,
-    `_second_moments`), before any index is computed; if any fails, Var[f]
-    is still checked for degeneracy first, and then the first failed query
-    in that order raises its exception. The choice is logged with the
-    cells it rests on."""
+    Else the per-query plan is taken. The choice is logged with the cells
+    it rests on."""
 
 
 # The last plan of each network, an immutable value hashed by identity.
 _plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _free(records: Sequence[tuple], dependent: set) -> dict:
-    """None by the position of each message of `records` that reads no value: of a bucket
-    with no operand in `dependent` (g, its replica) nor the message of one that has."""
-    free = set()
-    for _, positions, _, _, message, _ in records:
-        (free if dependent.isdisjoint(positions) else dependent).add(message)
-    return dict.fromkeys(free)
+def _kept(found: dict, name: str, make: Callable):
+    """The value-free `name` of `found`, or `make`'s, kept there."""
+    if name not in found:
+        found[name] = make()
+    return found[name]
+
+
+def _free(plan: _Plan, found: dict, name: str, dependent: set) -> dict | None:
+    """None in a first run of `plan`, else the kept messages of its records `name` that
+    read no value, None by position: of a bucket with no operand in `dependent` (g, its
+    replica) nor the message of one that has. Only a network analysed again reads them."""
+    if plan.kept is not None and name not in found:
+        free = set()
+        for _, positions, _, _, message, _ in getattr(plan, name):
+            (free if dependent.isdisjoint(positions) else dependent).add(message)
+        found[name] = dict.fromkeys(free)
+    return found.get(name)
 
 
 def _frozen(found: dict) -> types.MappingProxyType:
@@ -419,19 +398,18 @@ def _frozen(found: dict) -> types.MappingProxyType:
     return types.MappingProxyType(found)
 
 
-def _planned(bn: DiscreteBayesNet, spec: AnalysisSpec, options: ComputeOptions,
-             closed: list, key: tuple) -> tuple[_Plan, TensorNetwork, TensorNetwork]:
+def _planned(bn: DiscreteBayesNet, key: _Key) -> tuple[_Plan, TensorNetwork, TensorNetwork]:
     """The `_Plan` of an analysis, with the probability network and `j`
     whose scopes it was derived from, for its first run. Each ordering goes
     through bnsens.network's name, where the benchmark counts them."""
-    evidence, output, dag = spec.evidential, spec.output, bn.dag()
+    (output, evidence, first, total, closed), dag = key, bn.dag()
     relevant = ancestors(dag, evidence | {output})
-    targets = sorted(evidence) if options.first or options.total else []
+    targets = sorted(evidence) if first or total else []
     separated, screened = separated_evidence(dag, output, evidence)
-    zero_s = separated if options.first else frozenset()
-    zero_st = screened if options.total else frozenset()
-    queried = [i for i in targets if i not in zero_s] if options.first else []
-    totaled = [i for i in targets if i not in zero_st] if options.total else []
+    zero_s = separated if first else frozenset()
+    zero_st = screened if total else frozenset()
+    queried = [i for i in targets if i not in zero_s] if first else []
+    totaled = [i for i in targets if i not in zero_st] if total else []
     notes = [("%s of %s (id %d) = 0.0 by d-separation from the output", label,
               bn.variables[i].name, i) for label, zeros in (("S", zero_s), ("ST", zero_st))
              for i in sorted(zeros)]
@@ -440,10 +418,9 @@ def _planned(bn: DiscreteBayesNet, spec: AnalysisSpec, options: ComputeOptions,
     mrf = mrf_from_bn(bn, relevant)
     universe, scopes = mrf.universe, [f.axes for f in mrf.factors]
     ancestral = {k: universe[k] for k in sorted(ancestors(dag, evidence))}
-    j_order = network._order([s for v, s in zip(universe, scopes) if v in ancestral],
-                             ancestral, evidence)
     own = dict(zip(universe, mrf.factors))  # one factor per node, in node order
-    j = marginalize(trusted(TensorNetwork, ancestral, tuple(own[k] for k in ancestral)), j_order)
+    j = marginalize(trusted(TensorNetwork, ancestral, tuple(own[k] for k in ancestral)),
+                    ancestral.keys() - evidence)
     independent = all(len(f.axes) <= 1 for f in j.factors)
     evidence_universe = {k: c for k, c in universe.items() if k in evidence}
     # A Python int: a product over many evidential variables overflows int64.
@@ -462,7 +439,7 @@ def _planned(bn: DiscreteBayesNet, spec: AnalysisSpec, options: ComputeOptions,
     else:
         full_scopes = [*scopes, (output,)]  # of t_full, g last
         t_order, coupled_cells, reduce_cells = None, 0, 0
-        if independent and options.total and not closed:
+        if independent and total and not closed:
             replicas, squared_universe, squared = network.squared_scopes(universe, full_scopes)
             pairs = tuple((k, replicas[k]) for k in evidence_universe)
             coupled_order = network.min_weight_order([*squared, *pairs], squared_universe)
@@ -507,30 +484,25 @@ def compute_all(
     """Compute the requested indices for every evidential variable.
 
     The closed subsets of `options` are checked before any elimination: an
-    empty subset, a repeated variable or a non-evidential one raises
-    NotEvidentialError. Builds the probability network over
-    An(output | evidence) only: a barren node, an ancestor of neither, has
-    a factor that sums to 1 and drops out exactly. The value factor maps
-    each output value v to g(v) = (v - E[f]) / (max v - min v), with E[f]
-    from P(O) of the one forward pass, so the moments are taken about the
-    mean and the indices hold under any affine map of the values and for
-    rare events. A value map constant on the labels of nonzero probability
-    raises DegenerateOutputError before any plan runs, and so does Var[f]
-    at most DEGENERATE_VARIANCE_TOL times Var[g(O)] (`_nondegenerate`,
-    which the oracle shares). The evidence marginal `j` is
-    built over An(evidence) alone, where every other node is barren; with
+    empty subset, an id that is not an integer, a repeated variable or a
+    non-evidential one raises NotEvidentialError. Builds the probability
+    network over An(output | evidence) only: a barren node, an ancestor of
+    neither, has a factor that sums to 1 and drops out exactly. The value
+    factor maps each output value v to g(v) = (v - E[f]) / (max v - min v),
+    with E[f] from P(O) of the one forward pass, so the moments are taken
+    about the mean and the indices hold under any affine map of the values
+    and for rare events. A value map constant on the labels of nonzero
+    probability raises DegenerateOutputError before any plan runs, and so
+    does Var[f] at most DEGENERATE_VARIANCE_TOL times Var[g(O)]
+    (`_nondegenerate`, which the oracle shares). The evidence marginal `j`
+    is built over An(evidence) alone, where every other node is barren; with
     root evidence it is the evidence's own factors in the probability
     network, and nothing is eliminated for it. Every network built here
     derives from `bn` and skips the constructors' checks (`trusted`). The
-    `_Plan` of the last analysis of `bn` that ran without error is kept
-    under its key, the output, the evidence, `first`, `total` and `closed`,
-    with the arrays its runs made that read no value map; an analysis under
-    that key, with any value map, runs it again on them, contracts only what
-    reads its map, and says so at DEBUG level. They stay as long as `bn`.
-    A first analysis keeps no message: tracemalloc counts 60 KiB kept on
-    grid3e16 (48 without arrays) and 9.8 MiB on `gate_tree(2048, 0)` with
-    root evidence (8.4); a second keeps them, 188 KiB and 12.1 MiB.
-    `bnsens compute` analyses once per process and gains nothing.
+    plan of the last analysis of `bn` that ran without error is kept as long
+    as `bn`, with the arrays that read no value map (`_Plan`): an analysis
+    with the same output, evidence, `first`, `total` and `closed`, under any
+    value map, runs it again, and says so at DEBUG level.
 
     With a single evidential variable, {i} is E, so S_i reads the moment
     that Var[f] was taken from and is exactly 1.0. Some indices need no
@@ -545,49 +517,49 @@ def compute_all(
     requested there are no per-variable entries."""
     options = options or ComputeOptions()
     validate_partition(bn, spec)
-    closed = [tuple(sorted(int(v) for v in subset)) for subset in options.closed]
+    try:
+        closed = tuple(tuple(sorted(map(operator.index, ids))) for ids in options.closed)
+    except TypeError:
+        raise NotEvidentialError(f"closed subsets {options.closed!r} must hold ids") from None
     for ids in closed:
         if not ids or len(set(ids)) < len(ids) or not set(ids) <= spec.evidential:
             raise NotEvidentialError(f"closed subset {list(ids)} must be nonempty, "
                                      "without repeats and evidential")
     started = time.perf_counter()
-    key = (spec.output, spec.evidential, options.first, options.total, tuple(closed))
+    key = _Key(spec.output, spec.evidential, options.first, options.total, closed)
     if (plan := _plans.get(bn)) is not None and plan.key == key:
         _log.debug("reusing the network's plan")
         mrf = j = None  # the plan keeps all it reads of them
     else:
-        plan, mrf, j = _planned(bn, spec, options, closed, key)
-    return _run(plan, mrf, j, bn, spec, options, closed, started)
+        plan, mrf, j = _planned(bn, key)
+    return _run(plan, mrf, j, bn, spec, started)
 
 
 def _run(plan: _Plan, mrf: TensorNetwork, j: TensorNetwork, bn: DiscreteBayesNet,
-         spec: AnalysisSpec, options: ComputeOptions, closed: list, started: float) -> SobolReport:
+         spec: AnalysisSpec, started: float) -> SobolReport:
     """`plan` run under `spec`'s value map over `mrf` and `j`, the one step
     that touches arrays, or, with neither, over what `plan` keeps. It
     changes nothing `plan` holds, and keeps it as `bn`'s, with what this
-    run made that reads no value map and `plan` lacks (`_Plan.kept`)."""
+    run made that reads no value map and `plan` lacks (`_Plan.kept`).
+
+    The plan's function (`_shared`, `_coupled`, `_per_query`) takes the
+    forward pass, the value factor g and E[f] from P(O), and gives E[f],
+    `moment(keep)`, moment(E - {i}) by i, the time share of each S_i and of
+    each S^T_i, and a failed query, raised once Var[f] is checked. Each index
+    is charged an equal share of the time of the calibration, the tables or
+    the queries it came from. The function network has mean zero up to
+    rounding; taking that residual E[f] out as well drops the constant
+    offset that the rounding of `centre` leaves in g."""
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("pruned barren nodes %s", sorted(set(range(bn.n)) - plan.relevant))
         for note in plan.notes:
             _log.debug(*note)
     found = {"mrf": mrf} if plan.kept is None else {**plan.kept}
-
-    def kept(name: str, make: Callable):
-        """The plan's value-free `name`, or `make`'s, kept."""
-        if name not in found:
-            found[name] = make()
-        return found[name]
-
-    def messages(name: str, records: Sequence, dependent: set) -> dict | None:
-        """The kept messages of `records` that read no value (`_free`), or None in a
-        first run: most of what a plan keeps, which only a network analysed again reads."""
-        return None if plan.kept is None else kept(name, lambda: _free(records, dependent))
-
-    mrf, evidence, output = found["mrf"], spec.evidential, spec.output
+    output, evidence, first, total, closed = plan.key
     values = output_values(bn, spec)
     low, spread = float(values.min()), float(np.ptp(values)) or 1.0
-    forward = network.Elimination(mrf, records=plan.calibrate).run(
-        (), records=plan.forward, kept=messages("forward", plan.forward, set()))
+    forward = network.Elimination(found["mrf"], records=plan.calibrate).run(
+        (), records=plan.forward, kept=_free(plan, found, "forward", set()))
     if (p_out := found.get("p_out")) is None:
         axes, table = forward.table()
         p_out = found["p_out"] = table.sum(axis=tuple(a for a, k in enumerate(axes) if k != output))
@@ -596,100 +568,9 @@ def _run(plan: _Plan, mrf: TensorNetwork, j: TensorNetwork, bn: DiscreteBayesNet
     g = unit - centre
     output_variance = float(p_out @ (g * g)) if np.ptp(values[p_out != 0]) else 0.0
     _nondegenerate(math.inf, output_variance)  # no Var[f] yet: a constant map raises
-    value_factor = trusted(Factor, (output,), g)
-
-    # Each plan gives E[f] and moment(keep) = E[E[f | keep]^2], which every
-    # index reads. Each index is charged an equal share of the time of the
-    # calibration or the tables it came from. The function network has mean
-    # zero up to rounding; taking that residual out as well drops the
-    # constant offset that the rounding of `centre` leaves in g.
-    s_share = st_share = 0.0
-    failure = None  # a failed query, raised once Var[f] is checked
-    if plan.shared:
-        t0 = time.perf_counter()
-        # g joins O's bucket, which leaves T. Every evidential variable is an
-        # axis of T and of j, so each table is over the sorted evidence.
-        forward.run((), value_factor, records=plan.joined)
-        table = forward.table()[1]
-        j_table = None if j is None else network.Elimination(j).table()[1]  # J, for a first run
-        inverses = kept("inverses", dict)  # 1 / J_keep by keep, as the first run read them
-
-        def moment(keep: frozenset[int]) -> float:
-            axes = tuple(a for a, k in enumerate(plan.universe) if k not in keep)
-            if (inverse := inverses.get(keep)) is None:
-                inverse = inverses[keep] = reciprocal(j_table.sum(axis=axes))
-            t_keep = table.sum(axis=axes)
-            return float(np.vdot(t_keep, t_keep * inverse))
-
-        mean = float(table.sum())
-        without = {i: moment(evidence - {i}) for i in plan.totaled}
-        s_share = st_share = (time.perf_counter() - t0) / max(plan.users, 1)
-    else:
-        t_full = trusted(TensorNetwork, mrf.universe, (*mrf.factors, value_factor))
-        priors = kept("priors", lambda: _priors(j))
-        g_at = len(mrf.factors)  # g's position in t_full, and its replica's when squared
-        moments: dict[frozenset[int], float] = {}
-        without: dict[int, float] = {}  # moment(E - {i}) by i
-
-        def calibration() -> None:  # E[f], each S_i's moment and time share; t0 at its end
-            nonlocal mean, s_share, t0
-            if plan.calibrate:
-                # g joins O's bucket, and the backward pass gives E[f] and each
-                # t_i = P(i) E[f | i]; E[E[f | i]^2] is the sum of t_i^2 / j_i,
-                # and a zero cell of j_i, where t_i is zero too, adds 0.
-                t0 = time.perf_counter()
-                forward.run((), value_factor, records=plan.joined)
-                t_marginals = marginals(forward, of=[*plan.queried, output])
-                j_marginals = priors if priors is not None else kept(
-                    "marginals", lambda: marginals(j, of=plan.queried))
-                for i in plan.queried:
-                    t_i = t_marginals[i]
-                    moments[frozenset({i})] = float(t_i @ (t_i * reciprocal(j_marginals[i])))
-                mean = float(t_marginals[output].sum())
-                s_share = (time.perf_counter() - t0) / len(plan.queried)
-            else:
-                mean = float(g @ p_out)  # the contraction of t_full
-            t0 = time.perf_counter()
-
-        if plan.coupled is None:
-            threaded = plan.largest >= THREAD_CELLS_PER_VARIABLE * len(plan.universe)
-
-            def calibrated() -> list[tuple]:
-                calibration()
-                queries = kept("queries", lambda: tuple(_plan(plan.universe, plan.t_scopes, (
-                    j if priors is None else None), keep) for keep in plan.keeps))
-                return [*zip(queries, kept("divisors", lambda: _divisors(queries, j, priors)))]
-
-            held = messages("build", plan.build, {g_at})
-            results = _second_moments(
-                lambda: network._executed(plan.build, [f.values for f in t_full.factors], held),
-                calibrated, lambda task, t: _second_moment(task[0], t, task[1]),
-                min(_cpus(), len(plan.keeps)) if threaded else 1,
-            )
-            failure = next((r for r in results if isinstance(r, BaseException)), None)
-            if failure is results[0]:
-                raise failure  # Var[f]'s query, the first, failed
-            moments.update(zip(plan.keeps, results))
-            without.update((i, moments[evidence - {i}]) for i in plan.totaled)
-            # Every index reads Var[f], so each shares the queries' wall time.
-            st_share = (time.perf_counter() - t0) / max(plan.users, 1)
-            s_share += st_share
-        else:
-            calibration()
-            squared = square_wrt(t_full, ())
-            diagonals = kept("diagonals", lambda: [np.diag(reciprocal(p)) for p in priors.values()])
-            couplings = [trusted(Factor, *c) for c in zip(plan.pairs, diagonals)]
-            start = len(squared.factors)
-            coupled = network.Elimination(squared).run(
-                plan.coupled_order, *couplings, records=plan.coupled,
-                kept=messages("coupled", plan.coupled, {g_at, 2 * g_at + 1}))
-            outside = marginals(coupled, outside_of=range(start, start + len(priors)))
-            for p, k in enumerate(priors, start):
-                without[k] = float(outside[p].sum())
-            moments[evidence] = float(np.sum(outside[start] * diagonals[0]))
-            st_share = (time.perf_counter() - t0) / max(len(plan.totaled), 1)
-        moment = moments.__getitem__
-
+    run = _shared if plan.shared else _per_query if plan.coupled is None else _coupled
+    mean, moment, without, s_share, st_share, failure = run(
+        plan, found, forward, trusted(Factor, (output,), g), float(g @ p_out), j)
     variance = _nondegenerate(moment(evidence) - mean * mean, output_variance)
     if failure is not None:
         raise failure
@@ -700,11 +581,11 @@ def _run(plan: _Plan, mrf: TensorNetwork, j: TensorNetwork, bn: DiscreteBayesNet
     entries = []
     for i in plan.targets:
         s = s_time = st = st_time = None
-        if options.first:
+        if first:
             t0 = time.perf_counter()
             s = 0.0 if i in plan.zero_s else variance_component(i, read, mean, variance)
             s_time = time.perf_counter() - t0 + (0.0 if i in plan.zero_s else s_share)
-        if options.total:
+        if total:
             t0 = time.perf_counter()
             st = 0.0 if i in plan.zero_st else total_index(i, without.__getitem__, mean, variance)
             st_time = time.perf_counter() - t0 + (0.0 if i in plan.zero_st else st_share)
@@ -741,6 +622,123 @@ def _run(plan: _Plan, mrf: TensorNetwork, j: TensorNetwork, bn: DiscreteBayesNet
     _plans[bn] = plan
     return SobolReport(low + spread * (centre + mean), spread * spread * variance,
                        tuple(entries), time.perf_counter() - started)
+
+
+def _shared(plan: _Plan, found: dict, forward: network.Elimination, value_factor: Factor,
+            mean: float, j: TensorNetwork | None) -> tuple:
+    """The shared elimination: g joins O's bucket, and the pass goes on to
+    eliminate O, which leaves T, `t_full` tabulated over the sorted
+    evidence; `j` is contracted into one table J over the same axes.
+    `moment(keep)` is the sum of T_keep^2 / J_keep, the tables with the
+    evidence outside `keep` summed away; the reciprocals of J's sums are
+    kept by `keep`, as the first run read them."""
+    t0 = time.perf_counter()
+    forward.run((), value_factor, records=plan.joined)
+    table = forward.table()[1]
+    j_table = None if j is None else network.Elimination(j).table()[1]  # J, for a first run
+    inverses = _kept(found, "inverses", dict)
+
+    def moment(keep: frozenset[int]) -> float:
+        axes = tuple(a for a, k in enumerate(plan.universe) if k not in keep)
+        if (inverse := inverses.get(keep)) is None:
+            inverse = inverses[keep] = reciprocal(j_table.sum(axis=axes))
+        t_keep = table.sum(axis=axes)
+        return float(np.vdot(t_keep, t_keep * inverse))
+
+    without = {i: moment(plan.key.evidence - {i}) for i in plan.totaled}
+    share = (time.perf_counter() - t0) / max(plan.users, 1)
+    return float(table.sum()), moment, without, share, share, None
+
+
+def _calibration(plan: _Plan, found: dict, forward: network.Elimination, value_factor: Factor,
+                 mean: float, j: TensorNetwork | None, priors: dict | None) -> tuple:
+    """E[f], each S_i's moment by {i}, their time share, and the time at the
+    end. With more than one evidential variable and an S_i to compute, the
+    forward pass goes on as the calibration of `t_full`: g joins O's bucket,
+    and the backward pass gives E[f] and each t_i = P(i) E[f | i], as in
+    `t`; E[E[f | i]^2] is the sum of t_i^2 / j_i, with j_i = P(i), the
+    prior or a marginal of one calibration of `j`, where a zero cell, of t_i
+    too, adds 0. Otherwise E[f] is `mean`, the sum of P(O) g."""
+    moments, s_share = {}, 0.0
+    if plan.calibrate:
+        t0 = time.perf_counter()
+        forward.run((), value_factor, records=plan.joined)
+        t_marginals = marginals(forward, of=[*plan.queried, plan.key.output])
+        j_marginals = priors if priors is not None else _kept(
+            found, "marginals", lambda: marginals(j, of=plan.queried))
+        for i in plan.queried:
+            t_i = t_marginals[i]
+            moments[frozenset({i})] = float(t_i @ (t_i * reciprocal(j_marginals[i])))
+        mean = float(t_marginals[plan.key.output].sum())
+        s_share = (time.perf_counter() - t0) / len(plan.queried)
+    return mean, moments, s_share, time.perf_counter()
+
+
+def _coupled(plan: _Plan, found: dict, forward: network.Elimination, value_factor: Factor,
+             mean: float, j: TensorNetwork | None) -> tuple:
+    """The coupled calibration, for independent evidence: after
+    `_calibration`, `square_wrt(t_full, ())` times one coupling
+    C_k = diag(1 / P(x_k)) over each evidential k and its replica is
+    calibrated once for the outside factors of its couplings (the
+    differential approach, Darwiche 2003; Park and Darwiche 2004). 1 / P(e)
+    is the product of the C_k on the diagonal, so the first coupling times
+    its outside factor sums to `moment(E)`, and the outside factor of C_k
+    alone to `moment(E - {k})`; where P(x_k) is 0, so are C_k (zero-safe)
+    and `t_full`. No other `keep` but the calibration's {i} is read, so
+    this plan serves no closed index, and `t` is never built."""
+    priors = _kept(found, "priors", lambda: _priors(j))
+    mean, moments, s_share, t0 = _calibration(plan, found, forward, value_factor, mean, j, priors)
+    mrf = found["mrf"]
+    squared = square_wrt(trusted(TensorNetwork, mrf.universe, (*mrf.factors, value_factor)), ())
+    diagonals = _kept(found, "diagonals", lambda: [np.diag(reciprocal(p)) for p in priors.values()])
+    couplings = [trusted(Factor, *c) for c in zip(plan.pairs, diagonals)]
+    start, g_at = len(squared.factors), len(mrf.factors)  # g_at: g's position in t_full
+    coupled = network.Elimination(squared).run(
+        plan.coupled_order, *couplings, records=plan.coupled,
+        kept=_free(plan, found, "coupled", {g_at, 2 * g_at + 1}))  # g and its replica
+    outside = marginals(coupled, outside_of=range(start, start + len(priors)))
+    without = {k: float(outside[p].sum()) for p, k in enumerate(priors, start)}
+    moments[plan.key.evidence] = float(np.sum(outside[start] * diagonals[0]))
+    st_share = (time.perf_counter() - t0) / max(len(plan.totaled), 1)
+    return mean, moments.__getitem__, without, s_share, st_share, None
+
+
+def _per_query(plan: _Plan, found: dict, forward: network.Elimination, value_factor: Factor,
+               mean: float, j: TensorNetwork | None) -> tuple:
+    """The per-query queries: the non-evidential variables are summed out of
+    `t_full` into `t`, and each `moment(keep)` of `plan.keeps` (Var[f]'s,
+    each total's, each closed group's) is one query over `t` squared and
+    divided by the evidence marginal over `keep`: with independent evidence,
+    the product of the reciprocal priors, taken once per analysis; otherwise
+    `j` with the rest summed out. A helper builds `t` while the caller runs
+    `_calibration` and, in a plan's first run, programs each query
+    (`_plan`), taking the GIL back between einsums within SWITCH_INTERVAL;
+    the queries, which only contract, run on as many threads as CPUs and
+    queries when `t` is large enough for the GIL-free numpy kernels to
+    dominate (`_second_moments`), all before any index is computed. A
+    failure of Var[f]'s query raises; any other is returned. Every index
+    reads Var[f], so each shares the queries' wall time."""
+    priors, calibration = _kept(found, "priors", lambda: _priors(j)), []
+
+    def tasks() -> list[tuple]:
+        calibration.append(_calibration(plan, found, forward, value_factor, mean, j, priors))
+        queries = _kept(found, "queries", lambda: tuple(_plan(plan.universe, plan.t_scopes, (
+            j if priors is None else None), keep) for keep in plan.keeps))
+        return [*zip(queries, _kept(found, "divisors", lambda: _divisors(queries, j, priors)))]
+
+    t_full = [*(f.values for f in found["mrf"].factors), value_factor.values]
+    held = _free(plan, found, "build", {len(t_full) - 1})  # g, last in t_full
+    threaded = plan.largest >= THREAD_CELLS_PER_VARIABLE * len(plan.universe)
+    results = _second_moments(lambda: network._executed(plan.build, t_full, held), tasks,
+                              min(_cpus(), len(plan.keeps)) if threaded else 1)
+    mean, moments, s_share, t0 = calibration[0]
+    failure = next((r for r in results if isinstance(r, BaseException)), None)
+    if failure is results[0]:
+        raise failure  # Var[f]'s query, the first, failed
+    moments.update(zip(plan.keeps, results))
+    without = {i: moments[plan.key.evidence - {i}] for i in plan.totaled}
+    st_share = (time.perf_counter() - t0) / max(plan.users, 1)
+    return mean, moments.__getitem__, without, s_share + st_share, st_share, failure
 
 
 def encode_utility_node(

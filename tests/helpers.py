@@ -31,6 +31,8 @@ from bnsens import (
     Variable,
     generate_random_bn,
 )
+import bnsens.network
+from bnsens.graph import EliminationOrder
 from bnsens.oracle import brute_force_f
 from bnsens.tensor import reciprocal, transposed
 
@@ -630,6 +632,24 @@ def random_roots_instance(seed: int, max_nodes: int = 10):
         if variance > 1e-4:
             return bn, spec
     raise RuntimeError(f"no non-degenerate roots instance for seed {seed}")
+
+
+def inflated_orders(kept: bool):
+    """`bnsens.network.min_weight_order` with the predicted cells of each
+    ordering that keeps some variables (`kept`), or of each one that keeps
+    none, times 1e9. The orders run as computed, and of their cells only
+    the choice of plan reads those of `t` (which keeps the evidence) and of
+    the coupled network (which keeps nothing): inflating the first forces
+    the coupled plan where it applies, and the second the per-query one."""
+    order = bnsens.network.min_weight_order
+
+    def inflated(scopes, cardinalities, keep=()):
+        found = order(scopes, cardinalities, keep=keep)
+        if bool(keep) != kept:
+            return found
+        return EliminationOrder(found, [10**9 * c for c in found.cells])
+
+    return inflated
 
 
 def random_tn(

@@ -39,7 +39,6 @@ from bnsens import (
     separated_evidence,
 )
 from bnsens.cli import main
-from bnsens.graph import EliminationOrder
 from bnsens.ingest import NativeDocument, save_native
 from bnsens.oracle import brute_force_closed, brute_force_f, brute_force_indices
 from bnsens.tensor import factor_product, factor_sum_out
@@ -60,6 +59,7 @@ from helpers import (
     gate_tree,
     gate_tree_reference,
     impossible_label_grid,
+    inflated_orders,
     layered_network,
     random_instance,
     random_roots_instance,
@@ -118,6 +118,32 @@ def test_not_evidential_rejected(chain, chain_analysis, monkeypatch):
         with pytest.raises(NotEvidentialError):
             compute_all(chain, chain_analysis, ComputeOptions(closed=(subset,)))
     assert eliminated == []
+
+
+def test_closed_subset_ids_must_be_integers():
+    # 2.9 and "2" were once read as variable 2, and NaN raised an untyped
+    # ValueError; an integer of any type is taken as the int it is.
+    bn, spec = random_instance(3)
+    assert 2 in spec.evidential
+    for bad in (2.9, "2", math.nan):
+        with pytest.raises(NotEvidentialError):
+            compute_all(bn, spec, ComputeOptions(closed=((bad,),)))
+    options = ComputeOptions(first=False, total=False, closed=((np.int64(2),),))
+    (entry,) = compute_all(bn, spec, options).indices
+    assert entry.variables == (2,) and type(entry.variables[0]) is int
+
+
+def test_a_non_finite_index_raises(monkeypatch):
+    monkeypatch.setattr(bnsens.sobol, "total_index", lambda *args: math.nan)
+    with pytest.raises(DegenerateOutputError, match=r"ST of .* is not finite \(nan\)"):
+        compute_all(chain_bn(), chain_spec())
+
+
+def test_a_negative_index_warns_where_compute_all_is_called(monkeypatch):
+    monkeypatch.setattr(bnsens.sobol, "variance_component", lambda *args: -1e-3)
+    with pytest.warns(RuntimeWarning, match="S of .* is -1.000e-03, negative") as caught:
+        compute_all(chain_bn(), chain_spec())
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_xor_interaction_only():
@@ -782,23 +808,15 @@ def test_one_evidential_variable_has_a_first_order_index_of_exactly_one(
     # With E = {i}, S_i reads the moment that Var[f] was taken from. No
     # network with one evidential variable was found that costs fewer cells
     # coupled than building t, so the coupled case inflates the predicted
-    # cells of every ordering that keeps some variables. The orders run as
-    # computed; of those costs only that of t is read, and t is never built.
-    order = bnsens.network.min_weight_order
-
-    def costly(scopes, cardinalities, keep=()):
-        found = order(scopes, cardinalities, keep=keep)
-        if not keep or plan != "coupled":
-            return found
-        return EliminationOrder(found, [10**9 * c for c in found.cells])
-
+    # cells of t's ordering (`inflated_orders`); t is never built.
     bn, spec = driven_chain(4, 0)
     for i in sorted(spec.evidential):
         single = AnalysisSpec(spec.output, frozenset({i}), spec.value_map)
         with monkeypatch.context() as m:
             if plan != "shared-elimination":
                 m.setattr(bnsens.sobol, "SHARED_ELIMINATION_CELLS", 0)
-            m.setattr(bnsens.network, "min_weight_order", costly)
+            if plan == "coupled":
+                m.setattr(bnsens.network, "min_weight_order", inflated_orders(kept=True))
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="bnsens.sobol"):
                 (entry,) = compute_all(bn, single).indices
