@@ -17,13 +17,22 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from typing import Iterable, Mapping, Sequence
+
+
+def as_ids(values: Iterable, error: type[Exception] = ValueError) -> list[int]:
+    """`values` by `operator.index`: a float, str or NaN among them raises `error`."""
+    try:
+        return [operator.index(v) for v in values]
+    except TypeError:
+        raise error(f"ids {values!r} must be integers") from None
 
 
 def ancestors(dag: Sequence[tuple[int, ...]], targets: Iterable[int]) -> frozenset[int]:
     """The ancestral set An(targets): the targets themselves plus every
     vertex with a directed path into one of them."""
-    stack = [int(v) for v in targets]
+    stack = as_ids(targets, IndexError)
     for v in stack:
         if not 0 <= v < len(dag):
             raise IndexError(f"vertex {v} out of range 0..{len(dag) - 1}")
@@ -72,8 +81,7 @@ def separated_evidence(
     moral graph is the neighbour-set graph of the families (a vertex with
     its parents).
     """
-    output = int(output)
-    evidence = {int(v) for v in evidential}
+    (output,), evidence = as_ids([output]), set(as_ids(evidential))
     if output in evidence:
         raise ValueError("the output must lie outside the evidence")
     relevant = ancestors(dag, evidence | {output})
@@ -153,7 +161,7 @@ def min_weight_order(
     its cardinality, is the size of its bucket (`EliminationOrder.cells`).
     """
     graph = _primal(scopes, cardinalities)
-    keep_set = {int(v) for v in keep}
+    keep_set = set(as_ids(keep))
     if not keep_set <= graph.keys():
         raise ValueError(f"keep set {sorted(keep_set - graph.keys())} outside the vertex set")
     cards = {int(v): int(c) for v, c in cardinalities.items()}

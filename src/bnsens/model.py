@@ -20,6 +20,7 @@ from .errors import (
     UnnormalizedCptError,
     ValidationError,
 )
+from .graph import as_ids
 
 ROW_SUM_TOL = 1e-9
 ENTRY_RANGE_TOL = 1e-12
@@ -218,10 +219,8 @@ class AnalysisSpec:
     value_map: Mapping[str, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "output", int(self.output))
-        object.__setattr__(
-            self, "evidential", frozenset(int(i) for i in self.evidential)
-        )
+        object.__setattr__(self, "output", as_ids([self.output], PartitionError)[0])
+        object.__setattr__(self, "evidential", frozenset(as_ids(self.evidential, PartitionError)))
         object.__setattr__(
             self, "value_map", {str(k): float(v) for k, v in dict(self.value_map).items()}
         )

@@ -46,7 +46,7 @@ from .errors import (
     StateSpaceTooLargeError,
     UnknownAxisError,
 )
-from .graph import min_weight_order
+from .graph import as_ids, min_weight_order
 from .model import DiscreteBayesNet
 from .tensor import Factor, transposed, trusted
 
@@ -94,7 +94,7 @@ def mrf_from_bn(
     result is then the exact joint marginal of `nodes`, since every dropped
     factor sums to 1 over its own node. Valid CPTs need no `Factor` checks.
     """
-    kept = range(bn.n) if nodes is None else sorted({int(v) for v in nodes})
+    kept = range(bn.n) if nodes is None else sorted(set(as_ids(nodes, UnknownAxisError)))
     if kept and not 0 <= kept[0] <= kept[-1] < bn.n:
         raise IndexError(f"node ids must lie in 0..{bn.n - 1}")
     universe = {i: bn.variables[i].cardinality for i in kept}
@@ -399,7 +399,7 @@ def marginalize(tn: TensorNetwork, eliminate: Iterable[int]) -> TensorNetwork:
     input's contraction over the eliminated ones. A variable carried by no
     factor contributes its cardinality as a scalar.
     """
-    targets = {int(v) for v in eliminate}
+    targets = set(as_ids(eliminate, UnknownAxisError))
     missing = targets - set(tn.universe)
     if missing:
         raise UnknownAxisError(f"cannot eliminate {sorted(missing)}: not in the universe")
@@ -527,7 +527,7 @@ def square_wrt(tn: TensorNetwork, shared: Iterable[int]) -> TensorNetwork:
     originals and the replicas equals the square of the input's contraction
     over the originals.
     """
-    shared_set = {int(v) for v in shared}
+    shared_set = set(as_ids(shared, UnknownAxisError))
     missing = shared_set - set(tn.universe)
     if missing:
         raise UnknownAxisError(f"shared variables {sorted(missing)} not in universe")
@@ -553,7 +553,7 @@ def collapse(tn: TensorNetwork, keep: Iterable[int]) -> Factor:
     exactly the `keep` axes, ascending: the `table` of one `Elimination` of
     every other variable by `_order`, with ones over each kept variable
     that no live array carries, so that its axis comes out constant."""
-    keep_set = {int(v) for v in keep}
+    keep_set = set(as_ids(keep, UnknownAxisError))
     missing = keep_set - set(tn.universe)
     if missing:
         raise UnknownAxisError(f"keep variables {sorted(missing)} not in universe")

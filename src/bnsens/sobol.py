@@ -27,13 +27,10 @@ only what reads g.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import logging
 import math
-import operator
 import os
-import sys
 import threading
 import time
 import types
@@ -46,7 +43,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DegenerateOutputError, NotEvidentialError, PartialFunctionError
-from .graph import ancestors, least_cells, separated_evidence
+from .graph import ancestors, as_ids, least_cells, separated_evidence
 from .model import (
     AnalysisSpec,
     Cpt,
@@ -96,18 +93,6 @@ SHARED_ELIMINATION_CELLS = network.ROUTE_CELLS
 # `layered_network(1, 6, 4, (5, 8))` 1.24x (11,200); the tree and layered
 # networks are those of tests/helpers.py.
 THREAD_CELLS_PER_VARIABLE = 2**15
-# While helpers run, the switch interval is at most this many seconds. A
-# thread waiting for the GIL gets it when the holder blocks or after the
-# interval, by default 5 ms, more than the planning of dense-card's queries in
-# a plan's first run (1.1 ms); the helper building `t` stalled after each
-# einsum until it ended. dense-card `compute_s` with it over without, 2 cores,
-# 10 alternating pairs of 150 analyses: first analyses 0.91x (9 pairs of 10),
-# repeated ones, whose caller only calibrates while `t` is built, 1.02x. It is
-# process-wide, but planning before the helper starts, or on it, or `t` built
-# on the caller, each measured worse.
-SWITCH_INTERVAL = 1e-4
-_switched = [0, 0.0]  # the analyses that have helpers, and the interval found
-_switch_lock = threading.Lock()
 
 _log = logging.getLogger(__name__)
 
@@ -122,8 +107,8 @@ class IndexEntry:
     evidence, one of the evidence marginal), the total indices of the
     coupled plan share another, every index of the shared elimination
     shares its tables, and every index of the per-query plan shares the
-    time from the calibration's end to the last query's (planning, building
-    or awaiting `t`, the queries), since each reads Var[f]. Each index
+    time from the calibration's end to the last query's (the divisors,
+    building `t`, the queries), since each reads Var[f]. Each index
     computed from a calibration, the tables or the queries is charged an
     equal share of its time plus its own arithmetic, so the times still add
     up to the work done."""
@@ -205,75 +190,39 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-@contextlib.contextmanager
-def _switching():
-    """The switch interval at most SWITCH_INTERVAL until no analysis in the
-    process has helpers, then the one found."""
-    with _switch_lock:
-        if not _switched[0]:
-            _switched[1] = sys.getswitchinterval()
-            if _switched[1] > SWITCH_INTERVAL:
-                sys.setswitchinterval(SWITCH_INTERVAL)
-        _switched[0] += 1
-    try:
-        yield
-    finally:
-        with _switch_lock:
-            _switched[0] -= 1
-            if not _switched[0] and _switched[1] > SWITCH_INTERVAL:
-                # kept in whole microseconds, truncated: the one found, plus half of one
-                sys.setswitchinterval((round(_switched[1] * 1e6) + 0.5) / 1e6)
+def _second_moments(t: list, tasks: Sequence[tuple], workers: int) -> list:
+    """The `_second_moment` over `t` of each (query, divisor) of `tasks`, or
+    its exception: the caller and up to `workers` - 1 helpers each take the
+    next query until all have run, each doing the same arithmetic on any
+    thread. The helpers are joined before this returns or raises."""
+    results, taken, lock, helpers = [None] * len(tasks), 0, threading.Lock(), []
 
-
-def _second_moments(build: Callable, plan: Callable, workers: int) -> list:
-    """The `_second_moment` of each (query, divisor) of `plan` over `build`'s
-    arrays of `t`, or its exception. The first of `workers` - 1 helpers
-    builds `t` while the caller runs `plan`, under `_switching` (with none
-    started, the caller builds it next); then each thread takes the next query
-    until all have run, each doing the same arithmetic on any thread. The helpers
-    are joined before this returns or raises, and then `build`'s exception raised."""
-    built, queries, results, taken = [], [], [], 0
-    lock, ready = threading.Lock(), threading.Event()  # `lock` is held while `plan` runs
-
-    def work(first: bool) -> None:
+    def work() -> None:
         nonlocal taken
-        if first:
-            try:
-                built.append(build())
-            except BaseException as exc:  # raised by the caller once the helpers are joined
-                built.append(exc)
-            ready.set()
-        ready.wait()
-        while not isinstance(built[0], BaseException):
+        while True:
             with lock:
                 q, taken = taken, taken + 1
-            if q >= len(queries):
+            if q >= len(tasks):
                 return
             try:
-                results[q] = _second_moment(queries[q][0], built[0], queries[q][1])
+                results[q] = _second_moment(tasks[q][0], t, tasks[q][1])
             except Exception as exc:  # re-raised by the caller, in list order
                 results[q] = exc
 
-    helpers = [threading.Thread(target=work, args=(n == 0,)) for n in range(workers - 1)]
-    with _switching() if helpers else contextlib.nullcontext():
-        try:
-            with lock:
-                for helper in helpers:
-                    try:
-                        helper.start()
-                    except RuntimeError:  # the OS refused it: no more are tried
-                        break
-                queries += plan()
-                results += [None] * len(queries)
-            work(not helpers or helpers[0].ident is None)  # the builder did not start
-        finally:
-            with lock:  # an interrupt on this thread stops the helpers taking more
-                taken = len(queries)
-            for helper in helpers:
-                if helper.ident is not None:  # started
-                    helper.join()
-    if isinstance(built[0], BaseException):
-        raise built[0]
+    try:
+        for _ in range(workers - 1):
+            helper = threading.Thread(target=work)
+            try:
+                helper.start()
+            except RuntimeError:  # the OS refused it: no more are tried
+                break
+            helpers.append(helper)
+        work()
+    finally:
+        with lock:  # an interrupt on this thread stops the helpers taking more
+            taken = len(tasks)
+        for helper in helpers:
+            helper.join()
     return results
 
 
@@ -334,18 +283,18 @@ def _nondegenerate(variance: float, output_variance: float) -> float:
 _Key = namedtuple("_Key", "output evidence first total closed")
 _Plan = namedtuple(
     "_Plan", "key notes relevant forward joined shared calibrate targets "
-    "queried totaled zero_s zero_st separated unscreened users pairs coupled_order coupled "
-    "build t_scopes universe keeps largest kept")
+    "queried totaled zero_s zero_st separated unscreened users pairs coupled "
+    "j_pass build universe keeps queries largest kept")
 _Plan.__doc__ = """All that an analysis under `key` derives from scopes alone (`_planned`):
     its nodes and exact zeros, the records of each elimination (`forward` to
-    O's bucket, `joined` with g, the `coupled` network's, `t`'s `build`) and
-    the per-query `keeps`; `notes` are its DEBUG lines. `kept`, None until a
-    first run returns, holds by name, read-only, what runs made that reads
-    no g (`_run`): the first run's arrays but messages (the probability
-    network, P(O), the reciprocals of J's sums, the priors, a dependent
-    `j`'s marginals, the divisors), and its query programs, derived while a
-    helper builds `t` (derived in `_planned`, a first dense-card analysis
-    took 1.09x as long); the second run's messages (`_free`).
+    O's bucket, `joined` with g, the `coupled` network's, a dependent `j`'s
+    calibration `j_pass`, `t`'s `build`), the per-query `keeps` and their
+    programs (`queries`, `_plan`), so that a run orders nothing; `notes` are
+    its DEBUG lines. `kept`, None until a first run returns, holds by name,
+    read-only, what runs made that reads no g (`_run`): the first run's
+    arrays but messages (the probability network, P(O), the reciprocals of
+    J's sums, the priors, a dependent `j`'s marginals, the divisors); the
+    second run's messages (`_free`).
 
     The shared elimination is taken when the table over the evidence and
     the output (the product of their cardinalities, a Python int) has at
@@ -393,7 +342,7 @@ def _frozen(found: dict) -> types.MappingProxyType:
         value = values.pop()
         if isinstance(value, np.ndarray):
             value.setflags(False)  # write
-        elif type(value) in (dict, list, tuple):  # not a query's records
+        elif type(value) in (dict, list, tuple):
             values += value.values() if isinstance(value, dict) else value
     return types.MappingProxyType(found)
 
@@ -432,7 +381,11 @@ def _planned(bn: DiscreteBayesNet, key: _Key) -> tuple[_Plan, TensorNetwork, Ten
     kept = evidence | {output} if shared else {output}
     forward = schedule.derive(network._order(scopes, universe, kept))
     joined = schedule.derive((output,), [(output,)]) if shared or calibrate else ()
-    pairs = coupled_order = coupled = build = t_scopes = keeps = largest = None
+    pairs = coupled = j_pass = build = keeps = queries = largest = None
+    if calibrate and not independent:
+        j_scopes = [f.axes for f in j.factors]
+        j_pass = network.Schedule(j.universe, j_scopes).derive(
+            network._order(j_scopes, j.universe, set()))
     if shared:
         notes.append(("shared-elimination plan: table over the evidence and the output "
                       "%d cells, at most %d", shared_cells, SHARED_ELIMINATION_CELLS))
@@ -468,12 +421,14 @@ def _planned(bn: DiscreteBayesNet, key: _Key) -> tuple[_Plan, TensorNetwork, Ten
             keeps += [evidence if unscreened <= set(ids) else frozenset(ids) for ids in unseparated]
             calibrated = {frozenset({i}) for i in queried} if calibrate else set()
             keeps = tuple(k for k in dict.fromkeys(keeps) if k not in calibrated)
+            queries = tuple(_plan(evidence_universe, t_scopes, None if independent else j, keep)
+                            for keep in keeps)
             largest = max((math.prod(evidence_universe[v] for v in s) for s in t_scopes), default=0)
     return _Plan(
         key, tuple(notes), relevant, forward, joined, shared, calibrate,
         tuple(targets), tuple(queried), tuple(totaled), zero_s, zero_st, separated, unscreened,
-        len(queried) + len(totaled) + len(unseparated), pairs, coupled_order, coupled, build,
-        t_scopes, evidence_universe, keeps, largest, None), mrf, j
+        len(queried) + len(totaled) + len(unseparated), pairs, coupled, j_pass, build,
+        evidence_universe, keeps, queries, largest, None), mrf, j
 
 
 def compute_all(
@@ -517,10 +472,7 @@ def compute_all(
     requested there are no per-variable entries."""
     options = options or ComputeOptions()
     validate_partition(bn, spec)
-    try:
-        closed = tuple(tuple(sorted(map(operator.index, ids))) for ids in options.closed)
-    except TypeError:
-        raise NotEvidentialError(f"closed subsets {options.closed!r} must hold ids") from None
+    closed = tuple(tuple(sorted(as_ids(ids, NotEvidentialError))) for ids in options.closed)
     for ids in closed:
         if not ids or len(set(ids)) < len(ids) or not set(ids) <= spec.evidential:
             raise NotEvidentialError(f"closed subset {list(ids)} must be nonempty, "
@@ -664,8 +616,8 @@ def _calibration(plan: _Plan, found: dict, forward: network.Elimination, value_f
         t0 = time.perf_counter()
         forward.run((), value_factor, records=plan.joined)
         t_marginals = marginals(forward, of=[*plan.queried, plan.key.output])
-        j_marginals = priors if priors is not None else _kept(
-            found, "marginals", lambda: marginals(j, of=plan.queried))
+        j_marginals = priors if priors is not None else _kept(found, "marginals", lambda: marginals(
+            network.Elimination(j).run((), records=plan.j_pass), of=plan.queried))
         for i in plan.queried:
             t_i = t_marginals[i]
             moments[frozenset({i})] = float(t_i @ (t_i * reciprocal(j_marginals[i])))
@@ -694,7 +646,7 @@ def _coupled(plan: _Plan, found: dict, forward: network.Elimination, value_facto
     couplings = [trusted(Factor, *c) for c in zip(plan.pairs, diagonals)]
     start, g_at = len(squared.factors), len(mrf.factors)  # g_at: g's position in t_full
     coupled = network.Elimination(squared).run(
-        plan.coupled_order, *couplings, records=plan.coupled,
+        (), *couplings, records=plan.coupled,
         kept=_free(plan, found, "coupled", {g_at, 2 * g_at + 1}))  # g and its replica
     outside = marginals(coupled, outside_of=range(start, start + len(priors)))
     without = {k: float(outside[p].sum()) for p, k in enumerate(priors, start)}
@@ -705,33 +657,27 @@ def _coupled(plan: _Plan, found: dict, forward: network.Elimination, value_facto
 
 def _per_query(plan: _Plan, found: dict, forward: network.Elimination, value_factor: Factor,
                mean: float, j: TensorNetwork | None) -> tuple:
-    """The per-query queries: the non-evidential variables are summed out of
-    `t_full` into `t`, and each `moment(keep)` of `plan.keeps` (Var[f]'s,
-    each total's, each closed group's) is one query over `t` squared and
-    divided by the evidence marginal over `keep`: with independent evidence,
-    the product of the reciprocal priors, taken once per analysis; otherwise
-    `j` with the rest summed out. A helper builds `t` while the caller runs
-    `_calibration` and, in a plan's first run, programs each query
-    (`_plan`), taking the GIL back between einsums within SWITCH_INTERVAL;
-    the queries, which only contract, run on as many threads as CPUs and
-    queries when `t` is large enough for the GIL-free numpy kernels to
-    dominate (`_second_moments`), all before any index is computed. A
+    """The per-query queries: after `_calibration`, the non-evidential
+    variables are summed out of `t_full` into `t`, and each `moment(keep)`
+    of `plan.keeps` (Var[f]'s, each total's, each closed group's) is its
+    query of `plan.queries` over `t` squared and divided by the evidence
+    marginal over `keep`: with independent evidence, the product of the
+    reciprocal priors, taken once per analysis; otherwise `j` with the rest
+    summed out. The queries, which only contract, run on as many threads as
+    CPUs and queries when `t` is large enough for the GIL-free numpy kernels
+    to dominate (`_second_moments`), all before any index is computed. A
     failure of Var[f]'s query raises; any other is returned. Every index
-    reads Var[f], so each shares the queries' wall time."""
-    priors, calibration = _kept(found, "priors", lambda: _priors(j)), []
-
-    def tasks() -> list[tuple]:
-        calibration.append(_calibration(plan, found, forward, value_factor, mean, j, priors))
-        queries = _kept(found, "queries", lambda: tuple(_plan(plan.universe, plan.t_scopes, (
-            j if priors is None else None), keep) for keep in plan.keeps))
-        return [*zip(queries, _kept(found, "divisors", lambda: _divisors(queries, j, priors)))]
-
+    reads Var[f], so each shares the time from the calibration's end to the
+    last query's."""
+    priors = _kept(found, "priors", lambda: _priors(j))
+    mean, moments, s_share, t0 = _calibration(plan, found, forward, value_factor, mean, j, priors)
+    divisors = _kept(found, "divisors", lambda: _divisors(plan.queries, j, priors))
     t_full = [*(f.values for f in found["mrf"].factors), value_factor.values]
     held = _free(plan, found, "build", {len(t_full) - 1})  # g, last in t_full
+    t = network._executed(plan.build, t_full, held)
     threaded = plan.largest >= THREAD_CELLS_PER_VARIABLE * len(plan.universe)
-    results = _second_moments(lambda: network._executed(plan.build, t_full, held), tasks,
+    results = _second_moments(t, [*zip(plan.queries, divisors)],
                               min(_cpus(), len(plan.keeps)) if threaded else 1)
-    mean, moments, s_share, t0 = calibration[0]
     failure = next((r for r in results if isinstance(r, BaseException)), None)
     if failure is results[0]:
         raise failure  # Var[f]'s query, the first, failed
@@ -756,10 +702,9 @@ def encode_utility_node(
     nodes into a single output variable. The extended network is checked
     when it is built: a repeated parent, a domain of fewer than two distinct
     labels or a name already in use raises ValidationError."""
+    parent_ids = tuple(as_ids(parents))
     if isinstance(parents, (set, frozenset)):
-        parent_ids = tuple(sorted(int(p) for p in parents))
-    else:
-        parent_ids = tuple(int(p) for p in parents)
+        parent_ids = tuple(sorted(parent_ids))
     for p in parent_ids:
         if not 0 <= p < bn.n:
             raise ValueError(f"parent id {p} out of range")

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from functools import reduce
 
@@ -12,15 +13,19 @@ from bnsens import (
     AxisCardinalityMismatchError,
     ContractionUnderflowWarning,
     Factor,
+    PartitionError,
     StateSpaceTooLargeError,
     TensorNetwork,
     UnknownAxisError,
+    ancestors,
     collapse,
     contract_all,
+    encode_utility_node,
     generate_random_bn,
     marginalize,
     mrf_from_bn,
     output_values,
+    separated_evidence,
     square_wrt,
 )
 from bnsens.graph import min_weight_order
@@ -804,3 +809,36 @@ def test_expected_value_identity_against_oracle():
         table = brute_force_f(bn, spec)
         expected = float((table.probabilities * table.values).sum())
         assert contract_all(t) == pytest.approx(expected, abs=1e-10)
+
+
+_CHAIN = chain_bn()  # E (id 0) -> O (id 1)
+_MAP = {"0": 0.0, "1": 1.0}
+
+
+@pytest.mark.parametrize("bad", [lambda v: v + 0.7, str, lambda v: math.nan],
+                         ids=["float", "str", "nan"])
+@pytest.mark.parametrize(
+    "call, valid, error",
+    [
+        (lambda v: AnalysisSpec(v, {0}, _MAP), 1, PartitionError),
+        (lambda v: AnalysisSpec(1, {v}, _MAP), 0, PartitionError),
+        (lambda v: mrf_from_bn(_CHAIN, [v]), 0, UnknownAxisError),
+        (lambda v: marginalize(mrf_from_bn(_CHAIN), [v]), 1, UnknownAxisError),
+        (lambda v: collapse(mrf_from_bn(_CHAIN), [v]), 0, UnknownAxisError),
+        (lambda v: square_wrt(mrf_from_bn(_CHAIN), [v]), 0, UnknownAxisError),
+        (lambda v: ancestors(_CHAIN.dag(), [v]), 1, IndexError),
+        (lambda v: separated_evidence(_CHAIN.dag(), v, [0]), 1, ValueError),
+        (lambda v: min_weight_order([(0, 1)], {0: 2, 1: 2}, keep=[v]), 0, ValueError),
+        (lambda v: encode_utility_node(_CHAIN, lambda c: c[0], [v], "01"), 0, ValueError),
+    ],
+    ids=["spec-output", "spec-evidence", "mrf_from_bn", "marginalize", "collapse",
+         "square_wrt", "ancestors", "separated_evidence", "min_weight_order",
+         "encode_utility_node"],
+)
+def test_ids_must_be_integers(call, valid, error, bad):
+    # A float is not truncated nor a str parsed to the id it names: 1.7 or
+    # "1" would silently stand for 1. Any integer type, np.int64 among
+    # them, is taken as the int it holds.
+    with pytest.raises(error, match="must be integers"):
+        call(bad(valid))
+    assert repr(call(np.int64(valid))) == repr(call(valid))

@@ -97,7 +97,7 @@ def test_a_kept_plan_gives_the_bits_of_a_fresh_analysis(
             super().start()
 
     monkeypatch.setattr(bnsens.sobol, "threading", types.SimpleNamespace(
-        Thread=Counted, Lock=threading.Lock, Event=threading.Event))
+        Thread=Counted, Lock=threading.Lock))
     bn, spec = network()
     with caplog.at_level(logging.DEBUG, logger="bnsens.sobol"):
         compute_all(bn, spec, options)
@@ -248,6 +248,39 @@ def test_a_second_analysis_orders_and_derives_nothing(monkeypatch, name):
     assert symbolic == []
     compute_all(_fresh(bn), spec)
     assert {"min_weight_order", "separated_evidence", "derive"} <= set(symbolic)
+
+
+@pytest.mark.parametrize("name", ["grid3e16", "sparse200", "dense-card", "dependent"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_first_run_orders_and_derives_nothing(monkeypatch, name, cpus):
+    # The plan holds every program of a first analysis, each query's and
+    # the calibration of a dependent evidence marginal included: once
+    # `_planned` returns, no ordering and no bucket record is made.
+    monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: cpus)
+    bn, spec = _workload(monkeypatch, name)
+    order, derive = bnsens.network.min_weight_order, bnsens.network.Schedule.derive
+    plan = bnsens.sobol._planned
+    calls, planned = {"before": [], "after": []}, []
+
+    def planning(*args):
+        found = plan(*args)
+        planned.append(True)
+        return found
+
+    def ordering(*args, **kwargs):
+        calls["after" if planned else "before"].append("order")
+        return order(*args, **kwargs)
+
+    def deriving(self, *args, **kwargs):
+        calls["after" if planned else "before"].append("derive")
+        return derive(self, *args, **kwargs)
+
+    monkeypatch.setattr(bnsens.sobol, "_planned", planning)
+    monkeypatch.setattr(bnsens.network, "min_weight_order", ordering)
+    monkeypatch.setattr(bnsens.network.Schedule, "derive", deriving)
+    compute_all(bn, spec, ComputeOptions(closed=((min(spec.evidential), 9),))
+                if name == "dependent" else None)
+    assert planned == [True] and "order" in calls["before"] and calls["after"] == []
 
 
 def test_a_changed_key_builds_a_new_plan(monkeypatch):

@@ -381,23 +381,31 @@ def _guard_per_query(monkeypatch, spec):
     """Record the networks (or forward passes, for `t_full`) that `marginals`
     calibrates and the programs that `network._executed` runs outside
     conditional-moment queries and their divisors (`_divisors`), and outside
-    t's one build (the `build` that
-    `_second_moments` calls, from a derived plan or a kept one); refuse a
-    calibration of the reduced t, which unlike t_full lacks the output and
-    unlike the evidence marginal does not sum to 1."""
-    calibrated, contracted, inside = [], [], []
-    calibrate, executed = bnsens.sobol.marginals, bnsens.network._executed
-    query, moments = bnsens.sobol._second_moment, bnsens.sobol._second_moments
-    divisors = bnsens.sobol._divisors
+    t's one build (the `build` records of the plan that `_run` runs, derived
+    or kept); refuse a calibration of the reduced t, which unlike t_full
+    lacks the output and unlike the evidence marginal does not sum to 1. A
+    forward pass is whole by then: its live arrays are scalars whose product
+    is its contraction."""
+    calibrated, contracted, inside, builds = [], [], [], []
+    calibrate, executed, run = bnsens.sobol.marginals, bnsens.network._executed, bnsens.sobol._run
+    query, divisors = bnsens.sobol._second_moment, bnsens.sobol._divisors
 
     def guarded(tn, *args, **kwargs):
-        if spec.output not in tn.universe and abs(contract_all(tn) - 1.0) > 1e-9:
+        total = math.prod(float(a) for a in tn.arrays if a is not None) if isinstance(
+            tn, bnsens.network.Elimination) else contract_all(tn)
+        if spec.output not in tn.universe and abs(total - 1.0) > 1e-9:
             raise AssertionError("the reduced t was calibrated")
         calibrated.append(tn)
         return calibrate(tn, *args, **kwargs)
 
+    def running(plan, *args):
+        builds[:] = [plan.build]  # t is built once: a second build counts as a contraction
+        return run(plan, *args)
+
     def recorded(records, *args):
-        if not inside:
+        if builds and records is builds[0]:
+            builds.clear()
+        elif not inside:
             contracted.append(records)
         return executed(records, *args)
 
@@ -414,20 +422,11 @@ def _guard_per_query(monkeypatch, spec):
     def divided(*args):  # the queries' divisors, which contract the evidence marginal
         return within(divisors, *args)
 
-    def building_once(build, *args):
-        builds = []
-
-        def build_t():  # t is built once: a second build counts as a contraction
-            builds.append(build)
-            return within(build) if len(builds) == 1 else build()
-
-        return moments(build_t, *args)
-
     monkeypatch.setattr(bnsens.sobol, "marginals", guarded)
+    monkeypatch.setattr(bnsens.sobol, "_run", running)
     monkeypatch.setattr(bnsens.network, "_executed", recorded)
     monkeypatch.setattr(bnsens.sobol, "_second_moment", queried)
     monkeypatch.setattr(bnsens.sobol, "_divisors", divided)
-    monkeypatch.setattr(bnsens.sobol, "_second_moments", building_once)
     return calibrated, contracted
 
 
@@ -1374,7 +1373,7 @@ def _count_threads(monkeypatch) -> list[threading.Thread]:
     monkeypatch.setattr(
         bnsens.sobol,
         "threading",
-        types.SimpleNamespace(Thread=Counted, Lock=threading.Lock, Event=threading.Event),
+        types.SimpleNamespace(Thread=Counted, Lock=threading.Lock),
     )
     return started
 
@@ -1598,23 +1597,27 @@ def test_per_query_programs_predict_the_cells_they_contract(monkeypatch, network
 
 def _hook_t_build(monkeypatch, action):
     """Call `action()` on the thread that builds t, before it does, in each
-    analysis from now on: t's build is the `build` of `_second_moments`,
-    whether the analysis derives its plan or runs the network's kept one."""
-    moments = bnsens.sobol._second_moments
+    analysis from now on: t's build is the `network._executed` of the
+    `build` records of the plan that `_run` runs, derived or kept."""
+    run, executed, builds = bnsens.sobol._run, bnsens.network._executed, []
 
-    def hooked(build, *args):
-        def build_t():
+    def running(plan, *args):
+        builds.append(plan.build)
+        return run(plan, *args)
+
+    def hooked(records, *args):
+        if any(records is build for build in builds):
             action()
-            return build()
+        return executed(records, *args)
 
-        return moments(build_t, *args)
-
-    monkeypatch.setattr(bnsens.sobol, "_second_moments", hooked)
+    monkeypatch.setattr(bnsens.sobol, "_run", running)
+    monkeypatch.setattr(bnsens.network, "_executed", hooked)
 
 
 def test_threaded_queries_are_all_planned_before_one_contracts(monkeypatch):
-    # On two CPUs the helper builds t while the caller calibrates and plans:
-    # every query's ordering comes before any query runs.
+    # On two CPUs the caller calibrates, builds t and then shares the
+    # queries with one helper: every query's ordering comes before t's
+    # build, and t's build before any query runs.
     monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 2)
     bn, spec = _dense_card()
     order, query = bnsens.network.min_weight_order, bnsens.sobol._second_moment
@@ -1628,38 +1631,21 @@ def test_threaded_queries_are_all_planned_before_one_contracts(monkeypatch):
         events.append("query")
         return query(*args)
 
+    def building():
+        events.append("build")
+        builders.append(threading.get_ident())
+
     monkeypatch.setattr(bnsens.network, "min_weight_order", ordered)
     monkeypatch.setattr(bnsens.sobol, "_second_moment", queried)
-    _hook_t_build(monkeypatch, lambda: builders.append(threading.get_ident()))
+    _hook_t_build(monkeypatch, building)
     started = _count_threads(monkeypatch)
     compute_all(bn, spec)
-    assert events.count("order") == 11 and events.count("query") == 8
-    assert max(i for i, e in enumerate(events) if e == "order") < events.index("query")
-    assert len(started) == 1 and builders == [started[0].ident]
+    assert events == ["order"] * 11 + ["build"] + ["query"] * 8
+    assert len(started) == 1 and builders == [threading.get_ident()]
 
 
-def test_an_error_in_the_calibration_stops_the_helper_building_t(monkeypatch):
-    # The caller's calibration raises while the helper is still building t:
-    # the error reaches the caller, and the helper is joined first.
-    monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 2)
-    bn, spec = _dense_card()
-    raised = threading.Event()
-
-    def failing(tn, **kwargs):
-        raised.set()
-        raise RuntimeError("calibration failed")
-
-    monkeypatch.setattr(bnsens.sobol, "marginals", failing)
-    _hook_t_build(monkeypatch, lambda: raised.wait(timeout=10))
-    before = threading.active_count()
-    started = _count_threads(monkeypatch)
-    with pytest.raises(RuntimeError, match="calibration failed"):
-        compute_all(bn, spec)
-    assert len(started) == 1 and not any(t.is_alive() for t in started)
-    assert threading.active_count() == before
-
-
-def test_memory_error_building_t_on_a_helper_exits_4(monkeypatch, tmp_path, capsys):
+def test_memory_error_building_t_exits_4(monkeypatch, tmp_path, capsys):
+    # t is built on the calling thread before any helper starts.
     monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 2)
     bn, spec = _dense_card()
     path = tmp_path / "dense-card.native"
@@ -1672,9 +1658,10 @@ def test_memory_error_building_t_on_a_helper_exits_4(monkeypatch, tmp_path, caps
 
     _hook_t_build(monkeypatch, failing)
     before = threading.active_count()
+    started = _count_threads(monkeypatch)
     assert main(["compute", "--network", str(path)]) == 4
     assert "error: MemoryError: cannot allocate t" in capsys.readouterr().err
-    assert len(raised) == 1 and raised[0] != threading.get_ident()
+    assert raised == [threading.get_ident()] and started == []
     assert threading.active_count() == before
 
 
@@ -1692,20 +1679,26 @@ def _recorded_intervals(monkeypatch) -> list[float]:
 
 @pytest.mark.parametrize("cpus", [2, 8])
 @pytest.mark.parametrize("failure", [None, "query", "build", "calibration", "interrupt"])
-def test_the_switch_interval_is_lowered_while_helpers_run_and_then_restored(
-    monkeypatch, cpus, failure
-):
-    # The helper builds t under SWITCH_INTERVAL, and every way out of the
-    # threaded queries, a failed query, an error building t, one in the
-    # calibration or an interrupt there, leaves the interval found.
+def test_every_way_out_of_the_threaded_queries_joins_the_helpers(monkeypatch, cpus, failure):
+    # A failed query, an error building t, one in the calibration or an
+    # interrupt in the caller's query: each reaches the caller after the
+    # helpers that started are joined, and none sets the switch interval.
+    # An error before the queries starts no helper.
     monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: cpus)
     bn, spec = _dense_card()
-    query, during = bnsens.sobol._second_moment, []
+    query, caller, reached = bnsens.sobol._second_moment, threading.get_ident(), threading.Event()
 
     def failing_total(q, *args):
         if q.keep != spec.evidential:
             raise ValueError("query failed")
         return query(q, *args)
+
+    def interrupted(*args):  # the helpers wait until the caller has taken a query
+        if threading.get_ident() == caller:
+            reached.set()
+            raise KeyboardInterrupt
+        reached.wait(timeout=10)
+        return query(*args)
 
     def failing(error):
         def fail(*args, **kwargs):
@@ -1715,97 +1708,92 @@ def test_the_switch_interval_is_lowered_while_helpers_run_and_then_restored(
 
     if failure == "query":
         monkeypatch.setattr(bnsens.sobol, "_second_moment", failing_total)
-    if failure in ("calibration", "interrupt"):
-        error = RuntimeError("calibration failed") if failure == "calibration" else KeyboardInterrupt
-        monkeypatch.setattr(bnsens.sobol, "marginals", failing(error))
+    if failure == "interrupt":
+        monkeypatch.setattr(bnsens.sobol, "_second_moment", interrupted)
+    if failure == "calibration":
+        monkeypatch.setattr(bnsens.sobol, "marginals", failing(RuntimeError("calibration failed")))
     if failure == "build":
         _hook_t_build(monkeypatch, failing(MemoryError("cannot allocate t")))
-    else:
-        _hook_t_build(monkeypatch, lambda: during.append(sys.getswitchinterval()))
     before = sys.getswitchinterval()
     started = _count_threads(monkeypatch)
     intervals = _recorded_intervals(monkeypatch)
     if failure is None:
         compute_all(bn, spec)
-        assert during == [pytest.approx(bnsens.sobol.SWITCH_INTERVAL)]
     else:
         errors = {"query": ValueError, "build": MemoryError, "calibration": RuntimeError}
         with pytest.raises(errors.get(failure, KeyboardInterrupt)):
             compute_all(bn, spec)
-    assert sys.getswitchinterval() == before
-    assert intervals == [bnsens.sobol.SWITCH_INTERVAL, pytest.approx(before, abs=1e-6)]
-    assert len(started) == min(cpus, 8) - 1 and not any(t.is_alive() for t in started)
+    assert sys.getswitchinterval() == before and intervals == []
+    helpers = 0 if failure in ("build", "calibration") else min(cpus, 8) - 1
+    assert len(started) == helpers and not any(t.is_alive() for t in started)
 
 
-@pytest.mark.parametrize("user", [1e-5, 1.05e-4])
-def test_a_user_switch_interval_is_kept_or_restored_exactly(monkeypatch, user):
-    # An interval below SWITCH_INTERVAL is never set. One above it is
-    # restored exactly even where the interpreter's whole microseconds do
-    # not survive setting what it reads: 105 us reads as 1.05e-4, which
-    # sets 104 us.
-    monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 2)
-    bn, spec = _dense_card()
-    during = []
-    _hook_t_build(monkeypatch, lambda: during.append(sys.getswitchinterval()))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(user)
-    try:
-        before = sys.getswitchinterval()
-        intervals = _recorded_intervals(monkeypatch)
-        compute_all(bn, spec)
-        after, intervals = sys.getswitchinterval(), intervals[:]
-    finally:
-        sys.setswitchinterval(interval)
-    assert after == before
-    if user < bnsens.sobol.SWITCH_INTERVAL:
-        assert intervals == [] and during == [before]
-    else:
-        assert len(intervals) == 2 and during == [pytest.approx(bnsens.sobol.SWITCH_INTERVAL)]
-
-
-def test_analyses_on_two_threads_at_once_leave_the_switch_interval(monkeypatch):
-    # Both builds of t wait for each other, so both analyses have helpers
-    # at once; the one that ends first leaves the interval lowered for the
-    # other, which is held until then, and the last restores it.
+@pytest.mark.parametrize("host", [1e-5, 2e-3])
+def test_a_switch_interval_set_during_an_analysis_is_kept(monkeypatch, host):
+    # Another thread of the host sets its own interval while a threaded
+    # analysis builds t: the analysis sets none, so the host's is kept.
     monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 2)
     bn, spec = _dense_card()
     expected = _results(compute_all(bn, spec))
-    both, release = threading.Barrier(2, timeout=10), threading.Event()
-    reports = []
+    asked, done = threading.Event(), threading.Event()
 
-    def meet():
-        if both.wait() == 0:  # one build waits for the other analysis's end
-            release.wait(timeout=10)
+    def host_thread():
+        if asked.wait(timeout=10):
+            sys.setswitchinterval(host)
+        done.set()
 
-    _hook_t_build(monkeypatch, meet)
+    def building():
+        asked.set()
+        done.wait(timeout=10)
+
+    _hook_t_build(monkeypatch, building)
+    started = _count_threads(monkeypatch)
+    interval = sys.getswitchinterval()
+    setter = threading.Thread(target=host_thread)
+    setter.start()
+    try:
+        report = compute_all(bn, spec)
+        after = sys.getswitchinterval()
+    finally:
+        asked.set()
+        setter.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert after == pytest.approx(host, abs=1e-6) and _results(report) == expected
+    assert len(started) == 1 and not setter.is_alive()
+
+
+def test_analyses_on_two_threads_at_once_leave_the_switch_interval(monkeypatch):
+    # Both builds of t wait for each other, so both analyses run at once,
+    # each with its helper: neither sets the interval, and both give the
+    # results of one analysis alone.
+    monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 2)
+    bn, spec = _dense_card()
+    expected = _results(compute_all(bn, spec))
+    both, reports = threading.Barrier(2, timeout=10), []
+    _hook_t_build(monkeypatch, both.wait)
     before = sys.getswitchinterval()
+    intervals = _recorded_intervals(monkeypatch)
     analyses = [threading.Thread(target=lambda: reports.append(compute_all(bn, spec)))
                 for _ in range(2)]
     for analysis in analyses:
         analysis.start()
-    deadline = time.monotonic() + 10
-    while not reports and time.monotonic() < deadline:
-        time.sleep(0.001)
-    lowered = sys.getswitchinterval()
-    release.set()
     for analysis in analyses:
         analysis.join(timeout=30)
     assert not any(analysis.is_alive() for analysis in analyses)
-    assert lowered == pytest.approx(bnsens.sobol.SWITCH_INTERVAL)
-    assert sys.getswitchinterval() == before
+    assert sys.getswitchinterval() == before and intervals == []
     assert [_results(report) for report in reports] == [expected, expected]
 
 
-@pytest.mark.parametrize("refused", [0, 1], ids=["builder", "second-helper"])
+@pytest.mark.parametrize("refused", [0, 1], ids=["first-helper", "second-helper"])
 def test_a_helper_the_os_refuses_leaves_the_results_unchanged(monkeypatch, refused):
-    # Three CPUs ask for two helpers. When the OS refuses one, as under a
-    # limit on threads, no further one is tried and the analysis runs on
-    # the threads that started; without the builder, the caller builds t.
+    # Three CPUs ask for two query helpers. When the OS refuses one, as
+    # under a limit on threads, no further one is tried and the queries run
+    # on the threads that started; t is built on the caller either way.
     bn, spec = _dense_card()
     monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 1)
     expected = _results(compute_all(bn, spec))
     monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 3)
-    tried, started, builders = [], [], []
+    query, tried, started, queriers = bnsens.sobol._second_moment, [], [], set()
 
     class Refused(threading.Thread):
         def start(self):
@@ -1815,18 +1803,20 @@ def test_a_helper_the_os_refuses_leaves_the_results_unchanged(monkeypatch, refus
             started.append(self)
             super().start()
 
+    def queried(*args):
+        queriers.add(threading.get_ident())
+        return query(*args)
+
     monkeypatch.setattr(
-        bnsens.sobol,
-        "threading",
-        types.SimpleNamespace(Thread=Refused, Lock=threading.Lock, Event=threading.Event),
+        bnsens.sobol, "threading", types.SimpleNamespace(Thread=Refused, Lock=threading.Lock)
     )
-    _hook_t_build(monkeypatch, lambda: builders.append(threading.get_ident()))
-    before = sys.getswitchinterval()
+    monkeypatch.setattr(bnsens.sobol, "_second_moment", queried)
+    before = threading.active_count()
     assert _results(compute_all(bn, spec)) == expected
     assert len(tried) == refused + 1 and len(started) == refused
-    assert builders == [started[0].ident if started else threading.get_ident()]
+    assert queriers <= {threading.get_ident(), *(t.ident for t in started)}
     assert not any(t.is_alive() for t in started)
-    assert sys.getswitchinterval() == before
+    assert threading.active_count() == before
 
 
 def test_a_subnormal_query_from_normal_inputs_warns():
