@@ -65,8 +65,9 @@ class Cpt:
     table: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "child", int(self.child))
-        object.__setattr__(self, "parents", tuple(int(p) for p in self.parents))
+        child, *parents = as_ids((self.child, *self.parents), ValidationError)
+        object.__setattr__(self, "child", child)
+        object.__setattr__(self, "parents", tuple(parents))
         table = np.array(self.table, dtype=np.float64)
         if table.ndim == 1:
             table = table.reshape(1, -1)

@@ -7,25 +7,20 @@ rule, `bnsens.tensor.reciprocal`), so dividing costs no more than
 multiplying. Marginalization runs variable elimination under the
 minimal-weight heuristic and keeps the result factored, which is what makes
 squaring/quotient pipelines affordable on evidence sets far too large to
-tabulate. Each bucket of the elimination multiplies its factors and sums the
-variable away in one kernel call, so the product of a bucket is never
-stored. Buckets pass bare arrays beside their axis tuples; only what
-`marginalize` and `collapse` return is built as `Factor`s again. A
-contraction is first derived (`_subscripts`: the einsum letters of its axes,
-in order of first appearance, each operand's subscripts, the result's, and
-its cells), then run (`_contract`); so is an elimination (`Schedule.derive`,
-or `_program` with no array, then `_execute`), so a caller can plan every
-elimination before any runs. In a large bucket, each operand whose axes lie
-within another operand with fewer cells than the bucket is first multiplied
-into the smallest such one (folded); two arrays left, each smaller than the
-bucket and sharing every summed axis, are one batched matmul, and any other
-bucket is one einsum. `marginals` gives the marginal on every variable, or
-on those asked for, from one order: an `Elimination` runs the buckets
-forward (stopped before the last variable, it holds that variable's
-marginal, and may take one more factor over it), and a backward pass over
-the records sends each message the contraction of everything else, its
-outside factor, by joining the recorded subscripts. A network derived from
-checked ones is built without the checks of its constructor (`trusted`).
+tabulate. Each bucket multiplies its factors and sums the variable away in
+one kernel, so its product is never stored; buckets pass bare arrays beside
+their axis tuples. Each step is derived from scopes alone, then run, so a
+caller can derive every elimination before any array exists: a
+contraction's kernel (`_kernel`: its subscripts, the folds of small
+operands into larger ones, and one einsum or one batched matmul) by
+`_contract`; an elimination's records, each holding its bucket's kernel
+(`Schedule.derive`), by `_execute`. `marginals` gives the marginal on every
+variable, or on those asked for, from one order: an `Elimination` runs the
+buckets forward (stopped before the last variable, it holds that variable's
+marginal, and may take one more factor over it), and a backward program
+derived from the records (`_backward`) sends each message its outside
+factor, by kernels lettered as their forward buckets. A network derived
+from checked ones is built without the checks of its constructor (`trusted`).
 """
 
 from __future__ import annotations
@@ -35,6 +30,7 @@ import math
 import operator
 import string
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -66,7 +62,8 @@ class TensorNetwork:
     factors: tuple[Factor, ...] = ()
 
     def __post_init__(self):
-        universe = {int(k): int(v) for k, v in dict(self.universe).items()}
+        universe = dict(self.universe)
+        universe = dict(zip(as_ids(universe, UnknownAxisError), map(int, universe.values())))
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "factors", tuple(self.factors))
         for f in self.factors:
@@ -114,17 +111,18 @@ def mrf_from_bn(
 # output).
 EINSUM_LETTERS = string.ascii_letters
 EINSUM_OPERANDS = 31
-# Buckets spanning at most this many cells skip both steps of `_contract`,
-# the fold and the matmul route, and go straight to one np.einsum: their
-# Python set-up costs more than it saves. Measured on two cores, the matmul
+# Buckets spanning at most this many cells skip both steps of a kernel, the
+# fold and the matmul route, and go straight to one np.einsum: their Python
+# set-up costs more than it saves. Measured on two cores, the matmul
 # route took 15-28 us against einsum's 5-12 us for pairs spanning up to
 # 3072 cells and won from 12288 cells (31 against 50 us); folding three
 # vectors into one beside two copies of a 3^k factor cost 4-8 us more up
 # to 729 cells and won from 2187 cells. Above it, both steps copy or
 # multiply only arrays with fewer cells than the bucket. Networks that
 # pruning leaves small, such as the sparse200 benchmark (largest bucket
-# 432 cells), thus never take either.
+# 432 cells), thus never take either. A kernel reads it when derived.
 ROUTE_CELLS = 4096
+_Backward = namedtuple("_Backward", "finals steps outside")  # a `_backward` program
 
 
 def _einsum(
@@ -132,141 +130,141 @@ def _einsum(
 ) -> np.ndarray:
     """Product of `arrays`, each over the axes of its scope, over exactly
     `axes`, every other axis summed away, without storing the product: the
-    `_subscripts` of the call, with each cardinality read from the shapes,
-    then its `_contract`."""
+    `_kernel` of the call, with each cardinality read from the shapes, run
+    once by `_contract`."""
     if not arrays:
         return np.ones(())
     cards: dict[int, int] = {}  # in order of first appearance
     for scope, array in zip(scopes, arrays):
         cards.update(zip(scope, array.shape))
-    return _contract(scopes, arrays, axes, *_subscripts(scopes, cards, axes))
+    return _contract(_kernel(scopes, cards, axes), arrays)
 
 
-def _subscripts(scopes, cards: Mapping[int, int], axes) -> tuple[list[str], str, int]:
-    """The derivation step of a contraction: the einsum subscripts of each
-    scope and of `axes`, and the cells the contraction spans. `cards` has
-    the cardinality of each axis of `scopes`, in order of first appearance,
-    which is the order of their letters. Over more than 52 axes it raises
-    `StateSpaceTooLargeError` before any array is touched; unless some of
-    them have cardinality 1, the product would have at least 2^53 cells."""
+def _kernel(scopes, cards: Mapping[int, int], axes) -> tuple:
+    """The derivation step of a contraction, from scopes alone: the einsum
+    subscripts of each of `scopes` and of `axes`, lettered in the order of
+    `cards`, the cardinality of each axis, then their `_routed` kernel.
+    Over more than 52 axes it raises `StateSpaceTooLargeError`; unless some
+    of them have cardinality 1, the product would have at least 2^53 cells."""
     if len(cards) > len(EINSUM_LETTERS):
         raise StateSpaceTooLargeError(
             f"a bucket over {len(cards)} axes exceeds einsum's "
             f"{len(EINSUM_LETTERS)} labels"
         )
     letter = dict(zip(cards, EINSUM_LETTERS)).__getitem__
-    strings = ["".join(map(letter, scope)) for scope in scopes]
-    return strings, "".join(map(letter, axes)), math.prod(cards.values())
+    strings = tuple(["".join(map(letter, scope)) for scope in scopes])
+    return _routed(scopes, (strings, "".join(map(letter, axes))), cards, axes,
+                   math.prod(cards.values()))
 
 
-def _contract(
-    scopes, arrays: Sequence[np.ndarray], axes, subscripts: Sequence[str], output: str, cells: int
-) -> np.ndarray:
-    """The contraction step of `_einsum`, given the `_subscripts` of the
-    operands and of the result and the cells spanned.
-
-    Contractions spanning more than ROUTE_CELLS cells take two steps,
-    chosen from their shapes alone, that copy or multiply only arrays with
-    fewer cells than the contraction:
-
-    - Fold: each operand whose axes lie within another operand smaller
-      than the contraction is multiplied, by broadcasting, into the
-      smallest such one (vectors over one axis into one, a vector into a
-      matrix over its axis), so that fewer operands meet in each cell.
-    - Pair: two arrays left, each smaller than the contraction, that share
-      every summed axis run as one batched `np.matmul`: each array is
-      copied to (shared kept, own, summed) order, and the result is a
-      transposed view of the matmul output. With short axes, einsum's
-      inner loop is a few cells long; matmul's runs over rows.
-
-    Every other contraction, and a folded one, is one `np.einsum` pass over
-    the subscripts joined (their string form has no length cap, unlike the
-    list form). More than EINSUM_OPERANDS arrays are first multiplied in
-    chunks over their own axes (`_eliminate`). The result never
-    shares memory with an operand."""
-    if len(arrays) > EINSUM_OPERANDS:
-        chunks = [
-            _eliminate(scopes[i : i + EINSUM_OPERANDS], arrays[i : i + EINSUM_OPERANDS])
-            for i in range(0, len(arrays), EINSUM_OPERANDS)
-        ]
-        return _einsum([c[0] for c in chunks], [c[1] for c in chunks], axes)
+def _routed(scopes, subscripts: tuple, cards: Mapping[int, int], axes, cells: int) -> tuple:
+    """The kernel (cells, subscripts, chunks, folds, operands, route) that
+    `_contract` runs, of operands over `scopes` with `subscripts` to `axes`,
+    spanning `cells`, chosen from shapes alone (`cards` has every axis). The
+    backward pass of `marginals` letters its kernels by a forward kernel's
+    subscripts. More than EINSUM_OPERANDS operands are first multiplied in
+    chunks, each over its own axes, ascending, and the route is the kernel
+    of their results. Above ROUTE_CELLS cells, two steps copy or multiply
+    only arrays with fewer cells than the contraction: each operand whose
+    axes lie within a smaller operand is folded, by broadcasting, into the
+    smallest such one (`_folded`), so that fewer operands meet in each
+    cell; two operands left that share every summed axis are one batched
+    `np.matmul` (`_outer_pair`): with short axes, einsum's inner loop is a
+    few cells long, and matmul's runs over rows. Any other route is one
+    `np.einsum` of the subscripts joined (their string form has no length
+    cap, unlike the list form)."""
+    if len(scopes) > EINSUM_OPERANDS:
+        parts = [scopes[i : i + EINSUM_OPERANDS] for i in range(0, len(scopes), EINSUM_OPERANDS)]
+        tops = [tuple(sorted(set().union(*part))) for part in parts]
+        chunks = [_kernel(part, {ax: cards[ax] for s in part for ax in s}, top)
+                  for part, top in zip(parts, tops)]
+        return cells, subscripts, tuple(chunks), (), (), _kernel(
+            tops, {ax: cards[ax] for s in tops for ax in s}, axes)
+    (strings, output), folds, operands = subscripts, (), ()
     if cells > ROUTE_CELLS:
-        scopes, subscripts, arrays = _folded(scopes, subscripts, arrays, cells)
-        if len(arrays) == 2:
-            out = _outer_pair(*scopes, *arrays, axes, cells)
-            if out is not None:
-                return out
-    subscripts = ",".join(subscripts) + "->" + output
-    out = np.asarray(np.einsum(subscripts, *arrays, optimize=False))  # not a numpy scalar
-    if len(arrays) == 1 and np.may_share_memory(out, arrays[0]):
-        out = out.copy()  # a lone operand over its own axes comes back as a view
-    return out
+        folds, operands = _folded(scopes, cards, cells)
+        if len(operands) == 2 and (pair := _outer_pair(
+                *(scopes[i] for i in operands), cards, axes, cells)) is not None:
+            return cells, subscripts, (), folds, operands, pair
+        strings = [strings[i] for i in operands]
+    return cells, subscripts, (), folds, operands, ",".join(strings) + "->" + output
 
 
-def _outer_pair(axes_a, axes_b, a: np.ndarray, b: np.ndarray, axes, cells: int):
-    """The pair's contraction over `axes` as one batched matmul, or None
-    unless every summed axis is in both arrays and each array has fewer
-    cells than the bucket, `cells` (so that neither copy below is as large
-    as the bucket)."""
-    if a.size >= cells or b.size >= cells:
+def _contract(kernel: tuple, arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The execution step of a contraction: `kernel` run over `arrays`, one
+    per operand it was derived for. The result never shares memory with an
+    operand."""
+    _, _, chunks, folds, operands, route = kernel
+    if chunks:
+        width = EINSUM_OPERANDS
+        return _contract(route, [_contract(chunk, arrays[n * width : (n + 1) * width])
+                                 for n, chunk in enumerate(chunks)])
+    if folds:
+        arrays = [*arrays]
+        for i, h, order, shape in folds:  # smallest first, so each is whole before it folds
+            arrays[h] = arrays[h] * (arrays[i] if order is None else
+                                     arrays[i].transpose(order).reshape(shape))
+        arrays = [arrays[i] for i in operands]
+    if type(route) is str:
+        out = np.asarray(np.einsum(route, *arrays, optimize=False))  # not a numpy scalar
+        if len(arrays) == 1 and np.may_share_memory(out, arrays[0]):
+            out = out.copy()  # a lone operand over its own axes comes back as a view
+        return out
+    order_a, shape_a, order_b, shape_b, shape, order = route
+    a, b = arrays
+    out = np.matmul(np.ascontiguousarray(a.transpose(order_a)).reshape(shape_a),
+                    np.ascontiguousarray(b.transpose(order_b)).reshape(shape_b))
+    return out.reshape(shape).transpose(order)
+
+
+def _outer_pair(axes_a, axes_b, cards: Mapping[int, int], axes, cells: int) -> tuple | None:
+    """The pair's contraction over `axes` as one batched matmul: each array's
+    transpose to (shared kept, own, summed) order and matrix shape, then the
+    shape and transpose of the product's view; None unless every summed axis
+    is in both arrays and each has fewer cells than the bucket, `cells` (so
+    that neither copy is as large as the bucket)."""
+    card = cards.__getitem__
+    if math.prod(map(card, axes_a)) >= cells or math.prod(map(card, axes_b)) >= cells:
         return None
     kept = set(axes)
     in_a, in_b = set(axes_a), set(axes_b)
     if in_a - kept != in_b - kept:
         return None  # a summed axis lies in one array only
-    cards = dict(zip(axes_a, a.shape))
-    cards.update(zip(axes_b, b.shape))
     batch = [ax for ax in axes_a if ax in in_b and ax in kept]
     own_a = [ax for ax in axes_a if ax not in in_b]
     own_b = [ax for ax in axes_b if ax not in in_a]
     summed = [ax for ax in axes_a if ax not in kept]
 
-    def block(scope, values: np.ndarray, groups) -> np.ndarray:
-        position = {ax: i for i, ax in enumerate(scope)}
-        order = [position[ax] for group in groups for ax in group]
-        shape = [math.prod(cards[ax] for ax in group) for group in groups]
-        return np.ascontiguousarray(values.transpose(order)).reshape(shape)
+    def block(scope, groups) -> tuple:
+        return (tuple([scope.index(ax) for group in groups for ax in group]),
+                tuple([math.prod(map(card, group)) for group in groups]))
 
-    out = np.matmul(block(axes_a, a, (batch, own_a, summed)),
-                    block(axes_b, b, (batch, summed, own_b)))
     labels = batch + own_a + own_b
-    out = out.reshape([cards[ax] for ax in labels])
-    return out.transpose([labels.index(ax) for ax in axes])
+    return (*block(axes_a, (batch, own_a, summed)), *block(axes_b, (batch, summed, own_b)),
+            tuple(map(card, labels)), tuple(map(labels.index, axes)))
 
 
-def _folded(scopes, subscripts, arrays, cells: int) -> tuple[Sequence, Sequence, Sequence]:
-    """The operands, their subscripts and arrays, with each one whose axes
-    lie within another operand of fewer than `cells` cells multiplied, by
-    broadcasting, into the smallest such operand (of equal ones, the later)."""
-    small = sorted((a.size, i) for i, a in enumerate(arrays) if a.size < cells)
-    into = {}
+def _folded(scopes, cards: Mapping[int, int], cells: int) -> tuple[tuple, tuple]:
+    """The fold steps of operands over `scopes` (`_routed`), (operand, operand
+    it folds into, transpose and shape of its view or None): each into the
+    smallest operand of fewer than `cells` cells holding its axes (of equal
+    ones, the later), viewed in that operand's axis order with ones for the
+    rest; and the positions of the operands left."""
+    card = cards.__getitem__
+    small = sorted([(size, i) for i, size in enumerate([math.prod(map(card, s)) for s in scopes])
+                    if size < cells])
+    sets = {i: set(scopes[i]) for _, i in small}
+    folds, folded = [], set()
     for n, (_, i) in enumerate(small):
-        axes = set(scopes[i])
         for _, h in small[n + 1 :]:
-            if axes.issubset(scopes[h]):
-                into[i] = h
+            if sets[i] <= sets[h]:
+                scope, onto = scopes[i], scopes[h]
+                folds.append((i, h, None, None) if scope == onto else (
+                    i, h, tuple([scope.index(ax) for ax in onto if ax in sets[i]]),
+                    tuple([card(ax) if ax in sets[i] else 1 for ax in onto])))
+                folded.add(i)
                 break
-    if not into:
-        return scopes, subscripts, arrays
-    arrays = list(arrays)
-    for i, h in into.items():  # smallest first, so each is whole before it folds
-        scope, onto, array = scopes[i], scopes[h], arrays[i]
-        if scope != onto:  # a view in the axis order of `onto`, with ones for the rest
-            order = [scope.index(ax) for ax in onto if ax in scope]
-            shape = [array.shape[scope.index(ax)] if ax in scope else 1 for ax in onto]
-            array = array.transpose(order).reshape(shape)
-        arrays[h] = arrays[h] * array
-    kept = [i for i in range(len(arrays)) if i not in into]
-    return [scopes[i] for i in kept], [subscripts[i] for i in kept], [arrays[i] for i in kept]
-
-
-def _eliminate(
-    scopes: Sequence[Sequence[int]], arrays: Sequence[np.ndarray]
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """Product of `arrays`, each over the axes of its scope, in one
-    `_einsum`; every axis of the scopes, ascending, and the array over them."""
-    axes = tuple(sorted(set().union(*scopes)))
-    return axes, _einsum(scopes, arrays, axes)
+    return tuple(folds), tuple([i for i in range(len(scopes)) if i not in folded])
 
 
 class Schedule:
@@ -284,9 +282,9 @@ class Schedule:
     def derive(self, order: Iterable[int | None], added: Sequence = ()) -> tuple[tuple, ...]:
         """Add operands over `added`; the record of each bucket of `order`, (v,
         operand positions, their scopes, message scope, message position,
-        `_subscripts` triple), which takes its live operands and appends its
-        message, over their axes but v, ascending. With no operand the triple
-        is ([], "", v's cardinality); a None v takes every live operand."""
+        `_kernel`), which takes its live operands and appends its message,
+        over their axes but v, ascending. With no operand the kernel is (v's
+        cardinality,), its cells; a None v takes every live operand."""
         universe, scopes, live, holders = self.universe, self.scopes, self.live, self.holders
         scopes += added
         live += [True] * len(added)
@@ -300,7 +298,7 @@ class Schedule:
             axes = [scopes[i] for i in positions]
             cards = {ax: universe[ax] for scope in axes for ax in scope}
             kept = tuple(sorted([ax for ax in cards if ax != v]))
-            derived = _subscripts(axes, cards, kept) if positions else ([], "", universe[v])
+            kernel = _kernel(axes, cards, kept) if positions else (universe[v],)
             message = len(scopes)
             for i in positions:
                 live[i] = False
@@ -308,9 +306,17 @@ class Schedule:
                 holders[ax].append(message)
             scopes.append(kept)
             live.append(True)
-            records.append((v, positions, axes, kept, message, derived))
+            records.append((v, positions, axes, kept, message, kernel))
         self.held = len(scopes)
         return tuple(records)
+
+    def tabled(self) -> tuple[tuple[int, ...], tuple | None]:
+        """Every axis of the live operands, ascending, and the `_kernel` of
+        their product over them (None with no operand): `table`'s derivation."""
+        scopes = [s for s, alive in zip(self.scopes, self.live) if alive]
+        axes = tuple(sorted(set().union(*scopes)))
+        cards = {ax: self.universe[ax] for scope in scopes for ax in scope}
+        return axes, _kernel(scopes, cards, axes) if scopes else None
 
 
 class Elimination(Schedule):
@@ -318,12 +324,13 @@ class Elimination(Schedule):
     pass of `marginalize`, `collapse` and `marginals`: `run` derives its
     records, then contracts them (`_execute`) over `arrays`, so a resumed pass
     sees its live operands in the order of the network `marginalize` would
-    return, then the new factors; `buckets` keeps the records if asked."""
+    return, then the new factors; it keeps the `records` it ran and, if asked,
+    in `buckets` the operands of each."""
 
     def __init__(self, tn: TensorNetwork, records: bool = True):
         Schedule.__init__(self, tn.universe, [f.axes for f in tn.factors])
         self.arrays: list[np.ndarray | None] = [f.values for f in tn.factors]
-        self.buckets: list | None = [] if records else None
+        self.records, self.buckets = [], [] if records else None
 
     def run(self, order: Iterable[int], *factors: Factor, records: Sequence = None,
             kept: dict = None) -> Elimination:
@@ -335,35 +342,37 @@ class Elimination(Schedule):
             records = self.derive(order, [f.axes for f in factors])
         else:  # `scopes` as `derive` leaves them, and `live` below
             self.scopes += [*(f.axes for f in factors), *(record[3] for record in records)]
+        self.records += records
         _execute(records, self.arrays, self.buckets, kept)
         self.live = [a is not None for a in self.arrays]
         return self
 
-    def table(self) -> tuple[tuple[int, ...], np.ndarray]:
-        """The product of the live arrays over their axes, ascending, in one
-        `_eliminate`: what `collapse` returns, after a run by its order."""
-        live = [i for i, alive in enumerate(self.live) if alive]
-        return _eliminate([self.scopes[i] for i in live], [self.arrays[i] for i in live])
+    def table(self, derived: tuple = None) -> tuple[tuple[int, ...], np.ndarray]:
+        """The product of the live arrays over their axes, ascending, by the
+        `tabled` derivation, or the one `derived` from the same scopes: what
+        `collapse` returns, after a run by its order."""
+        axes, kernel = derived or self.tabled()
+        live = [a for a in self.arrays if a is not None]
+        return axes, _contract(kernel, live) if live else np.ones(())
 
 
 def _execute(records: Sequence, arrays: list, buckets: list = None, kept: dict = None) -> list:
     """Each record's `_contract` over `arrays`, by position, appended as its
-    message, its operands freed (None) and, in `buckets`, kept beside it. A
+    message, its operands freed (None) and, in `buckets`, kept in its place. A
     message that `kept` holds by position is taken, and one it maps to None
     is put there once contracted."""
     kept = {} if kept is None else kept
-    for v, positions, axes, scope, message, derived in records:
+    for _, positions, _, _, message, kernel in records:
         bucket = [arrays[i] for i in positions]
         if (out := kept.get(message)) is None:
-            out = _contract(axes, bucket, scope, *derived) if bucket else np.asarray(
-                float(derived[2]))
+            out = _contract(kernel, bucket) if bucket else np.asarray(float(kernel[0]))
             if message in kept:
                 kept[message] = out
         arrays.append(out)
         for i in positions:
             arrays[i] = None
         if buckets is not None:
-            buckets.append((v, positions, axes, bucket, message, derived))
+            buckets.append(bucket)
     return arrays
 
 
@@ -418,6 +427,7 @@ def marginals(
     *,
     of: Iterable[int] | None = None,
     outside_of: Iterable[int] | None = None,
+    program: _Backward | None = None,
 ) -> dict[int, np.ndarray]:
     """The marginal of the network's contraction on each variable of its
     universe, or of `of` alone, from one elimination order and two passes
@@ -425,21 +435,19 @@ def marginals(
 
     The forward pass is the `Elimination` of the network by the `_order`
     of its factor scopes; `tn` may instead be an `Elimination` that has
-    eliminated every variable, which this call then consumes. The backward pass walks the buckets in
-    reverse and gives each message an outside factor over its axes: the
-    contraction of everything but the message, which is the product of the
-    other final scalars for a message that no bucket takes, and otherwise
-    one `_contract` of the taking bucket's other operands and that bucket's
-    own outside factor, by the subscripts in the bucket's record. A message
-    holds every axis of its bucket except the bucket's variable, so only a
-    bucket of one operand adds ones over that variable. A bucket's variable
-    then has the marginal `_contract` of the bucket's operands and its
-    outside factor; a variable carried by no factor has its outside scalar
-    in every state. No product is ever
-    divided out, so zero and negative entries are exact. Each bucket is
-    dropped once it has sent its outside factors. The backward pass visits
-    only the wanted buckets, those of the variables asked for, and the
-    buckets whose messages lead to one of them.
+    eliminated every variable, which this call then consumes. The backward
+    pass runs the `_backward` program of the forward records, or `program`,
+    one derived before from them (`of` and `outside_of` are then not read).
+    It gives each message an outside factor over its axes, the contraction
+    of everything but the message: the product of the other final scalars
+    for a message that no bucket takes, else one `_contract` of the taking
+    bucket's other operands and that bucket's own outside factor. A
+    bucket's variable has the marginal `_contract` of the bucket's operands
+    and its outside factor; a variable carried by no factor has its outside
+    scalar in every state. No product is ever divided out, so zero and
+    negative entries are exact. Each bucket is dropped once it has sent its
+    outside factors, and only the wanted buckets are visited: those of the
+    variables asked for, and those whose messages lead to one of them.
 
     With `outside_of`, positions in `tn.factors`, the result holds instead
     the outside factor of each of those input factors, by position and over
@@ -451,55 +459,76 @@ def marginals(
     if isinstance(tn, TensorNetwork):
         tn = Elimination(tn)
         tn.run(_order(tn.scopes, tn.universe, set()))
-    scopes, arrays, buckets = tn.scopes, tn.arrays, tn.buckets
-    wanted = {int(i) for i in outside_of or ()}
-    if outside_of is not None:
-        of = ()
-    variables = set(tn.universe if of is None else map(int, of))
-
-    # The positions that the backward pass gives an outside factor: the
-    # wanted inputs, and the message of each visited bucket.
-    sends = set(wanted)
-    for v, positions, _, _, message, _ in buckets:
-        if v in variables or sends.intersection(positions):
-            sends.add(message)
+    finals, steps, wanted = program or _backward(tn.universe, tn.records, tn.live, of, outside_of)
+    arrays, buckets = tn.arrays, tn.buckets
 
     # The live arrays are now scalars that multiply to the contraction;
     # each gets the product of the others, from prefix and suffix products.
-    finals = [i for i, alive in enumerate(tn.live) if alive]
     scalars = [float(arrays[i]) for i in finals]
     before = itertools.accumulate(scalars[:-1], operator.mul, initial=1.0)
     after = itertools.accumulate(reversed(scalars[1:]), operator.mul, initial=1.0)
     outside = {i: np.asarray(b * a) for i, b, a in zip(finals, before, [*after][::-1])}
 
     result = {}
-    while buckets:
-        v, positions, axes, bucket, message, derived = buckets.pop()
+    for r, message, v, card, marginal, sent in steps:
+        out = outside.pop(message)
+        bucket = buckets[r]
+        del buckets[r:]
+        if card is not None:  # a bucket with no operand
+            result[v] = np.full(card, float(out))
+        elif marginal:
+            result[v] = _contract(marginal, [*bucket, out])
+        for m, i, ones, kernel in sent:
+            others = [*bucket[:m], *bucket[m + 1 :], out]
+            if ones is not None:  # `out` holds every axis of the bucket but v
+                others.append(np.ones(ones))
+            outside[i] = _contract(kernel, others)
+    buckets.clear()
+    return result if wanted is None else {i: outside[i] for i in wanted}
+
+
+def _backward(universe: Mapping[int, int], records: Sequence, live: Sequence[bool],
+              of: Iterable[int] = None, outside_of: Iterable[int] = None) -> _Backward:
+    """The backward pass of `marginals` over the forward `records`, whose
+    untaken operands `live` flags, derived with no array: the final
+    positions; per wanted bucket, in reverse, (record index, message, v, its
+    cardinality if the bucket has no operand, v's marginal kernel or False,
+    and per operand sent an outside factor (index in the bucket, position,
+    the cardinality of the ones over v a lone operand adds, or None,
+    kernel)); the `outside_of` positions."""
+    wanted = set(as_ids(outside_of or (), IndexError))
+    variables = set() if outside_of is not None else set(
+        universe if of is None else as_ids(of, UnknownAxisError))
+    # The positions that the backward pass gives an outside factor: the
+    # wanted inputs, and the message of each visited bucket.
+    sends = set(wanted)
+    for v, positions, _, _, message, _ in records:
+        if v in variables or not sends.isdisjoint(positions):
+            sends.add(message)
+    steps = []
+    for r in reversed(range(len(records))):
+        v, positions, axes, scope, message, kernel = records[r]
         if message not in sends:
             continue
-        out = outside.pop(message)
         if not positions:
-            result[v] = np.full(tn.universe[v], float(out))
+            steps.append((r, message, v, universe[v], None, ()))
             continue
-        subscripts, output, cells = derived
-        letter = subscripts[0][axes[0].index(v)]  # every operand holds v
-        if v in variables:
-            result[v] = _contract(
-                [*axes, scopes[message]], [*bucket, out], (v,), [*subscripts, output], letter, cells
-            )
+        cells, (strings, output) = kernel[:2]
+        scopes, strings = (*axes, scope), (*strings, output)
+        letter = strings[0][axes[0].index(v)]  # every operand holds v
+        marginal = v in variables and _routed(scopes, (strings, letter), universe, (v,), cells)
+        ones = universe[v] if len(positions) == 1 else None
+        if ones is not None:  # `out` holds every axis of the bucket but v
+            scopes, strings = (*scopes, (v,)), (*strings, letter)
+        sent = []
         for m, i in enumerate(positions):
             if i in sends:
-                other_axes = [*axes[:m], *axes[m + 1 :], scopes[message]]
-                others = [*bucket[:m], *bucket[m + 1 :], out]
-                strings = [*subscripts[:m], *subscripts[m + 1 :], output]
-                if len(bucket) == 1:  # `out` holds every axis of the bucket but v
-                    other_axes.append((v,))
-                    others.append(np.ones(tn.universe[v]))
-                    strings.append(letter)
-                outside[i] = _contract(other_axes, others, axes[m], strings, subscripts[m], cells)
-    if outside_of is None:
-        return result
-    return {i: outside[i] for i in sorted(wanted)}
+                others = [*scopes[:m], *scopes[m + 1 :]]
+                subscripts = [*strings[:m], *strings[m + 1 :]], strings[m]
+                sent.append((m, i, ones, _routed(others, subscripts, universe, axes[m], cells)))
+        steps.append((r, message, v, None, marginal, tuple(sent)))
+    finals = tuple(i for i, alive in enumerate(live) if alive)
+    return _Backward(finals, tuple(steps), None if outside_of is None else tuple(sorted(wanted)))
 
 
 def contract_all(tn: TensorNetwork) -> float:

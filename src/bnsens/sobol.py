@@ -176,10 +176,10 @@ def _divisors(queries: Sequence[_Query], j: TensorNetwork, priors: dict | None) 
         reciprocal(a) for a in network._executed(q.divide, arrays)] for q in queries)
 
 
-def _second_moment(query: _Query, t: list, divisor: list) -> float:
-    """`query`'s moment over `t`'s arrays and its `divisor` (`_divisors`)."""
-    reduced = network._executed(query.reduce, t)
-    (table,) = network._executed(query.square, [*reduced, *reduced, *divisor])
+def _second_moment(query: _Query, t: list, divisor: list, held: tuple = (None, None)) -> float:
+    """`query`'s moment over `t`'s arrays and `divisor`, with the messages `held` (`_free`)."""
+    reduced = network._executed(query.reduce, t, held[0])
+    (table,) = network._executed(query.square, [*reduced, *reduced, *divisor], held[1])
     return network._checked(float(table), [*reduced, *divisor])
 
 
@@ -191,7 +191,7 @@ def _cpus() -> int:
 
 
 def _second_moments(t: list, tasks: Sequence[tuple], workers: int) -> list:
-    """The `_second_moment` over `t` of each (query, divisor) of `tasks`, or
+    """The `_second_moment` over `t` of each (query, divisor, held) of `tasks`, or
     its exception: the caller and up to `workers` - 1 helpers each take the
     next query until all have run, each doing the same arithmetic on any
     thread. The helpers are joined before this returns or raises."""
@@ -205,7 +205,7 @@ def _second_moments(t: list, tasks: Sequence[tuple], workers: int) -> list:
             if q >= len(tasks):
                 return
             try:
-                results[q] = _second_moment(tasks[q][0], t, tasks[q][1])
+                results[q] = _second_moment(tasks[q][0], t, *tasks[q][1:])
             except Exception as exc:  # re-raised by the caller, in list order
                 results[q] = exc
 
@@ -284,17 +284,20 @@ _Key = namedtuple("_Key", "output evidence first total closed")
 _Plan = namedtuple(
     "_Plan", "key notes relevant forward joined shared calibrate targets "
     "queried totaled zero_s zero_st separated unscreened users pairs coupled "
-    "j_pass build universe keeps queries largest kept")
+    "j_pass build universe keeps queries largest tables t_marginals j_marginals outside kept")
 _Plan.__doc__ = """All that an analysis under `key` derives from scopes alone (`_planned`):
-    its nodes and exact zeros, the records of each elimination (`forward` to
-    O's bucket, `joined` with g, the `coupled` network's, a dependent `j`'s
-    calibration `j_pass`, `t`'s `build`), the per-query `keeps` and their
-    programs (`queries`, `_plan`), so that a run orders nothing; `notes` are
-    its DEBUG lines. `kept`, None until a first run returns, holds by name,
-    read-only, what runs made that reads no g (`_run`): the first run's
+    its nodes and exact zeros, the records of each elimination, with their
+    kernels (`forward` to O's bucket, `joined` with g, the `coupled`
+    network's, a dependent `j`'s calibration `j_pass`, `t`'s `build`), the
+    per-query `keeps` and their programs (`queries`, `_plan`), the `tables`
+    a run takes (P(O)'s; T's and J's) and the `marginals` backward programs
+    (`t_full`'s and `j`'s calibrations, the couplings' `outside` factors),
+    so that a run derives nothing; `notes` are its DEBUG lines. `kept`,
+    None until a first run returns, holds by name, read-only, what runs
+    made that reads no g (`_run`): the first run's
     arrays but messages (the probability network, P(O), the reciprocals of
     J's sums, the priors, a dependent `j`'s marginals, the divisors); the
-    second run's messages (`_free`).
+    second run's messages (`_free`), each query's apart.
 
     The shared elimination is taken when the table over the evidence and
     the output (the product of their cardinalities, a Python int) has at
@@ -323,16 +326,17 @@ def _kept(found: dict, name: str, make: Callable):
     return found[name]
 
 
-def _free(plan: _Plan, found: dict, name: str, dependent: set) -> dict | None:
-    """None in a first run of `plan`, else the kept messages of its records `name` that
-    read no value, None by position: of a bucket with no operand in `dependent` (g, its
-    replica) nor the message of one that has. Only a network analysed again reads them."""
-    if plan.kept is not None and name not in found:
-        free = set()
-        for _, positions, _, _, message, _ in getattr(plan, name):
-            (free if dependent.isdisjoint(positions) else dependent).add(message)
-        found[name] = dict.fromkeys(free)
-    return found.get(name)
+def _free(records: Sequence, reads: Sequence[bool]) -> tuple[dict, list]:
+    """The messages of `records` that read no value, None by position, over
+    operands of which `reads` flags, by position, those that do (g, its
+    replica, a message of one); and the flags of the operands left live. Only
+    a network analysed again reads them: a run keeps them once `_Plan.kept` is."""
+    reads, taken = [*reads], set()
+    for _, positions, _, _, _, _ in records:
+        reads.append(any(reads[i] for i in positions))
+        taken.update(positions)
+    free = dict.fromkeys(i for i in range(len(reads) - len(records), len(reads)) if not reads[i])
+    return free, [r for i, r in enumerate(reads) if i not in taken]
 
 
 def _frozen(found: dict) -> types.MappingProxyType:
@@ -380,13 +384,18 @@ def _planned(bn: DiscreteBayesNet, key: _Key) -> tuple[_Plan, TensorNetwork, Ten
     schedule = network.Schedule(universe, [*scopes])
     kept = evidence | {output} if shared else {output}
     forward = schedule.derive(network._order(scopes, universe, kept))
+    tables = [schedule.tabled()]
     joined = schedule.derive((output,), [(output,)]) if shared or calibrate else ()
     pairs = coupled = j_pass = build = keeps = queries = largest = None
+    j_marginals = outside = None
+    t_marginals = network._backward(universe, [*forward, *joined], schedule.live,
+                                    of=[*queried, output]) if calibrate else None
+    j_schedule = network.Schedule(j.universe, [f.axes for f in j.factors])
     if calibrate and not independent:
-        j_scopes = [f.axes for f in j.factors]
-        j_pass = network.Schedule(j.universe, j_scopes).derive(
-            network._order(j_scopes, j.universe, set()))
+        j_pass = j_schedule.derive(network._order(j_schedule.scopes, j.universe, set()))
+        j_marginals = network._backward(j.universe, j_pass, j_schedule.live, of=queried)
     if shared:
+        tables += [schedule.tabled(), j_schedule.tabled()]
         notes.append(("shared-elimination plan: table over the evidence and the output "
                       "%d cells, at most %d", shared_cells, SHARED_ELIMINATION_CELLS))
     else:
@@ -408,7 +417,10 @@ def _planned(bn: DiscreteBayesNet, key: _Key) -> tuple[_Plan, TensorNetwork, Ten
                           "" if coupled_cells < reduce_cells else " declined", coupled_cells,
                           "at least " if t_order is None else "", reduce_cells))
         if coupled_cells and coupled_cells < reduce_cells:
-            coupled = network.Schedule(squared_universe, squared).derive(coupled_order, pairs)
+            couplings = range(len(squared), len(squared) + len(pairs))  # their positions
+            c_schedule = network.Schedule(squared_universe, squared)
+            coupled = c_schedule.derive(coupled_order, pairs)
+            outside = network._backward(squared_universe, coupled, c_schedule.live, None, couplings)
         else:
             notes.append(("per-query plan: table over the evidence and the output %d cells, "
                           "above %d; building t %d cells",
@@ -428,7 +440,8 @@ def _planned(bn: DiscreteBayesNet, key: _Key) -> tuple[_Plan, TensorNetwork, Ten
         key, tuple(notes), relevant, forward, joined, shared, calibrate,
         tuple(targets), tuple(queried), tuple(totaled), zero_s, zero_st, separated, unscreened,
         len(queried) + len(totaled) + len(unseparated), pairs, coupled, j_pass, build,
-        evidence_universe, keeps, queries, largest, None), mrf, j
+        evidence_universe, keeps, queries, largest, tuple(tables), t_marginals, j_marginals,
+        outside, None), mrf, j
 
 
 def compute_all(
@@ -511,9 +524,10 @@ def _run(plan: _Plan, mrf: TensorNetwork, j: TensorNetwork, bn: DiscreteBayesNet
     values = output_values(bn, spec)
     low, spread = float(values.min()), float(np.ptp(values)) or 1.0
     forward = network.Elimination(found["mrf"], records=plan.calibrate).run(
-        (), records=plan.forward, kept=_free(plan, found, "forward", set()))
+        (), records=plan.forward, kept=plan.kept and _kept(found, "forward", lambda: _free(
+            plan.forward, [False] * len(found["mrf"].factors))[0]))
     if (p_out := found.get("p_out")) is None:
-        axes, table = forward.table()
+        axes, table = forward.table(plan.tables[0])
         p_out = found["p_out"] = table.sum(axis=tuple(a for a, k in enumerate(axes) if k != output))
     unit = (values - low) / spread
     centre = float(unit @ p_out)
@@ -586,8 +600,8 @@ def _shared(plan: _Plan, found: dict, forward: network.Elimination, value_factor
     kept by `keep`, as the first run read them."""
     t0 = time.perf_counter()
     forward.run((), value_factor, records=plan.joined)
-    table = forward.table()[1]
-    j_table = None if j is None else network.Elimination(j).table()[1]  # J, for a first run
+    table = forward.table(plan.tables[1])[1]
+    j_table = None if j is None else network.Elimination(j).table(plan.tables[2])[1]  # J, first run
     inverses = _kept(found, "inverses", dict)
 
     def moment(keep: frozenset[int]) -> float:
@@ -615,9 +629,9 @@ def _calibration(plan: _Plan, found: dict, forward: network.Elimination, value_f
     if plan.calibrate:
         t0 = time.perf_counter()
         forward.run((), value_factor, records=plan.joined)
-        t_marginals = marginals(forward, of=[*plan.queried, plan.key.output])
+        t_marginals = marginals(forward, program=plan.t_marginals)
         j_marginals = priors if priors is not None else _kept(found, "marginals", lambda: marginals(
-            network.Elimination(j).run((), records=plan.j_pass), of=plan.queried))
+            network.Elimination(j).run((), records=plan.j_pass), program=plan.j_marginals))
         for i in plan.queried:
             t_i = t_marginals[i]
             moments[frozenset({i})] = float(t_i @ (t_i * reciprocal(j_marginals[i])))
@@ -645,10 +659,11 @@ def _coupled(plan: _Plan, found: dict, forward: network.Elimination, value_facto
     diagonals = _kept(found, "diagonals", lambda: [np.diag(reciprocal(p)) for p in priors.values()])
     couplings = [trusted(Factor, *c) for c in zip(plan.pairs, diagonals)]
     start, g_at = len(squared.factors), len(mrf.factors)  # g_at: g's position in t_full
+    reads = [i in (g_at, 2 * g_at + 1) for i in range(start + len(couplings))]  # g, its replica
     coupled = network.Elimination(squared).run(
         (), *couplings, records=plan.coupled,
-        kept=_free(plan, found, "coupled", {g_at, 2 * g_at + 1}))  # g and its replica
-    outside = marginals(coupled, outside_of=range(start, start + len(priors)))
+        kept=plan.kept and _kept(found, "coupled", lambda: _free(plan.coupled, reads)[0]))
+    outside = marginals(coupled, program=plan.outside)
     without = {k: float(outside[p].sum()) for p, k in enumerate(priors, start)}
     moments[plan.key.evidence] = float(np.sum(outside[start] * diagonals[0]))
     st_share = (time.perf_counter() - t0) / max(len(plan.totaled), 1)
@@ -673,11 +688,15 @@ def _per_query(plan: _Plan, found: dict, forward: network.Elimination, value_fac
     mean, moments, s_share, t0 = _calibration(plan, found, forward, value_factor, mean, j, priors)
     divisors = _kept(found, "divisors", lambda: _divisors(plan.queries, j, priors))
     t_full = [*(f.values for f in found["mrf"].factors), value_factor.values]
-    held = _free(plan, found, "build", {len(t_full) - 1})  # g, last in t_full
-    t = network._executed(plan.build, t_full, held)
+    reads = [False] * (len(t_full) - 1) + [True]  # g, last in t_full
+    held = plan.kept and _kept(found, "build", lambda: _free(plan.build, reads))
+    t = network._executed(plan.build, t_full, held and held[0])
+    queries = plan.kept and _kept(found, "queries", lambda: [  # each query's, reduce and square
+        (free, _free(q.square, [*reduced, *reduced, *[False] * len(d)])[0])
+        for q, d in zip(plan.queries, divisors) for free, reduced in [_free(q.reduce, held[1])]])
     threaded = plan.largest >= THREAD_CELLS_PER_VARIABLE * len(plan.universe)
-    results = _second_moments(t, [*zip(plan.queries, divisors)],
-                              min(_cpus(), len(plan.keeps)) if threaded else 1)
+    tasks = [*zip(plan.queries, divisors, queries or itertools.repeat((None, None)))]
+    results = _second_moments(t, tasks, min(_cpus(), len(plan.keeps)) if threaded else 1)
     failure = next((r for r in results if isinstance(r, BaseException)), None)
     if failure is results[0]:
         raise failure  # Var[f]'s query, the first, failed

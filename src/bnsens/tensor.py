@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import AxisCardinalityMismatchError, UnknownAxisError
+from .graph import as_ids
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,7 +30,7 @@ class Factor:
     values: np.ndarray
 
     def __post_init__(self):
-        axes = tuple(int(a) for a in self.axes)
+        axes = tuple(as_ids(self.axes))
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "values", values)
@@ -88,7 +89,7 @@ def factor_product(a: Factor, b: Factor) -> Factor:
 
 def factor_sum_out(a: Factor, variables: Iterable[int]) -> Factor:
     """Sum the given axes away; the result ranges over the remaining ones."""
-    drop = {int(v) for v in variables}
+    drop = set(as_ids(variables, UnknownAxisError))
     unknown = drop - set(a.axes)
     if unknown:
         raise UnknownAxisError(f"cannot sum out {sorted(unknown)}: not axes of {a.axes}")

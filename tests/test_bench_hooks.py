@@ -133,7 +133,7 @@ def test_coupled_order_from_scopes_is_the_order_of_the_built_network(
         return run(self, order, *factors, **kwargs)
 
     def recording_calibration(tn, **kwargs):
-        if kwargs.get("outside_of") is not None:
+        if kwargs["program"].outside is not None:  # the couplings' outside factors
             calibrated.append(tn)
         return calibrate(tn, **kwargs)
 
@@ -182,7 +182,7 @@ def test_dense_card_never_builds_the_coupled_network(monkeypatch, caplog):
         return run(self, order, *factors, **kwargs)
 
     def recording_calibration(tn, **kwargs):
-        calibrated.append((set(tn.universe), kwargs.get("outside_of")))
+        calibrated.append((set(tn.universe), kwargs["program"].outside))
         return calibrate(tn, **kwargs)
 
     monkeypatch.setattr(bnsens.sobol.np, "diag", refuse)

@@ -387,7 +387,7 @@ def test_main_lets_an_untyped_error_propagate(monkeypatch):
 
 
 def test_out_of_memory_exits_4(monkeypatch, capsys):
-    def refuse(scopes, arrays, axes, *subscripts):
+    def refuse(kernel, arrays):
         raise MemoryError("cannot allocate the bucket")
 
     monkeypatch.setattr(bnsens.network, "_contract", refuse)

@@ -12,11 +12,13 @@ from bnsens import (
     AnalysisSpec,
     AxisCardinalityMismatchError,
     ContractionUnderflowWarning,
+    Cpt,
     Factor,
     PartitionError,
     StateSpaceTooLargeError,
     TensorNetwork,
     UnknownAxisError,
+    ValidationError,
     ancestors,
     collapse,
     contract_all,
@@ -316,23 +318,39 @@ def test_outside_factors_give_the_contraction_with_and_without_each_input(
         )
 
 
+def _recording_kernels(patch) -> dict:
+    """Hook `bnsens.network._routed`, which every kernel comes from, forward
+    or backward: each kernel derived from now on, by id, with its scopes
+    and axes (the kernel kept alive)."""
+    route, derived = bnsens.network._routed, {}
+
+    def recorded(scopes, subscripts, cards, axes, cells):
+        kernel = route(scopes, subscripts, cards, axes, cells)
+        derived[id(kernel)] = (kernel, list(scopes), tuple(axes))
+        return kernel
+
+    patch.setattr(bnsens.network, "_routed", recorded)
+    return derived
+
+
 @pytest.mark.parametrize(
     "route_cells", [bnsens.network.ROUTE_CELLS, 0], ids=["routes", "all-routed"]
 )
 def test_backward_pass_is_bitwise_a_fresh_einsum_of_each_call(monkeypatch, route_cells):
-    # The backward pass joins the subscripts its buckets derived forward,
-    # whose letters follow each bucket's operands rather than the call's
-    # own. Each array it computes, marginal or outside factor, must still
-    # equal bit for bit the `_einsum` of the same operands in the same
-    # order. Squared networks give buckets of many operands; ROUTE_CELLS 0
-    # sends every call through the fold and matmul routes.
+    # The backward pass derives each kernel over the letters of the bucket
+    # it came from, whose letters follow that bucket's operands rather than
+    # the call's own. Each array it computes, marginal or outside factor,
+    # must still equal bit for bit the `_einsum` of the same operands in
+    # the same order. Squared networks give buckets of many operands;
+    # ROUTE_CELLS 0 sends every call through the fold and matmul routes.
     monkeypatch.setattr(bnsens.network, "ROUTE_CELLS", route_cells)
-    contract, derive = bnsens.network._contract, bnsens.network._subscripts
+    contract, derive = bnsens.network._contract, bnsens.network._kernel
+    derived = _recording_kernels(monkeypatch)
     calls = []
 
-    def recorded(scopes, arrays, axes, *subscripts):
-        out = contract(scopes, arrays, axes, *subscripts)
-        calls.append((list(scopes), list(arrays), tuple(axes), subscripts, out))
+    def recorded(kernel, arrays):
+        out = contract(kernel, arrays)
+        calls.append((kernel, list(arrays), out))
         return out
 
     relettered = 0
@@ -350,25 +368,30 @@ def test_backward_pass_is_bitwise_a_fresh_einsum_of_each_call(monkeypatch, route
                 patch.setattr(bnsens.network, "_contract", recorded)
                 got = marginals(forward, **form)
             assert calls and got
-            for scopes, arrays, axes, subscripts, out in calls:
+            for kernel, arrays, out in calls:
+                _, scopes, axes = derived[id(kernel)]
                 fresh = bnsens.network._einsum(scopes, arrays, axes)
                 assert out.shape == fresh.shape and np.array_equal(out, fresh)
-                cards = {ax: n for s, a in zip(scopes, arrays) for ax, n in zip(s, a.shape)}
-                relettered += derive(scopes, cards, axes) != subscripts
-    assert relettered  # calls whose fresh letters differ from the recorded ones
+                own = {ax: n for s, a in zip(scopes, arrays) for ax, n in zip(s, a.shape)}
+                relettered += derive(scopes, own, axes)[1] != kernel[1]
+    assert relettered  # calls whose fresh letters differ from the derived ones
 
 
 def test_marginals_derive_subscripts_once_per_forward_bucket(monkeypatch):
-    # Every bucket with operands derives its subscripts once, forward; the
-    # backward pass, in all three forms, derives none.
-    derive = bnsens.network._subscripts
+    # Every bucket with operands derives its subscripts once, forward, with
+    # its kernel; the backward pass, in all three forms, derives none: its
+    # program letters each kernel by its forward bucket's subscripts. Run
+    # from a program derived before, it derives no kernel either, and gives
+    # the same bits.
+    derive = bnsens.network._kernel
     derived = []
 
     def counted(scopes, cards, axes):
         derived.append(tuple(axes))
         return derive(scopes, cards, axes)
 
-    monkeypatch.setattr(bnsens.network, "_subscripts", counted)
+    monkeypatch.setattr(bnsens.network, "_kernel", counted)
+    kernels = _recording_kernels(monkeypatch)
     for seed in range(20):
         rng = np.random.default_rng(seed)
         universe = {i: int(rng.integers(2, 4)) for i in range(int(rng.integers(2, 7)))}
@@ -378,13 +401,73 @@ def test_marginals_derive_subscripts_once_per_forward_bucket(monkeypatch):
         for form in ({}, {"of": [0]}, {"outside_of": [0]}):
             derived.clear()
             forward = Elimination(tn).run(order)
-            buckets = sum(1 for record in forward.buckets if record[1])
+            buckets = sum(1 for record in forward.records if record[1])
             assert len(derived) == buckets < len(tn.universe)
             derived.clear()
-            marginals(forward, **form)
-            assert derived == []
+            program = bnsens.network._backward(tn.universe, forward.records, forward.live, **form)
+            kernels.clear()
+            got = marginals(forward, program=program)
+            assert derived == [] and kernels == {}
+            assert got.keys() == marginals(Elimination(tn).run(order), **form).keys()
+            derived.clear()
+            expected = marginals(Elimination(tn).run(order), **form)
+            assert len(derived) == buckets
+            assert all(np.array_equal(got[k], expected[k]) for k in got)
+        derived.clear()
         marginals(tn)
         assert len(derived) == buckets
+
+
+def _kernel_case(name):
+    """Scopes, cardinalities and kept axes of a contraction that takes the
+    named route at the default ROUTE_CELLS (4096)."""
+    threes = {ax: 3 for ax in range(9)}
+    if name == "einsum":  # 27 cells
+        return [(0, 1), (1, 2), (2,)], {0: 3, 1: 3, 2: 3}, (0, 2)
+    if name == "lone":  # einsum hands back a view of a lone operand
+        return [(1, 0)], {1: 3, 0: 2}, (0, 1)
+    if name == "scalars":
+        return [(), (0, 1), (), (1,)], {0: 2, 1: 3}, (0,)
+    if name == "fold":  # 3^8 cells: the vectors fold, four operands meet in einsum
+        scopes = [(0,), tuple(range(8)), (4,), (0,), tuple(range(8)), (4,)]
+        return scopes, {ax: 3 for ax in range(8)}, tuple(range(1, 8))
+    if name == "fold-matmul":  # 3^8 cells: the vector folds into b, a and b pair
+        scopes = [tuple(range(7)), (5,), (7, 5, 4, 6)]
+        return scopes, {**threes, 7: 3}, (0, 1, 2, 3, 7)
+    # 70 operands over axis 0 and one over (0, 1): chunks of EINSUM_OPERANDS
+    return [(0,)] * 69 + [(1, 0)], {0: 2, 1: 3}, (1,)
+
+
+@pytest.mark.parametrize(
+    "route_cells", [bnsens.network.ROUTE_CELLS, 0], ids=["routes", "all-routed"]
+)
+@pytest.mark.parametrize("name", ["einsum", "lone", "scalars", "fold", "fold-matmul", "chunked"])
+def test_a_kernel_from_scopes_runs_any_arrays_of_its_shapes(monkeypatch, route_cells, name):
+    # A kernel is derived from scopes and cardinalities alone, then run on
+    # two sets of arrays of the same shapes: each result has the bits of a
+    # fresh `_einsum` of those arrays, which derives its own kernel, is the
+    # summed product, and shares no memory with an operand.
+    monkeypatch.setattr(bnsens.network, "ROUTE_CELLS", route_cells)
+    scopes, cards, axes = _kernel_case(name)
+    kernel = bnsens.network._kernel(scopes, cards, axes)
+    cells, _, chunks, folds, _, route = kernel
+    assert cells == math.prod(cards.values())
+    if route_cells:
+        assert bool(chunks) == (name == "chunked")
+        assert bool(folds) == (name in ("fold", "fold-matmul"))
+        assert isinstance(route, str) == (name not in ("fold-matmul", "chunked"))  # matmul, kernel
+    rng = np.random.default_rng(len(scopes))
+    for _ in range(2):
+        arrays = [rng.uniform(-1.5, 1.5, size=[cards[ax] for ax in s]) for s in scopes]
+        copies = [a.copy() for a in arrays]
+        out = bnsens.network._contract(kernel, arrays)
+        fresh = bnsens.network._einsum(scopes, arrays, axes)
+        assert out.shape == fresh.shape == tuple(cards[ax] for ax in axes)
+        assert np.array_equal(out, fresh)
+        expected = _stepwise([factor_of(s, a) for s, a in zip(scopes, arrays)], set(cards) - {*axes})
+        np.testing.assert_allclose(out, expected.values, rtol=1e-12, atol=1e-12)
+        assert all(np.array_equal(a, c) for a, c in zip(arrays, copies))
+        assert not any(np.shares_memory(out, a) for a in arrays)
 
 
 def test_contract_empty_network_is_one():
@@ -830,10 +913,18 @@ _MAP = {"0": 0.0, "1": 1.0}
         (lambda v: separated_evidence(_CHAIN.dag(), v, [0]), 1, ValueError),
         (lambda v: min_weight_order([(0, 1)], {0: 2, 1: 2}, keep=[v]), 0, ValueError),
         (lambda v: encode_utility_node(_CHAIN, lambda c: c[0], [v], "01"), 0, ValueError),
+        (lambda v: Factor((v,), np.ones(2)), 0, ValueError),
+        (lambda v: Cpt(v, (), [[0.2, 0.8]]), 1, ValidationError),
+        (lambda v: Cpt(1, (v,), [[0.2, 0.8], [0.6, 0.4]]), 0, ValidationError),
+        (lambda v: TensorNetwork({0: 2, v: 3}), 1, UnknownAxisError),
+        (lambda v: factor_sum_out(Factor((0, 1), np.ones((2, 3))), [v]), 1, UnknownAxisError),
+        (lambda v: marginals(mrf_from_bn(_CHAIN), of=[v]), 1, UnknownAxisError),
+        (lambda v: marginals(mrf_from_bn(_CHAIN), outside_of=[v]), 1, IndexError),
     ],
     ids=["spec-output", "spec-evidence", "mrf_from_bn", "marginalize", "collapse",
          "square_wrt", "ancestors", "separated_evidence", "min_weight_order",
-         "encode_utility_node"],
+         "encode_utility_node", "factor", "cpt-child", "cpt-parents", "tensor_network",
+         "factor_sum_out", "marginals-of", "marginals-outside_of"],
 )
 def test_ids_must_be_integers(call, valid, error, bad):
     # A float is not truncated nor a str parsed to the id it names: 1.7 or

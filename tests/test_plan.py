@@ -110,7 +110,7 @@ def test_a_kept_plan_gives_the_bits_of_a_fresh_analysis(
         assert _plan_names(caplog) == [plan]
     # The run changed nothing the plan holds; it added the messages it keeps.
     after = bnsens.sobol._plans[bn]
-    assert after.kept.keys() - first.kept.keys() <= {"forward", "build", "coupled"}
+    assert after.kept.keys() - first.kept.keys() <= {"forward", "build", "coupled", "queries"}
     assert repr(after._replace(kept=types.MappingProxyType(
         {k: v for k, v in after.kept.items() if k in first.kept}))) == kept
     assert bool(threads) == (patches.get("_cpus", lambda: 1)() > 1)
@@ -172,36 +172,26 @@ def test_a_repeated_analysis_contracts_only_what_reads_the_value_map(monkeypatch
     # nor the evidence marginal, nor its priors. Every kept array is
     # read-only, and an array the value map made is not, so a contraction of
     # kept arrays alone would repeat value-free work: from the third
-    # analysis on, each `_contract` reads an array of its own run. Not yet
-    # inside the per-query queries, whose programs run whole, so a bucket
-    # over kept arrays alone is contracted again there in every analysis;
-    # their calls are not checked.
+    # analysis on, each `_contract` reads an array of its own run, inside
+    # the per-query queries too, which keep their messages one query apart.
     monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: 1)
     bn, spec = _workload(monkeypatch, name)
     compute_all(bn, spec)
-    assert not bnsens.sobol._plans[bn].kept.keys() & {"forward", "build", "coupled"}
-    calls, querying = [], []
+    assert not bnsens.sobol._plans[bn].kept.keys() & {"forward", "build", "coupled", "queries"}
+    calls = []
 
     def hooked(module, attr, wrap):
         original = getattr(module, attr)
         monkeypatch.setattr(module, attr, lambda *args, **kwargs: wrap(original, *args, **kwargs))
 
-    def contracting(original, scopes, operands, *args):
-        calls.append(bool(querying) or any(a.flags.writeable for a in operands))
-        return original(scopes, operands, *args)
-
-    def query(original, *args):
-        querying.append(True)
-        try:
-            return original(*args)
-        finally:
-            querying.pop()
+    def contracting(original, kernel, operands):
+        calls.append(any(a.flags.writeable for a in operands))
+        return original(kernel, operands)
 
     def refused(original, *args, **kwargs):
         raise AssertionError("a repeated analysis rebuilt a value-free array")
 
     hooked(bnsens.network, "_contract", contracting)
-    hooked(bnsens.sobol, "_second_moment", query)
     compute_all(_fresh(bn), spec)
     cold, calls[:] = len(calls), []
     for attr in ("mrf_from_bn", "marginalize", "_priors"):
@@ -216,9 +206,10 @@ def test_a_repeated_analysis_contracts_only_what_reads_the_value_map(monkeypatch
 
 @pytest.mark.parametrize("name", ["grid3e16", "sparse200", "dense-card", "dependent"])
 def test_a_second_analysis_orders_and_derives_nothing(monkeypatch, name):
-    # Every ordering, `least_cells`, `separated_evidence` and every bucket
-    # record belongs to the plan, and so does the calibration of a dependent
-    # evidence marginal; the hooks see them in a cold analysis.
+    # Every ordering, `least_cells`, `separated_evidence`, every bucket
+    # record and every kernel, forward, backward or of a table, belongs to
+    # the plan, and so do the calibration of a dependent evidence marginal
+    # and the backward programs; the hooks see them in a cold analysis.
     bn, spec = _workload(monkeypatch, name)
     symbolic = []
 
@@ -243,22 +234,27 @@ def test_a_second_analysis_orders_and_derives_nothing(monkeypatch, name):
     counted(bnsens.network, "min_weight_order")
     counted(bnsens.sobol, "least_cells")
     counted(bnsens.sobol, "separated_evidence")
+    counted(bnsens.network, "_routed")  # every kernel: `_kernel`'s and the backward pass's
+    counted(bnsens.network, "_backward")
     monkeypatch.setattr(bnsens.network.Schedule, "derive", deriving)
     compute_all(bn, _remapped(spec))
     assert symbolic == []
     compute_all(_fresh(bn), spec)
-    assert {"min_weight_order", "separated_evidence", "derive"} <= set(symbolic)
+    assert {"min_weight_order", "separated_evidence", "derive", "_routed"} <= set(symbolic)
+    assert ("_backward" in symbolic) == (name != "sparse200")  # the shared plan calibrates none
 
 
 @pytest.mark.parametrize("name", ["grid3e16", "sparse200", "dense-card", "dependent"])
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_first_run_orders_and_derives_nothing(monkeypatch, name, cpus):
     # The plan holds every program of a first analysis, each query's and
-    # the calibration of a dependent evidence marginal included: once
-    # `_planned` returns, no ordering and no bucket record is made.
+    # the calibration of a dependent evidence marginal included, with every
+    # kernel and backward program: once `_planned` returns, no ordering,
+    # bucket record, kernel or backward program is derived.
     monkeypatch.setattr(bnsens.sobol, "_cpus", lambda: cpus)
     bn, spec = _workload(monkeypatch, name)
     order, derive = bnsens.network.min_weight_order, bnsens.network.Schedule.derive
+    route, backward = bnsens.network._routed, bnsens.network._backward
     plan = bnsens.sobol._planned
     calls, planned = {"before": [], "after": []}, []
 
@@ -275,12 +271,23 @@ def test_a_first_run_orders_and_derives_nothing(monkeypatch, name, cpus):
         calls["after" if planned else "before"].append("derive")
         return derive(self, *args, **kwargs)
 
+    def routing(*args):
+        calls["after" if planned else "before"].append("kernel")
+        return route(*args)
+
+    def programming(*args, **kwargs):
+        calls["after" if planned else "before"].append("backward")
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(bnsens.network, "_routed", routing)
+    monkeypatch.setattr(bnsens.network, "_backward", programming)
     monkeypatch.setattr(bnsens.sobol, "_planned", planning)
     monkeypatch.setattr(bnsens.network, "min_weight_order", ordering)
     monkeypatch.setattr(bnsens.network.Schedule, "derive", deriving)
     compute_all(bn, spec, ComputeOptions(closed=((min(spec.evidential), 9),))
                 if name == "dependent" else None)
-    assert planned == [True] and "order" in calls["before"] and calls["after"] == []
+    derived = {"order", "kernel"} | ({"backward"} if name != "sparse200" else set())
+    assert planned == [True] and derived <= {*calls["before"]} and calls["after"] == []
 
 
 def test_a_changed_key_builds_a_new_plan(monkeypatch):

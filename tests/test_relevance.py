@@ -100,7 +100,7 @@ def with_barren_nodes(bn, spec, count, seed):
 def test_barren_subnetwork_changes_nothing(instance_seed, count, barren_seed):
     bn, spec = random_instance(instance_seed, max_nodes=7, max_evidence=4)
     grown, grown_spec, barren = with_barren_nodes(bn, spec, count, barren_seed)
-    derive = bnsens.network._subscripts  # once per bucket and per table
+    derive = bnsens.network._kernel  # once per bucket and per table, forward or backward
     named_axes: set[int] = set()
     summed = []  # the variables summed away by each call
 
@@ -109,7 +109,7 @@ def test_barren_subnetwork_changes_nothing(instance_seed, count, barren_seed):
         summed.append(set(cards).difference(axes))
         return derive(scopes, cards, axes)
 
-    with mock.patch.object(bnsens.network, "_subscripts", recording):
+    with mock.patch.object(bnsens.network, "_kernel", recording):
         report = compute_all(grown, grown_spec)
     assert any(summed)  # the hook saw the elimination buckets, not only tables
     assert not named_axes & barren

@@ -107,13 +107,13 @@ def test_constant_map_is_degenerate(chain):
 def test_not_evidential_rejected(chain, chain_analysis, monkeypatch):
     # Closed subsets are checked before anything is eliminated.
     eliminated = []
-    derive = bnsens.network._subscripts  # once per bucket and per table
+    derive = bnsens.network._kernel  # once per bucket and per table, forward or backward
 
     def recording(scopes, cards, axes):
         eliminated.append(set(cards).difference(axes))
         return derive(scopes, cards, axes)
 
-    monkeypatch.setattr(bnsens.network, "_subscripts", recording)
+    monkeypatch.setattr(bnsens.network, "_kernel", recording)
     for subset in ((), (1,), (0, 0)):
         with pytest.raises(NotEvidentialError):
             compute_all(chain, chain_analysis, ComputeOptions(closed=(subset,)))
@@ -329,14 +329,15 @@ def test_shared_elimination_times_share_the_tables(monkeypatch):
     # times of the 4 first-order, 4 total and 1 closed index taken from
     # them must add up to the tables' time, in equal shares.
     bn, spec = fan_in(4, 0)
-    eliminate = bnsens.network._eliminate
+    table = bnsens.network.Elimination.table
 
-    def slow(scopes, arrays):
-        if {ax for scope in scopes for ax in scope} == spec.evidential:
+    def slow(self, *args):
+        axes, values = table(self, *args)
+        if set(axes) == spec.evidential:
             time.sleep(0.02)
-        return eliminate(scopes, arrays)
+        return axes, values
 
-    monkeypatch.setattr(bnsens.network, "_eliminate", slow)
+    monkeypatch.setattr(bnsens.network.Elimination, "table", slow)
     entries = compute_all(bn, spec, ComputeOptions(closed=((0, 1),))).indices
     times = [e.s_time for e in entries] + [e.st_time for e in entries[:-1]]
     assert len(times) == 9
@@ -516,8 +517,8 @@ def test_output_marginal_from_the_forward_pass_is_the_collapse_bit_for_bit(
     table, execute = bnsens.network.Elimination.table, bnsens.network._execute
     tables, scalars = [], []
 
-    def recording(self):
-        tables.append(table(self))
+    def recording(self, *args):
+        tables.append(table(self, *args))
         return tables[-1]
 
     def executing(records, *args):
@@ -639,7 +640,7 @@ def test_shared_elimination_sums_the_chance_variables_out_once(monkeypatch, capl
     # ordering, of the chance variables when there are two or more, spans
     # no replica of the coupled network. `marginalize` builds the evidence
     # marginal, over An(E), and no other network.
-    derive = bnsens.network._subscripts  # once per bucket and per table
+    derive = bnsens.network._kernel  # once per bucket and per table, forward or backward
     order = bnsens.network.min_weight_order
     collapse, marginalize = bnsens.sobol.collapse, bnsens.sobol.marginalize
     dropped, ordered, collapsed, marginalized = [], [], [], []
@@ -660,7 +661,7 @@ def test_shared_elimination_sums_the_chance_variables_out_once(monkeypatch, capl
         marginalized.append(set(tn.universe))
         return marginalize(tn, eliminate)
 
-    monkeypatch.setattr(bnsens.network, "_subscripts", recording_derive)
+    monkeypatch.setattr(bnsens.network, "_kernel", recording_derive)
     monkeypatch.setattr(bnsens.network, "min_weight_order", recording_order)
     monkeypatch.setattr(bnsens.sobol, "collapse", recording_collapse)
     monkeypatch.setattr(bnsens.sobol, "marginalize", recording_marginalize)
@@ -720,7 +721,7 @@ def test_expected_value_without_first_order_takes_no_backward_pass(
         report = compute_all(bn, spec, ComputeOptions(first=False))
     assert _plans(caplog) == [plan]
     assert len(calibrated) == calibrations
-    assert all("outside_of" in kwargs for kwargs in calibrated)
+    assert all(kwargs["program"].outside is not None for kwargs in calibrated)
     assert report.expected_value == pytest.approx(
         compute_all(bn, spec).expected_value, abs=1e-15
     )
@@ -851,7 +852,7 @@ def test_compute_all_never_squares_chance_variables(monkeypatch):
     # squaring every interior node along with the evidence makes buckets of
     # ~3e9 cells. In the second network every node is relevant, and summing
     # its root out with the chance nodes kept makes a bucket of 1.28e8.
-    derive = bnsens.network._subscripts  # once per bucket and per table
+    derive = bnsens.network._kernel  # once per bucket and per table, forward or backward
     summed = []  # the variables summed away by each call
 
     def capped(scopes, cards, axes):
@@ -860,7 +861,7 @@ def test_compute_all_never_squares_chance_variables(monkeypatch):
         summed.append(set(cards).difference(axes))
         return derive(scopes, cards, axes)
 
-    monkeypatch.setattr(bnsens.network, "_subscripts", capped)
+    monkeypatch.setattr(bnsens.network, "_kernel", capped)
     bn, spec = layered_network(4, 10, 5, (5, 7))
     for entry in compute_all(bn, spec).indices:
         assert -1e-12 <= entry.s <= entry.st + 1e-12
@@ -1054,13 +1055,21 @@ def test_bucket_beyond_einsum_operand_cap_matches_stepwise(monkeypatch, caplog):
     assert _plans(caplog) == ["per-query"]
     assert f"table over the evidence and the output {2**66} cells" in caplog.text
 
-    def stepwise(scopes, arrays, axes, *subscripts):
+    # Each kernel a fresh network derives keeps its cells and subscripts,
+    # which the backward pass reads, then its scopes and axes, and
+    # contracting it multiplies its factors one by one.
+    def symbolic(scopes, subscripts, cards, axes, cells):
+        return cells, subscripts, list(scopes), tuple(axes)
+
+    def stepwise(kernel, arrays):
+        _, _, scopes, axes = kernel
         factors = [Factor(scope, a) for scope, a in zip(scopes, arrays)]
         product = reduce(factor_product, factors, Factor((), 1.0))
         return factor_sum_out(product, set(product.axes) - set(axes)).values
 
+    monkeypatch.setattr(bnsens.network, "_routed", symbolic)
     monkeypatch.setattr(bnsens.network, "_contract", stepwise)
-    reference = compute_all(bn, spec, first_only)
+    reference = compute_all(DiscreteBayesNet(variables, cpts), spec, first_only)
     assert len(fused.indices) == n + 1
     for a, b in zip(fused.indices, reference.indices):
         assert a.variables == b.variables
@@ -1518,7 +1527,7 @@ def test_failed_queries_raise_in_list_order_after_the_variance_check(monkeypatch
     bn, spec = _dense_card()
     query = bnsens.sobol._second_moment
 
-    def degenerate(query, t, divisor):
+    def degenerate(query, t, divisor, held):
         if query.keep == spec.evidential:
             return 0.0
         raise MemoryError("cannot allocate the bucket")
@@ -1527,9 +1536,9 @@ def test_failed_queries_raise_in_list_order_after_the_variance_check(monkeypatch
     with pytest.raises(DegenerateOutputError):
         compute_all(bn, spec)
 
-    def failing(q, t, divisor):
+    def failing(q, t, divisor, held):
         if q.keep == spec.evidential:
-            return query(q, t, divisor)
+            return query(q, t, divisor, held)
         time.sleep(0.01 * (8 - min(spec.evidential - q.keep)))  # later ones fail first
         raise ValueError(sorted(spec.evidential - q.keep))
 
@@ -1538,7 +1547,7 @@ def test_failed_queries_raise_in_list_order_after_the_variance_check(monkeypatch
         compute_all(bn, spec)
     assert first.value.args == ([0],)
 
-    def var_fails(query, t, divisor):
+    def var_fails(query, t, divisor, held):
         raise ValueError(len(query.keep))
 
     monkeypatch.setattr(bnsens.sobol, "_second_moment", var_fails)
@@ -1568,7 +1577,7 @@ def test_python_bound_queries_start_no_thread(monkeypatch):
 def test_per_query_programs_predict_the_cells_they_contract(monkeypatch, network):
     # Each bucket that the per-query plan programs, in t's build and in every
     # query, carries the cells a cap can check before any array exists: the
-    # `_contract` that runs it spans exactly those cells, and t's build
+    # `_contract` that runs its kernel spans exactly those cells, and t's build
     # spans the cells of the order that costed it.
     bn, spec = network()
     program, contract = bnsens.network._program, bnsens.network._contract
@@ -1579,20 +1588,20 @@ def test_per_query_programs_predict_the_cells_they_contract(monkeypatch, network
         programs.append((universe, order, records))
         return records, kept
 
-    def recording_contract(scopes, arrays, axes, subscripts, output, cells):
-        shape = {ax: n for scope, a in zip(scopes, arrays) for ax, n in zip(scope, a.shape)}
-        spans[id(subscripts)] = math.prod(shape.values())
-        return contract(scopes, arrays, axes, subscripts, output, cells)
+    def recording_contract(kernel, arrays):
+        spans[id(kernel)] = [a.shape for a in arrays]
+        return contract(kernel, arrays)
 
     monkeypatch.setattr(bnsens.network, "_program", recording_program)
     monkeypatch.setattr(bnsens.network, "_contract", recording_contract)
     compute_all(bn, spec)
     ((order, build),) = [(o, records) for u, o, records in programs if spec.output in u]
-    assert [record[5][2] for record in build] == list(order.cells)
+    assert [record[5][0] for record in build] == list(order.cells)
     buckets = [record for _, _, records in programs for record in records if record[1]]
     assert len(programs) > 8 and len(buckets) > len(programs)
-    for v, positions, axes, kept, message, (subscripts, output, cells) in buckets:
-        assert spans[id(subscripts)] == cells
+    for v, positions, axes, kept, message, kernel in buckets:
+        shape = {ax: n for scope, s in zip(axes, spans[id(kernel)]) for ax, n in zip(scope, s)}
+        assert math.prod(shape.values()) == kernel[0]
 
 
 def _hook_t_build(monkeypatch, action):
