@@ -386,8 +386,7 @@ def _planned(bn: DiscreteBayesNet, key: _Key) -> tuple[_Plan, TensorNetwork, Ten
     forward = schedule.derive(network._order(scopes, universe, kept))
     tables = [schedule.tabled()]
     joined = schedule.derive((output,), [(output,)]) if shared or calibrate else ()
-    pairs = coupled = j_pass = build = keeps = queries = largest = None
-    j_marginals = outside = None
+    pairs = coupled = j_pass = build = keeps = queries = largest = j_marginals = outside = None
     t_marginals = network._backward(universe, [*forward, *joined], schedule.live,
                                     of=[*queried, output]) if calibrate else None
     j_schedule = network.Schedule(j.universe, [f.axes for f in j.factors])
@@ -523,9 +522,9 @@ def _run(plan: _Plan, mrf: TensorNetwork, j: TensorNetwork, bn: DiscreteBayesNet
     output, evidence, first, total, closed = plan.key
     values = output_values(bn, spec)
     low, spread = float(values.min()), float(np.ptp(values)) or 1.0
-    forward = network.Elimination(found["mrf"], records=plan.calibrate).run(
-        (), records=plan.forward, kept=plan.kept and _kept(found, "forward", lambda: _free(
-            plan.forward, [False] * len(found["mrf"].factors))[0]))
+    forward = network.Elimination(found["mrf"], records=plan.calibrate).run(  # none reads g
+        (), records=plan.forward, kept=plan.kept and _kept(
+            found, "forward", lambda: dict.fromkeys(record[4] for record in plan.forward)))
     if (p_out := found.get("p_out")) is None:
         axes, table = forward.table(plan.tables[0])
         p_out = found["p_out"] = table.sum(axis=tuple(a for a, k in enumerate(axes) if k != output))
