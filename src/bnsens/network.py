@@ -524,7 +524,7 @@ def _backward(universe: Mapping[int, int], records: Sequence, live: Sequence[boo
         for m, i in enumerate(positions):
             if i in sends:
                 others = [*scopes[:m], *scopes[m + 1 :]]
-                subscripts = [*strings[:m], *strings[m + 1 :]], strings[m]
+                subscripts = (*strings[:m], *strings[m + 1 :]), strings[m]
                 sent.append((m, i, ones, _routed(others, subscripts, universe, axes[m], cells)))
         steps.append((r, message, v, None, marginal, tuple(sent)))
     finals = tuple(i for i, alive in enumerate(live) if alive)
